@@ -35,6 +35,10 @@ from .trainer import TrainConfig, train_adapter
 from . import tasks as tasks_mod
 
 SCHEMA_VERSION = 1
+# Bumped by every change that moves any result bit (op order, summation
+# order, a different SVD). Record files carry it; a cached record made
+# under another version is recomputed, never reused.
+NUMERICS_VERSION = 2
 RESULT_COLUMNS = ("run_id", "method", "rank", "seed", "trainable_params",
                   "test_metric", "effective_rank", "auc90",
                   "tokens_per_second", "wallclock_seconds")
@@ -360,12 +364,15 @@ class RunStore:
         return self.records_dir / f"{run_id}.adapters.json"
 
     def load_record(self, run_id: str) -> dict | None:
+        """The stored record file, or None if it is missing or unreadable;
+        an unreadable one is logged before it is treated as missing."""
         path = self.record_path(run_id)
         if not path.exists():
             return None
         try:
             return json.loads(path.read_text())
-        except (json.JSONDecodeError, OSError):
+        except (json.JSONDecodeError, OSError) as exc:
+            self.log(f"corrupt record {run_id} treated as missing: {exc}")
             return None
 
     def save_record(self, run_id: str, record: dict, run_config: dict,
@@ -373,7 +380,8 @@ class RunStore:
         _atomic_write_json(self.adapters_path(run_id), bundles)
         _atomic_write_json(self.record_path(run_id),
                            {"record": record, "run_config": run_config,
-                            "report": report})
+                            "report": report,
+                            "numerics_version": NUMERICS_VERSION})
 
     def all_records(self) -> list[dict]:
         out = []
@@ -420,11 +428,16 @@ def _execute_grid(cfg: ExperimentConfig, grid: list[tuple[MethodSpec, int, int]]
     for method, rank, seed in grid:
         run_config = make_run_config(cfg, method, rank, seed)
         rid = run_id_of(run_config)
+        label = f"{method.name} r={rank} seed={seed}"
         cached = store.load_record(rid)
         if cached is not None:
-            store.log(f"cache hit {rid} ({method.name} r={rank} seed={seed})")
-            outcome.records.append(cached["record"])
-            continue
+            version = cached.get("numerics_version")
+            if version == NUMERICS_VERSION:
+                store.log(f"cache hit {rid} ({label})")
+                outcome.records.append(cached["record"])
+                continue
+            store.log(f"stale record {rid} ({label}): numerics version "
+                      f"{version}, current {NUMERICS_VERSION}; recomputing")
         pending.append((rid, run_config))
 
     def finish(rid, run_config, result=None, error=None):
@@ -440,11 +453,13 @@ def _execute_grid(cfg: ExperimentConfig, grid: list[tuple[MethodSpec, int, int]]
         store.log(f"completed {rid} ({label}) metric={record['test_metric']:.6g}")
         outcome.records.append(record)
 
+    # crash isolation per run; in a worker's exception the traceback that
+    # format_exc prints includes the worker's own, chained as its cause
     if jobs <= 1 or len(pending) <= 1:
         for rid, run_config in pending:
             try:
                 finish(rid, run_config, result=run_from_config(run_config))
-            except Exception as exc:  # crash isolation per run
+            except Exception as exc:
                 finish(rid, run_config, error=f"{exc}\n{traceback.format_exc()}")
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -455,7 +470,7 @@ def _execute_grid(cfg: ExperimentConfig, grid: list[tuple[MethodSpec, int, int]]
                 try:
                     finish(rid, rc, result=fut.result())
                 except Exception as exc:
-                    finish(rid, rc, error=str(exc))
+                    finish(rid, rc, error=f"{exc}\n{traceback.format_exc()}")
     return outcome
 
 

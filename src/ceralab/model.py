@@ -8,9 +8,10 @@ Two operating modes share one weight set:
   attention and FFN branches reading the raw input in parallel and no layer
   norm. Every adapter then contributes additively through purely linear
   downstream maps, which is what makes the least-squares bound of the
-  teacher task exact. A single position attends only to itself, so the
-  softmax is identically one and the query path drops out; regression
-  experiments therefore target Wv.
+  teacher task exact, and what lets the output be computed as a frozen
+  term (constant per input row) plus one product per adapter. A single
+  position attends only to itself, so the softmax is identically one and
+  the query path drops out; regression experiments therefore target Wv.
 
 The value projection is allowed to be rectangular (v_out_dim < d_model),
 mirroring grouped-query-style asymmetry, and Wo folds it back.
@@ -268,21 +269,49 @@ def lm_logits(backbone: FrozenBackbone, tokens, mode: str = "eval",
     return T.linear(xf, backbone.head)
 
 
+def regressor_frozen(backbone: FrozenBackbone, features) -> np.ndarray:
+    """Adapter-free regressor output head(x + Wo Wv x + FFN(x)) in plain numpy.
+
+    The ops and their order are those of the tape, so the result is bit for
+    bit what the frozen model computes. It depends on the rows alone, so a
+    caller that revisits the same rows computes it once.
+    """
+    ws = backbone.layers[0]
+    x = np.ascontiguousarray(features, dtype=np.float64)
+    attn_out = (x @ ws["Wv"].data.T) @ ws["Wo"].data.T
+    pre = x @ ws["W1"].data.T
+    ff = (pre * (1.0 / (1.0 + np.exp(-pre)))) @ ws["W2"].data.T
+    return (x + attn_out + ff) @ backbone.head.data.T
+
+
 def regressor_output(backbone: FrozenBackbone, features, mode: str = "eval",
-                     rng: RngState | None = None,
-                     trace: dict | None = None) -> Tensor:
-    """Regression head over parallel attention/FFN branches (see module doc)."""
+                     rng: RngState | None = None, trace: dict | None = None,
+                     frozen: np.ndarray | None = None) -> Tensor:
+    """Regression head over parallel attention/FFN branches (see module doc).
+
+    Everything downstream of an adapter is linear, so the output is the
+    frozen term plus each adapter's delta carried to the output in one
+    product: a Wv adapter's through head·Wo, a module adapter's through
+    head. `frozen` is `regressor_frozen` of these rows when the caller
+    already holds it; otherwise it is computed here.
+    """
     cfg = backbone.cfg
     x = features if isinstance(features, Tensor) else Tensor(features)
     if x.ndim != 2 or x.shape[1] != cfg.d_model:
         raise ShapeError(f"features must be (n, {cfg.d_model}), got {x.shape}")
-    ws = backbone.layers[0]
-    v = _proj(backbone, 0, "Wv", x, mode, rng, trace)
-    attn_out = T.linear(v, ws["Wo"])
-    attn_out = _module_delta(backbone, 0, x, attn_out, mode, rng, trace)
-    ff = T.linear(T.silu(T.linear(x, ws["W1"])), ws["W2"])
-    y = x + attn_out + ff
-    return T.linear(y, backbone.head)
+    out = Tensor(regressor_frozen(backbone, x.data) if frozen is None else frozen)
+    head = backbone.head.data
+    for target in ("Wv", "attn_block"):
+        adapter = backbone.adapters.get((0, target))
+        if adapter is None:
+            continue
+        latent_sink, delta_sink = _sinks(trace, (0, target))
+        delta = adapter.delta_rows(x, mode, rng, latent_sink=latent_sink)
+        if delta_sink is not None:
+            delta_sink.append(delta.data.copy())
+        to_output = head @ backbone.layers[0]["Wo"].data if target == "Wv" else head
+        out = out + T.linear(delta, Tensor(to_output))
+    return out
 
 
 def forward(backbone: FrozenBackbone, inputs, mode: str = "eval",

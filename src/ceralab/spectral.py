@@ -1,7 +1,7 @@
 """Singular value spectra and rank-utilization metrics.
 
-Provides a deterministic one-sided Jacobi SVD for small dense matrices and
-the derived diagnostics used to compare adapters: effective rank (the
+Provides singular values of dense matrices through LAPACK SVD and the
+derived diagnostics used to compare adapters: effective rank (the
 exponential of the Shannon entropy of the normalized spectrum), cumulative
 spectral energy, and the AUC-90 index (components needed for 90% energy).
 """
@@ -16,9 +16,6 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, ShapeError
 
-_JACOBI_REL_TOL = 1e-12
-_JACOBI_MAX_SWEEPS = 60
-
 
 def _as_matrix(m) -> np.ndarray:
     data = m.data if hasattr(m, "data") and isinstance(getattr(m, "data"), np.ndarray) else m
@@ -29,63 +26,22 @@ def _as_matrix(m) -> np.ndarray:
 
 
 def svd_values(m, with_vectors: bool = False):
-    """Descending singular values of a dense matrix via one-sided Jacobi.
+    """Descending singular values of a dense matrix via LAPACK.
 
-    Rotations stop once every off-diagonal Gram entry is below 1e-12
-    relative to the corresponding column norms; more than 60 sweeps raises
-    ConvergenceError. With `with_vectors`, returns (u, sv, v) such that
-    u @ diag(sv) @ v.T reconstructs the input.
+    Non-finite entries raise DomainError; a LAPACK failure to converge
+    raises ConvergenceError. With `with_vectors`, returns (u, sv, v) of the
+    thin SVD, such that u @ diag(sv) @ v.T reconstructs the input.
     """
     a = _as_matrix(m)
     if not np.all(np.isfinite(a)):
         raise DomainError("svd_values requires finite entries")
-    transposed = a.shape[0] < a.shape[1]
-    w = a.T.copy() if transposed else a.copy()
-    n = w.shape[1]
-    v = np.eye(n)
-    # columns whose mass is below roundoff of the whole matrix are dead;
-    # rotating them against live columns never converges
-    dead = (np.finfo(np.float64).eps * np.linalg.norm(w)) ** 2
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                cp, cq = w[:, p], w[:, q]
-                app = cp @ cp
-                aqq = cq @ cq
-                apq = cp @ cq
-                if app <= dead or aqq <= dead:
-                    continue
-                if abs(apq) <= _JACOBI_REL_TOL * np.sqrt(app * aqq):
-                    continue
-                rotated = True
-                zeta = (aqq - app) / (2.0 * apq)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                rot = np.array([[c, s], [-s, c]])
-                w[:, [p, q]] = w[:, [p, q]] @ rot
-                v[:, [p, q]] = v[:, [p, q]] @ rot
-        if not rotated:
-            break
-    else:
-        raise ConvergenceError(
-            f"one-sided Jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
-    norms = np.sqrt((w * w).sum(axis=0))
-    order = np.argsort(-norms, kind="stable")
-    sv = norms[order]
-    if not with_vectors:
-        return sv
-    w = w[:, order]
-    v = v[:, order]
-    u = np.zeros_like(w)
-    nz = sv > 0.0
-    u[:, nz] = w[:, nz] / sv[nz]
-    if transposed:
-        return v, sv, u
-    return u, sv, v
+    try:
+        if not with_vectors:
+            return np.linalg.svd(a, compute_uv=False)
+        u, sv, vt = np.linalg.svd(a, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK SVD did not converge: {exc}") from exc
+    return u, sv, vt.T
 
 
 def effective_rank(sv) -> float:

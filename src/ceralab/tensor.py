@@ -164,8 +164,11 @@ def _node(data: np.ndarray, parents: Sequence[Tensor],
 def _accum(t: Tensor, g: np.ndarray) -> None:
     if t.requires_grad:
         if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
+            # one pass into a fresh array; g + 0.0 is bit for bit what
+            # zeros + g gave, -0.0 turning into +0.0 included
+            t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+        else:
+            t.grad += g
 
 
 def zero_grads(params: Sequence[Tensor]) -> None:
@@ -211,15 +214,21 @@ def backward(loss: Tensor) -> None:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-d tensors."""
+    """Matrix product of two 2-d tensors.
+
+    Backward forms the gradient product of an operand only if it requires
+    grad; the same holds for `linear`, `mul` and the subtrahend of `sub`.
+    """
     a, b = _wrap(a), _wrap(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shapes {a.shape} x {b.shape} do not agree")
     data = a.data @ b.data
 
     def bwd(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return _node(data, (a, b), bwd, "matmul")
 
@@ -232,8 +241,10 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     data = x.data @ w.data.T
 
     def bwd(g):
-        _accum(x, g @ w.data)
-        _accum(w, g.T @ x.data)
+        if x.requires_grad:
+            _accum(x, g @ w.data)
+        if w.requires_grad:
+            _accum(w, g.T @ x.data)
 
     return _node(data, (x, w), bwd, "linear")
 
@@ -274,7 +285,8 @@ def sub(a: Tensor, b) -> Tensor:
 
     def bwd(g):
         _accum(a, _broadcast_bwd(a, g))
-        _accum(b, _broadcast_bwd(b, -g))
+        if b.requires_grad:
+            _accum(b, _broadcast_bwd(b, -g))
 
     return _node(data, (a, b), bwd, "sub")
 
@@ -287,8 +299,10 @@ def mul(a: Tensor, b) -> Tensor:
         raise ShapeError(f"mul shapes {a.shape} * {b.shape}") from exc
 
     def bwd(g):
-        _accum(a, _broadcast_bwd(a, g * b.data))
-        _accum(b, _broadcast_bwd(b, g * a.data))
+        if a.requires_grad:
+            _accum(a, _broadcast_bwd(a, g * b.data))
+        if b.requires_grad:
+            _accum(b, _broadcast_bwd(b, g * a.data))
 
     return _node(data, (a, b), bwd, "mul")
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ConfigError, DomainError, ShapeError, TrainingDiverged
-from .model import FrozenBackbone, forward, lm_logits, merged_copy
+from .model import (FrozenBackbone, forward, lm_logits, merged_copy,
+                    regressor_frozen, regressor_output)
 from .tasks import Dataset
 from .tensor import RngState, Tensor, backward, zero_grads
 
@@ -129,9 +130,13 @@ def clip_global_norm(grads: list[np.ndarray], clip: float | None) -> float:
 
 
 def _batch_loss(backbone: FrozenBackbone, train: Dataset, idx: np.ndarray,
-                mode: str, rng: RngState | None) -> Tensor:
+                mode: str, rng: RngState | None,
+                frozen: np.ndarray | None) -> Tensor:
+    """Mean loss over the rows `idx`; `frozen` is the regressor's frozen
+    term of the whole train split (None for a language model)."""
     if backbone.cfg.mode == "regressor":
-        out = forward(backbone, Tensor(train.inputs[idx]), mode=mode, rng=rng)
+        out = regressor_output(backbone, Tensor(train.inputs[idx]), mode=mode,
+                               rng=rng, frozen=frozen[idx])
         return T.mse(out, train.targets[idx])
     total = None
     for i in idx:
@@ -177,7 +182,8 @@ def train_adapter(backbone: FrozenBackbone, adapters, train: Dataset,
     """Run the adapter-only loop; deterministic given cfg.seed.
 
     Dropout is active only in train mode; a non-finite loss aborts with a
-    diagnostic rather than silently continuing.
+    diagnostic rather than silently continuing. A regressor's frozen term
+    of the train split is computed once, before the first step.
     """
     params = [p for ad in adapters for p in ad.params]
     if not params:
@@ -188,9 +194,11 @@ def train_adapter(backbone: FrozenBackbone, adapters, train: Dataset,
     n_train = len(train)
     curve: list[float] = []
     started = time.perf_counter()
+    frozen = (regressor_frozen(backbone, train.inputs)
+              if backbone.cfg.mode == "regressor" else None)
     for t in range(cfg.steps):
         idx = batch_rng.integers(0, n_train, cfg.batch_size)
-        loss = _batch_loss(backbone, train, idx, "train", drop_rng)
+        loss = _batch_loss(backbone, train, idx, "train", drop_rng, frozen)
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             raise TrainingDiverged(
@@ -207,7 +215,7 @@ def train_adapter(backbone: FrozenBackbone, adapters, train: Dataset,
         final_train = curve[-1]
     else:
         idx = np.arange(min(n_train, cfg.batch_size))
-        final_train = _batch_loss(backbone, train, idx, "eval", None).item()
+        final_train = _batch_loss(backbone, train, idx, "eval", None, frozen).item()
     tokens = cfg.steps * _tokens_in_batch(backbone, train, cfg.batch_size)
     return TrainReport(
         loss_curve=curve,
@@ -236,16 +244,10 @@ def _bare_copy(backbone: FrozenBackbone) -> FrozenBackbone:
                           backbone.head)
 
 
-def _median_forward_seconds(backbone: FrozenBackbone, batch,
-                            repetitions: int) -> tuple[float, float]:
-    times = []
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        forward(backbone, batch, mode="eval")
-        times.append(time.perf_counter() - start)
-    arr = np.asarray(times)
-    cv = float(arr.std() / arr.mean()) if arr.mean() > 0 else 0.0
-    return float(np.median(arr)), cv
+def _forward_seconds(backbone: FrozenBackbone, batch) -> float:
+    start = time.perf_counter()
+    forward(backbone, batch, mode="eval")
+    return time.perf_counter() - start
 
 
 def measure_throughput(backbone: FrozenBackbone, batch,
@@ -254,7 +256,9 @@ def measure_throughput(backbone: FrozenBackbone, batch,
 
     Linear adapters are folded for the baseline; for non-mergeable kinds the
     baseline is the bare backbone, which costs the same as any merged model.
-    Numbers are hardware-dependent: they are reported, never asserted.
+    Adapter and baseline repetitions alternate, so a drift in host speed
+    falls on both medians alike. Numbers are hardware-dependent: they are
+    reported, never asserted.
     """
     from .errors import NotMergeableError
 
@@ -264,8 +268,14 @@ def measure_throughput(backbone: FrozenBackbone, batch,
     except NotMergeableError:
         base = _bare_copy(backbone)
         base_label = "bare-backbone (merged-equivalent cost)"
-    median, cv = _median_forward_seconds(backbone, batch, repetitions)
-    base_median, _ = _median_forward_seconds(base, batch, repetitions)
+    times, base_times = [], []
+    for _ in range(repetitions):
+        times.append(_forward_seconds(backbone, batch))
+        base_times.append(_forward_seconds(base, batch))
+    arr = np.asarray(times)
+    median = float(np.median(arr))
+    base_median = float(np.median(base_times))
+    cv = float(arr.std() / arr.mean()) if arr.mean() > 0 else 0.0
     if backbone.cfg.mode == "regressor":
         tokens = np.asarray(batch).shape[0]
     else:

@@ -1,17 +1,20 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ceralab.errors import ConfigError
-from ceralab.experiments import (ABLATION_VARIANTS, ExperimentConfig,
-                                 MethodSpec, ablation_methods, build_task_bundle,
+from ceralab.experiments import (ABLATION_VARIANTS, NUMERICS_VERSION,
+                                 ExperimentConfig, MethodSpec, RunStore,
+                                 ablation_methods, build_task_bundle,
                                  cmd_ablate, cmd_logistic, cmd_params,
                                  cmd_spectral, cmd_sweep, make_run_config,
-                                 run_id_of, stable_seed)
+                                 run_from_config, run_id_of, stable_seed)
 from ceralab.model import ModelConfig
 from ceralab.trainer import TrainConfig
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 SMALL_MODEL = dict(d_model=16, n_heads=2, d_head=8, n_layers=1, vocab_size=4,
                    max_seq_len=8, v_out_dim=16, mode="regressor")
 
@@ -102,6 +105,67 @@ def test_results_csv_columns_and_order(tmp_path):
     assert keys == sorted(keys)
 
 
+def test_records_carry_numerics_version_and_csv_does_not(tmp_path):
+    cfg = small_config(tmp_path / "out")
+    rid = cmd_sweep(cfg).records[0]["run_id"]
+    stored = json.loads((tmp_path / "out" / "records" / f"{rid}.json").read_text())
+    assert stored["numerics_version"] == NUMERICS_VERSION
+    assert "numerics" not in (tmp_path / "out" / "results.csv").read_text()
+
+
+@pytest.mark.parametrize("version", [None, NUMERICS_VERSION - 1])
+def test_stale_numerics_version_is_recomputed(tmp_path, version):
+    cfg = small_config(tmp_path / "out")
+    rid = cmd_sweep(cfg).records[0]["run_id"]
+    path = tmp_path / "out" / "records" / f"{rid}.json"
+    stored = json.loads(path.read_text())
+    want = stored["record"]["test_metric"]
+    stored["record"]["test_metric"] = -1.0
+    if version is None:
+        del stored["numerics_version"]
+    else:
+        stored["numerics_version"] = version
+    path.write_text(json.dumps(stored))
+    outcome = cmd_sweep(cfg)
+    assert outcome.records[0]["test_metric"] == want
+    assert json.loads(path.read_text())["numerics_version"] == NUMERICS_VERSION
+    log = (tmp_path / "out" / "run.log").read_text()
+    assert f"stale record {rid}" in log and f"numerics version {version}," in log
+
+
+def test_corrupt_record_is_logged_and_recomputed(tmp_path):
+    cfg = small_config(tmp_path / "out")
+    rid = cmd_sweep(cfg).records[0]["run_id"]
+    path = tmp_path / "out" / "records" / f"{rid}.json"
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    assert RunStore(tmp_path / "out").load_record(rid) is None
+    assert f"corrupt record {rid}" in (tmp_path / "out" / "run.log").read_text()
+    outcome = cmd_sweep(cfg)
+    assert outcome.exit_code == 0
+    assert json.loads(path.read_text())["record"]["run_id"] == rid
+
+
+# test_metric of one short ceiling run (cera, r=8, seed 1, 300 steps), exact,
+# per numerics version. A change that moves it must bump NUMERICS_VERSION
+# and add the new value here.
+GOLDEN_TEST_METRIC = {1: 0.05447879761535826, 2: 0.054478797615358246}
+
+
+def test_numerics_version_golden_bits():
+    cfg = ExperimentConfig.load(CONFIG_DIR / "ceiling_sweep.json")
+    cfg.train.steps = 300
+    cera = next(m for m in cfg.methods if m.kind == "cera")
+    record, _, _ = run_from_config(make_run_config(cfg, cera, 8, 1))
+    assert record["test_metric"] == GOLDEN_TEST_METRIC[NUMERICS_VERSION]
+
+
+def test_nonlinear_teacher_floor_is_pinned():
+    # the teacher targets are built from the adapter-free regressor output
+    cfg = ExperimentConfig.load(CONFIG_DIR / "ceiling_sweep.json")
+    assert build_task_bundle(cfg.task_id, cfg.model).floor == 0.05202710531425961
+
+
 def test_partial_failure_isolation(tmp_path):
     # rank 64 exceeds min(d, k) = 16 for this model: that run must fail alone
     cfg = small_config(tmp_path / "out", ranks=(4, 64), seeds=(1,))
@@ -113,6 +177,19 @@ def test_partial_failure_isolation(tmp_path):
     assert (tmp_path / "out" / "failures.json").exists()
     csv_text = (tmp_path / "out" / "results.csv").read_text()
     assert len(csv_text.splitlines()) == 2  # header + surviving record
+
+
+def test_parallel_failure_keeps_worker_traceback(tmp_path):
+    cfg = small_config(tmp_path / "out", ranks=(4, 64), seeds=(1,))
+    outcome = cmd_sweep(cfg, jobs=2)
+    assert outcome.exit_code == 1 and len(outcome.records) == 1
+    error = outcome.failures[0]["error"]
+    # the frames of the worker that raised, not just the message
+    assert "rank 64" in error and "Traceback" in error
+    assert "in run_from_config" in error and "in init_adapter" in error
+    saved = json.loads((tmp_path / "out" / "failures.json").read_text())
+    assert saved[0]["error"] == error
+    assert "in init_adapter" in (tmp_path / "out" / "run.log").read_text()
 
 
 def test_sweep_emits_plots_and_floor(tmp_path):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ceralab.errors import DomainError, ShapeError
+from ceralab import spectral
+from ceralab.errors import ConvergenceError, DomainError, ShapeError
 from ceralab.spectral import (SpectralReport, activation_spectrum, auc90,
                               delta_w_linear, effective_rank, energy_curve,
                               svd_values)
@@ -69,6 +70,24 @@ def test_svd_rejects_nonfinite():
     m[1, 1] = np.nan
     with pytest.raises(DomainError):
         svd_values(m)
+
+
+def test_svd_wide_matrix_vectors_reconstruct():
+    m = RngState(108).normal((4, 9))
+    u, sv, v = svd_values(m, with_vectors=True)
+    assert u.shape == (4, 4) and sv.shape == (4,) and v.shape == (9, 4)
+    assert np.linalg.norm(u @ np.diag(sv) @ v.T - m) / np.linalg.norm(m) < 1e-10
+    assert np.allclose(v.T @ v, np.eye(4), atol=1e-12)
+
+
+def test_svd_lapack_failure_is_convergence_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(spectral.np.linalg, "svd", fail)
+    for with_vectors in (False, True):
+        with pytest.raises(ConvergenceError):
+            svd_values(np.eye(3), with_vectors=with_vectors)
 
 
 def test_effective_rank_goldens():

@@ -96,6 +96,48 @@ def test_backward_linear_form():
     assert np.allclose(w.grad, np.tile(x, (4, 1)))
 
 
+@pytest.mark.parametrize("op", ["linear", "matmul"])
+@pytest.mark.parametrize("trainable", [(True, False), (False, True), (True, True)])
+def test_gemm_backward_skips_frozen_operands(monkeypatch, op, trainable):
+    rng = RngState(60)
+    a = Tensor(rng.normal((5, 3)), requires_grad=trainable[0])
+    b = Tensor(rng.normal((4, 3) if op == "linear" else (3, 4)),
+               requires_grad=trainable[1])
+    c = rng.normal((5, 4))
+    handed = []
+    accum = T._accum
+    monkeypatch.setattr(T, "_accum", lambda t, g: (handed.append(t), accum(t, g)))
+    backward(tsum(getattr(T, op)(a, b) * c))
+    # the frozen operand's gradient product is never formed
+    for t in (a, b):
+        assert any(h is t for h in handed) == t.requires_grad
+        if not t.requires_grad:
+            assert t.grad is None
+    # the trainable ones get, bit for bit, what zeros plus the product gave
+    g = np.ones((5, 4)) * c
+    if op == "linear":
+        want_a, want_b = g @ b.data, g.T @ a.data
+    else:
+        want_a, want_b = g @ b.data.T, a.data.T @ g
+    for t, want in ((a, want_a), (b, want_b)):
+        if t.requires_grad:
+            assert t.grad.tobytes() == (np.zeros_like(t.data) + want).tobytes()
+
+
+@pytest.mark.parametrize("op", ["mul", "sub"])
+def test_elementwise_backward_skips_frozen_operand(monkeypatch, op):
+    rng = RngState(61)
+    a = Tensor(rng.normal((3, 4)), requires_grad=True)
+    b = Tensor(rng.normal((3, 4)))
+    handed = []
+    accum = T._accum
+    monkeypatch.setattr(T, "_accum", lambda t, g: (handed.append(t), accum(t, g)))
+    backward(tsum(getattr(T, op)(a, b)))
+    assert not any(h is b for h in handed) and b.grad is None
+    want = np.ones((3, 4)) * b.data if op == "mul" else np.ones((3, 4))
+    assert a.grad.tobytes() == (np.zeros_like(a.data) + want).tobytes()
+
+
 def test_backward_constant_loss_zero_grads():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     loss = tsum(Tensor(np.zeros((2, 2))) * 3.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ceralab import trainer as trainer_mod
 from ceralab.adapters import Adapter, AdapterConfig
 from ceralab.errors import ConfigError, DomainError
 from ceralab.model import (ModelConfig, adapter_shape, build_model, forward,
@@ -223,6 +224,22 @@ def test_throughput_merged_vs_unmerged_lora():
     assert rep.baseline == "merged"
     assert rep.relative_latency >= 1.0
     assert rep.tokens_per_second > 0
+
+
+def test_throughput_alternates_adapter_and_baseline(monkeypatch):
+    bb = build_model(LM_CFG, 36)
+    cfg = AdapterConfig(kind="lora", r=2, targets=("Wv",))
+    inject(bb, 0, "Wv", Adapter.init(cfg, *adapter_shape(LM_CFG, "Wv"), RngState(37)))
+    adapted = []
+    real = trainer_mod.forward
+
+    def spy(backbone, *args, **kwargs):
+        adapted.append(backbone is bb)
+        return real(backbone, *args, **kwargs)
+
+    monkeypatch.setattr(trainer_mod, "forward", spy)
+    measure_throughput(bb, [[1, 2, 3, 4]] * 2, repetitions=4)
+    assert adapted == [True, False] * 4
 
 
 def test_throughput_cera_uses_bare_baseline():
