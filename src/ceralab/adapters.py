@@ -167,12 +167,14 @@ def _maybe_flatten(out: Tensor, was_vector: bool) -> Tensor:
 
 
 def lora_delta_rows(x_rows: Tensor, st: AdapterState, cfg: AdapterConfig,
-                    mode: str = "eval", rng: RngState | None = None) -> Tensor:
-    """Additive LoRA update (alpha/r) * B (A x) for a batch of row vectors."""
+                    mode: str = "eval", rng: RngState | None = None,
+                    mask: np.ndarray | None = None) -> Tensor:
+    """Additive LoRA update (alpha/r) * B (A x) for a batch of row vectors;
+    `mask` is a pre-drawn dropout mask (see `tensor.dropout`)."""
     lat = T.linear(x_rows, st.w_up)
     p = cfg.resolved_dropout_p
     if p > 0.0:
-        lat = T.dropout(lat, p, mode, cfg.dropout_style, rng)
+        lat = T.dropout(lat, p, mode, cfg.dropout_style, rng, mask)
     return cfg.resolved_alpha / cfg.r * T.linear(lat, st.w_down)
 
 
@@ -188,18 +190,20 @@ def lora_forward(x: Tensor, w0: Tensor, st: AdapterState, cfg: AdapterConfig,
 
 def cera_delta_rows(x_rows: Tensor, st: AdapterState, cfg: AdapterConfig,
                     mode: str = "eval", rng: RngState | None = None,
-                    latent_sink: list | None = None) -> Tensor:
+                    latent_sink: list | None = None,
+                    mask: np.ndarray | None = None) -> Tensor:
     """Additive gated update s * W_down(dropout(act(W_up x))) for rows.
 
     When `latent_sink` is given, the post-activation pre-dropout latent rows
-    are appended to it as a plain array (the H matrix rows).
+    are appended to it as a plain array (the H matrix rows). `mask` is a
+    pre-drawn dropout mask (see `tensor.dropout`).
     """
     lat = T.ACTIVATIONS[cfg.resolved_activation](T.linear(x_rows, st.w_up))
     if latent_sink is not None:
         latent_sink.append(lat.data.copy())
     p = cfg.resolved_dropout_p
     if p > 0.0:
-        lat = T.dropout(lat, p, mode, cfg.dropout_style, rng)
+        lat = T.dropout(lat, p, mode, cfg.dropout_style, rng, mask)
     return cfg.resolved_scale * T.linear(lat, st.w_down)
 
 
@@ -246,14 +250,16 @@ class Adapter:
 
     def delta_rows(self, x_rows: Tensor, mode: str = "eval",
                    rng: RngState | None = None,
-                   latent_sink: list | None = None) -> Tensor:
+                   latent_sink: list | None = None,
+                   mask: np.ndarray | None = None) -> Tensor:
         if self.cfg.kind == "lora":
-            delta = lora_delta_rows(x_rows, self.state, self.cfg, mode, rng)
+            delta = lora_delta_rows(x_rows, self.state, self.cfg, mode, rng, mask)
             if latent_sink is not None:
                 # the linear latent is A x itself (identity activation)
                 latent_sink.append((x_rows.data @ self.state.w_up.data.T))
             return delta
-        return cera_delta_rows(x_rows, self.state, self.cfg, mode, rng, latent_sink)
+        return cera_delta_rows(x_rows, self.state, self.cfg, mode, rng, latent_sink,
+                               mask)
 
     def forward_rows(self, x_rows: Tensor, w0: Tensor, mode: str = "eval",
                      rng: RngState | None = None,

@@ -26,7 +26,7 @@ from .model import (FrozenBackbone, ModelConfig, adapter_shape, build_model,
                     collect_latents, forward, inject)
 from .plotting import AxesSpec, Series, emit_plot
 from .spectral import (SpectralReport, activation_spectrum, auc90,
-                       delta_w_linear, effective_rank, svd_values)
+                       delta_w_linear, effective_rank, energy_curve, svd_values)
 from .tasks import (Dataset, detect_state_collapse, linear_floor,
                     logistic_map_table, make_teacher_task, nonlinear_teacher,
                     trajectory_sequences)
@@ -38,7 +38,7 @@ SCHEMA_VERSION = 1
 # Bumped by every change that moves any result bit (op order, summation
 # order, a different SVD). Record files carry it; a cached record made
 # under another version is recomputed, never reused.
-NUMERICS_VERSION = 2
+NUMERICS_VERSION = 3
 RESULT_COLUMNS = ("run_id", "method", "rank", "seed", "trainable_params",
                   "test_metric", "effective_rank", "auc90",
                   "tokens_per_second", "wallclock_seconds")
@@ -273,26 +273,42 @@ def _inject_method(backbone: FrozenBackbone, method: MethodSpec, rank: int,
     return adapters
 
 
-def _spectral_metrics(backbone: FrozenBackbone, test: Dataset,
-                      source: str) -> tuple[float, int]:
-    if source == "delta_w":
-        ers, aucs = [], []
-        for adapter in backbone.adapters.values():
-            cfg = adapter.cfg
-            if cfg.kind == "parallel_module" or cfg.resolved_activation != "identity":
-                raise ConfigError(
-                    "delta_w spectra need a linear adapter; use latent_H or "
-                    "output_delta_D for gated kinds")
-            dw = delta_w_linear(adapter.state.w_up, adapter.state.w_down,
-                                cfg.resolved_alpha, cfg.r)
-            sv = svd_values(dw)
-            ers.append(effective_rank(sv))
-            aucs.append(auc90(sv) if sv.sum() > 0 else 0)
-        return float(np.mean(ers)), int(round(np.mean(aucs)))
-    which = "latent_H" if source == "latent_H" else "output_delta_D"
-    mat = collect_latents(backbone, test.inputs, which)
-    report = activation_spectrum(mat.data, source_label=source)
-    return report.effective_rank, report.auc90_index
+def spectral_report(backbone: FrozenBackbone, inputs, source: str) -> SpectralReport:
+    """The spectrum a run is scored by: the sweep records its effective rank
+    and AUC-90, and `cmd_spectral` reports it.
+
+    `latent_H` and `output_delta_D` analyse every adapter's activations over
+    `inputs`, stacked. `delta_w` analyses each adapter's materialized update
+    on its own; the report holds the mean of their effective ranks, the
+    mean of their AUC-90 indices (rounded), and their mean spectrum (shorter
+    spectra padded with zeros) with its energy curve.
+    """
+    if source != "delta_w":
+        mat = collect_latents(backbone, inputs, source)
+        return activation_spectrum(mat.data, source_label=source)
+    spectra, ers, aucs = [], [], []
+    for adapter in backbone.adapters.values():
+        cfg = adapter.cfg
+        if cfg.kind == "parallel_module" or cfg.resolved_activation != "identity":
+            raise ConfigError(
+                "delta_w spectra need a linear adapter; use latent_H or "
+                "output_delta_D for gated kinds")
+        dw = delta_w_linear(adapter.state.w_up, adapter.state.w_down,
+                            cfg.resolved_alpha, cfg.r)
+        sv = svd_values(dw)
+        spectra.append(sv)
+        ers.append(effective_rank(sv))
+        aucs.append(auc90(sv) if sv.sum() > 0 else 0)
+    mean_sv = np.zeros(max(sv.size for sv in spectra))
+    for sv in spectra:
+        mean_sv[:sv.size] += sv
+    mean_sv /= len(spectra)
+    return SpectralReport(
+        source_label=source,
+        singular_values=mean_sv.tolist(),
+        effective_rank=float(np.mean(ers)),
+        auc90_index=int(round(np.mean(aucs))),
+        energy_curve=energy_curve(mean_sv).tolist() if mean_sv.sum() > 0 else [])
 
 
 def run_from_config(run_config: dict) -> tuple[dict, dict, dict]:
@@ -306,8 +322,8 @@ def run_from_config(run_config: dict) -> tuple[dict, dict, dict]:
                               run_config["seed"])
     report = train_adapter(backbone, adapters, bundle.train, bundle.test,
                            train_cfg)
-    er, auc = _spectral_metrics(backbone, bundle.test,
-                                run_config["spectral_source"])
+    spectrum = spectral_report(backbone, bundle.test.inputs,
+                               run_config["spectral_source"])
     record = ResultRecord(
         run_id=run_id_of(run_config),
         method=method.name,
@@ -315,8 +331,8 @@ def run_from_config(run_config: dict) -> tuple[dict, dict, dict]:
         seed=run_config["seed"],
         trainable_params=backbone.trainable_param_count(),
         test_metric=report.test_metric,
-        effective_rank=er,
-        auc90=auc,
+        effective_rank=spectrum.effective_rank,
+        auc90=spectrum.auc90_index,
         tokens_per_second=report.tokens_per_second,
         wallclock_seconds=report.wallclock_seconds,
     )
@@ -384,15 +400,12 @@ class RunStore:
                             "numerics_version": NUMERICS_VERSION})
 
     def all_records(self) -> list[dict]:
-        out = []
-        for path in sorted(self.records_dir.glob("*.json")):
-            if path.name.endswith(".adapters.json"):
-                continue
-            try:
-                out.append(json.loads(path.read_text()))
-            except json.JSONDecodeError:
-                continue
-        return out
+        """Every readable stored record; an unreadable one is logged, as by
+        `load_record`, and skipped."""
+        stored = [self.load_record(path.stem)
+                  for path in sorted(self.records_dir.glob("*.json"))
+                  if not path.name.endswith(".adapters.json")]
+        return [record for record in stored if record is not None]
 
 
 def write_results_csv(records: list[dict], path: Path) -> None:
@@ -621,17 +634,7 @@ def cmd_spectral(cfg: ExperimentConfig, run_id: str,
         adapter.state.w_up.data[:] = state.w_up.data
         adapter.state.w_down.data[:] = state.w_down.data
 
-    if source == "delta_w":
-        first = backbone.adapters[sorted(backbone.adapters)[0]]
-        if first.cfg.kind == "parallel_module" or \
-                first.cfg.resolved_activation != "identity":
-            raise ConfigError("delta_w spectra need a linear adapter")
-        dw = delta_w_linear(first.state.w_up, first.state.w_down,
-                            first.cfg.resolved_alpha, first.cfg.r)
-        report = activation_spectrum(dw, source_label="delta_w")
-    else:
-        mat = collect_latents(backbone, task.test.inputs, source)
-        report = activation_spectrum(mat.data, source_label=source)
+    report = spectral_report(backbone, task.test.inputs, source)
 
     out_json = store.root / f"spectral_{run_id}_{source}.json"
     _atomic_write_bytes(out_json, report.to_json().encode())

@@ -3,7 +3,10 @@
 Two operating modes share one weight set:
 
 * ``language_model``: standard causally-masked pre-norm blocks over a fixed
-  numeric vocabulary; logits come back as a (batch, seq, vocab) tensor.
+  numeric vocabulary, run over a whole batch at once: every projection,
+  adapter, layer norm and FFN acts on the (batch*seq, d) token rows, and
+  attention runs once per layer in a (batch, heads, seq, d_head) layout;
+  logits come back as a (batch, seq, vocab) tensor.
 * ``regressor``: one block applied to plain feature vectors, with the
   attention and FFN branches reading the raw input in parallel and no layer
   norm. Every adapter then contributes additively through purely linear
@@ -183,17 +186,13 @@ def inject(backbone: FrozenBackbone, layer_index: int, target: str,
 
 
 def _proj(backbone: FrozenBackbone, layer: int, target: str, x_rows: Tensor,
-          mode: str, rng: RngState | None, trace: dict | None) -> Tensor:
+          mode: str, masks: dict, trace: dict | None) -> Tensor:
     w0 = backbone.layers[layer][target]
     adapter = backbone.adapters.get((layer, target))
     base = T.linear(x_rows, w0)
     if adapter is None:
         return base
-    latent_sink, delta_sink = _sinks(trace, (layer, target))
-    delta = adapter.delta_rows(x_rows, mode, rng, latent_sink=latent_sink)
-    if delta_sink is not None:
-        delta_sink.append(delta.data.copy())
-    return base + delta
+    return base + _lm_delta(adapter, (layer, target), x_rows, mode, masks, trace)
 
 
 def _sinks(trace: dict | None, key) -> tuple[list | None, list | None]:
@@ -204,17 +203,41 @@ def _sinks(trace: dict | None, key) -> tuple[list | None, list | None]:
     return latent, delta
 
 
-def _module_delta(backbone: FrozenBackbone, layer: int, block_in: Tensor,
-                  attn_out: Tensor, mode: str, rng: RngState | None,
-                  trace: dict | None) -> Tensor:
-    adapter = backbone.adapters.get((layer, "attn_block"))
-    if adapter is None:
-        return attn_out
-    latent_sink, delta_sink = _sinks(trace, (layer, "attn_block"))
-    delta = adapter.delta_rows(block_in, mode, rng, latent_sink=latent_sink)
+def _lm_delta(adapter: Adapter, key, x_rows: Tensor, mode: str, masks: dict,
+              trace: dict | None) -> Tensor:
+    """An adapter's delta rows, with its pre-drawn dropout mask."""
+    latent_sink, delta_sink = _sinks(trace, key)
+    delta = adapter.delta_rows(x_rows, mode, latent_sink=latent_sink,
+                               mask=masks.get(key))
     if delta_sink is not None:
         delta_sink.append(delta.data.copy())
-    return attn_out + delta
+    return delta
+
+
+def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
+                   mode: str, rng: RngState | None) -> dict:
+    """Every adapter's dropout mask for a batch, as (n_seq*seq_len, r) rows.
+
+    Masks are drawn sequence by sequence, then layer by layer, then in
+    injection-target order, so each sequence gets, bit for bit, the masks
+    it would draw if run on its own. `channel` style draws one mask per
+    sequence, shared by its positions. Outside train mode nothing is drawn.
+    """
+    if mode != "train":
+        return {}
+    keys = [(layer, target) for layer in range(backbone.cfg.n_layers)
+            for target in INJECTION_TARGETS
+            if (layer, target) in backbone.adapters
+            and backbone.adapters[(layer, target)].cfg.resolved_dropout_p > 0.0]
+    drawn: dict = {key: [] for key in keys}
+    for _ in range(n_seq):
+        for key in keys:
+            cfg = backbone.adapters[key].cfg
+            rows = seq_len if cfg.dropout_style == "elementwise" else 1
+            drawn[key].append(np.broadcast_to(
+                T.dropout_mask((rows, cfg.r), cfg.resolved_dropout_p, rng),
+                (seq_len, cfg.r)))
+    return {key: np.concatenate(parts) for key, parts in drawn.items()}
 
 
 def _causal_mask(s: int) -> Tensor:
@@ -222,29 +245,27 @@ def _causal_mask(s: int) -> Tensor:
     return Tensor(mask)
 
 
-def _lm_block(backbone: FrozenBackbone, layer: int, x: Tensor, mode: str,
-              rng: RngState | None, trace: dict | None) -> Tensor:
+def _lm_block(backbone: FrozenBackbone, layer: int, x: Tensor, seq_len: int,
+              mode: str, masks: dict, trace: dict | None) -> Tensor:
+    """One pre-norm block over the (batch*seq, d) rows of a batch."""
     cfg = backbone.cfg
     ws = backbone.layers[layer]
-    s = x.shape[0]
     xn = T.layer_norm(x, ws["ln1_g"], ws["ln1_b"])
-    q = _proj(backbone, layer, "Wq", xn, mode, rng, trace)
-    k = T.linear(xn, ws["Wk"])
-    v = _proj(backbone, layer, "Wv", xn, mode, rng, trace)
-    mask = _causal_mask(s)
-    head_outs = []
-    dv = cfg.v_out_dim // cfg.n_heads
-    for h in range(cfg.n_heads):
-        qh = T.slice_cols(q, h * cfg.d_head, (h + 1) * cfg.d_head)
-        kh = T.slice_cols(k, h * cfg.d_head, (h + 1) * cfg.d_head)
-        vh = T.slice_cols(v, h * dv, (h + 1) * dv)
-        scores = T.matmul(qh, T.transpose(kh)) * (1.0 / np.sqrt(cfg.d_head)) + mask
-        attn = T.softmax_rows(scores)
-        if trace is not None:
-            trace.setdefault("attention", []).append(attn.data.copy())
-        head_outs.append(T.matmul(attn, vh))
-    attn_out = T.linear(T.concat_cols(head_outs), ws["Wo"])
-    attn_out = _module_delta(backbone, layer, xn, attn_out, mode, rng, trace)
+    q = T.split_heads(_proj(backbone, layer, "Wq", xn, mode, masks, trace),
+                      cfg.n_heads, seq_len)
+    k = T.split_heads(T.linear(xn, ws["Wk"]), cfg.n_heads, seq_len)
+    v = T.split_heads(_proj(backbone, layer, "Wv", xn, mode, masks, trace),
+                      cfg.n_heads, seq_len)
+    scores = T.bmm(q, T.transpose(k)) * (1.0 / np.sqrt(cfg.d_head)) \
+        + _causal_mask(seq_len)
+    attn = T.softmax_rows(scores)
+    if trace is not None:
+        trace.setdefault("attention", []).append(attn.data.copy())
+    attn_out = T.linear(T.merge_heads(T.bmm(attn, v)), ws["Wo"])
+    module = backbone.adapters.get((layer, "attn_block"))
+    if module is not None:
+        attn_out = attn_out + _lm_delta(module, (layer, "attn_block"), xn, mode,
+                                        masks, trace)
     x = x + attn_out
     xn2 = T.layer_norm(x, ws["ln2_g"], ws["ln2_b"])
     ff = T.linear(T.silu(T.linear(xn2, ws["W1"])), ws["W2"])
@@ -253,18 +274,28 @@ def _lm_block(backbone: FrozenBackbone, layer: int, x: Tensor, mode: str,
 
 def lm_logits(backbone: FrozenBackbone, tokens, mode: str = "eval",
               rng: RngState | None = None, trace: dict | None = None) -> Tensor:
-    """Logits (seq x vocab) for one token sequence."""
+    """Logits (batch*seq x vocab) of a (batch, seq) token array, one row per
+    token, sequence by sequence; a 1-d sequence is a batch of one.
+
+    The trace, if given, collects each layer's (batch, heads, seq, seq)
+    attention weights and each adapter's latent and delta rows.
+    """
     cfg = backbone.cfg
     ids = np.asarray(tokens, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ShapeError(f"expected one token sequence, got shape {ids.shape}")
-    if ids.size > cfg.max_seq_len:
-        raise DomainError(f"sequence length {ids.size} exceeds max {cfg.max_seq_len}")
+    if ids.ndim == 1:
+        ids = ids[None, :]
+    if ids.ndim != 2 or ids.shape[1] == 0:
+        raise ShapeError(f"expected a (batch, seq) token array, got shape {ids.shape}")
+    n_seq, seq_len = ids.shape
+    if seq_len > cfg.max_seq_len:
+        raise DomainError(f"sequence length {seq_len} exceeds max {cfg.max_seq_len}")
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise DomainError("token id outside the vocabulary")
-    x = Tensor(backbone.tok_emb.data[ids] + backbone.pos_emb.data[:ids.size])
+    masks = _dropout_masks(backbone, n_seq, seq_len, mode, rng)
+    x = Tensor((backbone.tok_emb.data[ids] + backbone.pos_emb.data[:seq_len])
+               .reshape(n_seq * seq_len, cfg.d_model))
     for layer in range(cfg.n_layers):
-        x = _lm_block(backbone, layer, x, mode, rng, trace)
+        x = _lm_block(backbone, layer, x, seq_len, mode, masks, trace)
     xf = T.layer_norm(x, backbone.ln_f_g, backbone.ln_f_b)
     return T.linear(xf, backbone.head)
 
@@ -324,12 +355,16 @@ def forward(backbone: FrozenBackbone, inputs, mode: str = "eval",
     """
     if backbone.cfg.mode == "regressor":
         return regressor_output(backbone, inputs, mode, rng, trace)
-    batch = [np.asarray(seq, dtype=np.int64) for seq in inputs]
-    if not batch:
+    if len(inputs) == 0:
         return Tensor(np.zeros((0, 0, backbone.cfg.vocab_size)))
-    if any(seq.size != batch[0].size for seq in batch):
-        raise ShapeError("batched sequences must share one length")
-    return T.stack([lm_logits(backbone, seq, mode, rng, trace) for seq in batch])
+    try:
+        ids = np.asarray(inputs, dtype=np.int64)
+    except ValueError as exc:
+        raise ShapeError("batched sequences must share one length") from exc
+    if ids.ndim != 2:
+        raise ShapeError(f"expected a batch of token sequences, got shape {ids.shape}")
+    logits = lm_logits(backbone, ids, mode, rng, trace)
+    return T.reshape(logits, (*ids.shape, backbone.cfg.vocab_size))
 
 
 def collect_latents(backbone: FrozenBackbone, inputs, which: str = "latent_H"):

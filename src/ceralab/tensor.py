@@ -1,9 +1,11 @@
 """Dense float64 tensors with tape-based reverse-mode autodiff.
 
 Deliberately small: 2-d matrix algebra, elementwise activations, dropout,
-reductions, and the few structural ops a tiny transformer needs. Values are
-row-major numpy arrays; the tape is the implicit graph of parent links, torn
-down after each backward pass.
+reductions, and the few structural ops a tiny transformer needs to run a
+whole batch at once: head split/merge between (B*S, H*d) rows and a
+(B, H, S, d) layout, a matrix product batched over leading axes, and a
+softmax over the last axis. Values are row-major numpy arrays; the tape is
+the implicit graph of parent links, torn down after each backward pass.
 """
 
 from __future__ import annotations
@@ -217,7 +219,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two 2-d tensors.
 
     Backward forms the gradient product of an operand only if it requires
-    grad; the same holds for `linear`, `mul` and the subtrahend of `sub`.
+    grad; the same holds for `linear`, `bmm`, `add`, `mul` and `sub`.
     """
     a, b = _wrap(a), _wrap(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -249,10 +251,28 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return _node(data, (x, w), bwd, "linear")
 
 
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product over the last two axes, batched over equal leading
+    axes: a (..., n, k) @ b (..., k, m) -> (..., n, m)."""
+    a, b = _wrap(a), _wrap(b)
+    if a.ndim < 3 or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2] \
+            or a.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"bmm shapes {a.shape} x {b.shape} do not agree")
+    data = np.matmul(a.data, b.data)
+
+    def bwd(g):
+        if a.requires_grad:
+            _accum(a, np.matmul(g, b.data.swapaxes(-1, -2)))
+        if b.requires_grad:
+            _accum(b, np.matmul(a.data.swapaxes(-1, -2), g))
+
+    return _node(data, (a, b), bwd, "bmm")
+
+
 def _broadcast_bwd(t: Tensor, g: np.ndarray) -> np.ndarray:
     if t.shape == g.shape:
         return g
-    # row-vector or scalar broadcast against a 2-d grad
+    # leading-axis, row-vector or scalar broadcast against the grad
     extra = g.ndim - t.ndim
     if extra:
         g = g.sum(axis=tuple(range(extra)))
@@ -270,8 +290,10 @@ def add(a: Tensor, b) -> Tensor:
         raise ShapeError(f"add shapes {a.shape} + {b.shape}") from exc
 
     def bwd(g):
-        _accum(a, _broadcast_bwd(a, g))
-        _accum(b, _broadcast_bwd(b, g))
+        if a.requires_grad:
+            _accum(a, _broadcast_bwd(a, g))
+        if b.requires_grad:
+            _accum(b, _broadcast_bwd(b, g))
 
     return _node(data, (a, b), bwd, "add")
 
@@ -337,11 +359,21 @@ def square(a: Tensor) -> Tensor:
 def silu(x: Tensor) -> Tensor:
     """Elementwise x * sigmoid(x)."""
     x = _wrap(x)
-    sig = 1.0 / (1.0 + np.exp(-x.data))
+    # 1 / (1 + exp(-x)) in one buffer; the in-place steps give the same bits
+    sig = np.negative(x.data, out=np.empty_like(x.data))
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
     data = x.data * sig
 
     def bwd(g):
-        _accum(x, g * sig * (1.0 + x.data * (1.0 - sig)))
+        # g * sig * (1 + x (1 - sig)) in two buffers
+        slope = np.subtract(1.0, sig)
+        slope *= x.data
+        slope += 1.0
+        dx = g * sig
+        dx *= slope
+        _accum(x, dx)
 
     return _node(data, (x,), bwd, "silu")
 
@@ -372,12 +404,24 @@ ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
 }
 
 
+def dropout_mask(shape, p: float, rng: RngState | None) -> np.ndarray:
+    """The scaled keep mask of inverted dropout: 1/(1-p) where an entry is
+    kept, 0 where it is dropped."""
+    if rng is None:
+        raise DomainError("train-mode dropout with p > 0 requires an RngState")
+    keep = 1.0 - p
+    return rng.keep_mask(shape, keep) / keep
+
+
 def dropout(x: Tensor, p: float, mode: str, style: str = "elementwise",
-            rng: RngState | None = None) -> Tensor:
+            rng: RngState | None = None, mask: np.ndarray | None = None) -> Tensor:
     """Inverted dropout: survivors scaled by 1/(1-p); eval mode is identity.
 
     `elementwise` masks single entries; `channel` masks whole latent
     columns, one Bernoulli draw per column shared across the batch rows.
+    A train-mode call draws its mask from `rng`, unless `mask` (as
+    `dropout_mask` draws it, broadcastable to x) is given: then it applies
+    that one and draws nothing.
     """
     x = _wrap(x)
     if not 0.0 <= p < 1.0:
@@ -388,14 +432,12 @@ def dropout(x: Tensor, p: float, mode: str, style: str = "elementwise",
         raise DomainError(f"dropout style must be 'elementwise' or 'channel', got {style!r}")
     if mode == "eval" or p == 0.0:
         return identity(x)
-    if rng is None:
-        raise DomainError("train-mode dropout with p > 0 requires an RngState")
-    keep = 1.0 - p
-    if style == "elementwise":
-        mask_shape = x.shape
-    else:
-        mask_shape = (1, x.shape[-1]) if x.ndim == 2 else (x.shape[-1],)
-    mask = rng.keep_mask(mask_shape, keep) / keep
+    if mask is None:
+        if style == "elementwise":
+            mask_shape = x.shape
+        else:
+            mask_shape = (1, x.shape[-1]) if x.ndim == 2 else (x.shape[-1],)
+        mask = dropout_mask(mask_shape, p, rng)
     data = x.data * mask
 
     def bwd(g):
@@ -439,14 +481,15 @@ def mse(pred: Tensor, target) -> Tensor:
 
 
 def transpose(x: Tensor) -> Tensor:
+    """Swap the last two axes (the matrix transpose of a 2-d tensor)."""
     x = _wrap(x)
-    if x.ndim != 2:
-        raise ShapeError(f"transpose expects a 2-d tensor, got {x.shape}")
+    if x.ndim < 2:
+        raise ShapeError(f"transpose expects at least 2 axes, got {x.shape}")
 
     def bwd(g):
-        _accum(x, g.T)
+        _accum(x, g.swapaxes(-1, -2))
 
-    return _node(np.ascontiguousarray(x.data.T), (x,), bwd, "transpose")
+    return _node(np.ascontiguousarray(x.data.swapaxes(-1, -2)), (x,), bwd, "transpose")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -460,48 +503,34 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _node(data, (x,), bwd, "reshape")
 
 
-def slice_cols(x: Tensor, j0: int, j1: int) -> Tensor:
+def split_heads(x: Tensor, n_heads: int, seq_len: int) -> Tensor:
+    """(B*S, H*d) rows, sequence-major, -> a (B, H, S, d) head layout."""
     x = _wrap(x)
-    if x.ndim != 2 or not 0 <= j0 < j1 <= x.shape[1]:
-        raise ShapeError(f"slice_cols [{j0}:{j1}] invalid for shape {x.shape}")
-    data = np.ascontiguousarray(x.data[:, j0:j1])
+    if x.ndim != 2 or x.shape[0] % seq_len or x.shape[1] % n_heads:
+        raise ShapeError(f"cannot split {x.shape} into {n_heads} heads of "
+                         f"length-{seq_len} sequences")
+    n, w = x.shape
+    layout = (n // seq_len, seq_len, n_heads, w // n_heads)
+    data = np.ascontiguousarray(x.data.reshape(layout).transpose(0, 2, 1, 3))
 
     def bwd(g):
-        full = np.zeros_like(x.data)
-        full[:, j0:j1] = g
-        _accum(x, full)
+        _accum(x, g.transpose(0, 2, 1, 3).reshape(n, w))
 
-    return _node(data, (x,), bwd, "slice_cols")
+    return _node(data, (x,), bwd, "split_heads")
 
 
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    parts = [_wrap(p) for p in parts]
-    if not parts or any(p.ndim != 2 or p.shape[0] != parts[0].shape[0] for p in parts):
-        raise ShapeError("concat_cols expects 2-d tensors with equal row counts")
-    widths = [p.shape[1] for p in parts]
-    data = np.concatenate([p.data for p in parts], axis=1)
-
-    def bwd(g):
-        j = 0
-        for p, w in zip(parts, widths):
-            _accum(p, g[:, j:j + w])
-            j += w
-
-    return _node(data, tuple(parts), bwd, "concat_cols")
-
-
-def stack(parts: Sequence[Tensor]) -> Tensor:
-    """Stack same-shape 2-d tensors into one (len, rows, cols) tensor."""
-    parts = [_wrap(p) for p in parts]
-    if not parts or any(p.shape != parts[0].shape for p in parts):
-        raise ShapeError("stack expects same-shape tensors")
-    data = np.stack([p.data for p in parts])
+def merge_heads(x: Tensor) -> Tensor:
+    """(B, H, S, d) -> (B*S, H*d) rows: the inverse of `split_heads`."""
+    x = _wrap(x)
+    if x.ndim != 4:
+        raise ShapeError(f"merge_heads expects a (B, H, S, d) tensor, got {x.shape}")
+    b, h, s, d = x.shape
+    data = x.data.transpose(0, 2, 1, 3).reshape(b * s, h * d)
 
     def bwd(g):
-        for i, p in enumerate(parts):
-            _accum(p, g[i])
+        _accum(x, g.reshape(b, s, h, d).transpose(0, 2, 1, 3))
 
-    return _node(data, tuple(parts), bwd, "stack")
+    return _node(data, (x,), bwd, "merge_heads")
 
 
 # ---------------------------------------------------------------------------
@@ -509,17 +538,19 @@ def stack(parts: Sequence[Tensor]) -> Tensor:
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-d tensor (numerically stabilized)."""
+    """Softmax over the last axis (the rows of a 2-d tensor, or of every
+    matrix in a stack), numerically stabilized."""
     x = _wrap(x)
-    if x.ndim != 2:
-        raise ShapeError(f"softmax_rows expects a 2-d tensor, got {x.shape}")
-    z = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=1, keepdims=True)
+    if x.ndim < 2:
+        raise ShapeError(f"softmax_rows expects at least 2 axes, got {x.shape}")
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        _accum(x, y * (g - dot))
+        dx = g - (g * y).sum(axis=-1, keepdims=True)
+        dx *= y
+        _accum(x, dx)
 
     return _node(y, (x,), bwd, "softmax_rows")
 
@@ -534,16 +565,26 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xc = x.data - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    data = xhat * gain.data + bias.data
+    data = xc * inv  # xhat, scaled and shifted in place
+    data *= gain.data
+    data += bias.data
 
     def bwd(g):
-        dxhat = g * gain.data
-        dvar = (dxhat * xc).sum(axis=1, keepdims=True) * (-0.5) * inv ** 3
-        dmu = -(dxhat * inv).sum(axis=1, keepdims=True)
-        _accum(x, dxhat * inv + dvar * 2.0 * xc / d + dmu / d)
-        _accum(gain, (g * xhat).sum(axis=0))
-        _accum(bias, g.sum(axis=0))
+        if x.requires_grad:
+            # dxhat inv + dvar 2 xc / d + dmu / d, summed in that order
+            dxhat = g * gain.data
+            dvar = (dxhat * xc).sum(axis=1, keepdims=True) * (-0.5) * inv ** 3
+            dx = dxhat * inv
+            dmu = -dx.sum(axis=1, keepdims=True)
+            centred = dvar * 2.0 * xc
+            centred /= d
+            dx += centred
+            dx += dmu / d
+            _accum(x, dx)
+        if gain.requires_grad:
+            _accum(gain, (g * (xc * inv)).sum(axis=0))
+        if bias.requires_grad:
+            _accum(bias, g.sum(axis=0))
 
     return _node(data, (x, gain, bias), bwd, "layer_norm")
 

@@ -138,12 +138,8 @@ def _batch_loss(backbone: FrozenBackbone, train: Dataset, idx: np.ndarray,
         out = regressor_output(backbone, Tensor(train.inputs[idx]), mode=mode,
                                rng=rng, frozen=frozen[idx])
         return T.mse(out, train.targets[idx])
-    total = None
-    for i in idx:
-        logits = lm_logits(backbone, train.inputs[i], mode=mode, rng=rng)
-        ce = T.cross_entropy_rows(logits, train.targets[i])
-        total = ce if total is None else total + ce
-    return total * (1.0 / len(idx))
+    logits = lm_logits(backbone, train.inputs[idx], mode=mode, rng=rng)
+    return T.cross_entropy_rows(logits, train.targets[idx].reshape(-1))
 
 
 def evaluate(backbone: FrozenBackbone, test: Dataset) -> float:
@@ -160,14 +156,9 @@ def perplexity(backbone: FrozenBackbone, dataset: Dataset) -> float:
         raise ConfigError("perplexity needs a language model")
     if len(dataset) == 0:
         raise DomainError("empty split")
-    total, count = 0.0, 0
-    for i in range(len(dataset)):
-        logits = lm_logits(backbone, dataset.inputs[i], mode="eval")
-        ce = T.cross_entropy_rows(logits, dataset.targets[i])
-        n = len(dataset.targets[i])
-        total += ce.item() * n
-        count += n
-    return float(np.exp(total / count))
+    logits = lm_logits(backbone, dataset.inputs, mode="eval")
+    ce = T.cross_entropy_rows(logits, dataset.targets.reshape(-1))
+    return float(np.exp(ce.item()))
 
 
 def _tokens_in_batch(backbone: FrozenBackbone, train: Dataset,

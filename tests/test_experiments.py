@@ -113,7 +113,8 @@ def test_records_carry_numerics_version_and_csv_does_not(tmp_path):
     assert "numerics" not in (tmp_path / "out" / "results.csv").read_text()
 
 
-@pytest.mark.parametrize("version", [None, NUMERICS_VERSION - 1])
+# a record without a version, and one of the first version: both stale
+@pytest.mark.parametrize("version", [None, 1])
 def test_stale_numerics_version_is_recomputed(tmp_path, version):
     cfg = small_config(tmp_path / "out")
     rid = cmd_sweep(cfg).records[0]["run_id"]
@@ -146,18 +147,42 @@ def test_corrupt_record_is_logged_and_recomputed(tmp_path):
     assert json.loads(path.read_text())["record"]["run_id"] == rid
 
 
-# test_metric of one short ceiling run (cera, r=8, seed 1, 300 steps), exact,
-# per numerics version. A change that moves it must bump NUMERICS_VERSION
-# and add the new value here.
-GOLDEN_TEST_METRIC = {1: 0.05447879761535826, 2: 0.054478797615358246}
+def test_unreadable_record_is_logged_by_all_records(tmp_path):
+    cfg = small_config(tmp_path / "out")
+    rid = cmd_sweep(cfg).records[0]["run_id"]
+    path = tmp_path / "out" / "records" / f"{rid}.json"
+    text = path.read_text()
+    path.write_text(text[:len(text) // 2])
+    assert RunStore(tmp_path / "out").all_records() == []
+    assert f"corrupt record {rid}" in (tmp_path / "out" / "run.log").read_text()
+
+
+# test_metric of one short ceiling run (cera, r=8, seed 1, 300 steps) and
+# of one short trajectory run (cera, r=8, seed 1, 20 steps), exact, per
+# numerics version. A change that moves either must bump NUMERICS_VERSION
+# and add the new values here. Version 3 (the batched language model) moved
+# only the trajectory value: the regressor path is untouched.
+GOLDEN_TEST_METRIC = {1: 0.05447879761535826, 2: 0.054478797615358246,
+                      3: 0.054478797615358246}
+GOLDEN_TRAJECTORY_METRIC = {3: 11.161914891482919}
+
+
+def golden_run_metric(config: str, steps: int) -> float:
+    cfg = ExperimentConfig.load(CONFIG_DIR / config)
+    cfg.train.steps = steps
+    cera = next(m for m in cfg.methods if m.kind == "cera")
+    record, _, _ = run_from_config(make_run_config(cfg, cera, 8, 1))
+    return record["test_metric"]
 
 
 def test_numerics_version_golden_bits():
-    cfg = ExperimentConfig.load(CONFIG_DIR / "ceiling_sweep.json")
-    cfg.train.steps = 300
-    cera = next(m for m in cfg.methods if m.kind == "cera")
-    record, _, _ = run_from_config(make_run_config(cfg, cera, 8, 1))
-    assert record["test_metric"] == GOLDEN_TEST_METRIC[NUMERICS_VERSION]
+    metric = golden_run_metric("ceiling_sweep.json", 300)
+    assert metric == GOLDEN_TEST_METRIC[NUMERICS_VERSION]
+
+
+def test_trajectory_golden_bits():
+    metric = golden_run_metric("trajectory_sweep.json", 20)
+    assert metric == GOLDEN_TRAJECTORY_METRIC[NUMERICS_VERSION]
 
 
 def test_nonlinear_teacher_floor_is_pinned():
@@ -247,6 +272,26 @@ def test_spectral_command_outputs(tmp_path):
     assert (tmp_path / "out" / "plots" / f"spectrum_{rid}_delta_w.svg").exists()
     report_h = cmd_spectral(cfg, rid, "latent_H")
     assert report_h.effective_rank > 0
+
+
+def test_spectral_delta_w_report_matches_the_record(tmp_path):
+    # four lora adapters (Wq and Wv of two layers): the report and the
+    # sweep's record both average over all of them
+    cfg = ExperimentConfig(
+        task_id="logistic_trajectories",
+        methods=[MethodSpec(name="lora", kind="lora", targets=("Wq", "Wv"))],
+        ranks=[2], seeds=[1],
+        model=ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=2,
+                          vocab_size=12, max_seq_len=64, v_out_dim=8),
+        train=TrainConfig(steps=3, batch_size=2),
+        outputs_dir=str(tmp_path / "out"), spectral_source="delta_w")
+    record = cmd_sweep(cfg).records[0]
+    report = cmd_spectral(cfg, record["run_id"])
+    assert report.effective_rank == record["effective_rank"]
+    assert report.auc90_index == record["auc90"]
+    assert 1.0 < report.effective_rank <= 2.0
+    assert len(report.singular_values) == 16
+    assert np.all(np.array(report.singular_values[2:]) < 1e-12)
 
 
 def test_spectral_zero_init_run_reports_er_zero(tmp_path):

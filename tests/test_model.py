@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from ceralab import model as model_mod
 from ceralab import tensor as T
 from ceralab.adapters import Adapter, AdapterConfig, AdapterState
-from ceralab.errors import ConfigError, DomainError, NotMergeableError
+from ceralab.errors import ConfigError, DomainError, NotMergeableError, ShapeError
 from ceralab.model import (ModelConfig, adapter_shape, build_model,
                            collect_latents, forward, inject, lm_logits,
                            load_checkpoint, merged_copy, regressor_frozen,
@@ -42,6 +43,20 @@ def test_logits_shape_contract():
     batch = [[1, 2, 3, 4], [5, 6, 7, 8], [0, 0, 1, 1]]
     out = forward(bb, batch)
     assert out.shape == (3, 4, TINY.vocab_size)
+    # lm_logits gives one row per token, sequence by sequence; a 1-d
+    # sequence is a batch of one, and each sequence of a batch gets the
+    # logits it gets on its own
+    rows = lm_logits(bb, np.array(batch))
+    assert rows.shape == (12, TINY.vocab_size)
+    assert np.array_equal(out.data.reshape(12, -1), rows.data)
+    for i, seq in enumerate(batch):
+        alone = lm_logits(bb, seq).data
+        assert alone.shape == (4, TINY.vocab_size)
+        assert np.max(np.abs(out.data[i] - alone)) <= 1e-13 * np.max(np.abs(alone))
+    with pytest.raises(ShapeError):
+        forward(bb, [[1, 2, 3], [4, 5]])
+    with pytest.raises(ShapeError):
+        lm_logits(bb, np.zeros((2, 2, 2), dtype=np.int64))
 
 
 def test_vocab_overflow_rejected():
@@ -50,32 +65,68 @@ def test_vocab_overflow_rejected():
         lm_logits(bb, [0, TINY.vocab_size])
     with pytest.raises(DomainError):
         lm_logits(bb, list(range(TINY.max_seq_len + 1)))
+    with pytest.raises(DomainError):
+        lm_logits(bb, [[0, 1], [2, TINY.vocab_size]])
+    with pytest.raises(DomainError):
+        lm_logits(bb, [[0, 1], [2, -1]])
+    with pytest.raises(DomainError):
+        lm_logits(bb, np.zeros((2, TINY.max_seq_len + 1), dtype=np.int64))
 
 
 def test_causality():
     bb = tiny_model(7)
-    base = lm_logits(bb, [1, 2, 3, 4, 5, 6]).data
-    poked = lm_logits(bb, [1, 2, 9, 4, 5, 6]).data
-    diff = np.abs(base - poked).max(axis=1)
-    assert np.all(diff[:2] == 0.0)
-    assert np.all(diff[2:] > 0.0)
+    base = lm_logits(bb, [[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1]]).data
+    poked = lm_logits(bb, [[1, 2, 9, 4, 5, 6], [6, 5, 4, 3, 2, 1]]).data
+    diff = np.abs(base - poked).max(axis=1).reshape(2, 6)
+    assert np.all(diff[0, :2] == 0.0)
+    assert np.all(diff[0, 2:] > 0.0)
+    # no position of another sequence in the batch sees the change
+    assert np.all(diff[1] == 0.0)
 
 
 def test_attention_rows_sum_to_one():
     bb = tiny_model(8)
     trace = {}
-    lm_logits(bb, [3, 1, 4, 1, 5, 9, 2, 6], trace=trace)
+    lm_logits(bb, [[3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8],
+                   [1, 4, 1, 4, 2, 1, 3, 5]], trace=trace)
+    assert len(trace["attention"]) == TINY.n_layers
     for attn in trace["attention"]:
-        assert np.max(np.abs(attn.sum(axis=1) - 1.0)) < 1e-12
+        assert attn.shape == (3, TINY.n_heads, 8, 8)
+        assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-12
+        later = np.triu_indices(8, k=1)  # causal: no weight on later positions
+        assert np.all(attn[..., later[0], later[1]] == 0.0)
 
 
 def test_injection_neutrality_bit_identical():
     bb = tiny_model(9)
-    seq = [1, 2, 3, 4, 5]
-    base = lm_logits(bb, seq).data.copy()
+    seqs = [[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]]
+    base = lm_logits(bb, seqs).data.copy()
     inject_cera(bb, "Wv")
     inject_cera(bb, "Wq", seed=6)
-    assert np.array_equal(lm_logits(bb, seq).data, base)
+    assert np.array_equal(lm_logits(bb, seqs).data, base)
+
+
+@pytest.mark.parametrize("style", ["elementwise", "channel"])
+def test_dropout_masks_follow_the_per_sequence_draw_order(style):
+    # sequence by sequence, layer by layer, Wq before Wv; channel style
+    # draws one row per sequence, shared by all its positions
+    cfg = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=2, vocab_size=11,
+                      max_seq_len=8, v_out_dim=8)
+    bb = build_model(cfg, 31)
+    for layer in range(2):
+        for target in ("Wq", "Wv"):
+            inject_cera(bb, target, layer=layer, dropout_p=0.5, dropout_style=style)
+    masks = model_mod._dropout_masks(bb, 3, 5, "train", RngState(7))
+    rng = RngState(7)
+    for b in range(3):
+        for layer in range(2):
+            for target in ("Wq", "Wv"):
+                want = rng.keep_mask((5 if style == "elementwise" else 1, 3), 0.5) / 0.5
+                got = masks[(layer, target)][5 * b:5 * (b + 1)]
+                assert np.array_equal(got, np.broadcast_to(want, (5, 3)))
+    assert model_mod._dropout_masks(bb, 3, 5, "eval", RngState(7)) == {}
+    with pytest.raises(DomainError):
+        model_mod._dropout_masks(bb, 3, 5, "train", None)
 
 
 def test_double_injection_rejected():
@@ -142,8 +193,8 @@ def test_gradient_through_model_and_adapter():
     bb = tiny_model(15)
     adapter = inject_cera(bb, "Wv", r=3)
     adapter.state.w_down.data[:] = RngState(16).normal((8, 3)) * 0.3
-    seq = np.array([1, 2, 3, 4, 5, 6])
-    targets = np.array([2, 3, 4, 5, 6, 7])
+    seq = np.array([[1, 2, 3, 4, 5, 6], [7, 6, 5, 4, 3, 2]])
+    targets = np.array([2, 3, 4, 5, 6, 7, 6, 5, 4, 3, 2, 1])
 
     def loss_of(tensor_attr):
         def f(probe):
@@ -210,9 +261,9 @@ def test_merged_copy_matches_unmerged_lora():
     inject(bb, 0, "Wv", adapter)
     merged = merged_copy(bb)
     assert not merged.adapters
-    seq = [1, 2, 3, 4, 5]
-    a = lm_logits(bb, seq).data
-    b = lm_logits(merged, seq).data
+    seqs = [[1, 2, 3, 4, 5], [9, 8, 7, 6, 5]]
+    a = lm_logits(bb, seqs).data
+    b = lm_logits(merged, seqs).data
     assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -247,8 +298,8 @@ def test_checkpoint_round_trip(tmp_path):
     loaded = load_checkpoint(path)
     assert loaded.checksum() == bb.checksum()
     assert loaded.cfg == bb.cfg
-    seq = [1, 2, 3]
-    assert np.array_equal(lm_logits(loaded, seq).data, lm_logits(bb, seq).data)
+    seqs = [[1, 2, 3], [3, 2, 1]]
+    assert np.array_equal(lm_logits(loaded, seqs).data, lm_logits(bb, seqs).data)
 
 
 REG = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1, vocab_size=4,

@@ -124,7 +124,7 @@ def test_gemm_backward_skips_frozen_operands(monkeypatch, op, trainable):
             assert t.grad.tobytes() == (np.zeros_like(t.data) + want).tobytes()
 
 
-@pytest.mark.parametrize("op", ["mul", "sub"])
+@pytest.mark.parametrize("op", ["mul", "sub", "add"])
 def test_elementwise_backward_skips_frozen_operand(monkeypatch, op):
     rng = RngState(61)
     a = Tensor(rng.normal((3, 4)), requires_grad=True)
@@ -136,6 +136,20 @@ def test_elementwise_backward_skips_frozen_operand(monkeypatch, op):
     assert not any(h is b for h in handed) and b.grad is None
     want = np.ones((3, 4)) * b.data if op == "mul" else np.ones((3, 4))
     assert a.grad.tobytes() == (np.zeros_like(a.data) + want).tobytes()
+
+
+def test_add_skips_broadcast_reduction_of_frozen_operand(monkeypatch):
+    # the causal mask case: a frozen (S, S) operand broadcast over (B, H, S, S)
+    rng = RngState(62)
+    a = Tensor(rng.normal((2, 3, 4, 4)), requires_grad=True)
+    mask = Tensor(np.triu(np.full((4, 4), -1e30), k=1))
+    reduced = []
+    real = T._broadcast_bwd
+    monkeypatch.setattr(T, "_broadcast_bwd",
+                        lambda t, g: (reduced.append(t), real(t, g))[1])
+    backward(tsum(T.softmax_rows(a + mask) * rng.normal((2, 3, 4, 4))))
+    assert not any(t is mask for t in reduced) and mask.grad is None
+    assert a.grad.shape == a.shape
 
 
 def test_backward_constant_loss_zero_grads():
@@ -194,8 +208,15 @@ def test_fd_check_constant_function():
     ("sub_mul", lambda z: tsum((z - 0.5) * (z + 2.0))),
     ("transpose", lambda z: tsum(T.transpose(z) @ Tensor(np.ones((3, 2))))),
     ("reshape", lambda z: tsum(T.reshape(z, (4, 3)) @ Tensor(np.ones((3, 1))))),
-    ("slice_concat", lambda z: tsum(T.concat_cols([T.slice_cols(z, 2, 4),
-                                                   T.slice_cols(z, 0, 2)]) ** 2)),
+    ("split_merge_heads", lambda z: tsum(T.merge_heads(
+        T.split_heads(z, 2, 3) * Tensor(np.arange(12.0).reshape(1, 2, 3, 2))) ** 2)),
+    ("bmm", lambda z: tsum(T.bmm(T.split_heads(z, 2, 3),
+                                 Tensor(np.linspace(-1, 1, 20).reshape(1, 2, 2, 5))) ** 2)),
+    ("bmm_right", lambda z: tsum(T.bmm(Tensor(np.linspace(-1, 1, 12).reshape(1, 2, 2, 3)),
+                                       T.split_heads(z, 2, 3)) ** 2)),
+    ("attention", lambda z: tsum(T.merge_heads(T.bmm(T.softmax_rows(
+        T.bmm(T.split_heads(z, 2, 3), T.transpose(T.split_heads(z, 2, 3)))),
+        T.split_heads(z, 2, 3))) * Tensor(np.arange(12.0).reshape(3, 4)))),
     ("cross_entropy", lambda z: cross_entropy_rows(z, np.array([0, 2, 1]))),
     ("mse", lambda z: mse(z, np.linspace(0, 1, 12).reshape(3, 4))),
 ])
@@ -216,13 +237,38 @@ def test_fd_check_dropout_with_fixed_mask():
     assert finite_difference_check(f, x, 1e-6) < 1e-5
 
 
-def test_stack_gradients():
-    a = Tensor(np.ones((2, 2)), requires_grad=True)
-    b = Tensor(np.full((2, 2), 2.0), requires_grad=True)
-    s = T.stack([a, b])
-    backward(tsum(s * s))
-    assert np.allclose(a.grad, 2.0)
-    assert np.allclose(b.grad, 4.0)
+def test_split_merge_heads_gradients():
+    # rows are (sequence, position), columns (head, feature): each entry
+    # lands at [sequence, head, position, feature] and its gradient comes back
+    x = Tensor(np.arange(24.0).reshape(6, 4), requires_grad=True)
+    heads = T.split_heads(x, 2, 3)
+    assert heads.shape == (2, 2, 3, 2)
+    assert heads.data[1, 0, 2, 1] == x.data[1 * 3 + 2, 0 * 2 + 1]
+    assert heads.data[0, 1, 1, 0] == x.data[0 * 3 + 1, 1 * 2 + 0]
+    assert np.array_equal(T.merge_heads(heads).data, x.data)
+    backward(tsum(heads * heads))
+    assert np.array_equal(x.grad, 2.0 * x.data)
+
+
+def test_batched_ops_match_per_matrix_ops():
+    rng = RngState(63)
+    a, b = rng.normal((2, 3, 4, 5)), rng.normal((2, 3, 5, 6))
+    got = T.bmm(Tensor(a), Tensor(b)).data
+    sm = T.softmax_rows(Tensor(a)).data
+    tr = T.transpose(Tensor(a)).data
+    for i in range(2):
+        for j in range(3):
+            assert np.allclose(got[i, j], a[i, j] @ b[i, j], rtol=1e-14, atol=0)
+            assert np.array_equal(sm[i, j], softmax_rows(Tensor(a[i, j])).data)
+            assert np.array_equal(tr[i, j], a[i, j].T)
+    with pytest.raises(ShapeError):
+        T.bmm(Tensor(a), Tensor(b[:1]))
+    with pytest.raises(ShapeError):
+        T.bmm(Tensor(a), Tensor(a))
+    with pytest.raises(ShapeError):
+        T.split_heads(Tensor(np.ones((5, 4))), 2, 3)
+    with pytest.raises(ShapeError):
+        T.merge_heads(Tensor(np.ones((3, 4))))
 
 
 def test_softmax_rows_sum_to_one():

@@ -4,8 +4,9 @@ import pytest
 from ceralab import trainer as trainer_mod
 from ceralab.adapters import Adapter, AdapterConfig
 from ceralab.errors import ConfigError, DomainError
+from ceralab import tensor as T
 from ceralab.model import (ModelConfig, adapter_shape, build_model, forward,
-                           inject)
+                           inject, lm_logits)
 from ceralab.tasks import (Dataset, make_teacher_task, nonlinear_teacher,
                            trajectory_sequences)
 from ceralab.tensor import RngState, Tensor
@@ -145,6 +146,57 @@ def test_budget_parity_lora_vs_cera():
 def test_evaluate_is_stable_without_training():
     bb, adapter, task = make_regression_setup(seed=21)
     assert evaluate(bb, task.test) == evaluate(bb, task.test)
+
+
+def lm_with_adapters(style):
+    """LM_CFG with cera on Wq and Wv of both layers and a module adapter on
+    the last block, all with dropout, and non-zero down-projections."""
+    bb = build_model(LM_CFG, 40)
+    rng = RngState(41)
+    for layer in range(LM_CFG.n_layers):
+        for target in ("Wq", "Wv"):
+            cfg = AdapterConfig(kind="cera", r=4, targets=(target,), dropout_p=0.3,
+                                dropout_style=style)
+            inject(bb, layer, target, Adapter.init(
+                cfg, *adapter_shape(LM_CFG, target), rng.child(len(bb.adapters))))
+    cfg = AdapterConfig(kind="parallel_module", r=4, dropout_p=0.3, dropout_style=style)
+    inject(bb, 1, "attn_block", Adapter.init(
+        cfg, *adapter_shape(LM_CFG, "attn_block"), rng.child(9)))
+    for adapter in bb.adapters.values():
+        adapter.state.w_down.data[:] = rng.normal(adapter.state.w_down.shape) * 0.3
+    return bb
+
+
+@pytest.mark.parametrize("style", ["elementwise", "channel"])
+def test_batched_train_loss_is_mean_of_single_sequence_losses(style):
+    # one tape over the batch draws each sequence's dropout masks as running
+    # the sequences one by one from the same stream would
+    bb = lm_with_adapters(style)
+    params = bb.adapter_params()
+    train, _ = trajectory_sequences(seed=42, count=10, n_steps=5)
+    idx = np.array([3, 0, 3, 5, 1, 5])  # duplicates draw masks of their own
+
+    def grads_of(loss):
+        for p in params:
+            p.zero_grad()
+        T.backward(loss)
+        return [p.grad.copy() for p in params]
+
+    batched = trainer_mod._batch_loss(bb, train, idx, "train", RngState(43), None)
+    rng = RngState(43)
+    single = [T.cross_entropy_rows(
+        lm_logits(bb, train.inputs[i], mode="train", rng=rng), train.targets[i])
+        for i in idx]
+    mean = single[0]
+    for ce in single[1:]:
+        mean = mean + ce
+    mean = mean * (1.0 / len(idx))
+    assert abs(batched.item() - mean.item()) <= 1e-12 * abs(mean.item())
+    for got, want in zip(grads_of(batched), grads_of(mean)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # and the masks matter: another stream gives another loss
+    other = trainer_mod._batch_loss(bb, train, idx, "train", RngState(44), None)
+    assert abs(other.item() - mean.item()) > 1e-6
 
 
 def test_perplexity_uniform_logits():
