@@ -5,9 +5,8 @@ non-linear CeRA) on a tiny frozen transformer, with spectral diagnostics
 for rank utilization: effective rank, cumulative energy, AUC-90.
 """
 
-from .adapters import (Adapter, AdapterConfig, AdapterState, cera_forward,
-                       init_adapter, lora_forward, merge_linear,
-                       parallel_module_forward, param_count)
+from .adapters import (Adapter, AdapterConfig, AdapterState, init_adapter,
+                       merge_linear, param_count)
 from .experiments import (ExperimentConfig, MethodSpec, ResultRecord,
                           cmd_ablate, cmd_logistic, cmd_params, cmd_spectral,
                           cmd_sweep)
@@ -27,13 +26,12 @@ __all__ = [
     "FrozenBackbone", "MethodSpec", "ModelConfig", "ResultRecord", "RngState",
     "SpectralReport", "Tensor", "TrainConfig", "TrainReport",
     "activation_spectrum", "adamw_step", "auc90", "backward", "build_model",
-    "cera_forward", "cmd_ablate", "cmd_logistic", "cmd_params", "cmd_spectral",
-    "cmd_sweep", "collect_latents", "cosine_lr", "delta_w_linear",
-    "effective_rank", "energy_curve", "finite_difference_check", "forward",
-    "init_adapter", "inject", "linear_floor", "logistic_map",
-    "logistic_map_table", "lora_forward", "make_teacher_task", "measure_throughput",
-    "merge_linear", "nonlinear_teacher", "parallel_module_forward",
-    "param_count", "perplexity", "svd_values", "train_adapter",
-    "trajectory_sequences",
+    "cmd_ablate", "cmd_logistic", "cmd_params", "cmd_spectral", "cmd_sweep",
+    "collect_latents", "cosine_lr", "delta_w_linear", "effective_rank",
+    "energy_curve", "finite_difference_check", "forward", "init_adapter",
+    "inject", "linear_floor", "logistic_map", "logistic_map_table",
+    "make_teacher_task", "measure_throughput", "merge_linear",
+    "nonlinear_teacher", "param_count", "perplexity", "svd_values",
+    "train_adapter", "trajectory_sequences",
 ]
 __version__ = "0.1.0"

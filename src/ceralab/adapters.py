@@ -3,18 +3,21 @@ parallel bottleneck, with shared init, parameter counting, and merge support.
 
 All three share the two-matrix bottleneck state (w_up projects into the rank-r
 latent, w_down projects back out) and differ in activation, dropout, scaling,
-and insertion point. The down-projection starts at zero, so every freshly
-initialized adapter is an exact no-op.
+and insertion point. They share one delta path, `Adapter.delta_rows`:
+lora is its case with the identity activation, no dropout and scale alpha/r.
+The down-projection starts at zero, so every freshly initialized adapter is
+an exact no-op.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, NotMergeableError, ShapeError
+from .errors import ConfigError, NotMergeableError
+from .spectral import delta_w_linear
 from .tensor import RngState, Tensor
 
 KINDS = ("lora", "cera", "parallel_module")
@@ -23,36 +26,22 @@ TARGETS = ("Wq", "Wv")
 
 
 @dataclass
-class InitSpec:
-    """Up-projection init: gain-scaled uniform(-1/sqrt(fan_in), 1/sqrt(fan_in))."""
-
-    distribution: str = "uniform"
-    gain: float = 1.0
-
-    def __post_init__(self):
-        if self.distribution not in ("uniform", "normal"):
-            raise ConfigError(f"unknown init distribution {self.distribution!r}")
-
-
-@dataclass
 class AdapterConfig:
     kind: str
     r: int
     alpha: float | None = None          # None -> r (unit linear scale)
-    scale_s: float | None = None        # None -> alpha / r
+    scale_s: float | None = None        # None -> alpha / r; lora takes None only
     activation: str | None = None       # None -> identity for lora, silu otherwise
     dropout_p: float | None = None      # None -> 0.0 for lora, 0.1 otherwise
     dropout_style: str = "elementwise"
     targets: tuple[str, ...] = ("Wq", "Wv")
-    init_spec: InitSpec = field(default_factory=InitSpec)
+    init_gain: float = 1.0              # w_up ~ gain * uniform(+-1/sqrt(fan_in))
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown adapter kind {self.kind!r}")
         if self.r < 1:
             raise ConfigError(f"rank must be >= 1, got {self.r}")
-        if isinstance(self.init_spec, dict):
-            self.init_spec = InitSpec(**self.init_spec)
         self.targets = tuple(self.targets)
         if self.kind in WEIGHT_LEVEL_KINDS:
             if not self.targets:
@@ -62,6 +51,8 @@ class AdapterConfig:
                 raise ConfigError(f"unknown targets {sorted(unknown)}")
         if self.kind == "lora" and self.activation not in (None, "identity"):
             raise ConfigError("lora is linear; its activation must stay 'identity'")
+        if self.kind == "lora" and self.scale_s is not None:
+            raise ConfigError("lora scales by alpha / r; set alpha, not scale_s")
         if self.resolved_activation not in T.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.resolved_activation!r}")
         if not 0.0 <= self.resolved_dropout_p < 1.0:
@@ -91,20 +82,10 @@ class AdapterConfig:
             return float(self.dropout_p)
         return 0.0 if self.kind == "lora" else 0.1
 
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["targets"] = list(self.targets)
-        d["init_spec"] = {"distribution": self.init_spec.distribution,
-                          "gain": self.init_spec.gain}
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdapterConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown adapter config keys {sorted(unknown)}")
-        return cls(**d)
+    @property
+    def is_linear(self) -> bool:
+        """Whether the update is one input-independent matrix s * B A."""
+        return self.kind != "parallel_module" and self.resolved_activation == "identity"
 
 
 @dataclass
@@ -117,9 +98,6 @@ class AdapterState:
     @property
     def params(self) -> list[Tensor]:
         return [self.w_up, self.w_down]
-
-    def n_params(self) -> int:
-        return self.w_up.size + self.w_down.size
 
     def to_bundle(self) -> dict:
         return {
@@ -143,94 +121,11 @@ def init_adapter(cfg: AdapterConfig, d: int, k: int, rng: RngState) -> AdapterSt
     """Fresh state: scaled-uniform w_up, zero w_down (exact no-op at step 0)."""
     if cfg.r > min(d, k):
         raise ConfigError(f"rank {cfg.r} exceeds min(d, k) = {min(d, k)}")
-    bound = cfg.init_spec.gain / np.sqrt(k)
-    if cfg.init_spec.distribution == "uniform":
-        w_up = rng.uniform(-bound, bound, (cfg.r, k))
-    else:
-        w_up = rng.normal((cfg.r, k), scale=bound)
+    bound = cfg.init_gain / np.sqrt(k)
     return AdapterState(
-        w_up=Tensor(w_up, requires_grad=True),
+        w_up=Tensor(rng.uniform(-bound, bound, (cfg.r, k)), requires_grad=True),
         w_down=Tensor(np.zeros((d, cfg.r)), requires_grad=True),
     )
-
-
-def _as_rows(x: Tensor) -> tuple[Tensor, bool]:
-    if x.ndim == 1:
-        return T.reshape(x, (1, x.shape[0])), True
-    if x.ndim == 2:
-        return x, False
-    raise ShapeError(f"expected a vector or row matrix, got shape {x.shape}")
-
-
-def _maybe_flatten(out: Tensor, was_vector: bool) -> Tensor:
-    return T.reshape(out, (out.shape[1],)) if was_vector else out
-
-
-def lora_delta_rows(x_rows: Tensor, st: AdapterState, cfg: AdapterConfig,
-                    mode: str = "eval", rng: RngState | None = None,
-                    mask: np.ndarray | None = None) -> Tensor:
-    """Additive LoRA update (alpha/r) * B (A x) for a batch of row vectors;
-    `mask` is a pre-drawn dropout mask (see `tensor.dropout`)."""
-    lat = T.linear(x_rows, st.w_up)
-    p = cfg.resolved_dropout_p
-    if p > 0.0:
-        lat = T.dropout(lat, p, mode, cfg.dropout_style, rng, mask)
-    return cfg.resolved_alpha / cfg.r * T.linear(lat, st.w_down)
-
-
-def lora_forward(x: Tensor, w0: Tensor, st: AdapterState, cfg: AdapterConfig,
-                 mode: str = "eval", rng: RngState | None = None) -> Tensor:
-    """h = W0 x + (alpha/r) * B (A x)."""
-    if cfg.kind != "lora":
-        raise ConfigError(f"lora_forward called with kind {cfg.kind!r}")
-    x_rows, was_vector = _as_rows(x)
-    out = T.linear(x_rows, w0) + lora_delta_rows(x_rows, st, cfg, mode, rng)
-    return _maybe_flatten(out, was_vector)
-
-
-def cera_delta_rows(x_rows: Tensor, st: AdapterState, cfg: AdapterConfig,
-                    mode: str = "eval", rng: RngState | None = None,
-                    latent_sink: list | None = None,
-                    mask: np.ndarray | None = None) -> Tensor:
-    """Additive gated update s * W_down(dropout(act(W_up x))) for rows.
-
-    When `latent_sink` is given, the post-activation pre-dropout latent rows
-    are appended to it as a plain array (the H matrix rows). `mask` is a
-    pre-drawn dropout mask (see `tensor.dropout`).
-    """
-    lat = T.ACTIVATIONS[cfg.resolved_activation](T.linear(x_rows, st.w_up))
-    if latent_sink is not None:
-        latent_sink.append(lat.data.copy())
-    p = cfg.resolved_dropout_p
-    if p > 0.0:
-        lat = T.dropout(lat, p, mode, cfg.dropout_style, rng, mask)
-    return cfg.resolved_scale * T.linear(lat, st.w_down)
-
-
-def cera_forward(x: Tensor, w0: Tensor, st: AdapterState, cfg: AdapterConfig,
-                 mode: str = "eval", rng: RngState | None = None,
-                 latent_sink: list | None = None) -> Tensor:
-    """h = W0 x + s * W_down(dropout(act(W_up x)))."""
-    if cfg.kind != "cera":
-        raise ConfigError(f"cera_forward called with kind {cfg.kind!r}")
-    x_rows, was_vector = _as_rows(x)
-    delta = cera_delta_rows(x_rows, st, cfg, mode, rng, latent_sink)
-    out = T.linear(x_rows, w0) + delta
-    return _maybe_flatten(out, was_vector)
-
-
-def parallel_module_forward(block_input: Tensor, block_output: Tensor,
-                            st: AdapterState, cfg: AdapterConfig,
-                            mode: str = "eval", rng: RngState | None = None,
-                            latent_sink: list | None = None) -> Tensor:
-    """Coarse variant: the same bottleneck reads the whole block's input and
-    corrects its output, instead of acting inside a single projection."""
-    if cfg.kind != "parallel_module":
-        raise ConfigError(f"parallel_module_forward called with kind {cfg.kind!r}")
-    in_rows, was_vector = _as_rows(block_input)
-    out_rows, _ = _as_rows(block_output)
-    delta = cera_delta_rows(in_rows, st, cfg, mode, rng, latent_sink)
-    return _maybe_flatten(out_rows + delta, was_vector)
 
 
 class Adapter:
@@ -252,19 +147,26 @@ class Adapter:
                    rng: RngState | None = None,
                    latent_sink: list | None = None,
                    mask: np.ndarray | None = None) -> Tensor:
-        if self.cfg.kind == "lora":
-            delta = lora_delta_rows(x_rows, self.state, self.cfg, mode, rng, mask)
-            if latent_sink is not None:
-                # the linear latent is A x itself (identity activation)
-                latent_sink.append((x_rows.data @ self.state.w_up.data.T))
-            return delta
-        return cera_delta_rows(x_rows, self.state, self.cfg, mode, rng, latent_sink,
-                               mask)
+        """Additive update s * W_down(dropout(act(W_up x))) for a batch of rows.
 
-    def forward_rows(self, x_rows: Tensor, w0: Tensor, mode: str = "eval",
-                     rng: RngState | None = None,
-                     latent_sink: list | None = None) -> Tensor:
-        return T.linear(x_rows, w0) + self.delta_rows(x_rows, mode, rng, latent_sink)
+        Every kind takes this path: lora is the identity activation with
+        s = alpha / r. A weight-level adapter adds it to its projection's
+        output, a module adapter to its block's output. When `latent_sink`
+        is given, the post-activation pre-dropout latent rows (the H matrix
+        rows) are appended to it. `mask` is a pre-drawn dropout mask (see
+        `tensor.dropout`).
+        """
+        cfg = self.cfg
+        act = cfg.resolved_activation
+        lat = T.linear(x_rows, self.state.w_up)
+        if act != "identity":
+            lat = T.ACTIVATIONS[act](lat)
+        if latent_sink is not None:
+            latent_sink.append(lat.data)
+        p = cfg.resolved_dropout_p
+        if p > 0.0:
+            lat = T.dropout(lat, p, mode, cfg.dropout_style, rng, mask)
+        return cfg.resolved_scale * T.linear(lat, self.state.w_down)
 
 
 def param_count(cfg: AdapterConfig, geometry: list[tuple[int, int, int]]) -> int:
@@ -283,12 +185,9 @@ def merge_linear(w0: Tensor, st: AdapterState, cfg: AdapterConfig) -> Tensor:
     lora always, cera only with the identity activation. The error for gated
     kinds is deliberate, not a limitation to paper over.
     """
+    if not cfg.is_linear:
+        raise NotMergeableError(
+            f"{cfg.kind} with activation {cfg.resolved_activation!r} has no "
+            "input-independent update matrix to merge")
     w0_m = w0.data if isinstance(w0, Tensor) else np.asarray(w0, dtype=np.float64)
-    if cfg.kind == "lora":
-        merged = w0_m + (cfg.resolved_alpha / cfg.r) * (st.w_down.data @ st.w_up.data)
-        return Tensor(merged)
-    if cfg.kind == "cera" and cfg.resolved_activation == "identity":
-        return Tensor(w0_m + cfg.resolved_scale * (st.w_down.data @ st.w_up.data))
-    raise NotMergeableError(
-        f"{cfg.kind} with activation {cfg.resolved_activation!r} has no "
-        "input-independent update matrix to merge")
+    return Tensor(w0_m + delta_w_linear(st.w_up, st.w_down, cfg.resolved_scale))

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .adapters import Adapter, AdapterConfig, AdapterState, InitSpec, param_count
+from .adapters import Adapter, AdapterConfig, AdapterState, param_count
 from .errors import ConfigError
 from .model import (FrozenBackbone, ModelConfig, adapter_shape, build_model,
                     collect_latents, forward, inject)
@@ -78,7 +78,7 @@ class MethodSpec:
             activation=self.activation, dropout_p=self.dropout_p,
             dropout_style=self.dropout_style,
             targets=self.targets if self.kind != "parallel_module" else ("Wq", "Wv"),
-            init_spec=InitSpec(gain=self.init_gain))
+            init_gain=self.init_gain)
 
     def injection_targets(self) -> tuple[str, ...]:
         if self.kind == "parallel_module":
@@ -289,12 +289,12 @@ def spectral_report(backbone: FrozenBackbone, inputs, source: str) -> SpectralRe
     spectra, ers, aucs = [], [], []
     for adapter in backbone.adapters.values():
         cfg = adapter.cfg
-        if cfg.kind == "parallel_module" or cfg.resolved_activation != "identity":
+        if not cfg.is_linear:
             raise ConfigError(
                 "delta_w spectra need a linear adapter; use latent_H or "
                 "output_delta_D for gated kinds")
         dw = delta_w_linear(adapter.state.w_up, adapter.state.w_down,
-                            cfg.resolved_alpha, cfg.r)
+                            cfg.resolved_scale)
         sv = svd_values(dw)
         spectra.append(sv)
         ers.append(effective_rank(sv))
@@ -311,15 +311,23 @@ def spectral_report(backbone: FrozenBackbone, inputs, source: str) -> SpectralRe
         energy_curve=energy_curve(mean_sv).tolist() if mean_sv.sum() > 0 else [])
 
 
-def run_from_config(run_config: dict) -> tuple[dict, dict, dict]:
-    """Execute one run; returns (record, adapter bundles, train report) dicts."""
+def _build_run(run_config: dict) -> tuple[MethodSpec, TaskBundle,
+                                            FrozenBackbone, list[Adapter]]:
+    """A run's method, task bundle, and backbone with its freshly
+    initialized adapters injected, as the run starts training."""
     method = MethodSpec.from_dict(run_config["method"])
     model = ModelConfig.from_dict(run_config["model"])
-    train_cfg = TrainConfig.from_dict(run_config["train"])
     bundle = build_task_bundle(run_config["task_id"], model)
     backbone = build_model(model, bundle.backbone_seed)
     adapters = _inject_method(backbone, method, run_config["rank"],
                               run_config["seed"])
+    return method, bundle, backbone, adapters
+
+
+def run_from_config(run_config: dict) -> tuple[dict, dict, dict]:
+    """Execute one run; returns (record, adapter bundles, train report) dicts."""
+    train_cfg = TrainConfig.from_dict(run_config["train"])
+    method, bundle, backbone, adapters = _build_run(run_config)
     report = train_adapter(backbone, adapters, bundle.train, bundle.test,
                            train_cfg)
     spectrum = spectral_report(backbone, bundle.test.inputs,
@@ -623,12 +631,7 @@ def cmd_spectral(cfg: ExperimentConfig, run_id: str,
         raise ConfigError(f"no record for run_id {run_id!r} in {store.records_dir}")
     run_config = stored["run_config"]
     bundles = json.loads(store.adapters_path(run_id).read_text())
-    method = MethodSpec.from_dict(run_config["method"])
-    model = ModelConfig.from_dict(run_config["model"])
-    task = build_task_bundle(run_config["task_id"], model)
-    backbone = build_model(model, task.backbone_seed)
-    adapters = _inject_method(backbone, method, run_config["rank"],
-                              run_config["seed"])
+    method, task, backbone, _ = _build_run(run_config)
     for (layer, target), adapter in sorted(backbone.adapters.items()):
         state = AdapterState.from_bundle(bundles[f"{layer}:{target}"])
         adapter.state.w_up.data[:] = state.w_up.data

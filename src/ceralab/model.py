@@ -5,14 +5,16 @@ Two operating modes share one weight set:
 * ``language_model``: standard causally-masked pre-norm blocks over a fixed
   numeric vocabulary, run over a whole batch at once: every projection,
   adapter, layer norm and FFN acts on the (batch*seq, d) token rows, and
-  attention runs once per layer in a (batch, heads, seq, d_head) layout;
-  logits come back as a (batch, seq, vocab) tensor.
+  attention runs once per layer in a (batch, heads, seq, d_head) layout.
+  `lm_logits` returns the logits as (batch*seq, vocab) rows, and `forward`
+  reshapes them to (batch, seq, vocab).
 * ``regressor``: one block applied to plain feature vectors, with the
   attention and FFN branches reading the raw input in parallel and no layer
   norm. Every adapter then contributes additively through purely linear
-  downstream maps, which is what makes the least-squares bound of the
-  teacher task exact, and what lets the output be computed as a frozen
-  term (constant per input row) plus one product per adapter. A single
+  downstream maps, so a linear adapter's whole effect is a linear map of
+  the input (which the teacher task's linear floor fits by least squares),
+  and the output can be computed as a frozen term (constant per input row)
+  plus one product per adapter. A single
   position attends only to itself, so the softmax is identically one and
   the query path drops out; regression experiments therefore target Wv.
 
@@ -23,14 +25,13 @@ mirroring grouped-query-style asymmetry, and Wo folds it back.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
-from .adapters import Adapter
-from .errors import ConfigError, DomainError, ShapeError
+from .adapters import Adapter, merge_linear
+from .errors import ConfigError, DomainError, NotMergeableError, ShapeError
 from .tensor import RngState, Tensor
 
 INJECTION_TARGETS = ("Wq", "Wv", "attn_block")
@@ -192,25 +193,21 @@ def _proj(backbone: FrozenBackbone, layer: int, target: str, x_rows: Tensor,
     base = T.linear(x_rows, w0)
     if adapter is None:
         return base
-    return base + _lm_delta(adapter, (layer, target), x_rows, mode, masks, trace)
+    key = (layer, target)
+    return base + _adapter_delta(adapter, key, x_rows, mode, trace,
+                                 mask=masks.get(key))
 
 
-def _sinks(trace: dict | None, key) -> tuple[list | None, list | None]:
+def _adapter_delta(adapter: Adapter, key, x_rows: Tensor, mode: str,
+                   trace: dict | None, rng: RngState | None = None,
+                   mask: np.ndarray | None = None) -> Tensor:
+    """An adapter's delta rows; the trace, if given, keeps its latent and
+    delta rows under `key`."""
     if trace is None:
-        return None, None
-    latent = trace.setdefault("latents", {}).setdefault(key, [])
-    delta = trace.setdefault("deltas", {}).setdefault(key, [])
-    return latent, delta
-
-
-def _lm_delta(adapter: Adapter, key, x_rows: Tensor, mode: str, masks: dict,
-              trace: dict | None) -> Tensor:
-    """An adapter's delta rows, with its pre-drawn dropout mask."""
-    latent_sink, delta_sink = _sinks(trace, key)
-    delta = adapter.delta_rows(x_rows, mode, latent_sink=latent_sink,
-                               mask=masks.get(key))
-    if delta_sink is not None:
-        delta_sink.append(delta.data.copy())
+        return adapter.delta_rows(x_rows, mode, rng, mask=mask)
+    latent_sink = trace.setdefault("latents", {}).setdefault(key, [])
+    delta = adapter.delta_rows(x_rows, mode, rng, latent_sink, mask)
+    trace.setdefault("deltas", {}).setdefault(key, []).append(delta.data.copy())
     return delta
 
 
@@ -264,8 +261,9 @@ def _lm_block(backbone: FrozenBackbone, layer: int, x: Tensor, seq_len: int,
     attn_out = T.linear(T.merge_heads(T.bmm(attn, v)), ws["Wo"])
     module = backbone.adapters.get((layer, "attn_block"))
     if module is not None:
-        attn_out = attn_out + _lm_delta(module, (layer, "attn_block"), xn, mode,
-                                        masks, trace)
+        key = (layer, "attn_block")
+        attn_out = attn_out + _adapter_delta(module, key, xn, mode, trace,
+                                             mask=masks.get(key))
     x = x + attn_out
     xn2 = T.layer_norm(x, ws["ln2_g"], ws["ln2_b"])
     ff = T.linear(T.silu(T.linear(xn2, ws["W1"])), ws["W2"])
@@ -336,10 +334,7 @@ def regressor_output(backbone: FrozenBackbone, features, mode: str = "eval",
         adapter = backbone.adapters.get((0, target))
         if adapter is None:
             continue
-        latent_sink, delta_sink = _sinks(trace, (0, target))
-        delta = adapter.delta_rows(x, mode, rng, latent_sink=latent_sink)
-        if delta_sink is not None:
-            delta_sink.append(delta.data.copy())
+        delta = _adapter_delta(adapter, (0, target), x, mode, trace, rng=rng)
         to_output = head @ backbone.layers[0]["Wo"].data if target == "Wv" else head
         out = out + T.linear(delta, Tensor(to_output))
     return out
@@ -350,7 +345,8 @@ def forward(backbone: FrozenBackbone, inputs, mode: str = "eval",
     """Dispatch on the configured mode.
 
     Language model: `inputs` is a batch of equal-length token sequences;
-    returns a (batch, seq, vocab) tensor. Regressor: `inputs` is a feature
+    returns the (batch*seq, vocab) rows of `lm_logits` reshaped to a
+    (batch, seq, vocab) tensor. Regressor: `inputs` is a feature
     matrix; returns (n, vocab_size) outputs.
     """
     if backbone.cfg.mode == "regressor":
@@ -396,9 +392,6 @@ def merged_copy(backbone: FrozenBackbone) -> FrozenBackbone:
 
     Raises NotMergeableError if any injected adapter is non-linear.
     """
-    from .adapters import merge_linear
-    from .errors import NotMergeableError
-
     if any(target == "attn_block" for _, target in backbone.adapters):
         raise NotMergeableError("module-level adapters cannot fold into one matrix")
     layers = []
@@ -411,37 +404,3 @@ def merged_copy(backbone: FrozenBackbone) -> FrozenBackbone:
         layers.append(copied)
     return FrozenBackbone(backbone.cfg, backbone.tok_emb, backbone.pos_emb, layers,
                           backbone.ln_f_g, backbone.ln_f_b, backbone.head)
-
-
-def save_checkpoint(backbone: FrozenBackbone, path) -> None:
-    """Header line (config + tensor index as JSON) then raw float64 blobs."""
-    named = backbone.frozen_tensors()
-    header = {
-        "model_config": backbone.cfg.to_dict(),
-        "tensors": [[name, list(t.shape)] for name, t in named],
-    }
-    payload = b"".join(t.data.astype("<f8").tobytes() for _, t in named)
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        fh.write(b"\n")
-        fh.write(payload)
-
-
-def load_checkpoint(path) -> FrozenBackbone:
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
-    header = json.loads(header_line.decode("utf-8"))
-    cfg = ModelConfig.from_dict(header["model_config"])
-    tensors = {}
-    offset = 0
-    for name, shape in header["tensors"]:
-        n = int(np.prod(shape))
-        arr = np.frombuffer(payload, dtype="<f8", count=n, offset=offset).reshape(shape)
-        tensors[name] = Tensor(arr.copy())
-        offset += n * 8
-    layers = []
-    for i in range(cfg.n_layers):
-        layers.append({k: tensors[f"layer{i}.{k}"] for k in _LAYER_TENSORS})
-    return FrozenBackbone(cfg, tensors["tok_emb"], tensors["pos_emb"], layers,
-                          tensors["ln_f_g"], tensors["ln_f_b"], tensors["head"])

@@ -82,15 +82,14 @@ def auc90(sv, exponent: int = 1) -> int:
     return int(np.argmax(curve >= 0.9)) + 1
 
 
-def delta_w_linear(a, b, alpha: float, r: int):
-    """Materialize the mergeable linear update (alpha/r) * B @ A."""
+def delta_w_linear(a, b, scale: float):
+    """Materialize the input-independent update scale * B @ A of a linear
+    adapter with up-projection A (r x k) and down-projection B (d x r)."""
     a_m, b_m = _as_matrix(a), _as_matrix(b)
-    if r < 1:
-        raise DomainError(f"rank must be >= 1, got {r}")
-    if a_m.shape[0] != r or b_m.shape[1] != r:
+    if a_m.shape[0] != b_m.shape[1]:
         raise ShapeError(
-            f"expected A ({r} x k) and B (d x {r}), got {a_m.shape} and {b_m.shape}")
-    return (alpha / r) * (b_m @ a_m)
+            f"expected A (r x k) and B (d x r), got {a_m.shape} and {b_m.shape}")
+    return scale * (b_m @ a_m)
 
 
 @dataclass
@@ -109,10 +108,6 @@ class SpectralReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SpectralReport":
-        return cls(**json.loads(text))
 
 
 def activation_spectrum(h, source_label: str = "H",

@@ -7,14 +7,14 @@ bit-identical (checksum-verifiable) across a run.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, DomainError, ShapeError, TrainingDiverged
+from .errors import (ConfigError, DomainError, NotMergeableError, ShapeError,
+                     TrainingDiverged)
 from .model import (FrozenBackbone, forward, lm_logits, merged_copy,
                     regressor_frozen, regressor_output)
 from .tasks import Dataset
@@ -61,20 +61,6 @@ class TrainReport:
     test_metric: float
     wallclock_seconds: float
     tokens_per_second: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TrainReport":
-        return cls(**json.loads(text))
-
-
-def write_loss_csv(report: TrainReport, cfg: TrainConfig, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("step,lr,loss\n")
-        for t, loss in enumerate(report.loss_curve):
-            fh.write(f"{t},{repr(cosine_lr(t, cfg))},{repr(loss)}\n")
 
 
 def cosine_lr(t: int, cfg: TrainConfig) -> float:
@@ -225,9 +211,6 @@ class ThroughputReport:
     coefficient_of_variation: float
     baseline: str
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 def _bare_copy(backbone: FrozenBackbone) -> FrozenBackbone:
     return FrozenBackbone(backbone.cfg, backbone.tok_emb, backbone.pos_emb,
@@ -251,8 +234,6 @@ def measure_throughput(backbone: FrozenBackbone, batch,
     falls on both medians alike. Numbers are hardware-dependent: they are
     reported, never asserted.
     """
-    from .errors import NotMergeableError
-
     try:
         base = merged_copy(backbone)
         base_label = "merged"

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from ceralab.adapters import (Adapter, AdapterConfig, init_adapter,
-                              lora_forward, cera_forward, merge_linear,
-                              param_count)
+                              merge_linear, param_count)
 from ceralab.errors import NotMergeableError
 from ceralab.experiments import (ExperimentConfig, cmd_ablate, cmd_spectral,
                                  cmd_sweep)
@@ -22,7 +21,7 @@ from ceralab.model import (ModelConfig, adapter_shape, build_model, inject,
 from ceralab.spectral import auc90, effective_rank, svd_values
 from ceralab.tasks import logistic_map_table
 from ceralab.tensor import (RngState, Tensor, cross_entropy_rows,
-                            finite_difference_check)
+                            finite_difference_check, linear)
 from ceralab.trainer import measure_throughput
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -103,9 +102,9 @@ def test_criterion_03_degeneracy_equivalence():
         st = init_adapter(lora_cfg, d, k, rng.child(0))
         st.w_down.data[:] = rng.normal((d, r))
         w0 = Tensor(rng.normal((d, k)))
-        x = Tensor(rng.normal((k,)))
-        a = lora_forward(x, w0, st, lora_cfg).data
-        b = cera_forward(x, w0, st, cera_cfg).data
+        x = Tensor(rng.normal((1, k)))
+        a = (linear(x, w0) + Adapter(lora_cfg, st).delta_rows(x)).data
+        b = (linear(x, w0) + Adapter(cera_cfg, st).delta_rows(x)).data
         worst = max(worst, float(np.max(np.abs(a - b))))
     ok = worst < 1e-12
     report(3, "degeneracy-cera-equals-lora", ok,
@@ -122,9 +121,9 @@ def test_criterion_04_merge_equivalence_and_asymmetry():
         st.w_down.data[:] = rng.normal((5, 3))
         w0 = Tensor(rng.normal((5, 7)))
         merged = merge_linear(w0, st, cfg)
-        x = Tensor(rng.normal((7,)))
-        unmerged = lora_forward(x, w0, st, cfg).data
-        worst = max(worst, float(np.max(np.abs(unmerged - merged.data @ x.data))))
+        x = Tensor(rng.normal((1, 7)))
+        unmerged = (linear(x, w0) + Adapter(cfg, st).delta_rows(x)).data
+        worst = max(worst, float(np.max(np.abs(unmerged - x.data @ merged.data.T))))
     cera_cfg = AdapterConfig(kind="cera", r=3)  # silu by default
     cera_st = init_adapter(cera_cfg, 5, 7, RngState(1))
     raised = False

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ceralab import tensor as tensor_mod
-from ceralab.adapters import (Adapter, AdapterConfig, AdapterState, InitSpec,
-                              cera_forward, init_adapter, lora_forward,
-                              merge_linear, parallel_module_forward,
-                              param_count)
+from ceralab.adapters import (Adapter, AdapterConfig, AdapterState,
+                              init_adapter, merge_linear, param_count)
 from ceralab.errors import ConfigError, NotMergeableError
+from ceralab.experiments import MethodSpec
 from ceralab.spectral import delta_w_linear, svd_values
 from ceralab.tensor import RngState, Tensor
 
@@ -25,13 +24,18 @@ def make_cera(r=4, d=6, k=8, seed=0, **kw):
     return cfg, init_adapter(cfg, d, k, RngState(seed))
 
 
+def adapted(x, w0, st_, cfg, **kw):
+    """W0 x plus the adapter's delta, for a batch of rows."""
+    return tensor_mod.linear(x, w0) + Adapter(cfg, st_).delta_rows(x, **kw)
+
+
 def test_init_is_exact_noop():
     cfg, st_ = make_cera()
     rng = RngState(1)
     w0 = Tensor(rng.normal((6, 8)))
-    x = Tensor(rng.normal((8,)))
-    base = w0.data @ x.data
-    out = cera_forward(x, w0, st_, cfg)
+    x = Tensor(rng.normal((1, 8)))
+    base = x.data @ w0.data.T
+    out = adapted(x, w0, st_, cfg)
     assert np.array_equal(out.data, base)
 
 
@@ -43,7 +47,7 @@ def test_init_deterministic():
 
 
 def test_init_gain_zero():
-    cfg = AdapterConfig(kind="cera", r=3, init_spec=InitSpec(gain=0.0))
+    cfg = AdapterConfig(kind="cera", r=3, init_gain=0.0)
     st_ = init_adapter(cfg, 5, 5, RngState(2))
     assert np.all(st_.w_up.data == 0.0)
 
@@ -59,8 +63,8 @@ def test_lora_zero_b_and_zero_alpha():
     rng = RngState(3)
     st_.w_down.data[:] = rng.normal((6, 4))  # nonzero B, alpha kills it
     w0 = Tensor(rng.normal((6, 8)))
-    x = Tensor(rng.normal((8,)))
-    assert np.allclose(lora_forward(x, w0, st_, cfg).data, w0.data @ x.data)
+    x = Tensor(rng.normal((1, 8)))
+    assert np.allclose(adapted(x, w0, st_, cfg).data, x.data @ w0.data.T)
 
 
 def test_lora_matches_materialized_delta_w():
@@ -69,10 +73,10 @@ def test_lora_matches_materialized_delta_w():
     st_.w_down.data[:] = rng.normal((5, 3))
     st_.w_up.data[:] = rng.normal((3, 7))
     w0 = Tensor(rng.normal((5, 7)))
-    x = Tensor(rng.normal((7,)))
-    merged = w0.data + delta_w_linear(st_.w_up, st_.w_down, 2.0, 3)
-    got = lora_forward(x, w0, st_, cfg).data
-    assert np.max(np.abs(got - merged @ x.data)) < 1e-10
+    x = Tensor(rng.normal((1, 7)))
+    merged = w0.data + delta_w_linear(st_.w_up, st_.w_down, 2.0 / 3)
+    got = adapted(x, w0, st_, cfg).data
+    assert np.max(np.abs(got - x.data @ merged.T)) < 1e-10
 
 
 def test_cera_degenerates_to_lora():
@@ -82,27 +86,62 @@ def test_cera_degenerates_to_lora():
     cera_cfg = AdapterConfig(kind="cera", r=4, activation="identity", dropout_p=0.0)
     w0 = Tensor(rng.normal((6, 8)))
     for _ in range(20):
-        x = Tensor(rng.normal((8,)))
-        a = lora_forward(x, w0, st_, lora_cfg).data
-        b = cera_forward(x, w0, st_, cera_cfg).data
+        x = Tensor(rng.normal((1, 8)))
+        a = adapted(x, w0, st_, lora_cfg).data
+        b = adapted(x, w0, st_, cera_cfg).data
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+def test_lora_is_the_identity_case_of_the_one_delta_path():
+    rng = RngState(19)
+    lora_cfg, st_ = make_lora(r=4, d=6, k=8, alpha=3.0)
+    st_.w_down.data[:] = rng.normal((6, 4))
+    cera_cfg = AdapterConfig(kind="cera", r=4, alpha=3.0, activation="identity",
+                             dropout_p=0.0)
+    x = Tensor(rng.normal((5, 8)))
+    lora_sink, cera_sink = [], []
+    a = Adapter(lora_cfg, st_).delta_rows(x, mode="train", rng=RngState(1),
+                                          latent_sink=lora_sink)
+    b = Adapter(cera_cfg, st_).delta_rows(x, mode="train", rng=RngState(1),
+                                          latent_sink=cera_sink)
+    assert np.array_equal(a.data, b.data)
+    assert len(lora_sink) == len(cera_sink) == 1
+    assert np.array_equal(lora_sink[0], cera_sink[0])
+    assert np.array_equal(lora_sink[0], x.data @ st_.w_up.data.T)
+
+
+def test_lora_rejects_scale_s():
+    # lora's update is scaled by alpha / r; a scale_s it would not apply is
+    # refused rather than silently ignored
+    with pytest.raises(ConfigError, match="scale_s"):
+        AdapterConfig(kind="lora", r=3, scale_s=5.0)
+    with pytest.raises(ConfigError, match="scale_s"):
+        MethodSpec(name="lora", kind="lora", scale_s=5.0)
+    rng = RngState(20)
+    cfg, st_ = make_lora(r=3, d=5, k=7, alpha=6.0)
+    st_.w_down.data[:] = rng.normal((5, 3))
+    x = Tensor(rng.normal((4, 7)))
+    applied = Adapter(cfg, st_).delta_rows(x).data
+    unit = x.data @ (st_.w_down.data @ st_.w_up.data).T
+    assert cfg.resolved_scale == 2.0
+    assert np.max(np.abs(applied - cfg.resolved_scale * unit)) < 1e-12
 
 
 def test_cera_scalar_silu_golden():
     cfg = AdapterConfig(kind="cera", r=1, scale_s=1.0, dropout_p=0.0)
     st_ = AdapterState(w_up=Tensor([[1.0]], requires_grad=True),
                        w_down=Tensor([[1.0]], requires_grad=True))
-    out = cera_forward(Tensor([1.0]), Tensor([[0.0]]), st_, cfg, mode="eval")
-    assert out.data[0] == pytest.approx(0.731059, abs=1e-6)
+    out = adapted(Tensor([[1.0]]), Tensor([[0.0]]), st_, cfg, mode="eval")
+    assert out.data[0, 0] == pytest.approx(0.731059, abs=1e-6)
 
 
 def test_cera_zero_down_projection():
     cfg, st_ = make_cera(dropout_p=0.5)
     rng = RngState(6)
     w0 = Tensor(rng.normal((6, 8)))
-    x = Tensor(rng.normal((8,)))
-    out = cera_forward(x, w0, st_, cfg, mode="train", rng=rng.child(1))
-    assert np.allclose(out.data, w0.data @ x.data)
+    x = Tensor(rng.normal((1, 8)))
+    out = adapted(x, w0, st_, cfg, mode="train", rng=rng.child(1))
+    assert np.allclose(out.data, x.data @ w0.data.T)
 
 
 def test_cera_eval_independent_of_rng():
@@ -110,9 +149,9 @@ def test_cera_eval_independent_of_rng():
     cfg, st_ = make_cera(dropout_p=0.3)
     st_.w_down.data[:] = rng.normal((6, 4))
     w0 = Tensor(rng.normal((6, 8)))
-    x = Tensor(rng.normal((8,)))
-    a = cera_forward(x, w0, st_, cfg, mode="eval", rng=RngState(1))
-    b = cera_forward(x, w0, st_, cfg, mode="eval", rng=RngState(999))
+    x = Tensor(rng.normal((1, 8)))
+    a = adapted(x, w0, st_, cfg, mode="eval", rng=RngState(1))
+    b = adapted(x, w0, st_, cfg, mode="eval", rng=RngState(999))
     assert np.array_equal(a.data, b.data)
 
 
@@ -120,9 +159,9 @@ def test_parallel_module_zero_down_is_identity():
     cfg = AdapterConfig(kind="parallel_module", r=4)
     st_ = init_adapter(cfg, 8, 8, RngState(9))
     rng = RngState(10)
-    block_in = Tensor(rng.normal((8,)))
-    block_out = Tensor(rng.normal((8,)))
-    got = parallel_module_forward(block_in, block_out, st_, cfg)
+    block_in = Tensor(rng.normal((1, 8)))
+    block_out = Tensor(rng.normal((1, 8)))
+    got = block_out + Adapter(cfg, st_).delta_rows(block_in)
     assert np.array_equal(got.data, block_out.data)
 
 
@@ -132,10 +171,10 @@ def test_parallel_module_identity_is_linear_composition():
                         dropout_p=0.0, scale_s=2.0)
     st_ = init_adapter(cfg, 6, 6, rng.child(0))
     st_.w_down.data[:] = rng.normal((6, 3))
-    block_in = Tensor(rng.normal((6,)))
-    block_out = Tensor(rng.normal((6,)))
-    got = parallel_module_forward(block_in, block_out, st_, cfg).data
-    expected = block_out.data + 2.0 * (st_.w_down.data @ st_.w_up.data) @ block_in.data
+    block_in = Tensor(rng.normal((1, 6)))
+    block_out = Tensor(rng.normal((1, 6)))
+    got = (block_out + Adapter(cfg, st_).delta_rows(block_in)).data
+    expected = block_out.data + block_in.data @ (2.0 * (st_.w_down.data @ st_.w_up.data)).T
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -168,9 +207,9 @@ def test_merged_lora_equals_unmerged_forward():
     w0 = Tensor(rng.normal((5, 7)))
     merged = merge_linear(w0, st_, cfg)
     for _ in range(10):
-        x = Tensor(rng.normal((7,)))
-        unmerged = lora_forward(x, w0, st_, cfg).data
-        assert np.max(np.abs(unmerged - merged.data @ x.data)) < 1e-10
+        x = Tensor(rng.normal((1, 7)))
+        unmerged = adapted(x, w0, st_, cfg).data
+        assert np.max(np.abs(unmerged - x.data @ merged.data.T)) < 1e-10
 
 
 def test_merge_cera_silu_refuses():
@@ -193,8 +232,8 @@ def test_merge_cera_identity_is_mergeable():
     st_.w_down.data[:] = rng.normal((4, 2))
     w0 = Tensor(rng.normal((4, 6)))
     merged = merge_linear(w0, st_, cfg)
-    x = Tensor(rng.normal((6,)))
-    assert np.max(np.abs(merged.data @ x.data - cera_forward(x, w0, st_, cfg).data)) < 1e-12
+    x = Tensor(rng.normal((1, 6)))
+    assert np.max(np.abs(x.data @ merged.data.T - adapted(x, w0, st_, cfg).data)) < 1e-12
 
 
 def test_rank_bound_of_linear_update():
@@ -227,14 +266,17 @@ def test_config_defaults_by_kind():
 
 
 def test_config_round_trip_and_unknown_keys():
-    cfg = AdapterConfig(kind="cera", r=16, alpha=8.0, dropout_p=0.2,
-                        dropout_style="channel", targets=("Wv",),
-                        init_spec=InitSpec(gain=0.5))
-    assert AdapterConfig.from_dict(cfg.to_dict()) == cfg
-    bad = cfg.to_dict()
+    # adapter configs are stored as the method spec they are built from
+    method = MethodSpec(name="c", kind="cera", alpha=8.0, dropout_p=0.2,
+                        dropout_style="channel", targets=("Wv",), init_gain=0.5)
+    assert MethodSpec.from_dict(method.to_dict()) == method
+    assert method.adapter_config(16) == AdapterConfig(
+        kind="cera", r=16, alpha=8.0, dropout_p=0.2, dropout_style="channel",
+        targets=("Wv",), init_gain=0.5)
+    bad = method.to_dict()
     bad["tyop"] = 1
     with pytest.raises(ConfigError):
-        AdapterConfig.from_dict(bad)
+        MethodSpec.from_dict(bad)
 
 
 def test_state_bundle_round_trip():
@@ -253,16 +295,16 @@ def test_cera_forward_gradient_matches_finite_differences():
     st_ = init_adapter(cfg, 5, 7, rng.child(0))
     st_.w_down.data[:] = rng.normal((5, 3))
     w0 = Tensor(rng.normal((5, 7)))
-    x0 = Tensor(rng.uniform(-2, 2, (7,)))
+    x0 = Tensor(rng.uniform(-2, 2, (1, 7)))
 
     def through_input(probe):
-        return tensor_mod.tsum(cera_forward(probe, w0, st_, cfg, mode="eval"))
+        return tensor_mod.tsum(adapted(probe, w0, st_, cfg, mode="eval"))
 
     assert tensor_mod.finite_difference_check(through_input, x0, 1e-6) < 1e-5
 
     def through_up(probe):
         st_.w_up = probe
-        return tensor_mod.tsum(cera_forward(x0, w0, st_, cfg, mode="eval"))
+        return tensor_mod.tsum(adapted(x0, w0, st_, cfg, mode="eval"))
 
     assert tensor_mod.finite_difference_check(through_up, st_.w_up, 1e-6) < 1e-5
 
@@ -290,7 +332,7 @@ def test_degeneracy_property(seed):
     st_ = init_adapter(lora_cfg, 6, 8, rng.child(0))
     st_.w_down.data[:] = rng.normal((6, 4))
     w0 = Tensor(rng.normal((6, 8)))
-    x = Tensor(rng.normal((8,)))
-    a = lora_forward(x, w0, st_, lora_cfg).data
-    b = cera_forward(x, w0, st_, cera_cfg).data
+    x = Tensor(rng.normal((1, 8)))
+    a = adapted(x, w0, st_, lora_cfg).data
+    b = adapted(x, w0, st_, cera_cfg).data
     assert np.max(np.abs(a - b)) < 1e-12

@@ -4,14 +4,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ceralab.adapters import Adapter, AdapterConfig, init_adapter, merge_linear
 from ceralab.errors import ConfigError
 from ceralab.experiments import (ABLATION_VARIANTS, NUMERICS_VERSION,
                                  ExperimentConfig, MethodSpec, RunStore,
                                  ablation_methods, build_task_bundle,
                                  cmd_ablate, cmd_logistic, cmd_params,
                                  cmd_spectral, cmd_sweep, make_run_config,
-                                 run_from_config, run_id_of, stable_seed)
-from ceralab.model import ModelConfig
+                                 run_from_config, run_id_of, spectral_report,
+                                 stable_seed)
+from ceralab.model import ModelConfig, adapter_shape, build_model, inject
+from ceralab.spectral import svd_values
+from ceralab.tensor import RngState
 from ceralab.trainer import TrainConfig
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -292,6 +296,22 @@ def test_spectral_delta_w_report_matches_the_record(tmp_path):
     assert 1.0 < report.effective_rank <= 2.0
     assert len(report.singular_values) == 16
     assert np.all(np.array(report.singular_values[2:]) < 1e-12)
+
+
+def test_spectral_delta_w_uses_the_applied_scale():
+    # a linear cera adapter applies scale_s * B A, not (alpha / r) * B A
+    model = ModelConfig(**SMALL_MODEL)
+    backbone = build_model(model, 3)
+    cfg = AdapterConfig(kind="cera", r=4, activation="identity", scale_s=2.0,
+                        targets=("Wv",))
+    rng = RngState(4)
+    state = init_adapter(cfg, *adapter_shape(model, "Wv"), rng.child(0))
+    state.w_down.data[:] = rng.normal(state.w_down.shape)
+    inject(backbone, 0, "Wv", Adapter(cfg, state))
+    report = spectral_report(backbone, rng.normal((8, model.d_model)), "delta_w")
+    applied = svd_values(merge_linear(0, state, cfg).data)
+    got = np.array(report.singular_values)
+    assert np.max(np.abs(got - applied)) <= 1e-12 * applied[0]
 
 
 def test_spectral_zero_init_run_reports_er_zero(tmp_path):

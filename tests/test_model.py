@@ -7,8 +7,7 @@ from ceralab.adapters import Adapter, AdapterConfig, AdapterState
 from ceralab.errors import ConfigError, DomainError, NotMergeableError, ShapeError
 from ceralab.model import (ModelConfig, adapter_shape, build_model,
                            collect_latents, forward, inject, lm_logits,
-                           load_checkpoint, merged_copy, regressor_frozen,
-                           regressor_output, save_checkpoint)
+                           merged_copy, regressor_frozen, regressor_output)
 from ceralab.spectral import activation_spectrum, svd_values
 from ceralab.tensor import RngState, Tensor, backward, cross_entropy_rows
 
@@ -289,17 +288,6 @@ def test_regressor_mode_shapes_and_determinism():
 def test_regressor_requires_single_block():
     with pytest.raises(ConfigError):
         ModelConfig(n_layers=2, mode="regressor")
-
-
-def test_checkpoint_round_trip(tmp_path):
-    bb = tiny_model(30)
-    path = tmp_path / "model.ckpt"
-    save_checkpoint(bb, path)
-    loaded = load_checkpoint(path)
-    assert loaded.checksum() == bb.checksum()
-    assert loaded.cfg == bb.cfg
-    seqs = [[1, 2, 3], [3, 2, 1]]
-    assert np.array_equal(lm_logits(loaded, seqs).data, lm_logits(bb, seqs).data)
 
 
 REG = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1, vocab_size=4,

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -130,20 +131,20 @@ def test_auc90_one_hot():
 def test_delta_w_examples():
     rng = RngState(105)
     a = rng.normal((3, 6))
-    assert np.all(delta_w_linear(a, np.zeros((4, 3)), 1.0, 3) == 0.0)
-    dw = delta_w_linear(np.array([[1.0, 0.0]]), np.array([[2.0], [0.0], [0.0]]), 1.0, 1)
+    assert np.all(delta_w_linear(a, np.zeros((4, 3)), 1.0) == 0.0)
+    dw = delta_w_linear(np.array([[1.0, 0.0]]), np.array([[2.0], [0.0], [0.0]]), 1.0)
     expected = np.zeros((3, 2))
     expected[0, 0] = 2.0
     assert np.array_equal(dw, expected)
     # rank of the product is bounded by r
     b = rng.normal((5, 3))
-    sv = svd_values(delta_w_linear(a, b, 2.0, 3))
+    sv = svd_values(delta_w_linear(a, b, 2.0 / 3))
     assert np.sum(sv > 1e-12) <= 3
 
 
 def test_delta_w_shape_error():
     with pytest.raises(ShapeError):
-        delta_w_linear(np.ones((3, 6)), np.ones((4, 2)), 1.0, 3)
+        delta_w_linear(np.ones((3, 6)), np.ones((4, 2)), 1.0)
 
 
 def test_activation_spectrum_orthonormal_rows():
@@ -184,7 +185,7 @@ def test_activation_spectrum_invariants_on_random_input():
 
 def test_spectral_report_json_round_trip():
     rep = activation_spectrum(RngState(107).normal((12, 5)), source_label="latent")
-    back = SpectralReport.from_json(rep.to_json())
+    back = SpectralReport(**json.loads(rep.to_json()))
     assert back == rep
 
 

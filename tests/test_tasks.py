@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ceralab.errors import DomainError
-from ceralab.tasks import (Dataset, detect_state_collapse,
-                           detokenize_trajectory, linear_floor,
+from ceralab.tasks import (VOCAB, detect_state_collapse, linear_floor,
                            linear_floor_xr, logistic_map, logistic_map_table,
                            make_teacher_task, nonlinear_teacher,
                            tokenize_trajectory, trajectory_sequences)
@@ -51,7 +50,8 @@ def test_logistic_map_stays_in_unit_interval(r, x0, n):
 
 def test_tokenize_round_trip():
     traj = logistic_map_table(3.7, 0.21, 6)
-    values = detokenize_trajectory(tokenize_trajectory(traj))
+    text = "".join(VOCAB[i] for i in tokenize_trajectory(traj))
+    values = [float(part) for part in text.split(",")]
     assert np.max(np.abs(np.asarray(values) - np.round(traj, 4))) < 1e-12
 
 
@@ -168,24 +168,3 @@ def test_teacher_task_split_disjoint_and_deterministic():
     train_rows = {r.tobytes() for r in t1.train.inputs}
     test_rows = {r.tobytes() for r in t1.test.inputs}
     assert not train_rows & test_rows
-
-
-def test_dataset_csv_round_trip(tmp_path):
-    teacher = nonlinear_teacher(22, 8, 4)
-    w = RngState(23).normal((4, 8))
-    task = make_teacher_task(frozen_linear(w), teacher, 8, 16, 8, seed=24)
-    path = tmp_path / "train.csv"
-    task.train.to_csv(path)
-    back = Dataset.from_csv(path, "train", "nonlinear_teacher", 24)
-    assert np.array_equal(back.inputs, task.train.inputs)
-    assert np.array_equal(back.targets, task.train.targets)
-
-
-def test_dataset_lines_export(tmp_path):
-    train, _ = trajectory_sequences(seed=25, count=10, n_steps=4)
-    path = tmp_path / "train.txt"
-    train.to_lines(path)
-    lines = path.read_text().splitlines()
-    assert len(lines) == len(train)
-    values = [float(v) for v in lines[0].split(",")]
-    assert all(0.0 <= v <= 1.0 for v in values)
