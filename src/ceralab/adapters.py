@@ -154,7 +154,8 @@ class Adapter:
         output, a module adapter to its block's output. When `latent_sink`
         is given, the post-activation pre-dropout latent rows (the H matrix
         rows) are appended to it. `mask` is a pre-drawn dropout mask (see
-        `tensor.dropout`).
+        `tensor.dropout`). A scale of 1 (every shipped config) adds no
+        multiply: `1.0 * x` is x bit for bit.
         """
         cfg = self.cfg
         act = cfg.resolved_activation
@@ -166,7 +167,9 @@ class Adapter:
         p = cfg.resolved_dropout_p
         if p > 0.0:
             lat = T.dropout(lat, p, mode, cfg.dropout_style, rng, mask)
-        return cfg.resolved_scale * T.linear(lat, self.state.w_down)
+        out = T.linear(lat, self.state.w_down)
+        scale = cfg.resolved_scale
+        return out if scale == 1.0 else scale * out
 
 
 def param_count(cfg: AdapterConfig, geometry: list[tuple[int, int, int]]) -> int:

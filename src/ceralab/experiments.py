@@ -495,6 +495,16 @@ def _execute_grid(cfg: ExperimentConfig, grid: list[tuple[MethodSpec, int, int]]
     return outcome
 
 
+def _write_failures(store: RunStore, failures: list[dict]) -> None:
+    """failures.json lists this grid's failed runs; a clean grid removes
+    the copy an earlier one left."""
+    path = store.root / "failures.json"
+    if failures:
+        _atomic_write_json(path, failures)
+    else:
+        path.unlink(missing_ok=True)
+
+
 def _metric_label(cfg: ExperimentConfig) -> str:
     return "test MSE" if cfg.model.mode == "regressor" else "test PPL"
 
@@ -551,8 +561,7 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int = 1) -> GridOutcome:
                                       ylabel=f"effective rank ({cfg.spectral_source})",
                                       xscale="log"),
                   store.plots_dir / "er_vs_rank.svg")
-    if outcome.failures:
-        _atomic_write_json(store.root / "failures.json", outcome.failures)
+    _write_failures(store, outcome.failures)
     store.log(f"sweep done: {len(outcome.records)} records, "
               f"{len(outcome.failures)} failures")
     return outcome
@@ -598,6 +607,7 @@ def cmd_ablate(cfg: ExperimentConfig, jobs: int = 1) -> GridOutcome:
     write_results_csv(outcome.records, store.root / "ablation.csv")
     ranked = ablation_table(outcome.records, cfg.ranks[0])
     _atomic_write_json(store.root / "ablation_table.json", ranked)
+    _write_failures(store, outcome.failures)
     store.log(f"ablation done: {len(outcome.records)} records, "
               f"{len(outcome.failures)} failures")
     return outcome

@@ -97,6 +97,10 @@ class FrozenBackbone:
         self.ln_f_b = ln_f_b
         self.head = head
         self.adapters: dict[tuple[int, str], Adapter] = {}
+        # regressor mode: head·Wo carries a Wv adapter's delta to the output;
+        # the frozen weights are never written, so it is computed once here
+        self.carry = (Tensor(head.data @ layers[0]["Wo"].data)
+                      if cfg.mode == "regressor" else None)
 
     def frozen_tensors(self) -> list[tuple[str, Tensor]]:
         named = [("tok_emb", self.tok_emb), ("pos_emb", self.pos_emb)]
@@ -237,11 +241,6 @@ def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
     return {key: np.concatenate(parts) for key, parts in drawn.items()}
 
 
-def _causal_mask(s: int) -> Tensor:
-    mask = np.triu(np.full((s, s), -1e30), k=1)
-    return Tensor(mask)
-
-
 def _lm_block(backbone: FrozenBackbone, layer: int, x: Tensor, seq_len: int,
               mode: str, masks: dict, trace: dict | None) -> Tensor:
     """One pre-norm block over the (batch*seq, d) rows of a batch."""
@@ -253,12 +252,9 @@ def _lm_block(backbone: FrozenBackbone, layer: int, x: Tensor, seq_len: int,
     k = T.split_heads(T.linear(xn, ws["Wk"]), cfg.n_heads, seq_len)
     v = T.split_heads(_proj(backbone, layer, "Wv", xn, mode, masks, trace),
                       cfg.n_heads, seq_len)
-    scores = T.bmm(q, T.transpose(k)) * (1.0 / np.sqrt(cfg.d_head)) \
-        + _causal_mask(seq_len)
-    attn = T.softmax_rows(scores)
-    if trace is not None:
-        trace.setdefault("attention", []).append(attn.data.copy())
-    attn_out = T.linear(T.merge_heads(T.bmm(attn, v)), ws["Wo"])
+    sink = None if trace is None else trace.setdefault("attention", [])
+    heads = T.causal_attention(q, k, v, 1.0 / np.sqrt(cfg.d_head), sink)
+    attn_out = T.linear(T.merge_heads(heads), ws["Wo"])
     module = backbone.adapters.get((layer, "attn_block"))
     if module is not None:
         key = (layer, "attn_block")
@@ -320,23 +316,23 @@ def regressor_output(backbone: FrozenBackbone, features, mode: str = "eval",
 
     Everything downstream of an adapter is linear, so the output is the
     frozen term plus each adapter's delta carried to the output in one
-    product: a Wv adapter's through head·Wo, a module adapter's through
-    head. `frozen` is `regressor_frozen` of these rows when the caller
-    already holds it; otherwise it is computed here.
+    product: a Wv adapter's through head·Wo (the backbone's `carry`,
+    computed once per backbone), a module adapter's through head. `frozen`
+    is `regressor_frozen` of these rows when the caller already holds it;
+    otherwise it is computed here.
     """
     cfg = backbone.cfg
     x = features if isinstance(features, Tensor) else Tensor(features)
     if x.ndim != 2 or x.shape[1] != cfg.d_model:
         raise ShapeError(f"features must be (n, {cfg.d_model}), got {x.shape}")
     out = Tensor(regressor_frozen(backbone, x.data) if frozen is None else frozen)
-    head = backbone.head.data
     for target in ("Wv", "attn_block"):
         adapter = backbone.adapters.get((0, target))
         if adapter is None:
             continue
         delta = _adapter_delta(adapter, (0, target), x, mode, trace, rng=rng)
-        to_output = head @ backbone.layers[0]["Wo"].data if target == "Wv" else head
-        out = out + T.linear(delta, Tensor(to_output))
+        to_output = backbone.carry if target == "Wv" else backbone.head
+        out = out + T.linear(delta, to_output)
     return out
 
 

@@ -3,9 +3,15 @@
 Deliberately small: 2-d matrix algebra, elementwise activations, dropout,
 reductions, and the few structural ops a tiny transformer needs to run a
 whole batch at once: head split/merge between (B*S, H*d) rows and a
-(B, H, S, d) layout, a matrix product batched over leading axes, and a
-softmax over the last axis. Values are row-major numpy arrays; the tape is
-the implicit graph of parent links, torn down after each backward pass.
+(B, H, S, d) layout, and causal attention over that layout as one op.
+Values are row-major numpy arrays; the tape is the implicit graph of parent
+links, torn down after each backward pass.
+
+Gradient ownership: a tensor adopts the first gradient handed to it, with
+no copy, and every later contribution makes a new array (`grad + g`). A
+`.grad` may therefore be the very array another tensor holds, or a view of
+it; read it, never write it in place. Backward closures likewise never
+write the gradient they receive.
 """
 
 from __future__ import annotations
@@ -137,10 +143,6 @@ class Tensor:
     def __pow__(self, p):
         return powi(self, p)
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
 
 def _wrap(x, like: Tensor | None = None) -> Tensor:
     if isinstance(x, Tensor):
@@ -164,13 +166,9 @@ def _node(data: np.ndarray, parents: Sequence[Tensor],
 
 
 def _accum(t: Tensor, g: np.ndarray) -> None:
+    """Add `g` to t's gradient under the ownership rule (module doc)."""
     if t.requires_grad:
-        if t.grad is None:
-            # one pass into a fresh array; g + 0.0 is bit for bit what
-            # zeros + g gave, -0.0 turning into +0.0 included
-            t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
-        else:
-            t.grad += g
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def zero_grads(params: Sequence[Tensor]) -> None:
@@ -219,7 +217,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two 2-d tensors.
 
     Backward forms the gradient product of an operand only if it requires
-    grad; the same holds for `linear`, `bmm`, `add`, `mul` and `sub`.
+    grad; the same holds for `linear`, `add`, `mul`, `sub`, `mse` and
+    `causal_attention`.
     """
     a, b = _wrap(a), _wrap(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -249,24 +248,6 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
             _accum(w, g.T @ x.data)
 
     return _node(data, (x, w), bwd, "linear")
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product over the last two axes, batched over equal leading
-    axes: a (..., n, k) @ b (..., k, m) -> (..., n, m)."""
-    a, b = _wrap(a), _wrap(b)
-    if a.ndim < 3 or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2] \
-            or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"bmm shapes {a.shape} x {b.shape} do not agree")
-    data = np.matmul(a.data, b.data)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, np.matmul(g, b.data.swapaxes(-1, -2)))
-        if b.requires_grad:
-            _accum(b, np.matmul(a.data.swapaxes(-1, -2), g))
-
-    return _node(data, (a, b), bwd, "bmm")
 
 
 def _broadcast_bwd(t: Tensor, g: np.ndarray) -> np.ndarray:
@@ -472,24 +453,28 @@ def tmean(x: Tensor) -> Tensor:
 
 
 def mse(pred: Tensor, target) -> Tensor:
-    """Mean over all elements of squared error against a constant target."""
-    return tmean(square(sub(pred, _wrap(target))))
+    """Mean over all elements of squared error against a constant target.
+
+    One node with the ops and their order of `tmean(square(sub(...)))`, so
+    the loss and its gradient are bit for bit those of that chain.
+    """
+    pred, target = _wrap(pred), _wrap(target)
+    try:
+        diff = pred.data - target.data
+    except ValueError as exc:
+        raise ShapeError(f"mse shapes {pred.shape} vs {target.shape}") from exc
+    n = diff.size
+    data = np.asarray((diff ** 2.0).mean())
+
+    def bwd(g):
+        dx = (g / n * 2.0) * diff
+        _accum(pred, _broadcast_bwd(pred, dx))
+
+    return _node(data, (pred,), bwd, "mse")
 
 
 # ---------------------------------------------------------------------------
 # structural ops
-
-
-def transpose(x: Tensor) -> Tensor:
-    """Swap the last two axes (the matrix transpose of a 2-d tensor)."""
-    x = _wrap(x)
-    if x.ndim < 2:
-        raise ShapeError(f"transpose expects at least 2 axes, got {x.shape}")
-
-    def bwd(g):
-        _accum(x, g.swapaxes(-1, -2))
-
-    return _node(np.ascontiguousarray(x.data.swapaxes(-1, -2)), (x,), bwd, "transpose")
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -534,25 +519,53 @@ def merge_heads(x: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# normalization / attention / loss
+# attention
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis (the rows of a 2-d tensor, or of every
-    matrix in a stack), numerically stabilized."""
-    x = _wrap(x)
-    if x.ndim < 2:
-        raise ShapeError(f"softmax_rows expects at least 2 axes, got {x.shape}")
-    y = x.data - x.data.max(axis=-1, keepdims=True)
-    np.exp(y, out=y)
-    y /= y.sum(axis=-1, keepdims=True)
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
+                     sink: list | None = None) -> Tensor:
+    """softmax(q k^T * scale + causal mask) v over (B, H, S, d) stacks.
+
+    One node that keeps one (B, H, S, S) array, the attention weights; the
+    ops and their order are those of the matmul, scale, mask-add, softmax,
+    matmul chain, so values and gradients are bit for bit that chain's.
+    A position attends to itself and the positions before it. When `sink`
+    is given, the weights are appended to it (the op never writes them
+    after returning).
+    """
+    q, k, v = _wrap(q), _wrap(k), _wrap(v)
+    if q.ndim != 4 or k.shape != q.shape or v.shape[:3] != q.shape[:3]:
+        raise ShapeError(f"causal_attention shapes {q.shape}, {k.shape}, "
+                         f"{v.shape} do not agree")
+    s = q.shape[2]
+    kt = np.ascontiguousarray(k.data.swapaxes(-1, -2))
+    attn = np.matmul(q.data, kt)
+    attn *= scale
+    attn += np.triu(np.full((s, s), -1e30), k=1)
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    if sink is not None:
+        sink.append(attn)
 
     def bwd(g):
-        dx = g - (g * y).sum(axis=-1, keepdims=True)
-        dx *= y
-        _accum(x, dx)
+        if v.requires_grad:
+            _accum(v, np.matmul(attn.swapaxes(-1, -2), g))
+        if q.requires_grad or k.requires_grad:
+            ds = np.matmul(g, v.data.swapaxes(-1, -2))
+            ds -= (ds * attn).sum(axis=-1, keepdims=True)
+            ds *= attn
+            ds *= scale
+            if q.requires_grad:
+                _accum(q, np.matmul(ds, kt.swapaxes(-1, -2)))
+            if k.requires_grad:
+                _accum(k, np.matmul(q.data.swapaxes(-1, -2), ds).swapaxes(-1, -2))
 
-    return _node(y, (x,), bwd, "softmax_rows")
+    return _node(np.matmul(attn, v.data), (q, k, v), bwd, "causal_attention")
+
+
+# ---------------------------------------------------------------------------
+# normalization / loss
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -75,43 +75,66 @@ def cosine_lr(t: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class AdamWState:
+    """Moments of every parameter, the step count, and two scratch buffers
+    per parameter that each update computes into."""
+
     m: list[np.ndarray]
     v: list[np.ndarray]
+    scratch: list[tuple[np.ndarray, np.ndarray]]
     t: int = 0
 
 
 def adamw_state(params: list[Tensor]) -> AdamWState:
     return AdamWState(m=[np.zeros_like(p.data) for p in params],
-                      v=[np.zeros_like(p.data) for p in params])
+                      v=[np.zeros_like(p.data) for p in params],
+                      scratch=[(np.empty_like(p.data), np.empty_like(p.data))
+                               for p in params])
 
 
 def adamw_step(params: list[Tensor], grads: list[np.ndarray],
                state: AdamWState, lr: float, cfg: TrainConfig) -> None:
     """One bias-corrected update; weight decay is decoupled (applied to the
-    parameter before the moment step, scaled by lr alone)."""
+    parameter before the moment step, scaled by lr alone).
+
+    Computed in place in the state's scratch buffers, in the left-to-right
+    order of m += (1-b1) g, v += ((1-b2) g) g and
+    p -= (lr (m/bc1)) / (sqrt(v/bc2) + eps); another grouping moves the
+    last bits. The gradients are only read.
+    """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError("params, grads, and state must align")
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
     bc2 = 1.0 - cfg.beta2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
+    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
         if p.data.shape != g.shape:
             raise ShapeError(f"grad shape {g.shape} != param shape {p.data.shape}")
         if cfg.weight_decay:
             p.data *= 1.0 - lr * cfg.weight_decay
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        np.multiply(1.0 - cfg.beta1, g, out=a)
+        m += a
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * g * g
-        p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+        np.multiply(1.0 - cfg.beta2, g, out=a)
+        a *= g
+        v += a
+        np.divide(m, bc1, out=a)
+        np.multiply(lr, a, out=a)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += cfg.eps
+        a /= b
+        p.data -= a
 
 
 def clip_global_norm(grads: list[np.ndarray], clip: float | None) -> float:
+    """Scale the gradients to global norm `clip` when they exceed it; returns
+    the norm before clipping. A clipped entry of `grads` is replaced by a new
+    array, never scaled in place: two entries may be one shared array."""
     norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
     if clip is not None and norm > clip > 0.0:
         scale = clip / norm
-        for g in grads:
-            g *= scale
+        grads[:] = [g * scale for g in grads]
     return norm
 
 

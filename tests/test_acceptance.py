@@ -305,3 +305,17 @@ def test_criterion_11_throughput_ratio():
            f"cera ratio={cera_rep.relative_latency:.3f} at "
            f"{cera_rep.tokens_per_second:.0f} tok/s (logged, hardware-dependent, not asserted)")
     assert ok
+
+
+def test_criterion_12_rank_efficiency(ceiling):
+    # the paper's CeRA@64 beats LoRA@512 at this testbed's scale: cera at
+    # rank 8 against lora at every rank of the sweep, full rank 64 included
+    cfg, records, _ = ceiling
+    cera_8 = mean_metric(records, "cera", 8)
+    lora_means = {r: mean_metric(records, "lora", r) for r in cfg.ranks}
+    best = min(lora_means, key=lora_means.get)
+    ok = cera_8 < lora_means[best]
+    report(12, "rank-efficiency", ok,
+           f"cera@8={cera_8:.5f} < min over r of lora@r={lora_means[best]:.5f} "
+           f"(r={best}); lora by rank { {r: round(m, 5) for r, m in lora_means.items()} }")
+    assert ok, (cera_8, lora_means)

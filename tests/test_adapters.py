@@ -127,6 +127,20 @@ def test_lora_rejects_scale_s():
     assert np.max(np.abs(applied - cfg.resolved_scale * unit)) < 1e-12
 
 
+def test_unit_scale_adds_no_multiply_node():
+    rng = RngState(21)
+    cfg, st_ = make_cera(r=3, d=5, k=7, dropout_p=0.0)
+    st_.w_down.data[:] = rng.normal((5, 3))
+    x = Tensor(rng.normal((4, 7)))
+    out = Adapter(cfg, st_).delta_rows(x)
+    # s = alpha / r = 1: the delta is the down-projection node itself
+    assert cfg.resolved_scale == 1.0 and out._op == "linear"
+    lat = tensor_mod.silu(tensor_mod.linear(x, st_.w_up))
+    assert np.array_equal(out.data, (1.0 * tensor_mod.linear(lat, st_.w_down)).data)
+    scaled_cfg = AdapterConfig(kind="cera", r=3, scale_s=2.0, dropout_p=0.0)
+    assert Adapter(scaled_cfg, st_).delta_rows(x)._op == "mul"
+
+
 def test_cera_scalar_silu_golden():
     cfg = AdapterConfig(kind="cera", r=1, scale_s=1.0, dropout_p=0.0)
     st_ = AdapterState(w_up=Tensor([[1.0]], requires_grad=True),

@@ -221,6 +221,25 @@ def test_parallel_failure_keeps_worker_traceback(tmp_path):
     assert "in init_adapter" in (tmp_path / "out" / "run.log").read_text()
 
 
+def test_sweep_failures_file_tracks_the_latest_grid(tmp_path):
+    failures = tmp_path / "out" / "failures.json"
+    assert cmd_sweep(small_config(tmp_path / "out", ranks=(4, 64))).exit_code == 1
+    assert "rank 64" in json.loads(failures.read_text())[0]["error"]
+    # a clean rerun into the same directory leaves no stale failure behind
+    assert cmd_sweep(small_config(tmp_path / "out", ranks=(4,))).exit_code == 0
+    assert not failures.exists()
+
+
+def test_ablation_failures_file_tracks_the_latest_grid(tmp_path):
+    failures = tmp_path / "out" / "failures.json"
+    # rank 32 exceeds min(d, k) = 16: all five variants fail
+    assert cmd_ablate(small_config(tmp_path / "out", ranks=(32,))).exit_code == 1
+    saved = json.loads(failures.read_text())
+    assert len(saved) == 5 and all("rank 32" in f["error"] for f in saved)
+    assert cmd_ablate(small_config(tmp_path / "out", ranks=(4,))).exit_code == 0
+    assert not failures.exists()
+
+
 def test_sweep_emits_plots_and_floor(tmp_path):
     cfg = small_config(tmp_path / "out", ranks=(2, 4), seeds=(1,))
     cmd_sweep(cfg)

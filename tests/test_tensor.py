@@ -5,10 +5,10 @@ from hypothesis import strategies as st
 
 from ceralab import tensor as T
 from ceralab.errors import DomainError, NumericsError, ShapeError
-from ceralab.tensor import (RngState, Tensor, backward, cross_entropy_rows,
-                            dropout, finite_difference_check, identity,
-                            layer_norm, linear, matmul, mse, relu, silu,
-                            softmax_rows, tmean, tsum)
+from ceralab.tensor import (RngState, Tensor, backward, causal_attention,
+                            cross_entropy_rows, dropout,
+                            finite_difference_check, identity, layer_norm,
+                            linear, matmul, mse, relu, silu, tmean, tsum)
 
 
 def test_matmul_identity():
@@ -139,7 +139,7 @@ def test_elementwise_backward_skips_frozen_operand(monkeypatch, op):
 
 
 def test_add_skips_broadcast_reduction_of_frozen_operand(monkeypatch):
-    # the causal mask case: a frozen (S, S) operand broadcast over (B, H, S, S)
+    # a frozen (S, S) operand broadcast over (B, H, S, S)
     rng = RngState(62)
     a = Tensor(rng.normal((2, 3, 4, 4)), requires_grad=True)
     mask = Tensor(np.triu(np.full((4, 4), -1e30), k=1))
@@ -147,7 +147,7 @@ def test_add_skips_broadcast_reduction_of_frozen_operand(monkeypatch):
     real = T._broadcast_bwd
     monkeypatch.setattr(T, "_broadcast_bwd",
                         lambda t, g: (reduced.append(t), real(t, g))[1])
-    backward(tsum(T.softmax_rows(a + mask) * rng.normal((2, 3, 4, 4))))
+    backward(tsum((a + mask) * rng.normal((2, 3, 4, 4))))
     assert not any(t is mask for t in reduced) and mask.grad is None
     assert a.grad.shape == a.shape
 
@@ -182,6 +182,94 @@ def test_grad_accumulates_across_reuse():
     assert y.grad[0] == pytest.approx(3.0)
 
 
+def test_adopted_gradient_of_three_consumers_never_aliases():
+    rng = RngState(64)
+    x = Tensor(rng.normal((3, 4)), requires_grad=True)
+    w1, w2, w3 = (rng.normal((3, 4)) for _ in range(3))
+    a, b, c = identity(x), x + 0.0, x * 3.0
+    backward(tsum(a * w1) + tsum(b * w2) + tsum(c * w3))
+    # each consumer's gradient is as it arrived; x's sum is a new array
+    assert np.array_equal(a.grad, w1) and np.array_equal(b.grad, w2)
+    assert np.array_equal(c.grad, w3)
+    assert all(not np.shares_memory(x.grad, t.grad) for t in (a, b, c))
+    assert np.allclose(x.grad, w1 + w2 + 3.0 * w3, rtol=1e-15, atol=0)
+
+
+def test_adopted_gradient_of_a_tensor_added_to_itself():
+    rng = RngState(65)
+    x = Tensor(rng.normal((2, 5)), requires_grad=True)
+    w = rng.normal((2, 5))
+    y = x + x
+    backward(tsum(y * w))
+    assert np.array_equal(x.grad, w + w)
+    assert np.array_equal(y.grad, w)  # not doubled in place
+
+
+def _attention_chain(q, k, v, scale, g):
+    """The matmul, scale, mask-add, softmax, matmul chain op for op, with
+    its backward for the output gradient `g`, taken as a contiguous copy
+    (what the chain's nodes received when a first gradient was copied)."""
+    s = q.shape[2]
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    scores = np.matmul(q, kt) * np.asarray(scale) + np.triu(np.full((s, s), -1e30), k=1)
+    y = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
+    out = np.matmul(y, v)
+    g = np.ascontiguousarray(g)
+    gy = np.matmul(g, v.swapaxes(-1, -2))
+    gv = np.matmul(y.swapaxes(-1, -2), g)
+    ds = gy - (gy * y).sum(axis=-1, keepdims=True)
+    ds *= y
+    ds = ds * np.asarray(scale)
+    gq = np.matmul(ds, kt.swapaxes(-1, -2))
+    gk = np.ascontiguousarray(np.matmul(q.swapaxes(-1, -2), ds).swapaxes(-1, -2))
+    return out, y, gq, gk, gv
+
+
+def test_causal_attention_is_bit_for_bit_the_op_chain():
+    rng = RngState(67)
+    b, h, s, d = 3, 4, 7, 5
+    q, k, v = (Tensor(rng.normal((b, h, s, d)), requires_grad=True) for _ in range(3))
+    w = rng.normal((b * s, h * d))
+    sink = []
+    out = causal_attention(q, k, v, 1.0 / np.sqrt(d), sink)
+    # the gradient reaches the op as merge_heads' strided view, as in the model
+    backward(tsum(T.merge_heads(out) * w))
+    g = w.reshape(b, s, h, d).transpose(0, 2, 1, 3)
+    want_out, want_attn, gq, gk, gv = _attention_chain(q.data, k.data, v.data,
+                                                       1.0 / np.sqrt(d), g)
+    assert np.array_equal(out.data, want_out)
+    assert len(sink) == 1 and np.array_equal(sink[0], want_attn)
+    for t, want in ((q, gq), (k, gk), (v, gv)):
+        assert np.array_equal(t.grad, want)
+
+
+@pytest.mark.parametrize("probe", ["q", "k", "v"])
+def test_causal_attention_gradient_per_operand(probe):
+    rng = RngState(68)
+    fixed = {name: Tensor(rng.normal((2, 2, 4, 3))) for name in "qkv"}
+    weights = Tensor(rng.normal((2, 2, 4, 3)))
+
+    def f(z):
+        ops = dict(fixed, **{probe: z})
+        return tsum(causal_attention(ops["q"], ops["k"], ops["v"], 0.6) * weights)
+
+    assert finite_difference_check(f, fixed[probe], 1e-6) < 1e-5
+
+
+def test_mse_is_bit_for_bit_the_op_chain():
+    rng = RngState(69)
+    target = rng.normal((6, 5))
+    a = Tensor(rng.normal((6, 5)), requires_grad=True)
+    b = Tensor(a.data.copy(), requires_grad=True)
+    one, chain = mse(a, target), tmean(T.square(T.sub(b, Tensor(target))))
+    assert one.data.tobytes() == chain.data.tobytes()
+    backward(one)
+    backward(chain)
+    assert a.grad.tobytes() == b.grad.tobytes()
+
+
 def test_fd_check_quadratic():
     rng = RngState(6)
     x = Tensor(rng.normal((5,)))
@@ -201,22 +289,16 @@ def test_fd_check_constant_function():
     ("identity", lambda z: tsum(identity(z) * 3.0)),
     ("matmul", lambda z: tsum(matmul(z, Tensor(np.linspace(-1, 1, 12).reshape(4, 3))))),
     ("linear", lambda z: tsum(linear(z, Tensor(np.linspace(-1, 1, 20).reshape(5, 4))))),
-    ("softmax", lambda z: tsum(softmax_rows(z) * Tensor(np.arange(12.0).reshape(3, 4)))),
     ("layer_norm", lambda z: tsum(layer_norm(z, Tensor(np.linspace(0.5, 1.5, 4)),
                                              Tensor(np.zeros(4))))),
     ("mean", lambda z: tmean(z * z)),
     ("sub_mul", lambda z: tsum((z - 0.5) * (z + 2.0))),
-    ("transpose", lambda z: tsum(T.transpose(z) @ Tensor(np.ones((3, 2))))),
     ("reshape", lambda z: tsum(T.reshape(z, (4, 3)) @ Tensor(np.ones((3, 1))))),
     ("split_merge_heads", lambda z: tsum(T.merge_heads(
         T.split_heads(z, 2, 3) * Tensor(np.arange(12.0).reshape(1, 2, 3, 2))) ** 2)),
-    ("bmm", lambda z: tsum(T.bmm(T.split_heads(z, 2, 3),
-                                 Tensor(np.linspace(-1, 1, 20).reshape(1, 2, 2, 5))) ** 2)),
-    ("bmm_right", lambda z: tsum(T.bmm(Tensor(np.linspace(-1, 1, 12).reshape(1, 2, 2, 3)),
-                                       T.split_heads(z, 2, 3)) ** 2)),
-    ("attention", lambda z: tsum(T.merge_heads(T.bmm(T.softmax_rows(
-        T.bmm(T.split_heads(z, 2, 3), T.transpose(T.split_heads(z, 2, 3)))),
-        T.split_heads(z, 2, 3))) * Tensor(np.arange(12.0).reshape(3, 4)))),
+    ("attention", lambda z: tsum(T.merge_heads(causal_attention(
+        T.split_heads(z, 2, 3), T.split_heads(z, 2, 3), T.split_heads(z, 2, 3), 0.7))
+        * Tensor(np.arange(12.0).reshape(3, 4)))),
     ("cross_entropy", lambda z: cross_entropy_rows(z, np.array([0, 2, 1]))),
     ("mse", lambda z: mse(z, np.linspace(0, 1, 12).reshape(3, 4))),
 ])
@@ -252,29 +334,20 @@ def test_split_merge_heads_gradients():
 
 def test_batched_ops_match_per_matrix_ops():
     rng = RngState(63)
-    a, b = rng.normal((2, 3, 4, 5)), rng.normal((2, 3, 5, 6))
-    got = T.bmm(Tensor(a), Tensor(b)).data
-    sm = T.softmax_rows(Tensor(a)).data
-    tr = T.transpose(Tensor(a)).data
+    q, k, v = (rng.normal((2, 3, 5, 4)) for _ in range(3))
+    got = causal_attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data
     for i in range(2):
         for j in range(3):
-            assert np.allclose(got[i, j], a[i, j] @ b[i, j], rtol=1e-14, atol=0)
-            assert np.array_equal(sm[i, j], softmax_rows(Tensor(a[i, j])).data)
-            assert np.array_equal(tr[i, j], a[i, j].T)
+            one = causal_attention(*(Tensor(a[i:i + 1, j:j + 1]) for a in (q, k, v)), 0.5)
+            assert np.array_equal(got[i, j], one.data[0, 0])
     with pytest.raises(ShapeError):
-        T.bmm(Tensor(a), Tensor(b[:1]))
+        causal_attention(Tensor(q), Tensor(k[:1]), Tensor(v), 0.5)
     with pytest.raises(ShapeError):
-        T.bmm(Tensor(a), Tensor(a))
+        causal_attention(Tensor(q[0]), Tensor(k[0]), Tensor(v[0]), 0.5)
     with pytest.raises(ShapeError):
         T.split_heads(Tensor(np.ones((5, 4))), 2, 3)
     with pytest.raises(ShapeError):
         T.merge_heads(Tensor(np.ones((3, 4))))
-
-
-def test_softmax_rows_sum_to_one():
-    x = Tensor(RngState(8).normal((6, 9)) * 4.0)
-    rows = softmax_rows(x).data.sum(axis=1)
-    assert np.max(np.abs(rows - 1.0)) < 1e-12
 
 
 def test_cross_entropy_uniform_logits():
@@ -314,7 +387,8 @@ def test_op_sequence_determinism():
 def test_debug_mode_flags_nonfinite():
     T.debug_checks(True)
     try:
-        with pytest.raises(NumericsError, match="pow"):
+        with pytest.raises(NumericsError, match="pow"), \
+                pytest.warns(RuntimeWarning, match="divide by zero"):
             Tensor(np.array([0.0])) ** -1.0
     finally:
         T.debug_checks(False)

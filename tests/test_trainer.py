@@ -67,13 +67,52 @@ def test_adamw_decoupled_decay_shrinks():
 
 
 def test_clip_global_norm():
-    g1, g2 = np.array([3.0]), np.array([4.0])
-    norm = clip_global_norm([g1, g2], 1.0)
+    grads = [np.array([3.0]), np.array([4.0])]
+    norm = clip_global_norm(grads, 1.0)
     assert norm == pytest.approx(5.0)
-    assert np.sqrt(g1[0] ** 2 + g2[0] ** 2) == pytest.approx(1.0)
+    assert np.sqrt(grads[0][0] ** 2 + grads[1][0] ** 2) == pytest.approx(1.0)
     g = np.array([0.5])
-    clip_global_norm([g], 1.0)
-    assert g[0] == 0.5  # below the clip: untouched
+    grads = [g]
+    clip_global_norm(grads, 1.0)
+    assert grads[0] is g and g[0] == 0.5  # below the clip: untouched
+
+
+def test_clip_scales_a_gradient_shared_by_two_parameters_once():
+    rng = RngState(66)
+    p = Tensor(rng.normal((3, 3)), requires_grad=True)
+    q = Tensor(rng.normal((3, 3)), requires_grad=True)
+    w = rng.normal((3, 3))
+    T.backward(T.tsum((p + q) * w))
+    assert p.grad is q.grad  # both adopted the one upstream array
+    grads = [p.grad, q.grad]
+    norm = clip_global_norm(grads, 0.5)
+    assert norm == pytest.approx(np.sqrt(2.0) * np.linalg.norm(w), rel=1e-14)
+    want = w * (0.5 / norm)
+    assert np.array_equal(grads[0], want) and np.array_equal(grads[1], want)
+    assert np.array_equal(p.grad, w)  # the shared array is never written
+
+
+def test_in_place_adamw_matches_the_formula_bit_for_bit():
+    cfg = TrainConfig(weight_decay=0.01)
+    rng = RngState(70)
+    params = [Tensor(rng.normal((4, 6)), requires_grad=True),
+              Tensor(rng.normal((6, 3)), requires_grad=True)]
+    want = [p.data.copy() for p in params]
+    m = [np.zeros_like(w) for w in want]
+    v = [np.zeros_like(w) for w in want]
+    state = adamw_state(params)
+    for t in range(1, 51):
+        lr = 1e-2 / t
+        grads = [rng.normal(p.shape) for p in params]
+        adamw_step(params, grads, state, lr, cfg)
+        bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
+        for i, g in enumerate(grads):
+            want[i] = want[i] * (1.0 - lr * cfg.weight_decay)
+            m[i] = m[i] * cfg.beta1 + (1.0 - cfg.beta1) * g
+            v[i] = v[i] * cfg.beta2 + (1.0 - cfg.beta2) * g * g
+            want[i] = want[i] - lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + cfg.eps)
+    for p, w in zip(params, want):
+        assert p.data.tobytes() == w.tobytes()
 
 
 def test_zero_step_run_leaves_weights_and_metric():
@@ -234,7 +273,8 @@ def test_nan_loss_aborts_with_diagnostic():
     adapter.state.w_up.data[:] = np.inf
     adapter.state.w_down.data[:] = 1.0
     from ceralab.errors import TrainingDiverged
-    with pytest.raises(TrainingDiverged, match="step 0"):
+    with pytest.raises(TrainingDiverged, match="step 0"), \
+            pytest.warns(RuntimeWarning, match="invalid value"):
         train_adapter(bb, [adapter], task.train, task.test,
                       TrainConfig(steps=5, batch_size=4, seed=28))
 
