@@ -7,9 +7,8 @@ for rank utilization: effective rank, cumulative energy, AUC-90.
 
 from .adapters import (Adapter, AdapterConfig, AdapterState, init_adapter,
                        merge_linear, param_count)
-from .experiments import (ExperimentConfig, MethodSpec, ResultRecord,
-                          cmd_ablate, cmd_logistic, cmd_params, cmd_spectral,
-                          cmd_sweep)
+from .experiments import (ExperimentConfig, MethodSpec, cmd_ablate,
+                          cmd_logistic, cmd_params, cmd_spectral, cmd_sweep)
 from .model import (FrozenBackbone, ModelConfig, build_model, collect_latents,
                     forward, inject)
 from .spectral import (SpectralReport, activation_spectrum, auc90,
@@ -23,7 +22,7 @@ from .trainer import (TrainConfig, TrainReport, adamw_step, cosine_lr,
 
 __all__ = [
     "Adapter", "AdapterConfig", "AdapterState", "Dataset", "ExperimentConfig",
-    "FrozenBackbone", "MethodSpec", "ModelConfig", "ResultRecord", "RngState",
+    "FrozenBackbone", "MethodSpec", "ModelConfig", "RngState",
     "SpectralReport", "Tensor", "TrainConfig", "TrainReport",
     "activation_spectrum", "adamw_step", "auc90", "backward", "build_model",
     "cmd_ablate", "cmd_logistic", "cmd_params", "cmd_spectral", "cmd_sweep",

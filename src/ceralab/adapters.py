@@ -21,8 +21,6 @@ from .spectral import delta_w_linear
 from .tensor import RngState, Tensor
 
 KINDS = ("lora", "cera", "parallel_module")
-WEIGHT_LEVEL_KINDS = ("lora", "cera")
-TARGETS = ("Wq", "Wv")
 
 
 @dataclass
@@ -34,7 +32,6 @@ class AdapterConfig:
     activation: str | None = None       # None -> identity for lora, silu otherwise
     dropout_p: float | None = None      # None -> 0.0 for lora, 0.1 otherwise
     dropout_style: str = "elementwise"
-    targets: tuple[str, ...] = ("Wq", "Wv")
     init_gain: float = 1.0              # w_up ~ gain * uniform(+-1/sqrt(fan_in))
 
     def __post_init__(self):
@@ -42,18 +39,11 @@ class AdapterConfig:
             raise ConfigError(f"unknown adapter kind {self.kind!r}")
         if self.r < 1:
             raise ConfigError(f"rank must be >= 1, got {self.r}")
-        self.targets = tuple(self.targets)
-        if self.kind in WEIGHT_LEVEL_KINDS:
-            if not self.targets:
-                raise ConfigError("weight-level adapters need at least one target")
-            unknown = set(self.targets) - set(TARGETS)
-            if unknown:
-                raise ConfigError(f"unknown targets {sorted(unknown)}")
         if self.kind == "lora" and self.activation not in (None, "identity"):
             raise ConfigError("lora is linear; its activation must stay 'identity'")
         if self.kind == "lora" and self.scale_s is not None:
             raise ConfigError("lora scales by alpha / r; set alpha, not scale_s")
-        if self.resolved_activation not in T.ACTIVATIONS:
+        if self.resolved_activation not in ("identity", *T.ACTIVATIONS):
             raise ConfigError(f"unknown activation {self.resolved_activation!r}")
         if not 0.0 <= self.resolved_dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.resolved_dropout_p}")
@@ -143,9 +133,7 @@ class Adapter:
     def params(self) -> list[Tensor]:
         return self.state.params
 
-    def delta_rows(self, x_rows: Tensor, mode: str = "eval",
-                   rng: RngState | None = None,
-                   latent_sink: list | None = None,
+    def delta_rows(self, x_rows: Tensor, latent_sink: list | None = None,
                    mask: np.ndarray | None = None) -> Tensor:
         """Additive update s * W_down(dropout(act(W_up x))) for a batch of rows.
 
@@ -153,9 +141,9 @@ class Adapter:
         s = alpha / r. A weight-level adapter adds it to its projection's
         output, a module adapter to its block's output. When `latent_sink`
         is given, the post-activation pre-dropout latent rows (the H matrix
-        rows) are appended to it. `mask` is a pre-drawn dropout mask (see
-        `tensor.dropout`). A scale of 1 (every shipped config) adds no
-        multiply: `1.0 * x` is x bit for bit.
+        rows) are appended to it. Dropout applies exactly when a `mask` is
+        given; `model._dropout_masks` draws every mask. A scale of 1 (every
+        shipped config) adds no multiply: `1.0 * x` is x bit for bit.
         """
         cfg = self.cfg
         act = cfg.resolved_activation
@@ -164,9 +152,8 @@ class Adapter:
             lat = T.ACTIVATIONS[act](lat)
         if latent_sink is not None:
             latent_sink.append(lat.data)
-        p = cfg.resolved_dropout_p
-        if p > 0.0:
-            lat = T.dropout(lat, p, mode, cfg.dropout_style, rng, mask)
+        if mask is not None:
+            lat = T.dropout(lat, mask)
         out = T.linear(lat, self.state.w_down)
         scale = cfg.resolved_scale
         return out if scale == 1.0 else scale * out

@@ -71,14 +71,18 @@ class MethodSpec:
     def __post_init__(self):
         self.targets = tuple(self.targets)
         self.adapter_config(1)  # validate eagerly
+        if self.kind != "parallel_module":
+            if not self.targets:
+                raise ConfigError("weight-level adapters need at least one target")
+            unknown = set(self.targets) - {"Wq", "Wv"}
+            if unknown:
+                raise ConfigError(f"unknown targets {sorted(unknown)}")
 
     def adapter_config(self, r: int) -> AdapterConfig:
         return AdapterConfig(
             kind=self.kind, r=r, alpha=self.alpha, scale_s=self.scale_s,
             activation=self.activation, dropout_p=self.dropout_p,
-            dropout_style=self.dropout_style,
-            targets=self.targets if self.kind != "parallel_module" else ("Wq", "Wv"),
-            init_gain=self.init_gain)
+            dropout_style=self.dropout_style, init_gain=self.init_gain)
 
     def injection_targets(self) -> tuple[str, ...]:
         if self.kind == "parallel_module":
@@ -166,27 +170,6 @@ class ExperimentConfig:
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-
-
-@dataclass
-class ResultRecord:
-    run_id: str
-    method: str
-    rank: int
-    seed: int
-    trainable_params: int
-    test_metric: float
-    effective_rank: float
-    auc90: int
-    tokens_per_second: float
-    wallclock_seconds: float
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in RESULT_COLUMNS}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ResultRecord":
-        return cls(**{k: d[k] for k in RESULT_COLUMNS})
 
 
 # ---------------------------------------------------------------------------
@@ -332,24 +315,17 @@ def run_from_config(run_config: dict) -> tuple[dict, dict, dict]:
                            train_cfg)
     spectrum = spectral_report(backbone, bundle.test.inputs,
                                run_config["spectral_source"])
-    record = ResultRecord(
-        run_id=run_id_of(run_config),
-        method=method.name,
-        rank=run_config["rank"],
-        seed=run_config["seed"],
-        trainable_params=backbone.trainable_param_count(),
-        test_metric=report.test_metric,
-        effective_rank=spectrum.effective_rank,
-        auc90=spectrum.auc90_index,
-        tokens_per_second=report.tokens_per_second,
-        wallclock_seconds=report.wallclock_seconds,
-    )
+    values = (run_id_of(run_config), method.name, run_config["rank"],
+              run_config["seed"], backbone.trainable_param_count(),
+              report.test_metric, spectrum.effective_rank, spectrum.auc90_index,
+              report.tokens_per_second, report.wallclock_seconds)
+    record = dict(zip(RESULT_COLUMNS, values, strict=True))
     bundles = {f"{layer}:{target}": adapter.state.to_bundle()
                for (layer, target), adapter in sorted(backbone.adapters.items())}
     report_dict = {"loss_curve": report.loss_curve,
                    "final_train_loss": report.final_train_loss,
                    "test_metric": report.test_metric}
-    return record.to_dict(), bundles, report_dict
+    return record, bundles, report_dict
 
 
 # ---------------------------------------------------------------------------
@@ -509,24 +485,19 @@ def _metric_label(cfg: ExperimentConfig) -> str:
     return "test MSE" if cfg.model.mode == "regressor" else "test PPL"
 
 
-def _mean_by(records: list[dict], method: str, rank: int, key: str) -> tuple[float, float, float]:
-    vals = [r[key] for r in records if r["method"] == method and r["rank"] == rank]
-    return float(np.mean(vals)), float(np.min(vals)), float(np.max(vals))
-
-
 def _rank_series(cfg: ExperimentConfig, records: list[dict], key: str) -> list[Series]:
     series = []
     for method in cfg.methods:
         xs, ys, lo, hi = [], [], [], []
         for rank in sorted(cfg.ranks):
-            sub = [r for r in records if r["method"] == method.name and r["rank"] == rank]
-            if not sub:
+            vals = [r[key] for r in records
+                    if r["method"] == method.name and r["rank"] == rank]
+            if not vals:
                 continue
-            mean, mn, mx = _mean_by(records, method.name, rank, key)
             xs.append(rank)
-            ys.append(mean)
-            lo.append(mn)
-            hi.append(mx)
+            ys.append(float(np.mean(vals)))
+            lo.append(float(np.min(vals)))
+            hi.append(float(np.max(vals)))
         if xs:
             series.append(Series(label=method.name, xs=xs, ys=ys, y_lo=lo, y_hi=hi))
     return series
@@ -631,7 +602,8 @@ def ablation_table(records: list[dict], rank: int) -> list[dict]:
 
 def cmd_spectral(cfg: ExperimentConfig, run_id: str,
                  source: str | None = None) -> SpectralReport:
-    """Recompute the spectrum of one stored run and emit JSON + SVGs."""
+    """Recompute the spectrum of one stored run and emit its JSON and
+    spectrum SVG; the sweep's plots are left as the sweep wrote them."""
     store = RunStore(cfg.outputs_dir)
     source = source or cfg.spectral_source
     if source not in SPECTRAL_SOURCES:
@@ -651,7 +623,7 @@ def cmd_spectral(cfg: ExperimentConfig, run_id: str,
 
     out_json = store.root / f"spectral_{run_id}_{source}.json"
     _atomic_write_bytes(out_json, report.to_json().encode())
-    sv = [v for v in report.singular_values]
+    sv = report.singular_values
     if any(v > 0 for v in sv):
         emit_plot([Series(label=f"{method.name} r={run_config['rank']}",
                           xs=list(range(1, len(sv) + 1)), ys=sv)],
@@ -659,23 +631,6 @@ def cmd_spectral(cfg: ExperimentConfig, run_id: str,
                            xlabel="component index",
                            ylabel="singular value (log)", yscale="log"),
                   store.plots_dir / f"spectrum_{run_id}_{source}.svg")
-    records = [r["record"] for r in store.all_records()]
-    methods = sorted({r["method"] for r in records})
-    er_series = []
-    for name in methods:
-        pts = {}
-        for r in records:
-            if r["method"] == name:
-                pts.setdefault(r["rank"], []).append(r["effective_rank"])
-        if pts:
-            xs = sorted(pts)
-            er_series.append(Series(label=name, xs=xs,
-                                    ys=[float(np.mean(pts[x])) for x in xs]))
-    if er_series:
-        emit_plot(er_series, AxesSpec(title="effective rank vs rank",
-                                      xlabel="adapter rank (log)",
-                                      ylabel="effective rank", xscale="log"),
-                  store.plots_dir / "er_vs_rank.svg")
     return report
 
 

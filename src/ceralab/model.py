@@ -35,6 +35,8 @@ from .errors import ConfigError, DomainError, NotMergeableError, ShapeError
 from .tensor import RngState, Tensor
 
 INJECTION_TARGETS = ("Wq", "Wv", "attn_block")
+# the adapters the regressor reads: its query path drops out (module doc)
+REGRESSOR_TARGETS = ("Wv", "attn_block")
 
 
 @dataclass
@@ -191,26 +193,24 @@ def inject(backbone: FrozenBackbone, layer_index: int, target: str,
 
 
 def _proj(backbone: FrozenBackbone, layer: int, target: str, x_rows: Tensor,
-          mode: str, masks: dict, trace: dict | None) -> Tensor:
+          masks: dict, trace: dict | None) -> Tensor:
     w0 = backbone.layers[layer][target]
     adapter = backbone.adapters.get((layer, target))
     base = T.linear(x_rows, w0)
     if adapter is None:
         return base
-    key = (layer, target)
-    return base + _adapter_delta(adapter, key, x_rows, mode, trace,
-                                 mask=masks.get(key))
+    return base + _adapter_delta(adapter, (layer, target), x_rows, masks, trace)
 
 
-def _adapter_delta(adapter: Adapter, key, x_rows: Tensor, mode: str,
-                   trace: dict | None, rng: RngState | None = None,
-                   mask: np.ndarray | None = None) -> Tensor:
-    """An adapter's delta rows; the trace, if given, keeps its latent and
-    delta rows under `key`."""
+def _adapter_delta(adapter: Adapter, key, x_rows: Tensor, masks: dict,
+                   trace: dict | None) -> Tensor:
+    """An adapter's delta rows under its mask in `masks`, if it has one; the
+    trace, if given, keeps its latent and delta rows under `key`."""
+    mask = masks.get(key)
     if trace is None:
-        return adapter.delta_rows(x_rows, mode, rng, mask=mask)
+        return adapter.delta_rows(x_rows, mask=mask)
     latent_sink = trace.setdefault("latents", {}).setdefault(key, [])
-    delta = adapter.delta_rows(x_rows, mode, rng, latent_sink, mask)
+    delta = adapter.delta_rows(x_rows, latent_sink, mask)
     trace.setdefault("deltas", {}).setdefault(key, []).append(delta.data.copy())
     return delta
 
@@ -219,15 +219,21 @@ def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
                    mode: str, rng: RngState | None) -> dict:
     """Every adapter's dropout mask for a batch, as (n_seq*seq_len, r) rows.
 
-    Masks are drawn sequence by sequence, then layer by layer, then in
-    injection-target order, so each sequence gets, bit for bit, the masks
-    it would draw if run on its own. `channel` style draws one mask per
-    sequence, shared by its positions. Outside train mode nothing is drawn.
+    The one place dropout is drawn, in both modes; the regressor counts its
+    n rows as one sequence. Masks are drawn sequence by sequence, then
+    layer by layer, then in injection-target order, so each sequence gets,
+    bit for bit, the masks it would draw if run on its own. `channel` style
+    draws one mask row per sequence, shared by its positions. Only the
+    adapters the forward pass reads that have p > 0 get a mask, and only in
+    train mode.
     """
-    if mode != "train":
+    if mode not in ("train", "eval"):
+        raise DomainError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
+    if mode == "eval":
         return {}
+    regressor = backbone.cfg.mode == "regressor"
     keys = [(layer, target) for layer in range(backbone.cfg.n_layers)
-            for target in INJECTION_TARGETS
+            for target in (REGRESSOR_TARGETS if regressor else INJECTION_TARGETS)
             if (layer, target) in backbone.adapters
             and backbone.adapters[(layer, target)].cfg.resolved_dropout_p > 0.0]
     drawn: dict = {key: [] for key in keys}
@@ -235,31 +241,30 @@ def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
         for key in keys:
             cfg = backbone.adapters[key].cfg
             rows = seq_len if cfg.dropout_style == "elementwise" else 1
-            drawn[key].append(np.broadcast_to(
-                T.dropout_mask((rows, cfg.r), cfg.resolved_dropout_p, rng),
-                (seq_len, cfg.r)))
+            mask = T.dropout_mask((rows, cfg.r), cfg.resolved_dropout_p, rng)
+            drawn[key].append(mask if rows == seq_len
+                              else np.repeat(mask, seq_len, axis=0))
     return {key: np.concatenate(parts) for key, parts in drawn.items()}
 
 
 def _lm_block(backbone: FrozenBackbone, layer: int, x: Tensor, seq_len: int,
-              mode: str, masks: dict, trace: dict | None) -> Tensor:
+              masks: dict, trace: dict | None) -> Tensor:
     """One pre-norm block over the (batch*seq, d) rows of a batch."""
     cfg = backbone.cfg
     ws = backbone.layers[layer]
     xn = T.layer_norm(x, ws["ln1_g"], ws["ln1_b"])
-    q = T.split_heads(_proj(backbone, layer, "Wq", xn, mode, masks, trace),
+    q = T.split_heads(_proj(backbone, layer, "Wq", xn, masks, trace),
                       cfg.n_heads, seq_len)
     k = T.split_heads(T.linear(xn, ws["Wk"]), cfg.n_heads, seq_len)
-    v = T.split_heads(_proj(backbone, layer, "Wv", xn, mode, masks, trace),
+    v = T.split_heads(_proj(backbone, layer, "Wv", xn, masks, trace),
                       cfg.n_heads, seq_len)
     sink = None if trace is None else trace.setdefault("attention", [])
     heads = T.causal_attention(q, k, v, 1.0 / np.sqrt(cfg.d_head), sink)
     attn_out = T.linear(T.merge_heads(heads), ws["Wo"])
     module = backbone.adapters.get((layer, "attn_block"))
     if module is not None:
-        key = (layer, "attn_block")
-        attn_out = attn_out + _adapter_delta(module, key, xn, mode, trace,
-                                             mask=masks.get(key))
+        attn_out = attn_out + _adapter_delta(module, (layer, "attn_block"), xn,
+                                             masks, trace)
     x = x + attn_out
     xn2 = T.layer_norm(x, ws["ln2_g"], ws["ln2_b"])
     ff = T.linear(T.silu(T.linear(xn2, ws["W1"])), ws["W2"])
@@ -289,7 +294,7 @@ def lm_logits(backbone: FrozenBackbone, tokens, mode: str = "eval",
     x = Tensor((backbone.tok_emb.data[ids] + backbone.pos_emb.data[:seq_len])
                .reshape(n_seq * seq_len, cfg.d_model))
     for layer in range(cfg.n_layers):
-        x = _lm_block(backbone, layer, x, seq_len, mode, masks, trace)
+        x = _lm_block(backbone, layer, x, seq_len, masks, trace)
     xf = T.layer_norm(x, backbone.ln_f_g, backbone.ln_f_b)
     return T.linear(xf, backbone.head)
 
@@ -325,12 +330,13 @@ def regressor_output(backbone: FrozenBackbone, features, mode: str = "eval",
     x = features if isinstance(features, Tensor) else Tensor(features)
     if x.ndim != 2 or x.shape[1] != cfg.d_model:
         raise ShapeError(f"features must be (n, {cfg.d_model}), got {x.shape}")
+    masks = _dropout_masks(backbone, 1, x.shape[0], mode, rng)
     out = Tensor(regressor_frozen(backbone, x.data) if frozen is None else frozen)
-    for target in ("Wv", "attn_block"):
+    for target in REGRESSOR_TARGETS:
         adapter = backbone.adapters.get((0, target))
         if adapter is None:
             continue
-        delta = _adapter_delta(adapter, (0, target), x, mode, trace, rng=rng)
+        delta = _adapter_delta(adapter, (0, target), x, masks, trace)
         to_output = backbone.carry if target == "Wv" else backbone.head
         out = out + T.linear(delta, to_output)
     return out

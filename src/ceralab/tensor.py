@@ -369,17 +369,7 @@ def relu(x: Tensor) -> Tensor:
     return _node(data, (x,), bwd, "relu")
 
 
-def identity(x: Tensor) -> Tensor:
-    x = _wrap(x)
-
-    def bwd(g):
-        _accum(x, g)
-
-    return _node(x.data, (x,), bwd, "identity")
-
-
 ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "identity": identity,
     "relu": relu,
     "silu": silu,
 }
@@ -388,37 +378,18 @@ ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
 def dropout_mask(shape, p: float, rng: RngState | None) -> np.ndarray:
     """The scaled keep mask of inverted dropout: 1/(1-p) where an entry is
     kept, 0 where it is dropped."""
+    if not 0.0 <= p < 1.0:
+        raise DomainError(f"dropout probability must be in [0, 1), got {p}")
     if rng is None:
         raise DomainError("train-mode dropout with p > 0 requires an RngState")
     keep = 1.0 - p
     return rng.keep_mask(shape, keep) / keep
 
 
-def dropout(x: Tensor, p: float, mode: str, style: str = "elementwise",
-            rng: RngState | None = None, mask: np.ndarray | None = None) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-p); eval mode is identity.
-
-    `elementwise` masks single entries; `channel` masks whole latent
-    columns, one Bernoulli draw per column shared across the batch rows.
-    A train-mode call draws its mask from `rng`, unless `mask` (as
-    `dropout_mask` draws it, broadcastable to x) is given: then it applies
-    that one and draws nothing.
-    """
+def dropout(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Inverted dropout with a given mask, as `dropout_mask` draws it and
+    broadcastable to x; the op draws nothing."""
     x = _wrap(x)
-    if not 0.0 <= p < 1.0:
-        raise DomainError(f"dropout probability must be in [0, 1), got {p}")
-    if mode not in ("train", "eval"):
-        raise DomainError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    if style not in ("elementwise", "channel"):
-        raise DomainError(f"dropout style must be 'elementwise' or 'channel', got {style!r}")
-    if mode == "eval" or p == 0.0:
-        return identity(x)
-    if mask is None:
-        if style == "elementwise":
-            mask_shape = x.shape
-        else:
-            mask_shape = (1, x.shape[-1]) if x.ndim == 2 else (x.shape[-1],)
-        mask = dropout_mask(mask_shape, p, rng)
     data = x.data * mask
 
     def bwd(g):

@@ -143,7 +143,7 @@ def test_criterion_05_gradient_soundness_full_model():
     worst = 0.0
     for seed in range(5):
         bb = build_model(cfg, 400 + seed)
-        acfg = AdapterConfig(kind="cera", r=3, targets=("Wv",))
+        acfg = AdapterConfig(kind="cera", r=3)
         adapter = Adapter.init(acfg, *adapter_shape(cfg, "Wv"),
                                RngState(500 + seed, 9))
         adapter.state.w_down.data[:] = RngState(600 + seed).normal((8, 3)) * 0.3
@@ -290,7 +290,7 @@ def test_criterion_11_throughput_ratio():
         rng = RngState(78)
         for layer in range(cfg.n_layers):
             for j, target in enumerate(("Wq", "Wv")):
-                acfg = AdapterConfig(kind=kind, r=8, targets=(target,))
+                acfg = AdapterConfig(kind=kind, r=8)
                 adapter = Adapter.init(acfg, *adapter_shape(cfg, target),
                                        rng.child(layer * 2 + j))
                 adapter.state.w_down.data[:] = 0.01

@@ -8,6 +8,7 @@ from ceralab.adapters import (Adapter, AdapterConfig, AdapterState,
                               init_adapter, merge_linear, param_count)
 from ceralab.errors import ConfigError, NotMergeableError
 from ceralab.experiments import MethodSpec
+from ceralab.model import ModelConfig, build_model, inject, regressor_output
 from ceralab.spectral import delta_w_linear, svd_values
 from ceralab.tensor import RngState, Tensor
 
@@ -100,10 +101,8 @@ def test_lora_is_the_identity_case_of_the_one_delta_path():
                              dropout_p=0.0)
     x = Tensor(rng.normal((5, 8)))
     lora_sink, cera_sink = [], []
-    a = Adapter(lora_cfg, st_).delta_rows(x, mode="train", rng=RngState(1),
-                                          latent_sink=lora_sink)
-    b = Adapter(cera_cfg, st_).delta_rows(x, mode="train", rng=RngState(1),
-                                          latent_sink=cera_sink)
+    a = Adapter(lora_cfg, st_).delta_rows(x, latent_sink=lora_sink)
+    b = Adapter(cera_cfg, st_).delta_rows(x, latent_sink=cera_sink)
     assert np.array_equal(a.data, b.data)
     assert len(lora_sink) == len(cera_sink) == 1
     assert np.array_equal(lora_sink[0], cera_sink[0])
@@ -145,7 +144,7 @@ def test_cera_scalar_silu_golden():
     cfg = AdapterConfig(kind="cera", r=1, scale_s=1.0, dropout_p=0.0)
     st_ = AdapterState(w_up=Tensor([[1.0]], requires_grad=True),
                        w_down=Tensor([[1.0]], requires_grad=True))
-    out = adapted(Tensor([[1.0]]), Tensor([[0.0]]), st_, cfg, mode="eval")
+    out = adapted(Tensor([[1.0]]), Tensor([[0.0]]), st_, cfg)
     assert out.data[0, 0] == pytest.approx(0.731059, abs=1e-6)
 
 
@@ -154,19 +153,27 @@ def test_cera_zero_down_projection():
     rng = RngState(6)
     w0 = Tensor(rng.normal((6, 8)))
     x = Tensor(rng.normal((1, 8)))
-    out = adapted(x, w0, st_, cfg, mode="train", rng=rng.child(1))
+    mask = tensor_mod.dropout_mask((1, 4), 0.5, rng.child(1))
+    out = adapted(x, w0, st_, cfg, mask=mask)
     assert np.allclose(out.data, x.data @ w0.data.T)
 
 
 def test_cera_eval_independent_of_rng():
+    model = ModelConfig(d_model=8, n_heads=2, d_head=4, n_layers=1, vocab_size=3,
+                        max_seq_len=4, v_out_dim=6, mode="regressor")
+    bb = build_model(model, 8)
     rng = RngState(8)
-    cfg, st_ = make_cera(dropout_p=0.3)
+    cfg = AdapterConfig(kind="cera", r=4, dropout_p=0.3)
+    st_ = init_adapter(cfg, 6, 8, rng.child(0))
     st_.w_down.data[:] = rng.normal((6, 4))
-    w0 = Tensor(rng.normal((6, 8)))
-    x = Tensor(rng.normal((1, 8)))
-    a = adapted(x, w0, st_, cfg, mode="eval", rng=RngState(1))
-    b = adapted(x, w0, st_, cfg, mode="eval", rng=RngState(999))
+    inject(bb, 0, "Wv", Adapter(cfg, st_))
+    x = Tensor(rng.normal((5, 8)))
+    a = regressor_output(bb, x, "eval", RngState(1))
+    b = regressor_output(bb, x, "eval", RngState(999))
     assert np.array_equal(a.data, b.data)
+    # train mode does draw: the same rows then give another output
+    assert not np.array_equal(regressor_output(bb, x, "train", RngState(1)).data,
+                              a.data)
 
 
 def test_parallel_module_zero_down_is_identity():
@@ -264,7 +271,9 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         AdapterConfig(kind="cera", r=0)
     with pytest.raises(ConfigError):
-        AdapterConfig(kind="cera", r=4, targets=())
+        MethodSpec(name="c", kind="cera", targets=())
+    with pytest.raises(ConfigError):
+        MethodSpec(name="c", kind="cera", targets=("Wk",))
     with pytest.raises(ConfigError):
         AdapterConfig(kind="mystery", r=4)
     with pytest.raises(ConfigError):
@@ -286,7 +295,7 @@ def test_config_round_trip_and_unknown_keys():
     assert MethodSpec.from_dict(method.to_dict()) == method
     assert method.adapter_config(16) == AdapterConfig(
         kind="cera", r=16, alpha=8.0, dropout_p=0.2, dropout_style="channel",
-        targets=("Wv",), init_gain=0.5)
+        init_gain=0.5)
     bad = method.to_dict()
     bad["tyop"] = 1
     with pytest.raises(ConfigError):
@@ -312,13 +321,13 @@ def test_cera_forward_gradient_matches_finite_differences():
     x0 = Tensor(rng.uniform(-2, 2, (1, 7)))
 
     def through_input(probe):
-        return tensor_mod.tsum(adapted(probe, w0, st_, cfg, mode="eval"))
+        return tensor_mod.tsum(adapted(probe, w0, st_, cfg))
 
     assert tensor_mod.finite_difference_check(through_input, x0, 1e-6) < 1e-5
 
     def through_up(probe):
         st_.w_up = probe
-        return tensor_mod.tsum(adapted(x0, w0, st_, cfg, mode="eval"))
+        return tensor_mod.tsum(adapted(x0, w0, st_, cfg))
 
     assert tensor_mod.finite_difference_check(through_up, st_.w_up, 1e-6) < 1e-5
 
@@ -329,7 +338,8 @@ def test_adapter_latent_capture_is_pre_dropout():
     adapter = Adapter.init(cfg, 6, 8, rng.child(0))
     x = Tensor(rng.normal((3, 8)))
     sink: list = []
-    adapter.delta_rows(x, mode="train", rng=rng.child(1), latent_sink=sink)
+    mask = tensor_mod.dropout_mask((3, 4), 0.9, rng.child(1))
+    adapter.delta_rows(x, latent_sink=sink, mask=mask)
     lat = sink[0]
     expected = x.data @ adapter.state.w_up.data.T
     expected = expected / (1.0 + np.exp(-expected))  # silu

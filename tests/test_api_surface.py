@@ -1,0 +1,87 @@
+"""Every public top-level function and class of the package has a caller in
+the program: the package itself, the benchmark or the scripts. A public
+name that only tests reach is dead code, unless it is listed below with the
+reason tests need it."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ceralab"
+
+# public names that only tests call, each with the reason tests need it
+TEST_REFERENCES = {
+    "tsum": "reducer of the per-op gradient checks",
+    "tmean": "mse's reference chain tmean(square(sub(...))) and test reducers",
+    "square": "mse's reference chain tmean(square(sub(...)))",
+    "finite_difference_check": "the gradient gate of the test suite",
+    "measure_throughput": "acceptance criterion 11's latency ratio",
+    "logistic_map": "the exact map the printed table is checked against",
+    "debug_checks": "NaN/Inf detection switched on by the tests",
+}
+
+
+def public_definitions() -> dict[str, str]:
+    """name -> defining module, for every public top-level def and class."""
+    defs = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                defs[node.name] = path.stem
+    return defs
+
+
+def referenced_names(tree: ast.AST, strings: bool = False) -> set[str]:
+    """Identifiers, attribute names and imported names used anywhere in
+    `tree`; with `strings`, exact string constants too (the benchmark looks
+    functions up by name)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def program_references() -> set[str]:
+    """Names the program uses. A definition's own body does not count for
+    it, and the package `__init__` only re-exports, so it counts for none."""
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            used = referenced_names(node)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                used.discard(node.name)
+            names |= used
+    for folder in ("bench", "scripts"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            names |= referenced_names(ast.parse(path.read_text()), strings=True)
+    return names
+
+
+def test_every_public_name_has_a_program_caller():
+    used = program_references()
+    unused = sorted(name for name in public_definitions()
+                    if name not in used and name not in TEST_REFERENCES)
+    assert unused == [], f"public names only tests reach: {unused}"
+
+
+def test_test_references_are_current():
+    # each listed name exists, still has no program caller, and a test uses it
+    defs, used = public_definitions(), program_references()
+    tests = set()
+    for path in sorted((ROOT / "tests").glob("test_*.py")):
+        if path.name != Path(__file__).name:
+            tests |= referenced_names(ast.parse(path.read_text()))
+    for name in TEST_REFERENCES:
+        assert name in defs, f"{name} is no longer defined"
+        assert name not in used, f"{name} has a program caller; drop it from the list"
+        assert name in tests, f"no test uses {name}"

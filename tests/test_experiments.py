@@ -321,8 +321,7 @@ def test_spectral_delta_w_uses_the_applied_scale():
     # a linear cera adapter applies scale_s * B A, not (alpha / r) * B A
     model = ModelConfig(**SMALL_MODEL)
     backbone = build_model(model, 3)
-    cfg = AdapterConfig(kind="cera", r=4, activation="identity", scale_s=2.0,
-                        targets=("Wv",))
+    cfg = AdapterConfig(kind="cera", r=4, activation="identity", scale_s=2.0)
     rng = RngState(4)
     state = init_adapter(cfg, *adapter_shape(model, "Wv"), rng.child(0))
     state.w_down.data[:] = rng.normal(state.w_down.shape)
@@ -342,6 +341,19 @@ def test_spectral_zero_init_run_reports_er_zero(tmp_path):
     report = cmd_spectral(cfg, rid, "output_delta_D")
     assert report.effective_rank == 0.0
     assert report.auc90_index == 0
+
+
+def test_spectral_leaves_the_sweep_plots_alone(tmp_path):
+    # the sweep is the only writer of its rank plots; a spectral report of
+    # one run adds its own files and rewrites none of them
+    cfg = small_config(tmp_path / "out", ranks=(2, 4), seeds=(1, 2), steps=3)
+    outcome = cmd_sweep(cfg)
+    plots = tmp_path / "out" / "plots"
+    before = {name: (plots / name).read_bytes()
+              for name in ("er_vs_rank.svg", "metric_vs_rank.svg")}
+    for source in ("latent_H", "output_delta_D"):
+        cmd_spectral(cfg, outcome.records[0]["run_id"], source)
+    assert {name: (plots / name).read_bytes() for name in before} == before
 
 
 def test_spectral_unknown_run_id(tmp_path):

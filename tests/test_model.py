@@ -20,7 +20,7 @@ def tiny_model(seed=0, cfg=TINY):
 
 
 def inject_cera(backbone, target="Wv", r=3, layer=0, seed=5, **kw):
-    cfg = AdapterConfig(kind="cera", r=r, targets=(target,), **kw)
+    cfg = AdapterConfig(kind="cera", r=r, **kw)
     d, k = adapter_shape(backbone.cfg, target)
     adapter = Adapter.init(cfg, d, k, RngState(seed, 9))
     inject(backbone, layer, target, adapter)
@@ -162,7 +162,7 @@ def test_wq_vs_wv_placement_is_observable():
     outs = {}
     for target in ("Wq", "Wv"):
         bb = build_model(cfg, 12)
-        acfg = AdapterConfig(kind="cera", r=3, targets=(target,), dropout_p=0.0)
+        acfg = AdapterConfig(kind="cera", r=3, dropout_p=0.0)
         inject(bb, 0, target, Adapter(acfg, AdapterState(
             Tensor(state.w_up.data.copy(), requires_grad=True),
             Tensor(state.w_down.data.copy(), requires_grad=True))))
@@ -242,7 +242,7 @@ def test_collect_latents_requires_adapter():
 
 def test_lora_delta_rank_bound():
     bb = tiny_model(21)
-    cfg = AdapterConfig(kind="lora", r=2, targets=("Wv",))
+    cfg = AdapterConfig(kind="lora", r=2)
     d, k = adapter_shape(bb.cfg, "Wv")
     adapter = Adapter.init(cfg, d, k, RngState(22))
     adapter.state.w_down.data[:] = RngState(23).normal((d, 2))
@@ -253,7 +253,7 @@ def test_lora_delta_rank_bound():
 
 def test_merged_copy_matches_unmerged_lora():
     bb = tiny_model(24)
-    cfg = AdapterConfig(kind="lora", r=2, targets=("Wv",), alpha=4.0)
+    cfg = AdapterConfig(kind="lora", r=2, alpha=4.0)
     d, k = adapter_shape(bb.cfg, "Wv")
     adapter = Adapter.init(cfg, d, k, RngState(25))
     adapter.state.w_down.data[:] = RngState(26).normal((d, 2)) * 0.5
@@ -298,25 +298,35 @@ def tape_regressor_output(bb, x, mode="eval", rng=None):
     """Reference: the regressor as one tape, op for op as the network is
     drawn (attention and FFN branches on the raw input, the Wv adapter
     inside the value projection, the module adapter on the attention
-    output), against which the frozen-term split is checked."""
+    output), against which the frozen-term split is checked. In train mode
+    each adapter draws its own mask as it runs, Wv first: one (n, r) block
+    for elementwise dropout, one (1, r) row for channel."""
+    def delta(adapter):
+        cfg = adapter.cfg
+        mask = None
+        if mode == "train" and cfg.resolved_dropout_p > 0.0:
+            rows = x.shape[0] if cfg.dropout_style == "elementwise" else 1
+            mask = T.dropout_mask((rows, cfg.r), cfg.resolved_dropout_p, rng)
+        return adapter.delta_rows(x, mask=mask)
+
     ws = bb.layers[0]
     v = T.linear(x, ws["Wv"])
     wv = bb.adapters.get((0, "Wv"))
     if wv is not None:
-        v = v + wv.delta_rows(x, mode, rng)
+        v = v + delta(wv)
     attn_out = T.linear(v, ws["Wo"])
     module = bb.adapters.get((0, "attn_block"))
     if module is not None:
-        attn_out = attn_out + module.delta_rows(x, mode, rng)
+        attn_out = attn_out + delta(module)
     ff = T.linear(T.silu(T.linear(x, ws["W1"])), ws["W2"])
     return T.linear(x + attn_out + ff, bb.head)
 
 
-def regressor_with_both_adapters(seed):
+def regressor_with_both_adapters(seed, **kw):
     bb = build_model(REG, seed)
     rng = RngState(seed + 1)
     for kind, target in (("cera", "Wv"), ("parallel_module", "attn_block")):
-        cfg = AdapterConfig(kind=kind, r=3, targets=("Wv",))
+        cfg = AdapterConfig(kind=kind, r=3, **kw)
         adapter = Adapter.init(cfg, *adapter_shape(REG, target), rng.child(len(bb.adapters)))
         adapter.state.w_down.data[:] = rng.normal(adapter.state.w_down.shape) * 0.3
         inject(bb, 0, target, adapter)
@@ -360,3 +370,67 @@ def test_regressor_gradient_matches_finite_differences():
             worst = max(worst, T.finite_difference_check(f, original, 1e-6))
             setattr(adapter.state, attr, original)
     assert worst < 1e-9
+
+
+@pytest.mark.parametrize("style", ["elementwise", "channel"])
+def test_regressor_masks_are_one_sequence_of_n_rows(style):
+    # Wv's mask is drawn before attn_block's: one (n, r) block each for
+    # elementwise, one (1, r) row each for channel; a Wq adapter, which the
+    # regressor does not read, draws nothing
+    bb = regressor_with_both_adapters(48, dropout_p=0.5, dropout_style=style)
+    inject_cera(bb, "Wq", dropout_p=0.5, dropout_style=style)
+    masks = model_mod._dropout_masks(bb, 1, 7, "train", RngState(49))
+    assert sorted(masks) == [(0, "Wv"), (0, "attn_block")]
+    rng = RngState(49)
+    for target in ("Wv", "attn_block"):
+        want = rng.keep_mask((7 if style == "elementwise" else 1, 3), 0.5) / 0.5
+        assert np.array_equal(masks[(0, target)], np.broadcast_to(want, (7, 3)))
+    # and the regressor's output is the tape's under those draws
+    x = Tensor(RngState(50).normal((7, 16)))
+    got = regressor_output(bb, x, "train", RngState(49)).data
+    want_out = tape_regressor_output(bb, x, "train", RngState(49)).data
+    assert np.max(np.abs(got - want_out)) <= 1e-14 * np.max(np.abs(want_out))
+
+
+def tape_ops(out):
+    """The op names of every node on the tape that ends in `out`."""
+    ops, stack, seen = set(), [out], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops.add(node._op)
+            stack.extend(node._parents)
+    return ops
+
+
+def lm_with_cera(dropout_p):
+    bb = tiny_model(51)
+    for target in ("Wq", "Wv"):
+        inject_cera(bb, target, dropout_p=dropout_p, seed=52)
+    return bb
+
+
+def test_eval_mode_and_p_zero_build_no_dropout_node():
+    x = Tensor(RngState(53).normal((6, 16)))
+    seqs = [[1, 2, 3, 4], [4, 3, 2, 1]]
+    reg, lm = regressor_with_both_adapters(54, dropout_p=0.5), lm_with_cera(0.5)
+    assert "dropout" in tape_ops(regressor_output(reg, x, "train", RngState(55)))
+    assert "dropout" in tape_ops(lm_logits(lm, seqs, "train", RngState(55)))
+    assert "dropout" not in tape_ops(regressor_output(reg, x, "eval", RngState(55)))
+    assert "dropout" not in tape_ops(lm_logits(lm, seqs, "eval", RngState(55)))
+    reg0, lm0 = regressor_with_both_adapters(54, dropout_p=0.0), lm_with_cera(0.0)
+    assert "dropout" not in tape_ops(regressor_output(reg0, x, "train", RngState(55)))
+    assert "dropout" not in tape_ops(lm_logits(lm0, seqs, "train", RngState(55)))
+
+
+def test_unknown_mode_is_rejected():
+    x = RngState(56).normal((4, 16))
+    for bb in (build_model(REG, 57), regressor_with_both_adapters(57)):
+        with pytest.raises(DomainError):
+            regressor_output(bb, x, "inference")
+    for bb in (tiny_model(58), lm_with_cera(0.1)):
+        with pytest.raises(DomainError):
+            lm_logits(bb, [[1, 2, 3]], "inference")
+        with pytest.raises(DomainError):
+            forward(bb, [[1, 2, 3]], mode="Train")

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from ceralab import tensor as T
 from ceralab.errors import DomainError, NumericsError, ShapeError
 from ceralab.tensor import (RngState, Tensor, backward, causal_attention,
-                            cross_entropy_rows, dropout,
-                            finite_difference_check, identity, layer_norm,
+                            cross_entropy_rows, dropout, dropout_mask,
+                            finite_difference_check, layer_norm,
                             linear, matmul, mse, relu, silu, tmean, tsum)
 
 
@@ -50,28 +50,30 @@ def test_silu_odd_plus_identity():
 def test_relu_and_identity():
     assert relu(Tensor([-2.0])).data[0] == 0.0
     assert relu(Tensor([3.0])).data[0] == 3.0
-    v = np.array([1.5, -0.25, 0.0])
-    assert np.array_equal(identity(Tensor(v)).data, v)
+    # the identity activation is no op: the adapter path skips it
+    assert set(T.ACTIVATIONS) == {"relu", "silu"}
 
 
-def test_dropout_p_zero_and_eval_are_identity():
+def test_dropout_mask_at_p_zero_keeps_every_entry():
     rng = RngState(3)
     x = Tensor(rng.normal((8, 8)))
-    assert np.array_equal(dropout(x, 0.0, "train", rng=rng).data, x.data)
-    assert np.array_equal(dropout(x, 0.5, "eval").data, x.data)
+    mask = dropout_mask(x.shape, 0.0, rng)
+    assert np.array_equal(mask, np.ones((8, 8)))
+    assert np.array_equal(dropout(x, mask).data, x.data)
 
 
 def test_dropout_preserves_expectation():
     rng = RngState(4)
     x = Tensor(np.full((1000, 100), 2.0))
-    out = dropout(x, 0.5, "train", rng=rng)
+    out = dropout(x, dropout_mask(x.shape, 0.5, rng))
     assert out.data.mean() == pytest.approx(2.0, rel=0.05)
 
 
 def test_dropout_channel_masks_whole_columns():
     rng = RngState(5)
     x = Tensor(np.ones((50, 20)))
-    out = dropout(x, 0.4, "train", style="channel", rng=rng).data
+    # a channel mask is one (1, r) row, broadcast over the rows
+    out = dropout(x, dropout_mask((1, 20), 0.4, rng)).data
     col_mins = out.min(axis=0)
     col_maxs = out.max(axis=0)
     assert np.array_equal(col_mins, col_maxs)  # each column all-kept or all-dropped
@@ -80,11 +82,12 @@ def test_dropout_channel_masks_whole_columns():
 
 
 def test_dropout_domain_errors():
-    x = Tensor(np.ones(4))
     with pytest.raises(DomainError):
-        dropout(x, 1.0, "train", rng=RngState(0))
+        dropout_mask((4,), 1.0, RngState(0))
     with pytest.raises(DomainError):
-        dropout(x, -0.1, "train", rng=RngState(0))
+        dropout_mask((4,), -0.1, RngState(0))
+    with pytest.raises(DomainError):
+        dropout_mask((4,), 0.5, None)
 
 
 def test_backward_linear_form():
@@ -186,7 +189,7 @@ def test_adopted_gradient_of_three_consumers_never_aliases():
     rng = RngState(64)
     x = Tensor(rng.normal((3, 4)), requires_grad=True)
     w1, w2, w3 = (rng.normal((3, 4)) for _ in range(3))
-    a, b, c = identity(x), x + 0.0, x * 3.0
+    a, b, c = T.reshape(x, x.shape), x + 0.0, x * 3.0
     backward(tsum(a * w1) + tsum(b * w2) + tsum(c * w3))
     # each consumer's gradient is as it arrived; x's sum is a new array
     assert np.array_equal(a.grad, w1) and np.array_equal(b.grad, w2)
@@ -286,7 +289,6 @@ def test_fd_check_constant_function():
 @pytest.mark.parametrize("name,f", [
     ("silu", lambda z: tsum(silu(z))),
     ("relu", lambda z: tsum(relu(z) * relu(z))),
-    ("identity", lambda z: tsum(identity(z) * 3.0)),
     ("matmul", lambda z: tsum(matmul(z, Tensor(np.linspace(-1, 1, 12).reshape(4, 3))))),
     ("linear", lambda z: tsum(linear(z, Tensor(np.linspace(-1, 1, 20).reshape(5, 4))))),
     ("layer_norm", lambda z: tsum(layer_norm(z, Tensor(np.linspace(0.5, 1.5, 4)),
@@ -314,7 +316,7 @@ def test_fd_check_dropout_with_fixed_mask():
     x = Tensor(RngState(7).uniform(-2, 2, (4, 6)))
 
     def f(z):
-        return tsum(dropout(z, 0.5, "train", rng=RngState(123)) ** 2)
+        return tsum(dropout(z, dropout_mask(z.shape, 0.5, RngState(123))) ** 2)
 
     assert finite_difference_check(f, x, 1e-6) < 1e-5
 
@@ -375,8 +377,8 @@ def test_op_sequence_determinism():
     def run():
         rng = RngState(11)
         x = Tensor(rng.normal((8, 8)), requires_grad=True)
-        y = tsum(silu(linear(dropout(x, 0.3, "train", rng=rng.child(1)),
-                             Tensor(rng.normal((4, 8))))))
+        mask = dropout_mask(x.shape, 0.3, rng.child(1))
+        y = tsum(silu(linear(dropout(x, mask), Tensor(rng.normal((4, 8))))))
         backward(y)
         return y.data.copy(), x.grad.copy()
 

@@ -27,7 +27,7 @@ def make_regression_setup(adapter_kind="cera", r=8, seed=1, **adapter_kw):
     teacher = nonlinear_teacher(seed + 1, 16, 4, hidden=8)
     task = make_teacher_task(frozen, teacher, 16, n_train=32, n_test=32,
                              seed=seed + 2)
-    cfg = AdapterConfig(kind=adapter_kind, r=r, targets=("Wv",), **adapter_kw)
+    cfg = AdapterConfig(kind=adapter_kind, r=r, **adapter_kw)
     adapter = Adapter.init(cfg, *adapter_shape(REG_CFG, "Wv"), RngState(seed + 3, 9))
     inject(bb, 0, "Wv", adapter)
     return bb, adapter, task
@@ -132,7 +132,7 @@ def test_memorization_smoke():
     frozen = lambda x: forward(bb, Tensor(x), mode="eval").data
     teacher = nonlinear_teacher(8, 16, 4, hidden=8)
     task = make_teacher_task(frozen, teacher, 16, n_train=4, n_test=4, seed=9)
-    cfg = AdapterConfig(kind="cera", r=8, targets=("Wv",), dropout_p=0.0)
+    cfg = AdapterConfig(kind="cera", r=8, dropout_p=0.0)
     adapter = Adapter.init(cfg, *adapter_shape(REG_CFG, "Wv"), RngState(10, 9))
     inject(bb, 0, "Wv", adapter)
     rep = train_adapter(bb, [adapter], task.train, task.test,
@@ -193,7 +193,7 @@ def lm_with_adapters(style):
     rng = RngState(41)
     for layer in range(LM_CFG.n_layers):
         for target in ("Wq", "Wv"):
-            cfg = AdapterConfig(kind="cera", r=4, targets=(target,), dropout_p=0.3,
+            cfg = AdapterConfig(kind="cera", r=4, dropout_p=0.3,
                                 dropout_style=style)
             inject(bb, layer, target, Adapter.init(
                 cfg, *adapter_shape(LM_CFG, target), rng.child(len(bb.adapters))))
@@ -299,7 +299,7 @@ def test_throughput_merged_vs_unmerged_lora():
     rng = RngState(33)
     for layer in range(LM_CFG.n_layers):
         for target in ("Wq", "Wv"):
-            cfg = AdapterConfig(kind="lora", r=8, targets=(target,))
+            cfg = AdapterConfig(kind="lora", r=8)
             adapter = Adapter.init(cfg, *adapter_shape(LM_CFG, target),
                                    rng.child(layer * 2 + (target == "Wv")))
             adapter.state.w_down.data[:] = 0.01
@@ -313,7 +313,7 @@ def test_throughput_merged_vs_unmerged_lora():
 
 def test_throughput_alternates_adapter_and_baseline(monkeypatch):
     bb = build_model(LM_CFG, 36)
-    cfg = AdapterConfig(kind="lora", r=2, targets=("Wv",))
+    cfg = AdapterConfig(kind="lora", r=2)
     inject(bb, 0, "Wv", Adapter.init(cfg, *adapter_shape(LM_CFG, "Wv"), RngState(37)))
     adapted = []
     real = trainer_mod.forward
@@ -329,7 +329,7 @@ def test_throughput_alternates_adapter_and_baseline(monkeypatch):
 
 def test_throughput_cera_uses_bare_baseline():
     bb = build_model(LM_CFG, 34)
-    cfg = AdapterConfig(kind="cera", r=4, targets=("Wv",))
+    cfg = AdapterConfig(kind="cera", r=4)
     adapter = Adapter.init(cfg, *adapter_shape(LM_CFG, "Wv"), RngState(35))
     inject(bb, 0, "Wv", adapter)
     rep = measure_throughput(bb, [[1, 2, 3, 4]] * 2, repetitions=5)
