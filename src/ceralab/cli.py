@@ -95,9 +95,7 @@ def main(argv=None) -> int:
                   f"{len(outcome.failures)} failures -> {cfg.outputs_dir}")
             return outcome.exit_code
         if args.command == "spectral":
-            cfg = ExperimentConfig.load(args.config)
-            if args.out:
-                cfg.outputs_dir = args.out
+            cfg = _load_config(args)
             report = cmd_spectral(cfg, args.run_id, args.source)
             print(f"spectral report for {args.run_id}: "
                   f"ER={report.effective_rank:.3f} auc90={report.auc90_index}")

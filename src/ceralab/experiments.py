@@ -15,22 +15,24 @@ import json
 import os
 import time
 import traceback
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .adapters import Adapter, AdapterConfig, AdapterState, param_count
-from .errors import ConfigError
-from .model import (FrozenBackbone, ModelConfig, adapter_shape, build_model,
-                    collect_latents, forward, inject)
+from .errors import ConfigError, DictConfig
+from .model import (REGRESSOR_TARGETS, FrozenBackbone, ModelConfig,
+                    adapter_shape, build_model, collect_latents, inject,
+                    regressor_frozen)
 from .plotting import AxesSpec, Series, emit_plot
 from .spectral import (SpectralReport, activation_spectrum, auc90,
                        delta_w_linear, effective_rank, energy_curve, svd_values)
 from .tasks import (Dataset, detect_state_collapse, linear_floor,
                     logistic_map_table, make_teacher_task, nonlinear_teacher,
                     trajectory_sequences)
-from .tensor import Tensor, RngState
+from .tensor import RngState
 from .trainer import TrainConfig, train_adapter
 from . import tasks as tasks_mod
 
@@ -55,7 +57,7 @@ def stable_seed(label: str) -> int:
 
 
 @dataclass
-class MethodSpec:
+class MethodSpec(DictConfig):
     """An adapter family to sweep; the rank comes from the grid."""
 
     name: str
@@ -89,22 +91,9 @@ class MethodSpec:
             return ("attn_block",)
         return self.targets
 
-    def to_dict(self) -> dict:
-        d = {f.name: getattr(self, f.name) for f in fields(self)}
-        d["targets"] = list(self.targets)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MethodSpec":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown method keys {sorted(unknown)}")
-        return cls(**d)
-
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(DictConfig):
     task_id: str
     methods: list[MethodSpec]
     ranks: list[int]
@@ -127,49 +116,16 @@ class ExperimentConfig:
         names = [m.name for m in self.methods]
         if len(set(names)) != len(names):
             raise ConfigError("method names must be unique")
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "task_id": self.task_id,
-            "methods": [m.to_dict() for m in self.methods],
-            "ranks": list(self.ranks),
-            "seeds": list(self.seeds),
-            "model": self.model.to_dict(),
-            "train": self.train.to_dict(),
-            "outputs_dir": self.outputs_dir,
-            "spectral_source": self.spectral_source,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        expected = {"schema_version", "task_id", "methods", "ranks", "seeds",
-                    "model", "train", "outputs_dir", "spectral_source"}
-        unknown = set(d) - expected
-        if unknown:
-            raise ConfigError(f"unknown experiment config keys {sorted(unknown)}")
-        missing = expected - set(d) - {"spectral_source", "schema_version"}
-        if missing:
-            raise ConfigError(f"missing experiment config keys {sorted(missing)}")
-        return cls(
-            task_id=d["task_id"],
-            methods=[MethodSpec.from_dict(m) for m in d["methods"]],
-            ranks=list(d["ranks"]),
-            seeds=list(d["seeds"]),
-            model=ModelConfig.from_dict(d["model"]),
-            train=TrainConfig.from_dict(d["train"]),
-            outputs_dir=d["outputs_dir"],
-            spectral_source=d.get("spectral_source", "latent_H"),
-            schema_version=d.get("schema_version", SCHEMA_VERSION),
-        )
+        if self.model.mode == "regressor":
+            unread = {target for m in self.methods
+                      for target in m.injection_targets()} - set(REGRESSOR_TARGETS)
+            if unread:
+                raise ConfigError(f"a regressor never reads adapters at {sorted(unread)}")
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +147,11 @@ def build_task_bundle(task_id: str, model: ModelConfig) -> TaskBundle:
         if model.mode != "regressor":
             raise ConfigError("nonlinear_teacher needs a regressor-mode model")
         backbone = build_model(model, bb_seed)
-
-        def frozen(x):
-            return forward(backbone, Tensor(x), mode="eval").data
-
         teacher = nonlinear_teacher(data_seed, model.d_model, model.vocab_size,
                                     hidden=32, preact_scale=1.5)
-        task = make_teacher_task(frozen, teacher, model.d_model, n_train=512,
-                                 n_test=512, seed=data_seed,
-                                 residual_share=0.25)
+        task = make_teacher_task(partial(regressor_frozen, backbone), teacher,
+                                 model.d_model, n_train=512, n_test=512,
+                                 seed=data_seed, residual_share=0.25)
         return TaskBundle(train=task.train, test=task.test,
                           backbone_seed=bb_seed, floor=linear_floor(task))
     if task_id == "logistic_trajectories":
@@ -228,8 +180,6 @@ def run_id_of(run_config: dict) -> str:
 
 def make_run_config(cfg: ExperimentConfig, method: MethodSpec, rank: int,
                     seed: int) -> dict:
-    train = dict(cfg.train.to_dict())
-    train["seed"] = seed
     return {
         "schema_version": cfg.schema_version,
         "task_id": cfg.task_id,
@@ -237,7 +187,7 @@ def make_run_config(cfg: ExperimentConfig, method: MethodSpec, rank: int,
         "rank": rank,
         "seed": seed,
         "model": cfg.model.to_dict(),
-        "train": train,
+        "train": dict(cfg.train.to_dict(), seed=seed),
         "spectral_source": cfg.spectral_source,
     }
 
@@ -545,19 +495,12 @@ def ablation_methods(base: MethodSpec) -> list[MethodSpec]:
     """The five Table-style variants derived from a full gated adapter."""
     if base.kind != "cera":
         raise ConfigError("the ablation derives its variants from a cera method")
-    core = base.to_dict()
-
-    def variant(name, **overrides):
-        d = dict(core)
-        d.update(name=name, **overrides)
-        return MethodSpec.from_dict(d)
-
     return [
-        variant("cera_full"),
-        variant("no_dropout", dropout_p=0.0),
-        variant("relu", activation="relu"),
-        variant("identity", activation="identity"),
-        variant("module_level", kind="parallel_module"),
+        replace(base, name="cera_full"),
+        replace(base, name="no_dropout", dropout_p=0.0),
+        replace(base, name="relu", activation="relu"),
+        replace(base, name="identity", activation="identity"),
+        replace(base, name="module_level", kind="parallel_module"),
     ]
 
 
@@ -568,10 +511,7 @@ def cmd_ablate(cfg: ExperimentConfig, jobs: int = 1) -> GridOutcome:
     store = RunStore(cfg.outputs_dir)
     build_task_bundle(cfg.task_id, cfg.model)
     variants = ablation_methods(cfg.methods[0])
-    cfg_vars = ExperimentConfig(
-        task_id=cfg.task_id, methods=variants, ranks=cfg.ranks, seeds=cfg.seeds,
-        model=cfg.model, train=cfg.train, outputs_dir=cfg.outputs_dir,
-        spectral_source=cfg.spectral_source)
+    cfg_vars = replace(cfg, methods=variants)
     grid = [(m, cfg.ranks[0], s) for m in variants for s in sorted(cfg.seeds)]
     store.log(f"ablation start: {len(grid)} runs at rank {cfg.ranks[0]}")
     outcome = _execute_grid(cfg_vars, grid, store, jobs)

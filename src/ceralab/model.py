@@ -16,7 +16,8 @@ Two operating modes share one weight set:
   and the output can be computed as a frozen term (constant per input row)
   plus one product per adapter. A single
   position attends only to itself, so the softmax is identically one and
-  the query path drops out; regression experiments therefore target Wv.
+  the query path drops out; `inject` therefore refuses a regressor a Wq
+  adapter.
 
 The value projection is allowed to be rectangular (v_out_dim < d_model),
 mirroring grouped-query-style asymmetry, and Wo folds it back.
@@ -25,22 +26,23 @@ mirroring grouped-query-style asymmetry, and Wo folds it back.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
 from .adapters import Adapter, merge_linear
-from .errors import ConfigError, DomainError, NotMergeableError, ShapeError
+from .errors import (ConfigError, DictConfig, DomainError, NotMergeableError,
+                     ShapeError)
 from .tensor import RngState, Tensor
 
 INJECTION_TARGETS = ("Wq", "Wv", "attn_block")
-# the adapters the regressor reads: its query path drops out (module doc)
+# the only adapters a regressor accepts: its query path drops out (module doc)
 REGRESSOR_TARGETS = ("Wv", "attn_block")
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(DictConfig):
     d_model: int = 64
     n_heads: int = 4
     d_head: int = 16
@@ -69,17 +71,6 @@ class ModelConfig:
     @property
     def d_ff(self) -> int:
         return 4 * self.d_model
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown model config keys {sorted(unknown)}")
-        return cls(**d)
 
 
 _LAYER_TENSORS = ("Wq", "Wk", "Wv", "Wo", "W1", "W2",
@@ -177,6 +168,8 @@ def inject(backbone: FrozenBackbone, layer_index: int, target: str,
         raise ConfigError(f"layer index {layer_index} out of range")
     if target not in INJECTION_TARGETS:
         raise ConfigError(f"unknown injection target {target!r}")
+    if backbone.cfg.mode == "regressor" and target not in REGRESSOR_TARGETS:
+        raise ConfigError(f"the regressor never reads a {target!r} adapter")
     if (layer_index, target) in backbone.adapters:
         raise ConfigError(f"adapter already injected at layer {layer_index}, {target}")
     weight_level = target in ("Wq", "Wv")
@@ -224,17 +217,14 @@ def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
     layer by layer, then in injection-target order, so each sequence gets,
     bit for bit, the masks it would draw if run on its own. `channel` style
     draws one mask row per sequence, shared by its positions. Only the
-    adapters the forward pass reads that have p > 0 get a mask, and only in
-    train mode.
+    adapters with p > 0 get a mask, and only in train mode.
     """
     if mode not in ("train", "eval"):
         raise DomainError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
     if mode == "eval":
         return {}
-    regressor = backbone.cfg.mode == "regressor"
     keys = [(layer, target) for layer in range(backbone.cfg.n_layers)
-            for target in (REGRESSOR_TARGETS if regressor else INJECTION_TARGETS)
-            if (layer, target) in backbone.adapters
+            for target in INJECTION_TARGETS if (layer, target) in backbone.adapters
             and backbone.adapters[(layer, target)].cfg.resolved_dropout_p > 0.0]
     drawn: dict = {key: [] for key in keys}
     for _ in range(n_seq):

@@ -95,9 +95,6 @@ class Dataset:
 
     inputs: np.ndarray
     targets: np.ndarray
-    split: str
-    task_id: str
-    seed: int
 
     def __len__(self) -> int:
         return len(self.inputs)
@@ -124,12 +121,11 @@ def trajectory_sequences(r_range=(2.8, 4.0), x0_range=(0.05, 0.95),
     test_idx = np.sort(order[:n_test])
     train_idx = np.sort(order[n_test:])
 
-    def split_of(idx, name):
+    def split_of(idx):
         chunk = seqs[idx]
-        return Dataset(inputs=chunk[:, :-1], targets=chunk[:, 1:],
-                       split=name, task_id="logistic_trajectories", seed=seed)
+        return Dataset(inputs=chunk[:, :-1], targets=chunk[:, 1:])
 
-    return split_of(train_idx, "train"), split_of(test_idx, "test")
+    return split_of(train_idx), split_of(test_idx)
 
 
 def _silu(x: np.ndarray) -> np.ndarray:
@@ -176,7 +172,6 @@ class TeacherTask:
     test: Dataset
     residual_train: np.ndarray
     residual_test: np.ndarray
-    teacher_scale: float
 
 
 def make_teacher_task(frozen_fn: Callable[[np.ndarray], np.ndarray],
@@ -205,14 +200,10 @@ def make_teacher_task(frozen_fn: Callable[[np.ndarray], np.ndarray],
     targets = frozen + residual
     order = rng.permutation(n_train + n_test)
     tr, te = np.sort(order[:n_train]), np.sort(order[n_train:])
-
-    def ds(idx, name):
-        return Dataset(inputs=x_all[idx], targets=targets[idx], split=name,
-                       task_id="nonlinear_teacher", seed=seed)
-
-    return TeacherTask(train=ds(tr, "train"), test=ds(te, "test"),
-                       residual_train=residual[tr], residual_test=residual[te],
-                       teacher_scale=scale)
+    return TeacherTask(
+        train=Dataset(inputs=x_all[tr], targets=targets[tr]),
+        test=Dataset(inputs=x_all[te], targets=targets[te]),
+        residual_train=residual[tr], residual_test=residual[te])
 
 
 def linear_floor_xr(x_train: np.ndarray, r_train: np.ndarray,

@@ -8,13 +8,13 @@ bit-identical (checksum-verifiable) across a run.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .errors import (ConfigError, DomainError, NotMergeableError, ShapeError,
-                     TrainingDiverged)
+from .errors import (ConfigError, DictConfig, DomainError, NotMergeableError,
+                     ShapeError, TrainingDiverged)
 from .model import (FrozenBackbone, forward, lm_logits, merged_copy,
                     regressor_frozen, regressor_output)
 from .tasks import Dataset
@@ -22,7 +22,7 @@ from .tensor import RngState, Tensor, backward, zero_grads
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(DictConfig):
     lr_max: float = 3e-3
     lr_min: float = 3e-5
     steps: int = 5000
@@ -41,17 +41,6 @@ class TrainConfig:
             raise ConfigError("steps must be >= 0 and batch_size >= 1")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("betas must lie in [0, 1)")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass

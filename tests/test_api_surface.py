@@ -1,7 +1,9 @@
-"""Every public top-level function and class of the package has a caller in
-the program: the package itself, the benchmark or the scripts. A public
-name that only tests reach is dead code, unless it is listed below with the
-reason tests need it."""
+"""Every public top-level function and class of the package, and every
+public method and property of its classes, has a caller in the program: the
+package itself, the benchmark or the scripts. A public name that only tests
+reach is dead code, unless it is listed below with the reason tests need
+it. Methods are named `Class.method`, and a method counts as called when
+the program uses its attribute name."""
 
 import ast
 from pathlib import Path
@@ -21,15 +23,30 @@ TEST_REFERENCES = {
 }
 
 
+def is_public(node: ast.AST) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+        and not node.name.startswith("_")
+
+
 def public_definitions() -> dict[str, str]:
-    """name -> defining module, for every public top-level def and class."""
+    """name -> defining module, for every public top-level def and class and
+    every public method (properties included) of a top-level class."""
     defs = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_"):
-                defs[node.name] = path.stem
+            if not is_public(node):
+                continue
+            defs[node.name] = path.stem
+            if isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if is_public(member) and isinstance(member, ast.FunctionDef):
+                        defs[f"{node.name}.{member.name}"] = path.stem
     return defs
+
+
+def called_name(name: str) -> str:
+    """The name a caller uses: a method's attribute name, else the name."""
+    return name.rsplit(".", 1)[-1]
 
 
 def referenced_names(tree: ast.AST, strings: bool = False) -> set[str]:
@@ -70,7 +87,7 @@ def program_references() -> set[str]:
 def test_every_public_name_has_a_program_caller():
     used = program_references()
     unused = sorted(name for name in public_definitions()
-                    if name not in used and name not in TEST_REFERENCES)
+                    if called_name(name) not in used and name not in TEST_REFERENCES)
     assert unused == [], f"public names only tests reach: {unused}"
 
 
@@ -83,5 +100,6 @@ def test_test_references_are_current():
             tests |= referenced_names(ast.parse(path.read_text()))
     for name in TEST_REFERENCES:
         assert name in defs, f"{name} is no longer defined"
-        assert name not in used, f"{name} has a program caller; drop it from the list"
-        assert name in tests, f"no test uses {name}"
+        assert called_name(name) not in used, \
+            f"{name} has a program caller; drop it from the list"
+        assert called_name(name) in tests, f"no test uses {name}"

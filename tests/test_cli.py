@@ -19,7 +19,7 @@ def write_config(tmp_path, **kw):
         outputs_dir=str(tmp_path / "out"),
         **kw)
     path = tmp_path / "config.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     return path, cfg
 
 
@@ -41,6 +41,22 @@ def test_bad_config_exit_two(tmp_path, capsys):
     assert main(["sweep", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
+    # nested entries get the same checks as the top level, a wrongly typed
+    # value is a config error, and a regressor refuses a Wq adapter it would
+    # never read
+    _, cfg = write_config(tmp_path)
+    no_kind, not_object, null_model, wq, text = (cfg.to_dict() for _ in range(5))
+    del no_kind["methods"][0]["kind"]
+    not_object["methods"] = ["lora"]
+    null_model["model"] = None
+    wq["methods"][0]["targets"] = ["Wq", "Wv"]
+    text["train"]["steps"] = "5"
+    for d in (no_kind, not_object, null_model, wq, text):
+        bad.write_text(json.dumps(d))
+        capsys.readouterr()
+        assert main(["sweep", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
 
 
 def test_out_and_seed_override(tmp_path):
@@ -56,7 +72,7 @@ def test_out_and_seed_override(tmp_path):
 def test_ablate_cli(tmp_path):
     path, cfg = write_config(tmp_path)
     cfg.methods = [MethodSpec(name="cera", kind="cera", targets=("Wv",))]
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     assert main(["ablate", "--config", str(path)]) == 0
     assert (tmp_path / "out" / "ablation.csv").exists()
 

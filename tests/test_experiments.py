@@ -40,7 +40,7 @@ def small_config(outputs_dir, methods=None, ranks=(4,), seeds=(1,), steps=5,
 def test_config_json_round_trip(tmp_path):
     cfg = small_config(tmp_path / "out", ranks=(4, 8), seeds=(1, 2))
     path = tmp_path / "cfg.json"
-    cfg.save(path)
+    path.write_text(json.dumps(cfg.to_dict()))
     assert ExperimentConfig.load(path) == cfg
 
 
@@ -58,6 +58,22 @@ def test_config_unknown_keys_rejected(tmp_path):
     d3["methods"][0]["rankk"] = 3
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(d3)
+    # a missing required key, a non-object entry and a null nested config
+    # are config errors at every level, not TypeErrors
+    no_kind, not_object, null_model = (cfg.to_dict() for _ in range(3))
+    del no_kind["methods"][0]["kind"]
+    not_object["methods"] = [["cera"]]
+    null_model["model"] = None
+    for bad, match in ((no_kind, "missing MethodSpec keys"),
+                       (not_object, "MethodSpec must be a JSON object"),
+                       (null_model, "ModelConfig must be a JSON object")):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict(bad)
+    # a regressor never reads a Wq adapter, so its config refuses one
+    wq = cfg.to_dict()
+    wq["methods"][0]["targets"] = ["Wq", "Wv"]
+    with pytest.raises(ConfigError, match="never reads"):
+        ExperimentConfig.from_dict(wq)
 
 
 def test_config_validation():
@@ -70,6 +86,22 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         small_config("out", methods=[MethodSpec(name="x", kind="cera"),
                                      MethodSpec(name="x", kind="lora")])
+
+
+@pytest.mark.parametrize("config,method,rank,seed,run_id", [
+    ("ceiling_sweep.json", "cera", 4, 1, "ed07c47ac0afa165"),
+    ("ceiling_sweep.json", "lora", 64, 3, "a9998db03ba67e38"),
+    ("trajectory_sweep.json", "cera", 16, 1, "46b4d44cfbdaddeb"),
+    ("ablation.json", "module_level", 16, 2, "a6415e001a3a9f87"),
+])
+def test_shipped_config_run_ids_are_pinned(config, method, rank, seed, run_id):
+    # a run id hashes the whole run config, so these pin how shipped configs
+    # are read, defaulted and written back, and with them every cached record
+    cfg = ExperimentConfig.load(CONFIG_DIR / config)
+    methods = ablation_methods(cfg.methods[0]) if config == "ablation.json" \
+        else cfg.methods
+    spec = next(m for m in methods if m.name == method)
+    assert run_id_of(make_run_config(cfg, spec, rank, seed)) == run_id
 
 
 def test_run_id_stable_under_field_reordering(tmp_path):

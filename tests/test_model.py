@@ -149,6 +149,9 @@ def test_kind_target_mismatch_rejected():
     adapter = Adapter.init(cfg, *adapter_shape(bb.cfg, "attn_block"), RngState(0))
     with pytest.raises(ConfigError):
         inject(bb, 0, "Wq", adapter)
+    # a regressor never reads its query path, so it refuses a Wq adapter
+    with pytest.raises(ConfigError, match="never reads"):
+        inject_cera(build_model(REG, 0), "Wq")
 
 
 def test_wq_vs_wv_placement_is_observable():
@@ -375,10 +378,8 @@ def test_regressor_gradient_matches_finite_differences():
 @pytest.mark.parametrize("style", ["elementwise", "channel"])
 def test_regressor_masks_are_one_sequence_of_n_rows(style):
     # Wv's mask is drawn before attn_block's: one (n, r) block each for
-    # elementwise, one (1, r) row each for channel; a Wq adapter, which the
-    # regressor does not read, draws nothing
+    # elementwise, one (1, r) row each for channel
     bb = regressor_with_both_adapters(48, dropout_p=0.5, dropout_style=style)
-    inject_cera(bb, "Wq", dropout_p=0.5, dropout_style=style)
     masks = model_mod._dropout_masks(bb, 1, 7, "train", RngState(49))
     assert sorted(masks) == [(0, "Wv"), (0, "attn_block")]
     rng = RngState(49)

@@ -252,8 +252,7 @@ def test_perplexity_perfect_predictions():
     bb.head.data[:] = 0.0
     bb.head.data[3, :] = 4.0  # logit for token 3 = 4 * d_model, others 0
     seqs = np.full((4, 6), 3, dtype=np.int64)
-    ds = Dataset(inputs=seqs[:, :-1], targets=seqs[:, 1:], split="test",
-                 task_id="synthetic", seed=0)
+    ds = Dataset(inputs=seqs[:, :-1], targets=seqs[:, 1:])
     assert perplexity(bb, ds) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -262,8 +261,7 @@ def test_perplexity_at_least_one_and_empty_split():
     train, test = trajectory_sequences(seed=26, count=10, n_steps=5)
     assert perplexity(bb, test) >= 1.0
     empty = Dataset(inputs=np.zeros((0, 4), dtype=np.int64),
-                    targets=np.zeros((0, 4), dtype=np.int64),
-                    split="test", task_id="t", seed=0)
+                    targets=np.zeros((0, 4), dtype=np.int64))
     with pytest.raises(DomainError):
         perplexity(bb, empty)
 
