@@ -133,29 +133,28 @@ class Adapter:
     def params(self) -> list[Tensor]:
         return self.state.params
 
-    def delta_rows(self, x_rows: Tensor, latent_sink: list | None = None,
-                   mask: np.ndarray | None = None) -> Tensor:
+    def latent_rows(self, x_rows: Tensor) -> Tensor:
+        """The latent rows act(W_up x) of a batch of rows, before dropout:
+        the rows of the H matrix whose spectrum `latent_H` reports."""
+        lat = T.linear(x_rows, self.state.w_up)
+        act = self.cfg.resolved_activation
+        return lat if act == "identity" else T.ACTIVATIONS[act](lat)
+
+    def delta_rows(self, x_rows: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """Additive update s * W_down(dropout(act(W_up x))) for a batch of rows.
 
         Every kind takes this path: lora is the identity activation with
         s = alpha / r. A weight-level adapter adds it to its projection's
-        output, a module adapter to its block's output. When `latent_sink`
-        is given, the post-activation pre-dropout latent rows (the H matrix
-        rows) are appended to it. Dropout applies exactly when a `mask` is
-        given; `model._dropout_masks` draws every mask. A scale of 1 (every
-        shipped config) adds no multiply: `1.0 * x` is x bit for bit.
+        output, a module adapter to its block's output. Dropout applies
+        exactly when a `mask` is given; `model._dropout_masks` draws every
+        mask. A scale of 1 (every shipped config) adds no multiply:
+        `1.0 * x` is x bit for bit.
         """
-        cfg = self.cfg
-        act = cfg.resolved_activation
-        lat = T.linear(x_rows, self.state.w_up)
-        if act != "identity":
-            lat = T.ACTIVATIONS[act](lat)
-        if latent_sink is not None:
-            latent_sink.append(lat.data)
+        lat = self.latent_rows(x_rows)
         if mask is not None:
             lat = T.dropout(lat, mask)
         out = T.linear(lat, self.state.w_down)
-        scale = cfg.resolved_scale
+        scale = self.cfg.resolved_scale
         return out if scale == 1.0 else scale * out
 
 

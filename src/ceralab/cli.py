@@ -8,12 +8,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .errors import ConfigError, DomainError
 from .experiments import (ExperimentConfig, cmd_ablate, cmd_logistic,
                           cmd_params, cmd_spectral, cmd_sweep,
                           format_logistic_report, format_params_table)
-from .plotting import AxesSpec, Series, emit_plot
+from .plotting import FigureSpec, emit_plot
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -24,13 +25,13 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config file with `--out` and `--seed-override` applied; the
+    result passes the config's own checks."""
     cfg = ExperimentConfig.load(args.config)
     if args.out:
-        cfg.outputs_dir = args.out
+        cfg = replace(cfg, outputs_dir=args.out)
     if getattr(args, "seed_override", None):
-        cfg.seeds = _parse_int_list(args.seed_override)
-        if not cfg.seeds:
-            raise ConfigError("--seed-override produced an empty seed list")
+        cfg = replace(cfg, seeds=_parse_int_list(args.seed_override))
     return cfg
 
 
@@ -110,10 +111,8 @@ def main(argv=None) -> int:
             return 0
         if args.command == "plot":
             with open(args.input) as fh:
-                payload = json.load(fh)
-            series = [Series(**s) for s in payload["series"]]
-            axes = AxesSpec(**payload.get("axes", {}))
-            emit_plot(series, axes, args.out)
+                figure = FigureSpec.from_dict(json.load(fh))
+            emit_plot(figure.series, figure.axes, args.out)
             print(f"wrote {args.out}")
             return 0
         raise ConfigError(f"unknown command {args.command!r}")

@@ -4,6 +4,7 @@ every config dataclass reads and writes its JSON dict."""
 from __future__ import annotations
 
 import dataclasses
+import types
 import typing
 
 
@@ -23,11 +24,10 @@ class DictConfig:
     """Mixin of the config dataclasses: `to_dict` is `dataclasses.asdict`,
     and `from_dict` is its inverse over a parsed JSON object.
 
-    `from_dict` rejects a non-object, unknown keys and missing required keys
-    with ConfigError, and builds a field typed as a config (or as a list of
-    configs) from its nested object; the constructor's own checks do the
-    rest, and a TypeError they raise on a wrongly typed value is a
-    ConfigError too.
+    `from_dict` rejects a non-object, unknown keys, missing required keys
+    and a value of the wrong type for its field's hint with ConfigError,
+    and builds a field typed as a config (or as a list of configs) from its
+    nested object; the constructor's own checks do the rest.
     """
 
     def to_dict(self) -> dict:
@@ -48,24 +48,30 @@ class DictConfig:
         if missing:
             raise ConfigError(f"missing {name} keys {missing}")
         hints = typing.get_type_hints(cls)
-        kwargs = {key: _nested(hints[key], value) for key, value in d.items()}
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:  # a value of the wrong type met a check
-            raise ConfigError(f"bad {name} value: {exc}") from exc
+        return cls(**{key: _typed(hints[key], value, f"{name}.{key}")
+                      for key, value in d.items()})
 
 
-def _nested(hint, value):
-    """`value` built as the config type `hint` names, or as a list of it."""
+def _typed(hint, value, where: str):
+    """`value` checked against the type `hint`, with a config type built
+    from its object. An int is a valid float, a bool is never a number,
+    None fits only an optional hint, and a list or tuple hint takes a list
+    or a tuple whose items are checked in turn."""
+    if isinstance(hint, types.UnionType):  # `X | None`, the only union used
+        if value is None:
+            return None
+        (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
     if isinstance(hint, type) and issubclass(hint, DictConfig):
         return hint.from_dict(value)
-    if typing.get_origin(hint) is list:
-        (item,) = typing.get_args(hint)
-        if isinstance(item, type) and issubclass(item, DictConfig):
-            if not isinstance(value, list):
-                raise ConfigError(f"expected a list of {item.__name__} objects, "
-                                  f"got {type(value).__name__}")
-            return [item.from_dict(v) for v in value]
+    origin = typing.get_origin(hint)
+    if origin in (list, tuple):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        item = typing.get_args(hint)[0]  # list[X] or tuple[X, ...]
+        return origin(_typed(item, v, f"{where}[{i}]") for i, v in enumerate(value))
+    accepted = (int, float) if hint is float else hint
+    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
     return value
 
 

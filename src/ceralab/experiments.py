@@ -111,11 +111,21 @@ class ExperimentConfig(DictConfig):
             raise ConfigError("methods, ranks, and seeds must be non-empty")
         if any(r < 1 for r in self.ranks):
             raise ConfigError("ranks must be >= 1")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError("seeds must be >= 0")
         if self.spectral_source not in SPECTRAL_SOURCES:
             raise ConfigError(f"unknown spectral_source {self.spectral_source!r}")
-        names = [m.name for m in self.methods]
-        if len(set(names)) != len(names):
-            raise ConfigError("method names must be unique")
+        for what, values in (("method names", [m.name for m in self.methods]),
+                             ("ranks", self.ranks), ("seeds", self.seeds)):
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{what} must be unique, got {values}")
+        if self.spectral_source == "output_delta_D":
+            for m in self.methods:
+                widths = {adapter_shape(self.model, t)[0] for t in m.injection_targets()}
+                if len(widths) != 1:
+                    raise ConfigError(
+                        f"output_delta_D stacks one output width, but method "
+                        f"{m.name!r} has widths {sorted(widths)}")
         if self.model.mode == "regressor":
             unread = {target for m in self.methods
                       for target in m.injection_targets()} - set(REGRESSOR_TARGETS)

@@ -186,26 +186,12 @@ def inject(backbone: FrozenBackbone, layer_index: int, target: str,
 
 
 def _proj(backbone: FrozenBackbone, layer: int, target: str, x_rows: Tensor,
-          masks: dict, trace: dict | None) -> Tensor:
-    w0 = backbone.layers[layer][target]
+          masks: dict) -> Tensor:
+    base = T.linear(x_rows, backbone.layers[layer][target])
     adapter = backbone.adapters.get((layer, target))
-    base = T.linear(x_rows, w0)
     if adapter is None:
         return base
-    return base + _adapter_delta(adapter, (layer, target), x_rows, masks, trace)
-
-
-def _adapter_delta(adapter: Adapter, key, x_rows: Tensor, masks: dict,
-                   trace: dict | None) -> Tensor:
-    """An adapter's delta rows under its mask in `masks`, if it has one; the
-    trace, if given, keeps its latent and delta rows under `key`."""
-    mask = masks.get(key)
-    if trace is None:
-        return adapter.delta_rows(x_rows, mask=mask)
-    latent_sink = trace.setdefault("latents", {}).setdefault(key, [])
-    delta = adapter.delta_rows(x_rows, latent_sink, mask)
-    trace.setdefault("deltas", {}).setdefault(key, []).append(delta.data.copy())
-    return delta
+    return base + adapter.delta_rows(x_rows, masks.get((layer, target)))
 
 
 def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
@@ -238,37 +224,32 @@ def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
 
 
 def _lm_block(backbone: FrozenBackbone, layer: int, x: Tensor, seq_len: int,
-              masks: dict, trace: dict | None) -> Tensor:
-    """One pre-norm block over the (batch*seq, d) rows of a batch."""
+              masks: dict) -> tuple[Tensor, Tensor]:
+    """One pre-norm block over the (batch*seq, d) rows of a batch: its output
+    rows and its first layer norm's rows, which every adapter of the block
+    reads."""
     cfg = backbone.cfg
     ws = backbone.layers[layer]
     xn = T.layer_norm(x, ws["ln1_g"], ws["ln1_b"])
-    q = T.split_heads(_proj(backbone, layer, "Wq", xn, masks, trace),
-                      cfg.n_heads, seq_len)
+    q = T.split_heads(_proj(backbone, layer, "Wq", xn, masks), cfg.n_heads, seq_len)
     k = T.split_heads(T.linear(xn, ws["Wk"]), cfg.n_heads, seq_len)
-    v = T.split_heads(_proj(backbone, layer, "Wv", xn, masks, trace),
-                      cfg.n_heads, seq_len)
-    sink = None if trace is None else trace.setdefault("attention", [])
-    heads = T.causal_attention(q, k, v, 1.0 / np.sqrt(cfg.d_head), sink)
+    v = T.split_heads(_proj(backbone, layer, "Wv", xn, masks), cfg.n_heads, seq_len)
+    heads = T.causal_attention(q, k, v, 1.0 / np.sqrt(cfg.d_head))
     attn_out = T.linear(T.merge_heads(heads), ws["Wo"])
     module = backbone.adapters.get((layer, "attn_block"))
     if module is not None:
-        attn_out = attn_out + _adapter_delta(module, (layer, "attn_block"), xn,
-                                             masks, trace)
+        attn_out = attn_out + module.delta_rows(xn, masks.get((layer, "attn_block")))
     x = x + attn_out
     xn2 = T.layer_norm(x, ws["ln2_g"], ws["ln2_b"])
     ff = T.linear(T.silu(T.linear(xn2, ws["W1"])), ws["W2"])
-    return x + ff
+    return x + ff, xn
 
 
-def lm_logits(backbone: FrozenBackbone, tokens, mode: str = "eval",
-              rng: RngState | None = None, trace: dict | None = None) -> Tensor:
-    """Logits (batch*seq x vocab) of a (batch, seq) token array, one row per
-    token, sequence by sequence; a 1-d sequence is a batch of one.
-
-    The trace, if given, collects each layer's (batch, heads, seq, seq)
-    attention weights and each adapter's latent and delta rows.
-    """
+def _lm_rows(backbone: FrozenBackbone, tokens, mode: str,
+             rng: RngState | None) -> tuple[Tensor, list[Tensor]]:
+    """The last block's output rows (batch*seq x d) of a (batch, seq) token
+    array, a 1-d sequence being a batch of one, and each layer's adapter
+    input rows: that layer's first layer norm."""
     cfg = backbone.cfg
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.ndim == 1:
@@ -283,10 +264,19 @@ def lm_logits(backbone: FrozenBackbone, tokens, mode: str = "eval",
     masks = _dropout_masks(backbone, n_seq, seq_len, mode, rng)
     x = Tensor((backbone.tok_emb.data[ids] + backbone.pos_emb.data[:seq_len])
                .reshape(n_seq * seq_len, cfg.d_model))
+    adapter_inputs = []
     for layer in range(cfg.n_layers):
-        x = _lm_block(backbone, layer, x, seq_len, masks, trace)
-    xf = T.layer_norm(x, backbone.ln_f_g, backbone.ln_f_b)
-    return T.linear(xf, backbone.head)
+        x, xn = _lm_block(backbone, layer, x, seq_len, masks)
+        adapter_inputs.append(xn)
+    return x, adapter_inputs
+
+
+def lm_logits(backbone: FrozenBackbone, tokens, mode: str = "eval",
+              rng: RngState | None = None) -> Tensor:
+    """Logits (batch*seq x vocab) of a (batch, seq) token array, one row per
+    token, sequence by sequence; a 1-d sequence is a batch of one."""
+    x, _ = _lm_rows(backbone, tokens, mode, rng)
+    return T.linear(T.layer_norm(x, backbone.ln_f_g, backbone.ln_f_b), backbone.head)
 
 
 def regressor_frozen(backbone: FrozenBackbone, features) -> np.ndarray:
@@ -304,8 +294,16 @@ def regressor_frozen(backbone: FrozenBackbone, features) -> np.ndarray:
     return (x + attn_out + ff) @ backbone.head.data.T
 
 
+def _features(backbone: FrozenBackbone, features) -> Tensor:
+    """A regressor's (n, d_model) feature rows as a tensor."""
+    x = features if isinstance(features, Tensor) else Tensor(features)
+    if x.ndim != 2 or x.shape[1] != backbone.cfg.d_model:
+        raise ShapeError(f"features must be (n, {backbone.cfg.d_model}), got {x.shape}")
+    return x
+
+
 def regressor_output(backbone: FrozenBackbone, features, mode: str = "eval",
-                     rng: RngState | None = None, trace: dict | None = None,
+                     rng: RngState | None = None,
                      frozen: np.ndarray | None = None) -> Tensor:
     """Regression head over parallel attention/FFN branches (see module doc).
 
@@ -316,24 +314,21 @@ def regressor_output(backbone: FrozenBackbone, features, mode: str = "eval",
     is `regressor_frozen` of these rows when the caller already holds it;
     otherwise it is computed here.
     """
-    cfg = backbone.cfg
-    x = features if isinstance(features, Tensor) else Tensor(features)
-    if x.ndim != 2 or x.shape[1] != cfg.d_model:
-        raise ShapeError(f"features must be (n, {cfg.d_model}), got {x.shape}")
+    x = _features(backbone, features)
     masks = _dropout_masks(backbone, 1, x.shape[0], mode, rng)
     out = Tensor(regressor_frozen(backbone, x.data) if frozen is None else frozen)
     for target in REGRESSOR_TARGETS:
         adapter = backbone.adapters.get((0, target))
         if adapter is None:
             continue
-        delta = _adapter_delta(adapter, (0, target), x, masks, trace)
+        delta = adapter.delta_rows(x, masks.get((0, target)))
         to_output = backbone.carry if target == "Wv" else backbone.head
         out = out + T.linear(delta, to_output)
     return out
 
 
 def forward(backbone: FrozenBackbone, inputs, mode: str = "eval",
-            rng: RngState | None = None, trace: dict | None = None) -> Tensor:
+            rng: RngState | None = None) -> Tensor:
     """Dispatch on the configured mode.
 
     Language model: `inputs` is a batch of equal-length token sequences;
@@ -342,7 +337,7 @@ def forward(backbone: FrozenBackbone, inputs, mode: str = "eval",
     matrix; returns (n, vocab_size) outputs.
     """
     if backbone.cfg.mode == "regressor":
-        return regressor_output(backbone, inputs, mode, rng, trace)
+        return regressor_output(backbone, inputs, mode, rng)
     if len(inputs) == 0:
         return Tensor(np.zeros((0, 0, backbone.cfg.vocab_size)))
     try:
@@ -351,31 +346,34 @@ def forward(backbone: FrozenBackbone, inputs, mode: str = "eval",
         raise ShapeError("batched sequences must share one length") from exc
     if ids.ndim != 2:
         raise ShapeError(f"expected a batch of token sequences, got shape {ids.shape}")
-    logits = lm_logits(backbone, ids, mode, rng, trace)
+    logits = lm_logits(backbone, ids, mode, rng)
     return T.reshape(logits, (*ids.shape, backbone.cfg.vocab_size))
 
 
 def collect_latents(backbone: FrozenBackbone, inputs, which: str = "latent_H"):
-    """Stack per-token adapter latents (H) or output contributions (D).
+    """Stack every adapter's latent rows (H) or delta rows (D) over `inputs`.
 
-    Runs in eval mode (dropout off). Rows from every injected adapter are
-    concatenated; mixed output widths are rejected for D.
+    Each adapter is applied, without dropout, to the rows it reads: a
+    regressor's adapters read the features, and a language model's adapters
+    of layer l read that layer's first layer norm. The blocks stack in
+    (layer, target) order, and all of them must have one width.
     """
     if which not in ("latent_H", "output_delta_D"):
         raise ConfigError(f"unknown collection {which!r}")
     if not backbone.adapters:
         raise ConfigError("no adapter injected; nothing to collect")
-    trace: dict = {}
-    forward(backbone, inputs, mode="eval", rng=None, trace=trace)
-    source = trace.get("latents" if which == "latent_H" else "deltas", {})
+    if backbone.cfg.mode == "regressor":
+        reads = [_features(backbone, inputs)]
+    else:
+        _, reads = _lm_rows(backbone, inputs, "eval", None)
     blocks = []
-    for key in sorted(source):
-        blocks.extend(source[key])
-    if not blocks:
-        raise ConfigError("forward pass produced no adapter activations")
-    widths = {b.shape[1] for b in blocks}
+    for (layer, _), adapter in sorted(backbone.adapters.items()):
+        rows = (adapter.latent_rows(reads[layer]) if which == "latent_H"
+                else adapter.delta_rows(reads[layer]))
+        blocks.append(rows.data)
+    widths = sorted({b.shape[1] for b in blocks})
     if len(widths) != 1:
-        raise ShapeError(f"cannot stack contributions of mixed widths {sorted(widths)}")
+        raise ConfigError(f"cannot stack {which} rows of mixed widths {widths}")
     return Tensor(np.concatenate(blocks, axis=0))
 
 

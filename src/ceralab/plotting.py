@@ -8,16 +8,16 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import DomainError
+from .errors import DictConfig, DomainError
 
 PALETTE = ("#1f6fb2", "#d1495b", "#3a9e5f", "#8a5fbf", "#c98a1e", "#4a4a4a")
 LOG_FLOOR_RATIO = 0.1  # non-positive values clamp to min_positive * this
 
 
 @dataclass
-class Series:
+class Series(DictConfig):
     label: str
     xs: list[float]
     ys: list[float]
@@ -26,7 +26,7 @@ class Series:
 
 
 @dataclass
-class AxesSpec:
+class AxesSpec(DictConfig):
     title: str = ""
     xlabel: str = ""
     ylabel: str = ""
@@ -34,6 +34,14 @@ class AxesSpec:
     yscale: str = "linear"
     width: int = 640
     height: int = 420
+
+
+@dataclass
+class FigureSpec(DictConfig):
+    """The JSON input of `ceralab plot`: its series and, optionally, axes."""
+
+    series: list[Series]
+    axes: AxesSpec = field(default_factory=AxesSpec)
 
 
 def _fmt(v: float) -> str:

@@ -30,6 +30,10 @@ from .tensor import RngState
 VOCAB = "0123456789.,"
 VOCAB_SIZE = len(VOCAB)
 _CHAR_TO_ID = {ch: i for i, ch in enumerate(VOCAB)}
+DECIMALS = 4           # display precision of a trajectory
+COLLAPSE_RUN = 3       # repeats of one displayed value that flag a collapse
+R_RANGE = (2.8, 4.0)   # growth rates of the trajectory task
+X0_RANGE = (0.05, 0.95)  # and its starting values
 
 
 def logistic_map(r: float, x0: float, n: int) -> np.ndarray:
@@ -47,11 +51,10 @@ def logistic_map(r: float, x0: float, n: int) -> np.ndarray:
     return traj
 
 
-def logistic_map_table(r: float, x0: float, n: int,
-                       decimals: int = 4) -> np.ndarray:
+def logistic_map_table(r: float, x0: float, n: int) -> np.ndarray:
     """Trajectory as written out step by step at fixed display precision.
 
-    Each iterate is rounded to `decimals` places before feeding the next
+    Each iterate is rounded to `DECIMALS` places before feeding the next
     step, exactly as a worked example printed at 4 decimals computes it.
     This also makes the displayed next value a function of the displayed
     prefix, which is what the next-token task needs.
@@ -63,9 +66,9 @@ def logistic_map_table(r: float, x0: float, n: int,
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     traj = np.empty(n + 1)
-    traj[0] = round(x0, decimals)
+    traj[0] = round(x0, DECIMALS)
     for i in range(n):
-        traj[i + 1] = round(r * traj[i] * (1.0 - traj[i]), decimals)
+        traj[i + 1] = round(r * traj[i] * (1.0 - traj[i]), DECIMALS)
     return traj
 
 
@@ -78,13 +81,14 @@ def tokenize_trajectory(values) -> np.ndarray:
                     dtype=np.int64)
 
 
-def detect_state_collapse(values, min_run: int = 3) -> tuple[bool, float | None]:
-    """Flag any value repeating `min_run`+ consecutive steps at display precision."""
+def detect_state_collapse(values) -> tuple[bool, float | None]:
+    """Flag any value repeating `COLLAPSE_RUN`+ consecutive steps at display
+    precision."""
     shown = [format(v, ".4f") for v in values]
     run = 1
     for prev, cur in zip(shown, shown[1:]):
         run = run + 1 if cur == prev else 1
-        if run >= min_run:
+        if run >= COLLAPSE_RUN:
             return True, float(cur)
     return False, None
 
@@ -100,19 +104,16 @@ class Dataset:
         return len(self.inputs)
 
 
-def trajectory_sequences(r_range=(2.8, 4.0), x0_range=(0.05, 0.95),
-                         n_steps: int = 8, count: int = 64,
+def trajectory_sequences(n_steps: int = 8, count: int = 64,
                          seed: int = 0) -> tuple[Dataset, Dataset]:
-    """Tokenized logistic trajectories with next-token targets, 80/20 split."""
-    lo_r, hi_r = r_range
-    lo_x, hi_x = x0_range
-    if not (0.0 <= lo_r <= hi_r <= 4.0 and 0.0 <= lo_x <= hi_x <= 1.0):
-        raise DomainError("parameter ranges must stay inside the map's domain")
+    """Tokenized logistic trajectories with next-token targets, 80/20 split;
+    growth rates are drawn from `R_RANGE` and starting values from
+    `X0_RANGE`."""
     rng = RngState(seed, 100)
     seqs = []
     for _ in range(count):
-        r = rng.uniform(lo_r, hi_r, ())
-        x0 = rng.uniform(lo_x, hi_x, ())
+        r = rng.uniform(*R_RANGE, ())
+        x0 = rng.uniform(*X0_RANGE, ())
         seqs.append(tokenize_trajectory(
             logistic_map_table(float(r), float(x0), n_steps)))
     seqs = np.stack(seqs)

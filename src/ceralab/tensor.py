@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DomainError, NumericsError, ShapeError
 
 _DEBUG_CHECKS = False
+LAYER_NORM_EPS = 1e-5
 
 
 def debug_checks(enabled: bool) -> None:
@@ -493,16 +494,13 @@ def merge_heads(x: Tensor) -> Tensor:
 # attention
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
-                     sink: list | None = None) -> Tensor:
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     """softmax(q k^T * scale + causal mask) v over (B, H, S, d) stacks.
 
     One node that keeps one (B, H, S, S) array, the attention weights; the
     ops and their order are those of the matmul, scale, mask-add, softmax,
     matmul chain, so values and gradients are bit for bit that chain's.
-    A position attends to itself and the positions before it. When `sink`
-    is given, the weights are appended to it (the op never writes them
-    after returning).
+    A position attends to itself and the positions before it.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if q.ndim != 4 or k.shape != q.shape or v.shape[:3] != q.shape[:3]:
@@ -516,8 +514,6 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
     attn -= attn.max(axis=-1, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=-1, keepdims=True)
-    if sink is not None:
-        sink.append(attn)
 
     def bwd(g):
         if v.requires_grad:
@@ -539,7 +535,7 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float,
 # normalization / loss
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Row-wise layer normalization with per-feature gain and bias."""
     x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
     if x.ndim != 2:
@@ -548,7 +544,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x.data.mean(axis=1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     data = xc * inv  # xhat, scaled and shifted in place
     data *= gain.data
     data += bias.data

@@ -100,13 +100,10 @@ def test_lora_is_the_identity_case_of_the_one_delta_path():
     cera_cfg = AdapterConfig(kind="cera", r=4, alpha=3.0, activation="identity",
                              dropout_p=0.0)
     x = Tensor(rng.normal((5, 8)))
-    lora_sink, cera_sink = [], []
-    a = Adapter(lora_cfg, st_).delta_rows(x, latent_sink=lora_sink)
-    b = Adapter(cera_cfg, st_).delta_rows(x, latent_sink=cera_sink)
-    assert np.array_equal(a.data, b.data)
-    assert len(lora_sink) == len(cera_sink) == 1
-    assert np.array_equal(lora_sink[0], cera_sink[0])
-    assert np.array_equal(lora_sink[0], x.data @ st_.w_up.data.T)
+    lora, cera = Adapter(lora_cfg, st_), Adapter(cera_cfg, st_)
+    assert np.array_equal(lora.delta_rows(x).data, cera.delta_rows(x).data)
+    assert np.array_equal(lora.latent_rows(x).data, cera.latent_rows(x).data)
+    assert np.array_equal(lora.latent_rows(x).data, x.data @ st_.w_up.data.T)
 
 
 def test_lora_rejects_scale_s():
@@ -337,13 +334,14 @@ def test_adapter_latent_capture_is_pre_dropout():
     cfg = AdapterConfig(kind="cera", r=4, dropout_p=0.9)
     adapter = Adapter.init(cfg, 6, 8, rng.child(0))
     x = Tensor(rng.normal((3, 8)))
-    sink: list = []
     mask = tensor_mod.dropout_mask((3, 4), 0.9, rng.child(1))
-    adapter.delta_rows(x, latent_sink=sink, mask=mask)
-    lat = sink[0]
+    lat = adapter.latent_rows(x)
     expected = x.data @ adapter.state.w_up.data.T
     expected = expected / (1.0 + np.exp(-expected))  # silu
-    assert np.allclose(lat, expected)  # no dropout zeros in the captured latent
+    assert np.allclose(lat.data, expected)  # no dropout zeros in the latent
+    # the delta drops out exactly these rows
+    dropped = tensor_mod.linear(tensor_mod.dropout(lat, mask), adapter.state.w_down)
+    assert np.array_equal(adapter.delta_rows(x, mask).data, dropped.data)
 
 
 @settings(max_examples=25, deadline=None)

@@ -1,9 +1,19 @@
 import json
+import types
+import typing
+from pathlib import Path
+
+import pytest
 
 from ceralab.cli import main
+from ceralab.errors import ConfigError, DictConfig
 from ceralab.experiments import ExperimentConfig, MethodSpec
 from ceralab.model import ModelConfig
 from ceralab.trainer import TrainConfig
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SHIPPED = ("ceiling_sweep.json", "ablation.json", "trajectory_sweep.json")
 
 
 def write_config(tmp_path, **kw):
@@ -121,3 +131,118 @@ def test_jobs_flag_parallel_runs(tmp_path):
     assert main(["sweep", "--config", str(path), "--jobs", "2"]) == 0
     lines = (tmp_path / "out" / "results.csv").read_text().splitlines()
     assert len(lines) == 5
+
+
+def assert_config_error(argv, capsys):
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and "Traceback" not in err
+
+
+def test_seeds_and_ranks_are_checked_after_every_override(tmp_path, capsys):
+    path, cfg = write_config(tmp_path)
+    for override in ("1,1", "-3"):
+        assert_config_error(["sweep", "--config", str(path),
+                             "--seed-override", override], capsys)
+    repeated, negative = cfg.to_dict(), cfg.to_dict()
+    repeated["ranks"] = [4, 4]
+    negative["seeds"] = [-1]
+    for d in (repeated, negative):
+        path.write_text(json.dumps(d))
+        assert_config_error(["sweep", "--config", str(path)], capsys)
+    assert not (tmp_path / "out").exists()  # no run started
+
+
+def test_output_delta_of_mixed_widths_exits_two(tmp_path, capsys):
+    # Wq is 16 wide and Wv 8: the sweep scores latent_H, and a report over
+    # output_delta_D is refused, not a traceback
+    cfg = ExperimentConfig(
+        task_id="logistic_trajectories",
+        methods=[MethodSpec(name="cera", kind="cera", targets=("Wq", "Wv"))],
+        ranks=[2], seeds=[1],
+        model=ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1,
+                          vocab_size=12, max_seq_len=64, v_out_dim=8),
+        train=TrainConfig(steps=2, batch_size=2),
+        outputs_dir=str(tmp_path / "out"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg.to_dict()))
+    assert main(["sweep", "--config", str(path)]) == 0
+    rid = next(p.stem for p in (tmp_path / "out" / "records").glob("*.json")
+               if not p.name.endswith(".adapters.json"))
+    assert_config_error(["spectral", "--config", str(path), "--run-id", rid,
+                         "--source", "output_delta_D"], capsys)
+    path.write_text(json.dumps(dict(cfg.to_dict(), spectral_source="output_delta_D")))
+    assert_config_error(["sweep", "--config", str(path)], capsys)
+
+
+def test_malformed_plot_input_exits_two(tmp_path, capsys):
+    good = {"label": "demo", "xs": [1, 2], "ys": [3, 4]}
+    src, out = tmp_path / "series.json", tmp_path / "demo.svg"
+    for payload in ({"series": [dict(good, colour="red")]},
+                    {"series": [{"label": "demo", "xs": [1, 2]}]},
+                    {"series": [good], "axes": {"titel": "x"}},
+                    {"series": 5},
+                    [good],
+                    {"axes": {}},
+                    {"series": [dict(good, ys="34")]}):
+        src.write_text(json.dumps(payload))
+        assert_config_error(["plot", "--input", str(src), "--out", str(out)], capsys)
+    assert not out.exists()
+
+
+def wrong_values(hint, optional):
+    """JSON values of a type that `hint` does not take."""
+    if typing.get_origin(hint) in (list, tuple):
+        wrong = [True, "x", 1.5, {}]
+    else:
+        wrong = {int: [True, "x", 1.5, [1], {}], float: [True, "x", [1], {}],
+                 str: [True, 1.5, [1], {}]}[hint]
+    return wrong if optional else wrong + [None]
+
+
+def leaf_fields(cls, d, path=()):
+    """(path, hint, optional) of every leaf field of the config dict `d` of
+    type `cls`; a list of plain values is a leaf, and so is each item."""
+    hints = typing.get_type_hints(cls)
+    for key, value in d.items():
+        hint, optional = hints[key], isinstance(hints[key], types.UnionType)
+        if optional:
+            (hint,) = [a for a in typing.get_args(hint) if a is not type(None)]
+        item = (typing.get_args(hint) or (None,))[0]
+        if isinstance(hint, type) and issubclass(hint, DictConfig):
+            yield from leaf_fields(hint, value, path + (key,))
+        elif isinstance(item, type) and issubclass(item, DictConfig):
+            for i, v in enumerate(value):
+                yield from leaf_fields(item, v, path + (key, i))
+        else:
+            yield path + (key,), hint, optional
+            for i in range(len(value) if isinstance(value, list) else 0):
+                yield path + (key, i), item, False
+
+
+def shipped_leaves():
+    for name in SHIPPED:
+        d = json.loads(json.dumps(ExperimentConfig.load(CONFIG_DIR / name).to_dict()))
+        for path, hint, optional in leaf_fields(ExperimentConfig, d):
+            yield pytest.param(name, d, path, wrong_values(hint, optional),
+                               id=f"{name}:{'.'.join(map(str, path))}")
+
+
+@pytest.mark.parametrize("name,base,path,wrong", shipped_leaves())
+def test_a_wrongly_typed_shipped_value_is_a_config_error(tmp_path, capsys, name,
+                                                         base, path, wrong):
+    for i, value in enumerate(wrong):
+        d = json.loads(json.dumps(base))
+        *parents, key = path
+        node = d
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(d)
+        if i == 0:  # one case per field through the command line
+            bad = tmp_path / name
+            bad.write_text(json.dumps(d))
+            assert_config_error(["sweep", "--config", str(bad),
+                                 "--out", str(tmp_path / "out")], capsys)

@@ -88,6 +88,52 @@ def test_config_validation():
                                      MethodSpec(name="x", kind="lora")])
 
 
+def test_repeated_or_negative_seeds_and_ranks_are_config_errors():
+    # one run id run twice would write two rows to results.csv
+    for kw, match in ((dict(ranks=(4, 4)), "ranks must be unique"),
+                      (dict(seeds=(1, 2, 1)), "seeds must be unique"),
+                      (dict(seeds=(-1,)), "seeds must be >= 0")):
+        with pytest.raises(ConfigError, match=match):
+            small_config("out", **kw)
+
+
+def test_output_delta_needs_one_output_width():
+    # the shipped trajectory model: Wq is 64 wide and Wv 32
+    d = json.loads((CONFIG_DIR / "trajectory_sweep.json").read_text())
+    ExperimentConfig.from_dict(d)
+    d["spectral_source"] = "output_delta_D"
+    with pytest.raises(ConfigError, match="widths"):
+        ExperimentConfig.from_dict(d)
+    for m in d["methods"]:
+        m["targets"] = ["Wv"]
+    ExperimentConfig.from_dict(d)
+
+
+def test_config_values_are_checked_against_their_type_hints():
+    base = json.loads(json.dumps(small_config("out").to_dict()))
+    for path, value in ((("seeds",), ["1"]), (("methods", 0, "dropout_p"), "0.1"),
+                        (("train", "grad_clip"), "1"), (("ranks",), [4.0]),
+                        (("train", "steps"), True), (("model", "d_model"), None),
+                        (("methods", 0, "targets"), "Wv")):
+        d = json.loads(json.dumps(base))
+        *parents, key = path
+        node = d
+        for part in parents:
+            node = node[part]
+        node[key] = value
+        with pytest.raises(ConfigError, match=str(key)):
+            ExperimentConfig.from_dict(d)
+    # an int is a valid float, None fits an optional field, and a tuple or
+    # a JSON array fits a list or tuple field
+    d = json.loads(json.dumps(base))
+    d["train"].update(lr_max=1, grad_clip=None)
+    d["methods"][0]["alpha"] = 2
+    d["ranks"] = (4, 8)
+    cfg = ExperimentConfig.from_dict(d)
+    assert cfg.train.lr_max == 1 and cfg.train.grad_clip is None
+    assert cfg.ranks == [4, 8] and cfg.methods[0].targets == ("Wv",)
+
+
 @pytest.mark.parametrize("config,method,rank,seed,run_id", [
     ("ceiling_sweep.json", "cera", 4, 1, "ed07c47ac0afa165"),
     ("ceiling_sweep.json", "lora", 64, 3, "a9998db03ba67e38"),

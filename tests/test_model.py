@@ -84,16 +84,22 @@ def test_causality():
 
 
 def test_attention_rows_sum_to_one():
+    # the model's first-layer queries and keys; with v an identity stack
+    # (d = S) the attention output is the weight matrix itself
     bb = tiny_model(8)
-    trace = {}
-    lm_logits(bb, [[3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8],
-                   [1, 4, 1, 4, 2, 1, 3, 5]], trace=trace)
-    assert len(trace["attention"]) == TINY.n_layers
-    for attn in trace["attention"]:
-        assert attn.shape == (3, TINY.n_heads, 8, 8)
-        assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-12
-        later = np.triu_indices(8, k=1)  # causal: no weight on later positions
-        assert np.all(attn[..., later[0], later[1]] == 0.0)
+    ids = np.array([[3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8],
+                    [1, 4, 1, 4, 2, 1, 3, 5]])
+    ws = bb.layers[0]
+    x = Tensor((bb.tok_emb.data[ids] + bb.pos_emb.data[:8]).reshape(24, TINY.d_model))
+    xn = T.layer_norm(x, ws["ln1_g"], ws["ln1_b"])
+    q, k = (T.split_heads(T.linear(xn, ws[w]), TINY.n_heads, 8) for w in ("Wq", "Wk"))
+    eye = np.broadcast_to(np.eye(8), (3, TINY.n_heads, 8, 8))
+    attn = T.causal_attention(q, k, eye, 1.0 / np.sqrt(TINY.d_head)).data
+    assert attn.shape == (3, TINY.n_heads, 8, 8)
+    assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-12
+    later = np.triu_indices(8, k=1)  # causal: no weight on later positions
+    assert np.all(attn[..., later[0], later[1]] == 0.0)
+    assert np.all(attn[..., np.arange(8), np.arange(8)] > 0.0)
 
 
 def test_injection_neutrality_bit_identical():
@@ -241,6 +247,82 @@ def test_collect_latents_requires_adapter():
     bb = tiny_model(20)
     with pytest.raises(ConfigError):
         collect_latents(bb, [[1, 2, 3]])
+
+
+SQUARE = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=2, vocab_size=11,
+                     max_seq_len=8, v_out_dim=16)  # every adapter 16 wide
+
+
+def adapted_backbone(cfg, placements, seed=30):
+    """A backbone with trained-looking (non-zero w_down) adapters, r=3,
+    at each (layer, kind, target) placement."""
+    bb = build_model(cfg, seed)
+    rng = RngState(seed + 1)
+    for layer, kind, target in placements:
+        adapter = Adapter.init(AdapterConfig(kind=kind, r=3),
+                               *adapter_shape(cfg, target), rng.child(len(bb.adapters)))
+        adapter.state.w_down.data[:] = rng.normal(adapter.state.w_down.shape)
+        inject(bb, layer, target, adapter)
+    return bb
+
+
+def stacked(bb, reads, which):
+    """Each adapter's latent or delta rows over the rows its layer reads,
+    stacked in (layer, target) order."""
+    return np.concatenate([
+        (a.latent_rows(reads[layer]) if which == "latent_H"
+         else a.delta_rows(reads[layer])).data
+        for (layer, _), a in sorted(bb.adapters.items())])
+
+
+def test_collect_latents_is_each_adapter_on_the_rows_it_reads(monkeypatch):
+    # language model: an adapter of layer l reads that layer's first layer
+    # norm, seen here by recording every layer norm of a forward pass
+    bb = adapted_backbone(SQUARE, [(layer, kind, target) for layer in (0, 1)
+                                   for kind, target in (("cera", "Wq"), ("lora", "Wv"),
+                                                        ("parallel_module", "attn_block"))])
+    seqs = [[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [0, 9, 0, 9, 0, 9]]
+    norms, layer_norm = [], T.layer_norm
+
+    def recording(x, gain, bias):
+        out = layer_norm(x, gain, bias)
+        norms.append((gain, out))
+        return out
+
+    monkeypatch.setattr(T, "layer_norm", recording)
+    forward(bb, seqs)
+    monkeypatch.undo()
+    reads = [next(out for gain, out in norms if gain is ws["ln1_g"]) for ws in bb.layers]
+
+    def no_forward(*args, **kw):
+        raise AssertionError("collect_latents ran a forward pass")
+
+    for name in ("forward", "lm_logits", "regressor_output", "regressor_frozen"):
+        monkeypatch.setattr(model_mod, name, no_forward)
+    for which in ("latent_H", "output_delta_D"):
+        got = collect_latents(bb, seqs, which).data
+        assert got.shape[0] == 6 * 18
+        assert np.array_equal(got, stacked(bb, reads, which))
+    # regressor: every adapter reads the features
+    reg_cfg = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1, vocab_size=4,
+                          max_seq_len=8, v_out_dim=16, mode="regressor")
+    reg = adapted_backbone(reg_cfg, [(0, "cera", "Wv"), (0, "parallel_module", "attn_block")])
+    x = RngState(32).normal((10, 16))
+    for which in ("latent_H", "output_delta_D"):
+        got = collect_latents(reg, x, which).data
+        assert np.array_equal(got, stacked(reg, [Tensor(x)], which))
+    with pytest.raises(ShapeError):
+        collect_latents(reg, x[:, :8])
+
+
+def test_output_delta_of_mixed_widths_is_a_config_error():
+    # TINY's Wq is 16 wide and its Wv 8: their latents stack, their deltas not
+    bb = tiny_model(33)
+    inject_cera(bb, "Wq", seed=6)
+    inject_cera(bb, "Wv")
+    assert collect_latents(bb, [[1, 2, 3, 4]], "latent_H").shape == (8, 3)
+    with pytest.raises(ConfigError, match="mixed widths"):
+        collect_latents(bb, [[1, 2, 3, 4]], "output_delta_D")
 
 
 def test_lora_delta_rank_bound():

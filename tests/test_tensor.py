@@ -235,15 +235,16 @@ def test_causal_attention_is_bit_for_bit_the_op_chain():
     b, h, s, d = 3, 4, 7, 5
     q, k, v = (Tensor(rng.normal((b, h, s, d)), requires_grad=True) for _ in range(3))
     w = rng.normal((b * s, h * d))
-    sink = []
-    out = causal_attention(q, k, v, 1.0 / np.sqrt(d), sink)
+    out = causal_attention(q, k, v, 1.0 / np.sqrt(d))
     # the gradient reaches the op as merge_heads' strided view, as in the model
     backward(tsum(T.merge_heads(out) * w))
     g = w.reshape(b, s, h, d).transpose(0, 2, 1, 3)
     want_out, want_attn, gq, gk, gv = _attention_chain(q.data, k.data, v.data,
                                                        1.0 / np.sqrt(d), g)
     assert np.array_equal(out.data, want_out)
-    assert len(sink) == 1 and np.array_equal(sink[0], want_attn)
+    # with v an identity stack (d = S) the output is the weight matrix itself
+    eye = np.broadcast_to(np.eye(s), (b, h, s, s))
+    assert np.array_equal(causal_attention(q, k, eye, 1.0 / np.sqrt(d)).data, want_attn)
     for t, want in ((q, gq), (k, gk), (v, gv)):
         assert np.array_equal(t.grad, want)
 
