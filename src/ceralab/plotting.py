@@ -10,10 +10,12 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .errors import DictConfig, DomainError
+from .errors import ConfigError, DictConfig, DomainError
 
 PALETTE = ("#1f6fb2", "#d1495b", "#3a9e5f", "#8a5fbf", "#c98a1e", "#4a4a4a")
 LOG_FLOOR_RATIO = 0.1  # non-positive values clamp to min_positive * this
+SCALES = ("linear", "log")
+LEFT, RIGHT, TOP, BOTTOM = 62, 18, 34, 46  # plot margins, in pixels
 
 
 @dataclass
@@ -23,6 +25,13 @@ class Series(DictConfig):
     ys: list[float]
     y_lo: list[float] | None = None
     y_hi: list[float] | None = None
+
+    def __post_init__(self):
+        for name in ("y_lo", "y_hi"):
+            band = getattr(self, name)
+            if band is not None and len(band) != len(self.xs):
+                raise ConfigError(f"series {self.label!r}: {name} has {len(band)} "
+                                  f"values for {len(self.xs)} points")
 
 
 @dataclass
@@ -34,6 +43,16 @@ class AxesSpec(DictConfig):
     yscale: str = "linear"
     width: int = 640
     height: int = 420
+
+    def __post_init__(self):
+        for name in ("xscale", "yscale"):
+            if getattr(self, name) not in SCALES:
+                raise ConfigError(f"{name} must be one of {SCALES}, "
+                                  f"got {getattr(self, name)!r}")
+        if self.width <= LEFT + RIGHT or self.height <= TOP + BOTTOM:
+            raise ConfigError(f"a {self.width}x{self.height} plot cannot hold its "
+                              f"margins: need width > {LEFT + RIGHT} and "
+                              f"height > {TOP + BOTTOM}")
 
 
 @dataclass
@@ -126,9 +145,9 @@ def emit_plot(series: list[Series], axes: AxesSpec, path) -> None:
 
     x0, x1 = bounds(xs_all, axes.xscale)
     y0, y1 = bounds(ys_all, axes.yscale)
-    left, right, top, bottom = 62, 18, 34, 46
-    pw = axes.width - left - right
-    ph = axes.height - top - bottom
+    left, top = LEFT, TOP
+    pw = axes.width - LEFT - RIGHT
+    ph = axes.height - TOP - BOTTOM
 
     def sx(v):
         if axes.xscale == "log":

@@ -41,6 +41,15 @@ class TrainConfig(DictConfig):
             raise ConfigError("steps must be >= 0 and batch_size >= 1")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ConfigError("betas must lie in [0, 1)")
+        # Adam divides by sqrt(v) + eps, and w_up's first gradient is exactly
+        # zero (w_down starts at zero), so eps = 0 gives 0/0 at step 1
+        if not self.eps > 0.0:
+            raise ConfigError(f"eps must be > 0, got {self.eps}")
+        if not self.weight_decay >= 0.0:
+            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.grad_clip is not None and not self.grad_clip > 0.0:
+            raise ConfigError(f"grad_clip must be > 0 (null switches clipping off), "
+                              f"got {self.grad_clip}")
 
 
 @dataclass
@@ -121,7 +130,7 @@ def clip_global_norm(grads: list[np.ndarray], clip: float | None) -> float:
     the norm before clipping. A clipped entry of `grads` is replaced by a new
     array, never scaled in place: two entries may be one shared array."""
     norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
-    if clip is not None and norm > clip > 0.0:
+    if clip is not None and norm > clip:
         scale = clip / norm
         grads[:] = [g * scale for g in grads]
     return norm

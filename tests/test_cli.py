@@ -116,6 +116,18 @@ def test_logistic_cli(capsys):
     assert main(["logistic", "--r", "9.9"]) == 2
 
 
+@pytest.mark.parametrize("key,value", [
+    ("grad_clip", 0.0), ("grad_clip", -1.0), ("eps", 0.0), ("eps", -1e-8),
+    ("weight_decay", -0.01)])
+def test_train_values_that_break_training_exit_two(tmp_path, capsys, key, value):
+    path, cfg = write_config(tmp_path)
+    d = cfg.to_dict()
+    d["train"][key] = value
+    path.write_text(json.dumps(d))
+    assert_config_error(["sweep", "--config", str(path)], capsys)
+    assert not (tmp_path / "out").exists()
+
+
 def test_plot_cli(tmp_path):
     payload = {"series": [{"label": "demo", "xs": [1, 2, 4], "ys": [3, 2, 1]}],
                "axes": {"title": "demo", "xscale": "log"}}
@@ -185,7 +197,10 @@ def test_malformed_plot_input_exits_two(tmp_path, capsys):
                     {"series": 5},
                     [good],
                     {"axes": {}},
-                    {"series": [dict(good, ys="34")]}):
+                    {"series": [dict(good, ys="34")]},
+                    {"series": [good], "axes": {"xscale": "logarithmic"}},
+                    {"series": [good], "axes": {"width": -5}},
+                    {"series": [dict(good, y_lo=[1], y_hi=[4, 5])]}):
         src.write_text(json.dumps(payload))
         assert_config_error(["plot", "--input", str(src), "--out", str(out)], capsys)
     assert not out.exists()

@@ -1,6 +1,6 @@
 import pytest
 
-from ceralab.errors import DomainError
+from ceralab.errors import ConfigError, DomainError
 from ceralab.plotting import AxesSpec, Series, emit_plot
 
 
@@ -43,6 +43,26 @@ def test_mismatched_lengths_rejected(tmp_path):
     with pytest.raises(DomainError):
         emit_plot([Series(label="bad", xs=[1, 2], ys=[1.0])],
                   AxesSpec(), tmp_path / "no.svg")
+
+
+def test_specs_that_would_render_wrong_are_config_errors():
+    # an unknown scale used to be drawn as linear
+    for scale in ("logarithmic", "Log", ""):
+        with pytest.raises(ConfigError, match="xscale"):
+            AxesSpec(xscale=scale)
+        with pytest.raises(ConfigError, match="yscale"):
+            AxesSpec(yscale=scale)
+    # a size that cannot hold the margins used to write width="-5"
+    for size in ({"width": -5}, {"width": 80}, {"height": 0}, {"height": 80}):
+        with pytest.raises(ConfigError, match="margins"):
+            AxesSpec(**size)
+    AxesSpec(width=81, height=81)
+    # an error band needs one value per point
+    with pytest.raises(ConfigError, match="y_lo has 1 values for 3 points"):
+        Series(label="s", xs=[1, 2, 3], ys=[1, 2, 3], y_lo=[0.5])
+    with pytest.raises(ConfigError, match="y_hi has 4 values for 3 points"):
+        Series(label="s", xs=[1, 2, 3], ys=[1, 2, 3], y_hi=[1, 2, 3, 4])
+    Series(label="s", xs=[1, 2, 3], ys=[1, 2, 3], y_lo=[0, 1, 2], y_hi=[2, 3, 4])
 
 
 def test_labels_and_legend_present(tmp_path):

@@ -66,6 +66,19 @@ def test_adamw_decoupled_decay_shrinks():
     assert p.data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), rel=1e-12)
 
 
+def test_train_config_rejects_values_that_break_training():
+    # grad_clip <= 0 never clipped, eps = 0 divided 0 by 0 at step 1 (w_up's
+    # first gradient is zero), and a negative decay grew the weights
+    for kw in ({"grad_clip": 0.0}, {"grad_clip": -1.0}, {"eps": 0.0},
+               {"eps": -1e-8}, {"eps": float("nan")}, {"weight_decay": -0.01}):
+        key = next(iter(kw))
+        with pytest.raises(ConfigError, match=key):
+            TrainConfig(**kw)
+    # null is the way to switch clipping off; the shipped values load
+    TrainConfig(grad_clip=None, weight_decay=0.0)
+    TrainConfig(grad_clip=1.0, eps=1e-8, weight_decay=0.01)
+
+
 def test_clip_global_norm():
     grads = [np.array([3.0]), np.array([4.0])]
     norm = clip_global_norm(grads, 1.0)
