@@ -11,6 +11,7 @@ an exact no-op.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,10 @@ class AdapterConfig:
             raise ConfigError(f"unknown adapter kind {self.kind!r}")
         if self.r < 1:
             raise ConfigError(f"rank must be >= 1, got {self.r}")
+        for name in ("alpha", "scale_s", "init_gain"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.kind == "lora" and self.activation not in (None, "identity"):
             raise ConfigError("lora is linear; its activation must stay 'identity'")
         if self.kind == "lora" and self.scale_s is not None:

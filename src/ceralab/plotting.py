@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from xml.sax.saxutils import escape
 
 from .errors import ConfigError, DictConfig, DomainError
 
@@ -32,6 +33,9 @@ class Series(DictConfig):
             if band is not None and len(band) != len(self.xs):
                 raise ConfigError(f"series {self.label!r}: {name} has {len(band)} "
                                   f"values for {len(self.xs)} points")
+        if (self.y_lo is None) != (self.y_hi is None):
+            raise ConfigError(f"series {self.label!r}: an error band needs both "
+                              f"y_lo and y_hi, or neither")
 
 
 @dataclass
@@ -171,7 +175,7 @@ def emit_plot(series: list[Series], axes: AxesSpec, path) -> None:
     ]
     if axes.title:
         parts.append(f'<text x="{axes.width / 2:.1f}" y="20" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="14">{axes.title}</text>')
+                     f'font-family="sans-serif" font-size="14">{escape(axes.title)}</text>')
     for t in xticks:
         x = sx(t)
         parts.append(f'<line x1="{_fmt(x)}" y1="{top + ph}" x2="{_fmt(x)}" '
@@ -187,12 +191,12 @@ def emit_plot(series: list[Series], axes: AxesSpec, path) -> None:
     if axes.xlabel:
         parts.append(f'<text x="{left + pw / 2:.1f}" y="{axes.height - 8}" '
                      'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="12">{axes.xlabel}</text>')
+                     f'font-size="12">{escape(axes.xlabel)}</text>')
     if axes.ylabel:
         cy = top + ph / 2
         parts.append(f'<text x="14" y="{cy:.1f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="12" '
-                     f'transform="rotate(-90 14 {cy:.1f})">{axes.ylabel}</text>')
+                     f'transform="rotate(-90 14 {cy:.1f})">{escape(axes.ylabel)}</text>')
 
     for i, (label, xs, ys, lo, hi) in enumerate(prepped):
         color = PALETTE[i % len(PALETTE)]
@@ -213,7 +217,7 @@ def emit_plot(series: list[Series], axes: AxesSpec, path) -> None:
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx + 23}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="11">{label}</text>')
+                     f'font-size="11">{escape(label)}</text>')
     parts.append("</svg>")
     with open(path, "wb") as fh:
         fh.write("\n".join(parts).encode("utf-8"))

@@ -1,7 +1,8 @@
 """Dense float64 tensors with tape-based reverse-mode autodiff.
 
-Deliberately small: 2-d matrix algebra, elementwise activations, dropout,
-reductions, and the few structural ops a tiny transformer needs to run a
+Deliberately small: only the ops the program runs. A row-times-weight
+product, elementwise add and scale, the activations, dropout, layer norm,
+two losses, and the few structural ops a tiny transformer needs to run a
 whole batch at once: head split/merge between (B*S, H*d) rows and a
 (B, H, S, d) layout, and causal attention over that layout as one op.
 Values are row-major numpy arrays; the tape is the implicit graph of parent
@@ -75,7 +76,8 @@ class Tensor:
     """A dense float64 array plus an optional gradient buffer.
 
     Ops on tensors record parent links and a backward closure when any
-    input requires grad; `backward` on a scalar result replays them.
+    input requires grad; the module's `backward` on a scalar result replays
+    them.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
@@ -103,17 +105,11 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
     def zero_grad(self) -> None:
         self.grad = None
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
@@ -124,28 +120,13 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_wrap(other, self), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return powi(self, p)
-
-
-def _wrap(x, like: Tensor | None = None) -> Tensor:
+def _wrap(x) -> Tensor:
     if isinstance(x, Tensor):
         return x
     return Tensor(np.asarray(x, dtype=np.float64))
@@ -214,29 +195,12 @@ def backward(loss: Tensor) -> None:
 # arithmetic
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2-d tensors.
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """Rows-times-weight product: x (n,k) @ w (d,k).T -> (n,d).
 
     Backward forms the gradient product of an operand only if it requires
-    grad; the same holds for `linear`, `add`, `mul`, `sub`, `mse` and
-    `causal_attention`.
+    grad; the same holds for `add`, `mul`, `mse` and `causal_attention`.
     """
-    a, b = _wrap(a), _wrap(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shapes {a.shape} x {b.shape} do not agree")
-    data = a.data @ b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
-
-    return _node(data, (a, b), bwd, "matmul")
-
-
-def linear(x: Tensor, w: Tensor) -> Tensor:
-    """Rows-times-weight product: x (n,k) @ w (d,k).T -> (n,d)."""
     x, w = _wrap(x), _wrap(w)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
         raise ShapeError(f"linear shapes {x.shape} x {w.shape}.T do not agree")
@@ -280,21 +244,6 @@ def add(a: Tensor, b) -> Tensor:
     return _node(data, (a, b), bwd, "add")
 
 
-def sub(a: Tensor, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    try:
-        data = a.data - b.data
-    except ValueError as exc:
-        raise ShapeError(f"sub shapes {a.shape} - {b.shape}") from exc
-
-    def bwd(g):
-        _accum(a, _broadcast_bwd(a, g))
-        if b.requires_grad:
-            _accum(b, _broadcast_bwd(b, -g))
-
-    return _node(data, (a, b), bwd, "sub")
-
-
 def mul(a: Tensor, b) -> Tensor:
     a, b = _wrap(a), _wrap(b)
     try:
@@ -309,29 +258,6 @@ def mul(a: Tensor, b) -> Tensor:
             _accum(b, _broadcast_bwd(b, g * a.data))
 
     return _node(data, (a, b), bwd, "mul")
-
-
-def neg(a: Tensor) -> Tensor:
-    a = _wrap(a)
-
-    def bwd(g):
-        _accum(a, -g)
-
-    return _node(-a.data, (a,), bwd, "neg")
-
-
-def powi(a: Tensor, p: float) -> Tensor:
-    a = _wrap(a)
-    data = a.data ** p
-
-    def bwd(g):
-        _accum(a, g * p * a.data ** (p - 1))
-
-    return _node(data, (a,), bwd, "pow")
-
-
-def square(a: Tensor) -> Tensor:
-    return powi(a, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -399,36 +325,12 @@ def dropout(x: Tensor, mask: np.ndarray) -> Tensor:
     return _node(data, (x,), bwd, "dropout")
 
 
-# ---------------------------------------------------------------------------
-# reductions
-
-
-def tsum(x: Tensor) -> Tensor:
-    x = _wrap(x)
-    data = np.asarray(x.data.sum())
-
-    def bwd(g):
-        _accum(x, np.broadcast_to(g, x.shape).copy())
-
-    return _node(data, (x,), bwd, "sum")
-
-
-def tmean(x: Tensor) -> Tensor:
-    x = _wrap(x)
-    n = x.size
-    data = np.asarray(x.data.mean())
-
-    def bwd(g):
-        _accum(x, np.broadcast_to(g / n, x.shape).copy())
-
-    return _node(data, (x,), bwd, "mean")
-
-
 def mse(pred: Tensor, target) -> Tensor:
     """Mean over all elements of squared error against a constant target.
 
-    One node with the ops and their order of `tmean(square(sub(...)))`, so
-    the loss and its gradient are bit for bit those of that chain.
+    The ops keep one order: the difference d = pred - target, then
+    mean(d ** 2.0) forward and (g / n * 2.0) * d backward, which pins the
+    loss and its gradient bit for bit across versions.
     """
     pred, target = _wrap(pred), _wrap(target)
     try:

@@ -25,6 +25,11 @@ def make_cera(r=4, d=6, k=8, seed=0, **kw):
     return cfg, init_adapter(cfg, d, k, RngState(seed))
 
 
+def total(t):
+    """The sum of every entry as tape ops: a row of ones times t's entries."""
+    return tensor_mod.linear(tensor_mod.reshape(t, (1, t.size)), Tensor(np.ones((1, t.size))))
+
+
 def adapted(x, w0, st_, cfg, **kw):
     """W0 x plus the adapter's delta, for a batch of rows."""
     return tensor_mod.linear(x, w0) + Adapter(cfg, st_).delta_rows(x, **kw)
@@ -277,6 +282,15 @@ def test_config_validation():
         AdapterConfig(kind="cera", r=4, dropout_p=1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["alpha", "scale_s", "init_gain"])
+def test_config_rejects_a_non_finite_scale(field, value):
+    # a non-finite scale loaded, then failed every run with an overflow or a
+    # diverged loss
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        AdapterConfig(kind="cera", r=4, **{field: value})
+
+
 def test_config_defaults_by_kind():
     lora = AdapterConfig(kind="lora", r=8)
     cera = AdapterConfig(kind="cera", r=8)
@@ -318,13 +332,13 @@ def test_cera_forward_gradient_matches_finite_differences():
     x0 = Tensor(rng.uniform(-2, 2, (1, 7)))
 
     def through_input(probe):
-        return tensor_mod.tsum(adapted(probe, w0, st_, cfg))
+        return total(adapted(probe, w0, st_, cfg))
 
     assert tensor_mod.finite_difference_check(through_input, x0, 1e-6) < 1e-5
 
     def through_up(probe):
         st_.w_up = probe
-        return tensor_mod.tsum(adapted(x0, w0, st_, cfg))
+        return total(adapted(x0, w0, st_, cfg))
 
     assert tensor_mod.finite_difference_check(through_up, st_.w_up, 1e-6) < 1e-5
 

@@ -13,9 +13,6 @@ PACKAGE = ROOT / "src" / "ceralab"
 
 # public names that only tests call, each with the reason tests need it
 TEST_REFERENCES = {
-    "tsum": "reducer of the per-op gradient checks",
-    "tmean": "mse's reference chain tmean(square(sub(...))) and test reducers",
-    "square": "mse's reference chain tmean(square(sub(...)))",
     "finite_difference_check": "the gradient gate of the test suite",
     "measure_throughput": "acceptance criterion 11's latency ratio",
     "logistic_map": "the exact map the printed table is checked against",
@@ -103,3 +100,59 @@ def test_test_references_are_current():
         assert called_name(name) not in used, \
             f"{name} has a program caller; drop it from the list"
         assert called_name(name) in tests, f"no test uses {name}"
+
+
+def node_op_names() -> set[str]:
+    """Every op name `tensor.py` hands to `_node`, read from its source."""
+    names = set()
+    for node in ast.walk(ast.parse((PACKAGE / "tensor.py").read_text())):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_node":
+            assert isinstance(node.args[-1], ast.Constant), ast.unparse(node)
+            names.add(node.args[-1].value)
+    return names
+
+
+def test_every_tape_op_is_created_by_the_program(monkeypatch):
+    # an op census over tiny models: a dead op cannot hide behind an operator
+    # overload or a test, because only what these paths create counts
+    from ceralab import tensor as T
+    from ceralab.adapters import Adapter, AdapterConfig
+    from ceralab.model import (ModelConfig, adapter_shape, build_model,
+                               collect_latents, forward, inject)
+    from ceralab.tasks import Dataset, trajectory_sequences
+    from ceralab.trainer import TrainConfig, train_adapter
+
+    census = set()
+    node = T._node
+    monkeypatch.setattr(T, "_node", lambda data, parents, bwd, op: (
+        census.add(op), node(data, parents, bwd, op))[1])
+    train_cfg = TrainConfig(steps=2, batch_size=4)
+
+    def run(model_cfg, placements, train, test):
+        bb = build_model(model_cfg, 0)
+        for i, (layer, target, cfg) in enumerate(placements):
+            inject(bb, layer, target, Adapter.init(
+                cfg, *adapter_shape(model_cfg, target), T.RngState(1, i)))
+        train_adapter(bb, list(bb.adapters.values()), train, test, train_cfg)
+        for which in ("latent_H", "output_delta_D"):
+            collect_latents(bb, test.inputs, which)
+        forward(bb, test.inputs)
+
+    reg = ModelConfig(d_model=8, n_heads=2, d_head=4, n_layers=1, vocab_size=3,
+                      max_seq_len=4, v_out_dim=4, mode="regressor")
+    rng = T.RngState(2)
+    rows = Dataset(inputs=rng.normal((6, 8)), targets=rng.normal((6, 3)))
+    for target, cfg in (
+            ("Wv", AdapterConfig(kind="lora", r=2, alpha=4)),  # scale 2: a mul
+            ("Wv", AdapterConfig(kind="cera", r=2)),
+            ("Wv", AdapterConfig(kind="cera", r=2, activation="relu")),
+            ("attn_block", AdapterConfig(kind="parallel_module", r=2))):
+        run(reg, [(0, target, cfg)], rows, rows)
+    lm = ModelConfig(d_model=8, n_heads=2, d_head=4, n_layers=1, vocab_size=12,
+                     max_seq_len=48, v_out_dim=8)
+    train, test = trajectory_sequences(n_steps=5, count=5, seed=3)
+    run(lm, [(0, t, AdapterConfig(kind="cera", r=2)) for t in ("Wq", "Wv")],
+        train, test)
+
+    never = sorted(node_op_names() - census)
+    assert never == [], f"tape ops the program never creates: {never}"

@@ -52,16 +52,19 @@ def test_bad_config_exit_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
     assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
     # nested entries get the same checks as the top level, a wrongly typed
-    # value is a config error, and a regressor refuses a Wq adapter it would
-    # never read
+    # value is a config error, a regressor refuses a Wq adapter it would
+    # never read, and an adapter scale must be finite (JSON NaN, Infinity)
     _, cfg = write_config(tmp_path)
-    no_kind, not_object, null_model, wq, text = (cfg.to_dict() for _ in range(5))
+    no_kind, not_object, null_model, wq, text, nan_gain, inf_alpha = (
+        cfg.to_dict() for _ in range(7))
     del no_kind["methods"][0]["kind"]
     not_object["methods"] = ["lora"]
     null_model["model"] = None
     wq["methods"][0]["targets"] = ["Wq", "Wv"]
     text["train"]["steps"] = "5"
-    for d in (no_kind, not_object, null_model, wq, text):
+    nan_gain["methods"][0]["init_gain"] = float("nan")
+    inf_alpha["methods"][0]["alpha"] = float("inf")
+    for d in (no_kind, not_object, null_model, wq, text, nan_gain, inf_alpha):
         bad.write_text(json.dumps(d))
         capsys.readouterr()
         assert main(["sweep", "--config", str(bad)]) == 2

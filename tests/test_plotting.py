@@ -1,3 +1,5 @@
+from xml.dom import minidom
+
 import pytest
 
 from ceralab.errors import ConfigError, DomainError
@@ -63,6 +65,10 @@ def test_specs_that_would_render_wrong_are_config_errors():
     with pytest.raises(ConfigError, match="y_hi has 4 values for 3 points"):
         Series(label="s", xs=[1, 2, 3], ys=[1, 2, 3], y_hi=[1, 2, 3, 4])
     Series(label="s", xs=[1, 2, 3], ys=[1, 2, 3], y_lo=[0, 1, 2], y_hi=[2, 3, 4])
+    # one bound alone drew no band yet still widened the y-axis
+    for bound in ("y_lo", "y_hi"):
+        with pytest.raises(ConfigError, match="both y_lo and y_hi, or neither"):
+            Series(label="s", xs=[1, 2, 3], ys=[1, 2, 3], **{bound: [-10, 1, 2]})
 
 
 def test_labels_and_legend_present(tmp_path):
@@ -72,3 +78,13 @@ def test_labels_and_legend_present(tmp_path):
     text = path.read_text()
     for token in ("Title", "X", "Y", "alpha"):
         assert token in text
+
+
+def test_markup_characters_in_text_are_escaped(tmp_path):
+    path = tmp_path / "esc.svg"
+    emit_plot([Series(label="lora & cera <r=4>", xs=[1, 2], ys=[1, 2])],
+              AxesSpec(title="MSE < floor", xlabel="a & b", ylabel="x > 0"), path)
+    texts = [t.firstChild.data for t in
+             minidom.parse(str(path)).getElementsByTagName("text")]
+    for want in ("lora & cera <r=4>", "MSE < floor", "a & b", "x > 0"):
+        assert want in texts
