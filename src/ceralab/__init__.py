@@ -50,7 +50,7 @@ from .tasks import (Dataset, linear_floor, logistic_map, logistic_map_table,
                     make_teacher_task, nonlinear_teacher, trajectory_sequences)
 from .tensor import RngState, Tensor, backward, finite_difference_check
 from .trainer import (TrainConfig, TrainReport, adamw_step, cosine_lr,
-                      measure_throughput, perplexity, train_adapter)
+                      measure_throughput, train_adapter)
 
 __all__ = [
     "Adapter", "AdapterConfig", "AdapterState", "Dataset", "ExperimentConfig",
@@ -62,7 +62,7 @@ __all__ = [
     "energy_curve", "finite_difference_check", "forward", "init_adapter",
     "inject", "linear_floor", "logistic_map", "logistic_map_table",
     "make_teacher_task", "measure_throughput", "merge_linear",
-    "nonlinear_teacher", "param_count", "perplexity", "svd_values",
+    "nonlinear_teacher", "param_count", "svd_values",
     "train_adapter", "trajectory_sequences",
 ]
 __version__ = "0.1.0"

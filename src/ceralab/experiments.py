@@ -203,8 +203,7 @@ def make_run_config(cfg: ExperimentConfig, method: MethodSpec, rank: int,
 
 
 def _inject_method(backbone: FrozenBackbone, method: MethodSpec, rank: int,
-                   seed: int) -> list[Adapter]:
-    adapters = []
+                   seed: int) -> None:
     rng = RngState(seed, 9)
     for layer in range(backbone.cfg.n_layers):
         for i, target in enumerate(method.injection_targets()):
@@ -212,8 +211,6 @@ def _inject_method(backbone: FrozenBackbone, method: MethodSpec, rank: int,
             adapter = Adapter.init(acfg, *adapter_shape(backbone.cfg, target),
                                    rng.child(layer * 8 + i))
             inject(backbone, layer, target, adapter)
-            adapters.append(adapter)
-    return adapters
 
 
 def spectral_report(backbone: FrozenBackbone, inputs, source: str) -> SpectralReport:
@@ -255,24 +252,22 @@ def spectral_report(backbone: FrozenBackbone, inputs, source: str) -> SpectralRe
 
 
 def _build_run(run_config: dict) -> tuple[MethodSpec, TaskBundle,
-                                            FrozenBackbone, list[Adapter]]:
+                                            FrozenBackbone]:
     """A run's method, task bundle, and backbone with its freshly
     initialized adapters injected, as the run starts training."""
     method = MethodSpec.from_dict(run_config["method"])
     model = ModelConfig.from_dict(run_config["model"])
     bundle = build_task_bundle(run_config["task_id"], model)
     backbone = build_model(model, bundle.backbone_seed)
-    adapters = _inject_method(backbone, method, run_config["rank"],
-                              run_config["seed"])
-    return method, bundle, backbone, adapters
+    _inject_method(backbone, method, run_config["rank"], run_config["seed"])
+    return method, bundle, backbone
 
 
 def run_from_config(run_config: dict) -> tuple[dict, dict, dict]:
     """Execute one run; returns (record, adapter bundles, train report) dicts."""
     train_cfg = TrainConfig.from_dict(run_config["train"])
-    method, bundle, backbone, adapters = _build_run(run_config)
-    report = train_adapter(backbone, adapters, bundle.train, bundle.test,
-                           train_cfg)
+    method, bundle, backbone = _build_run(run_config)
+    report = train_adapter(backbone, bundle.train, bundle.test, train_cfg)
     spectrum = spectral_report(backbone, bundle.test.inputs,
                                run_config["spectral_source"])
     values = (run_id_of(run_config), method.name, run_config["rank"],
@@ -378,8 +373,16 @@ class GridOutcome:
         return 1 if self.failures else 0
 
 
-def _execute_grid(cfg: ExperimentConfig, grid: list[tuple[MethodSpec, int, int]],
-                  store: RunStore, jobs: int = 1) -> GridOutcome:
+def _execute_grid(cfg: ExperimentConfig, store: RunStore,
+                  jobs: int) -> GridOutcome:
+    """Run `cfg`'s methods x sorted ranks x sorted seeds on `jobs` processes,
+    reusing current cached records; failed runs, with their tracebacks, go to
+    run.log and failures.json, which a clean grid removes."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    grid = [(m, r, s) for m in cfg.methods for r in sorted(cfg.ranks)
+            for s in sorted(cfg.seeds)]
+    store.log(f"grid start: {len(grid)} runs over {cfg.task_id}")
     outcome = GridOutcome()
     pending = []
     for method, rank, seed in grid:
@@ -412,7 +415,7 @@ def _execute_grid(cfg: ExperimentConfig, grid: list[tuple[MethodSpec, int, int]]
 
     # crash isolation per run; in a worker's exception the traceback that
     # format_exc prints includes the worker's own, chained as its cause
-    if jobs <= 1 or len(pending) <= 1:
+    if jobs == 1 or len(pending) <= 1:
         for rid, run_config in pending:
             try:
                 finish(rid, run_config, result=run_from_config(run_config))
@@ -428,17 +431,14 @@ def _execute_grid(cfg: ExperimentConfig, grid: list[tuple[MethodSpec, int, int]]
                     finish(rid, rc, result=fut.result())
                 except Exception as exc:
                     finish(rid, rc, error=f"{exc}\n{traceback.format_exc()}")
-    return outcome
-
-
-def _write_failures(store: RunStore, failures: list[dict]) -> None:
-    """failures.json lists this grid's failed runs; a clean grid removes
-    the copy an earlier one left."""
-    path = store.root / "failures.json"
-    if failures:
-        _atomic_write_json(path, failures)
+    failures_path = store.root / "failures.json"
+    if outcome.failures:
+        _atomic_write_json(failures_path, outcome.failures)
     else:
-        path.unlink(missing_ok=True)
+        failures_path.unlink(missing_ok=True)
+    store.log(f"grid done: {len(outcome.records)} records, "
+              f"{len(outcome.failures)} failures")
+    return outcome
 
 
 def _metric_label(cfg: ExperimentConfig) -> str:
@@ -467,10 +467,7 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int = 1) -> GridOutcome:
     """Run the full grid; emit results.csv, per-run records, and plots."""
     store = RunStore(cfg.outputs_dir)
     bundle = build_task_bundle(cfg.task_id, cfg.model)  # validates early
-    grid = [(m, r, s) for m in cfg.methods for r in sorted(cfg.ranks)
-            for s in sorted(cfg.seeds)]
-    store.log(f"sweep start: {len(grid)} runs over {cfg.task_id}")
-    outcome = _execute_grid(cfg, grid, store, jobs)
+    outcome = _execute_grid(cfg, store, jobs)
     write_results_csv(outcome.records, store.root / "results.csv")
     if bundle.floor is not None:
         _atomic_write_json(store.root / "floor.json",
@@ -492,9 +489,6 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int = 1) -> GridOutcome:
                                       ylabel=f"effective rank ({cfg.spectral_source})",
                                       xscale="log"),
                   store.plots_dir / "er_vs_rank.svg")
-    _write_failures(store, outcome.failures)
-    store.log(f"sweep done: {len(outcome.records)} records, "
-              f"{len(outcome.failures)} failures")
     return outcome
 
 
@@ -515,22 +509,18 @@ def ablation_methods(base: MethodSpec) -> list[MethodSpec]:
 
 
 def cmd_ablate(cfg: ExperimentConfig, jobs: int = 1) -> GridOutcome:
-    """Run the five-variant grid at one fixed rank; emit a ranked table."""
-    if len(cfg.ranks) != 1:
-        raise ConfigError("the ablation runs at exactly one rank")
+    """Run the five variants of the config's one method at its one rank;
+    emit a ranked table."""
+    if len(cfg.methods) != 1 or len(cfg.ranks) != 1:
+        raise ConfigError(f"the ablation takes exactly one method and one rank, "
+                          f"got {len(cfg.methods)} methods and ranks {cfg.ranks}")
     store = RunStore(cfg.outputs_dir)
     build_task_bundle(cfg.task_id, cfg.model)
-    variants = ablation_methods(cfg.methods[0])
-    cfg_vars = replace(cfg, methods=variants)
-    grid = [(m, cfg.ranks[0], s) for m in variants for s in sorted(cfg.seeds)]
-    store.log(f"ablation start: {len(grid)} runs at rank {cfg.ranks[0]}")
-    outcome = _execute_grid(cfg_vars, grid, store, jobs)
+    variants = replace(cfg, methods=ablation_methods(cfg.methods[0]))
+    outcome = _execute_grid(variants, store, jobs)
     write_results_csv(outcome.records, store.root / "ablation.csv")
     ranked = ablation_table(outcome.records, cfg.ranks[0])
     _atomic_write_json(store.root / "ablation_table.json", ranked)
-    _write_failures(store, outcome.failures)
-    store.log(f"ablation done: {len(outcome.records)} records, "
-              f"{len(outcome.failures)} failures")
     return outcome
 
 
@@ -563,7 +553,7 @@ def cmd_spectral(cfg: ExperimentConfig, run_id: str,
         raise ConfigError(f"no record for run_id {run_id!r} in {store.records_dir}")
     run_config = stored["run_config"]
     bundles = json.loads(store.adapters_path(run_id).read_text())
-    method, task, backbone, _ = _build_run(run_config)
+    method, task, backbone = _build_run(run_config)
     for (layer, target), adapter in sorted(backbone.adapters.items()):
         state = AdapterState.from_bundle(bundles[f"{layer}:{target}"])
         adapter.state.w_up.data[:] = state.w_up.data

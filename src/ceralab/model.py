@@ -21,6 +21,9 @@ Two operating modes share one weight set:
 
 The value projection is allowed to be rectangular (v_out_dim < d_model),
 mirroring grouped-query-style asymmetry, and Wo folds it back.
+
+Adapter dropout runs exactly when a caller passes a random stream; only
+training does.
 """
 
 from __future__ import annotations
@@ -111,10 +114,8 @@ class FrozenBackbone:
         return h.hexdigest()
 
     def adapter_params(self) -> list[Tensor]:
-        out = []
-        for key in sorted(self.adapters):
-            out.extend(self.adapters[key].params)
-        return out
+        """Every adapter's parameters, in injection order."""
+        return [p for adapter in self.adapters.values() for p in adapter.params]
 
     def trainable_param_count(self) -> int:
         return sum(p.size for p in self.adapter_params())
@@ -195,19 +196,18 @@ def _proj(backbone: FrozenBackbone, layer: int, target: str, x_rows: Tensor,
 
 
 def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
-                   mode: str, rng: RngState | None) -> dict:
-    """Every adapter's dropout mask for a batch, as (n_seq*seq_len, r) rows.
+                   rng: RngState | None) -> dict:
+    """Every adapter's dropout mask for a batch, as (n_seq*seq_len, r) rows,
+    drawn from `rng`; without a stream there is no dropout and no mask.
 
-    The one place dropout is drawn, in both modes; the regressor counts its
-    n rows as one sequence. Masks are drawn sequence by sequence, then
-    layer by layer, then in injection-target order, so each sequence gets,
+    The one place dropout is drawn, for both model modes; the regressor
+    counts its n rows as one sequence. Masks are drawn sequence by sequence,
+    then layer by layer, then in injection-target order, so each sequence gets,
     bit for bit, the masks it would draw if run on its own. `channel` style
     draws one mask row per sequence, shared by its positions. Only the
-    adapters with p > 0 get a mask, and only in train mode.
+    adapters with p > 0 get a mask.
     """
-    if mode not in ("train", "eval"):
-        raise DomainError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval":
+    if rng is None:
         return {}
     keys = [(layer, target) for layer in range(backbone.cfg.n_layers)
             for target in INJECTION_TARGETS if (layer, target) in backbone.adapters
@@ -245,7 +245,7 @@ def _lm_block(backbone: FrozenBackbone, layer: int, x: Tensor, seq_len: int,
     return x + ff, xn
 
 
-def _lm_rows(backbone: FrozenBackbone, tokens, mode: str,
+def _lm_rows(backbone: FrozenBackbone, tokens,
              rng: RngState | None) -> tuple[Tensor, list[Tensor]]:
     """The last block's output rows (batch*seq x d) of a (batch, seq) token
     array, a 1-d sequence being a batch of one, and each layer's adapter
@@ -261,7 +261,7 @@ def _lm_rows(backbone: FrozenBackbone, tokens, mode: str,
         raise DomainError(f"sequence length {seq_len} exceeds max {cfg.max_seq_len}")
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise DomainError("token id outside the vocabulary")
-    masks = _dropout_masks(backbone, n_seq, seq_len, mode, rng)
+    masks = _dropout_masks(backbone, n_seq, seq_len, rng)
     x = Tensor((backbone.tok_emb.data[ids] + backbone.pos_emb.data[:seq_len])
                .reshape(n_seq * seq_len, cfg.d_model))
     adapter_inputs = []
@@ -271,11 +271,12 @@ def _lm_rows(backbone: FrozenBackbone, tokens, mode: str,
     return x, adapter_inputs
 
 
-def lm_logits(backbone: FrozenBackbone, tokens, mode: str = "eval",
+def lm_logits(backbone: FrozenBackbone, tokens,
               rng: RngState | None = None) -> Tensor:
     """Logits (batch*seq x vocab) of a (batch, seq) token array, one row per
-    token, sequence by sequence; a 1-d sequence is a batch of one."""
-    x, _ = _lm_rows(backbone, tokens, mode, rng)
+    token, sequence by sequence; a 1-d sequence is a batch of one. Dropout
+    runs exactly when a stream `rng` is given."""
+    x, _ = _lm_rows(backbone, tokens, rng)
     return T.linear(T.layer_norm(x, backbone.ln_f_g, backbone.ln_f_b), backbone.head)
 
 
@@ -302,7 +303,7 @@ def _features(backbone: FrozenBackbone, features) -> Tensor:
     return x
 
 
-def regressor_output(backbone: FrozenBackbone, features, mode: str = "eval",
+def regressor_output(backbone: FrozenBackbone, features,
                      rng: RngState | None = None,
                      frozen: np.ndarray | None = None) -> Tensor:
     """Regression head over parallel attention/FFN branches (see module doc).
@@ -312,10 +313,11 @@ def regressor_output(backbone: FrozenBackbone, features, mode: str = "eval",
     product: a Wv adapter's through head·Wo (the backbone's `carry`,
     computed once per backbone), a module adapter's through head. `frozen`
     is `regressor_frozen` of these rows when the caller already holds it;
-    otherwise it is computed here.
+    otherwise it is computed here. Dropout runs exactly when a stream `rng`
+    is given.
     """
     x = _features(backbone, features)
-    masks = _dropout_masks(backbone, 1, x.shape[0], mode, rng)
+    masks = _dropout_masks(backbone, 1, x.shape[0], rng)
     out = Tensor(regressor_frozen(backbone, x.data) if frozen is None else frozen)
     for target in REGRESSOR_TARGETS:
         adapter = backbone.adapters.get((0, target))
@@ -327,17 +329,18 @@ def regressor_output(backbone: FrozenBackbone, features, mode: str = "eval",
     return out
 
 
-def forward(backbone: FrozenBackbone, inputs, mode: str = "eval",
-            rng: RngState | None = None) -> Tensor:
-    """Dispatch on the configured mode.
+def forward(backbone: FrozenBackbone, inputs, mode: str = "eval") -> Tensor:
+    """The output without dropout (`mode` must be "eval"), by model mode.
 
     Language model: `inputs` is a batch of equal-length token sequences;
     returns the (batch*seq, vocab) rows of `lm_logits` reshaped to a
     (batch, seq, vocab) tensor. Regressor: `inputs` is a feature
     matrix; returns (n, vocab_size) outputs.
     """
+    if mode != "eval":
+        raise DomainError(f"forward runs in eval mode only, got {mode!r}")
     if backbone.cfg.mode == "regressor":
-        return regressor_output(backbone, inputs, mode, rng)
+        return regressor_output(backbone, inputs)
     if len(inputs) == 0:
         return Tensor(np.zeros((0, 0, backbone.cfg.vocab_size)))
     try:
@@ -346,7 +349,7 @@ def forward(backbone: FrozenBackbone, inputs, mode: str = "eval",
         raise ShapeError("batched sequences must share one length") from exc
     if ids.ndim != 2:
         raise ShapeError(f"expected a batch of token sequences, got shape {ids.shape}")
-    logits = lm_logits(backbone, ids, mode, rng)
+    logits = lm_logits(backbone, ids)
     return T.reshape(logits, (*ids.shape, backbone.cfg.vocab_size))
 
 
@@ -365,7 +368,7 @@ def collect_latents(backbone: FrozenBackbone, inputs, which: str = "latent_H"):
     if backbone.cfg.mode == "regressor":
         reads = [_features(backbone, inputs)]
     else:
-        _, reads = _lm_rows(backbone, inputs, "eval", None)
+        _, reads = _lm_rows(backbone, inputs, None)
     blocks = []
     for (layer, _), adapter in sorted(backbone.adapters.items()):
         rows = (adapter.latent_rows(reads[layer]) if which == "latent_H"

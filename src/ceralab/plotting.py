@@ -75,10 +75,10 @@ def _tick_label(v: float) -> str:
     return f"{v:g}"
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(n - 1, 1)
+    raw = (hi - lo) / 4  # about five ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         if raw <= mult * mag:

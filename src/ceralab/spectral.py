@@ -110,8 +110,7 @@ class SpectralReport:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
-def activation_spectrum(h, source_label: str = "H",
-                        exponent: int = 1) -> SpectralReport:
+def activation_spectrum(h, source_label: str = "H") -> SpectralReport:
     """Spectral report over the rows-by-features activation matrix `h`."""
     mat = _as_matrix(h)
     if mat.shape[0] < mat.shape[1]:
@@ -126,6 +125,6 @@ def activation_spectrum(h, source_label: str = "H",
         source_label=source_label,
         singular_values=sv.tolist(),
         effective_rank=effective_rank(sv),
-        auc90_index=auc90(sv, exponent),
-        energy_curve=energy_curve(sv, exponent).tolist(),
+        auc90_index=auc90(sv),
+        energy_curve=energy_curve(sv).tolist(),
     )

@@ -34,6 +34,7 @@ DECIMALS = 4           # display precision of a trajectory
 COLLAPSE_RUN = 3       # repeats of one displayed value that flag a collapse
 R_RANGE = (2.8, 4.0)   # growth rates of the trajectory task
 X0_RANGE = (0.05, 0.95)  # and its starting values
+FLOOR_RIDGE = 1e-9     # stabilizes the linear floor's normal equations
 
 
 def logistic_map(r: float, x0: float, n: int) -> np.ndarray:
@@ -208,8 +209,7 @@ def make_teacher_task(frozen_fn: Callable[[np.ndarray], np.ndarray],
 
 
 def linear_floor_xr(x_train: np.ndarray, r_train: np.ndarray,
-                    x_test: np.ndarray, r_test: np.ndarray,
-                    ridge: float = 1e-9) -> float:
+                    x_test: np.ndarray, r_test: np.ndarray) -> float:
     """Test MSE of the train-optimal linear map fitting residuals on inputs.
 
     Solves min_L ||R - X L^T||^2 on the training split by ridge-stabilized
@@ -217,7 +217,7 @@ def linear_floor_xr(x_train: np.ndarray, r_train: np.ndarray,
     full-rank linear adapter trained to its optimum would reach, up to
     train/test sampling noise; it is not a lower bound on test MSE.
     """
-    gram = x_train.T @ x_train + ridge * np.eye(x_train.shape[1])
+    gram = x_train.T @ x_train + FLOOR_RIDGE * np.eye(x_train.shape[1])
     try:
         lt = np.linalg.solve(gram, x_train.T @ r_train)
     except np.linalg.LinAlgError as exc:
@@ -225,6 +225,6 @@ def linear_floor_xr(x_train: np.ndarray, r_train: np.ndarray,
     return float(np.mean((r_test - x_test @ lt) ** 2))
 
 
-def linear_floor(task: TeacherTask, ridge: float = 1e-9) -> float:
+def linear_floor(task: TeacherTask) -> float:
     return linear_floor_xr(task.train.inputs, task.residual_train,
-                           task.test.inputs, task.residual_test, ridge)
+                           task.test.inputs, task.residual_test)

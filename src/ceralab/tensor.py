@@ -21,16 +21,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericsError, ShapeError
+from .errors import DomainError, ShapeError
 
-_DEBUG_CHECKS = False
 LAYER_NORM_EPS = 1e-5
-
-
-def debug_checks(enabled: bool) -> None:
-    """Toggle eager NaN/Inf detection after every op (off by default)."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = enabled
 
 
 class RngState:
@@ -142,8 +135,6 @@ def _node(data: np.ndarray, parents: Sequence[Tensor],
     out.requires_grad = rg
     out._parents = tuple(parents) if rg else ()
     out._backward = bwd if rg else None
-    if _DEBUG_CHECKS and not np.all(np.isfinite(data)):
-        raise NumericsError(f"non-finite values produced by op '{op}'")
     return out
 
 
@@ -302,13 +293,11 @@ ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
 }
 
 
-def dropout_mask(shape, p: float, rng: RngState | None) -> np.ndarray:
+def dropout_mask(shape, p: float, rng: RngState) -> np.ndarray:
     """The scaled keep mask of inverted dropout: 1/(1-p) where an entry is
     kept, 0 where it is dropped."""
     if not 0.0 <= p < 1.0:
         raise DomainError(f"dropout probability must be in [0, 1), got {p}")
-    if rng is None:
-        raise DomainError("train-mode dropout with p > 0 requires an RngState")
     keep = 1.0 - p
     return rng.keep_mask(shape, keep) / keep
 

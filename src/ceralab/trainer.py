@@ -136,36 +136,28 @@ def clip_global_norm(grads: list[np.ndarray], clip: float | None) -> float:
     return norm
 
 
-def _batch_loss(backbone: FrozenBackbone, train: Dataset, idx: np.ndarray,
-                mode: str, rng: RngState | None,
-                frozen: np.ndarray | None) -> Tensor:
-    """Mean loss over the rows `idx`; `frozen` is the regressor's frozen
-    term of the whole train split (None for a language model)."""
+def _batch_loss(backbone: FrozenBackbone, data: Dataset, idx: np.ndarray,
+                rng: RngState | None, frozen: np.ndarray | None) -> Tensor:
+    """Mean loss over the rows `idx` of `data`, with dropout drawn from `rng`
+    if one is given; `frozen` is the regressor's frozen term of all of
+    `data` (None for a language model)."""
     if backbone.cfg.mode == "regressor":
-        out = regressor_output(backbone, Tensor(train.inputs[idx]), mode=mode,
-                               rng=rng, frozen=frozen[idx])
-        return T.mse(out, train.targets[idx])
-    logits = lm_logits(backbone, train.inputs[idx], mode=mode, rng=rng)
-    return T.cross_entropy_rows(logits, train.targets[idx].reshape(-1))
+        out = regressor_output(backbone, Tensor(data.inputs[idx]), rng=rng,
+                               frozen=frozen[idx])
+        return T.mse(out, data.targets[idx])
+    logits = lm_logits(backbone, data.inputs[idx], rng=rng)
+    return T.cross_entropy_rows(logits, data.targets[idx].reshape(-1))
 
 
 def evaluate(backbone: FrozenBackbone, test: Dataset) -> float:
-    """Test MSE (regressor) or hold-out perplexity (language model)."""
-    if backbone.cfg.mode == "regressor":
-        out = forward(backbone, Tensor(test.inputs), mode="eval")
-        return float(np.mean((out.data - test.targets) ** 2))
-    return perplexity(backbone, test)
-
-
-def perplexity(backbone: FrozenBackbone, dataset: Dataset) -> float:
-    """exp of the mean token-level cross-entropy (natural log)."""
-    if backbone.cfg.mode != "language_model":
-        raise ConfigError("perplexity needs a language model")
-    if len(dataset) == 0:
+    """The training loss over every row of `test`, without dropout: the test
+    MSE of a regressor, and its exp, the perplexity, of a language model."""
+    if len(test) == 0:
         raise DomainError("empty split")
-    logits = lm_logits(backbone, dataset.inputs, mode="eval")
-    ce = T.cross_entropy_rows(logits, dataset.targets.reshape(-1))
-    return float(np.exp(ce.item()))
+    regressor = backbone.cfg.mode == "regressor"
+    frozen = regressor_frozen(backbone, test.inputs) if regressor else None
+    loss = _batch_loss(backbone, test, np.arange(len(test)), None, frozen).item()
+    return loss if regressor else float(np.exp(loss))
 
 
 def _tokens_in_batch(backbone: FrozenBackbone, train: Dataset,
@@ -175,15 +167,14 @@ def _tokens_in_batch(backbone: FrozenBackbone, train: Dataset,
     return batch_size * train.inputs.shape[1]
 
 
-def train_adapter(backbone: FrozenBackbone, adapters, train: Dataset,
-                  test: Dataset, cfg: TrainConfig) -> TrainReport:
-    """Run the adapter-only loop; deterministic given cfg.seed.
-
-    Dropout is active only in train mode; a non-finite loss aborts with a
-    diagnostic rather than silently continuing. A regressor's frozen term
-    of the train split is computed once, before the first step.
+def train_adapter(backbone: FrozenBackbone, train: Dataset, test: Dataset,
+                  cfg: TrainConfig) -> TrainReport:
+    """Train every adapter injected into `backbone`; deterministic given
+    cfg.seed. Only the training steps draw dropout. A non-finite loss aborts
+    with a diagnostic rather than silently continuing. A regressor's frozen
+    term of the train split is computed once, before the first step.
     """
-    params = [p for ad in adapters for p in ad.params]
+    params = backbone.adapter_params()
     if not params:
         raise ConfigError("no adapter parameters to train")
     opt = adamw_state(params)
@@ -196,7 +187,7 @@ def train_adapter(backbone: FrozenBackbone, adapters, train: Dataset,
               if backbone.cfg.mode == "regressor" else None)
     for t in range(cfg.steps):
         idx = batch_rng.integers(0, n_train, cfg.batch_size)
-        loss = _batch_loss(backbone, train, idx, "train", drop_rng, frozen)
+        loss = _batch_loss(backbone, train, idx, drop_rng, frozen)
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             raise TrainingDiverged(
@@ -213,7 +204,7 @@ def train_adapter(backbone: FrozenBackbone, adapters, train: Dataset,
         final_train = curve[-1]
     else:
         idx = np.arange(min(n_train, cfg.batch_size))
-        final_train = _batch_loss(backbone, train, idx, "eval", None, frozen).item()
+        final_train = _batch_loss(backbone, train, idx, None, frozen).item()
     tokens = cfg.steps * _tokens_in_batch(backbone, train, cfg.batch_size)
     return TrainReport(
         loss_curve=curve,
@@ -241,7 +232,7 @@ def _bare_copy(backbone: FrozenBackbone) -> FrozenBackbone:
 
 def _forward_seconds(backbone: FrozenBackbone, batch) -> float:
     start = time.perf_counter()
-    forward(backbone, batch, mode="eval")
+    forward(backbone, batch)
     return time.perf_counter() - start
 
 

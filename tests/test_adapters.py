@@ -170,12 +170,12 @@ def test_cera_eval_independent_of_rng():
     st_.w_down.data[:] = rng.normal((6, 4))
     inject(bb, 0, "Wv", Adapter(cfg, st_))
     x = Tensor(rng.normal((5, 8)))
-    a = regressor_output(bb, x, "eval", RngState(1))
-    b = regressor_output(bb, x, "eval", RngState(999))
+    # without a stream there is no dropout to draw: the output repeats
+    a = regressor_output(bb, x)
+    b = regressor_output(bb, x)
     assert np.array_equal(a.data, b.data)
-    # train mode does draw: the same rows then give another output
-    assert not np.array_equal(regressor_output(bb, x, "train", RngState(1)).data,
-                              a.data)
+    # a stream does draw: the same rows then give another output
+    assert not np.array_equal(regressor_output(bb, x, RngState(1)).data, a.data)
 
 
 def test_parallel_module_zero_down_is_identity():

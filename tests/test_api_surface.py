@@ -16,7 +16,6 @@ TEST_REFERENCES = {
     "finite_difference_check": "the gradient gate of the test suite",
     "measure_throughput": "acceptance criterion 11's latency ratio",
     "logistic_map": "the exact map the printed table is checked against",
-    "debug_checks": "NaN/Inf detection switched on by the tests",
 }
 
 
@@ -133,7 +132,7 @@ def test_every_tape_op_is_created_by_the_program(monkeypatch):
         for i, (layer, target, cfg) in enumerate(placements):
             inject(bb, layer, target, Adapter.init(
                 cfg, *adapter_shape(model_cfg, target), T.RngState(1, i)))
-        train_adapter(bb, list(bb.adapters.values()), train, test, train_cfg)
+        train_adapter(bb, train, test, train_cfg)
         for which in ("latent_H", "output_delta_D"):
             collect_latents(bb, test.inputs, which)
         forward(bb, test.inputs)
@@ -156,3 +155,91 @@ def test_every_tape_op_is_created_by_the_program(monkeypatch):
 
     never = sorted(node_op_names() - census)
     assert never == [], f"tape ops the program never creates: {never}"
+
+
+# defaulted parameters that only tests set, each with the reason tests need it
+TEST_SET_DEFAULTS = {
+    ("svd_values", "with_vectors"): "criterion 06 checks the thin SVD reconstructs its input",
+    ("auc90", "exponent"): "criterion 06 checks AUC-90 of the squared spectrum",
+}
+
+
+def defaulted_parameters() -> dict[tuple[str, str], tuple[int | None, str]]:
+    """(callee name, parameter) -> (position among the arguments a call
+    passes, or None if keyword-only; defining module), for every parameter
+    with a default of every function and method in the package. A call to a
+    class sets its `__init__`'s parameters."""
+    found = {}
+
+    def add(fn: ast.FunctionDef, callee: str, module: str, method: bool):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        if method:
+            positional = positional[1:]
+        first = len(positional) - len(args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            found[(callee, arg.arg)] = (i, module)
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found[(callee, arg.arg)] = (None, module)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                add(node, node.name, path.stem, False)
+            elif isinstance(node, ast.ClassDef):
+                for member in node.body:
+                    if isinstance(member, ast.FunctionDef):
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in member.decorator_list)
+                        callee = node.name if member.name == "__init__" else member.name
+                        add(member, callee, path.stem, not static)
+    return found
+
+
+def program_calls() -> dict[str, list[ast.Call]]:
+    """Every call the program makes (package, benchmark and scripts), by the
+    name it calls: a plain name, or the attribute of an attribute call."""
+    calls: dict[str, list[ast.Call]] = {}
+    paths = sorted(PACKAGE.glob("*.py"))
+    paths += [p for folder in ("bench", "scripts")
+              for p in sorted((ROOT / folder).glob("*.py"))]
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name:
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def sets(call: ast.Call, position: int | None, name: str) -> bool:
+    """Whether `call` passes the parameter: by keyword, by position, or
+    through a starred argument that may hold it."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred)
+                                            for a in call.args)
+
+
+def test_every_defaulted_parameter_is_set_by_the_program():
+    # a default that no caller overrides is a constant in disguise
+    calls = program_calls()
+    unset = sorted(
+        f"{module}.{callee}({name})"
+        for (callee, name), (position, module) in defaulted_parameters().items()
+        if callee not in TEST_REFERENCES and (callee, name) not in TEST_SET_DEFAULTS
+        and not any(sets(call, position, name) for call in calls.get(callee, ())))
+    assert unset == [], f"defaulted parameters no program call sets: {unset}"
+
+
+def test_test_set_defaults_are_current():
+    # each listed parameter exists, and still no program call sets it
+    defaults, calls = defaulted_parameters(), program_calls()
+    for callee, name in TEST_SET_DEFAULTS:
+        assert (callee, name) in defaults, f"{callee}({name}) is no longer defaulted"
+        position, _ = defaults[(callee, name)]
+        assert not any(sets(call, position, name) for call in calls.get(callee, ())), \
+            f"a program call sets {callee}({name}); drop it from the list"

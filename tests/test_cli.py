@@ -70,6 +70,19 @@ def test_bad_config_exit_two(tmp_path, capsys):
         assert main(["sweep", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+    # the ablation takes one method, and --jobs counts processes
+    two = cfg.to_dict()
+    two["methods"] = [dict(two["methods"][0], name="cera", kind="cera"),
+                      two["methods"][0]]
+    bad.write_text(json.dumps(two))
+    argvs = [["ablate", "--config", str(bad)]]
+    argvs += [[command, "--config", str(bad), "--jobs", jobs]
+              for command in ("sweep", "ablate") for jobs in ("0", "-3")]
+    for argv in argvs:
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
 
 
 def test_out_and_seed_override(tmp_path):

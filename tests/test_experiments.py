@@ -343,6 +343,15 @@ def test_ablation_requires_cera_base_and_single_rank(tmp_path):
     cfg = small_config(tmp_path / "out", ranks=(2, 4))
     with pytest.raises(ConfigError):
         cmd_ablate(cfg)
+    # every variant derives from one method: a second one is refused, not
+    # dropped
+    two = small_config(tmp_path / "out", methods=[
+        MethodSpec(name="cera", kind="cera"), MethodSpec(name="lora", kind="lora")])
+    with pytest.raises(ConfigError, match="one method"):
+        cmd_ablate(two)
+    for jobs in (0, -3):
+        with pytest.raises(ConfigError, match="jobs"):
+            cmd_ablate(small_config(tmp_path / "out"), jobs=jobs)
 
 
 def test_identity_row_equals_linear_adapter_run(tmp_path):

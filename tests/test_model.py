@@ -121,7 +121,7 @@ def test_dropout_masks_follow_the_per_sequence_draw_order(style):
     for layer in range(2):
         for target in ("Wq", "Wv"):
             inject_cera(bb, target, layer=layer, dropout_p=0.5, dropout_style=style)
-    masks = model_mod._dropout_masks(bb, 3, 5, "train", RngState(7))
+    masks = model_mod._dropout_masks(bb, 3, 5, RngState(7))
     rng = RngState(7)
     for b in range(3):
         for layer in range(2):
@@ -129,9 +129,15 @@ def test_dropout_masks_follow_the_per_sequence_draw_order(style):
                 want = rng.keep_mask((5 if style == "elementwise" else 1, 3), 0.5) / 0.5
                 got = masks[(layer, target)][5 * b:5 * (b + 1)]
                 assert np.array_equal(got, np.broadcast_to(want, (5, 3)))
-    assert model_mod._dropout_masks(bb, 3, 5, "eval", RngState(7)) == {}
-    with pytest.raises(DomainError):
-        model_mod._dropout_masks(bb, 3, 5, "train", None)
+    # without a stream there is no dropout
+    assert model_mod._dropout_masks(bb, 3, 5, None) == {}
+
+
+def test_adapter_params_keep_injection_order():
+    bb = tiny_model()
+    wv, wq = inject_cera(bb, "Wv"), inject_cera(bb, "Wq", seed=6)
+    assert [id(p) for p in bb.adapter_params()] == \
+        [id(p) for p in (*wv.params, *wq.params)]
 
 
 def test_double_injection_rejected():
@@ -379,17 +385,17 @@ REG = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1, vocab_size=4,
                   max_seq_len=8, v_out_dim=8, mode="regressor")
 
 
-def tape_regressor_output(bb, x, mode="eval", rng=None):
+def tape_regressor_output(bb, x, rng=None):
     """Reference: the regressor as one tape, op for op as the network is
     drawn (attention and FFN branches on the raw input, the Wv adapter
     inside the value projection, the module adapter on the attention
-    output), against which the frozen-term split is checked. In train mode
+    output), against which the frozen-term split is checked. Given a stream,
     each adapter draws its own mask as it runs, Wv first: one (n, r) block
     for elementwise dropout, one (1, r) row for channel."""
     def delta(adapter):
         cfg = adapter.cfg
         mask = None
-        if mode == "train" and cfg.resolved_dropout_p > 0.0:
+        if rng is not None and cfg.resolved_dropout_p > 0.0:
             rows = x.shape[0] if cfg.dropout_style == "elementwise" else 1
             mask = T.dropout_mask((rows, cfg.r), cfg.resolved_dropout_p, rng)
         return adapter.delta_rows(x, mask=mask)
@@ -426,15 +432,16 @@ def test_adapter_free_regressor_is_bit_identical_to_tape():
     assert regressor_frozen(bb, x.data).tobytes() == got.tobytes()
 
 
-@pytest.mark.parametrize("mode", ["eval", "train"])
-def test_adapted_regressor_matches_tape_composition(mode):
+@pytest.mark.parametrize("stream", [None, 44], ids=["eval", "train"])
+def test_adapted_regressor_matches_tape_composition(stream):
     bb = regressor_with_both_adapters(42)
     x = Tensor(RngState(43).normal((29, 16)))
-    want = tape_regressor_output(bb, x, mode, RngState(44)).data
-    got = regressor_output(bb, x, mode, RngState(44)).data
+    rng = lambda: None if stream is None else RngState(stream)  # a fresh stream
+    want = tape_regressor_output(bb, x, rng()).data
+    got = regressor_output(bb, x, rng()).data
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # a frozen term passed in gives the same output as one computed inside
-    again = regressor_output(bb, x, mode, RngState(44),
+    again = regressor_output(bb, x, rng(),
                              frozen=regressor_frozen(bb, x.data)).data
     assert np.array_equal(again, got)
 
@@ -462,7 +469,7 @@ def test_regressor_masks_are_one_sequence_of_n_rows(style):
     # Wv's mask is drawn before attn_block's: one (n, r) block each for
     # elementwise, one (1, r) row each for channel
     bb = regressor_with_both_adapters(48, dropout_p=0.5, dropout_style=style)
-    masks = model_mod._dropout_masks(bb, 1, 7, "train", RngState(49))
+    masks = model_mod._dropout_masks(bb, 1, 7, RngState(49))
     assert sorted(masks) == [(0, "Wv"), (0, "attn_block")]
     rng = RngState(49)
     for target in ("Wv", "attn_block"):
@@ -470,8 +477,8 @@ def test_regressor_masks_are_one_sequence_of_n_rows(style):
         assert np.array_equal(masks[(0, target)], np.broadcast_to(want, (7, 3)))
     # and the regressor's output is the tape's under those draws
     x = Tensor(RngState(50).normal((7, 16)))
-    got = regressor_output(bb, x, "train", RngState(49)).data
-    want_out = tape_regressor_output(bb, x, "train", RngState(49)).data
+    got = regressor_output(bb, x, RngState(49)).data
+    want_out = tape_regressor_output(bb, x, RngState(49)).data
     assert np.max(np.abs(got - want_out)) <= 1e-14 * np.max(np.abs(want_out))
 
 
@@ -498,22 +505,22 @@ def test_eval_mode_and_p_zero_build_no_dropout_node():
     x = Tensor(RngState(53).normal((6, 16)))
     seqs = [[1, 2, 3, 4], [4, 3, 2, 1]]
     reg, lm = regressor_with_both_adapters(54, dropout_p=0.5), lm_with_cera(0.5)
-    assert "dropout" in tape_ops(regressor_output(reg, x, "train", RngState(55)))
-    assert "dropout" in tape_ops(lm_logits(lm, seqs, "train", RngState(55)))
-    assert "dropout" not in tape_ops(regressor_output(reg, x, "eval", RngState(55)))
-    assert "dropout" not in tape_ops(lm_logits(lm, seqs, "eval", RngState(55)))
+    assert "dropout" in tape_ops(regressor_output(reg, x, RngState(55)))
+    assert "dropout" in tape_ops(lm_logits(lm, seqs, RngState(55)))
+    assert "dropout" not in tape_ops(regressor_output(reg, x))
+    assert "dropout" not in tape_ops(lm_logits(lm, seqs))
+    assert "dropout" not in tape_ops(forward(reg, x))
+    assert "dropout" not in tape_ops(forward(lm, seqs))
     reg0, lm0 = regressor_with_both_adapters(54, dropout_p=0.0), lm_with_cera(0.0)
-    assert "dropout" not in tape_ops(regressor_output(reg0, x, "train", RngState(55)))
-    assert "dropout" not in tape_ops(lm_logits(lm0, seqs, "train", RngState(55)))
+    assert "dropout" not in tape_ops(regressor_output(reg0, x, RngState(55)))
+    assert "dropout" not in tape_ops(lm_logits(lm0, seqs, RngState(55)))
 
 
 def test_unknown_mode_is_rejected():
+    # forward is eval-only
     x = RngState(56).normal((4, 16))
-    for bb in (build_model(REG, 57), regressor_with_both_adapters(57)):
-        with pytest.raises(DomainError):
-            regressor_output(bb, x, "inference")
-    for bb in (tiny_model(58), lm_with_cera(0.1)):
-        with pytest.raises(DomainError):
-            lm_logits(bb, [[1, 2, 3]], "inference")
-        with pytest.raises(DomainError):
-            forward(bb, [[1, 2, 3]], mode="Train")
+    for bb, inputs in ((regressor_with_both_adapters(57), x),
+                       (lm_with_cera(0.1), [[1, 2, 3]])):
+        for mode in ("train", "Train"):
+            with pytest.raises(DomainError):
+                forward(bb, inputs, mode=mode)

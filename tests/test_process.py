@@ -26,18 +26,18 @@ model = {"d_model": 64, "n_heads": 4, "d_head": 16, "n_layers": 2,
          "vocab_size": 12, "max_seq_len": 64, "v_out_dim": 32,
          "mode": "language_model"}
 method = {"name": "cera", "kind": "cera", "targets": ["Wq", "Wv"]}
-_, bundle, backbone, adapters = experiments._build_run(
+_, bundle, backbone = experiments._build_run(
     {"task_id": "logistic_trajectories", "method": method, "rank": 16,
      "seed": 1, "model": model})
 cfg = trainer.TrainConfig(steps=30, batch_size=8)
-params = [p for ad in adapters for p in ad.params]
+params = backbone.adapter_params()
 opt = trainer.adamw_state(params)
 batch_rng, drop_rng = RngState(0).child(1), RngState(0).child(2)
 for t in range(cfg.steps):
     if t == 10:
         start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     idx = batch_rng.integers(0, len(bundle.train), cfg.batch_size)
-    loss = trainer._batch_loss(backbone, bundle.train, idx, "train", drop_rng, None)
+    loss = trainer._batch_loss(backbone, bundle.train, idx, drop_rng, None)
     trainer.zero_grads(params)
     backward(loss)
     grads = [p.grad for p in params]

@@ -132,15 +132,6 @@ def test_linear_floor_constant_residual_oracle():
     assert floor == pytest.approx(np.mean(r_test ** 2), rel=1e-9)
 
 
-def test_linear_floor_small_ridge_monotonicity():
-    teacher = nonlinear_teacher(10, 32, 4)
-    w = RngState(11).normal((4, 32))
-    task = make_teacher_task(frozen_linear(w), teacher, 32,
-                             n_train=256, n_test=128, seed=12)
-    floors = [linear_floor(task, ridge) for ridge in (1e-9, 1e-6, 1e-3)]
-    assert floors[0] >= floors[1] >= floors[2]
-
-
 def test_linear_floor_strictly_positive_for_default_task():
     teacher = nonlinear_teacher(13, 32, 8, hidden=16)
     w = RngState(14).normal((8, 32))

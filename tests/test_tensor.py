@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ceralab import tensor as T
-from ceralab.errors import DomainError, NumericsError, ShapeError
+from ceralab.errors import DomainError, ShapeError
 from ceralab.tensor import (RngState, Tensor, backward, causal_attention,
                             cross_entropy_rows, dropout, dropout_mask,
                             finite_difference_check, layer_norm,
@@ -117,8 +117,6 @@ def test_dropout_domain_errors():
         dropout_mask((4,), 1.0, RngState(0))
     with pytest.raises(DomainError):
         dropout_mask((4,), -0.1, RngState(0))
-    with pytest.raises(DomainError):
-        dropout_mask((4,), 0.5, None)
 
 
 def test_backward_linear_form():
@@ -408,16 +406,6 @@ def test_op_sequence_determinism():
 
     (v1, g1), (v2, g2) = run(), run()
     assert np.array_equal(v1, v2) and np.array_equal(g1, g2)
-
-
-def test_debug_mode_flags_nonfinite():
-    T.debug_checks(True)
-    try:
-        with pytest.raises(NumericsError, match="add"), \
-                pytest.warns(RuntimeWarning, match="overflow"):
-            Tensor(np.array([1e308])) + 1e308
-    finally:
-        T.debug_checks(False)
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,13 +6,13 @@ from ceralab.adapters import Adapter, AdapterConfig
 from ceralab.errors import ConfigError, DomainError
 from ceralab import tensor as T
 from ceralab.model import (ModelConfig, adapter_shape, build_model, forward,
-                           inject, lm_logits)
+                           inject, lm_logits, regressor_output)
 from ceralab.tasks import (Dataset, make_teacher_task, nonlinear_teacher,
                            trajectory_sequences)
 from ceralab.tensor import RngState, Tensor
 from ceralab.trainer import (TrainConfig, adamw_state, adamw_step,
                              clip_global_norm, cosine_lr, evaluate,
-                             measure_throughput, perplexity, train_adapter)
+                             measure_throughput, train_adapter)
 
 REG_CFG = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1,
                       vocab_size=4, max_seq_len=8, v_out_dim=8,
@@ -137,7 +137,7 @@ def test_zero_step_run_leaves_weights_and_metric():
     bb, adapter, task = make_regression_setup()
     before_up = adapter.state.w_up.data.copy()
     baseline_metric = evaluate(bb, task.test)
-    rep = train_adapter(bb, [adapter], task.train, task.test,
+    rep = train_adapter(bb, task.train, task.test,
                         TrainConfig(steps=0, batch_size=4))
     assert rep.loss_curve == []
     assert np.array_equal(adapter.state.w_up.data, before_up)
@@ -153,7 +153,7 @@ def test_memorization_smoke():
     cfg = AdapterConfig(kind="cera", r=8, dropout_p=0.0)
     adapter = Adapter.init(cfg, *adapter_shape(REG_CFG, "Wv"), RngState(10, 9))
     inject(bb, 0, "Wv", adapter)
-    rep = train_adapter(bb, [adapter], task.train, task.test,
+    rep = train_adapter(bb, task.train, task.test,
                         TrainConfig(steps=2000, batch_size=4, weight_decay=0.0,
                                     seed=11))
     assert min(rep.loss_curve) < 1e-3
@@ -162,7 +162,7 @@ def test_memorization_smoke():
 def test_backbone_frozen_through_training():
     bb, adapter, task = make_regression_setup(seed=12)
     before = bb.checksum()
-    train_adapter(bb, [adapter], task.train, task.test,
+    train_adapter(bb, task.train, task.test,
                   TrainConfig(steps=30, batch_size=8, seed=13))
     assert bb.checksum() == before
 
@@ -170,7 +170,7 @@ def test_backbone_frozen_through_training():
 def test_seed_determinism_bit_for_bit():
     def run():
         bb, adapter, task = make_regression_setup(seed=14)
-        rep = train_adapter(bb, [adapter], task.train, task.test,
+        rep = train_adapter(bb, task.train, task.test,
                             TrainConfig(steps=40, batch_size=8, seed=15))
         return rep.loss_curve, adapter.state.w_up.data.copy()
 
@@ -180,14 +180,15 @@ def test_seed_determinism_bit_for_bit():
 
 
 def test_dropout_active_in_train_only():
+    # dropout runs exactly when a stream is given
     bb, adapter, task = make_regression_setup(seed=16, dropout_p=0.5)
     adapter.state.w_down.data[:] = RngState(17).normal(adapter.state.w_down.shape)
     x = Tensor(task.train.inputs[:8])
-    eval_a = forward(bb, x, mode="eval").data
-    eval_b = forward(bb, x, mode="eval").data
+    eval_a = regressor_output(bb, x).data
+    eval_b = regressor_output(bb, x).data
     assert np.array_equal(eval_a, eval_b)
-    train_a = forward(bb, x, mode="train", rng=RngState(18)).data
-    train_b = forward(bb, x, mode="train", rng=RngState(19)).data
+    train_a = regressor_output(bb, x, RngState(18)).data
+    train_b = regressor_output(bb, x, RngState(19)).data
     assert not np.array_equal(train_a, train_b)
 
 
@@ -202,6 +203,27 @@ def test_budget_parity_lora_vs_cera():
 def test_evaluate_is_stable_without_training():
     bb, adapter, task = make_regression_setup(seed=21)
     assert evaluate(bb, task.test) == evaluate(bb, task.test)
+
+
+def test_evaluate_is_the_training_loss_without_dropout(monkeypatch):
+    # bit for bit the test MSE and the perplexity as computed directly,
+    # after training adapters that drop out, and with no dropout node
+    reg, _, task = make_regression_setup(seed=60, dropout_p=0.5)
+    train_adapter(reg, task.train, task.test, TrainConfig(steps=20, batch_size=8))
+    lm = lm_with_adapters("channel")
+    train, test = trajectory_sequences(seed=61, count=10, n_steps=5)
+    train_adapter(lm, train, test, TrainConfig(steps=3, batch_size=4))
+    x, y = task.test.inputs, task.test.targets
+    want_mse = np.mean((regressor_output(reg, Tensor(x)).data - y) ** 2)
+    want_ppl = np.exp(T.cross_entropy_rows(
+        lm_logits(lm, test.inputs), test.targets.reshape(-1)).item())
+    ops, node = set(), T._node
+    monkeypatch.setattr(T, "_node", lambda data, parents, bwd, op: (
+        ops.add(op), node(data, parents, bwd, op))[1])
+    got_mse, got_ppl = evaluate(reg, task.test), evaluate(lm, test)
+    assert got_mse.hex() == float(want_mse).hex()
+    assert got_ppl.hex() == float(want_ppl).hex()
+    assert {"mse", "cross_entropy"} <= ops and "dropout" not in ops
 
 
 def lm_with_adapters(style):
@@ -238,10 +260,10 @@ def test_batched_train_loss_is_mean_of_single_sequence_losses(style):
         T.backward(loss)
         return [p.grad.copy() for p in params]
 
-    batched = trainer_mod._batch_loss(bb, train, idx, "train", RngState(43), None)
+    batched = trainer_mod._batch_loss(bb, train, idx, RngState(43), None)
     rng = RngState(43)
     single = [T.cross_entropy_rows(
-        lm_logits(bb, train.inputs[i], mode="train", rng=rng), train.targets[i])
+        lm_logits(bb, train.inputs[i], rng=rng), train.targets[i])
         for i in idx]
     mean = single[0]
     for ce in single[1:]:
@@ -251,7 +273,7 @@ def test_batched_train_loss_is_mean_of_single_sequence_losses(style):
     for got, want in zip(grads_of(batched), grads_of(mean)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # and the masks matter: another stream gives another loss
-    other = trainer_mod._batch_loss(bb, train, idx, "train", RngState(44), None)
+    other = trainer_mod._batch_loss(bb, train, idx, RngState(44), None)
     assert abs(other.item() - mean.item()) > 1e-6
 
 
@@ -259,7 +281,7 @@ def test_perplexity_uniform_logits():
     bb = build_model(LM_CFG, 22)
     bb.head.data[:] = 0.0  # logits identically zero -> uniform predictive
     train, test = trajectory_sequences(seed=23, count=10, n_steps=5)
-    assert perplexity(bb, test) == pytest.approx(LM_CFG.vocab_size, abs=1e-9)
+    assert evaluate(bb, test) == pytest.approx(LM_CFG.vocab_size, abs=1e-9)
 
 
 def test_perplexity_perfect_predictions():
@@ -271,17 +293,21 @@ def test_perplexity_perfect_predictions():
     bb.head.data[3, :] = 4.0  # logit for token 3 = 4 * d_model, others 0
     seqs = np.full((4, 6), 3, dtype=np.int64)
     ds = Dataset(inputs=seqs[:, :-1], targets=seqs[:, 1:])
-    assert perplexity(bb, ds) == pytest.approx(1.0, abs=1e-9)
+    assert evaluate(bb, ds) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_perplexity_at_least_one_and_empty_split():
     bb = build_model(LM_CFG, 25)
     train, test = trajectory_sequences(seed=26, count=10, n_steps=5)
-    assert perplexity(bb, test) >= 1.0
+    assert evaluate(bb, test) >= 1.0
     empty = Dataset(inputs=np.zeros((0, 4), dtype=np.int64),
                     targets=np.zeros((0, 4), dtype=np.int64))
     with pytest.raises(DomainError):
-        perplexity(bb, empty)
+        evaluate(bb, empty)
+    # an empty regressor split too, rather than a nan
+    empty_rows = Dataset(inputs=np.zeros((0, 16)), targets=np.zeros((0, 4)))
+    with pytest.raises(DomainError):
+        evaluate(build_model(REG_CFG, 25), empty_rows)
 
 
 def test_nan_loss_aborts_with_diagnostic():
@@ -291,20 +317,22 @@ def test_nan_loss_aborts_with_diagnostic():
     from ceralab.errors import TrainingDiverged
     with pytest.raises(TrainingDiverged, match="step 0"), \
             pytest.warns(RuntimeWarning, match="invalid value"):
-        train_adapter(bb, [adapter], task.train, task.test,
+        train_adapter(bb, task.train, task.test,
                       TrainConfig(steps=5, batch_size=4, seed=28))
 
 
 def test_requires_adapter_params():
-    bb, adapter, task = make_regression_setup(seed=29)
+    # training reads the backbone's adapter registry: an empty one is an error
+    _, _, task = make_regression_setup(seed=29)
     with pytest.raises(ConfigError):
-        train_adapter(bb, [], task.train, task.test, TrainConfig(steps=1))
+        train_adapter(build_model(REG_CFG, 29), task.train, task.test,
+                      TrainConfig(steps=1))
 
 
 def test_train_report_round_trip():
     bb, adapter, task = make_regression_setup(seed=30)
     cfg = TrainConfig(steps=10, batch_size=4, seed=31)
-    rep = train_adapter(bb, [adapter], task.train, task.test, cfg)
+    rep = train_adapter(bb, task.train, task.test, cfg)
     assert len(rep.loss_curve) == 10
     assert all(np.isfinite(v) for v in rep.loss_curve)
     assert rep.final_train_loss == rep.loss_curve[-1]
