@@ -73,6 +73,8 @@ class MethodSpec(DictConfig):
     def __post_init__(self):
         self.targets = tuple(self.targets)
         self.adapter_config(1)  # validate eagerly
+        if len(set(self.targets)) != len(self.targets):
+            raise ConfigError(f"targets must be unique, got {list(self.targets)}")
         if self.kind != "parallel_module":
             if not self.targets:
                 raise ConfigError("weight-level adapters need at least one target")
@@ -126,6 +128,11 @@ class ExperimentConfig(DictConfig):
                     raise ConfigError(
                         f"output_delta_D stacks one output width, but method "
                         f"{m.name!r} has widths {sorted(widths)}")
+        if self.spectral_source == "delta_w":
+            gated = [m.name for m in self.methods if not m.adapter_config(1).is_linear]
+            if gated:
+                raise ConfigError(f"delta_w spectra need linear adapters, but "
+                                  f"{gated} are not; use latent_H or output_delta_D")
         if self.model.mode == "regressor":
             unread = {target for m in self.methods
                       for target in m.injection_targets()} - set(REGRESSOR_TARGETS)

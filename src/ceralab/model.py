@@ -14,10 +14,11 @@ Two operating modes share one weight set:
   downstream maps, so a linear adapter's whole effect is a linear map of
   the input (which the teacher task's linear floor fits by least squares),
   and the output can be computed as a frozen term (constant per input row)
-  plus one product per adapter. A single
-  position attends only to itself, so the softmax is identically one and
-  the query path drops out; `inject` therefore refuses a regressor a Wq
-  adapter.
+  plus one product per adapter. Only the adapters run on the tape: the
+  output rows and the loss are plain numpy, and training seeds each
+  adapter's delta rows with its gradient. A single position attends only
+  to itself, so the softmax is identically one and the query path drops
+  out; `inject` therefore refuses a regressor a Wq adapter.
 
 The value projection is allowed to be rectangular (v_out_dim < d_model),
 mirroring grouped-query-style asymmetry, and Wo folds it back.
@@ -95,7 +96,7 @@ class FrozenBackbone:
         self.adapters: dict[tuple[int, str], Adapter] = {}
         # regressor mode: head·Wo carries a Wv adapter's delta to the output;
         # the frozen weights are never written, so it is computed once here
-        self.carry = (Tensor(head.data @ layers[0]["Wo"].data)
+        self.carry = (head.data @ layers[0]["Wo"].data
                       if cfg.mode == "regressor" else None)
 
     def frozen_tensors(self) -> list[tuple[str, Tensor]]:
@@ -305,28 +306,36 @@ def _features(backbone: FrozenBackbone, features) -> Tensor:
 
 def regressor_output(backbone: FrozenBackbone, features,
                      rng: RngState | None = None,
-                     frozen: np.ndarray | None = None) -> Tensor:
+                     frozen: np.ndarray | None = None
+                     ) -> tuple[np.ndarray, list[tuple[Tensor, np.ndarray]]]:
     """Regression head over parallel attention/FFN branches (see module doc).
 
-    Everything downstream of an adapter is linear, so the output is the
-    frozen term plus each adapter's delta carried to the output in one
-    product: a Wv adapter's through head·Wo (the backbone's `carry`,
-    computed once per backbone), a module adapter's through head. `frozen`
-    is `regressor_frozen` of these rows when the caller already holds it;
-    otherwise it is computed here. Dropout runs exactly when a stream `rng`
-    is given.
+    Everything downstream of an adapter is frozen and linear, so the output
+    is the frozen term plus each adapter's delta rows D carried to the
+    output in one product D Cᵀ: a Wv adapter's through C = head·Wo (the
+    backbone's `carry`, computed once per backbone), a module adapter's
+    through C = head. Only the adapters run on the tape; the output rows
+    are plain numpy, summed in `REGRESSOR_TARGETS` order. Returns the
+    (n, vocab_size) output rows and each adapter's (D, C): a loss gradient
+    G with respect to the output reaches D as G C.
+
+    `frozen` is `regressor_frozen` of these rows when the caller already
+    holds it; otherwise it is computed here. Dropout runs exactly when a
+    stream `rng` is given.
     """
     x = _features(backbone, features)
     masks = _dropout_masks(backbone, 1, x.shape[0], rng)
-    out = Tensor(regressor_frozen(backbone, x.data) if frozen is None else frozen)
+    out = regressor_frozen(backbone, x.data) if frozen is None else frozen
+    deltas = []
     for target in REGRESSOR_TARGETS:
         adapter = backbone.adapters.get((0, target))
         if adapter is None:
             continue
         delta = adapter.delta_rows(x, masks.get((0, target)))
-        to_output = backbone.carry if target == "Wv" else backbone.head
-        out = out + T.linear(delta, to_output)
-    return out
+        to_output = backbone.carry if target == "Wv" else backbone.head.data
+        out = out + delta.data @ to_output.T
+        deltas.append((delta, to_output))
+    return out, deltas
 
 
 def forward(backbone: FrozenBackbone, inputs, mode: str = "eval") -> Tensor:
@@ -340,7 +349,7 @@ def forward(backbone: FrozenBackbone, inputs, mode: str = "eval") -> Tensor:
     if mode != "eval":
         raise DomainError(f"forward runs in eval mode only, got {mode!r}")
     if backbone.cfg.mode == "regressor":
-        return regressor_output(backbone, inputs)
+        return Tensor(regressor_output(backbone, inputs)[0])
     if len(inputs) == 0:
         return Tensor(np.zeros((0, 0, backbone.cfg.vocab_size)))
     try:

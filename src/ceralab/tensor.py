@@ -2,9 +2,9 @@
 
 Deliberately small: only the ops the program runs. A row-times-weight
 product, elementwise add and scale, the activations, dropout, layer norm,
-two losses, and the few structural ops a tiny transformer needs to run a
-whole batch at once: head split/merge between (B*S, H*d) rows and a
-(B, H, S, d) layout, and causal attention over that layout as one op.
+the cross-entropy loss, and the few structural ops a tiny transformer needs
+to run a whole batch at once: head split/merge between (B*S, H*d) rows and
+a (B, H, S, d) layout, and causal attention over that layout as one op.
 Values are row-major numpy arrays; the tape is the implicit graph of parent
 links, torn down after each backward pass.
 
@@ -69,7 +69,7 @@ class Tensor:
     """A dense float64 array plus an optional gradient buffer.
 
     Ops on tensors record parent links and a backward closure when any
-    input requires grad; the module's `backward` on a scalar result replays
+    input requires grad; the module's `backward` from a result replays
     them.
     """
 
@@ -149,18 +149,25 @@ def zero_grads(params: Sequence[Tensor]) -> None:
         p.zero_grad()
 
 
-def backward(loss: Tensor) -> None:
-    """Populate grads of every requires_grad tensor reachable from `loss`.
+def backward(root: Tensor, grad: np.ndarray | None = None) -> None:
+    """Populate grads of every requires_grad tensor reachable from `root`.
 
-    The loss must be scalar (size 1). The tape is cleared afterwards:
+    Without `grad` the root must be a scalar loss (size 1), seeded with one.
+    A `grad` shaped like the root seeds it instead: the gradient, with
+    respect to the root, of a loss computed off the tape; the root adopts
+    it with no copy, and it is only read. The tape is cleared afterwards:
     interior nodes drop their parent links and closures.
     """
-    if loss.size != 1:
-        raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if grad is None:
+        if root.size != 1:
+            raise ShapeError(f"backward requires a scalar loss, got shape {root.shape}")
+        grad = np.ones_like(root.data)
+    elif grad.shape != root.shape:
+        raise ShapeError(f"seed gradient shape {grad.shape} != root shape {root.shape}")
     # iterative topological sort; graphs can be long-chained
     topo: list[Tensor] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -173,8 +180,8 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if id(p) not in visited:
                 stack.append((p, False))
-    if loss.requires_grad:
-        loss.grad = np.ones_like(loss.data)
+    if root.requires_grad:
+        root.grad = grad
     for node in reversed(topo):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
@@ -190,7 +197,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     """Rows-times-weight product: x (n,k) @ w (d,k).T -> (n,d).
 
     Backward forms the gradient product of an operand only if it requires
-    grad; the same holds for `add`, `mul`, `mse` and `causal_attention`.
+    grad; the same holds for `add`, `mul` and `causal_attention`.
     """
     x, w = _wrap(x), _wrap(w)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
@@ -312,28 +319,6 @@ def dropout(x: Tensor, mask: np.ndarray) -> Tensor:
         _accum(x, g * mask)
 
     return _node(data, (x,), bwd, "dropout")
-
-
-def mse(pred: Tensor, target) -> Tensor:
-    """Mean over all elements of squared error against a constant target.
-
-    The ops keep one order: the difference d = pred - target, then
-    mean(d ** 2.0) forward and (g / n * 2.0) * d backward, which pins the
-    loss and its gradient bit for bit across versions.
-    """
-    pred, target = _wrap(pred), _wrap(target)
-    try:
-        diff = pred.data - target.data
-    except ValueError as exc:
-        raise ShapeError(f"mse shapes {pred.shape} vs {target.shape}") from exc
-    n = diff.size
-    data = np.asarray((diff ** 2.0).mean())
-
-    def bwd(g):
-        dx = (g / n * 2.0) * diff
-        _accum(pred, _broadcast_bwd(pred, dx))
-
-    return _node(data, (pred,), bwd, "mse")
 
 
 # ---------------------------------------------------------------------------

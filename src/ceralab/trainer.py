@@ -7,8 +7,10 @@ bit-identical (checksum-verifiable) across a run.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -73,80 +75,125 @@ def cosine_lr(t: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class AdamWState:
-    """Moments of every parameter, the step count, and two scratch buffers
-    per parameter that each update computes into."""
+    """Every parameter's values, gradient and moments, each in one flat
+    buffer, in parameter order; `adamw_state` makes each parameter's
+    `.data` a view of `data`. `bounds` are the parameters' offsets in the
+    buffers, and the two scratch buffers take each update's intermediates.
+    """
 
-    m: list[np.ndarray]
-    v: list[np.ndarray]
-    scratch: list[tuple[np.ndarray, np.ndarray]]
+    data: np.ndarray
+    grad: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray]
+    bounds: list[int]
     t: int = 0
 
 
 def adamw_state(params: list[Tensor]) -> AdamWState:
-    return AdamWState(m=[np.zeros_like(p.data) for p in params],
-                      v=[np.zeros_like(p.data) for p in params],
-                      scratch=[(np.empty_like(p.data), np.empty_like(p.data))
-                               for p in params])
+    """Move the parameters into one flat buffer (their values are copied,
+    and each `.data` becomes a shaped view of it) and allocate the rest."""
+    data = np.concatenate([p.data for p in params], axis=None)
+    bounds = np.cumsum([0] + [p.size for p in params]).tolist()
+    for p, lo, hi in zip(params, bounds, bounds[1:]):
+        p.data = data[lo:hi].reshape(p.shape)
+    return AdamWState(data=data, grad=np.empty_like(data), m=np.zeros_like(data),
+                      v=np.zeros_like(data),
+                      scratch=(np.empty_like(data), np.empty_like(data)),
+                      bounds=bounds)
 
 
-def adamw_step(params: list[Tensor], grads: list[np.ndarray],
-               state: AdamWState, lr: float, cfg: TrainConfig) -> None:
-    """One bias-corrected update; weight decay is decoupled (applied to the
-    parameter before the moment step, scaled by lr alone).
-
-    Computed in place in the state's scratch buffers, in the left-to-right
-    order of m += (1-b1) g, v += ((1-b2) g) g and
-    p -= (lr (m/bc1)) / (sqrt(v/bc2) + eps); another grouping moves the
-    last bits. The gradients are only read.
-    """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeError("params, grads, and state must align")
-    state.t += 1
-    bc1 = 1.0 - cfg.beta1 ** state.t
-    bc2 = 1.0 - cfg.beta2 ** state.t
-    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
-        if p.data.shape != g.shape:
-            raise ShapeError(f"grad shape {g.shape} != param shape {p.data.shape}")
-        if cfg.weight_decay:
-            p.data *= 1.0 - lr * cfg.weight_decay
-        m *= cfg.beta1
-        np.multiply(1.0 - cfg.beta1, g, out=a)
-        m += a
-        v *= cfg.beta2
-        np.multiply(1.0 - cfg.beta2, g, out=a)
-        a *= g
-        v += a
-        np.divide(m, bc1, out=a)
-        np.multiply(lr, a, out=a)
-        np.divide(v, bc2, out=b)
-        np.sqrt(b, out=b)
-        b += cfg.eps
-        a /= b
-        p.data -= a
+def gather_grads(params: list[Tensor], state: AdamWState) -> None:
+    """Copy every parameter's gradient into the state's flat gradient
+    buffer, zero for a parameter that got none. The gradients are only
+    read."""
+    if len(params) != len(state.bounds) - 1:
+        raise ShapeError("params and state must align")
+    grads = []
+    for p in params:
+        if p.grad is None:
+            grads.append(np.zeros(p.shape))
+        elif p.grad.shape != p.shape:
+            raise ShapeError(f"grad shape {p.grad.shape} != param shape {p.shape}")
+        else:
+            grads.append(p.grad)
+    np.concatenate(grads, axis=None, out=state.grad)
 
 
-def clip_global_norm(grads: list[np.ndarray], clip: float | None) -> float:
-    """Scale the gradients to global norm `clip` when they exceed it; returns
-    the norm before clipping. A clipped entry of `grads` is replaced by a new
-    array, never scaled in place: two entries may be one shared array."""
-    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+def clip_global_norm(state: AdamWState, clip: float | None) -> float:
+    """Scale the flat gradient to global norm `clip` when it exceeds it;
+    returns the norm before clipping. The squares are summed parameter by
+    parameter, in parameter order, and the buffer is scaled once."""
+    sq = np.multiply(state.grad, state.grad, out=state.scratch[0])
+    b = state.bounds
+    norm = math.sqrt(sum(float(sq[lo:hi].sum()) for lo, hi in zip(b, b[1:])))
     if clip is not None and norm > clip:
-        scale = clip / norm
-        grads[:] = [g * scale for g in grads]
+        state.grad *= clip / norm
     return norm
 
 
+def adamw_step(state: AdamWState, lr: float, cfg: TrainConfig) -> None:
+    """One bias-corrected update of every parameter from the flat gradient;
+    weight decay is decoupled (applied to the parameter before the moment
+    step, scaled by lr alone).
+
+    Computed in place over the flat buffers, in the left-to-right order of
+    m += (1-b1) g, v += ((1-b2) g) g and
+    p -= (lr (m/bc1)) / (sqrt(v/bc2) + eps); another grouping moves the
+    last bits. Elementwise, so one call over all parameters gives each
+    parameter the bits a call of its own would.
+    """
+    state.t += 1
+    bc1 = 1.0 - cfg.beta1 ** state.t
+    bc2 = 1.0 - cfg.beta2 ** state.t
+    p, g, m, v = state.data, state.grad, state.m, state.v
+    a, b = state.scratch
+    if cfg.weight_decay:
+        p *= 1.0 - lr * cfg.weight_decay
+    m *= cfg.beta1
+    np.multiply(1.0 - cfg.beta1, g, out=a)
+    m += a
+    v *= cfg.beta2
+    np.multiply(1.0 - cfg.beta2, g, out=a)
+    a *= g
+    v += a
+    np.divide(m, bc1, out=a)
+    np.multiply(lr, a, out=a)
+    np.divide(v, bc2, out=b)
+    np.sqrt(b, out=b)
+    b += cfg.eps
+    a /= b
+    p -= a
+
+
 def _batch_loss(backbone: FrozenBackbone, data: Dataset, idx: np.ndarray,
-                rng: RngState | None, frozen: np.ndarray | None) -> Tensor:
+                rng: RngState | None, frozen: np.ndarray | None
+                ) -> tuple[float, Callable[[], None]]:
     """Mean loss over the rows `idx` of `data`, with dropout drawn from `rng`
-    if one is given; `frozen` is the regressor's frozen term of all of
-    `data` (None for a language model)."""
+    if one is given, and a function that backpropagates it into the
+    adapters; `frozen` is the regressor's frozen term of all of `data`
+    (None for a language model).
+
+    A regressor's loss is the MSE computed off the tape, in numpy, in the
+    order d = out - target, then the sum of d ** 2.0 over its n entries
+    divided by n (`mean`'s bits), and its gradient with respect to the
+    output, ((1/n) 2.0) d, reaches each adapter's delta rows as one product
+    with the matrix that carries them to the output.
+    """
     if backbone.cfg.mode == "regressor":
-        out = regressor_output(backbone, Tensor(data.inputs[idx]), rng=rng,
-                               frozen=frozen[idx])
-        return T.mse(out, data.targets[idx])
-    logits = lm_logits(backbone, data.inputs[idx], rng=rng)
-    return T.cross_entropy_rows(logits, data.targets[idx].reshape(-1))
+        out, deltas = regressor_output(backbone, data.inputs[idx], rng=rng,
+                                       frozen=frozen[idx])
+        diff = out - data.targets[idx]
+
+        def backprop():
+            dout = (1.0 / diff.size) * 2.0 * diff
+            for delta, to_output in deltas:
+                backward(delta, dout @ to_output)
+
+        return float((diff ** 2.0).sum()) / diff.size, backprop
+    loss = T.cross_entropy_rows(lm_logits(backbone, data.inputs[idx], rng=rng),
+                                data.targets[idx].reshape(-1))
+    return loss.item(), lambda: backward(loss)
 
 
 def evaluate(backbone: FrozenBackbone, test: Dataset) -> float:
@@ -156,7 +203,7 @@ def evaluate(backbone: FrozenBackbone, test: Dataset) -> float:
         raise DomainError("empty split")
     regressor = backbone.cfg.mode == "regressor"
     frozen = regressor_frozen(backbone, test.inputs) if regressor else None
-    loss = _batch_loss(backbone, test, np.arange(len(test)), None, frozen).item()
+    loss, _ = _batch_loss(backbone, test, np.arange(len(test)), None, frozen)
     return loss if regressor else float(np.exp(loss))
 
 
@@ -187,24 +234,22 @@ def train_adapter(backbone: FrozenBackbone, train: Dataset, test: Dataset,
               if backbone.cfg.mode == "regressor" else None)
     for t in range(cfg.steps):
         idx = batch_rng.integers(0, n_train, cfg.batch_size)
-        loss = _batch_loss(backbone, train, idx, drop_rng, frozen)
-        loss_value = loss.item()
-        if not np.isfinite(loss_value):
+        loss_value, backprop = _batch_loss(backbone, train, idx, drop_rng, frozen)
+        if not math.isfinite(loss_value):
             raise TrainingDiverged(
                 f"non-finite loss {loss_value} at step {t} (lr={cosine_lr(t, cfg):.3g})")
         zero_grads(params)
-        backward(loss)
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data)
-                 for p in params]
-        clip_global_norm(grads, cfg.grad_clip)
-        adamw_step(params, grads, opt, cosine_lr(t, cfg), cfg)
+        backprop()
+        gather_grads(params, opt)
+        clip_global_norm(opt, cfg.grad_clip)
+        adamw_step(opt, cosine_lr(t, cfg), cfg)
         curve.append(loss_value)
     wallclock = time.perf_counter() - started
     if curve:
         final_train = curve[-1]
     else:
         idx = np.arange(min(n_train, cfg.batch_size))
-        final_train = _batch_loss(backbone, train, idx, None, frozen).item()
+        final_train, _ = _batch_loss(backbone, train, idx, None, frozen)
     tokens = cfg.steps * _tokens_in_batch(backbone, train, cfg.batch_size)
     return TrainReport(
         loss_curve=curve,

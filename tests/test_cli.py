@@ -53,10 +53,11 @@ def test_bad_config_exit_two(tmp_path, capsys):
     assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
     # nested entries get the same checks as the top level, a wrongly typed
     # value is a config error, a regressor refuses a Wq adapter it would
-    # never read, and an adapter scale must be finite (JSON NaN, Infinity)
+    # never read, an adapter scale must be finite (JSON NaN, Infinity), a
+    # method names each target once, and delta_w spectra need linear methods
     _, cfg = write_config(tmp_path)
-    no_kind, not_object, null_model, wq, text, nan_gain, inf_alpha = (
-        cfg.to_dict() for _ in range(7))
+    (no_kind, not_object, null_model, wq, text, nan_gain, inf_alpha,
+     twice, gated_delta_w) = (cfg.to_dict() for _ in range(9))
     del no_kind["methods"][0]["kind"]
     not_object["methods"] = ["lora"]
     null_model["model"] = None
@@ -64,7 +65,11 @@ def test_bad_config_exit_two(tmp_path, capsys):
     text["train"]["steps"] = "5"
     nan_gain["methods"][0]["init_gain"] = float("nan")
     inf_alpha["methods"][0]["alpha"] = float("inf")
-    for d in (no_kind, not_object, null_model, wq, text, nan_gain, inf_alpha):
+    twice["methods"][0]["targets"] = ["Wv", "Wv"]
+    gated_delta_w["methods"] = [dict(name="cera", kind="cera", targets=["Wv"])]
+    gated_delta_w["spectral_source"] = "delta_w"
+    for d in (no_kind, not_object, null_model, wq, text, nan_gain, inf_alpha,
+              twice, gated_delta_w):
         bad.write_text(json.dumps(d))
         capsys.readouterr()
         assert main(["sweep", "--config", str(bad)]) == 2

@@ -3,12 +3,14 @@ import pytest
 
 from ceralab import model as model_mod
 from ceralab import tensor as T
+from ceralab import trainer as trainer_mod
 from ceralab.adapters import Adapter, AdapterConfig, AdapterState
 from ceralab.errors import ConfigError, DomainError, NotMergeableError, ShapeError
 from ceralab.model import (ModelConfig, adapter_shape, build_model,
                            collect_latents, forward, inject, lm_logits,
                            merged_copy, regressor_frozen, regressor_output)
 from ceralab.spectral import activation_spectrum, svd_values
+from ceralab.tasks import Dataset
 from ceralab.tensor import RngState, Tensor, backward, cross_entropy_rows
 
 TINY = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1, vocab_size=11,
@@ -370,8 +372,8 @@ def test_regressor_mode_shapes_and_determinism():
                       vocab_size=4, max_seq_len=8, v_out_dim=8, mode="regressor")
     bb = build_model(cfg, 28)
     x = RngState(29).normal((10, 16))
-    a = regressor_output(bb, x).data
-    b = regressor_output(bb, x).data
+    a, _ = regressor_output(bb, x)
+    b, _ = regressor_output(bb, x)
     assert a.shape == (10, 4)
     assert np.array_equal(a, b)
 
@@ -413,21 +415,27 @@ def tape_regressor_output(bb, x, rng=None):
     return T.linear(x + attn_out + ff, bb.head)
 
 
-def regressor_with_both_adapters(seed, **kw):
+def regressor_with(seed, placements):
+    """REG with the given (target, AdapterConfig) adapters, non-zero w_down."""
     bb = build_model(REG, seed)
     rng = RngState(seed + 1)
-    for kind, target in (("cera", "Wv"), ("parallel_module", "attn_block")):
-        cfg = AdapterConfig(kind=kind, r=3, **kw)
+    for target, cfg in placements:
         adapter = Adapter.init(cfg, *adapter_shape(REG, target), rng.child(len(bb.adapters)))
         adapter.state.w_down.data[:] = rng.normal(adapter.state.w_down.shape) * 0.3
         inject(bb, 0, target, adapter)
     return bb
 
 
+def regressor_with_both_adapters(seed, **kw):
+    return regressor_with(seed, [("Wv", AdapterConfig(kind="cera", r=3, **kw)),
+                                 ("attn_block", AdapterConfig(kind="parallel_module", r=3, **kw))])
+
+
 def test_adapter_free_regressor_is_bit_identical_to_tape():
     bb = build_model(REG, 40)
     x = Tensor(RngState(41).normal((37, 16)))
-    got = regressor_output(bb, x).data
+    got, deltas = regressor_output(bb, x)
+    assert deltas == []
     assert got.tobytes() == tape_regressor_output(bb, x).data.tobytes()
     assert regressor_frozen(bb, x.data).tobytes() == got.tobytes()
 
@@ -438,30 +446,97 @@ def test_adapted_regressor_matches_tape_composition(stream):
     x = Tensor(RngState(43).normal((29, 16)))
     rng = lambda: None if stream is None else RngState(stream)  # a fresh stream
     want = tape_regressor_output(bb, x, rng()).data
-    got = regressor_output(bb, x, rng()).data
+    got, _ = regressor_output(bb, x, rng())
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # a frozen term passed in gives the same output as one computed inside
-    again = regressor_output(bb, x, rng(),
-                             frozen=regressor_frozen(bb, x.data)).data
+    again, _ = regressor_output(bb, x, rng(), frozen=regressor_frozen(bb, x.data))
     assert np.array_equal(again, got)
 
 
+def regressor_rows(seed, n):
+    """n feature rows and targets for REG."""
+    rng = RngState(seed)
+    return Dataset(inputs=rng.normal((n, 16)), targets=rng.normal((n, 4)))
+
+
+def training_loss(bb, data, stream):
+    """The regressor's training loss over every row of `data` and the
+    adapter gradients its backward pass gives, dropout drawn from a fresh
+    stream `stream`."""
+    value, backprop = trainer_mod._batch_loss(
+        bb, data, np.arange(len(data)), RngState(stream), regressor_frozen(bb, data.inputs))
+    params = bb.adapter_params()
+    T.zero_grads(params)
+    backprop()
+    return value, [p.grad for p in params]
+
+
 def test_regressor_gradient_matches_finite_differences():
+    # the training path: MSE and its output gradient off the tape, seeded
+    # into each adapter's nodes; the masks repeat with the stream
     bb = regressor_with_both_adapters(45)
-    x = Tensor(RngState(46).normal((12, 16)))
-    y = RngState(47).normal((12, 4))
-    worst = 0.0
-    for adapter in bb.adapters.values():
-        for attr in ("w_up", "w_down"):
-            original = getattr(adapter.state, attr)
-
-            def f(probe, _adapter=adapter, _attr=attr):
-                setattr(_adapter.state, _attr, probe)
-                return T.mse(regressor_output(bb, x), y)
-
-            worst = max(worst, T.finite_difference_check(f, original, 1e-6))
-            setattr(adapter.state, attr, original)
+    data = regressor_rows(46, 12)
+    _, analytic = training_loss(bb, data, 47)
+    worst, step = 0.0, 1e-6
+    for p, grad in zip(bb.adapter_params(), analytic):
+        flat = p.data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + step
+            hi = training_loss(bb, data, 47)[0]
+            flat[i] = orig - step
+            lo = training_loss(bb, data, 47)[0]
+            flat[i] = orig
+            a = grad.reshape(-1)[i]
+            worst = max(worst, abs(a - (hi - lo) / (2.0 * step)) / max(1.0, abs(a)))
     assert worst < 1e-9
+
+
+def tape_head(bb, x, rng):
+    """The regressor's head and the adapters on one tape, node for node as
+    training built it before the head left the tape: the frozen term plus,
+    Wv first, one add of linear(delta, C) per adapter."""
+    masks = model_mod._dropout_masks(bb, 1, x.shape[0], rng)
+    out = Tensor(regressor_frozen(bb, x.data))
+    for target in ("Wv", "attn_block"):
+        adapter = bb.adapters.get((0, target))
+        if adapter is not None:
+            to_output = bb.carry if target == "Wv" else bb.head.data
+            delta = adapter.delta_rows(x, masks.get((0, target)))
+            out = out + T.linear(delta, Tensor(to_output))
+    return out
+
+
+CLOSED_FORM_CASES = {
+    "Wv+attn_block": lambda: regressor_with_both_adapters(60, dropout_p=0.3),
+    "lora-alpha": lambda: regressor_with(61, [("Wv", AdapterConfig(kind="lora", r=3, alpha=6.0))]),
+    "cera-elementwise": lambda: regressor_with(
+        62, [("Wv", AdapterConfig(kind="cera", r=3, dropout_p=0.5))]),
+    "cera-channel": lambda: regressor_with(
+        63, [("Wv", AdapterConfig(kind="cera", r=3, dropout_p=0.5, dropout_style="channel"))]),
+    "cera-relu": lambda: regressor_with(
+        64, [("Wv", AdapterConfig(kind="cera", r=3, activation="relu"))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+def test_closed_form_gradients_equal_the_tape_seeded_with_the_mse_gradient(case):
+    bb = CLOSED_FORM_CASES[case]()
+    data = regressor_rows(65, 23)
+    x = Tensor(data.inputs)
+    value, got = training_loss(bb, data, 66)
+    params = bb.adapter_params()
+    for reference, bit_for_bit in ((tape_head, True), (tape_regressor_output, False)):
+        out = reference(bb, x, RngState(66))
+        diff = out.data - data.targets
+        T.zero_grads(params)
+        backward(out, (1.0 / diff.size) * 2.0 * diff)
+        if bit_for_bit:
+            assert value == float((diff ** 2.0).mean())
+            assert [g.tobytes() for g in got] == [p.grad.tobytes() for p in params]
+        else:  # the network as drawn multiplies by head, then Wo
+            for g, p in zip(got, params):
+                assert np.max(np.abs(g - p.grad)) <= 1e-13 * np.max(np.abs(p.grad))
 
 
 @pytest.mark.parametrize("style", ["elementwise", "channel"])
@@ -477,7 +552,7 @@ def test_regressor_masks_are_one_sequence_of_n_rows(style):
         assert np.array_equal(masks[(0, target)], np.broadcast_to(want, (7, 3)))
     # and the regressor's output is the tape's under those draws
     x = Tensor(RngState(50).normal((7, 16)))
-    got = regressor_output(bb, x, RngState(49)).data
+    got, _ = regressor_output(bb, x, RngState(49))
     want_out = tape_regressor_output(bb, x, RngState(49)).data
     assert np.max(np.abs(got - want_out)) <= 1e-14 * np.max(np.abs(want_out))
 
@@ -494,6 +569,11 @@ def tape_ops(out):
     return ops
 
 
+def reg_ops(output):
+    """The op names on the tapes of a regressor's adapter deltas."""
+    return set().union(*(tape_ops(delta) for delta, _ in output[1]))
+
+
 def lm_with_cera(dropout_p):
     bb = tiny_model(51)
     for target in ("Wq", "Wv"):
@@ -505,14 +585,14 @@ def test_eval_mode_and_p_zero_build_no_dropout_node():
     x = Tensor(RngState(53).normal((6, 16)))
     seqs = [[1, 2, 3, 4], [4, 3, 2, 1]]
     reg, lm = regressor_with_both_adapters(54, dropout_p=0.5), lm_with_cera(0.5)
-    assert "dropout" in tape_ops(regressor_output(reg, x, RngState(55)))
+    assert "dropout" in reg_ops(regressor_output(reg, x, RngState(55)))
     assert "dropout" in tape_ops(lm_logits(lm, seqs, RngState(55)))
-    assert "dropout" not in tape_ops(regressor_output(reg, x))
+    assert "dropout" not in reg_ops(regressor_output(reg, x))
     assert "dropout" not in tape_ops(lm_logits(lm, seqs))
     assert "dropout" not in tape_ops(forward(reg, x))
     assert "dropout" not in tape_ops(forward(lm, seqs))
     reg0, lm0 = regressor_with_both_adapters(54, dropout_p=0.0), lm_with_cera(0.0)
-    assert "dropout" not in tape_ops(regressor_output(reg0, x, RngState(55)))
+    assert "dropout" not in reg_ops(regressor_output(reg0, x, RngState(55)))
     assert "dropout" not in tape_ops(lm_logits(lm0, seqs, RngState(55)))
 
 

@@ -20,7 +20,7 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FAULT_PROBE = """
 import resource
 from ceralab import experiments, trainer
-from ceralab.tensor import RngState, backward
+from ceralab.tensor import RngState
 
 model = {"d_model": 64, "n_heads": 4, "d_head": 16, "n_layers": 2,
          "vocab_size": 12, "max_seq_len": 64, "v_out_dim": 32,
@@ -37,12 +37,12 @@ for t in range(cfg.steps):
     if t == 10:
         start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     idx = batch_rng.integers(0, len(bundle.train), cfg.batch_size)
-    loss = trainer._batch_loss(backbone, bundle.train, idx, drop_rng, None)
+    _, backprop = trainer._batch_loss(backbone, bundle.train, idx, drop_rng, None)
     trainer.zero_grads(params)
-    backward(loss)
-    grads = [p.grad for p in params]
-    trainer.clip_global_norm(grads, cfg.grad_clip)
-    trainer.adamw_step(params, grads, opt, trainer.cosine_lr(t, cfg), cfg)
+    backprop()
+    trainer.gather_grads(params, opt)
+    trainer.clip_global_norm(opt, cfg.grad_clip)
+    trainer.adamw_step(opt, trainer.cosine_lr(t, cfg), cfg)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / (cfg.steps - 10))
 """
 

@@ -8,7 +8,7 @@ from ceralab.errors import DomainError, ShapeError
 from ceralab.tensor import (RngState, Tensor, backward, causal_attention,
                             cross_entropy_rows, dropout, dropout_mask,
                             finite_difference_check, layer_norm,
-                            linear, mse, relu, silu)
+                            linear, relu, silu)
 
 
 def total(t):
@@ -19,15 +19,6 @@ def total(t):
 
 def total_sq(t):
     return total(t * t)
-
-
-def mse_chain(pred, target):
-    """mse's loss and gradient for a unit upstream gradient, in numpy, op
-    for op in the order of the sub, pow 2.0 and mean nodes it replaced."""
-    d = pred - target
-    value = np.asarray((d ** 2.0).mean())
-    g = np.broadcast_to(np.ones(()) / d.size, d.shape).copy()
-    return value, g * 2.0 * d ** (2.0 - 1)
 
 
 def test_total_is_the_sum_with_a_pass_through_gradient():
@@ -286,21 +277,30 @@ def test_causal_attention_gradient_per_operand(probe):
     assert finite_difference_check(f, fixed[probe], 1e-6) < 1e-5
 
 
-def test_mse_is_bit_for_bit_the_op_chain():
+def test_backward_from_a_seeded_root():
+    # a seed G at a non-scalar root y gives, bit for bit, the gradients of
+    # the scalar total(y * G): the mul hands y exactly G
     rng = RngState(69)
-    target = rng.normal((6, 5))
-    a = Tensor(rng.normal((6, 5)), requires_grad=True)
-    one = mse(a, target)
-    value, grad = mse_chain(a.data, target)
-    assert one.data.tobytes() == value.tobytes()
-    backward(one)
-    assert a.grad.tobytes() == grad.tobytes()
+    seed = rng.normal((6, 5))
+    w = Tensor(rng.normal((5, 4)), requires_grad=True)
+    x = Tensor(rng.normal((6, 4)), requires_grad=True)
+    backward(silu(linear(x, w)), seed)
+    got = (w.grad, x.grad)
+    w.zero_grad()
+    x.zero_grad()
+    backward(total(silu(linear(x, w)) * Tensor(seed)))
+    assert got[0].tobytes() == w.grad.tobytes()
+    assert got[1].tobytes() == x.grad.tobytes()
+    with pytest.raises(ShapeError, match="seed gradient"):
+        backward(linear(x, w), np.ones((5, 6)))
+    with pytest.raises(ShapeError, match="scalar loss"):
+        backward(linear(x, w))
 
 
 def test_fd_check_quadratic():
     rng = RngState(6)
     x = Tensor(rng.normal((5,)))
-    err = finite_difference_check(lambda t: mse(t, 0.0) * 2.5, x, 1e-6)
+    err = finite_difference_check(lambda t: total_sq(t) * 2.5, x, 1e-6)
     assert err < 1e-8
 
 
@@ -324,7 +324,6 @@ def test_fd_check_constant_function():
         T.split_heads(z, 2, 3), T.split_heads(z, 2, 3), T.split_heads(z, 2, 3), 0.7))
         * Tensor(np.arange(12.0).reshape(3, 4)))),
     ("cross_entropy", lambda z: cross_entropy_rows(z, np.array([0, 2, 1]))),
-    ("mse", lambda z: mse(z, np.linspace(0, 1, 12).reshape(3, 4))),
 ])
 def test_gradient_soundness_per_op(name, f):
     rng = RngState(hash(name) % 2 ** 32)

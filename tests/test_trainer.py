@@ -3,7 +3,7 @@ import pytest
 
 from ceralab import trainer as trainer_mod
 from ceralab.adapters import Adapter, AdapterConfig
-from ceralab.errors import ConfigError, DomainError
+from ceralab.errors import ConfigError, DomainError, ShapeError
 from ceralab import tensor as T
 from ceralab.model import (ModelConfig, adapter_shape, build_model, forward,
                            inject, lm_logits, regressor_output)
@@ -12,7 +12,7 @@ from ceralab.tasks import (Dataset, make_teacher_task, nonlinear_teacher,
 from ceralab.tensor import RngState, Tensor
 from ceralab.trainer import (TrainConfig, adamw_state, adamw_step,
                              clip_global_norm, cosine_lr, evaluate,
-                             measure_throughput, train_adapter)
+                             gather_grads, measure_throughput, train_adapter)
 
 REG_CFG = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1,
                       vocab_size=4, max_seq_len=8, v_out_dim=8,
@@ -24,6 +24,17 @@ LM_CFG = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=2,
 def total(t):
     """The sum of every entry as tape ops: a row of ones times t's entries."""
     return T.linear(T.reshape(t, (1, t.size)), Tensor(np.ones((1, t.size))))
+
+
+def step(params, grads, state, lr, cfg, clip=None):
+    """One optimizer step of the training loop with the given gradients;
+    returns the norm before clipping."""
+    for p, g in zip(params, grads):
+        p.grad = g
+    gather_grads(params, state)
+    norm = clip_global_norm(state, clip)
+    adamw_step(state, lr, cfg)
+    return norm
 
 
 def make_regression_setup(adapter_kind="cera", r=8, seed=1, **adapter_kw):
@@ -50,24 +61,21 @@ def test_cosine_lr_endpoints_and_midpoint():
 def test_adamw_first_step_golden():
     cfg = TrainConfig(weight_decay=0.0)
     p = Tensor(np.array([1.0]), requires_grad=True)
-    state = adamw_state([p])
-    adamw_step([p], [np.array([1.0])], state, lr=0.1, cfg=cfg)
+    step([p], [np.array([1.0])], adamw_state([p]), lr=0.1, cfg=cfg)
     assert p.data[0] == pytest.approx(1.0 - 0.1, abs=1e-6)
 
 
 def test_adamw_zero_grad_no_decay_is_noop():
     cfg = TrainConfig(weight_decay=0.0)
     p = Tensor(np.array([2.0, -3.0]), requires_grad=True)
-    state = adamw_state([p])
-    adamw_step([p], [np.zeros(2)], state, lr=0.1, cfg=cfg)
+    step([p], [np.zeros(2)], adamw_state([p]), lr=0.1, cfg=cfg)
     assert np.array_equal(p.data, [2.0, -3.0])
 
 
 def test_adamw_decoupled_decay_shrinks():
     cfg = TrainConfig(weight_decay=0.5)
     p = Tensor(np.array([2.0]), requires_grad=True)
-    state = adamw_state([p])
-    adamw_step([p], [np.zeros(1)], state, lr=0.1, cfg=cfg)
+    step([p], [np.zeros(1)], adamw_state([p]), lr=0.1, cfg=cfg)
     assert p.data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), rel=1e-12)
 
 
@@ -85,14 +93,27 @@ def test_train_config_rejects_values_that_break_training():
 
 
 def test_clip_global_norm():
-    grads = [np.array([3.0]), np.array([4.0])]
-    norm = clip_global_norm(grads, 1.0)
+    params = [Tensor(np.zeros(1), requires_grad=True) for _ in range(2)]
+    state = adamw_state(params)
+    params[0].grad, params[1].grad = np.array([3.0]), np.array([4.0])
+    gather_grads(params, state)
+    norm = clip_global_norm(state, 1.0)
     assert norm == pytest.approx(5.0)
-    assert np.sqrt(grads[0][0] ** 2 + grads[1][0] ** 2) == pytest.approx(1.0)
-    g = np.array([0.5])
-    grads = [g]
-    clip_global_norm(grads, 1.0)
-    assert grads[0] is g and g[0] == 0.5  # below the clip: untouched
+    assert np.sqrt(state.grad[0] ** 2 + state.grad[1] ** 2) == pytest.approx(1.0)
+    params[0].grad, params[1].grad = np.array([0.5]), None  # no gradient: zero
+    gather_grads(params, state)
+    assert clip_global_norm(state, 1.0) == 0.5
+    assert state.grad.tolist() == [0.5, 0.0]  # below the clip: untouched
+
+
+def test_gather_grads_checks_shapes():
+    params = [Tensor(np.zeros((2, 3)), requires_grad=True)]
+    state = adamw_state(params)
+    params[0].grad = np.zeros((3, 2))
+    with pytest.raises(ShapeError, match="grad shape"):
+        gather_grads(params, state)
+    with pytest.raises(ShapeError, match="align"):
+        gather_grads(params * 2, state)
 
 
 def test_clip_scales_a_gradient_shared_by_two_parameters_once():
@@ -102,12 +123,26 @@ def test_clip_scales_a_gradient_shared_by_two_parameters_once():
     w = rng.normal((3, 3))
     T.backward(total((p + q) * w))
     assert p.grad is q.grad  # both adopted the one upstream array
-    grads = [p.grad, q.grad]
-    norm = clip_global_norm(grads, 0.5)
+    state = adamw_state([p, q])
+    gather_grads([p, q], state)
+    norm = clip_global_norm(state, 0.5)
     assert norm == pytest.approx(np.sqrt(2.0) * np.linalg.norm(w), rel=1e-14)
     want = w * (0.5 / norm)
-    assert np.array_equal(grads[0], want) and np.array_equal(grads[1], want)
+    assert np.array_equal(state.grad[:9].reshape(3, 3), want)
+    assert np.array_equal(state.grad[9:].reshape(3, 3), want)
     assert np.array_equal(p.grad, w)  # the shared array is never written
+
+
+def test_adamw_state_makes_every_parameter_a_view_of_one_buffer():
+    rng = RngState(71)
+    params = [Tensor(rng.normal((4, 6)), requires_grad=True),
+              Tensor(rng.normal((6, 3)), requires_grad=True)]
+    values = [p.data.copy() for p in params]
+    state = adamw_state(params)
+    assert state.data.shape == (42,) and state.bounds == [0, 24, 42]
+    for p, value in zip(params, values):
+        assert p.data.base is state.data and p.data.flags["C_CONTIGUOUS"]
+        assert np.array_equal(p.data, value)
 
 
 def test_in_place_adamw_matches_the_formula_bit_for_bit():
@@ -122,13 +157,70 @@ def test_in_place_adamw_matches_the_formula_bit_for_bit():
     for t in range(1, 51):
         lr = 1e-2 / t
         grads = [rng.normal(p.shape) for p in params]
-        adamw_step(params, grads, state, lr, cfg)
+        step(params, grads, state, lr, cfg)
         bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
         for i, g in enumerate(grads):
             want[i] = want[i] * (1.0 - lr * cfg.weight_decay)
             m[i] = m[i] * cfg.beta1 + (1.0 - cfg.beta1) * g
             v[i] = v[i] * cfg.beta2 + (1.0 - cfg.beta2) * g * g
             want[i] = want[i] - lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + cfg.eps)
+    for p, w in zip(params, want):
+        assert p.data.tobytes() == w.tobytes()
+
+
+def per_parameter_clip(grads, clip):
+    """The clip as it ran one parameter at a time: a scaled entry is a new
+    array."""
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in grads)))
+    if clip is not None and norm > clip:
+        scale = clip / norm
+        grads[:] = [g * scale for g in grads]
+    return norm
+
+
+def per_parameter_adamw(params, grads, moments, t, lr, cfg):
+    """AdamW as it ran one parameter at a time, in place in two scratch
+    buffers per parameter; `moments` holds (m, v) per parameter."""
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
+    for p, g, (m, v) in zip(params, grads, moments):
+        a, b = np.empty_like(p), np.empty_like(p)
+        if cfg.weight_decay:
+            p *= 1.0 - lr * cfg.weight_decay
+        m *= cfg.beta1
+        np.multiply(1.0 - cfg.beta1, g, out=a)
+        m += a
+        v *= cfg.beta2
+        np.multiply(1.0 - cfg.beta2, g, out=a)
+        a *= g
+        v += a
+        np.divide(m, bc1, out=a)
+        np.multiply(lr, a, out=a)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += cfg.eps
+        a /= b
+        p -= a
+
+
+def test_flat_adamw_equals_the_per_parameter_loop_bit_for_bit():
+    cfg = TrainConfig(weight_decay=0.01)
+    rng = RngState(72)
+    params = [Tensor(rng.normal((5, 7)), requires_grad=True),
+              Tensor(rng.normal((3,)), requires_grad=True)]
+    want = [p.data.copy() for p in params]
+    moments = [(np.zeros_like(w), np.zeros_like(w)) for w in want]
+    state = adamw_state(params)
+    clipped = 0
+    for t in range(1, 51):
+        lr = cosine_lr(t, TrainConfig(steps=50))
+        grads = [rng.normal(p.shape) * (0.05 + 0.02 * t) for p in params]
+        norm = step(params, grads, state, lr, cfg, clip=1.0)
+        copies = list(grads)
+        assert norm == per_parameter_clip(copies, 1.0)
+        clipped += norm > 1.0
+        per_parameter_adamw(want, copies, moments, t, lr, cfg)
+    assert 0 < clipped < 50  # both branches of the clip ran
     for p, w in zip(params, want):
         assert p.data.tobytes() == w.tobytes()
 
@@ -184,11 +276,11 @@ def test_dropout_active_in_train_only():
     bb, adapter, task = make_regression_setup(seed=16, dropout_p=0.5)
     adapter.state.w_down.data[:] = RngState(17).normal(adapter.state.w_down.shape)
     x = Tensor(task.train.inputs[:8])
-    eval_a = regressor_output(bb, x).data
-    eval_b = regressor_output(bb, x).data
+    eval_a, _ = regressor_output(bb, x)
+    eval_b, _ = regressor_output(bb, x)
     assert np.array_equal(eval_a, eval_b)
-    train_a = regressor_output(bb, x, RngState(18)).data
-    train_b = regressor_output(bb, x, RngState(19)).data
+    train_a, _ = regressor_output(bb, x, RngState(18))
+    train_b, _ = regressor_output(bb, x, RngState(19))
     assert not np.array_equal(train_a, train_b)
 
 
@@ -214,16 +306,41 @@ def test_evaluate_is_the_training_loss_without_dropout(monkeypatch):
     train, test = trajectory_sequences(seed=61, count=10, n_steps=5)
     train_adapter(lm, train, test, TrainConfig(steps=3, batch_size=4))
     x, y = task.test.inputs, task.test.targets
-    want_mse = np.mean((regressor_output(reg, Tensor(x)).data - y) ** 2)
+    want_mse = np.mean((regressor_output(reg, Tensor(x))[0] - y) ** 2)
     want_ppl = np.exp(T.cross_entropy_rows(
         lm_logits(lm, test.inputs), test.targets.reshape(-1)).item())
+    ops = recorded_ops(monkeypatch)
+    got_mse = evaluate(reg, task.test)
+    reg_ops = set(ops)
+    got_ppl = evaluate(lm, test)
+    assert got_mse.hex() == float(want_mse).hex()
+    assert got_ppl.hex() == float(want_ppl).hex()
+    assert "cross_entropy" in ops and "dropout" not in ops
+    assert "add" not in reg_ops  # the regressor's head is off the tape
+
+
+def recorded_ops(monkeypatch) -> set:
+    """The set that collects the op name of every tape node made from now."""
     ops, node = set(), T._node
     monkeypatch.setattr(T, "_node", lambda data, parents, bwd, op: (
         ops.add(op), node(data, parents, bwd, op))[1])
-    got_mse, got_ppl = evaluate(reg, task.test), evaluate(lm, test)
-    assert got_mse.hex() == float(want_mse).hex()
-    assert got_ppl.hex() == float(want_ppl).hex()
-    assert {"mse", "cross_entropy"} <= ops and "dropout" not in ops
+    return ops
+
+
+def test_a_regressor_training_step_builds_only_adapter_nodes(monkeypatch):
+    # the head and the loss are off the tape: no add joins the deltas to the
+    # frozen term, and there is no loss node; lora's scale 2 is its mul
+    bb = build_model(REG_CFG, 73)
+    for target, cfg in (("Wv", AdapterConfig(kind="lora", r=2, alpha=4)),
+                        ("attn_block", AdapterConfig(kind="parallel_module", r=2))):
+        inject(bb, 0, target, Adapter.init(cfg, *adapter_shape(REG_CFG, target),
+                                           RngState(74, len(bb.adapters))))
+    rng = RngState(75)
+    rows = Dataset(inputs=rng.normal((8, 16)), targets=rng.normal((8, 4)))
+    ops = recorded_ops(monkeypatch)
+    rep = train_adapter(bb, rows, rows, TrainConfig(steps=2, batch_size=4))
+    assert len(rep.loss_curve) == 2
+    assert ops == {"linear", "mul", "silu", "dropout"}
 
 
 def lm_with_adapters(style):
@@ -254,13 +371,13 @@ def test_batched_train_loss_is_mean_of_single_sequence_losses(style):
     train, _ = trajectory_sequences(seed=42, count=10, n_steps=5)
     idx = np.array([3, 0, 3, 5, 1, 5])  # duplicates draw masks of their own
 
-    def grads_of(loss):
+    def grads_of(backprop):
         for p in params:
             p.zero_grad()
-        T.backward(loss)
+        backprop()
         return [p.grad.copy() for p in params]
 
-    batched = trainer_mod._batch_loss(bb, train, idx, RngState(43), None)
+    batched, backprop = trainer_mod._batch_loss(bb, train, idx, RngState(43), None)
     rng = RngState(43)
     single = [T.cross_entropy_rows(
         lm_logits(bb, train.inputs[i], rng=rng), train.targets[i])
@@ -269,12 +386,12 @@ def test_batched_train_loss_is_mean_of_single_sequence_losses(style):
     for ce in single[1:]:
         mean = mean + ce
     mean = mean * (1.0 / len(idx))
-    assert abs(batched.item() - mean.item()) <= 1e-12 * abs(mean.item())
-    for got, want in zip(grads_of(batched), grads_of(mean)):
+    assert abs(batched - mean.item()) <= 1e-12 * abs(mean.item())
+    for got, want in zip(grads_of(backprop), grads_of(lambda: T.backward(mean))):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # and the masks matter: another stream gives another loss
-    other = trainer_mod._batch_loss(bb, train, idx, RngState(44), None)
-    assert abs(other.item() - mean.item()) > 1e-6
+    other, _ = trainer_mod._batch_loss(bb, train, idx, RngState(44), None)
+    assert abs(other - mean.item()) > 1e-6
 
 
 def test_perplexity_uniform_logits():
