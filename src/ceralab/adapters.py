@@ -26,9 +26,12 @@ KINDS = ("lora", "cera", "parallel_module")
 
 @dataclass
 class AdapterConfig:
+    """One adapter's settings. A `None` default is settled at construction,
+    once, from the kind and rank, so every reader sees a concrete value."""
+
     kind: str
     r: int
-    alpha: float | None = None          # None -> r (unit linear scale)
+    alpha: float | None = None          # None -> float(r) (unit linear scale)
     scale_s: float | None = None        # None -> alpha / r; lora takes None only
     activation: str | None = None       # None -> identity for lora, silu otherwise
     dropout_p: float | None = None      # None -> 0.0 for lora, 0.1 otherwise
@@ -44,43 +47,28 @@ class AdapterConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
-        if self.kind == "lora" and self.activation not in (None, "identity"):
+        lora = self.kind == "lora"
+        if lora and self.activation not in (None, "identity"):
             raise ConfigError("lora is linear; its activation must stay 'identity'")
-        if self.kind == "lora" and self.scale_s is not None:
+        if lora and self.scale_s is not None:
             raise ConfigError("lora scales by alpha / r; set alpha, not scale_s")
-        if self.resolved_activation not in ("identity", *T.ACTIVATIONS):
-            raise ConfigError(f"unknown activation {self.resolved_activation!r}")
-        if not 0.0 <= self.resolved_dropout_p < 1.0:
-            raise ConfigError(f"dropout_p must be in [0, 1), got {self.resolved_dropout_p}")
+        self.alpha = float(self.r if self.alpha is None else self.alpha)
+        self.scale_s = float(self.alpha / self.r if self.scale_s is None else self.scale_s)
+        if self.activation is None:
+            self.activation = "identity" if lora else "silu"
+        if self.dropout_p is None:
+            self.dropout_p = 0.0 if lora else 0.1
+        if self.activation not in ("identity", *T.ACTIVATIONS):
+            raise ConfigError(f"unknown activation {self.activation!r}")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.dropout_style not in ("elementwise", "channel"):
             raise ConfigError(f"unknown dropout style {self.dropout_style!r}")
 
     @property
-    def resolved_alpha(self) -> float:
-        return float(self.r if self.alpha is None else self.alpha)
-
-    @property
-    def resolved_scale(self) -> float:
-        if self.scale_s is not None:
-            return float(self.scale_s)
-        return self.resolved_alpha / self.r
-
-    @property
-    def resolved_activation(self) -> str:
-        if self.activation is not None:
-            return self.activation
-        return "identity" if self.kind == "lora" else "silu"
-
-    @property
-    def resolved_dropout_p(self) -> float:
-        if self.dropout_p is not None:
-            return float(self.dropout_p)
-        return 0.0 if self.kind == "lora" else 0.1
-
-    @property
     def is_linear(self) -> bool:
         """Whether the update is one input-independent matrix s * B A."""
-        return self.kind != "parallel_module" and self.resolved_activation == "identity"
+        return self.kind != "parallel_module" and self.activation == "identity"
 
 
 @dataclass
@@ -142,7 +130,7 @@ class Adapter:
         """The latent rows act(W_up x) of a batch of rows, before dropout:
         the rows of the H matrix whose spectrum `latent_H` reports."""
         lat = T.linear(x_rows, self.state.w_up)
-        act = self.cfg.resolved_activation
+        act = self.cfg.activation
         return lat if act == "identity" else T.ACTIVATIONS[act](lat)
 
     def delta_rows(self, x_rows: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -151,15 +139,16 @@ class Adapter:
         Every kind takes this path: lora is the identity activation with
         s = alpha / r. A weight-level adapter adds it to its projection's
         output, a module adapter to its block's output. Dropout applies
-        exactly when a `mask` is given; `model._dropout_masks` draws every
-        mask. A scale of 1 (every shipped config) adds no multiply:
-        `1.0 * x` is x bit for bit.
+        exactly when a `mask` is given: the adapter's (rows, r) block of the
+        batch's one draw in `model._dropout_masks`. The scale is the
+        config's `scale_s`, settled at construction; a scale of 1 (every
+        shipped config) adds no multiply: `1.0 * x` is x bit for bit.
         """
         lat = self.latent_rows(x_rows)
         if mask is not None:
             lat = T.dropout(lat, mask)
         out = T.linear(lat, self.state.w_down)
-        scale = self.cfg.resolved_scale
+        scale = self.cfg.scale_s
         return out if scale == 1.0 else scale * out
 
 
@@ -181,7 +170,7 @@ def merge_linear(w0: Tensor, st: AdapterState, cfg: AdapterConfig) -> Tensor:
     """
     if not cfg.is_linear:
         raise NotMergeableError(
-            f"{cfg.kind} with activation {cfg.resolved_activation!r} has no "
+            f"{cfg.kind} with activation {cfg.activation!r} has no "
             "input-independent update matrix to merge")
     w0_m = w0.data if isinstance(w0, Tensor) else np.asarray(w0, dtype=np.float64)
-    return Tensor(w0_m + delta_w_linear(st.w_up, st.w_down, cfg.resolved_scale))
+    return Tensor(w0_m + delta_w_linear(st.w_up, st.w_down, cfg.scale_s))

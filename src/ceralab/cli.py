@@ -11,9 +11,10 @@ import sys
 from dataclasses import replace
 
 from .errors import ConfigError, DomainError
-from .experiments import (ExperimentConfig, cmd_ablate, cmd_logistic,
-                          cmd_params, cmd_spectral, cmd_sweep,
-                          format_logistic_report, format_params_table)
+from .experiments import (PARAM_PRESETS, SPECTRAL_SOURCES, ExperimentConfig,
+                          cmd_ablate, cmd_logistic, cmd_params, cmd_spectral,
+                          cmd_sweep, format_logistic_report,
+                          format_params_table)
 from .plotting import FigureSpec, emit_plot
 
 
@@ -30,7 +31,7 @@ def _load_config(args) -> ExperimentConfig:
     cfg = ExperimentConfig.load(args.config)
     if args.out:
         cfg = replace(cfg, outputs_dir=args.out)
-    if getattr(args, "seed_override", None):
+    if getattr(args, "seed_override", None) is not None:
         cfg = replace(cfg, seeds=_parse_int_list(args.seed_override))
     return cfg
 
@@ -58,12 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec.add_argument("--config", required=True)
     p_spec.add_argument("--out", help="override the config's outputs_dir")
     p_spec.add_argument("--run-id", required=True)
-    p_spec.add_argument("--source",
-                        choices=["latent_H", "output_delta_D", "delta_w"])
+    p_spec.add_argument("--source", choices=SPECTRAL_SOURCES)
 
     p_params = sub.add_parser("params", help="trainable-parameter audit")
     p_params.add_argument("--preset", default="llama3-8b",
-                          choices=["llama3-8b", "desk"])
+                          choices=list(PARAM_PRESETS))
     p_params.add_argument("--ranks", default="16,64,128,512",
                           help="comma-separated ranks")
 

@@ -241,7 +241,7 @@ def spectral_report(backbone: FrozenBackbone, inputs, source: str) -> SpectralRe
                 "delta_w spectra need a linear adapter; use latent_H or "
                 "output_delta_D for gated kinds")
         dw = delta_w_linear(adapter.state.w_up, adapter.state.w_down,
-                            cfg.resolved_scale)
+                            cfg.scale_s)
         sv = svd_values(dw)
         spectra.append(sv)
         ers.append(effective_rank(sv))

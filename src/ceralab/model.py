@@ -202,26 +202,31 @@ def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
     drawn from `rng`; without a stream there is no dropout and no mask.
 
     The one place dropout is drawn, for both model modes; the regressor
-    counts its n rows as one sequence. Masks are drawn sequence by sequence,
-    then layer by layer, then in injection-target order, so each sequence gets,
-    bit for bit, the masks it would draw if run on its own. `channel` style
-    draws one mask row per sequence, shared by its positions. Only the
-    adapters with p > 0 get a mask.
+    counts its n rows as one sequence. One call draws the batch as an
+    (n_seq, total) uniform array in which each adapter with p > 0, in
+    (layer, target) order, owns rows*r columns: rows is seq_len for
+    `elementwise` style, 1 for `channel` style, whose one row the
+    sequence's positions share. Row-major, that is the per-sequence draw
+    order (sequence, adapter, row), so each sequence gets, bit for bit, the
+    masks it would draw if run on its own. An entry is kept, as 1/keep,
+    where its draw is below keep = 1 - p.
     """
     if rng is None:
         return {}
-    keys = [(layer, target) for layer in range(backbone.cfg.n_layers)
-            for target in INJECTION_TARGETS if (layer, target) in backbone.adapters
-            and backbone.adapters[(layer, target)].cfg.resolved_dropout_p > 0.0]
-    drawn: dict = {key: [] for key in keys}
-    for _ in range(n_seq):
-        for key in keys:
-            cfg = backbone.adapters[key].cfg
+    blocks = []
+    for key, adapter in sorted(backbone.adapters.items()):
+        cfg = adapter.cfg
+        if cfg.dropout_p > 0.0:
             rows = seq_len if cfg.dropout_style == "elementwise" else 1
-            mask = T.dropout_mask((rows, cfg.r), cfg.resolved_dropout_p, rng)
-            drawn[key].append(mask if rows == seq_len
-                              else np.repeat(mask, seq_len, axis=0))
-    return {key: np.concatenate(parts) for key, parts in drawn.items()}
+            blocks.append((key, rows, cfg.r, 1.0 - cfg.dropout_p))
+    draws = rng.uniform(0.0, 1.0, (n_seq, sum(rows * r for _, rows, r, _ in blocks)))
+    masks, start = {}, 0
+    for key, rows, r, keep in blocks:
+        block = draws[:, start:start + rows * r]
+        start += rows * r
+        mask = ((block < keep) / keep).reshape(n_seq * rows, r)
+        masks[key] = mask if rows == seq_len else np.repeat(mask, seq_len, axis=0)
+    return masks
 
 
 def _lm_block(backbone: FrozenBackbone, layer: int, x: Tensor, seq_len: int,
@@ -315,7 +320,8 @@ def regressor_output(backbone: FrozenBackbone, features,
     output in one product D Cᵀ: a Wv adapter's through C = head·Wo (the
     backbone's `carry`, computed once per backbone), a module adapter's
     through C = head. Only the adapters run on the tape; the output rows
-    are plain numpy, summed in `REGRESSOR_TARGETS` order. Returns the
+    are plain numpy, summed in (layer, target) order, the order in which
+    `_dropout_masks` draws and `collect_latents` stacks. Returns the
     (n, vocab_size) output rows and each adapter's (D, C): a loss gradient
     G with respect to the output reaches D as G C.
 
@@ -327,12 +333,9 @@ def regressor_output(backbone: FrozenBackbone, features,
     masks = _dropout_masks(backbone, 1, x.shape[0], rng)
     out = regressor_frozen(backbone, x.data) if frozen is None else frozen
     deltas = []
-    for target in REGRESSOR_TARGETS:
-        adapter = backbone.adapters.get((0, target))
-        if adapter is None:
-            continue
-        delta = adapter.delta_rows(x, masks.get((0, target)))
-        to_output = backbone.carry if target == "Wv" else backbone.head.data
+    for key, adapter in sorted(backbone.adapters.items()):
+        delta = adapter.delta_rows(x, masks.get(key))
+        to_output = backbone.carry if key[1] == "Wv" else backbone.head.data
         out = out + delta.data @ to_output.T
         deltas.append((delta, to_output))
     return out, deltas

@@ -58,9 +58,6 @@ class RngState:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-    def keep_mask(self, shape, keep_prob: float) -> np.ndarray:
-        return (self._gen.random(size=shape) < keep_prob).astype(np.float64)
-
     def __repr__(self) -> str:
         return f"RngState(seed={self.seed}, path={self._path})"
 
@@ -300,18 +297,10 @@ ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
 }
 
 
-def dropout_mask(shape, p: float, rng: RngState) -> np.ndarray:
-    """The scaled keep mask of inverted dropout: 1/(1-p) where an entry is
-    kept, 0 where it is dropped."""
-    if not 0.0 <= p < 1.0:
-        raise DomainError(f"dropout probability must be in [0, 1), got {p}")
-    keep = 1.0 - p
-    return rng.keep_mask(shape, keep) / keep
-
-
 def dropout(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Inverted dropout with a given mask, as `dropout_mask` draws it and
-    broadcastable to x; the op draws nothing."""
+    """Inverted dropout with a given mask broadcastable to x: 1/(1-p) where
+    an entry is kept, 0 where it is dropped, as `model._dropout_masks` draws
+    it. The op draws nothing."""
     x = _wrap(x)
     data = x.data * mask
 

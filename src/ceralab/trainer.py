@@ -265,7 +265,6 @@ class ThroughputReport:
     tokens_per_second: float
     median_seconds: float
     relative_latency: float
-    coefficient_of_variation: float
     baseline: str
 
 
@@ -301,10 +300,8 @@ def measure_throughput(backbone: FrozenBackbone, batch,
     for _ in range(repetitions):
         times.append(_forward_seconds(backbone, batch))
         base_times.append(_forward_seconds(base, batch))
-    arr = np.asarray(times)
-    median = float(np.median(arr))
+    median = float(np.median(times))
     base_median = float(np.median(base_times))
-    cv = float(arr.std() / arr.mean()) if arr.mean() > 0 else 0.0
     if backbone.cfg.mode == "regressor":
         tokens = np.asarray(batch).shape[0]
     else:
@@ -313,6 +310,5 @@ def measure_throughput(backbone: FrozenBackbone, batch,
         tokens_per_second=tokens / median if median > 0 else 0.0,
         median_seconds=median,
         relative_latency=median / base_median if base_median > 0 else 1.0,
-        coefficient_of_variation=cv,
         baseline=base_label,
     )

@@ -25,6 +25,13 @@ def make_cera(r=4, d=6, k=8, seed=0, **kw):
     return cfg, init_adapter(cfg, d, k, RngState(seed))
 
 
+def keep_mask(shape, p, rng):
+    """One scaled keep mask of inverted dropout drawn from `rng`: 1/(1-p)
+    where the draw is below 1 - p, 0 elsewhere."""
+    keep = 1.0 - p
+    return (rng.uniform(0.0, 1.0, shape) < keep) / keep
+
+
 def total(t):
     """The sum of every entry as tape ops: a row of ones times t's entries."""
     return tensor_mod.linear(tensor_mod.reshape(t, (1, t.size)), Tensor(np.ones((1, t.size))))
@@ -124,8 +131,8 @@ def test_lora_rejects_scale_s():
     x = Tensor(rng.normal((4, 7)))
     applied = Adapter(cfg, st_).delta_rows(x).data
     unit = x.data @ (st_.w_down.data @ st_.w_up.data).T
-    assert cfg.resolved_scale == 2.0
-    assert np.max(np.abs(applied - cfg.resolved_scale * unit)) < 1e-12
+    assert cfg.scale_s == 2.0
+    assert np.max(np.abs(applied - cfg.scale_s * unit)) < 1e-12
 
 
 def test_unit_scale_adds_no_multiply_node():
@@ -135,7 +142,7 @@ def test_unit_scale_adds_no_multiply_node():
     x = Tensor(rng.normal((4, 7)))
     out = Adapter(cfg, st_).delta_rows(x)
     # s = alpha / r = 1: the delta is the down-projection node itself
-    assert cfg.resolved_scale == 1.0 and out._op == "linear"
+    assert cfg.scale_s == 1.0 and out._op == "linear"
     lat = tensor_mod.silu(tensor_mod.linear(x, st_.w_up))
     assert np.array_equal(out.data, (1.0 * tensor_mod.linear(lat, st_.w_down)).data)
     scaled_cfg = AdapterConfig(kind="cera", r=3, scale_s=2.0, dropout_p=0.0)
@@ -155,7 +162,7 @@ def test_cera_zero_down_projection():
     rng = RngState(6)
     w0 = Tensor(rng.normal((6, 8)))
     x = Tensor(rng.normal((1, 8)))
-    mask = tensor_mod.dropout_mask((1, 4), 0.5, rng.child(1))
+    mask = keep_mask((1, 4), 0.5, rng.child(1))
     out = adapted(x, w0, st_, cfg, mask=mask)
     assert np.allclose(out.data, x.data @ w0.data.T)
 
@@ -280,6 +287,8 @@ def test_config_validation():
         AdapterConfig(kind="mystery", r=4)
     with pytest.raises(ConfigError):
         AdapterConfig(kind="cera", r=4, dropout_p=1.0)
+    with pytest.raises(ConfigError):
+        AdapterConfig(kind="cera", r=4, dropout_p=-0.1)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
@@ -294,9 +303,18 @@ def test_config_rejects_a_non_finite_scale(field, value):
 def test_config_defaults_by_kind():
     lora = AdapterConfig(kind="lora", r=8)
     cera = AdapterConfig(kind="cera", r=8)
-    assert lora.resolved_activation == "identity" and lora.resolved_dropout_p == 0.0
-    assert cera.resolved_activation == "silu" and cera.resolved_dropout_p == 0.1
-    assert lora.resolved_alpha == 8.0 and cera.resolved_scale == 1.0
+    assert lora.activation == "identity" and lora.dropout_p == 0.0
+    assert cera.activation == "silu" and cera.dropout_p == 0.1
+    assert lora.alpha == 8.0 and lora.scale_s == 1.0 and cera.scale_s == 1.0
+
+
+def test_config_defaults_are_settled_at_construction():
+    # every default is filled in once; the result is the config written out
+    assert AdapterConfig(kind="cera", r=4) == AdapterConfig(
+        kind="cera", r=4, alpha=4.0, scale_s=1.0, activation="silu",
+        dropout_p=0.1, dropout_style="elementwise", init_gain=1.0)
+    assert AdapterConfig(kind="cera", r=4, alpha=6.0).scale_s == 1.5
+    assert AdapterConfig(kind="lora", r=4, alpha=6.0).scale_s == 1.5
 
 
 def test_config_round_trip_and_unknown_keys():
@@ -348,7 +366,7 @@ def test_adapter_latent_capture_is_pre_dropout():
     cfg = AdapterConfig(kind="cera", r=4, dropout_p=0.9)
     adapter = Adapter.init(cfg, 6, 8, rng.child(0))
     x = Tensor(rng.normal((3, 8)))
-    mask = tensor_mod.dropout_mask((3, 4), 0.9, rng.child(1))
+    mask = keep_mask((3, 4), 0.9, rng.child(1))
     lat = adapter.latent_rows(x)
     expected = x.data @ adapter.state.w_up.data.T
     expected = expected / (1.0 + np.exp(-expected))  # silu

@@ -55,7 +55,7 @@ def test_bad_config_exit_two(tmp_path, capsys):
     # value is a config error, a regressor refuses a Wq adapter it would
     # never read, an adapter scale must be finite (JSON NaN, Infinity), a
     # method names each target once, and delta_w spectra need linear methods
-    _, cfg = write_config(tmp_path)
+    good, cfg = write_config(tmp_path)
     (no_kind, not_object, null_model, wq, text, nan_gain, inf_alpha,
      twice, gated_delta_w) = (cfg.to_dict() for _ in range(9))
     del no_kind["methods"][0]["kind"]
@@ -83,6 +83,9 @@ def test_bad_config_exit_two(tmp_path, capsys):
     argvs = [["ablate", "--config", str(bad)]]
     argvs += [[command, "--config", str(bad), "--jobs", jobs]
               for command in ("sweep", "ablate") for jobs in ("0", "-3")]
+    # a given seed override that names no seed is refused, empty or not
+    argvs += [["sweep", "--config", str(good), "--seed-override", seeds]
+              for seeds in ("", ",")]
     for argv in argvs:
         capsys.readouterr()
         assert main(argv) == 2

@@ -113,26 +113,98 @@ def test_injection_neutrality_bit_identical():
     assert np.array_equal(lm_logits(bb, seqs).data, base)
 
 
-@pytest.mark.parametrize("style", ["elementwise", "channel"])
-def test_dropout_masks_follow_the_per_sequence_draw_order(style):
-    # sequence by sequence, layer by layer, Wq before Wv; channel style
-    # draws one row per sequence, shared by all its positions
+def keep_mask(shape, p, rng):
+    """One scaled keep mask of inverted dropout drawn from `rng`: 1/(1-p)
+    where the draw is below 1 - p, 0 elsewhere."""
+    keep = 1.0 - p
+    return (rng.uniform(0.0, 1.0, shape) < keep) / keep
+
+
+def per_sequence_masks(bb, n_seq, seq_len, rng):
+    """Reference: the masks drawn one at a time, sequence by sequence, then
+    layer by layer, then in injection-target order, for every adapter with
+    p > 0; a channel mask's one row is shared by the sequence's positions."""
+    drawn = {}
+    for _ in range(n_seq):
+        for layer in range(bb.cfg.n_layers):
+            for target in model_mod.INJECTION_TARGETS:
+                adapter = bb.adapters.get((layer, target))
+                if adapter is None or adapter.cfg.dropout_p == 0.0:
+                    continue
+                cfg = adapter.cfg
+                rows = seq_len if cfg.dropout_style == "elementwise" else 1
+                mask = keep_mask((rows, cfg.r), cfg.dropout_p, rng)
+                drawn.setdefault((layer, target), []).append(
+                    np.broadcast_to(mask, (seq_len, cfg.r)))
+    return {key: np.concatenate(parts) for key, parts in drawn.items()}
+
+
+def mixed_registry():
+    """Two layers of every injection target: different ranks and dropout
+    rates, both styles, a module adapter, and a lora adapter, which has
+    p = 0 and so neither a mask nor a draw."""
     cfg = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=2, vocab_size=11,
                       max_seq_len=8, v_out_dim=8)
     bb = build_model(cfg, 31)
-    for layer in range(2):
-        for target in ("Wq", "Wv"):
-            inject_cera(bb, target, layer=layer, dropout_p=0.5, dropout_style=style)
-    masks = model_mod._dropout_masks(bb, 3, 5, RngState(7))
-    rng = RngState(7)
-    for b in range(3):
+    placements = [
+        (0, "Wq", AdapterConfig(kind="cera", r=3, dropout_p=0.5)),
+        (0, "Wv", AdapterConfig(kind="lora", r=2)),
+        (0, "attn_block", AdapterConfig(kind="parallel_module", r=4, dropout_p=0.2,
+                                        dropout_style="channel")),
+        (1, "Wq", AdapterConfig(kind="cera", r=2, dropout_p=0.3, dropout_style="channel")),
+        (1, "Wv", AdapterConfig(kind="cera", r=5, dropout_p=0.4)),
+        (1, "attn_block", AdapterConfig(kind="parallel_module", r=3, dropout_p=0.1)),
+    ]
+    for layer, target, adapter_cfg in reversed(placements):  # registry order is not walk order
+        inject(bb, layer, target, Adapter.init(adapter_cfg, *adapter_shape(cfg, target),
+                                               RngState(5, 9)))
+    return bb
+
+
+@pytest.mark.parametrize("registry", ["elementwise", "channel", "mixed"])
+def test_dropout_masks_follow_the_per_sequence_draw_order(registry):
+    # the one draw per batch gives each mask the bits of drawing sequence by
+    # sequence, layer by layer, Wq before Wv before attn_block
+    if registry == "mixed":
+        bb = mixed_registry()
+    else:
+        cfg = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=2, vocab_size=11,
+                          max_seq_len=8, v_out_dim=8)
+        bb = build_model(cfg, 31)
         for layer in range(2):
             for target in ("Wq", "Wv"):
-                want = rng.keep_mask((5 if style == "elementwise" else 1, 3), 0.5) / 0.5
-                got = masks[(layer, target)][5 * b:5 * (b + 1)]
-                assert np.array_equal(got, np.broadcast_to(want, (5, 3)))
+                inject_cera(bb, target, layer=layer, dropout_p=0.5, dropout_style=registry)
+    rng, ref_rng = RngState(7), RngState(7)
+    masks = model_mod._dropout_masks(bb, 3, 5, rng)
+    want = per_sequence_masks(bb, 3, 5, ref_rng)
+    assert sorted(masks) == sorted(want)
+    for key in want:
+        assert masks[key].shape == (15, bb.adapters[key].cfg.r)
+        assert np.array_equal(masks[key], want[key])
+    # the stream ends where the reference's ends
+    assert np.array_equal(rng.uniform(0.0, 1.0, 6), ref_rng.uniform(0.0, 1.0, 6))
     # without a stream there is no dropout
     assert model_mod._dropout_masks(bb, 3, 5, None) == {}
+
+
+def test_dropout_preserves_expectation():
+    # inverted dropout scales each kept entry by 1/keep, so means survive
+    bb = tiny_model()
+    inject_cera(bb, "Wv", r=8, dropout_p=0.5)
+    mask = model_mod._dropout_masks(bb, 40, 50, RngState(4))[(0, "Wv")]
+    out = T.dropout(Tensor(np.full(mask.shape, 2.0)), mask)
+    assert out.data.mean() == pytest.approx(2.0, rel=0.05)
+
+
+def test_dropout_channel_masks_whole_columns():
+    bb = tiny_model()
+    inject_cera(bb, "Wv", r=8, dropout_p=0.4, dropout_style="channel")
+    mask = model_mod._dropout_masks(bb, 6, 50, RngState(5))[(0, "Wv")]
+    out = T.dropout(Tensor(np.ones(mask.shape)), mask).data
+    for seq in out.reshape(6, 50, 8):  # each column all-kept or all-dropped
+        assert np.array_equal(seq.min(axis=0), seq.max(axis=0))
+    assert 0.0 < np.mean(out == 0.0) < 1.0
+    assert all(v == 0.0 or abs(v - 1 / 0.6) < 1e-12 for v in np.unique(out))
 
 
 def test_adapter_params_keep_injection_order():
@@ -397,9 +469,9 @@ def tape_regressor_output(bb, x, rng=None):
     def delta(adapter):
         cfg = adapter.cfg
         mask = None
-        if rng is not None and cfg.resolved_dropout_p > 0.0:
+        if rng is not None and cfg.dropout_p > 0.0:
             rows = x.shape[0] if cfg.dropout_style == "elementwise" else 1
-            mask = T.dropout_mask((rows, cfg.r), cfg.resolved_dropout_p, rng)
+            mask = keep_mask((rows, cfg.r), cfg.dropout_p, rng)
         return adapter.delta_rows(x, mask=mask)
 
     ws = bb.layers[0]
@@ -548,7 +620,7 @@ def test_regressor_masks_are_one_sequence_of_n_rows(style):
     assert sorted(masks) == [(0, "Wv"), (0, "attn_block")]
     rng = RngState(49)
     for target in ("Wv", "attn_block"):
-        want = rng.keep_mask((7 if style == "elementwise" else 1, 3), 0.5) / 0.5
+        want = keep_mask((7 if style == "elementwise" else 1, 3), 0.5, rng)
         assert np.array_equal(masks[(0, target)], np.broadcast_to(want, (7, 3)))
     # and the regressor's output is the tape's under those draws
     x = Tensor(RngState(50).normal((7, 16)))
