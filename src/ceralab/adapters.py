@@ -58,7 +58,7 @@ class AdapterConfig:
             self.activation = "identity" if lora else "silu"
         if self.dropout_p is None:
             self.dropout_p = 0.0 if lora else 0.1
-        if self.activation not in ("identity", *T.ACTIVATIONS):
+        if self.activation not in T.ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
@@ -128,28 +128,24 @@ class Adapter:
 
     def latent_rows(self, x_rows: Tensor) -> Tensor:
         """The latent rows act(W_up x) of a batch of rows, before dropout:
-        the rows of the H matrix whose spectrum `latent_H` reports."""
-        lat = T.linear(x_rows, self.state.w_up)
-        act = self.cfg.activation
-        return lat if act == "identity" else T.ACTIVATIONS[act](lat)
+        the rows of the H matrix whose spectrum `latent_H` reports. Off the
+        tape: capture only reads the values."""
+        return Tensor(T.adapter_latent(x_rows.data, self.state.w_up.data,
+                                       self.cfg.activation)[1])
 
     def delta_rows(self, x_rows: Tensor, mask: np.ndarray | None = None) -> Tensor:
-        """Additive update s * W_down(dropout(act(W_up x))) for a batch of rows.
+        """Additive update s * W_down(dropout(act(W_up x))) for a batch of
+        rows, as one `adapter_delta` node.
 
         Every kind takes this path: lora is the identity activation with
         s = alpha / r. A weight-level adapter adds it to its projection's
         output, a module adapter to its block's output. Dropout applies
         exactly when a `mask` is given: the adapter's (rows, r) block of the
         batch's one draw in `model._dropout_masks`. The scale is the
-        config's `scale_s`, settled at construction; a scale of 1 (every
-        shipped config) adds no multiply: `1.0 * x` is x bit for bit.
+        config's `scale_s`, settled at construction.
         """
-        lat = self.latent_rows(x_rows)
-        if mask is not None:
-            lat = T.dropout(lat, mask)
-        out = T.linear(lat, self.state.w_down)
-        scale = self.cfg.scale_s
-        return out if scale == 1.0 else scale * out
+        return T.adapter_delta(x_rows, self.state.w_up, self.state.w_down,
+                               self.cfg.activation, mask, self.cfg.scale_s)
 
 
 def param_count(cfg: AdapterConfig, geometry: list[tuple[int, int, int]]) -> int:

@@ -193,7 +193,7 @@ def _proj(backbone: FrozenBackbone, layer: int, target: str, x_rows: Tensor,
     adapter = backbone.adapters.get((layer, target))
     if adapter is None:
         return base
-    return base + adapter.delta_rows(x_rows, masks.get((layer, target)))
+    return T.add(base, adapter.delta_rows(x_rows, masks.get((layer, target))))
 
 
 def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
@@ -244,11 +244,11 @@ def _lm_block(backbone: FrozenBackbone, layer: int, x: Tensor, seq_len: int,
     attn_out = T.linear(T.merge_heads(heads), ws["Wo"])
     module = backbone.adapters.get((layer, "attn_block"))
     if module is not None:
-        attn_out = attn_out + module.delta_rows(xn, masks.get((layer, "attn_block")))
-    x = x + attn_out
+        attn_out = T.add(attn_out, module.delta_rows(xn, masks.get((layer, "attn_block"))))
+    x = T.add(x, attn_out)
     xn2 = T.layer_norm(x, ws["ln2_g"], ws["ln2_b"])
     ff = T.linear(T.silu(T.linear(xn2, ws["W1"])), ws["W2"])
-    return x + ff, xn
+    return T.add(x, ff), xn
 
 
 def _lm_rows(backbone: FrozenBackbone, tokens,

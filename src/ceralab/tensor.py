@@ -1,10 +1,11 @@
 """Dense float64 tensors with tape-based reverse-mode autodiff.
 
 Deliberately small: only the ops the program runs. A row-times-weight
-product, elementwise add and scale, the activations, dropout, layer norm,
-the cross-entropy loss, and the few structural ops a tiny transformer needs
-to run a whole batch at once: head split/merge between (B*S, H*d) rows and
-a (B, H, S, d) layout, and causal attention over that layout as one op.
+product, elementwise add, the FFN's SiLU, an adapter's whole delta as one
+op, layer norm, the cross-entropy loss, and the few structural ops a tiny
+transformer needs to run a whole batch at once: head split/merge between
+(B*S, H*d) rows and a (B, H, S, d) layout, and causal attention over that
+layout as one op.
 Values are row-major numpy arrays; the tape is the implicit graph of parent
 links, torn down after each backward pass.
 
@@ -104,17 +105,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
 
-    # operator sugar, thin wrappers over the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
 
 def _wrap(x) -> Tensor:
     if isinstance(x, Tensor):
@@ -194,7 +184,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     """Rows-times-weight product: x (n,k) @ w (d,k).T -> (n,d).
 
     Backward forms the gradient product of an operand only if it requires
-    grad; the same holds for `add`, `mul` and `causal_attention`.
+    grad; the same holds for `add`, `adapter_delta` and `causal_attention`.
     """
     x, w = _wrap(x), _wrap(w)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
@@ -210,104 +200,105 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     return _node(data, (x, w), bwd, "linear")
 
 
-def _broadcast_bwd(t: Tensor, g: np.ndarray) -> np.ndarray:
-    if t.shape == g.shape:
-        return g
-    # leading-axis, row-vector or scalar broadcast against the grad
-    extra = g.ndim - t.ndim
-    if extra:
-        g = g.sum(axis=tuple(range(extra)))
-    for ax, n in enumerate(t.shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
-    return g.reshape(t.shape)
-
-
-def add(a: Tensor, b) -> Tensor:
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum of two tensors of one shape."""
     a, b = _wrap(a), _wrap(b)
-    try:
-        data = a.data + b.data
-    except ValueError as exc:
-        raise ShapeError(f"add shapes {a.shape} + {b.shape}") from exc
+    if a.shape != b.shape:
+        raise ShapeError(f"add shapes {a.shape} + {b.shape} differ")
+    data = a.data + b.data
 
     def bwd(g):
         if a.requires_grad:
-            _accum(a, _broadcast_bwd(a, g))
+            _accum(a, g)
         if b.requires_grad:
-            _accum(b, _broadcast_bwd(b, g))
+            _accum(b, g)
 
     return _node(data, (a, b), bwd, "add")
 
 
-def mul(a: Tensor, b) -> Tensor:
-    a, b = _wrap(a), _wrap(b)
-    try:
-        data = a.data * b.data
-    except ValueError as exc:
-        raise ShapeError(f"mul shapes {a.shape} * {b.shape}") from exc
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, _broadcast_bwd(a, g * b.data))
-        if b.requires_grad:
-            _accum(b, _broadcast_bwd(b, g * a.data))
-
-    return _node(data, (a, b), bwd, "mul")
-
-
 # ---------------------------------------------------------------------------
-# activations
+# activations and adapters
+
+# the activations `adapter_delta` applies between an adapter's projections
+ACTIVATIONS = ("identity", "relu", "silu")
+
+
+def _silu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """x * sigmoid(x) and the sigmoid, 1 / (1 + exp(-x)) in one buffer."""
+    sig = np.negative(x, out=np.empty_like(x))
+    np.exp(sig, out=sig)
+    sig += 1.0
+    np.divide(1.0, sig, out=sig)
+    return x * sig, sig
+
+
+def _silu_grad(x: np.ndarray, sig: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """g * sig * (1 + x (1 - sig)) in two buffers; g is only read."""
+    slope = np.subtract(1.0, sig)
+    slope *= x
+    slope += 1.0
+    dx = g * sig
+    dx *= slope
+    return dx
 
 
 def silu(x: Tensor) -> Tensor:
     """Elementwise x * sigmoid(x)."""
     x = _wrap(x)
-    # 1 / (1 + exp(-x)) in one buffer; the in-place steps give the same bits
-    sig = np.negative(x.data, out=np.empty_like(x.data))
-    np.exp(sig, out=sig)
-    sig += 1.0
-    np.divide(1.0, sig, out=sig)
-    data = x.data * sig
+    data, sig = _silu(x.data)
+    return _node(data, (x,), lambda g: _accum(x, _silu_grad(x.data, sig, g)), "silu")
+
+
+def adapter_latent(x: np.ndarray, w_up: np.ndarray, activation: str
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """An adapter's latent rows x w_upᵀ, their activation, and the sigmoid
+    of a SiLU (None otherwise): the first half of `adapter_delta`, off the
+    tape."""
+    lat = x @ w_up.T
+    if activation == "silu":
+        return (lat, *_silu(lat))
+    if activation == "relu":
+        return lat, np.maximum(lat, 0.0), None
+    if activation != "identity":
+        raise DomainError(f"unknown activation {activation!r}")
+    return lat, lat, None
+
+
+def adapter_delta(x: Tensor, w_up: Tensor, w_down: Tensor, activation: str,
+                  mask: np.ndarray | None, scale: float) -> Tensor:
+    """An adapter's delta rows scale * (mask * act(x w_upᵀ)) w_downᵀ as one
+    node: x (n,k), w_up (r,k), w_down (d,r) -> (n,d). `mask` is a dropout
+    mask as `model._dropout_masks` draws it, or None; a scale of 1 is no
+    multiply. The forward runs the linear, activation, mask, linear, scale
+    chain op for op, and the backward forms each of the chain's gradient
+    products as the chain does, so both are the chain's bit for bit."""
+    x, w_up, w_down = _wrap(x), _wrap(w_up), _wrap(w_down)
+    lat, act, sig = adapter_latent(x.data, w_up.data, activation)
+    kept = act if mask is None else act * mask
+    data = kept @ w_down.data.T
+    if scale != 1.0:
+        data *= scale
 
     def bwd(g):
-        # g * sig * (1 + x (1 - sig)) in two buffers
-        slope = np.subtract(1.0, sig)
-        slope *= x.data
-        slope += 1.0
-        dx = g * sig
-        dx *= slope
-        _accum(x, dx)
+        if scale != 1.0:
+            g = g * scale
+        if w_down.requires_grad:
+            _accum(w_down, g.T @ kept)
+        if not (x.requires_grad or w_up.requires_grad):
+            return
+        dact = g @ w_down.data
+        if mask is not None:
+            dact *= mask
+        if activation == "silu":
+            dact = _silu_grad(lat, sig, dact)
+        elif activation == "relu":
+            dact *= lat > 0.0
+        if x.requires_grad:
+            _accum(x, dact @ w_up.data)
+        if w_up.requires_grad:
+            _accum(w_up, dact.T @ x.data)
 
-    return _node(data, (x,), bwd, "silu")
-
-
-def relu(x: Tensor) -> Tensor:
-    x = _wrap(x)
-    data = np.maximum(x.data, 0.0)
-
-    def bwd(g):
-        _accum(x, g * (x.data > 0.0))
-
-    return _node(data, (x,), bwd, "relu")
-
-
-ACTIVATIONS: dict[str, Callable[[Tensor], Tensor]] = {
-    "relu": relu,
-    "silu": silu,
-}
-
-
-def dropout(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Inverted dropout with a given mask broadcastable to x: 1/(1-p) where
-    an entry is kept, 0 where it is dropped, as `model._dropout_masks` draws
-    it. The op draws nothing."""
-    x = _wrap(x)
-    data = x.data * mask
-
-    def bwd(g):
-        _accum(x, g * mask)
-
-    return _node(data, (x,), bwd, "dropout")
+    return _node(data, (x, w_up, w_down), bwd, "adapter_delta")
 
 
 # ---------------------------------------------------------------------------

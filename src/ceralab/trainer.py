@@ -22,6 +22,11 @@ from .model import (FrozenBackbone, forward, lm_logits, merged_copy,
 from .tasks import Dataset
 from .tensor import RngState, Tensor, backward, zero_grads
 
+# a run draws its batch indices a block of steps at a time, as many steps as
+# fit this many bytes of int64 indices and at least one; one (k, batch) draw
+# is, bit for bit, k per-step draws of the same stream
+BATCH_BLOCK_BYTES = 1 << 14
+
 
 @dataclass
 class TrainConfig(DictConfig):
@@ -70,7 +75,7 @@ def cosine_lr(t: int, cfg: TrainConfig) -> float:
     if cfg.steps == 0:
         return cfg.lr_max
     return cfg.lr_min + 0.5 * (cfg.lr_max - cfg.lr_min) * (
-        1.0 + np.cos(np.pi * t / cfg.steps))
+        1.0 + math.cos(math.pi * t / cfg.steps))
 
 
 @dataclass
@@ -232,8 +237,11 @@ def train_adapter(backbone: FrozenBackbone, train: Dataset, test: Dataset,
     started = time.perf_counter()
     frozen = (regressor_frozen(backbone, train.inputs)
               if backbone.cfg.mode == "regressor" else None)
+    block = max(1, BATCH_BLOCK_BYTES // (8 * cfg.batch_size))
     for t in range(cfg.steps):
-        idx = batch_rng.integers(0, n_train, cfg.batch_size)
+        if t % block == 0:
+            batches = batch_rng.integers(0, n_train, (min(block, cfg.steps - t), cfg.batch_size))
+        idx = batches[t % block]
         loss_value, backprop = _batch_loss(backbone, train, idx, drop_rng, frozen)
         if not math.isfinite(loss_value):
             raise TrainingDiverged(

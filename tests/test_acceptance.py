@@ -20,7 +20,7 @@ from ceralab.model import (ModelConfig, adapter_shape, build_model, inject,
                            lm_logits)
 from ceralab.spectral import auc90, effective_rank, svd_values
 from ceralab.tasks import logistic_map_table
-from ceralab.tensor import (RngState, Tensor, cross_entropy_rows,
+from ceralab.tensor import (RngState, Tensor, add, cross_entropy_rows,
                             finite_difference_check, linear)
 from ceralab.trainer import measure_throughput
 
@@ -103,8 +103,8 @@ def test_criterion_03_degeneracy_equivalence():
         st.w_down.data[:] = rng.normal((d, r))
         w0 = Tensor(rng.normal((d, k)))
         x = Tensor(rng.normal((1, k)))
-        a = (linear(x, w0) + Adapter(lora_cfg, st).delta_rows(x)).data
-        b = (linear(x, w0) + Adapter(cera_cfg, st).delta_rows(x)).data
+        a = add(linear(x, w0), Adapter(lora_cfg, st).delta_rows(x)).data
+        b = add(linear(x, w0), Adapter(cera_cfg, st).delta_rows(x)).data
         worst = max(worst, float(np.max(np.abs(a - b))))
     ok = worst < 1e-12
     report(3, "degeneracy-cera-equals-lora", ok,
@@ -122,7 +122,7 @@ def test_criterion_04_merge_equivalence_and_asymmetry():
         w0 = Tensor(rng.normal((5, 7)))
         merged = merge_linear(w0, st, cfg)
         x = Tensor(rng.normal((1, 7)))
-        unmerged = (linear(x, w0) + Adapter(cfg, st).delta_rows(x)).data
+        unmerged = add(linear(x, w0), Adapter(cfg, st).delta_rows(x)).data
         worst = max(worst, float(np.max(np.abs(unmerged - x.data @ merged.data.T))))
     cera_cfg = AdapterConfig(kind="cera", r=3)  # silu by default
     cera_st = init_adapter(cera_cfg, 5, 7, RngState(1))

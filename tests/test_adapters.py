@@ -39,7 +39,7 @@ def total(t):
 
 def adapted(x, w0, st_, cfg, **kw):
     """W0 x plus the adapter's delta, for a batch of rows."""
-    return tensor_mod.linear(x, w0) + Adapter(cfg, st_).delta_rows(x, **kw)
+    return tensor_mod.add(tensor_mod.linear(x, w0), Adapter(cfg, st_).delta_rows(x, **kw))
 
 
 def test_init_is_exact_noop():
@@ -141,12 +141,15 @@ def test_unit_scale_adds_no_multiply_node():
     st_.w_down.data[:] = rng.normal((5, 3))
     x = Tensor(rng.normal((4, 7)))
     out = Adapter(cfg, st_).delta_rows(x)
-    # s = alpha / r = 1: the delta is the down-projection node itself
-    assert cfg.scale_s == 1.0 and out._op == "linear"
-    lat = tensor_mod.silu(tensor_mod.linear(x, st_.w_up))
-    assert np.array_equal(out.data, (1.0 * tensor_mod.linear(lat, st_.w_down)).data)
+    # the whole delta is one node on the three operands, with no interior node
+    assert out._op == "adapter_delta" and out._parents == (x, st_.w_up, st_.w_down)
+    # s = alpha / r = 1: the delta is the down-projection's product itself
+    assert cfg.scale_s == 1.0
+    unit = tensor_mod.silu(Tensor(x.data @ st_.w_up.data.T)).data @ st_.w_down.data.T
+    assert np.array_equal(out.data, unit)
     scaled_cfg = AdapterConfig(kind="cera", r=3, scale_s=2.0, dropout_p=0.0)
-    assert Adapter(scaled_cfg, st_).delta_rows(x)._op == "mul"
+    scaled = Adapter(scaled_cfg, st_).delta_rows(x)
+    assert scaled._op == "adapter_delta" and np.array_equal(scaled.data, 2.0 * unit)
 
 
 def test_cera_scalar_silu_golden():
@@ -191,7 +194,7 @@ def test_parallel_module_zero_down_is_identity():
     rng = RngState(10)
     block_in = Tensor(rng.normal((1, 8)))
     block_out = Tensor(rng.normal((1, 8)))
-    got = block_out + Adapter(cfg, st_).delta_rows(block_in)
+    got = tensor_mod.add(block_out, Adapter(cfg, st_).delta_rows(block_in))
     assert np.array_equal(got.data, block_out.data)
 
 
@@ -203,7 +206,7 @@ def test_parallel_module_identity_is_linear_composition():
     st_.w_down.data[:] = rng.normal((6, 3))
     block_in = Tensor(rng.normal((1, 6)))
     block_out = Tensor(rng.normal((1, 6)))
-    got = (block_out + Adapter(cfg, st_).delta_rows(block_in)).data
+    got = tensor_mod.add(block_out, Adapter(cfg, st_).delta_rows(block_in)).data
     expected = block_out.data + block_in.data @ (2.0 * (st_.w_down.data @ st_.w_up.data)).T
     assert np.max(np.abs(got - expected)) < 1e-12
 
@@ -371,9 +374,11 @@ def test_adapter_latent_capture_is_pre_dropout():
     expected = x.data @ adapter.state.w_up.data.T
     expected = expected / (1.0 + np.exp(-expected))  # silu
     assert np.allclose(lat.data, expected)  # no dropout zeros in the latent
+    # capture only reads values: the latent is built off the tape
+    assert lat._op == "leaf" and not lat.requires_grad
     # the delta drops out exactly these rows
-    dropped = tensor_mod.linear(tensor_mod.dropout(lat, mask), adapter.state.w_down)
-    assert np.array_equal(adapter.delta_rows(x, mask).data, dropped.data)
+    dropped = (lat.data * mask) @ adapter.state.w_down.data.T
+    assert np.array_equal(adapter.delta_rows(x, mask).data, dropped)
 
 
 @settings(max_examples=25, deadline=None)

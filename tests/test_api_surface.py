@@ -142,7 +142,7 @@ def test_every_tape_op_is_created_by_the_program(monkeypatch):
     rng = T.RngState(2)
     rows = Dataset(inputs=rng.normal((6, 8)), targets=rng.normal((6, 3)))
     for target, cfg in (
-            ("Wv", AdapterConfig(kind="lora", r=2, alpha=4)),  # scale 2: a mul
+            ("Wv", AdapterConfig(kind="lora", r=2, alpha=4)),  # scale 2
             ("Wv", AdapterConfig(kind="cera", r=2)),
             ("Wv", AdapterConfig(kind="cera", r=2, activation="relu")),
             ("attn_block", AdapterConfig(kind="parallel_module", r=2))):
@@ -155,6 +155,8 @@ def test_every_tape_op_is_created_by_the_program(monkeypatch):
 
     never = sorted(node_op_names() - census)
     assert never == [], f"tape ops the program never creates: {never}"
+    # every kind, activation, dropout and scale is the one adapter node
+    assert "adapter_delta" in census and not census & {"dropout", "mul", "relu"}
 
 
 # defaulted parameters that only tests set, each with the reason tests need it

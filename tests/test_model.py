@@ -192,15 +192,15 @@ def test_dropout_preserves_expectation():
     bb = tiny_model()
     inject_cera(bb, "Wv", r=8, dropout_p=0.5)
     mask = model_mod._dropout_masks(bb, 40, 50, RngState(4))[(0, "Wv")]
-    out = T.dropout(Tensor(np.full(mask.shape, 2.0)), mask)
-    assert out.data.mean() == pytest.approx(2.0, rel=0.05)
+    out = np.full(mask.shape, 2.0) * mask
+    assert out.mean() == pytest.approx(2.0, rel=0.05)
 
 
 def test_dropout_channel_masks_whole_columns():
     bb = tiny_model()
     inject_cera(bb, "Wv", r=8, dropout_p=0.4, dropout_style="channel")
     mask = model_mod._dropout_masks(bb, 6, 50, RngState(5))[(0, "Wv")]
-    out = T.dropout(Tensor(np.ones(mask.shape)), mask).data
+    out = np.ones(mask.shape) * mask
     for seq in out.reshape(6, 50, 8):  # each column all-kept or all-dropped
         assert np.array_equal(seq.min(axis=0), seq.max(axis=0))
     assert 0.0 < np.mean(out == 0.0) < 1.0
@@ -478,13 +478,13 @@ def tape_regressor_output(bb, x, rng=None):
     v = T.linear(x, ws["Wv"])
     wv = bb.adapters.get((0, "Wv"))
     if wv is not None:
-        v = v + delta(wv)
+        v = T.add(v, delta(wv))
     attn_out = T.linear(v, ws["Wo"])
     module = bb.adapters.get((0, "attn_block"))
     if module is not None:
-        attn_out = attn_out + delta(module)
+        attn_out = T.add(attn_out, delta(module))
     ff = T.linear(T.silu(T.linear(x, ws["W1"])), ws["W2"])
-    return T.linear(x + attn_out + ff, bb.head)
+    return T.linear(T.add(T.add(x, attn_out), ff), bb.head)
 
 
 def regressor_with(seed, placements):
@@ -575,7 +575,7 @@ def tape_head(bb, x, rng):
         if adapter is not None:
             to_output = bb.carry if target == "Wv" else bb.head.data
             delta = adapter.delta_rows(x, masks.get((0, target)))
-            out = out + T.linear(delta, Tensor(to_output))
+            out = T.add(out, T.linear(delta, Tensor(to_output)))
     return out
 
 
@@ -653,19 +653,30 @@ def lm_with_cera(dropout_p):
     return bb
 
 
-def test_eval_mode_and_p_zero_build_no_dropout_node():
+def test_eval_mode_and_p_zero_build_no_dropout_node(monkeypatch):
+    # dropout is the mask inside each adapter's one node: a training pass
+    # with p > 0 hands every adapter a mask, eval mode and p = 0 hand none
+    masked = []
+    fused = T.adapter_delta
+    monkeypatch.setattr(T, "adapter_delta", lambda *args: (
+        masked.append(args[4] is not None), fused(*args))[1])
     x = Tensor(RngState(53).normal((6, 16)))
     seqs = [[1, 2, 3, 4], [4, 3, 2, 1]]
     reg, lm = regressor_with_both_adapters(54, dropout_p=0.5), lm_with_cera(0.5)
-    assert "dropout" in reg_ops(regressor_output(reg, x, RngState(55)))
-    assert "dropout" in tape_ops(lm_logits(lm, seqs, RngState(55)))
-    assert "dropout" not in reg_ops(regressor_output(reg, x))
-    assert "dropout" not in tape_ops(lm_logits(lm, seqs))
-    assert "dropout" not in tape_ops(forward(reg, x))
-    assert "dropout" not in tape_ops(forward(lm, seqs))
     reg0, lm0 = regressor_with_both_adapters(54, dropout_p=0.0), lm_with_cera(0.0)
-    assert "dropout" not in reg_ops(regressor_output(reg0, x, RngState(55)))
-    assert "dropout" not in tape_ops(lm_logits(lm0, seqs, RngState(55)))
+    for dropout, run in (
+            (True, lambda: reg_ops(regressor_output(reg, x, RngState(55)))),
+            (True, lambda: tape_ops(lm_logits(lm, seqs, RngState(55)))),
+            (False, lambda: reg_ops(regressor_output(reg, x))),
+            (False, lambda: tape_ops(lm_logits(lm, seqs))),
+            (False, lambda: tape_ops(forward(reg, x))),
+            (False, lambda: tape_ops(forward(lm, seqs))),
+            (False, lambda: reg_ops(regressor_output(reg0, x, RngState(55)))),
+            (False, lambda: tape_ops(lm_logits(lm0, seqs, RngState(55))))):
+        masked.clear()
+        ops = run()
+        assert masked and set(masked) == {dropout}
+        assert not ops & {"dropout", "mul", "relu"}
 
 
 def test_unknown_mode_is_rejected():

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ceralab import tensor as T
-from ceralab.errors import ShapeError
-from ceralab.tensor import (RngState, Tensor, backward, causal_attention,
-                            cross_entropy_rows, dropout,
-                            finite_difference_check, layer_norm,
-                            linear, relu, silu)
+from ceralab.errors import DomainError, ShapeError
+from ceralab.tensor import (RngState, Tensor, adapter_delta, backward,
+                            causal_attention, cross_entropy_rows,
+                            finite_difference_check, layer_norm, linear, silu)
 
 
 def keep_mask(shape, p, rng):
@@ -24,8 +23,15 @@ def total(t):
     return linear(T.reshape(t, (1, t.size)), Tensor(np.ones((1, t.size))))
 
 
+def dot(a, b):
+    """The sum of a * b as tape ops: a's entries as one row times b's as a
+    weight row. Each operand's gradient is the other's entries times the
+    upstream one, bit for bit what an elementwise product hands it."""
+    return linear(T.reshape(a, (1, a.size)), T.reshape(b, (1, b.size)))
+
+
 def total_sq(t):
-    return total(t * t)
+    return dot(t, t)
 
 
 def test_total_is_the_sum_with_a_pass_through_gradient():
@@ -77,18 +83,24 @@ def test_silu_odd_plus_identity():
 
 
 def test_relu_and_identity():
-    assert relu(Tensor([-2.0])).data[0] == 0.0
-    assert relu(Tensor([3.0])).data[0] == 3.0
-    # the identity activation is no op: the adapter path skips it
-    assert set(T.ACTIVATIONS) == {"relu", "silu"}
+    # with unit projections the latent is the input itself
+    eye = Tensor(np.eye(2))
+    x = Tensor([[-2.0, 3.0]])
+    assert adapter_delta(x, eye, eye, "relu", None, 1.0).data.tolist() == [[0.0, 3.0]]
+    assert adapter_delta(x, eye, eye, "identity", None, 1.0).data.tolist() == [[-2.0, 3.0]]
+    assert T.ACTIVATIONS == ("identity", "relu", "silu")
+    with pytest.raises(DomainError, match="unknown activation"):
+        adapter_delta(x, eye, eye, "tanh", None, 1.0)
 
 
 def test_dropout_mask_at_p_zero_keeps_every_entry():
     rng = RngState(3)
     x = Tensor(rng.normal((8, 8)))
-    mask = keep_mask(x.shape, 0.0, rng)
-    assert np.array_equal(mask, np.ones((8, 8)))
-    assert np.array_equal(dropout(x, mask).data, x.data)
+    w_up, w_down = Tensor(rng.normal((4, 8))), Tensor(rng.normal((5, 4)))
+    mask = keep_mask((8, 4), 0.0, rng)
+    assert np.array_equal(mask, np.ones((8, 4)))
+    assert np.array_equal(adapter_delta(x, w_up, w_down, "silu", mask, 1.0).data,
+                          adapter_delta(x, w_up, w_down, "silu", None, 1.0).data)
 
 
 def test_backward_linear_form():
@@ -109,7 +121,7 @@ def test_gemm_backward_skips_frozen_operands(monkeypatch, trainable):
     handed = []
     accum = T._accum
     monkeypatch.setattr(T, "_accum", lambda t, g: (handed.append(t), accum(t, g)))
-    backward(total(linear(a, b) * c))
+    backward(dot(linear(a, b), c))
     # the frozen operand's gradient product is never formed
     for t in (a, b):
         assert any(h is t for h in handed) == t.requires_grad
@@ -123,37 +135,24 @@ def test_gemm_backward_skips_frozen_operands(monkeypatch, trainable):
             assert t.grad.tobytes() == (np.zeros_like(t.data) + want).tobytes()
 
 
-@pytest.mark.parametrize("op", ["mul", "add"])
-def test_elementwise_backward_skips_frozen_operand(monkeypatch, op):
+def test_elementwise_backward_skips_frozen_operand(monkeypatch):
     rng = RngState(61)
     a = Tensor(rng.normal((3, 4)), requires_grad=True)
     b = Tensor(rng.normal((3, 4)))
     handed = []
     accum = T._accum
     monkeypatch.setattr(T, "_accum", lambda t, g: (handed.append(t), accum(t, g)))
-    backward(total(getattr(T, op)(a, b)))
+    backward(total(T.add(a, b)))
     assert not any(h is b for h in handed) and b.grad is None
-    want = np.ones((3, 4)) * b.data if op == "mul" else np.ones((3, 4))
-    assert a.grad.tobytes() == (np.zeros_like(a.data) + want).tobytes()
-
-
-def test_add_skips_broadcast_reduction_of_frozen_operand(monkeypatch):
-    # a frozen (S, S) operand broadcast over (B, H, S, S)
-    rng = RngState(62)
-    a = Tensor(rng.normal((2, 3, 4, 4)), requires_grad=True)
-    mask = Tensor(np.triu(np.full((4, 4), -1e30), k=1))
-    reduced = []
-    real = T._broadcast_bwd
-    monkeypatch.setattr(T, "_broadcast_bwd",
-                        lambda t, g: (reduced.append(t), real(t, g))[1])
-    backward(total((a + mask) * rng.normal((2, 3, 4, 4))))
-    assert not any(t is mask for t in reduced) and mask.grad is None
-    assert a.grad.shape == a.shape
+    assert a.grad.tobytes() == (np.zeros_like(a.data) + np.ones((3, 4))).tobytes()
+    # the program only adds tensors of one shape; add does not broadcast
+    with pytest.raises(ShapeError, match="add shapes"):
+        T.add(a, Tensor(np.ones(4)))
 
 
 def test_backward_constant_loss_zero_grads():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
-    loss = total(Tensor(np.zeros((2, 2))) * 3.0)
+    loss = dot(Tensor(np.zeros((2, 2))), np.full((2, 2), 3.0))
     backward(loss)
     assert w.grad is None
 
@@ -161,7 +160,7 @@ def test_backward_constant_loss_zero_grads():
 def test_backward_rejects_non_scalar():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ShapeError):
-        backward(w * 2.0)
+        backward(T.add(w, w))
 
 
 def test_backward_clears_tape():
@@ -175,7 +174,7 @@ def test_grad_accumulates_across_reuse():
     # q = (x + y) * (x + 1) -> dq/dx = (x + y) + (x + 1)
     x = Tensor([2.0], requires_grad=True)
     y = Tensor([-4.0], requires_grad=True)
-    q = total((x + y) * (x + 1.0))
+    q = dot(T.add(x, y), T.add(x, [1.0]))
     backward(q)
     assert x.grad[0] == pytest.approx(1.0)
     assert y.grad[0] == pytest.approx(3.0)
@@ -185,8 +184,9 @@ def test_adopted_gradient_of_three_consumers_never_aliases():
     rng = RngState(64)
     x = Tensor(rng.normal((3, 4)), requires_grad=True)
     w1, w2, w3 = (rng.normal((3, 4)) for _ in range(3))
-    a, b, c = T.reshape(x, x.shape), x + 0.0, x * 3.0
-    backward(total(a * w1) + total(b * w2) + total(c * w3))
+    a, b = T.reshape(x, x.shape), T.add(x, np.zeros((3, 4)))
+    c = linear(x, Tensor(3.0 * np.eye(4)))  # 3 x
+    backward(T.add(T.add(dot(a, w1), dot(b, w2)), dot(c, w3)))
     # each consumer's gradient is as it arrived; x's sum is a new array
     assert np.array_equal(a.grad, w1) and np.array_equal(b.grad, w2)
     assert np.array_equal(c.grad, w3)
@@ -198,8 +198,8 @@ def test_adopted_gradient_of_a_tensor_added_to_itself():
     rng = RngState(65)
     x = Tensor(rng.normal((2, 5)), requires_grad=True)
     w = rng.normal((2, 5))
-    y = x + x
-    backward(total(y * w))
+    y = T.add(x, x)
+    backward(dot(y, w))
     assert np.array_equal(x.grad, w + w)
     assert np.array_equal(y.grad, w)  # not doubled in place
 
@@ -233,7 +233,7 @@ def test_causal_attention_is_bit_for_bit_the_op_chain():
     w = rng.normal((b * s, h * d))
     out = causal_attention(q, k, v, 1.0 / np.sqrt(d))
     # the gradient reaches the op as merge_heads' strided view, as in the model
-    backward(total(T.merge_heads(out) * w))
+    backward(dot(T.merge_heads(out), w))
     g = w.reshape(b, s, h, d).transpose(0, 2, 1, 3)
     want_out, want_attn, gq, gk, gv = _attention_chain(q.data, k.data, v.data,
                                                        1.0 / np.sqrt(d), g)
@@ -253,14 +253,96 @@ def test_causal_attention_gradient_per_operand(probe):
 
     def f(z):
         ops = dict(fixed, **{probe: z})
-        return total(causal_attention(ops["q"], ops["k"], ops["v"], 0.6) * weights)
+        return dot(causal_attention(ops["q"], ops["k"], ops["v"], 0.6), weights)
 
     assert finite_difference_check(f, fixed[probe], 1e-6) < 1e-5
 
 
+def _adapter_chain(x, w_up, w_down, activation, mask, scale, g):
+    """The linear, activation, mask, linear, scale chain op for op, and its
+    backward for the output gradient `g`, as the chain's own nodes formed
+    each product: (output, x grad, w_up grad, w_down grad)."""
+    lat = x @ w_up.T
+    if activation == "silu":
+        sig = 1.0 / (1.0 + np.exp(-lat))
+        act = lat * sig
+    else:
+        act = np.maximum(lat, 0.0) if activation == "relu" else lat
+    kept = act if mask is None else act * mask
+    out = kept @ w_down.T
+    if scale != 1.0:
+        out = out * scale
+        g = g * scale
+    dact = g @ w_down
+    if mask is not None:
+        dact = dact * mask
+    if activation == "silu":
+        dact = dact * sig * ((1.0 - sig) * lat + 1.0)
+    elif activation == "relu":
+        dact = dact * (lat > 0.0)
+    return out, dact @ w_up, dact.T @ x, g.T @ kept
+
+
+ADAPTER_MASKS = {
+    "none": lambda rng: None,
+    "elementwise": lambda rng: keep_mask((6, 3), 0.4, rng),
+    "channel": lambda rng: keep_mask((1, 3), 0.4, rng),  # one row, broadcast
+}
+
+
+@pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_frozen"])
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+@pytest.mark.parametrize("mask", sorted(ADAPTER_MASKS))
+@pytest.mark.parametrize("activation", ["identity", "relu", "silu"])
+def test_adapter_delta_is_bit_for_bit_the_op_chain(monkeypatch, activation, mask,
+                                                   scale, x_grad):
+    rng = RngState(70)
+    x = Tensor(rng.normal((6, 5)), requires_grad=x_grad)
+    w_up = Tensor(rng.normal((3, 5)), requires_grad=True)
+    w_down = Tensor(rng.normal((4, 3)), requires_grad=True)
+    m = ADAPTER_MASKS[mask](rng.child(1))
+    g = rng.normal((6, 4))
+    handed = []
+    accum = T._accum
+    monkeypatch.setattr(T, "_accum", lambda t, grad: (handed.append(t), accum(t, grad)))
+    out = adapter_delta(x, w_up, w_down, activation, m, scale)
+    assert out._op == "adapter_delta" and out._parents == (x, w_up, w_down)
+    backward(out, g)
+    want, gx, gw_up, gw_down = _adapter_chain(x.data, w_up.data, w_down.data,
+                                              activation, m, scale, g)
+    assert out.data.tobytes() == want.tobytes()
+    assert w_up.grad.tobytes() == gw_up.tobytes()
+    assert w_down.grad.tobytes() == gw_down.tobytes()
+    if x_grad:
+        assert x.grad.tobytes() == gx.tobytes()
+    else:  # a frozen input's gradient product is never formed
+        assert x.grad is None and not any(h is x for h in handed)
+
+
+@pytest.mark.parametrize("mask", [None, "elementwise"])
+@pytest.mark.parametrize("activation", ["relu", "silu"])
+def test_adapter_delta_gradient_matches_finite_differences(activation, mask):
+    rng = RngState(71)
+    x = Tensor(rng.uniform(-2.0, 2.0, (6, 5)))
+    w_up = Tensor(rng.uniform(-1.0, 1.0, (3, 5)))
+    w_down = Tensor(rng.uniform(-1.0, 1.0, (4, 3)))
+    m = None if mask is None else keep_mask((6, 3), 0.4, rng.child(1))
+    weights = rng.normal((6, 4))
+    # relu is checked away from its kink: no latent within reach of the step
+    assert np.min(np.abs(x.data @ w_up.data.T)) > 1e-3
+    operands = {"x": x, "w_up": w_up, "w_down": w_down}
+    for name, probe in operands.items():
+        def f(z):
+            ops = dict(operands, **{name: z})
+            return dot(adapter_delta(ops["x"], ops["w_up"], ops["w_down"],
+                                     activation, m, 2.0), weights)
+
+        assert finite_difference_check(f, probe, 1e-6) < 1e-5, name
+
+
 def test_backward_from_a_seeded_root():
     # a seed G at a non-scalar root y gives, bit for bit, the gradients of
-    # the scalar total(y * G): the mul hands y exactly G
+    # the scalar dot(y, G), which hands y exactly G
     rng = RngState(69)
     seed = rng.normal((6, 5))
     w = Tensor(rng.normal((5, 4)), requires_grad=True)
@@ -269,7 +351,7 @@ def test_backward_from_a_seeded_root():
     got = (w.grad, x.grad)
     w.zero_grad()
     x.zero_grad()
-    backward(total(silu(linear(x, w)) * Tensor(seed)))
+    backward(dot(silu(linear(x, w)), seed))
     assert got[0].tobytes() == w.grad.tobytes()
     assert got[1].tobytes() == x.grad.tobytes()
     with pytest.raises(ShapeError, match="seed gradient"):
@@ -281,7 +363,7 @@ def test_backward_from_a_seeded_root():
 def test_fd_check_quadratic():
     rng = RngState(6)
     x = Tensor(rng.normal((5,)))
-    err = finite_difference_check(lambda t: total_sq(t) * 2.5, x, 1e-6)
+    err = finite_difference_check(lambda t: dot(t, T.add(t, t)), x, 1e-6)
     assert err < 1e-8
 
 
@@ -293,17 +375,18 @@ def test_fd_check_constant_function():
 
 @pytest.mark.parametrize("name,f", [
     ("silu", lambda z: total(silu(z))),
-    ("relu", lambda z: total(relu(z) * relu(z))),
+    ("relu", lambda z: total_sq(adapter_delta(z, np.eye(4), np.eye(4), "relu", None, 1.0))),
     ("linear", lambda z: total(linear(z, Tensor(np.linspace(-1, 1, 20).reshape(5, 4))))),
     ("layer_norm", lambda z: total(layer_norm(z, Tensor(np.linspace(0.5, 1.5, 4)),
                                              Tensor(np.zeros(4))))),
-    ("sub_mul", lambda z: total((z + (-0.5)) * (z + 2.0))),
+    ("sub_mul", lambda z: dot(T.add(z, np.full(z.shape, -0.5)),
+                              T.add(z, np.full(z.shape, 2.0)))),
     ("reshape", lambda z: total(linear(T.reshape(z, (4, 3)), Tensor(np.ones((1, 3)))))),
-    ("split_merge_heads", lambda z: total_sq(T.merge_heads(
-        T.split_heads(z, 2, 3) * Tensor(np.arange(12.0).reshape(1, 2, 3, 2))))),
-    ("attention", lambda z: total(T.merge_heads(causal_attention(
-        T.split_heads(z, 2, 3), T.split_heads(z, 2, 3), T.split_heads(z, 2, 3), 0.7))
-        * Tensor(np.arange(12.0).reshape(3, 4)))),
+    ("split_merge_heads", lambda z: dot(T.merge_heads(T.split_heads(z, 2, 3)),
+                                        np.arange(12.0).reshape(3, 4))),
+    ("attention", lambda z: dot(T.merge_heads(causal_attention(
+        T.split_heads(z, 2, 3), T.split_heads(z, 2, 3), T.split_heads(z, 2, 3), 0.7)),
+        np.arange(12.0).reshape(3, 4))),
     ("cross_entropy", lambda z: cross_entropy_rows(z, np.array([0, 2, 1]))),
 ])
 def test_gradient_soundness_per_op(name, f):
@@ -311,15 +394,6 @@ def test_gradient_soundness_per_op(name, f):
     x = Tensor(rng.uniform(-2.0, 2.0, (3, 4)))
     if name == "relu":  # keep away from the kink
         x.data[np.abs(x.data) < 1e-3] = 0.5
-    assert finite_difference_check(f, x, 1e-6) < 1e-5
-
-
-def test_fd_check_dropout_with_fixed_mask():
-    x = Tensor(RngState(7).uniform(-2, 2, (4, 6)))
-
-    def f(z):
-        return total_sq(dropout(z, keep_mask(z.shape, 0.5, RngState(123))))
-
     assert finite_difference_check(f, x, 1e-6) < 1e-5
 
 
@@ -332,7 +406,7 @@ def test_split_merge_heads_gradients():
     assert heads.data[1, 0, 2, 1] == x.data[1 * 3 + 2, 0 * 2 + 1]
     assert heads.data[0, 1, 1, 0] == x.data[0 * 3 + 1, 1 * 2 + 0]
     assert np.array_equal(T.merge_heads(heads).data, x.data)
-    backward(total(heads * heads))
+    backward(total_sq(heads))
     assert np.array_equal(x.grad, 2.0 * x.data)
 
 
@@ -379,8 +453,9 @@ def test_op_sequence_determinism():
     def run():
         rng = RngState(11)
         x = Tensor(rng.normal((8, 8)), requires_grad=True)
-        mask = keep_mask(x.shape, 0.3, rng.child(1))
-        y = total(silu(linear(dropout(x, mask), Tensor(rng.normal((4, 8))))))
+        mask = keep_mask((8, 4), 0.3, rng.child(1))
+        y = total(adapter_delta(x, Tensor(rng.normal((4, 8))), Tensor(rng.normal((3, 4))),
+                                "silu", mask, 1.0))
         backward(y)
         return y.data.copy(), x.grad.copy()
 

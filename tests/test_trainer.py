@@ -58,6 +58,40 @@ def test_cosine_lr_endpoints_and_midpoint():
         cosine_lr(101, cfg)
 
 
+@pytest.mark.parametrize("steps", [7, 70, 400, 3000, 5000])
+def test_cosine_lr_equals_the_numpy_schedule_bit_for_bit(steps):
+    # math.cos gives every step the bits np.cos gave the schedule before
+    cfg = TrainConfig(steps=steps)
+    for t in range(steps + 1):
+        want = cfg.lr_min + 0.5 * (cfg.lr_max - cfg.lr_min) * (
+            1.0 + np.cos(np.pi * t / steps))
+        assert cosine_lr(t, cfg).hex() == float(want).hex()
+
+
+def test_block_drawn_batches_equal_per_step_draws(monkeypatch):
+    # 600 steps of batch 7 from 37 rows span several blocks and a partial one
+    assert 600 % (trainer_mod.BATCH_BLOCK_BYTES // (8 * 7)) != 0
+    assert 600 > 2 * (trainer_mod.BATCH_BLOCK_BYTES // (8 * 7))
+    bb = build_model(REG_CFG, 76)
+    inject(bb, 0, "Wv", Adapter.init(AdapterConfig(kind="lora", r=2),
+                                     *adapter_shape(REG_CFG, "Wv"), RngState(77)))
+    rng = RngState(78)
+    rows = Dataset(inputs=rng.normal((37, 16)), targets=rng.normal((37, 4)))
+    drawn, batch_loss = [], trainer_mod._batch_loss
+
+    def recording(backbone, data, idx, rng, frozen):
+        if rng is not None:  # a training step; the closing evaluation draws none
+            drawn.append(idx.copy())
+        return batch_loss(backbone, data, idx, rng, frozen)
+
+    monkeypatch.setattr(trainer_mod, "_batch_loss", recording)
+    train_adapter(bb, rows, rows, TrainConfig(steps=600, batch_size=7, seed=5))
+    reference = RngState(5).child(1)
+    assert len(drawn) == 600
+    for idx in drawn:
+        assert np.array_equal(idx, reference.integers(0, 37, 7))
+
+
 def test_adamw_first_step_golden():
     cfg = TrainConfig(weight_decay=0.0)
     p = Tensor(np.array([1.0]), requires_grad=True)
@@ -121,7 +155,7 @@ def test_clip_scales_a_gradient_shared_by_two_parameters_once():
     p = Tensor(rng.normal((3, 3)), requires_grad=True)
     q = Tensor(rng.normal((3, 3)), requires_grad=True)
     w = rng.normal((3, 3))
-    T.backward(total((p + q) * w))
+    T.backward(T.add(p, q), w.copy())
     assert p.grad is q.grad  # both adopted the one upstream array
     state = adamw_state([p, q])
     gather_grads([p, q], state)
@@ -299,7 +333,7 @@ def test_evaluate_is_stable_without_training():
 
 def test_evaluate_is_the_training_loss_without_dropout(monkeypatch):
     # bit for bit the test MSE and the perplexity as computed directly,
-    # after training adapters that drop out, and with no dropout node
+    # after training adapters that drop out, and with no dropout mask
     reg, _, task = make_regression_setup(seed=60, dropout_p=0.5)
     train_adapter(reg, task.train, task.test, TrainConfig(steps=20, batch_size=8))
     lm = lm_with_adapters("channel")
@@ -310,12 +344,15 @@ def test_evaluate_is_the_training_loss_without_dropout(monkeypatch):
     want_ppl = np.exp(T.cross_entropy_rows(
         lm_logits(lm, test.inputs), test.targets.reshape(-1)).item())
     ops = recorded_ops(monkeypatch)
+    masked, fused = [], T.adapter_delta
+    monkeypatch.setattr(T, "adapter_delta", lambda *args: (
+        masked.append(args[4] is not None), fused(*args))[1])
     got_mse = evaluate(reg, task.test)
     reg_ops = set(ops)
     got_ppl = evaluate(lm, test)
     assert got_mse.hex() == float(want_mse).hex()
     assert got_ppl.hex() == float(want_ppl).hex()
-    assert "cross_entropy" in ops and "dropout" not in ops
+    assert "cross_entropy" in ops and masked and not any(masked)
     assert "add" not in reg_ops  # the regressor's head is off the tape
 
 
@@ -329,7 +366,8 @@ def recorded_ops(monkeypatch) -> set:
 
 def test_a_regressor_training_step_builds_only_adapter_nodes(monkeypatch):
     # the head and the loss are off the tape: no add joins the deltas to the
-    # frozen term, and there is no loss node; lora's scale 2 is its mul
+    # frozen term, and there is no loss node. Each adapter is one node, lora's
+    # scale 2 and cera's activation and dropout included
     bb = build_model(REG_CFG, 73)
     for target, cfg in (("Wv", AdapterConfig(kind="lora", r=2, alpha=4)),
                         ("attn_block", AdapterConfig(kind="parallel_module", r=2))):
@@ -337,10 +375,13 @@ def test_a_regressor_training_step_builds_only_adapter_nodes(monkeypatch):
                                            RngState(74, len(bb.adapters))))
     rng = RngState(75)
     rows = Dataset(inputs=rng.normal((8, 16)), targets=rng.normal((8, 4)))
-    ops = recorded_ops(monkeypatch)
+    nodes, node = [], T._node
+    monkeypatch.setattr(T, "_node", lambda data, parents, bwd, op: (
+        nodes.append(op), node(data, parents, bwd, op))[1])
     rep = train_adapter(bb, rows, rows, TrainConfig(steps=2, batch_size=4))
     assert len(rep.loss_curve) == 2
-    assert ops == {"linear", "mul", "silu", "dropout"}
+    # one node per adapter in each of the two steps and the closing evaluation
+    assert nodes == ["adapter_delta"] * (2 * 3)
 
 
 def lm_with_adapters(style):
@@ -382,16 +423,17 @@ def test_batched_train_loss_is_mean_of_single_sequence_losses(style):
     single = [T.cross_entropy_rows(
         lm_logits(bb, train.inputs[i], rng=rng), train.targets[i])
         for i in idx]
-    mean = single[0]
+    summed = single[0]
     for ce in single[1:]:
-        mean = mean + ce
-    mean = mean * (1.0 / len(idx))
-    assert abs(batched - mean.item()) <= 1e-12 * abs(mean.item())
-    for got, want in zip(grads_of(backprop), grads_of(lambda: T.backward(mean))):
+        summed = T.add(summed, ce)
+    mean = summed.item() * (1.0 / len(idx))
+    assert abs(batched - mean) <= 1e-12 * abs(mean)
+    seeded = lambda: T.backward(summed, np.asarray(1.0 / len(idx)))  # the mean's gradient
+    for got, want in zip(grads_of(backprop), grads_of(seeded)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # and the masks matter: another stream gives another loss
     other, _ = trainer_mod._batch_loss(bb, train, idx, RngState(44), None)
-    assert abs(other - mean.item()) > 1e-6
+    assert abs(other - mean) > 1e-6
 
 
 def test_perplexity_uniform_logits():
