@@ -130,12 +130,12 @@ class Adapter:
         """The latent rows act(W_up x) of a batch of rows, before dropout:
         the rows of the H matrix whose spectrum `latent_H` reports. Off the
         tape: capture only reads the values."""
-        return Tensor(T.adapter_latent(x_rows.data, self.state.w_up.data,
-                                       self.cfg.activation)[1])
+        return Tensor(T.mlp_hidden(x_rows.data, self.state.w_up.data,
+                                   self.cfg.activation)[1])
 
     def delta_rows(self, x_rows: Tensor, mask: np.ndarray | None = None) -> Tensor:
         """Additive update s * W_down(dropout(act(W_up x))) for a batch of
-        rows, as one `adapter_delta` node.
+        rows, as one `mlp` node.
 
         Every kind takes this path: lora is the identity activation with
         s = alpha / r. A weight-level adapter adds it to its projection's
@@ -144,8 +144,8 @@ class Adapter:
         batch's one draw in `model._dropout_masks`. The scale is the
         config's `scale_s`, settled at construction.
         """
-        return T.adapter_delta(x_rows, self.state.w_up, self.state.w_down,
-                               self.cfg.activation, mask, self.cfg.scale_s)
+        return T.mlp(x_rows, self.state.w_up, self.state.w_down,
+                     self.cfg.activation, mask, self.cfg.scale_s)
 
 
 def param_count(cfg: AdapterConfig, geometry: list[tuple[int, int, int]]) -> int:

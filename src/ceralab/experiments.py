@@ -429,7 +429,10 @@ def _execute_grid(cfg: ExperimentConfig, store: RunStore,
             except Exception as exc:
                 finish(rid, run_config, error=f"{exc}\n{traceback.format_exc()}")
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forked pool starts all its workers up front, so ask for no more
+        # than there are runs
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(jobs, len(pending))) as pool:
             futures = {pool.submit(run_from_config, rc): (rid, rc)
                        for rid, rc in pending}
             for fut in concurrent.futures.as_completed(futures):

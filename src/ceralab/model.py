@@ -4,10 +4,12 @@ Two operating modes share one weight set:
 
 * ``language_model``: standard causally-masked pre-norm blocks over a fixed
   numeric vocabulary, run over a whole batch at once: every projection,
-  adapter, layer norm and FFN acts on the (batch*seq, d) token rows, and
-  attention runs once per layer in a (batch, heads, seq, d_head) layout.
-  `lm_logits` returns the logits as (batch*seq, vocab) rows, and `forward`
-  reshapes them to (batch, seq, vocab).
+  adapter, layer norm, attention and FFN acts on the (batch*seq, d) token
+  rows. Attention is one tape node per layer, with its head split and
+  merge inside; the FFN is one `mlp` node, the SiLU-gated two-matrix map
+  an adapter's delta is, with no mask and unit scale. `lm_logits` returns
+  the logits as (batch*seq, vocab) rows, and `forward` reshapes them to
+  (batch, seq, vocab) off the tape.
 * ``regressor``: one block applied to plain feature vectors, with the
   attention and FFN branches reading the raw input in parallel and no layer
   norm. Every adapter then contributes additively through purely linear
@@ -219,7 +221,7 @@ def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
         if cfg.dropout_p > 0.0:
             rows = seq_len if cfg.dropout_style == "elementwise" else 1
             blocks.append((key, rows, cfg.r, 1.0 - cfg.dropout_p))
-    draws = rng.uniform(0.0, 1.0, (n_seq, sum(rows * r for _, rows, r, _ in blocks)))
+    draws = rng.random((n_seq, sum(rows * r for _, rows, r, _ in blocks)))
     masks, start = {}, 0
     for key, rows, r, keep in blocks:
         block = draws[:, start:start + rows * r]
@@ -234,20 +236,19 @@ def _lm_block(backbone: FrozenBackbone, layer: int, x: Tensor, seq_len: int,
     """One pre-norm block over the (batch*seq, d) rows of a batch: its output
     rows and its first layer norm's rows, which every adapter of the block
     reads."""
-    cfg = backbone.cfg
     ws = backbone.layers[layer]
     xn = T.layer_norm(x, ws["ln1_g"], ws["ln1_b"])
-    q = T.split_heads(_proj(backbone, layer, "Wq", xn, masks), cfg.n_heads, seq_len)
-    k = T.split_heads(T.linear(xn, ws["Wk"]), cfg.n_heads, seq_len)
-    v = T.split_heads(_proj(backbone, layer, "Wv", xn, masks), cfg.n_heads, seq_len)
-    heads = T.causal_attention(q, k, v, 1.0 / np.sqrt(cfg.d_head))
-    attn_out = T.linear(T.merge_heads(heads), ws["Wo"])
+    attn = T.causal_attention(_proj(backbone, layer, "Wq", xn, masks),
+                              T.linear(xn, ws["Wk"]),
+                              _proj(backbone, layer, "Wv", xn, masks),
+                              backbone.cfg.n_heads, seq_len)
+    attn_out = T.linear(attn, ws["Wo"])
     module = backbone.adapters.get((layer, "attn_block"))
     if module is not None:
         attn_out = T.add(attn_out, module.delta_rows(xn, masks.get((layer, "attn_block"))))
     x = T.add(x, attn_out)
     xn2 = T.layer_norm(x, ws["ln2_g"], ws["ln2_b"])
-    ff = T.linear(T.silu(T.linear(xn2, ws["W1"])), ws["W2"])
+    ff = T.mlp(xn2, ws["W1"], ws["W2"], "silu", None, 1.0)
     return T.add(x, ff), xn
 
 
@@ -296,8 +297,7 @@ def regressor_frozen(backbone: FrozenBackbone, features) -> np.ndarray:
     ws = backbone.layers[0]
     x = np.ascontiguousarray(features, dtype=np.float64)
     attn_out = (x @ ws["Wv"].data.T) @ ws["Wo"].data.T
-    pre = x @ ws["W1"].data.T
-    ff = (pre * (1.0 / (1.0 + np.exp(-pre)))) @ ws["W2"].data.T
+    ff = T.mlp_hidden(x, ws["W1"].data, "silu")[1] @ ws["W2"].data.T
     return (x + attn_out + ff) @ backbone.head.data.T
 
 
@@ -361,8 +361,8 @@ def forward(backbone: FrozenBackbone, inputs, mode: str = "eval") -> Tensor:
         raise ShapeError("batched sequences must share one length") from exc
     if ids.ndim != 2:
         raise ShapeError(f"expected a batch of token sequences, got shape {ids.shape}")
-    logits = lm_logits(backbone, ids)
-    return T.reshape(logits, (*ids.shape, backbone.cfg.vocab_size))
+    logits = lm_logits(backbone, ids).data
+    return Tensor(logits.reshape(*ids.shape, backbone.cfg.vocab_size))
 
 
 def collect_latents(backbone: FrozenBackbone, inputs, which: str = "latent_H"):

@@ -1,11 +1,10 @@
 """Dense float64 tensors with tape-based reverse-mode autodiff.
 
-Deliberately small: only the ops the program runs. A row-times-weight
-product, elementwise add, the FFN's SiLU, an adapter's whole delta as one
-op, layer norm, the cross-entropy loss, and the few structural ops a tiny
-transformer needs to run a whole batch at once: head split/merge between
-(B*S, H*d) rows and a (B, H, S, d) layout, and causal attention over that
-layout as one op.
+Deliberately small: only the six ops the program runs. A row-times-weight
+product, elementwise add, the SiLU-gated two-matrix map that is both an
+adapter's whole delta and the frozen FFN, multi-head causal attention over
+(B*S, H*d) projection rows with the head split and merge inside it, layer
+norm, and the cross-entropy loss. Each is one tape node.
 Values are row-major numpy arrays; the tape is the implicit graph of parent
 links, torn down after each backward pass.
 
@@ -49,6 +48,11 @@ class RngState:
 
     def uniform(self, low: float, high: float, shape) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
+
+    def random(self, shape) -> np.ndarray:
+        """Uniform draws on [0, 1): the bits of `uniform(0.0, 1.0, shape)`,
+        without its bound handling."""
+        return self._gen.random(shape)
 
     def normal(self, shape, scale: float = 1.0) -> np.ndarray:
         return self._gen.normal(0.0, scale, size=shape)
@@ -184,7 +188,7 @@ def linear(x: Tensor, w: Tensor) -> Tensor:
     """Rows-times-weight product: x (n,k) @ w (d,k).T -> (n,d).
 
     Backward forms the gradient product of an operand only if it requires
-    grad; the same holds for `add`, `adapter_delta` and `causal_attention`.
+    grad; the same holds for `add`, `mlp` and `causal_attention`.
     """
     x, w = _wrap(x), _wrap(w)
     if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
@@ -217,9 +221,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# activations and adapters
+# the two-matrix map
 
-# the activations `adapter_delta` applies between an adapter's projections
+# the activations `mlp` applies between its two matrices
 ACTIVATIONS = ("identity", "relu", "silu")
 
 
@@ -242,18 +246,11 @@ def _silu_grad(x: np.ndarray, sig: np.ndarray, g: np.ndarray) -> np.ndarray:
     return dx
 
 
-def silu(x: Tensor) -> Tensor:
-    """Elementwise x * sigmoid(x)."""
-    x = _wrap(x)
-    data, sig = _silu(x.data)
-    return _node(data, (x,), lambda g: _accum(x, _silu_grad(x.data, sig, g)), "silu")
-
-
-def adapter_latent(x: np.ndarray, w_up: np.ndarray, activation: str
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """An adapter's latent rows x w_upᵀ, their activation, and the sigmoid
-    of a SiLU (None otherwise): the first half of `adapter_delta`, off the
-    tape."""
+def mlp_hidden(x: np.ndarray, w_up: np.ndarray, activation: str
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The hidden rows x w_upᵀ of a two-matrix map, their activation, and
+    the sigmoid of a SiLU (None otherwise): the first half of `mlp`, off
+    the tape."""
     lat = x @ w_up.T
     if activation == "silu":
         return (lat, *_silu(lat))
@@ -264,16 +261,18 @@ def adapter_latent(x: np.ndarray, w_up: np.ndarray, activation: str
     return lat, lat, None
 
 
-def adapter_delta(x: Tensor, w_up: Tensor, w_down: Tensor, activation: str,
-                  mask: np.ndarray | None, scale: float) -> Tensor:
-    """An adapter's delta rows scale * (mask * act(x w_upᵀ)) w_downᵀ as one
-    node: x (n,k), w_up (r,k), w_down (d,r) -> (n,d). `mask` is a dropout
-    mask as `model._dropout_masks` draws it, or None; a scale of 1 is no
-    multiply. The forward runs the linear, activation, mask, linear, scale
-    chain op for op, and the backward forms each of the chain's gradient
-    products as the chain does, so both are the chain's bit for bit."""
+def mlp(x: Tensor, w_up: Tensor, w_down: Tensor, activation: str,
+        mask: np.ndarray | None, scale: float) -> Tensor:
+    """The two-matrix map scale * (mask * act(x w_upᵀ)) w_downᵀ as one node:
+    x (n,k), w_up (r,k), w_down (d,r) -> (n,d). It is an adapter's delta
+    rows, and with no mask and unit scale the frozen FFN. `mask` is a
+    dropout mask as `model._dropout_masks` draws it, or None; a scale of 1
+    is no multiply. The forward runs the linear, activation, mask, linear,
+    scale chain op for op, and the backward forms each of the chain's
+    gradient products as the chain does, so both are the chain's bit for
+    bit."""
     x, w_up, w_down = _wrap(x), _wrap(w_up), _wrap(w_down)
-    lat, act, sig = adapter_latent(x.data, w_up.data, activation)
+    lat, act, sig = mlp_hidden(x.data, w_up.data, activation)
     kept = act if mask is None else act * mask
     data = kept @ w_down.data.T
     if scale != 1.0:
@@ -298,93 +297,70 @@ def adapter_delta(x: Tensor, w_up: Tensor, w_down: Tensor, activation: str,
         if w_up.requires_grad:
             _accum(w_up, dact.T @ x.data)
 
-    return _node(data, (x, w_up, w_down), bwd, "adapter_delta")
-
-
-# ---------------------------------------------------------------------------
-# structural ops
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    x = _wrap(x)
-    shape = tuple(shape)
-    data = x.data.reshape(shape)
-
-    def bwd(g):
-        _accum(x, g.reshape(x.shape))
-
-    return _node(data, (x,), bwd, "reshape")
-
-
-def split_heads(x: Tensor, n_heads: int, seq_len: int) -> Tensor:
-    """(B*S, H*d) rows, sequence-major, -> a (B, H, S, d) head layout."""
-    x = _wrap(x)
-    if x.ndim != 2 or x.shape[0] % seq_len or x.shape[1] % n_heads:
-        raise ShapeError(f"cannot split {x.shape} into {n_heads} heads of "
-                         f"length-{seq_len} sequences")
-    n, w = x.shape
-    layout = (n // seq_len, seq_len, n_heads, w // n_heads)
-    data = np.ascontiguousarray(x.data.reshape(layout).transpose(0, 2, 1, 3))
-
-    def bwd(g):
-        _accum(x, g.transpose(0, 2, 1, 3).reshape(n, w))
-
-    return _node(data, (x,), bwd, "split_heads")
-
-
-def merge_heads(x: Tensor) -> Tensor:
-    """(B, H, S, d) -> (B*S, H*d) rows: the inverse of `split_heads`."""
-    x = _wrap(x)
-    if x.ndim != 4:
-        raise ShapeError(f"merge_heads expects a (B, H, S, d) tensor, got {x.shape}")
-    b, h, s, d = x.shape
-    data = x.data.transpose(0, 2, 1, 3).reshape(b * s, h * d)
-
-    def bwd(g):
-        _accum(x, g.reshape(b, s, h, d).transpose(0, 2, 1, 3))
-
-    return _node(data, (x,), bwd, "merge_heads")
+    return _node(data, (x, w_up, w_down), bwd, "mlp")
 
 
 # ---------------------------------------------------------------------------
 # attention
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
-    """softmax(q k^T * scale + causal mask) v over (B, H, S, d) stacks.
+def _heads(rows: np.ndarray, n_heads: int, seq_len: int) -> np.ndarray:
+    """(B*S, H*d) rows, sequence-major, as a contiguous (B, H, S, d) stack."""
+    n, w = rows.shape
+    return np.ascontiguousarray(
+        rows.reshape(n // seq_len, seq_len, n_heads, w // n_heads).transpose(0, 2, 1, 3))
 
-    One node that keeps one (B, H, S, S) array, the attention weights; the
-    ops and their order are those of the matmul, scale, mask-add, softmax,
-    matmul chain, so values and gradients are bit for bit that chain's.
-    A position attends to itself and the positions before it.
+
+def _rows(heads: np.ndarray) -> np.ndarray:
+    """A (B, H, S, d) stack as (B*S, H*d) rows: the inverse of `_heads`."""
+    b, h, s, d = heads.shape
+    return heads.transpose(0, 2, 1, 3).reshape(b * s, h * d)
+
+
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+                     seq_len: int) -> Tensor:
+    """Multi-head causal attention over (B*S, H*d) projection rows, S =
+    `seq_len`: each head's softmax(q kᵀ / sqrt(d) + causal mask) v, with the
+    heads' (B*S, H*d_v) output rows side by side. d is q's width over the
+    heads; v may be narrower.
+
+    One node that keeps one (B, H, S, S) array, the attention weights. The
+    heads are split off the rows and merged back inside it, and the ops and
+    their order are those of the split, matmul, scale, mask-add, softmax,
+    matmul, merge chain, so values and gradients are bit for bit that
+    chain's. A position attends to itself and the positions before it.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
-    if q.ndim != 4 or k.shape != q.shape or v.shape[:3] != q.shape[:3]:
-        raise ShapeError(f"causal_attention shapes {q.shape}, {k.shape}, "
-                         f"{v.shape} do not agree")
-    s = q.shape[2]
-    kt = np.ascontiguousarray(k.data.swapaxes(-1, -2))
-    attn = np.matmul(q.data, kt)
+    if (q.ndim != 2 or k.shape != q.shape or v.ndim != 2 or v.shape[0] != q.shape[0]
+            or q.shape[0] % seq_len or q.shape[1] % n_heads or v.shape[1] % n_heads):
+        raise ShapeError(f"causal_attention rows {q.shape}, {k.shape}, {v.shape} do "
+                         f"not split into {n_heads} heads of length-{seq_len} sequences")
+    n, dv = v.shape[0], v.shape[1] // n_heads
+    scale = 1.0 / np.sqrt(q.shape[1] // n_heads)
+    qh, vh = _heads(q.data, n_heads, seq_len), _heads(v.data, n_heads, seq_len)
+    kt = np.ascontiguousarray(_heads(k.data, n_heads, seq_len).swapaxes(-1, -2))
+    attn = np.matmul(qh, kt)
     attn *= scale
-    attn += np.triu(np.full((s, s), -1e30), k=1)
+    attn += np.triu(np.full((seq_len, seq_len), -1e30), k=1)
     attn -= attn.max(axis=-1, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=-1, keepdims=True)
 
     def bwd(g):
+        g = g.reshape(n // seq_len, seq_len, n_heads, dv).transpose(0, 2, 1, 3)
         if v.requires_grad:
-            _accum(v, np.matmul(attn.swapaxes(-1, -2), g))
+            _accum(v, _rows(np.matmul(attn.swapaxes(-1, -2), g)))
         if q.requires_grad or k.requires_grad:
-            ds = np.matmul(g, v.data.swapaxes(-1, -2))
+            ds = np.matmul(g, vh.swapaxes(-1, -2))
             ds -= (ds * attn).sum(axis=-1, keepdims=True)
             ds *= attn
             ds *= scale
             if q.requires_grad:
-                _accum(q, np.matmul(ds, kt.swapaxes(-1, -2)))
+                _accum(q, _rows(np.matmul(ds, kt.swapaxes(-1, -2))))
             if k.requires_grad:
-                _accum(k, np.matmul(q.data.swapaxes(-1, -2), ds).swapaxes(-1, -2))
+                _accum(k, _rows(np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2)))
 
-    return _node(np.matmul(attn, v.data), (q, k, v), bwd, "causal_attention")
+    return _node(_rows(np.matmul(attn, vh)), (q, k, v), bwd, "causal_attention")
 
 
 # ---------------------------------------------------------------------------

@@ -32,9 +32,10 @@ def keep_mask(shape, p, rng):
     return (rng.uniform(0.0, 1.0, shape) < keep) / keep
 
 
-def total(t):
-    """The sum of every entry as tape ops: a row of ones times t's entries."""
-    return tensor_mod.linear(tensor_mod.reshape(t, (1, t.size)), Tensor(np.ones((1, t.size))))
+def total(row):
+    """The sum of a (1, d) row's entries as a tape op: the row times a row
+    of ones."""
+    return tensor_mod.linear(row, Tensor(np.ones((1, row.shape[1]))))
 
 
 def adapted(x, w0, st_, cfg, **kw):
@@ -142,14 +143,14 @@ def test_unit_scale_adds_no_multiply_node():
     x = Tensor(rng.normal((4, 7)))
     out = Adapter(cfg, st_).delta_rows(x)
     # the whole delta is one node on the three operands, with no interior node
-    assert out._op == "adapter_delta" and out._parents == (x, st_.w_up, st_.w_down)
+    assert out._op == "mlp" and out._parents == (x, st_.w_up, st_.w_down)
     # s = alpha / r = 1: the delta is the down-projection's product itself
     assert cfg.scale_s == 1.0
-    unit = tensor_mod.silu(Tensor(x.data @ st_.w_up.data.T)).data @ st_.w_down.data.T
+    unit = tensor_mod.mlp_hidden(x.data, st_.w_up.data, "silu")[1] @ st_.w_down.data.T
     assert np.array_equal(out.data, unit)
     scaled_cfg = AdapterConfig(kind="cera", r=3, scale_s=2.0, dropout_p=0.0)
     scaled = Adapter(scaled_cfg, st_).delta_rows(x)
-    assert scaled._op == "adapter_delta" and np.array_equal(scaled.data, 2.0 * unit)
+    assert scaled._op == "mlp" and np.array_equal(scaled.data, 2.0 * unit)
 
 
 def test_cera_scalar_silu_golden():

@@ -155,8 +155,14 @@ def test_every_tape_op_is_created_by_the_program(monkeypatch):
 
     never = sorted(node_op_names() - census)
     assert never == [], f"tape ops the program never creates: {never}"
-    # every kind, activation, dropout and scale is the one adapter node
-    assert "adapter_delta" in census and not census & {"dropout", "mul", "relu"}
+    # one node per piece of the block: every adapter kind, activation,
+    # dropout and scale, and the frozen FFN, is the one two-matrix node;
+    # attention splits and merges its heads inside its own node
+    assert node_op_names() == {"linear", "add", "mlp", "causal_attention",
+                               "layer_norm", "cross_entropy"}
+    gone = {"dropout", "mul", "relu", "silu", "reshape", "split_heads", "merge_heads",
+            "adapter_delta"}
+    assert not census & gone and not any(hasattr(T, name) for name in gone)
 
 
 # defaulted parameters that only tests set, each with the reason tests need it

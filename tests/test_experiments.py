@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 from pathlib import Path
 
@@ -284,6 +285,34 @@ def test_partial_failure_isolation(tmp_path):
     assert (tmp_path / "out" / "failures.json").exists()
     csv_text = (tmp_path / "out" / "results.csv").read_text()
     assert len(csv_text.splitlines()) == 2  # header + surviving record
+
+
+def test_a_parallel_grid_starts_no_more_workers_than_pending_runs(tmp_path, monkeypatch):
+    # a forked pool starts all its workers up front; this one records the
+    # size asked for and runs each submitted run in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            fut = concurrent.futures.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    outcome = cmd_sweep(small_config(tmp_path / "two", ranks=(4, 8)), jobs=8)
+    assert outcome.exit_code == 0 and len(outcome.records) == 2
+    outcome = cmd_sweep(small_config(tmp_path / "three", ranks=(2, 4, 8)), jobs=2)
+    assert outcome.exit_code == 0 and len(outcome.records) == 3
+    assert sizes == [2, 2]
 
 
 def test_parallel_failure_keeps_worker_traceback(tmp_path):

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from ceralab import tensor as T
 from ceralab.errors import DomainError, ShapeError
-from ceralab.tensor import (RngState, Tensor, adapter_delta, backward,
-                            causal_attention, cross_entropy_rows,
-                            finite_difference_check, layer_norm, linear, silu)
+from ceralab.tensor import (RngState, Tensor, backward, causal_attention,
+                            cross_entropy_rows, finite_difference_check,
+                            layer_norm, linear, mlp, mlp_hidden)
 
 
 def keep_mask(shape, p, rng):
@@ -18,20 +18,21 @@ def keep_mask(shape, p, rng):
 
 
 def total(t):
-    """The sum of every entry as tape ops: a row of ones times t's entries.
-    Its gradient is exactly the upstream one, broadcast to t's shape."""
-    return linear(T.reshape(t, (1, t.size)), Tensor(np.ones((1, t.size))))
+    """The sum of every entry of a 2-d t as tape ops: a row of ones times
+    t's rows gives the row sums, and those times a row of ones their sum.
+    Its gradient is exactly the upstream one, broadcast to t's shape.
+    (`linear` of two single rows is their dot product: each operand's
+    gradient is the other's entries times the upstream one, bit for bit
+    what an elementwise product hands it.)"""
+    n, m = t.shape
+    return linear(linear(Tensor(np.ones((1, m))), t), Tensor(np.ones((1, n))))
 
 
-def dot(a, b):
-    """The sum of a * b as tape ops: a's entries as one row times b's as a
-    weight row. Each operand's gradient is the other's entries times the
-    upstream one, bit for bit what an elementwise product hands it."""
-    return linear(T.reshape(a, (1, a.size)), T.reshape(b, (1, b.size)))
-
-
-def total_sq(t):
-    return dot(t, t)
+def silu(x):
+    """SiLU of each entry of a 1-d array through `mlp_hidden` with a unit
+    weight, under which the hidden rows are the entries themselves."""
+    column = np.asarray(x, dtype=np.float64)[:, None]
+    return mlp_hidden(column, np.ones((1, 1)), "silu")[1][:, 0]
 
 
 def test_total_is_the_sum_with_a_pass_through_gradient():
@@ -71,14 +72,18 @@ def test_linear_shape_error():
 
 
 def test_silu_at_zero_and_one():
-    assert silu(Tensor([0.0])).data[0] == 0.0
-    assert silu(Tensor([1.0])).data[0] == pytest.approx(0.731059, abs=1e-6)
+    assert silu([0.0])[0] == 0.0
+    assert silu([1.0])[0] == pytest.approx(0.731059, abs=1e-6)
+    # the hidden rows, their SiLU, and the sigmoid the backward reuses
+    lat, act, sig = mlp_hidden(np.array([[1.0, -2.0]]), np.eye(2), "silu")
+    assert np.array_equal(lat, [[1.0, -2.0]]) and np.array_equal(act, lat * sig)
+    assert np.allclose(sig, 1.0 / (1.0 + np.exp(-lat)), rtol=1e-15, atol=0)
 
 
 def test_silu_odd_plus_identity():
     # silu(x) - silu(-x) = x, from sigmoid(x) + sigmoid(-x) = 1
     x = np.linspace(-10.0, 10.0, 1000)
-    lhs = silu(Tensor(x)).data - silu(Tensor(-x)).data
+    lhs = silu(x) - silu(-x)
     assert np.max(np.abs(lhs - x)) < 1e-12
 
 
@@ -86,11 +91,12 @@ def test_relu_and_identity():
     # with unit projections the latent is the input itself
     eye = Tensor(np.eye(2))
     x = Tensor([[-2.0, 3.0]])
-    assert adapter_delta(x, eye, eye, "relu", None, 1.0).data.tolist() == [[0.0, 3.0]]
-    assert adapter_delta(x, eye, eye, "identity", None, 1.0).data.tolist() == [[-2.0, 3.0]]
+    assert mlp(x, eye, eye, "relu", None, 1.0).data.tolist() == [[0.0, 3.0]]
+    assert mlp(x, eye, eye, "identity", None, 1.0).data.tolist() == [[-2.0, 3.0]]
+    assert mlp_hidden(x.data, eye.data, "relu")[2] is None
     assert T.ACTIVATIONS == ("identity", "relu", "silu")
     with pytest.raises(DomainError, match="unknown activation"):
-        adapter_delta(x, eye, eye, "tanh", None, 1.0)
+        mlp(x, eye, eye, "tanh", None, 1.0)
 
 
 def test_dropout_mask_at_p_zero_keeps_every_entry():
@@ -99,8 +105,8 @@ def test_dropout_mask_at_p_zero_keeps_every_entry():
     w_up, w_down = Tensor(rng.normal((4, 8))), Tensor(rng.normal((5, 4)))
     mask = keep_mask((8, 4), 0.0, rng)
     assert np.array_equal(mask, np.ones((8, 4)))
-    assert np.array_equal(adapter_delta(x, w_up, w_down, "silu", mask, 1.0).data,
-                          adapter_delta(x, w_up, w_down, "silu", None, 1.0).data)
+    assert np.array_equal(mlp(x, w_up, w_down, "silu", mask, 1.0).data,
+                          mlp(x, w_up, w_down, "silu", None, 1.0).data)
 
 
 def test_backward_linear_form():
@@ -121,15 +127,14 @@ def test_gemm_backward_skips_frozen_operands(monkeypatch, trainable):
     handed = []
     accum = T._accum
     monkeypatch.setattr(T, "_accum", lambda t, g: (handed.append(t), accum(t, g)))
-    backward(dot(linear(a, b), c))
+    backward(linear(a, b), c)
     # the frozen operand's gradient product is never formed
     for t in (a, b):
         assert any(h is t for h in handed) == t.requires_grad
         if not t.requires_grad:
             assert t.grad is None
     # the trainable ones get, bit for bit, what zeros plus the product gave
-    g = np.ones((5, 4)) * c
-    want_a, want_b = g @ b.data, g.T @ a.data
+    want_a, want_b = c @ b.data, c.T @ a.data
     for t, want in ((a, want_a), (b, want_b)):
         if t.requires_grad:
             assert t.grad.tobytes() == (np.zeros_like(t.data) + want).tobytes()
@@ -152,7 +157,7 @@ def test_elementwise_backward_skips_frozen_operand(monkeypatch):
 
 def test_backward_constant_loss_zero_grads():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
-    loss = dot(Tensor(np.zeros((2, 2))), np.full((2, 2), 3.0))
+    loss = total(Tensor(np.zeros((2, 2))))
     backward(loss)
     assert w.grad is None
 
@@ -165,28 +170,28 @@ def test_backward_rejects_non_scalar():
 
 def test_backward_clears_tape():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
-    out = total(silu(w))
+    out = total(mlp(w, np.eye(2), np.eye(2), "silu", None, 1.0))
     backward(out)
     assert out._parents == () and out._backward is None
 
 
 def test_grad_accumulates_across_reuse():
     # q = (x + y) * (x + 1) -> dq/dx = (x + y) + (x + 1)
-    x = Tensor([2.0], requires_grad=True)
-    y = Tensor([-4.0], requires_grad=True)
-    q = dot(T.add(x, y), T.add(x, [1.0]))
+    x = Tensor([[2.0]], requires_grad=True)
+    y = Tensor([[-4.0]], requires_grad=True)
+    q = linear(T.add(x, y), T.add(x, [[1.0]]))
     backward(q)
-    assert x.grad[0] == pytest.approx(1.0)
-    assert y.grad[0] == pytest.approx(3.0)
+    assert x.grad[0, 0] == pytest.approx(1.0)
+    assert y.grad[0, 0] == pytest.approx(3.0)
 
 
 def test_adopted_gradient_of_three_consumers_never_aliases():
     rng = RngState(64)
-    x = Tensor(rng.normal((3, 4)), requires_grad=True)
-    w1, w2, w3 = (rng.normal((3, 4)) for _ in range(3))
-    a, b = T.reshape(x, x.shape), T.add(x, np.zeros((3, 4)))
+    x = Tensor(rng.normal((1, 4)), requires_grad=True)
+    w1, w2, w3 = (rng.normal((1, 4)) for _ in range(3))
+    a, b = linear(x, Tensor(np.eye(4))), T.add(x, np.zeros((1, 4)))
     c = linear(x, Tensor(3.0 * np.eye(4)))  # 3 x
-    backward(T.add(T.add(dot(a, w1), dot(b, w2)), dot(c, w3)))
+    backward(T.add(T.add(linear(a, w1), linear(b, w2)), linear(c, w3)))
     # each consumer's gradient is as it arrived; x's sum is a new array
     assert np.array_equal(a.grad, w1) and np.array_equal(b.grad, w2)
     assert np.array_equal(c.grad, w3)
@@ -196,64 +201,86 @@ def test_adopted_gradient_of_three_consumers_never_aliases():
 
 def test_adopted_gradient_of_a_tensor_added_to_itself():
     rng = RngState(65)
-    x = Tensor(rng.normal((2, 5)), requires_grad=True)
-    w = rng.normal((2, 5))
+    x = Tensor(rng.normal((1, 5)), requires_grad=True)
+    w = rng.normal((1, 5))
     y = T.add(x, x)
-    backward(dot(y, w))
+    backward(linear(y, w))
     assert np.array_equal(x.grad, w + w)
     assert np.array_equal(y.grad, w)  # not doubled in place
 
 
-def _attention_chain(q, k, v, scale, g):
-    """The matmul, scale, mask-add, softmax, matmul chain op for op, with
-    its backward for the output gradient `g`, taken as a contiguous copy
-    (what the chain's nodes received when a first gradient was copied)."""
-    s = q.shape[2]
-    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
-    scores = np.matmul(q, kt) * np.asarray(scale) + np.triu(np.full((s, s), -1e30), k=1)
+def _attention_chain(q, k, v, n_heads, seq_len, g):
+    """The split, matmul, scale, mask-add, softmax, matmul, merge chain op
+    for op over (B*S, H*d) rows, and its backward for the output rows'
+    gradient `g`, split as a contiguous copy: (output rows, weights, q
+    grad, k grad, v grad)."""
+    def split(rows):
+        n, w = rows.shape
+        return np.ascontiguousarray(rows.reshape(
+            n // seq_len, seq_len, n_heads, w // n_heads).transpose(0, 2, 1, 3))
+
+    def merge(heads):
+        b, h, s, d = heads.shape
+        return heads.transpose(0, 2, 1, 3).reshape(b * s, h * d)
+
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    scale = 1.0 / np.sqrt(qh.shape[-1])
+    kt = np.ascontiguousarray(kh.swapaxes(-1, -2))
+    scores = np.matmul(qh, kt) * np.asarray(scale) + np.triu(
+        np.full((seq_len, seq_len), -1e30), k=1)
     y = scores - scores.max(axis=-1, keepdims=True)
     np.exp(y, out=y)
     y /= y.sum(axis=-1, keepdims=True)
-    out = np.matmul(y, v)
-    g = np.ascontiguousarray(g)
-    gy = np.matmul(g, v.swapaxes(-1, -2))
-    gv = np.matmul(y.swapaxes(-1, -2), g)
+    out = merge(np.matmul(y, vh))
+    gy = np.matmul(gh, vh.swapaxes(-1, -2))
+    gv = np.matmul(y.swapaxes(-1, -2), gh)
     ds = gy - (gy * y).sum(axis=-1, keepdims=True)
     ds *= y
     ds = ds * np.asarray(scale)
     gq = np.matmul(ds, kt.swapaxes(-1, -2))
-    gk = np.ascontiguousarray(np.matmul(q.swapaxes(-1, -2), ds).swapaxes(-1, -2))
-    return out, y, gq, gk, gv
+    gk = np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2)
+    return out, y, merge(gq), merge(gk), merge(gv)
 
 
-def test_causal_attention_is_bit_for_bit_the_op_chain():
+@pytest.mark.parametrize("frozen", ["none", "q", "k", "v"])
+def test_causal_attention_is_bit_for_bit_the_op_chain(monkeypatch, frozen):
+    # B > 1 sequences, and v narrower than q and k, as in the model
     rng = RngState(67)
-    b, h, s, d = 3, 4, 7, 5
-    q, k, v = (Tensor(rng.normal((b, h, s, d)), requires_grad=True) for _ in range(3))
-    w = rng.normal((b * s, h * d))
-    out = causal_attention(q, k, v, 1.0 / np.sqrt(d))
-    # the gradient reaches the op as merge_heads' strided view, as in the model
-    backward(dot(T.merge_heads(out), w))
-    g = w.reshape(b, s, h, d).transpose(0, 2, 1, 3)
-    want_out, want_attn, gq, gk, gv = _attention_chain(q.data, k.data, v.data,
-                                                       1.0 / np.sqrt(d), g)
-    assert np.array_equal(out.data, want_out)
-    # with v an identity stack (d = S) the output is the weight matrix itself
-    eye = np.broadcast_to(np.eye(s), (b, h, s, s))
-    assert np.array_equal(causal_attention(q, k, eye, 1.0 / np.sqrt(d)).data, want_attn)
+    b, h, s, d, d_v = 3, 4, 7, 6, 3
+    q, k = (Tensor(rng.normal((b * s, h * d)), requires_grad=frozen != name)
+            for name in "qk")
+    v = Tensor(rng.normal((b * s, h * d_v)), requires_grad=frozen != "v")
+    g = rng.normal((b * s, h * d_v))
+    handed = []
+    accum = T._accum
+    monkeypatch.setattr(T, "_accum", lambda t, grad: (handed.append(t), accum(t, grad)))
+    out = causal_attention(q, k, v, h, s)
+    assert out._op == "causal_attention" and out._parents == (q, k, v)
+    backward(out, g)
+    want_out, want_attn, gq, gk, gv = _attention_chain(q.data, k.data, v.data, h, s, g)
+    assert out.data.tobytes() == want_out.tobytes()
     for t, want in ((q, gq), (k, gk), (v, gv)):
-        assert np.array_equal(t.grad, want)
+        if t.requires_grad:
+            assert t.grad.tobytes() == want.tobytes()
+        else:  # a frozen operand's gradient product is never formed
+            assert t.grad is None and not any(x is t for x in handed)
+    # with each head's v an identity (d_v = S) the output rows are the weights
+    eye = Tensor(np.tile(np.eye(s), (b, h)))
+    rows = causal_attention(q, k, eye, h, s).data
+    assert np.array_equal(rows.reshape(b, s, h, s).transpose(0, 2, 1, 3), want_attn)
 
 
 @pytest.mark.parametrize("probe", ["q", "k", "v"])
 def test_causal_attention_gradient_per_operand(probe):
+    # two sequences of 4 over 2 heads, v narrower than q and k
     rng = RngState(68)
-    fixed = {name: Tensor(rng.normal((2, 2, 4, 3))) for name in "qkv"}
-    weights = Tensor(rng.normal((2, 2, 4, 3)))
+    fixed = {name: Tensor(rng.normal((8, 6 if name != "v" else 4))) for name in "qkv"}
+    targets = np.array([0, 3, 1, 2, 3, 0, 2, 1])
 
     def f(z):
         ops = dict(fixed, **{probe: z})
-        return dot(causal_attention(ops["q"], ops["k"], ops["v"], 0.6), weights)
+        return cross_entropy_rows(causal_attention(ops["q"], ops["k"], ops["v"], 2, 4),
+                                  targets)
 
     assert finite_difference_check(f, fixed[probe], 1e-6) < 1e-5
 
@@ -290,80 +317,87 @@ ADAPTER_MASKS = {
 }
 
 
-@pytest.mark.parametrize("x_grad", [True, False], ids=["x_grad", "x_frozen"])
+# which of x, w_up, w_down require grad: an adapter on a trainable input,
+# an adapter on a frozen one, and the frozen FFN on a trainable input
+TRAINABLE = {"all": (True, True, True), "x_frozen": (False, True, True),
+             "ffn": (True, False, False)}
+
+
+@pytest.mark.parametrize("trainable", sorted(TRAINABLE))
 @pytest.mark.parametrize("scale", [1.0, 2.0])
 @pytest.mark.parametrize("mask", sorted(ADAPTER_MASKS))
 @pytest.mark.parametrize("activation", ["identity", "relu", "silu"])
-def test_adapter_delta_is_bit_for_bit_the_op_chain(monkeypatch, activation, mask,
-                                                   scale, x_grad):
+def test_mlp_is_bit_for_bit_the_op_chain(monkeypatch, activation, mask, scale,
+                                         trainable):
     rng = RngState(70)
+    x_grad, up_grad, down_grad = TRAINABLE[trainable]
     x = Tensor(rng.normal((6, 5)), requires_grad=x_grad)
-    w_up = Tensor(rng.normal((3, 5)), requires_grad=True)
-    w_down = Tensor(rng.normal((4, 3)), requires_grad=True)
+    w_up = Tensor(rng.normal((3, 5)), requires_grad=up_grad)
+    w_down = Tensor(rng.normal((4, 3)), requires_grad=down_grad)
     m = ADAPTER_MASKS[mask](rng.child(1))
     g = rng.normal((6, 4))
     handed = []
     accum = T._accum
     monkeypatch.setattr(T, "_accum", lambda t, grad: (handed.append(t), accum(t, grad)))
-    out = adapter_delta(x, w_up, w_down, activation, m, scale)
-    assert out._op == "adapter_delta" and out._parents == (x, w_up, w_down)
+    out = mlp(x, w_up, w_down, activation, m, scale)
+    assert out._op == "mlp" and out._parents == (x, w_up, w_down)
     backward(out, g)
     want, gx, gw_up, gw_down = _adapter_chain(x.data, w_up.data, w_down.data,
                                               activation, m, scale, g)
     assert out.data.tobytes() == want.tobytes()
-    assert w_up.grad.tobytes() == gw_up.tobytes()
-    assert w_down.grad.tobytes() == gw_down.tobytes()
-    if x_grad:
-        assert x.grad.tobytes() == gx.tobytes()
-    else:  # a frozen input's gradient product is never formed
-        assert x.grad is None and not any(h is x for h in handed)
+    for t, want_grad in ((x, gx), (w_up, gw_up), (w_down, gw_down)):
+        if t.requires_grad:
+            assert t.grad.tobytes() == want_grad.tobytes()
+        else:  # a frozen operand's gradient product is never formed
+            assert t.grad is None and not any(h is t for h in handed)
 
 
 @pytest.mark.parametrize("mask", [None, "elementwise"])
 @pytest.mark.parametrize("activation", ["relu", "silu"])
-def test_adapter_delta_gradient_matches_finite_differences(activation, mask):
+def test_mlp_gradient_matches_finite_differences(activation, mask):
     rng = RngState(71)
     x = Tensor(rng.uniform(-2.0, 2.0, (6, 5)))
     w_up = Tensor(rng.uniform(-1.0, 1.0, (3, 5)))
     w_down = Tensor(rng.uniform(-1.0, 1.0, (4, 3)))
     m = None if mask is None else keep_mask((6, 3), 0.4, rng.child(1))
-    weights = rng.normal((6, 4))
+    targets = np.array([0, 3, 1, 2, 3, 0])
     # relu is checked away from its kink: no latent within reach of the step
     assert np.min(np.abs(x.data @ w_up.data.T)) > 1e-3
     operands = {"x": x, "w_up": w_up, "w_down": w_down}
     for name, probe in operands.items():
         def f(z):
             ops = dict(operands, **{name: z})
-            return dot(adapter_delta(ops["x"], ops["w_up"], ops["w_down"],
-                                     activation, m, 2.0), weights)
+            return cross_entropy_rows(mlp(ops["x"], ops["w_up"], ops["w_down"],
+                                          activation, m, 2.0), targets)
 
         assert finite_difference_check(f, probe, 1e-6) < 1e-5, name
 
 
 def test_backward_from_a_seeded_root():
     # a seed G at a non-scalar root y gives, bit for bit, the gradients of
-    # the scalar dot(y, G), which hands y exactly G
+    # the scalar y Gᵀ of the two rows, which hands y exactly G
     rng = RngState(69)
-    seed = rng.normal((6, 5))
+    seed = rng.normal((1, 5))
     w = Tensor(rng.normal((5, 4)), requires_grad=True)
-    x = Tensor(rng.normal((6, 4)), requires_grad=True)
-    backward(silu(linear(x, w)), seed)
+    x = Tensor(rng.normal((1, 4)), requires_grad=True)
+    w_down = Tensor(rng.normal((5, 5)))
+    backward(mlp(x, w, w_down, "silu", None, 1.0), seed)
     got = (w.grad, x.grad)
     w.zero_grad()
     x.zero_grad()
-    backward(dot(silu(linear(x, w)), seed))
+    backward(linear(mlp(x, w, w_down, "silu", None, 1.0), seed))
     assert got[0].tobytes() == w.grad.tobytes()
     assert got[1].tobytes() == x.grad.tobytes()
     with pytest.raises(ShapeError, match="seed gradient"):
-        backward(linear(x, w), np.ones((5, 6)))
+        backward(linear(x, w), np.ones((5, 1)))
     with pytest.raises(ShapeError, match="scalar loss"):
         backward(linear(x, w))
 
 
 def test_fd_check_quadratic():
     rng = RngState(6)
-    x = Tensor(rng.normal((5,)))
-    err = finite_difference_check(lambda t: dot(t, T.add(t, t)), x, 1e-6)
+    x = Tensor(rng.normal((1, 5)))
+    err = finite_difference_check(lambda t: linear(t, T.add(t, t)), x, 1e-6)
     assert err < 1e-8
 
 
@@ -374,19 +408,16 @@ def test_fd_check_constant_function():
 
 
 @pytest.mark.parametrize("name,f", [
-    ("silu", lambda z: total(silu(z))),
-    ("relu", lambda z: total_sq(adapter_delta(z, np.eye(4), np.eye(4), "relu", None, 1.0))),
+    ("silu", lambda z: total(mlp(z, np.eye(4), np.eye(4), "silu", None, 1.0))),
+    ("relu", lambda z: cross_entropy_rows(mlp(z, np.eye(4), np.eye(4), "relu", None, 1.0),
+                                          np.array([0, 2, 1]))),
     ("linear", lambda z: total(linear(z, Tensor(np.linspace(-1, 1, 20).reshape(5, 4))))),
     ("layer_norm", lambda z: total(layer_norm(z, Tensor(np.linspace(0.5, 1.5, 4)),
                                              Tensor(np.zeros(4))))),
-    ("sub_mul", lambda z: dot(T.add(z, np.full(z.shape, -0.5)),
-                              T.add(z, np.full(z.shape, 2.0)))),
-    ("reshape", lambda z: total(linear(T.reshape(z, (4, 3)), Tensor(np.ones((1, 3)))))),
-    ("split_merge_heads", lambda z: dot(T.merge_heads(T.split_heads(z, 2, 3)),
-                                        np.arange(12.0).reshape(3, 4))),
-    ("attention", lambda z: dot(T.merge_heads(causal_attention(
-        T.split_heads(z, 2, 3), T.split_heads(z, 2, 3), T.split_heads(z, 2, 3), 0.7)),
-        np.arange(12.0).reshape(3, 4))),
+    ("add", lambda z: total(linear(T.add(z, np.full(z.shape, -0.5)),
+                                   T.add(z, np.full(z.shape, 2.0))))),
+    ("attention", lambda z: cross_entropy_rows(causal_attention(z, z, z, 2, 3),
+                                               np.array([3, 0, 2]))),
     ("cross_entropy", lambda z: cross_entropy_rows(z, np.array([0, 2, 1]))),
 ])
 def test_gradient_soundness_per_op(name, f):
@@ -397,35 +428,29 @@ def test_gradient_soundness_per_op(name, f):
     assert finite_difference_check(f, x, 1e-6) < 1e-5
 
 
-def test_split_merge_heads_gradients():
-    # rows are (sequence, position), columns (head, feature): each entry
-    # lands at [sequence, head, position, feature] and its gradient comes back
-    x = Tensor(np.arange(24.0).reshape(6, 4), requires_grad=True)
-    heads = T.split_heads(x, 2, 3)
-    assert heads.shape == (2, 2, 3, 2)
-    assert heads.data[1, 0, 2, 1] == x.data[1 * 3 + 2, 0 * 2 + 1]
-    assert heads.data[0, 1, 1, 0] == x.data[0 * 3 + 1, 1 * 2 + 0]
-    assert np.array_equal(T.merge_heads(heads).data, x.data)
-    backward(total_sq(heads))
-    assert np.array_equal(x.grad, 2.0 * x.data)
-
-
 def test_batched_ops_match_per_matrix_ops():
+    # rows are (sequence, position), columns (head, feature): each
+    # sequence's block of a head's columns attends on its own
     rng = RngState(63)
-    q, k, v = (rng.normal((2, 3, 5, 4)) for _ in range(3))
-    got = causal_attention(Tensor(q), Tensor(k), Tensor(v), 0.5).data
-    for i in range(2):
-        for j in range(3):
-            one = causal_attention(*(Tensor(a[i:i + 1, j:j + 1]) for a in (q, k, v)), 0.5)
-            assert np.array_equal(got[i, j], one.data[0, 0])
-    with pytest.raises(ShapeError):
-        causal_attention(Tensor(q), Tensor(k[:1]), Tensor(v), 0.5)
-    with pytest.raises(ShapeError):
-        causal_attention(Tensor(q[0]), Tensor(k[0]), Tensor(v[0]), 0.5)
-    with pytest.raises(ShapeError):
-        T.split_heads(Tensor(np.ones((5, 4))), 2, 3)
-    with pytest.raises(ShapeError):
-        T.merge_heads(Tensor(np.ones((3, 4))))
+    b, h, s, d, d_v = 2, 3, 5, 4, 2
+    q, k = (rng.normal((b * s, h * d)) for _ in range(2))
+    v = rng.normal((b * s, h * d_v))
+    got = causal_attention(Tensor(q), Tensor(k), Tensor(v), h, s).data
+    for i in range(b):
+        rows = slice(i * s, (i + 1) * s)
+        for j in range(h):
+            cols, v_cols = slice(j * d, (j + 1) * d), slice(j * d_v, (j + 1) * d_v)
+            one = causal_attention(Tensor(q[rows, cols]), Tensor(k[rows, cols]),
+                                   Tensor(v[rows, v_cols]), 1, s)
+            assert np.array_equal(got[rows, v_cols], one.data)
+    for shapes in (((10, 12), (5, 12), (10, 6)),   # k's rows
+                   ((10, 12), (10, 12), (8, 6)),   # v's rows
+                   ((9, 12), (9, 12), (9, 6)),     # rows not whole sequences
+                   ((10, 10), (10, 10), (10, 6)),  # q width not whole heads
+                   ((10, 12), (10, 12), (10, 5)),  # v width not whole heads
+                   ((10,), (10,), (10,))):
+        with pytest.raises(ShapeError, match="causal_attention"):
+            causal_attention(*(Tensor(np.ones(shape)) for shape in shapes), h, s)
 
 
 def test_cross_entropy_uniform_logits():
@@ -442,6 +467,13 @@ def test_rng_determinism_and_stream_independence():
     assert not np.array_equal(a, c)
 
 
+def test_random_draws_the_bits_of_the_unit_uniform():
+    # and leaves the stream where `uniform(0.0, 1.0, shape)` leaves it
+    a, b = RngState(42, 5), RngState(42, 5)
+    assert a.random((3, 7)).tobytes() == b.uniform(0.0, 1.0, (3, 7)).tobytes()
+    assert a.random(4).tobytes() == b.random(4).tobytes()
+
+
 def test_rng_children_never_alias():
     root = RngState(9)
     direct = root.child(2).uniform(0, 1, 50)
@@ -454,8 +486,8 @@ def test_op_sequence_determinism():
         rng = RngState(11)
         x = Tensor(rng.normal((8, 8)), requires_grad=True)
         mask = keep_mask((8, 4), 0.3, rng.child(1))
-        y = total(adapter_delta(x, Tensor(rng.normal((4, 8))), Tensor(rng.normal((3, 4))),
-                                "silu", mask, 1.0))
+        y = total(mlp(x, Tensor(rng.normal((4, 8))), Tensor(rng.normal((3, 4))),
+                      "silu", mask, 1.0))
         backward(y)
         return y.data.copy(), x.grad.copy()
 
@@ -466,7 +498,7 @@ def test_op_sequence_determinism():
 @settings(max_examples=50, deadline=None)
 @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
 def test_silu_identity_property(x):
-    got = silu(Tensor([x])).data[0] - silu(Tensor([-x])).data[0]
+    got = silu([x])[0] - silu([-x])[0]
     assert got == pytest.approx(x, abs=1e-9)
 
 
@@ -475,7 +507,7 @@ def test_silu_identity_property(x):
 def test_tensor_invariants_after_ops(seed):
     rng = RngState(seed)
     x = Tensor(rng.uniform(-2, 2, (3, 5)), requires_grad=True)
-    out = silu(linear(x, Tensor(rng.uniform(-1, 1, (2, 5)))))
+    out = mlp(x, Tensor(rng.uniform(-1, 1, (2, 5))), np.eye(2), "silu", None, 1.0)
     assert out.data.size == int(np.prod(out.shape))
     backward(total(out))
     assert x.grad.shape == x.shape

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -19,11 +21,6 @@ REG_CFG = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1,
                       mode="regressor")
 LM_CFG = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=2,
                      vocab_size=12, max_seq_len=48, v_out_dim=8)
-
-
-def total(t):
-    """The sum of every entry as tape ops: a row of ones times t's entries."""
-    return T.linear(T.reshape(t, (1, t.size)), Tensor(np.ones((1, t.size))))
 
 
 def step(params, grads, state, lr, cfg, clip=None):
@@ -344,9 +341,9 @@ def test_evaluate_is_the_training_loss_without_dropout(monkeypatch):
     want_ppl = np.exp(T.cross_entropy_rows(
         lm_logits(lm, test.inputs), test.targets.reshape(-1)).item())
     ops = recorded_ops(monkeypatch)
-    masked, fused = [], T.adapter_delta
-    monkeypatch.setattr(T, "adapter_delta", lambda *args: (
-        masked.append(args[4] is not None), fused(*args))[1])
+    masked, delta_rows = [], Adapter.delta_rows
+    monkeypatch.setattr(Adapter, "delta_rows", lambda self, x, mask=None: (
+        masked.append(mask is not None), delta_rows(self, x, mask))[1])
     got_mse = evaluate(reg, task.test)
     reg_ops = set(ops)
     got_ppl = evaluate(lm, test)
@@ -381,7 +378,32 @@ def test_a_regressor_training_step_builds_only_adapter_nodes(monkeypatch):
     rep = train_adapter(bb, rows, rows, TrainConfig(steps=2, batch_size=4))
     assert len(rep.loss_curve) == 2
     # one node per adapter in each of the two steps and the closing evaluation
-    assert nodes == ["adapter_delta"] * (2 * 3)
+    assert nodes == ["mlp"] * (2 * 3)
+
+
+def test_a_language_model_training_step_builds_one_node_per_piece(monkeypatch):
+    # cera r=16 on Wq and Wv of the trajectory model's two layers: per layer
+    # four projections, two layer norms, two adapter adds and two residual
+    # adds, three two-matrix maps (two adapters and the FFN) and one
+    # attention; then the last layer norm, the head and the loss
+    cfg = ModelConfig(d_model=64, n_heads=4, d_head=16, n_layers=2, vocab_size=12,
+                      max_seq_len=64, v_out_dim=32)
+    bb = build_model(cfg, 76)
+    for layer in range(cfg.n_layers):
+        for target in ("Wq", "Wv"):
+            inject(bb, layer, target, Adapter.init(
+                AdapterConfig(kind="cera", r=16), *adapter_shape(cfg, target),
+                RngState(77, len(bb.adapters))))
+    train, test = trajectory_sequences(n_steps=8, count=6, seed=78)
+    nodes, node = [], T._node
+    monkeypatch.setattr(T, "_node", lambda data, parents, bwd, op: (
+        nodes.append(op), node(data, parents, bwd, op))[1])
+    train_adapter(bb, train, test, TrainConfig(steps=1, batch_size=4))
+    want = {"linear": 9, "layer_norm": 5, "add": 8, "mlp": 6,
+            "causal_attention": 2, "cross_entropy": 1}
+    # the step's tape, then the closing evaluation's, each 31 nodes
+    assert len(nodes) == 2 * 31
+    assert Counter(nodes[:31]) == want and Counter(nodes[31:]) == want
 
 
 def lm_with_adapters(style):
