@@ -326,16 +326,22 @@ class RunStore:
         return self.records_dir / f"{run_id}.adapters.json"
 
     def load_record(self, run_id: str) -> dict | None:
-        """The stored record file, or None if it is missing or unreadable;
-        an unreadable one is logged before it is treated as missing."""
+        """The stored record file, or None if it is missing or corrupt:
+        unreadable, or not an object holding `record` and `run_config`. A
+        corrupt one is logged before it is treated as missing."""
         path = self.record_path(run_id)
         if not path.exists():
             return None
         try:
-            return json.loads(path.read_text())
+            stored = json.loads(path.read_text())
         except (json.JSONDecodeError, OSError) as exc:
             self.log(f"corrupt record {run_id} treated as missing: {exc}")
             return None
+        if not (isinstance(stored, dict) and "record" in stored and "run_config" in stored):
+            self.log(f"corrupt record {run_id} treated as missing: "
+                     "not an object holding record and run_config")
+            return None
+        return stored
 
     def save_record(self, run_id: str, record: dict, run_config: dict,
                     bundles: dict, report: dict) -> None:

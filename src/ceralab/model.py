@@ -26,7 +26,10 @@ The value projection is allowed to be rectangular (v_out_dim < d_model),
 mirroring grouped-query-style asymmetry, and Wo folds it back.
 
 Adapter dropout runs exactly when a caller passes a random stream; only
-training does.
+training does. `forward` and `collect_latents` run without a tape (see
+`tensor._no_tape`): nothing backpropagates through them. `lm_logits` and
+`regressor_output` record one whenever an adapter requires grad, with a
+stream or without.
 """
 
 from __future__ import annotations
@@ -352,7 +355,8 @@ def forward(backbone: FrozenBackbone, inputs, mode: str = "eval") -> Tensor:
     if mode != "eval":
         raise DomainError(f"forward runs in eval mode only, got {mode!r}")
     if backbone.cfg.mode == "regressor":
-        return Tensor(regressor_output(backbone, inputs)[0])
+        with T._no_tape():
+            return Tensor(regressor_output(backbone, inputs)[0])
     if len(inputs) == 0:
         return Tensor(np.zeros((0, 0, backbone.cfg.vocab_size)))
     try:
@@ -361,7 +365,8 @@ def forward(backbone: FrozenBackbone, inputs, mode: str = "eval") -> Tensor:
         raise ShapeError("batched sequences must share one length") from exc
     if ids.ndim != 2:
         raise ShapeError(f"expected a batch of token sequences, got shape {ids.shape}")
-    logits = lm_logits(backbone, ids).data
+    with T._no_tape():
+        logits = lm_logits(backbone, ids).data
     return Tensor(logits.reshape(*ids.shape, backbone.cfg.vocab_size))
 
 
@@ -377,15 +382,16 @@ def collect_latents(backbone: FrozenBackbone, inputs, which: str = "latent_H"):
         raise ConfigError(f"unknown collection {which!r}")
     if not backbone.adapters:
         raise ConfigError("no adapter injected; nothing to collect")
-    if backbone.cfg.mode == "regressor":
-        reads = [_features(backbone, inputs)]
-    else:
-        _, reads = _lm_rows(backbone, inputs, None)
     blocks = []
-    for (layer, _), adapter in sorted(backbone.adapters.items()):
-        rows = (adapter.latent_rows(reads[layer]) if which == "latent_H"
-                else adapter.delta_rows(reads[layer]))
-        blocks.append(rows.data)
+    with T._no_tape():
+        if backbone.cfg.mode == "regressor":
+            reads = [_features(backbone, inputs)]
+        else:
+            _, reads = _lm_rows(backbone, inputs, None)
+        for (layer, _), adapter in sorted(backbone.adapters.items()):
+            rows = (adapter.latent_rows(reads[layer]) if which == "latent_H"
+                    else adapter.delta_rows(reads[layer]))
+            blocks.append(rows.data)
     widths = sorted({b.shape[1] for b in blocks})
     if len(widths) != 1:
         raise ConfigError(f"cannot stack {which} rows of mixed widths {widths}")

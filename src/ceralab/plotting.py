@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from xml.sax.saxutils import escape
 
 from .errors import ConfigError, DictConfig, DomainError
 
@@ -65,6 +64,12 @@ class FigureSpec(DictConfig):
 
     series: list[Series]
     axes: AxesSpec = field(default_factory=AxesSpec)
+
+
+def _escape(text: str) -> str:
+    """Text content with &, < and > as entities; the bytes of
+    `xml.sax.saxutils.escape`, whose import pulls in urllib and email."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 def _fmt(v: float) -> str:
@@ -175,7 +180,7 @@ def emit_plot(series: list[Series], axes: AxesSpec, path) -> None:
     ]
     if axes.title:
         parts.append(f'<text x="{axes.width / 2:.1f}" y="20" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="14">{escape(axes.title)}</text>')
+                     f'font-family="sans-serif" font-size="14">{_escape(axes.title)}</text>')
     for t in xticks:
         x = sx(t)
         parts.append(f'<line x1="{_fmt(x)}" y1="{top + ph}" x2="{_fmt(x)}" '
@@ -191,12 +196,12 @@ def emit_plot(series: list[Series], axes: AxesSpec, path) -> None:
     if axes.xlabel:
         parts.append(f'<text x="{left + pw / 2:.1f}" y="{axes.height - 8}" '
                      'text-anchor="middle" font-family="sans-serif" '
-                     f'font-size="12">{escape(axes.xlabel)}</text>')
+                     f'font-size="12">{_escape(axes.xlabel)}</text>')
     if axes.ylabel:
         cy = top + ph / 2
         parts.append(f'<text x="14" y="{cy:.1f}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="12" '
-                     f'transform="rotate(-90 14 {cy:.1f})">{escape(axes.ylabel)}</text>')
+                     f'transform="rotate(-90 14 {cy:.1f})">{_escape(axes.ylabel)}</text>')
 
     for i, (label, xs, ys, lo, hi) in enumerate(prepped):
         color = PALETTE[i % len(PALETTE)]
@@ -217,7 +222,7 @@ def emit_plot(series: list[Series], axes: AxesSpec, path) -> None:
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx + 23}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="11">{escape(label)}</text>')
+                     f'font-size="11">{_escape(label)}</text>')
     parts.append("</svg>")
     with open(path, "wb") as fh:
         fh.write("\n".join(parts).encode("utf-8"))

@@ -6,7 +6,11 @@ adapter's whole delta and the frozen FFN, multi-head causal attention over
 (B*S, H*d) projection rows with the head split and merge inside it, layer
 norm, and the cross-entropy loss. Each is one tape node.
 Values are row-major numpy arrays; the tape is the implicit graph of parent
-links, torn down after each backward pass.
+links and backward closures. It holds only what a backward will read: each
+node keeps the arrays its own backward needs and nothing else, `backward`
+releases each interior node once it and all its consumers have run, and
+inside `_no_tape()` ops record no parents and no closure at all, so an
+evaluation frees each intermediate as soon as it is consumed.
 
 Gradient ownership: a tensor adopts the first gradient handed to it, with
 no copy, and every later contribution makes a new array (`grad + g`). A
@@ -17,7 +21,8 @@ write the gradient they receive.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from contextlib import contextmanager
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,8 +76,8 @@ class Tensor:
     """A dense float64 array plus an optional gradient buffer.
 
     Ops on tensors record parent links and a backward closure when any
-    input requires grad; the module's `backward` from a result replays
-    them.
+    input requires grad, outside `_no_tape`; the module's `backward` from a
+    result replays them.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
@@ -116,13 +121,30 @@ def _wrap(x) -> Tensor:
     return Tensor(np.asarray(x, dtype=np.float64))
 
 
+# whether ops record the tape; only `_no_tape` clears it
+_taping = True
+
+
+@contextmanager
+def _no_tape() -> Iterator[None]:
+    """Ops inside record no tape: a result requires no grad and keeps no
+    parents and no closure, whatever its inputs. For passes no backward
+    reads; the outer state returns on exit, on error too, so it nests."""
+    global _taping
+    outer, _taping = _taping, False
+    try:
+        yield
+    finally:
+        _taping = outer
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor],
           bwd: Callable[[np.ndarray], None], op: str) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out._op = op
-    rg = any(p.requires_grad for p in parents)
+    rg = _taping and any(p.requires_grad for p in parents)
     out.requires_grad = rg
     out._parents = tuple(parents) if rg else ()
     out._backward = bwd if rg else None
@@ -146,8 +168,14 @@ def backward(root: Tensor, grad: np.ndarray | None = None) -> None:
     Without `grad` the root must be a scalar loss (size 1), seeded with one.
     A `grad` shaped like the root seeds it instead: the gradient, with
     respect to the root, of a loss computed off the tape; the root adopts
-    it with no copy, and it is only read. The tape is cleared afterwards:
-    interior nodes drop their parent links and closures.
+    it with no copy, and it is only read.
+
+    The nodes run in reverse topological order, popped off that order as
+    they run, and each drops its parent links and closure once its backward
+    has run. So once a node and all its consumers have run, nothing refers
+    to it any more, and its data, gradient and closure are freed. A tensor
+    the caller still holds (the root, a parameter) keeps its data and
+    gradient.
     """
     if grad is None:
         if root.size != 1:
@@ -173,7 +201,8 @@ def backward(root: Tensor, grad: np.ndarray | None = None) -> None:
                 stack.append((p, False))
     if root.requires_grad:
         root.grad = grad
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
         node._parents = ()
@@ -236,14 +265,14 @@ def _silu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x * sig, sig
 
 
-def _silu_grad(x: np.ndarray, sig: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """g * sig * (1 + x (1 - sig)) in two buffers; g is only read."""
+def _silu_grad(x: np.ndarray, sig: np.ndarray, g: np.ndarray) -> None:
+    """Write g * sig * (1 + x (1 - sig)) over g, which the caller owns; one
+    more buffer."""
     slope = np.subtract(1.0, sig)
     slope *= x
     slope += 1.0
-    dx = g * sig
-    dx *= slope
-    return dx
+    g *= sig
+    g *= slope
 
 
 def mlp_hidden(x: np.ndarray, w_up: np.ndarray, activation: str
@@ -277,6 +306,8 @@ def mlp(x: Tensor, w_up: Tensor, w_down: Tensor, activation: str,
     data = kept @ w_down.data.T
     if scale != 1.0:
         data *= scale
+    if not w_down.requires_grad:
+        kept = None  # only w_down's gradient reads it: the frozen FFN keeps none
 
     def bwd(g):
         if scale != 1.0:
@@ -289,7 +320,7 @@ def mlp(x: Tensor, w_up: Tensor, w_down: Tensor, activation: str,
         if mask is not None:
             dact *= mask
         if activation == "silu":
-            dact = _silu_grad(lat, sig, dact)
+            _silu_grad(lat, sig, dact)
         elif activation == "relu":
             dact *= lat > 0.0
         if x.requires_grad:
@@ -328,7 +359,9 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     heads are split off the rows and merged back inside it, and the ops and
     their order are those of the split, matmul, scale, mask-add, softmax,
     matmul, merge chain, so values and gradients are bit for bit that
-    chain's. A position attends to itself and the positions before it.
+    chain's. Backward splits the heads it needs off the parents' rows again
+    rather than keeping the forward's copies. A position attends to itself
+    and the positions before it.
     """
     q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if (q.ndim != 2 or k.shape != q.shape or v.ndim != 2 or v.shape[0] != q.shape[0]
@@ -337,9 +370,11 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
                          f"not split into {n_heads} heads of length-{seq_len} sequences")
     n, dv = v.shape[0], v.shape[1] // n_heads
     scale = 1.0 / np.sqrt(q.shape[1] // n_heads)
-    qh, vh = _heads(q.data, n_heads, seq_len), _heads(v.data, n_heads, seq_len)
-    kt = np.ascontiguousarray(_heads(k.data, n_heads, seq_len).swapaxes(-1, -2))
-    attn = np.matmul(qh, kt)
+
+    def keys_t():
+        return np.ascontiguousarray(_heads(k.data, n_heads, seq_len).swapaxes(-1, -2))
+
+    attn = np.matmul(_heads(q.data, n_heads, seq_len), keys_t())
     attn *= scale
     attn += np.triu(np.full((seq_len, seq_len), -1e30), k=1)
     attn -= attn.max(axis=-1, keepdims=True)
@@ -351,16 +386,18 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
         if v.requires_grad:
             _accum(v, _rows(np.matmul(attn.swapaxes(-1, -2), g)))
         if q.requires_grad or k.requires_grad:
-            ds = np.matmul(g, vh.swapaxes(-1, -2))
+            ds = np.matmul(g, _heads(v.data, n_heads, seq_len).swapaxes(-1, -2))
             ds -= (ds * attn).sum(axis=-1, keepdims=True)
             ds *= attn
             ds *= scale
             if q.requires_grad:
-                _accum(q, _rows(np.matmul(ds, kt.swapaxes(-1, -2))))
+                _accum(q, _rows(np.matmul(ds, keys_t().swapaxes(-1, -2))))
             if k.requires_grad:
+                qh = _heads(q.data, n_heads, seq_len)
                 _accum(k, _rows(np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2)))
 
-    return _node(_rows(np.matmul(attn, vh)), (q, k, v), bwd, "causal_attention")
+    return _node(_rows(np.matmul(attn, _heads(v.data, n_heads, seq_len))),
+                 (q, k, v), bwd, "causal_attention")
 
 
 # ---------------------------------------------------------------------------

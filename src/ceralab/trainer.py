@@ -203,12 +203,14 @@ def _batch_loss(backbone: FrozenBackbone, data: Dataset, idx: np.ndarray,
 
 def evaluate(backbone: FrozenBackbone, test: Dataset) -> float:
     """The training loss over every row of `test`, without dropout: the test
-    MSE of a regressor, and its exp, the perplexity, of a language model."""
+    MSE of a regressor, and its exp, the perplexity, of a language model.
+    No tape is recorded, so each intermediate is freed once consumed."""
     if len(test) == 0:
         raise DomainError("empty split")
     regressor = backbone.cfg.mode == "regressor"
     frozen = regressor_frozen(backbone, test.inputs) if regressor else None
-    loss, _ = _batch_loss(backbone, test, np.arange(len(test)), None, frozen)
+    with T._no_tape():
+        loss, _ = _batch_loss(backbone, test, np.arange(len(test)), None, frozen)
     return loss if regressor else float(np.exp(loss))
 
 
@@ -257,7 +259,8 @@ def train_adapter(backbone: FrozenBackbone, train: Dataset, test: Dataset,
         final_train = curve[-1]
     else:
         idx = np.arange(min(n_train, cfg.batch_size))
-        final_train, _ = _batch_loss(backbone, train, idx, None, frozen)
+        with T._no_tape():
+            final_train, _ = _batch_loss(backbone, train, idx, None, frozen)
     tokens = cfg.steps * _tokens_in_batch(backbone, train, cfg.batch_size)
     return TrainReport(
         loss_curve=curve,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ceralab.adapters import Adapter, AdapterConfig, init_adapter, merge_linear
+from ceralab.cli import main as cli_main
 from ceralab.errors import ConfigError
 from ceralab.experiments import (ABLATION_VARIANTS, NUMERICS_VERSION,
                                  ExperimentConfig, MethodSpec, RunStore,
@@ -217,14 +218,21 @@ def test_stale_numerics_version_is_recomputed(tmp_path, version):
     assert f"stale record {rid}" in log and f"numerics version {version}," in log
 
 
-def test_corrupt_record_is_logged_and_recomputed(tmp_path):
+@pytest.mark.parametrize("corrupt", [
+    lambda text: text[:len(text) // 2],             # truncated
+    lambda text: "[]",                              # parses, not an object
+    lambda text: f'{{"numerics_version": {NUMERICS_VERSION}}}',  # no record
+], ids=["truncated", "list", "no_record"])
+def test_corrupt_record_is_logged_and_recomputed(tmp_path, corrupt):
     cfg = small_config(tmp_path / "out")
     rid = cmd_sweep(cfg).records[0]["run_id"]
     path = tmp_path / "out" / "records" / f"{rid}.json"
-    text = path.read_text()
-    path.write_text(text[:len(text) // 2])
+    path.write_text(corrupt(path.read_text()))
     assert RunStore(tmp_path / "out").load_record(rid) is None
     assert f"corrupt record {rid}" in (tmp_path / "out" / "run.log").read_text()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg.to_dict()))
+    assert cli_main(["spectral", "--config", str(config), "--run-id", rid]) == 2
     outcome = cmd_sweep(cfg)
     assert outcome.exit_code == 0
     assert json.loads(path.read_text())["record"]["run_id"] == rid

@@ -1,4 +1,5 @@
 from xml.dom import minidom
+from xml.sax.saxutils import escape
 
 import pytest
 
@@ -86,5 +87,7 @@ def test_markup_characters_in_text_are_escaped(tmp_path):
               AxesSpec(title="MSE < floor", xlabel="a & b", ylabel="x > 0"), path)
     texts = [t.firstChild.data for t in
              minidom.parse(str(path)).getElementsByTagName("text")]
+    raw = path.read_text()
     for want in ("lora & cera <r=4>", "MSE < floor", "a & b", "x > 0"):
         assert want in texts
+        assert f">{escape(want)}</text>" in raw  # the standard escape's bytes

@@ -1,8 +1,8 @@
 """What importing ceralab sets for the process: a heap top pad, so that a
 language-model step stops faulting its freed memory back in, and one BLAS
-thread unless the caller chose a count. Each check runs in a fresh
-interpreter, so that neither earlier tests nor pytest's own imports have
-shaped its heap or loaded numpy."""
+thread unless the caller chose a count; and what it does not load. Each
+check runs in a fresh interpreter, so that neither earlier tests nor
+pytest's own imports have shaped its heap or loaded numpy and the stdlib."""
 
 import ctypes
 import os
@@ -81,3 +81,11 @@ def test_blas_defaults_to_one_thread_and_a_caller_count_wins():
     assert run_fresh(show, **dict.fromkeys(BLAS_VARS)).split() == ["1", "1", "1"]
     kept = run_fresh(show, **dict(dict.fromkeys(BLAS_VARS), OPENBLAS_NUM_THREADS="2"))
     assert kept.split() == ["2", "1", "1"]
+
+
+def test_import_loads_no_network_or_xml_stack():
+    # xml.sax.saxutils alone pulled in urllib.request, http.client, email,
+    # ssl and socket: about 30 ms of a cold import
+    heavy = ("http.client", "email", "ssl", "xml.sax")
+    show = f"import sys, ceralab; print(' '.join(m for m in {heavy!r} if m in sys.modules))"
+    assert run_fresh(show).split() == []

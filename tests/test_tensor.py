@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -173,6 +175,72 @@ def test_backward_clears_tape():
     out = total(mlp(w, np.eye(2), np.eye(2), "silu", None, 1.0))
     backward(out)
     assert out._parents == () and out._backward is None
+
+
+def test_backward_frees_each_node_once_its_consumers_have_run():
+    # a chain x -> h1 -> h2 -> h3 -> loss: when h1's backward runs, h2 and
+    # h3 are gone unless the caller holds them, and x's gradient is the same
+    rng = RngState(66)
+    x0, ws = rng.normal((3, 4)), [rng.normal((4, 4)), rng.normal((4, 4)), rng.normal((5, 4))]
+
+    def run(hold: bool):
+        x = Tensor(x0, requires_grad=True)
+        h1 = linear(x, ws[0])
+        h2 = linear(h1, ws[1])
+        h3 = linear(h2, ws[2])
+        loss = cross_entropy_rows(h3, [0, 4, 2])
+        alive = [weakref.ref(h.data) for h in (h1, h2, h3)]
+        seen, inner = [], h1._backward
+        h1._backward = lambda g: (seen.append([r() is not None for r in alive]), inner(g))
+        held = [h1, h2, h3] if hold else []
+        del h1, h2, h3
+        backward(loss)
+        assert all(h.grad is not None for h in held)
+        return seen, x.grad.tobytes()
+
+    (freed, grad), (kept, want) = run(hold=False), run(hold=True)
+    assert freed == [[True, False, False]] and kept == [[True, True, True]]
+    assert grad == want
+
+
+def test_each_node_keeps_only_what_its_backward_reads():
+    def kept_arrays(node):
+        bwd = node._backward
+        return {name for name, cell in zip(bwd.__code__.co_freevars, bwd.__closure__)
+                if isinstance(cell.cell_contents, np.ndarray)}
+
+    rng = RngState(67)
+    x = Tensor(rng.normal((6, 4)), requires_grad=True)
+    w_up, w_down = rng.normal((8, 4)), rng.normal((4, 8))
+    # the frozen FFN keeps no activation rows: only w_down's gradient reads them
+    assert kept_arrays(mlp(x, w_up, w_down, "silu", None, 1.0)) == {"lat", "sig"}
+    adapter = mlp(x, w_up, Tensor(w_down, requires_grad=True), "silu", None, 1.0)
+    assert kept_arrays(adapter) == {"lat", "sig", "kept"}
+    # attention keeps its weights; the heads are split off q, k and v again
+    assert kept_arrays(causal_attention(x, x, x, 2, 3)) == {"attn"}
+
+
+def test_no_tape_records_nothing_nests_and_restores_after_an_error():
+    rng = RngState(68)
+    x = Tensor(rng.normal((2, 3)))
+    w = Tensor(rng.normal((4, 3)), requires_grad=True)
+
+    def taped():
+        out = linear(x, w)
+        assert (out._parents == (x, w)) == (out._backward is not None) == out.requires_grad
+        return out.requires_grad
+
+    assert taped()
+    with T._no_tape():
+        assert not taped()
+        with T._no_tape():
+            assert not taped()
+        assert not taped()  # the inner exit restores the outer off state
+    assert taped()
+    with pytest.raises(DomainError):
+        with T._no_tape():
+            raise DomainError("inside")
+    assert taped() and w.grad is None
 
 
 def test_grad_accumulates_across_reuse():

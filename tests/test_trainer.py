@@ -1,3 +1,5 @@
+import contextlib
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -7,8 +9,9 @@ from ceralab import trainer as trainer_mod
 from ceralab.adapters import Adapter, AdapterConfig
 from ceralab.errors import ConfigError, DomainError, ShapeError
 from ceralab import tensor as T
-from ceralab.model import (ModelConfig, adapter_shape, build_model, forward,
-                           inject, lm_logits, regressor_output)
+from ceralab.model import (ModelConfig, adapter_shape, build_model,
+                           collect_latents, forward, inject, lm_logits,
+                           regressor_output)
 from ceralab.tasks import (Dataset, make_teacher_task, nonlinear_teacher,
                            trajectory_sequences)
 from ceralab.tensor import RngState, Tensor
@@ -351,6 +354,89 @@ def test_evaluate_is_the_training_loss_without_dropout(monkeypatch):
     assert got_ppl.hex() == float(want_ppl).hex()
     assert "cross_entropy" in ops and masked and not any(masked)
     assert "add" not in reg_ops  # the regressor's head is off the tape
+
+
+def test_evaluation_capture_and_forward_record_no_tape(monkeypatch):
+    # evaluate, both capture sources in both model modes and forward give
+    # the bytes they give with the tape on, record no tape, and leave every
+    # adapter gradient unset
+    reg, _, task = make_regression_setup(seed=62, dropout_p=0.5)
+    lm = lm_with_adapters("elementwise")
+    lm_wv = build_model(LM_CFG, 63)  # Wv only: its delta rows share one width
+    for layer in range(LM_CFG.n_layers):
+        adapter = Adapter.init(AdapterConfig(kind="cera", r=4),
+                               *adapter_shape(LM_CFG, "Wv"), RngState(64, layer))
+        adapter.state.w_down.data[:] = RngState(65, layer).normal(adapter.state.w_down.shape)
+        inject(lm_wv, layer, "Wv", adapter)
+    _, test = trajectory_sequences(seed=66, count=10, n_steps=5)
+    x = task.test.inputs
+    captures = [(reg, x, "latent_H"), (reg, x, "output_delta_D"),
+                (lm, test.inputs, "latent_H"), (lm_wv, test.inputs, "output_delta_D")]
+    passes = [lambda: evaluate(reg, task.test), lambda: evaluate(lm, test),
+              lambda: forward(reg, x).data, lambda: forward(lm, test.inputs).data]
+    passes += [lambda c=c: collect_latents(*c).data for c in captures]
+    nodes, node = [], T._node
+    monkeypatch.setattr(T, "_node", lambda *args: (nodes.append(node(*args)), nodes[-1])[1])
+
+    def run():
+        nodes.clear()
+        return [np.asarray(p()).tobytes() for p in passes], list(nodes)
+
+    tape_free, free_nodes = run()
+    with monkeypatch.context() as m:
+        m.setattr(T, "_no_tape", contextlib.nullcontext)
+        taped, taped_nodes = run()
+    assert tape_free == taped
+    assert len(free_nodes) == len(taped_nodes)
+    assert any(n._backward is not None for n in taped_nodes)
+    assert all(n._parents == () and n._backward is None and not n.requires_grad
+               for n in free_nodes)
+    params = reg.adapter_params() + lm.adapter_params() + lm_wv.adapter_params()
+    assert all(p.grad is None for p in params)
+
+
+# tracemalloc peaks (MiB) of the bench's trajectory model with cera r=16 on
+# Wq and Wv: one training step at batch 8 (forward, backward, gradient
+# gather) and `evaluate` over the 12-sequence test split. When every node
+# lived to the end of backward and evaluate recorded a tape they read 20.1
+# and 25.2; freed as backward goes and with no tape they read 15.2 and 7.0
+STEP_PEAK_MIB = 18.0
+EVALUATE_PEAK_MIB = 10.0
+
+
+def test_training_step_and_evaluation_memory_peaks():
+    cfg = ModelConfig(d_model=64, n_heads=4, d_head=16, n_layers=2, vocab_size=12,
+                      max_seq_len=64, v_out_dim=32)
+    bb = build_model(cfg, 0)
+    for layer in range(cfg.n_layers):
+        for target in ("Wq", "Wv"):
+            inject(bb, layer, target, Adapter.init(
+                AdapterConfig(kind="cera", r=16), *adapter_shape(cfg, target),
+                RngState(1, len(bb.adapters))))
+    train, test = trajectory_sequences(n_steps=8, count=64, seed=0)
+    assert train.inputs.shape[1] == 61 and len(test) == 12
+    params = bb.adapter_params()
+    opt = adamw_state(params)
+    drop_rng = RngState(0).child(2)
+
+    def step():
+        _, backprop = trainer_mod._batch_loss(bb, train, np.arange(8), drop_rng, None)
+        T.zero_grads(params)
+        backprop()
+        gather_grads(params, opt)
+
+    def peak_mib(fn) -> float:
+        fn()  # warm
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    step_peak, eval_peak = peak_mib(step), peak_mib(lambda: evaluate(bb, test))
+    assert step_peak < STEP_PEAK_MIB, f"training step peak {step_peak:.2f} MiB"
+    assert eval_peak < EVALUATE_PEAK_MIB, f"evaluate peak {eval_peak:.2f} MiB"
 
 
 def recorded_ops(monkeypatch) -> set:
