@@ -3,8 +3,11 @@ parallel bottleneck, with shared init, parameter counting, and merge support.
 
 All three share the two-matrix bottleneck state (w_up projects into the rank-r
 latent, w_down projects back out) and differ in activation, dropout, scaling,
-and insertion point. They share one delta path, `Adapter.delta_rows`:
-lora is its case with the identity activation, no dropout and scale alpha/r.
+and insertion point. They share one delta path, `tensor.mlp`'s arithmetic:
+`Adapter.delta_rows` runs it as a tape node (the language model) and
+`Adapter.delta_pass` as its numpy halves (the regressor, which has no
+tape). lora is its case with the identity activation, no dropout and scale
+alpha/r.
 The down-projection starts at zero, so every freshly initialized adapter is
 an exact no-op.
 """
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -146,6 +150,24 @@ class Adapter:
         """
         return T.mlp(x_rows, self.state.w_up, self.state.w_down,
                      self.cfg.activation, mask, self.cfg.scale_s)
+
+    def delta_pass(self, x: np.ndarray, mask: np.ndarray | None
+                   ) -> tuple[np.ndarray, Callable]:
+        """The delta rows of `delta_rows`, in numpy and off the tape, and
+        their pullback: a function of the rows' gradient g and a map from
+        each parameter to an array shaped like it (an optimizer's views of
+        its flat gradient buffer), which writes w_up's and w_down's gradient
+        products into their arrays. They are `tensor.mlp`'s two halves, so
+        values and products are the node's bit for bit."""
+        st, cfg = self.state, self.cfg
+        w_up, w_down = st.w_up.data, st.w_down.data
+        rows, saved = T.mlp_forward(x, w_up, w_down, cfg.activation, mask, cfg.scale_s)
+
+        def pullback(g: np.ndarray, grads: dict) -> None:
+            T.mlp_backward(g, x, w_up, w_down, cfg.activation, mask, cfg.scale_s,
+                           saved, (None, grads[st.w_up], grads[st.w_down]))
+
+        return rows, pullback
 
 
 def param_count(cfg: AdapterConfig, geometry: list[tuple[int, int, int]]) -> int:

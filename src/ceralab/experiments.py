@@ -327,7 +327,8 @@ class RunStore:
 
     def load_record(self, run_id: str) -> dict | None:
         """The stored record file, or None if it is missing or corrupt:
-        unreadable, or not an object holding `record` and `run_config`. A
+        unreadable, or not an object whose `record` is an object holding
+        every `RESULT_COLUMNS` key and whose `run_config` is an object. A
         corrupt one is logged before it is treated as missing."""
         path = self.record_path(run_id)
         if not path.exists():
@@ -337,9 +338,11 @@ class RunStore:
         except (json.JSONDecodeError, OSError) as exc:
             self.log(f"corrupt record {run_id} treated as missing: {exc}")
             return None
-        if not (isinstance(stored, dict) and "record" in stored and "run_config" in stored):
-            self.log(f"corrupt record {run_id} treated as missing: "
-                     "not an object holding record and run_config")
+        if not (isinstance(stored, dict) and isinstance(stored.get("record"), dict)
+                and isinstance(stored.get("run_config"), dict)
+                and all(col in stored["record"] for col in RESULT_COLUMNS)):
+            self.log(f"corrupt record {run_id} treated as missing: not an object "
+                     "holding a whole record and a run_config")
             return None
         return stored
 

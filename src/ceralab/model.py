@@ -16,9 +16,11 @@ Two operating modes share one weight set:
   downstream maps, so a linear adapter's whole effect is a linear map of
   the input (which the teacher task's linear floor fits by least squares),
   and the output can be computed as a frozen term (constant per input row)
-  plus one product per adapter. Only the adapters run on the tape: the
-  output rows and the loss are plain numpy, and training seeds each
-  adapter's delta rows with its gradient. A single position attends only
+  plus one product per adapter. The regressor has no tape: each adapter's
+  delta runs as `tensor.mlp`'s numpy forward half, the output rows and the
+  loss are plain numpy, and training pulls the loss gradient back through
+  each adapter's backward half straight into the optimizer's flat
+  gradient buffer. A single position attends only
   to itself, so the softmax is identically one and the query path drops
   out; `inject` therefore refuses a regressor a Wq adapter.
 
@@ -27,15 +29,16 @@ mirroring grouped-query-style asymmetry, and Wo folds it back.
 
 Adapter dropout runs exactly when a caller passes a random stream; only
 training does. `forward` and `collect_latents` run without a tape (see
-`tensor._no_tape`): nothing backpropagates through them. `lm_logits` and
-`regressor_output` record one whenever an adapter requires grad, with a
-stream or without.
+`tensor._no_tape`): nothing backpropagates through them. `lm_logits`
+records one whenever an adapter requires grad, with a stream or without;
+`regressor_output` never does.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -214,7 +217,8 @@ def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
     sequence's positions share. Row-major, that is the per-sequence draw
     order (sequence, adapter, row), so each sequence gets, bit for bit, the
     masks it would draw if run on its own. An entry is kept, as 1/keep,
-    where its draw is below keep = 1 - p.
+    where its draw is below keep = 1 - p. With no adapter at p > 0 (lora,
+    say) nothing is drawn.
     """
     if rng is None:
         return {}
@@ -224,6 +228,8 @@ def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
         if cfg.dropout_p > 0.0:
             rows = seq_len if cfg.dropout_style == "elementwise" else 1
             blocks.append((key, rows, cfg.r, 1.0 - cfg.dropout_p))
+    if not blocks:
+        return {}
     draws = rng.random((n_seq, sum(rows * r for _, rows, r, _ in blocks)))
     masks, start = {}, 0
     for key, rows, r, keep in blocks:
@@ -304,9 +310,10 @@ def regressor_frozen(backbone: FrozenBackbone, features) -> np.ndarray:
     return (x + attn_out + ff) @ backbone.head.data.T
 
 
-def _features(backbone: FrozenBackbone, features) -> Tensor:
-    """A regressor's (n, d_model) feature rows as a tensor."""
-    x = features if isinstance(features, Tensor) else Tensor(features)
+def _features(backbone: FrozenBackbone, features) -> np.ndarray:
+    """A regressor's (n, d_model) feature rows as a contiguous float64 array."""
+    x = features.data if isinstance(features, Tensor) else features
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != backbone.cfg.d_model:
         raise ShapeError(f"features must be (n, {backbone.cfg.d_model}), got {x.shape}")
     return x
@@ -315,18 +322,19 @@ def _features(backbone: FrozenBackbone, features) -> Tensor:
 def regressor_output(backbone: FrozenBackbone, features,
                      rng: RngState | None = None,
                      frozen: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, list[tuple[Tensor, np.ndarray]]]:
+                     ) -> tuple[np.ndarray, list[tuple[np.ndarray, Callable]]]:
     """Regression head over parallel attention/FFN branches (see module doc).
 
     Everything downstream of an adapter is frozen and linear, so the output
     is the frozen term plus each adapter's delta rows D carried to the
     output in one product D Cᵀ: a Wv adapter's through C = head·Wo (the
     backbone's `carry`, computed once per backbone), a module adapter's
-    through C = head. Only the adapters run on the tape; the output rows
-    are plain numpy, summed in (layer, target) order, the order in which
-    `_dropout_masks` draws and `collect_latents` stacks. Returns the
-    (n, vocab_size) output rows and each adapter's (D, C): a loss gradient
-    G with respect to the output reaches D as G C.
+    through C = head. All of it is plain numpy, with no tape: each delta is
+    `Adapter.delta_pass`, and the output rows are summed in (layer, target)
+    order, the order in which `_dropout_masks` draws and `collect_latents`
+    stacks. Returns the (n, vocab_size) output rows and each adapter's
+    (C, pullback of D): a loss gradient G with respect to the output
+    reaches D as G C, which the pullback takes on to the adapter's weights.
 
     `frozen` is `regressor_frozen` of these rows when the caller already
     holds it; otherwise it is computed here. Dropout runs exactly when a
@@ -334,14 +342,14 @@ def regressor_output(backbone: FrozenBackbone, features,
     """
     x = _features(backbone, features)
     masks = _dropout_masks(backbone, 1, x.shape[0], rng)
-    out = regressor_frozen(backbone, x.data) if frozen is None else frozen
-    deltas = []
+    out = regressor_frozen(backbone, x) if frozen is None else frozen
+    passes = []
     for key, adapter in sorted(backbone.adapters.items()):
-        delta = adapter.delta_rows(x, masks.get(key))
+        delta, pullback = adapter.delta_pass(x, masks.get(key))
         to_output = backbone.carry if key[1] == "Wv" else backbone.head.data
-        out = out + delta.data @ to_output.T
-        deltas.append((delta, to_output))
-    return out, deltas
+        out = out + delta @ to_output.T
+        passes.append((to_output, pullback))
+    return out, passes
 
 
 def forward(backbone: FrozenBackbone, inputs, mode: str = "eval") -> Tensor:
@@ -355,8 +363,7 @@ def forward(backbone: FrozenBackbone, inputs, mode: str = "eval") -> Tensor:
     if mode != "eval":
         raise DomainError(f"forward runs in eval mode only, got {mode!r}")
     if backbone.cfg.mode == "regressor":
-        with T._no_tape():
-            return Tensor(regressor_output(backbone, inputs)[0])
+        return Tensor(regressor_output(backbone, inputs)[0])
     if len(inputs) == 0:
         return Tensor(np.zeros((0, 0, backbone.cfg.vocab_size)))
     try:
@@ -385,7 +392,7 @@ def collect_latents(backbone: FrozenBackbone, inputs, which: str = "latent_H"):
     blocks = []
     with T._no_tape():
         if backbone.cfg.mode == "regressor":
-            reads = [_features(backbone, inputs)]
+            reads = [Tensor(_features(backbone, inputs))]
         else:
             _, reads = _lm_rows(backbone, inputs, None)
         for (layer, _), adapter in sorted(backbone.adapters.items()):

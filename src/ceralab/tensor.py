@@ -4,7 +4,10 @@ Deliberately small: only the six ops the program runs. A row-times-weight
 product, elementwise add, the SiLU-gated two-matrix map that is both an
 adapter's whole delta and the frozen FFN, multi-head causal attention over
 (B*S, H*d) projection rows with the head split and merge inside it, layer
-norm, and the cross-entropy loss. Each is one tape node.
+norm, and the cross-entropy loss. Each is one tape node. The two-matrix
+map is also two plain numpy halves, `mlp_forward` and `mlp_backward`, which
+its node runs and which the regressor, which has no tape, runs directly;
+the backward half writes each gradient product into an array it is handed.
 Values are row-major numpy arrays; the tape is the implicit graph of parent
 links and backward closures. It holds only what a backward will read: each
 node keeps the arrays its own backward needs and nothing else, `backward`
@@ -162,8 +165,15 @@ def zero_grads(params: Sequence[Tensor]) -> None:
         p.zero_grad()
 
 
-def backward(root: Tensor, grad: np.ndarray | None = None) -> None:
-    """Populate grads of every requires_grad tensor reachable from `root`.
+def backward(root: Tensor | Callable[[], None],
+             grad: np.ndarray | None = None) -> None:
+    """Run the reverse pass of a loss: populate grads of every requires_grad
+    tensor reachable from the tape's `root`.
+
+    A function root is a reverse pass computed off the tape, such as the
+    regressor's, and is called as it is, with no seed. So every reverse
+    pass of a training step, taped or not, is this one call, and a step's
+    backward phase is its span (the benchmark's step phases read it).
 
     Without `grad` the root must be a scalar loss (size 1), seeded with one.
     A `grad` shaped like the root seeds it instead: the gradient, with
@@ -177,6 +187,9 @@ def backward(root: Tensor, grad: np.ndarray | None = None) -> None:
     the caller still holds (the root, a parameter) keeps its data and
     gradient.
     """
+    if callable(root):
+        root()
+        return
     if grad is None:
         if root.size != 1:
             raise ShapeError(f"backward requires a scalar loss, got shape {root.shape}")
@@ -290,43 +303,75 @@ def mlp_hidden(x: np.ndarray, w_up: np.ndarray, activation: str
     return lat, lat, None
 
 
+def mlp_forward(x: np.ndarray, w_up: np.ndarray, w_down: np.ndarray,
+                activation: str, mask: np.ndarray | None, scale: float
+                ) -> tuple[np.ndarray, tuple]:
+    """The forward half of `mlp`, in numpy: the rows
+    scale * (mask * act(x w_upᵀ)) w_downᵀ, and what the backward half reads
+    of this pass: the hidden rows, the sigmoid of a SiLU (None otherwise)
+    and the kept activations, mask applied."""
+    lat, act, sig = mlp_hidden(x, w_up, activation)
+    kept = act if mask is None else act * mask
+    rows = kept @ w_down.T
+    if scale != 1.0:
+        rows *= scale
+    return rows, (lat, sig, kept)
+
+
+def mlp_backward(g: np.ndarray, x: np.ndarray, w_up: np.ndarray,
+                 w_down: np.ndarray, activation: str, mask: np.ndarray | None,
+                 scale: float, saved: tuple, grads: tuple) -> None:
+    """The backward half of `mlp`, in numpy. From the gradient g of the
+    rows, it forms the gradient products of x, w_up and w_down, each
+    written with matmul's `out` into its array of `grads` (dx, dw_up,
+    dw_down); a None entry is neither formed nor written. `saved` is what
+    `mlp_forward` returned beside the rows; its kept activations are read
+    only for w_down's product. g is only read."""
+    dx, d_up, d_down = grads
+    lat, sig, kept = saved
+    if scale != 1.0:
+        g = g * scale
+    if d_down is not None:
+        np.matmul(g.T, kept, out=d_down)
+    if dx is None and d_up is None:
+        return
+    dact = g @ w_down
+    if mask is not None:
+        dact *= mask
+    if activation == "silu":
+        _silu_grad(lat, sig, dact)
+    elif activation == "relu":
+        dact *= lat > 0.0
+    if dx is not None:
+        np.matmul(dact, w_up, out=dx)
+    if d_up is not None:
+        np.matmul(dact.T, x, out=d_up)
+
+
 def mlp(x: Tensor, w_up: Tensor, w_down: Tensor, activation: str,
         mask: np.ndarray | None, scale: float) -> Tensor:
     """The two-matrix map scale * (mask * act(x w_upᵀ)) w_downᵀ as one node:
     x (n,k), w_up (r,k), w_down (d,r) -> (n,d). It is an adapter's delta
     rows, and with no mask and unit scale the frozen FFN. `mask` is a
     dropout mask as `model._dropout_masks` draws it, or None; a scale of 1
-    is no multiply. The forward runs the linear, activation, mask, linear,
-    scale chain op for op, and the backward forms each of the chain's
-    gradient products as the chain does, so both are the chain's bit for
-    bit."""
+    is no multiply. The node runs `mlp_forward` and `mlp_backward`, which
+    run the linear, activation, mask, linear, scale chain op for op and
+    form each of the chain's gradient products as the chain does, so both
+    are the chain's bit for bit."""
     x, w_up, w_down = _wrap(x), _wrap(w_up), _wrap(w_down)
-    lat, act, sig = mlp_hidden(x.data, w_up.data, activation)
-    kept = act if mask is None else act * mask
-    data = kept @ w_down.data.T
-    if scale != 1.0:
-        data *= scale
+    data, (lat, sig, kept) = mlp_forward(x.data, w_up.data, w_down.data,
+                                         activation, mask, scale)
     if not w_down.requires_grad:
         kept = None  # only w_down's gradient reads it: the frozen FFN keeps none
 
     def bwd(g):
-        if scale != 1.0:
-            g = g * scale
-        if w_down.requires_grad:
-            _accum(w_down, g.T @ kept)
-        if not (x.requires_grad or w_up.requires_grad):
-            return
-        dact = g @ w_down.data
-        if mask is not None:
-            dact *= mask
-        if activation == "silu":
-            _silu_grad(lat, sig, dact)
-        elif activation == "relu":
-            dact *= lat > 0.0
-        if x.requires_grad:
-            _accum(x, dact @ w_up.data)
-        if w_up.requires_grad:
-            _accum(w_up, dact.T @ x.data)
+        operands = (x, w_up, w_down)
+        grads = tuple(np.empty(t.shape) if t.requires_grad else None for t in operands)
+        mlp_backward(g, x.data, w_up.data, w_down.data, activation, mask, scale,
+                     (lat, sig, kept), grads)
+        for t, d in zip(operands, grads):
+            if d is not None:
+                _accum(t, d)
 
     return _node(data, (x, w_up, w_down), bwd, "mlp")
 

@@ -2,7 +2,10 @@
 loss/metric evaluation, and eval-mode throughput measurement.
 
 Only the injected adapters' tensors are ever updated; the backbone stays
-bit-identical (checksum-verifiable) across a run.
+bit-identical (checksum-verifiable) across a run. Every step's gradients
+land in one flat AdamW buffer: a language model's through its tape and
+`gather_grads`, a regressor's, which has no tape, written straight into
+each parameter's view of the buffer by its adapters' numpy pullbacks.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -83,7 +87,8 @@ class AdamWState:
     """Every parameter's values, gradient and moments, each in one flat
     buffer, in parameter order; `adamw_state` makes each parameter's
     `.data` a view of `data`. `bounds` are the parameters' offsets in the
-    buffers, and the two scratch buffers take each update's intermediates.
+    buffers, `grads` maps each parameter to its shaped view of `grad`, and
+    the two scratch buffers take each update's intermediates.
     """
 
     data: np.ndarray
@@ -92,6 +97,7 @@ class AdamWState:
     v: np.ndarray
     scratch: tuple[np.ndarray, np.ndarray]
     bounds: list[int]
+    grads: dict[Tensor, np.ndarray]
     t: int = 0
 
 
@@ -99,13 +105,16 @@ def adamw_state(params: list[Tensor]) -> AdamWState:
     """Move the parameters into one flat buffer (their values are copied,
     and each `.data` becomes a shaped view of it) and allocate the rest."""
     data = np.concatenate([p.data for p in params], axis=None)
+    grad = np.empty_like(data)
     bounds = np.cumsum([0] + [p.size for p in params]).tolist()
+    grads = {}
     for p, lo, hi in zip(params, bounds, bounds[1:]):
         p.data = data[lo:hi].reshape(p.shape)
-    return AdamWState(data=data, grad=np.empty_like(data), m=np.zeros_like(data),
+        grads[p] = grad[lo:hi].reshape(p.shape)
+    return AdamWState(data=data, grad=grad, m=np.zeros_like(data),
                       v=np.zeros_like(data),
                       scratch=(np.empty_like(data), np.empty_like(data)),
-                      bounds=bounds)
+                      bounds=bounds, grads=grads)
 
 
 def gather_grads(params: list[Tensor], state: AdamWState) -> None:
@@ -146,7 +155,8 @@ def adamw_step(state: AdamWState, lr: float, cfg: TrainConfig) -> None:
     m += (1-b1) g, v += ((1-b2) g) g and
     p -= (lr (m/bc1)) / (sqrt(v/bc2) + eps); another grouping moves the
     last bits. Elementwise, so one call over all parameters gives each
-    parameter the bits a call of its own would.
+    parameter the bits a call of its own would. Once bc1 is exactly 1.0
+    (from t = 356 at beta1 0.9) m/bc1 is m, so the division is skipped.
     """
     state.t += 1
     bc1 = 1.0 - cfg.beta1 ** state.t
@@ -162,8 +172,11 @@ def adamw_step(state: AdamWState, lr: float, cfg: TrainConfig) -> None:
     np.multiply(1.0 - cfg.beta2, g, out=a)
     a *= g
     v += a
-    np.divide(m, bc1, out=a)
-    np.multiply(lr, a, out=a)
+    if bc1 == 1.0:
+        np.multiply(lr, m, out=a)
+    else:
+        np.divide(m, bc1, out=a)
+        np.multiply(lr, a, out=a)
     np.divide(v, bc2, out=b)
     np.sqrt(b, out=b)
     b += cfg.eps
@@ -173,32 +186,43 @@ def adamw_step(state: AdamWState, lr: float, cfg: TrainConfig) -> None:
 
 def _batch_loss(backbone: FrozenBackbone, data: Dataset, idx: np.ndarray,
                 rng: RngState | None, frozen: np.ndarray | None
-                ) -> tuple[float, Callable[[], None]]:
+                ) -> tuple[float, Callable[[AdamWState], None]]:
     """Mean loss over the rows `idx` of `data`, with dropout drawn from `rng`
-    if one is given, and a function that backpropagates it into the
-    adapters; `frozen` is the regressor's frozen term of all of `data`
-    (None for a language model).
+    if one is given, and a function that backpropagates it into an
+    optimizer state's flat gradient buffer; `frozen` is the regressor's
+    frozen term of all of `data` (None for a language model).
 
-    A regressor's loss is the MSE computed off the tape, in numpy, in the
-    order d = out - target, then the sum of d ** 2.0 over its n entries
-    divided by n (`mean`'s bits), and its gradient with respect to the
-    output, ((1/n) 2.0) d, reaches each adapter's delta rows as one product
-    with the matrix that carries them to the output.
+    A regressor has no tape. Its loss is the MSE in numpy, in the order
+    d = out - target, then the sum of d ** 2.0 over its n entries divided
+    by n (`mean`'s bits), and its gradient with respect to the output,
+    ((1/n) 2.0) d, reaches each adapter's delta rows as one product with
+    the matrix that carries them to the output. The adapter's pullback
+    writes its two weight products straight into their views of the
+    buffer. A language model's loss is a tape node; its backward fills
+    each parameter's `.grad`, which are then gathered into the buffer.
     """
     if backbone.cfg.mode == "regressor":
-        out, deltas = regressor_output(backbone, data.inputs[idx], rng=rng,
+        out, passes = regressor_output(backbone, data.inputs[idx], rng=rng,
                                        frozen=frozen[idx])
         diff = out - data.targets[idx]
 
-        def backprop():
+        def pullback(grads: dict[Tensor, np.ndarray]) -> None:
             dout = (1.0 / diff.size) * 2.0 * diff
-            for delta, to_output in deltas:
-                backward(delta, dout @ to_output)
+            for to_output, adapter_pullback in passes:
+                adapter_pullback(dout @ to_output, grads)
 
-        return float((diff ** 2.0).sum()) / diff.size, backprop
+        return (float((diff ** 2.0).sum()) / diff.size,
+                lambda state: backward(partial(pullback, state.grads)))
+    params = backbone.adapter_params()
     loss = T.cross_entropy_rows(lm_logits(backbone, data.inputs[idx], rng=rng),
                                 data.targets[idx].reshape(-1))
-    return loss.item(), lambda: backward(loss)
+
+    def backprop(state: AdamWState) -> None:
+        zero_grads(params)
+        backward(loss)
+        gather_grads(params, state)
+
+    return loss.item(), backprop
 
 
 def evaluate(backbone: FrozenBackbone, test: Dataset) -> float:
@@ -248,9 +272,7 @@ def train_adapter(backbone: FrozenBackbone, train: Dataset, test: Dataset,
         if not math.isfinite(loss_value):
             raise TrainingDiverged(
                 f"non-finite loss {loss_value} at step {t} (lr={cosine_lr(t, cfg):.3g})")
-        zero_grads(params)
-        backprop()
-        gather_grads(params, opt)
+        backprop(opt)
         clip_global_norm(opt, cfg.grad_clip)
         adamw_step(opt, cosine_lr(t, cfg), cfg)
         curve.append(loss_value)

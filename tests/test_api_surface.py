@@ -169,6 +169,8 @@ def test_every_tape_op_is_created_by_the_program(monkeypatch):
 TEST_SET_DEFAULTS = {
     ("svd_values", "with_vectors"): "criterion 06 checks the thin SVD reconstructs its input",
     ("auc90", "exponent"): "criterion 06 checks AUC-90 of the squared spectrum",
+    ("backward", "grad"): "the closed-form and op tests compare against a tape seeded "
+                          "with an upstream gradient",
 }
 
 

@@ -222,7 +222,9 @@ def test_stale_numerics_version_is_recomputed(tmp_path, version):
     lambda text: text[:len(text) // 2],             # truncated
     lambda text: "[]",                              # parses, not an object
     lambda text: f'{{"numerics_version": {NUMERICS_VERSION}}}',  # no record
-], ids=["truncated", "list", "no_record"])
+    lambda text: json.dumps(dict(json.loads(text), record=[])),   # record not an object
+    lambda text: json.dumps(dict(json.loads(text), record={"test_metric": 1.0})),  # partial
+], ids=["truncated", "list", "no_record", "record_list", "record_partial"])
 def test_corrupt_record_is_logged_and_recomputed(tmp_path, corrupt):
     cfg = small_config(tmp_path / "out")
     rid = cmd_sweep(cfg).records[0]["run_id"]

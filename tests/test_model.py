@@ -188,6 +188,20 @@ def test_dropout_masks_follow_the_per_sequence_draw_order(registry):
     assert model_mod._dropout_masks(bb, 3, 5, None) == {}
 
 
+def test_no_adapter_with_dropout_draws_nothing():
+    # lora and p = 0 drop nothing, so the stream is never called, not even
+    # for an empty draw
+    class Spy:
+        def __getattr__(self, name):
+            raise AssertionError(f"drew {name} with nothing to drop")
+
+    bb = tiny_model()
+    inject(bb, 0, "Wq", Adapter.init(AdapterConfig(kind="lora", r=2),
+                                     *adapter_shape(bb.cfg, "Wq"), RngState(6)))
+    inject_cera(bb, "Wv", dropout_p=0.0)
+    assert model_mod._dropout_masks(bb, 3, 5, Spy()) == {}
+
+
 def test_dropout_preserves_expectation():
     # inverted dropout scales each kept entry by 1/keep, so means survive
     bb = tiny_model()
@@ -532,33 +546,37 @@ def regressor_rows(seed, n):
     return Dataset(inputs=rng.normal((n, 16)), targets=rng.normal((n, 4)))
 
 
-def training_loss(bb, data, stream):
+def training_loss(bb, data, stream, state=None):
     """The regressor's training loss over every row of `data` and the
-    adapter gradients its backward pass gives, dropout drawn from a fresh
-    stream `stream`."""
+    adapter gradients its backward pass writes into the optimizer state's
+    flat buffer, dropout drawn from a fresh stream `stream`. Without a
+    `state` one is made, which moves the adapters' values into its buffer."""
     value, backprop = trainer_mod._batch_loss(
         bb, data, np.arange(len(data)), RngState(stream), regressor_frozen(bb, data.inputs))
     params = bb.adapter_params()
-    T.zero_grads(params)
-    backprop()
-    return value, [p.grad for p in params]
+    if state is None:
+        state = trainer_mod.adamw_state(params)
+    state.grad[:] = np.nan  # every entry must be written
+    backprop(state)
+    return value, [state.grads[p].copy() for p in params]
 
 
 def test_regressor_gradient_matches_finite_differences():
-    # the training path: MSE and its output gradient off the tape, seeded
-    # into each adapter's nodes; the masks repeat with the stream
+    # the training path: MSE and its output gradient in numpy, pulled back
+    # through each adapter's numpy halves; the masks repeat with the stream
     bb = regressor_with_both_adapters(45)
     data = regressor_rows(46, 12)
-    _, analytic = training_loss(bb, data, 47)
+    state = trainer_mod.adamw_state(bb.adapter_params())
+    _, analytic = training_loss(bb, data, 47, state)
     worst, step = 0.0, 1e-6
     for p, grad in zip(bb.adapter_params(), analytic):
         flat = p.data.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
-            hi = training_loss(bb, data, 47)[0]
+            hi = training_loss(bb, data, 47, state)[0]
             flat[i] = orig - step
-            lo = training_loss(bb, data, 47)[0]
+            lo = training_loss(bb, data, 47, state)[0]
             flat[i] = orig
             a = grad.reshape(-1)[i]
             worst = max(worst, abs(a - (hi - lo) / (2.0 * step)) / max(1.0, abs(a)))
@@ -642,11 +660,6 @@ def tape_ops(out):
     return ops
 
 
-def reg_ops(output):
-    """The op names on the tapes of a regressor's adapter deltas."""
-    return set().union(*(tape_ops(delta) for delta, _ in output[1]))
-
-
 def lm_with_cera(dropout_p):
     bb = tiny_model(51)
     for target in ("Wq", "Wv"):
@@ -655,29 +668,33 @@ def lm_with_cera(dropout_p):
 
 
 def test_eval_mode_and_p_zero_build_no_dropout_node(monkeypatch):
-    # dropout is the mask inside each adapter's one node: a training pass
+    # dropout is the mask inside each adapter's delta, one node in the
+    # language model and its numpy halves in the regressor: a training pass
     # with p > 0 hands every adapter a mask, eval mode and p = 0 hand none
     # (the frozen FFN is the same node with no mask, so adapter calls count)
-    masked, delta_rows = [], Adapter.delta_rows
+    masked, delta_rows, delta_pass = [], Adapter.delta_rows, Adapter.delta_pass
     monkeypatch.setattr(Adapter, "delta_rows", lambda self, x, mask=None: (
         masked.append(mask is not None), delta_rows(self, x, mask))[1])
+    monkeypatch.setattr(Adapter, "delta_pass", lambda self, x, mask: (
+        masked.append(mask is not None), delta_pass(self, x, mask))[1])
     x = Tensor(RngState(53).normal((6, 16)))
     seqs = [[1, 2, 3, 4], [4, 3, 2, 1]]
     reg, lm = regressor_with_both_adapters(54, dropout_p=0.5), lm_with_cera(0.5)
     reg0, lm0 = regressor_with_both_adapters(54, dropout_p=0.0), lm_with_cera(0.0)
     for dropout, run in (
-            (True, lambda: reg_ops(regressor_output(reg, x, RngState(55)))),
-            (True, lambda: tape_ops(lm_logits(lm, seqs, RngState(55)))),
-            (False, lambda: reg_ops(regressor_output(reg, x))),
-            (False, lambda: tape_ops(lm_logits(lm, seqs))),
-            (False, lambda: tape_ops(forward(reg, x))),
-            (False, lambda: tape_ops(forward(lm, seqs))),
-            (False, lambda: reg_ops(regressor_output(reg0, x, RngState(55)))),
-            (False, lambda: tape_ops(lm_logits(lm0, seqs, RngState(55))))):
+            (True, lambda: regressor_output(reg, x, RngState(55))),
+            (True, lambda: lm_logits(lm, seqs, RngState(55))),
+            (False, lambda: regressor_output(reg, x)),
+            (False, lambda: lm_logits(lm, seqs)),
+            (False, lambda: forward(reg, x)),
+            (False, lambda: forward(lm, seqs)),
+            (False, lambda: regressor_output(reg0, x, RngState(55))),
+            (False, lambda: lm_logits(lm0, seqs, RngState(55)))):
         masked.clear()
-        ops = run()
+        out = run()
         assert masked and set(masked) == {dropout}
-        assert not ops & {"dropout", "mul", "relu"}
+        if isinstance(out, Tensor):  # regressor_output's rows are numpy, on no tape
+            assert not tape_ops(out) & {"dropout", "mul", "relu"}
 
 
 def test_unknown_mode_is_rejected():

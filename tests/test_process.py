@@ -38,9 +38,7 @@ for t in range(cfg.steps):
         start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     idx = batch_rng.integers(0, len(bundle.train), cfg.batch_size)
     _, backprop = trainer._batch_loss(backbone, bundle.train, idx, drop_rng, None)
-    trainer.zero_grads(params)
-    backprop()
-    trainer.gather_grads(params, opt)
+    backprop(opt)
     trainer.clip_global_norm(opt, cfg.grad_clip)
     trainer.adamw_step(opt, trainer.cosine_lr(t, cfg), cfg)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / (cfg.steps - 10))

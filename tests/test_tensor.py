@@ -420,6 +420,39 @@ def test_mlp_is_bit_for_bit_the_op_chain(monkeypatch, activation, mask, scale,
             assert t.grad is None and not any(h is t for h in handed)
 
 
+@pytest.mark.parametrize("mask", sorted(ADAPTER_MASKS))
+@pytest.mark.parametrize("activation", ["identity", "relu", "silu"])
+def test_mlp_halves_write_the_chain_products_into_the_given_arrays(activation, mask):
+    # the numpy halves a caller off the tape runs: the rows and each product
+    # are the chain's bits, written into views of one flat buffer; a None
+    # entry is neither formed nor written, and g is only read
+    rng = RngState(73)
+    x, w_up, w_down = rng.normal((6, 5)), rng.normal((3, 5)), rng.normal((4, 3))
+    m = ADAPTER_MASKS[mask](rng.child(1))
+    g = rng.normal((6, 4))
+    g_before = g.copy()
+    want, gx, gw_up, gw_down = _adapter_chain(x, w_up, w_down, activation, m, 2.0, g)
+    rows, saved = T.mlp_forward(x, w_up, w_down, activation, m, 2.0)
+    assert rows.tobytes() == want.tobytes()
+    flat = np.full(1 + 30 + 15 + 12, np.nan)
+    dx, d_up, d_down = (flat[1:31].reshape(6, 5), flat[31:46].reshape(3, 5),
+                        flat[46:].reshape(4, 3))
+    T.mlp_backward(g, x, w_up, w_down, activation, m, 2.0, saved, (dx, d_up, d_down))
+    for got, want_grad in ((dx, gx), (d_up, gw_up), (d_down, gw_down)):
+        assert got.tobytes() == want_grad.tobytes()
+    assert np.isnan(flat[0]) and g.tobytes() == g_before.tobytes()
+    flat[:] = np.nan
+    T.mlp_backward(g, x, w_up, w_down, activation, m, 2.0, saved, (None, d_up, d_down))
+    assert np.isnan(dx).all()
+    assert d_up.tobytes() == gw_up.tobytes() and d_down.tobytes() == gw_down.tobytes()
+
+
+def test_a_function_root_is_a_reverse_pass_off_the_tape():
+    calls = []
+    backward(lambda: calls.append(1))
+    assert calls == [1]  # called once, as it is
+
+
 @pytest.mark.parametrize("mask", [None, "elementwise"])
 @pytest.mark.parametrize("activation", ["relu", "silu"])
 def test_mlp_gradient_matches_finite_differences(activation, mask):

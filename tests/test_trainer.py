@@ -246,15 +246,17 @@ def test_flat_adamw_equals_the_per_parameter_loop_bit_for_bit():
     moments = [(np.zeros_like(w), np.zeros_like(w)) for w in want]
     state = adamw_state(params)
     clipped = 0
-    for t in range(1, 51):
-        lr = cosine_lr(t, TrainConfig(steps=50))
+    # past t = 355, 1 - beta1 ** t is exactly 1.0 and the step skips dividing by it
+    for t in range(1, 401):
+        lr = cosine_lr(t, TrainConfig(steps=400))
         grads = [rng.normal(p.shape) * (0.05 + 0.02 * t) for p in params]
         norm = step(params, grads, state, lr, cfg, clip=1.0)
         copies = list(grads)
         assert norm == per_parameter_clip(copies, 1.0)
         clipped += norm > 1.0
         per_parameter_adamw(want, copies, moments, t, lr, cfg)
-    assert 0 < clipped < 50  # both branches of the clip ran
+    assert 0 < clipped < 400  # both branches of the clip ran
+    assert 1.0 - cfg.beta1 ** 355 < 1.0 == 1.0 - cfg.beta1 ** 356
     for p, w in zip(params, want):
         assert p.data.tobytes() == w.tobytes()
 
@@ -421,9 +423,7 @@ def test_training_step_and_evaluation_memory_peaks():
 
     def step():
         _, backprop = trainer_mod._batch_loss(bb, train, np.arange(8), drop_rng, None)
-        T.zero_grads(params)
-        backprop()
-        gather_grads(params, opt)
+        backprop(opt)
 
     def peak_mib(fn) -> float:
         fn()  # warm
@@ -447,10 +447,11 @@ def recorded_ops(monkeypatch) -> set:
     return ops
 
 
-def test_a_regressor_training_step_builds_only_adapter_nodes(monkeypatch):
-    # the head and the loss are off the tape: no add joins the deltas to the
-    # frozen term, and there is no loss node. Each adapter is one node, lora's
-    # scale 2 and cera's activation and dropout included
+def test_a_regressor_training_step_builds_no_node(monkeypatch):
+    # the regressor has no tape: the adapters' deltas, the head and the loss
+    # are numpy, and so is backward, which writes the adapters' gradient
+    # products straight into the optimizer's buffer. lora's scale 2 and
+    # cera's activation and dropout included
     bb = build_model(REG_CFG, 73)
     for target, cfg in (("Wv", AdapterConfig(kind="lora", r=2, alpha=4)),
                         ("attn_block", AdapterConfig(kind="parallel_module", r=2))):
@@ -463,8 +464,33 @@ def test_a_regressor_training_step_builds_only_adapter_nodes(monkeypatch):
         nodes.append(op), node(data, parents, bwd, op))[1])
     rep = train_adapter(bb, rows, rows, TrainConfig(steps=2, batch_size=4))
     assert len(rep.loss_curve) == 2
-    # one node per adapter in each of the two steps and the closing evaluation
-    assert nodes == ["mlp"] * (2 * 3)
+    # no node in the two steps or the closing evaluation, and no `.grad`
+    assert nodes == []
+    assert all(p.grad is None for p in bb.adapter_params())
+
+
+def test_each_training_step_is_one_reverse_pass(monkeypatch):
+    # taped (the language model) or not (the regressor), a step's backward
+    # is one `tensor.backward` call, whose span is the step's backward phase
+    calls = []
+    monkeypatch.setattr(trainer_mod, "backward", lambda root, *seed: (
+        calls.append(callable(root)), T.backward(root, *seed))[1])
+    bb = build_model(REG_CFG, 79)
+    for target, cfg in (("Wv", AdapterConfig(kind="cera", r=2)),
+                        ("attn_block", AdapterConfig(kind="parallel_module", r=2))):
+        inject(bb, 0, target, Adapter.init(cfg, *adapter_shape(REG_CFG, target),
+                                           RngState(80, len(bb.adapters))))
+    rng = RngState(81)
+    rows = Dataset(inputs=rng.normal((8, 16)), targets=rng.normal((8, 4)))
+    train_adapter(bb, rows, rows, TrainConfig(steps=3, batch_size=4))
+    assert calls == [True] * 3
+    calls.clear()
+    lm = build_model(LM_CFG, 82)
+    inject(lm, 0, "Wv", Adapter.init(AdapterConfig(kind="cera", r=2),
+                                     *adapter_shape(LM_CFG, "Wv"), RngState(83)))
+    train, test = trajectory_sequences(n_steps=5, count=6, seed=84)
+    train_adapter(lm, train, test, TrainConfig(steps=2, batch_size=2))
+    assert calls == [False] * 2
 
 
 def test_a_language_model_training_step_builds_one_node_per_piece(monkeypatch):
@@ -523,7 +549,7 @@ def test_batched_train_loss_is_mean_of_single_sequence_losses(style):
     def grads_of(backprop):
         for p in params:
             p.zero_grad()
-        backprop()
+        backprop(adamw_state(params))
         return [p.grad.copy() for p in params]
 
     batched, backprop = trainer_mod._batch_loss(bb, train, idx, RngState(43), None)
@@ -536,7 +562,7 @@ def test_batched_train_loss_is_mean_of_single_sequence_losses(style):
         summed = T.add(summed, ce)
     mean = summed.item() * (1.0 / len(idx))
     assert abs(batched - mean) <= 1e-12 * abs(mean)
-    seeded = lambda: T.backward(summed, np.asarray(1.0 / len(idx)))  # the mean's gradient
+    seeded = lambda _: T.backward(summed, np.asarray(1.0 / len(idx)))  # the mean's gradient
     for got, want in zip(grads_of(backprop), grads_of(seeded)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # and the masks matter: another stream gives another loss
