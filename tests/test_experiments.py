@@ -258,13 +258,25 @@ def test_unreadable_record_is_logged_by_all_records(tmp_path):
 GOLDEN_TEST_METRIC = {1: 0.05447879761535826, 2: 0.054478797615358246,
                       3: 0.054478797615358246}
 GOLDEN_TRAJECTORY_METRIC = {3: 11.161914891482919}
+# more language-model placements on the trajectory task, each at r=8, seed
+# 1 and 20 steps: the method spec and its test metric by numerics version
+GOLDEN_TRAJECTORY_PLACEMENTS = {
+    "cera-Wq+Wv": (dict(kind="cera", targets=["Wq", "Wv"]), GOLDEN_TRAJECTORY_METRIC),
+    "lora-Wq+Wv": (dict(kind="lora", targets=["Wq", "Wv"]), {3: 10.911160037624395}),
+    "cera-Wv-channel": (dict(kind="cera", targets=["Wv"], dropout_p=0.3,
+                             dropout_style="channel"), {3: 11.660869388024723}),
+    "cera-relu": (dict(kind="cera", targets=["Wq", "Wv"], activation="relu"),
+                  {3: 11.029911962168045}),
+    "parallel_module": (dict(kind="parallel_module"), {3: 8.60288389056641}),
+}
 
 
-def golden_run_metric(config: str, steps: int) -> float:
+def golden_run_metric(config: str, steps: int, method: MethodSpec | None = None) -> float:
     cfg = ExperimentConfig.load(CONFIG_DIR / config)
     cfg.train.steps = steps
-    cera = next(m for m in cfg.methods if m.kind == "cera")
-    record, _, _ = run_from_config(make_run_config(cfg, cera, 8, 1))
+    if method is None:
+        method = next(m for m in cfg.methods if m.kind == "cera")
+    record, _, _ = run_from_config(make_run_config(cfg, method, 8, 1))
     return record["test_metric"]
 
 
@@ -273,9 +285,12 @@ def test_numerics_version_golden_bits():
     assert metric == GOLDEN_TEST_METRIC[NUMERICS_VERSION]
 
 
-def test_trajectory_golden_bits():
-    metric = golden_run_metric("trajectory_sweep.json", 20)
-    assert metric == GOLDEN_TRAJECTORY_METRIC[NUMERICS_VERSION]
+@pytest.mark.parametrize("placement", sorted(GOLDEN_TRAJECTORY_PLACEMENTS))
+def test_trajectory_golden_bits(placement):
+    spec, golden = GOLDEN_TRAJECTORY_PLACEMENTS[placement]
+    method = MethodSpec(name=placement, **spec)
+    metric = golden_run_metric("trajectory_sweep.json", 20, method)
+    assert metric == golden[NUMERICS_VERSION]
 
 
 def test_nonlinear_teacher_floor_is_pinned():
