@@ -3,10 +3,9 @@ parallel bottleneck, with shared init, parameter counting, and merge support.
 
 All three share the two-matrix bottleneck state (w_up projects into the rank-r
 latent, w_down projects back out) and differ in activation, dropout, scaling,
-and insertion point. They share one delta path, `tensor.mlp`'s arithmetic:
-`Adapter.delta_rows` runs it as a tape node (the language model) and
-`Adapter.delta_pass` as its numpy halves (the regressor, which has no
-tape). lora is its case with the identity activation, no dropout and scale
+and insertion point. They share one delta path, `Adapter.delta_rows`: the
+numpy halves of `tensor.mlp_forward`/`mlp_backward`, for both model modes.
+lora is its case with the identity activation, no dropout and scale
 alpha/r.
 The down-projection starts at zero, so every freshly initialized adapter is
 an exact no-op.
@@ -99,7 +98,7 @@ class AdapterState:
         def load(key):
             entry = bundle[key]
             arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            return Tensor(arr, requires_grad=True)
+            return Tensor(arr)
 
         return cls(w_up=load("w_up"), w_down=load("w_down"))
 
@@ -110,8 +109,8 @@ def init_adapter(cfg: AdapterConfig, d: int, k: int, rng: RngState) -> AdapterSt
         raise ConfigError(f"rank {cfg.r} exceeds min(d, k) = {min(d, k)}")
     bound = cfg.init_gain / np.sqrt(k)
     return AdapterState(
-        w_up=Tensor(rng.uniform(-bound, bound, (cfg.r, k)), requires_grad=True),
-        w_down=Tensor(np.zeros((d, cfg.r)), requires_grad=True),
+        w_up=Tensor(rng.uniform(-bound, bound, (cfg.r, k))),
+        w_down=Tensor(np.zeros((d, cfg.r))),
     )
 
 
@@ -130,42 +129,37 @@ class Adapter:
     def params(self) -> list[Tensor]:
         return self.state.params
 
-    def latent_rows(self, x_rows: Tensor) -> Tensor:
+    def latent_rows(self, x: np.ndarray) -> np.ndarray:
         """The latent rows act(W_up x) of a batch of rows, before dropout:
-        the rows of the H matrix whose spectrum `latent_H` reports. Off the
-        tape: capture only reads the values."""
-        return Tensor(T.mlp_hidden(x_rows.data, self.state.w_up.data,
-                                   self.cfg.activation)[1])
+        the rows of the H matrix whose spectrum `latent_H` reports."""
+        return T.mlp_hidden(x, self.state.w_up.data, self.cfg.activation)[1]
 
-    def delta_rows(self, x_rows: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    def delta_rows(self, x: np.ndarray, mask: np.ndarray | None
+                   ) -> tuple[np.ndarray, Callable]:
         """Additive update s * W_down(dropout(act(W_up x))) for a batch of
-        rows, as one `mlp` node.
+        rows x, and its pullback.
 
         Every kind takes this path: lora is the identity activation with
-        s = alpha / r. A weight-level adapter adds it to its projection's
-        output, a module adapter to its block's output. Dropout applies
-        exactly when a `mask` is given: the adapter's (rows, r) block of the
-        batch's one draw in `model._dropout_masks`. The scale is the
-        config's `scale_s`, settled at construction.
-        """
-        return T.mlp(x_rows, self.state.w_up, self.state.w_down,
-                     self.cfg.activation, mask, self.cfg.scale_s)
+        s = alpha / r. A weight-level adapter adds the rows to its
+        projection's output, a module adapter to its block's output.
+        Dropout applies exactly when a `mask` is given: the adapter's
+        (rows, r) block of the batch's one draw in `model._dropout_masks`.
+        The scale is the config's `scale_s`, settled at construction.
 
-    def delta_pass(self, x: np.ndarray, mask: np.ndarray | None
-                   ) -> tuple[np.ndarray, Callable]:
-        """The delta rows of `delta_rows`, in numpy and off the tape, and
-        their pullback: a function of the rows' gradient g and a map from
-        each parameter to an array shaped like it (an optimizer's views of
-        its flat gradient buffer), which writes w_up's and w_down's gradient
-        products into their arrays. They are `tensor.mlp`'s two halves, so
-        values and products are the node's bit for bit."""
+        The pullback takes the rows' gradient g, a map from each parameter
+        to an array shaped like it (an optimizer's views of its flat
+        gradient buffer) and an array `dx` shaped like x, or None. It writes
+        w_up's and w_down's gradient products into their arrays and, given
+        `dx`, x's gradient into it. These are `tensor.mlp_forward` and
+        `mlp_backward`, so values and products are the chain's bit for bit.
+        """
         st, cfg = self.state, self.cfg
         w_up, w_down = st.w_up.data, st.w_down.data
         rows, saved = T.mlp_forward(x, w_up, w_down, cfg.activation, mask, cfg.scale_s)
 
-        def pullback(g: np.ndarray, grads: dict) -> None:
+        def pullback(g: np.ndarray, grads: dict, dx: np.ndarray | None) -> None:
             T.mlp_backward(g, x, w_up, w_down, cfg.activation, mask, cfg.scale_s,
-                           saved, (None, grads[st.w_up], grads[st.w_down]))
+                           saved, (dx, grads[st.w_up], grads[st.w_down]))
 
         return rows, pullback
 

@@ -10,7 +10,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, read_json
 from .experiments import (PARAM_PRESETS, SPECTRAL_SOURCES, ExperimentConfig,
                           cmd_ablate, cmd_logistic, cmd_params, cmd_spectral,
                           cmd_sweep, format_logistic_report,
@@ -110,8 +110,7 @@ def main(argv=None) -> int:
             print(format_logistic_report(result))
             return 0
         if args.command == "plot":
-            with open(args.input) as fh:
-                figure = FigureSpec.from_dict(json.load(fh))
+            figure = FigureSpec.from_dict(read_json(args.input))
             emit_plot(figure.series, figure.axes, args.out)
             print(f"wrote {args.out}")
             return 0

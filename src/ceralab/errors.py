@@ -1,9 +1,11 @@
-"""Exception types shared across the package, and the one rule by which
-every config dataclass reads and writes its JSON dict."""
+"""Exception types shared across the package, the one rule by which every
+config dataclass reads and writes its JSON dict, and the one way an input
+JSON file is read."""
 
 from __future__ import annotations
 
 import dataclasses
+import json
 import types
 import typing
 
@@ -18,6 +20,16 @@ class DomainError(ValueError):
 
 class ConfigError(ValueError):
     """An adapter, model, or experiment configuration is invalid."""
+
+
+def read_json(path):
+    """The parsed JSON document at `path`. A file that cannot be opened,
+    read, decoded as UTF-8 or parsed is a ConfigError that names it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # UnicodeDecodeError, JSONDecodeError
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 class DictConfig:

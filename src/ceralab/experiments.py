@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapters import Adapter, AdapterConfig, AdapterState, param_count
-from .errors import ConfigError, DictConfig
+from .errors import ConfigError, DictConfig, read_json
 from .model import (REGRESSOR_TARGETS, FrozenBackbone, ModelConfig,
                     adapter_shape, build_model, collect_latents, inject,
                     regressor_frozen)
@@ -115,6 +115,10 @@ class ExperimentConfig(DictConfig):
             raise ConfigError("ranks must be >= 1")
         if any(s < 0 for s in self.seeds):
             raise ConfigError("seeds must be >= 0")
+        if self.train.seed != 0:
+            raise ConfigError(
+                f"train.seed is {self.train.seed}, but every run takes its seed from "
+                f"`seeds`; list the run seeds there and leave train.seed at 0")
         if self.spectral_source not in SPECTRAL_SOURCES:
             raise ConfigError(f"unknown spectral_source {self.spectral_source!r}")
         for what, values in (("method names", [m.name for m in self.methods]),
@@ -141,8 +145,7 @@ class ExperimentConfig(DictConfig):
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -1,37 +1,36 @@
 """Tiny frozen decoder with weight-level adapter injection.
 
-Two operating modes share one weight set:
+Two operating modes share one weight set. Values are numpy rows, and a
+training pass writes its reverse pass out explicitly.
 
 * ``language_model``: standard causally-masked pre-norm blocks over a fixed
   numeric vocabulary, run over a whole batch at once: every projection,
   adapter, layer norm, attention and FFN acts on the (batch*seq, d) token
-  rows. Attention is one tape node per layer, with its head split and
-  merge inside; the FFN is one `mlp` node, the SiLU-gated two-matrix map
-  an adapter's delta is, with no mask and unit scale. `lm_logits` returns
-  the logits as (batch*seq, vocab) rows, and `forward` reshapes them to
-  (batch, seq, vocab) off the tape.
+  rows, through the forward halves in `tensor`. Attention splits and
+  merges its heads inside its own halves; the FFN is the SiLU-gated
+  two-matrix map an adapter's delta is, with no mask and unit scale.
+  `lm_logits` returns the logits as (batch*seq, vocab) rows. A training
+  pass, the one given a random stream, also keeps what the backward halves
+  read, block by block, and returns a pullback that runs the blocks in
+  reverse, drops each block's arrays once it has run, and writes each
+  adapter's gradient products straight into the optimizer's flat buffer.
 * ``regressor``: one block applied to plain feature vectors, with the
   attention and FFN branches reading the raw input in parallel and no layer
   norm. Every adapter then contributes additively through purely linear
   downstream maps, so a linear adapter's whole effect is a linear map of
   the input (which the teacher task's linear floor fits by least squares),
   and the output can be computed as a frozen term (constant per input row)
-  plus one product per adapter. The regressor has no tape: each adapter's
-  delta runs as `tensor.mlp`'s numpy forward half, the output rows and the
-  loss are plain numpy, and training pulls the loss gradient back through
-  each adapter's backward half straight into the optimizer's flat
-  gradient buffer. A single position attends only
-  to itself, so the softmax is identically one and the query path drops
-  out; `inject` therefore refuses a regressor a Wq adapter.
+  plus one product per adapter, each with its adapter's pullback. A single
+  position attends only to itself, so the softmax is identically one and
+  the query path drops out; `inject` therefore refuses a regressor a Wq
+  adapter.
 
 The value projection is allowed to be rectangular (v_out_dim < d_model),
 mirroring grouped-query-style asymmetry, and Wo folds it back.
 
 Adapter dropout runs exactly when a caller passes a random stream; only
-training does. `forward` and `collect_latents` run without a tape (see
-`tensor._no_tape`): nothing backpropagates through them. `lm_logits`
-records one whenever an adapter requires grad, with a stream or without;
-`regressor_output` never does.
+training does. `forward`, `collect_latents` and evaluation pass none, so
+they keep nothing for a pullback and free each intermediate once consumed.
 """
 
 from __future__ import annotations
@@ -195,13 +194,16 @@ def inject(backbone: FrozenBackbone, layer_index: int, target: str,
     backbone.adapters[(layer_index, target)] = adapter
 
 
-def _proj(backbone: FrozenBackbone, layer: int, target: str, x_rows: Tensor,
-          masks: dict) -> Tensor:
-    base = T.linear(x_rows, backbone.layers[layer][target])
+def _proj(backbone: FrozenBackbone, layer: int, target: str, xn: np.ndarray,
+          masks: dict) -> tuple[np.ndarray, Callable | None]:
+    """The rows `xn` through the layer's `target` projection plus its
+    adapter's delta, and that delta's pullback (None without an adapter)."""
+    base = xn @ backbone.layers[layer][target].data.T
     adapter = backbone.adapters.get((layer, target))
     if adapter is None:
-        return base
-    return T.add(base, adapter.delta_rows(x_rows, masks.get((layer, target))))
+        return base, None
+    delta, pullback = adapter.delta_rows(xn, masks.get((layer, target)))
+    return base + delta, pullback
 
 
 def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
@@ -240,32 +242,129 @@ def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
     return masks
 
 
-def _lm_block(backbone: FrozenBackbone, layer: int, x: Tensor, seq_len: int,
-              masks: dict) -> tuple[Tensor, Tensor]:
+def _norm(ws: dict, name: str, x: np.ndarray, save: bool) -> tuple[np.ndarray, tuple | None]:
+    """The rows of the block's layer norm `name`, and with `save` what its
+    backward half reads."""
+    rows, saved = T.layer_norm_forward(x, ws[name + "_g"].data, ws[name + "_b"].data)
+    return rows, (saved if save else None)
+
+
+def _attention_sublayer(backbone: FrozenBackbone, layer: int, x: np.ndarray,
+                        seq_len: int, masks: dict, save: bool
+                        ) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+    """x plus the block's attention branch: Wo attention(q, k, v) plus the
+    module adapter, all read off the first layer norm's rows xn. Returns
+    the sum, xn (which every adapter of the block reads) and, with `save`,
+    what the pullback reads: the norm's centred rows and scales, q, k, v,
+    the attention weights and the adapters' pullbacks."""
+    ws = backbone.layers[layer]
+    xn, ln = _norm(ws, "ln1", x, save)
+    q, q_pull = _proj(backbone, layer, "Wq", xn, masks)
+    k = xn @ ws["Wk"].data.T
+    v, v_pull = _proj(backbone, layer, "Wv", xn, masks)
+    rows, weights = T.causal_attention_forward(q, k, v, backbone.cfg.n_heads, seq_len)
+    out = rows @ ws["Wo"].data.T
+    module = backbone.adapters.get((layer, "attn_block"))
+    module_pull = None
+    if module is not None:
+        delta, module_pull = module.delta_rows(xn, masks.get((layer, "attn_block")))
+        out = out + delta
+    saved = (ln, q, k, v, weights, q_pull, v_pull, module_pull) if save else None
+    return x + out, xn, saved
+
+
+def _ffn_sublayer(ws: dict, x: np.ndarray, save: bool) -> tuple[np.ndarray, tuple | None]:
+    """x plus the frozen FFN of its second layer norm's rows, and with
+    `save` what the pullback reads: the norm's centred rows and scales, and
+    the FFN's hidden rows and their sigmoid (only w_down's product, which a
+    frozen weight never needs, reads the activations)."""
+    xn, ln = _norm(ws, "ln2", x, save)
+    ff, (lat, sig, _) = T.mlp_forward(xn, ws["W1"].data, ws["W2"].data, "silu", None, 1.0)
+    return x + ff, ((ln, (lat, sig, None)) if save else None)
+
+
+def _lm_block(backbone: FrozenBackbone, layer: int, x: np.ndarray, seq_len: int,
+              masks: dict, saved: list | None) -> tuple[np.ndarray, np.ndarray]:
     """One pre-norm block over the (batch*seq, d) rows of a batch: its output
     rows and its first layer norm's rows, which every adapter of the block
-    reads."""
+    reads. Given a list `saved`, appends what `_lm_block_pullback` reads."""
+    save = saved is not None
+    x, xn, attention = _attention_sublayer(backbone, layer, x, seq_len, masks, save)
+    x, ffn = _ffn_sublayer(backbone.layers[layer], x, save)
+    if save:
+        saved.append((attention, ffn))
+    return x, xn
+
+
+def _attention_pullback(backbone: FrozenBackbone, layer: int, g: np.ndarray,
+                        saved: tuple, grads: dict, below: bool) -> np.ndarray | None:
+    """The reverse of `_attention_sublayer` for the gradient g of its output
+    rows: writes its adapters' gradient products into `grads` and, when
+    `below` (an adapter under this block reads its input), returns the
+    gradient of its input rows. The first layer norm's rows feed Wq, its
+    adapter, Wk, Wv, its adapter and the module adapter, and their
+    gradients are summed in that order; the input's two, through the norm
+    and straight through, in either."""
     ws = backbone.layers[layer]
-    xn = T.layer_norm(x, ws["ln1_g"], ws["ln1_b"])
-    attn = T.causal_attention(_proj(backbone, layer, "Wq", xn, masks),
-                              T.linear(xn, ws["Wk"]),
-                              _proj(backbone, layer, "Wv", xn, masks),
-                              backbone.cfg.n_heads, seq_len)
-    attn_out = T.linear(attn, ws["Wo"])
-    module = backbone.adapters.get((layer, "attn_block"))
-    if module is not None:
-        attn_out = T.add(attn_out, module.delta_rows(xn, masks.get((layer, "attn_block"))))
-    x = T.add(x, attn_out)
-    xn2 = T.layer_norm(x, ws["ln2_g"], ws["ln2_b"])
-    ff = T.mlp(xn2, ws["W1"], ws["W2"], "silu", None, 1.0)
-    return T.add(x, ff), xn
+    ln, q, k, v, weights, q_pull, v_pull, module_pull = saved
+    want_q, want_v = below or q_pull is not None, below or v_pull is not None
+    dq = dk = dv = None
+    if want_q or want_v:
+        dq, dk, dv = T.causal_attention_backward(
+            g @ ws["Wo"].data, q, k, v, weights, backbone.cfg.n_heads,
+            weights.shape[-1], (want_q, below, want_v))
+    if not below:
+        for pull, grad in ((q_pull, dq), (v_pull, dv), (module_pull, g)):
+            if pull is not None:
+                pull(grad, grads, None)
+        return None
+    dxn = dq @ ws["Wq"].data
+    scratch = np.empty_like(dxn)
+
+    def adapter_share(pull: Callable | None, grad: np.ndarray) -> None:
+        if pull is not None:
+            pull(grad, grads, scratch)
+            T._accum(dxn, scratch)
+
+    adapter_share(q_pull, dq)
+    T._accum(dxn, dk @ ws["Wk"].data)
+    T._accum(dxn, dv @ ws["Wv"].data)
+    adapter_share(v_pull, dv)
+    adapter_share(module_pull, g)
+    dx = T.layer_norm_backward(dxn, ws["ln1_g"].data, ln)
+    T._accum(dx, g)
+    return dx
 
 
-def _lm_rows(backbone: FrozenBackbone, tokens,
-             rng: RngState | None) -> tuple[Tensor, list[Tensor]]:
+def _ffn_pullback(ws: dict, g: np.ndarray, saved: tuple) -> np.ndarray:
+    """The reverse of `_ffn_sublayer`: the gradient of its input rows for
+    the gradient g of its output rows, through the norm and straight
+    through."""
+    ln, ffn = saved
+    dxn = np.empty_like(g)
+    T.mlp_backward(g, None, ws["W1"].data, ws["W2"].data, "silu", None, 1.0, ffn,
+                   (dxn, None, None))
+    dx = T.layer_norm_backward(dxn, ws["ln2_g"].data, ln)
+    T._accum(dx, g)
+    return dx
+
+
+def _lm_block_pullback(backbone: FrozenBackbone, layer: int, g: np.ndarray,
+                       saved: tuple, grads: dict, below: bool) -> np.ndarray | None:
+    """The reverse of `_lm_block` for the gradient g of its output rows:
+    writes its adapters' gradient products into `grads` and, when `below`,
+    returns the gradient of its input rows."""
+    attention, ffn = saved
+    g = _ffn_pullback(backbone.layers[layer], g, ffn)
+    return _attention_pullback(backbone, layer, g, attention, grads, below)
+
+
+def _lm_rows(backbone: FrozenBackbone, tokens, rng: RngState | None,
+             saved: list | None) -> tuple[np.ndarray, list[np.ndarray]]:
     """The last block's output rows (batch*seq x d) of a (batch, seq) token
     array, a 1-d sequence being a batch of one, and each layer's adapter
-    input rows: that layer's first layer norm."""
+    input rows: that layer's first layer norm. Given a list `saved`, each
+    block appends what its pullback reads."""
     cfg = backbone.cfg
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.ndim == 1:
@@ -278,29 +377,51 @@ def _lm_rows(backbone: FrozenBackbone, tokens,
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise DomainError("token id outside the vocabulary")
     masks = _dropout_masks(backbone, n_seq, seq_len, rng)
-    x = Tensor((backbone.tok_emb.data[ids] + backbone.pos_emb.data[:seq_len])
-               .reshape(n_seq * seq_len, cfg.d_model))
+    x = (backbone.tok_emb.data[ids] + backbone.pos_emb.data[:seq_len]).reshape(
+        n_seq * seq_len, cfg.d_model)
     adapter_inputs = []
     for layer in range(cfg.n_layers):
-        x, xn = _lm_block(backbone, layer, x, seq_len, masks)
+        x, xn = _lm_block(backbone, layer, x, seq_len, masks, saved)
         adapter_inputs.append(xn)
     return x, adapter_inputs
 
 
-def lm_logits(backbone: FrozenBackbone, tokens,
-              rng: RngState | None = None) -> Tensor:
+def lm_logits(backbone: FrozenBackbone, tokens, rng: RngState | None
+              ) -> tuple[np.ndarray, Callable | None]:
     """Logits (batch*seq x vocab) of a (batch, seq) token array, one row per
-    token, sequence by sequence; a 1-d sequence is a batch of one. Dropout
-    runs exactly when a stream `rng` is given."""
-    x, _ = _lm_rows(backbone, tokens, rng)
-    return T.linear(T.layer_norm(x, backbone.ln_f_g, backbone.ln_f_b), backbone.head)
+    token, sequence by sequence (a 1-d sequence is a batch of one), and
+    their pullback.
+
+    A training pass is one given a stream `rng`: it draws dropout, keeps
+    what the backward halves read, and returns a pullback. That takes the
+    logits' gradient and a map from each adapter parameter to an array
+    shaped like it, runs the blocks in reverse down to the lowest one with
+    an adapter, dropping each block's arrays once it has run, and writes
+    every adapter's gradient products into the map's arrays; it runs once.
+    Without a stream nothing is kept and the pullback is None.
+    """
+    saved = None if rng is None else []
+    x, _ = _lm_rows(backbone, tokens, rng, saved)
+    xf, ln_f = T.layer_norm_forward(x, backbone.ln_f_g.data, backbone.ln_f_b.data)
+    logits = xf @ backbone.head.data.T
+    if saved is None:
+        return logits, None
+
+    def pullback(g: np.ndarray, grads: dict) -> None:
+        g = T.layer_norm_backward(g @ backbone.head.data, backbone.ln_f_g.data, ln_f)
+        lowest = min(layer for layer, _ in backbone.adapters)
+        for layer in reversed(range(lowest, backbone.cfg.n_layers)):
+            g = _lm_block_pullback(backbone, layer, g, saved.pop(), grads, layer > lowest)
+        saved.clear()
+
+    return logits, pullback
 
 
 def regressor_frozen(backbone: FrozenBackbone, features) -> np.ndarray:
     """Adapter-free regressor output head(x + Wo Wv x + FFN(x)) in plain numpy.
 
-    The ops and their order are those of the tape, so the result is bit for
-    bit what the frozen model computes. It depends on the rows alone, so a
+    The ops and their order are those of the network as drawn, so the
+    result is bit for bit what the frozen model computes. It depends on the rows alone, so a
     caller that revisits the same rows computes it once.
     """
     ws = backbone.layers[0]
@@ -329,8 +450,8 @@ def regressor_output(backbone: FrozenBackbone, features,
     is the frozen term plus each adapter's delta rows D carried to the
     output in one product D Cᵀ: a Wv adapter's through C = head·Wo (the
     backbone's `carry`, computed once per backbone), a module adapter's
-    through C = head. All of it is plain numpy, with no tape: each delta is
-    `Adapter.delta_pass`, and the output rows are summed in (layer, target)
+    through C = head. All of it is plain numpy: each delta is
+    `Adapter.delta_rows`, and the output rows are summed in (layer, target)
     order, the order in which `_dropout_masks` draws and `collect_latents`
     stacks. Returns the (n, vocab_size) output rows and each adapter's
     (C, pullback of D): a loss gradient G with respect to the output
@@ -345,7 +466,7 @@ def regressor_output(backbone: FrozenBackbone, features,
     out = regressor_frozen(backbone, x) if frozen is None else frozen
     passes = []
     for key, adapter in sorted(backbone.adapters.items()):
-        delta, pullback = adapter.delta_pass(x, masks.get(key))
+        delta, pullback = adapter.delta_rows(x, masks.get(key))
         to_output = backbone.carry if key[1] == "Wv" else backbone.head.data
         out = out + delta @ to_output.T
         passes.append((to_output, pullback))
@@ -372,8 +493,7 @@ def forward(backbone: FrozenBackbone, inputs, mode: str = "eval") -> Tensor:
         raise ShapeError("batched sequences must share one length") from exc
     if ids.ndim != 2:
         raise ShapeError(f"expected a batch of token sequences, got shape {ids.shape}")
-    with T._no_tape():
-        logits = lm_logits(backbone, ids).data
+    logits, _ = lm_logits(backbone, ids, None)
     return Tensor(logits.reshape(*ids.shape, backbone.cfg.vocab_size))
 
 
@@ -389,20 +509,17 @@ def collect_latents(backbone: FrozenBackbone, inputs, which: str = "latent_H"):
         raise ConfigError(f"unknown collection {which!r}")
     if not backbone.adapters:
         raise ConfigError("no adapter injected; nothing to collect")
-    blocks = []
-    with T._no_tape():
-        if backbone.cfg.mode == "regressor":
-            reads = [Tensor(_features(backbone, inputs))]
-        else:
-            _, reads = _lm_rows(backbone, inputs, None)
-        for (layer, _), adapter in sorted(backbone.adapters.items()):
-            rows = (adapter.latent_rows(reads[layer]) if which == "latent_H"
-                    else adapter.delta_rows(reads[layer]))
-            blocks.append(rows.data)
+    if backbone.cfg.mode == "regressor":
+        reads = [_features(backbone, inputs)]
+    else:
+        _, reads = _lm_rows(backbone, inputs, None, None)
+    blocks = [adapter.latent_rows(reads[layer]) if which == "latent_H"
+              else adapter.delta_rows(reads[layer], None)[0]
+              for (layer, _), adapter in sorted(backbone.adapters.items())]
     widths = sorted({b.shape[1] for b in blocks})
     if len(widths) != 1:
         raise ConfigError(f"cannot stack {which} rows of mixed widths {widths}")
-    return Tensor(np.concatenate(blocks, axis=0))
+    return np.concatenate(blocks, axis=0)
 
 
 def merged_copy(backbone: FrozenBackbone) -> FrozenBackbone:

@@ -1,31 +1,23 @@
-"""Dense float64 tensors with tape-based reverse-mode autodiff.
+"""Dense float64 arithmetic for the adapters, the frozen decoder and the
+loss, each op as two numpy halves: a forward half that returns its rows and
+what its backward reads, and a backward half that forms gradient products
+from them. Four ops: the SiLU-gated two-matrix map that is both an
+adapter's whole delta and the frozen FFN (`mlp_forward`/`mlp_backward`),
+multi-head causal attention over (B*S, H*d) projection rows with the head
+split and merge inside it, layer norm, and the cross-entropy loss.
 
-Deliberately small: only the six ops the program runs. A row-times-weight
-product, elementwise add, the SiLU-gated two-matrix map that is both an
-adapter's whole delta and the frozen FFN, multi-head causal attention over
-(B*S, H*d) projection rows with the head split and merge inside it, layer
-norm, and the cross-entropy loss. Each is one tape node. The two-matrix
-map is also two plain numpy halves, `mlp_forward` and `mlp_backward`, which
-its node runs and which the regressor, which has no tape, runs directly;
-the backward half writes each gradient product into an array it is handed.
-Values are row-major numpy arrays; the tape is the implicit graph of parent
-links and backward closures. It holds only what a backward will read: each
-node keeps the arrays its own backward needs and nothing else, `backward`
-releases each interior node once it and all its consumers have run, and
-inside `_no_tape()` ops record no parents and no closure at all, so an
-evaluation frees each intermediate as soon as it is consumed.
-
-Gradient ownership: a tensor adopts the first gradient handed to it, with
-no copy, and every later contribution makes a new array (`grad + g`). A
-`.grad` may therefore be the very array another tensor holds, or a view of
-it; read it, never write it in place. Backward closures likewise never
-write the gradient they receive.
+A model writes its reverse pass out explicitly: its forward keeps what
+the backward halves read, only for a training pass, and its pullback calls
+them in reverse order, writing each adapter's gradient products straight
+into the optimizer's flat buffer. `backward` runs such a pullback, so every
+training step's reverse pass is one call. Where a block of rows feeds
+several consumers, `_accum` sums their gradients into one array, in the
+consumers' forward order.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Iterator, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -76,25 +68,17 @@ class RngState:
 
 
 class Tensor:
-    """A dense float64 array plus an optional gradient buffer.
+    """A float64 array holder: a frozen weight, an adapter parameter whose
+    `.data` the optimizer rebinds to a view of its flat buffer, or
+    `model.forward`'s output."""
 
-    Ops on tensors record parent links and a backward closure when any
-    input requires grad, outside `_no_tape`; the module's `backward` from a
-    result replays them.
-    """
+    __slots__ = ("data",)
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_op")
-
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
         self.data = arr
-        self.requires_grad = bool(requires_grad)
-        self.grad: np.ndarray | None = None
-        self._parents: tuple["Tensor", ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
-        self._op = "leaf"
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -104,168 +88,26 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, op={self._op!r}, requires_grad={self.requires_grad})"
+def _accum(total: np.ndarray, g: np.ndarray) -> None:
+    """Add one more consumer's gradient `g` into `total`, the gradient of a
+    block of rows that several consumers read, in place: the bits of
+    `total + g`. `total` is an array the caller owns; `g` is only read."""
+    total += g
 
 
-def _wrap(x) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=np.float64))
-
-
-# whether ops record the tape; only `_no_tape` clears it
-_taping = True
-
-
-@contextmanager
-def _no_tape() -> Iterator[None]:
-    """Ops inside record no tape: a result requires no grad and keeps no
-    parents and no closure, whatever its inputs. For passes no backward
-    reads; the outer state returns on exit, on error too, so it nests."""
-    global _taping
-    outer, _taping = _taping, False
-    try:
-        yield
-    finally:
-        _taping = outer
-
-
-def _node(data: np.ndarray, parents: Sequence[Tensor],
-          bwd: Callable[[np.ndarray], None], op: str) -> Tensor:
-    out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
-    out._op = op
-    rg = _taping and any(p.requires_grad for p in parents)
-    out.requires_grad = rg
-    out._parents = tuple(parents) if rg else ()
-    out._backward = bwd if rg else None
-    return out
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    """Add `g` to t's gradient under the ownership rule (module doc)."""
-    if t.requires_grad:
-        t.grad = g if t.grad is None else t.grad + g
-
-
-def zero_grads(params: Sequence[Tensor]) -> None:
-    for p in params:
-        p.zero_grad()
-
-
-def backward(root: Tensor | Callable[[], None],
-             grad: np.ndarray | None = None) -> None:
-    """Run the reverse pass of a loss: populate grads of every requires_grad
-    tensor reachable from the tape's `root`.
-
-    A function root is a reverse pass computed off the tape, such as the
-    regressor's, and is called as it is, with no seed. So every reverse
-    pass of a training step, taped or not, is this one call, and a step's
-    backward phase is its span (the benchmark's step phases read it).
-
-    Without `grad` the root must be a scalar loss (size 1), seeded with one.
-    A `grad` shaped like the root seeds it instead: the gradient, with
-    respect to the root, of a loss computed off the tape; the root adopts
-    it with no copy, and it is only read.
-
-    The nodes run in reverse topological order, popped off that order as
-    they run, and each drops its parent links and closure once its backward
-    has run. So once a node and all its consumers have run, nothing refers
-    to it any more, and its data, gradient and closure are freed. A tensor
-    the caller still holds (the root, a parameter) keeps its data and
-    gradient.
-    """
-    if callable(root):
-        root()
-        return
-    if grad is None:
-        if root.size != 1:
-            raise ShapeError(f"backward requires a scalar loss, got shape {root.shape}")
-        grad = np.ones_like(root.data)
-    elif grad.shape != root.shape:
-        raise ShapeError(f"seed gradient shape {grad.shape} != root shape {root.shape}")
-    # iterative topological sort; graphs can be long-chained
-    topo: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited:
-                stack.append((p, False))
-    if root.requires_grad:
-        root.grad = grad
-    while topo:
-        node = topo.pop()
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-        node._parents = ()
-        node._backward = None
-
-
-# ---------------------------------------------------------------------------
-# arithmetic
-
-
-def linear(x: Tensor, w: Tensor) -> Tensor:
-    """Rows-times-weight product: x (n,k) @ w (d,k).T -> (n,d).
-
-    Backward forms the gradient product of an operand only if it requires
-    grad; the same holds for `add`, `mlp` and `causal_attention`.
-    """
-    x, w = _wrap(x), _wrap(w)
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"linear shapes {x.shape} x {w.shape}.T do not agree")
-    data = x.data @ w.data.T
-
-    def bwd(g):
-        if x.requires_grad:
-            _accum(x, g @ w.data)
-        if w.requires_grad:
-            _accum(w, g.T @ x.data)
-
-    return _node(data, (x, w), bwd, "linear")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two tensors of one shape."""
-    a, b = _wrap(a), _wrap(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"add shapes {a.shape} + {b.shape} differ")
-    data = a.data + b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g)
-
-    return _node(data, (a, b), bwd, "add")
+def backward(pullback: Callable[[], None]) -> None:
+    """Run one reverse pass: call `pullback`, which writes the adapters'
+    gradients where it was told to. A training step's reverse pass is this
+    one call in both model modes, so its span is the step's backward
+    phase (the benchmark's step phases read it)."""
+    pullback()
 
 
 # ---------------------------------------------------------------------------
 # the two-matrix map
 
-# the activations `mlp` applies between its two matrices
+# the activations the two-matrix map applies between its matrices
 ACTIVATIONS = ("identity", "relu", "silu")
 
 
@@ -291,8 +133,8 @@ def _silu_grad(x: np.ndarray, sig: np.ndarray, g: np.ndarray) -> None:
 def mlp_hidden(x: np.ndarray, w_up: np.ndarray, activation: str
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """The hidden rows x w_upᵀ of a two-matrix map, their activation, and
-    the sigmoid of a SiLU (None otherwise): the first half of `mlp`, off
-    the tape."""
+    the sigmoid of a SiLU (None otherwise): the first step of
+    `mlp_forward`, and on its own what capture reads."""
     lat = x @ w_up.T
     if activation == "silu":
         return (lat, *_silu(lat))
@@ -306,10 +148,17 @@ def mlp_hidden(x: np.ndarray, w_up: np.ndarray, activation: str
 def mlp_forward(x: np.ndarray, w_up: np.ndarray, w_down: np.ndarray,
                 activation: str, mask: np.ndarray | None, scale: float
                 ) -> tuple[np.ndarray, tuple]:
-    """The forward half of `mlp`, in numpy: the rows
-    scale * (mask * act(x w_upᵀ)) w_downᵀ, and what the backward half reads
-    of this pass: the hidden rows, the sigmoid of a SiLU (None otherwise)
-    and the kept activations, mask applied."""
+    """The forward half of the two-matrix map: the rows
+    scale * (mask * act(x w_upᵀ)) w_downᵀ of x (n,k), w_up (r,k) and
+    w_down (d,r), and what the backward half reads of this pass: the hidden
+    rows, the sigmoid of a SiLU (None otherwise) and the kept activations,
+    mask applied. It is an adapter's delta rows, and with no mask and unit
+    scale the frozen FFN. `mask` is a dropout mask as
+    `model._dropout_masks` draws it, or None; a scale of 1 is no multiply.
+
+    The two halves run the linear, activation, mask, linear, scale chain op
+    for op and form each of its gradient products as the chain does, so
+    both are the chain's bit for bit."""
     lat, act, sig = mlp_hidden(x, w_up, activation)
     kept = act if mask is None else act * mask
     rows = kept @ w_down.T
@@ -318,15 +167,15 @@ def mlp_forward(x: np.ndarray, w_up: np.ndarray, w_down: np.ndarray,
     return rows, (lat, sig, kept)
 
 
-def mlp_backward(g: np.ndarray, x: np.ndarray, w_up: np.ndarray,
+def mlp_backward(g: np.ndarray, x: np.ndarray | None, w_up: np.ndarray,
                  w_down: np.ndarray, activation: str, mask: np.ndarray | None,
                  scale: float, saved: tuple, grads: tuple) -> None:
-    """The backward half of `mlp`, in numpy. From the gradient g of the
+    """The backward half of the two-matrix map. From the gradient g of the
     rows, it forms the gradient products of x, w_up and w_down, each
     written with matmul's `out` into its array of `grads` (dx, dw_up,
     dw_down); a None entry is neither formed nor written. `saved` is what
     `mlp_forward` returned beside the rows; its kept activations are read
-    only for w_down's product. g is only read."""
+    only for w_down's product, and x only for w_up's. g is only read."""
     dx, d_up, d_down = grads
     lat, sig, kept = saved
     if scale != 1.0:
@@ -348,34 +197,6 @@ def mlp_backward(g: np.ndarray, x: np.ndarray, w_up: np.ndarray,
         np.matmul(dact.T, x, out=d_up)
 
 
-def mlp(x: Tensor, w_up: Tensor, w_down: Tensor, activation: str,
-        mask: np.ndarray | None, scale: float) -> Tensor:
-    """The two-matrix map scale * (mask * act(x w_upᵀ)) w_downᵀ as one node:
-    x (n,k), w_up (r,k), w_down (d,r) -> (n,d). It is an adapter's delta
-    rows, and with no mask and unit scale the frozen FFN. `mask` is a
-    dropout mask as `model._dropout_masks` draws it, or None; a scale of 1
-    is no multiply. The node runs `mlp_forward` and `mlp_backward`, which
-    run the linear, activation, mask, linear, scale chain op for op and
-    form each of the chain's gradient products as the chain does, so both
-    are the chain's bit for bit."""
-    x, w_up, w_down = _wrap(x), _wrap(w_up), _wrap(w_down)
-    data, (lat, sig, kept) = mlp_forward(x.data, w_up.data, w_down.data,
-                                         activation, mask, scale)
-    if not w_down.requires_grad:
-        kept = None  # only w_down's gradient reads it: the frozen FFN keeps none
-
-    def bwd(g):
-        operands = (x, w_up, w_down)
-        grads = tuple(np.empty(t.shape) if t.requires_grad else None for t in operands)
-        mlp_backward(g, x.data, w_up.data, w_down.data, activation, mask, scale,
-                     (lat, sig, kept), grads)
-        for t, d in zip(operands, grads):
-            if d is not None:
-                _accum(t, d)
-
-    return _node(data, (x, w_up, w_down), bwd, "mlp")
-
-
 # ---------------------------------------------------------------------------
 # attention
 
@@ -393,146 +214,168 @@ def _rows(heads: np.ndarray) -> np.ndarray:
     return heads.transpose(0, 2, 1, 3).reshape(b * s, h * d)
 
 
-def causal_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-                     seq_len: int) -> Tensor:
+def _keys_t(k: np.ndarray, n_heads: int, seq_len: int) -> np.ndarray:
+    """The key heads of k's rows, each transposed, contiguous."""
+    return np.ascontiguousarray(_heads(k, n_heads, seq_len).swapaxes(-1, -2))
+
+
+def _attention_scale(q: np.ndarray, n_heads: int) -> np.float64:
+    """1 / sqrt(d), d being q's width over the heads."""
+    return 1.0 / np.sqrt(q.shape[1] // n_heads)
+
+
+def causal_attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                             n_heads: int, seq_len: int
+                             ) -> tuple[np.ndarray, np.ndarray]:
     """Multi-head causal attention over (B*S, H*d) projection rows, S =
     `seq_len`: each head's softmax(q kᵀ / sqrt(d) + causal mask) v, with the
     heads' (B*S, H*d_v) output rows side by side. d is q's width over the
-    heads; v may be narrower.
+    heads; v may be narrower. Returns the output rows and the (B, H, S, S)
+    attention weights, the one array the backward half reads beside q, k
+    and v. A position attends to itself and the positions before it.
 
-    One node that keeps one (B, H, S, S) array, the attention weights. The
-    heads are split off the rows and merged back inside it, and the ops and
-    their order are those of the split, matmul, scale, mask-add, softmax,
-    matmul, merge chain, so values and gradients are bit for bit that
-    chain's. Backward splits the heads it needs off the parents' rows again
-    rather than keeping the forward's copies. A position attends to itself
-    and the positions before it.
+    The heads are split off the rows and merged back inside, and the ops
+    and their order are those of the split, matmul, scale, mask-add,
+    softmax, matmul, merge chain, so values and gradients are bit for bit
+    that chain's.
     """
-    q, k, v = _wrap(q), _wrap(k), _wrap(v)
     if (q.ndim != 2 or k.shape != q.shape or v.ndim != 2 or v.shape[0] != q.shape[0]
             or q.shape[0] % seq_len or q.shape[1] % n_heads or v.shape[1] % n_heads):
         raise ShapeError(f"causal_attention rows {q.shape}, {k.shape}, {v.shape} do "
                          f"not split into {n_heads} heads of length-{seq_len} sequences")
-    n, dv = v.shape[0], v.shape[1] // n_heads
-    scale = 1.0 / np.sqrt(q.shape[1] // n_heads)
-
-    def keys_t():
-        return np.ascontiguousarray(_heads(k.data, n_heads, seq_len).swapaxes(-1, -2))
-
-    attn = np.matmul(_heads(q.data, n_heads, seq_len), keys_t())
-    attn *= scale
+    attn = np.matmul(_heads(q, n_heads, seq_len), _keys_t(k, n_heads, seq_len))
+    attn *= _attention_scale(q, n_heads)
     attn += np.triu(np.full((seq_len, seq_len), -1e30), k=1)
     attn -= attn.max(axis=-1, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=-1, keepdims=True)
+    return _rows(np.matmul(attn, _heads(v, n_heads, seq_len))), attn
 
-    def bwd(g):
-        g = g.reshape(n // seq_len, seq_len, n_heads, dv).transpose(0, 2, 1, 3)
-        if v.requires_grad:
-            _accum(v, _rows(np.matmul(attn.swapaxes(-1, -2), g)))
-        if q.requires_grad or k.requires_grad:
-            ds = np.matmul(g, _heads(v.data, n_heads, seq_len).swapaxes(-1, -2))
-            ds -= (ds * attn).sum(axis=-1, keepdims=True)
-            ds *= attn
-            ds *= scale
-            if q.requires_grad:
-                _accum(q, _rows(np.matmul(ds, keys_t().swapaxes(-1, -2))))
-            if k.requires_grad:
-                qh = _heads(q.data, n_heads, seq_len)
-                _accum(k, _rows(np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2)))
 
-    return _node(_rows(np.matmul(attn, _heads(v.data, n_heads, seq_len))),
-                 (q, k, v), bwd, "causal_attention")
+def causal_attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray,
+                              v: np.ndarray, attn: np.ndarray, n_heads: int,
+                              seq_len: int, wanted: tuple[bool, bool, bool]
+                              ) -> tuple[np.ndarray | None, ...]:
+    """The backward half of `causal_attention_forward`: from the gradient g
+    of the output rows, the gradients of q's, k's and v's rows, each formed
+    only where `wanted` (q, k, v) asks for it and None otherwise. The heads
+    are split off q, k and v again rather than kept from the forward.
+    g is only read."""
+    want_q, want_k, want_v = wanted
+    n, d_v = v.shape[0], v.shape[1] // n_heads
+    g = g.reshape(n // seq_len, seq_len, n_heads, d_v).transpose(0, 2, 1, 3)
+    dq = dk = dv = None
+    if want_v:
+        dv = _rows(np.matmul(attn.swapaxes(-1, -2), g))
+    if want_q or want_k:
+        ds = np.matmul(g, _heads(v, n_heads, seq_len).swapaxes(-1, -2))
+        ds -= (ds * attn).sum(axis=-1, keepdims=True)
+        ds *= attn
+        ds *= _attention_scale(q, n_heads)
+        if want_q:
+            dq = _rows(np.matmul(ds, _keys_t(k, n_heads, seq_len).swapaxes(-1, -2)))
+        if want_k:
+            qh = _heads(q, n_heads, seq_len)
+            dk = _rows(np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2))
+    return dq, dk, dv
 
 
 # ---------------------------------------------------------------------------
 # normalization / loss
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Row-wise layer normalization with per-feature gain and bias."""
-    x, gain, bias = _wrap(x), _wrap(gain), _wrap(bias)
+def layer_norm_forward(x: np.ndarray, gain: np.ndarray, bias: np.ndarray
+                       ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Row-wise layer normalization with per-feature gain and bias, and what
+    the backward half reads: the centred rows and each row's
+    1 / sqrt(var + eps)."""
     if x.ndim != 2:
-        raise ShapeError(f"layer_norm expects a 2-d tensor, got {x.shape}")
-    d = x.shape[1]
-    mu = x.data.mean(axis=1, keepdims=True)
-    xc = x.data - mu
+        raise ShapeError(f"layer_norm expects a 2-d array, got {x.shape}")
+    mu = x.mean(axis=1, keepdims=True)
+    xc = x - mu
     var = (xc * xc).mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     data = xc * inv  # xhat, scaled and shifted in place
-    data *= gain.data
-    data += bias.data
-
-    def bwd(g):
-        if x.requires_grad:
-            # dxhat inv + dvar 2 xc / d + dmu / d, summed in that order
-            dxhat = g * gain.data
-            dvar = (dxhat * xc).sum(axis=1, keepdims=True) * (-0.5) * inv ** 3
-            dx = dxhat * inv
-            dmu = -dx.sum(axis=1, keepdims=True)
-            centred = dvar * 2.0 * xc
-            centred /= d
-            dx += centred
-            dx += dmu / d
-            _accum(x, dx)
-        if gain.requires_grad:
-            _accum(gain, (g * (xc * inv)).sum(axis=0))
-        if bias.requires_grad:
-            _accum(bias, g.sum(axis=0))
-
-    return _node(data, (x, gain, bias), bwd, "layer_norm")
+    data *= gain
+    data += bias
+    return data, (xc, inv)
 
 
-def cross_entropy_rows(logits: Tensor, targets) -> Tensor:
-    """Mean token-level cross-entropy (natural log) of 2-d logits."""
-    logits = _wrap(logits)
+def layer_norm_backward(g: np.ndarray, gain: np.ndarray,
+                        saved: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The gradient of `layer_norm_forward`'s input rows from the gradient g
+    of its output rows, as a new array. Gain and bias are frozen weights,
+    so their products are never formed. g is only read."""
+    xc, inv = saved
+    d = xc.shape[1]
+    # dxhat inv + dvar 2 xc / d + dmu / d, summed in that order
+    dxhat = g * gain
+    dvar = (dxhat * xc).sum(axis=1, keepdims=True) * (-0.5) * inv ** 3
+    dx = dxhat * inv
+    dmu = -dx.sum(axis=1, keepdims=True)
+    centred = dvar * 2.0 * xc
+    centred /= d
+    dx += centred
+    dx += dmu / d
+    return dx
+
+
+def cross_entropy_forward(logits: np.ndarray, targets
+                          ) -> tuple[float, tuple[np.ndarray, np.ndarray]]:
+    """Mean token-level cross-entropy (natural log) of 2-d logits, and what
+    the backward half reads: the log-probabilities and the target ids."""
     t = np.asarray(targets, dtype=np.int64)
     if logits.ndim != 2 or t.ndim != 1 or t.shape[0] != logits.shape[0]:
         raise ShapeError(f"cross_entropy shapes {logits.shape} vs targets {t.shape}")
     if t.min() < 0 or t.max() >= logits.shape[1]:
         raise DomainError("target id outside the vocabulary")
-    n = logits.shape[0]
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    z = logits - logits.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
     logp = z - lse
-    data = np.asarray(-logp[np.arange(n), t].mean())
+    return float(-logp[np.arange(t.shape[0]), t].mean()), (logp, t)
 
-    def bwd(g):
-        p = np.exp(logp)
-        p[np.arange(n), t] -= 1.0
-        _accum(logits, g * p / n)
 
-    return _node(data, (logits,), bwd, "cross_entropy")
+def cross_entropy_backward(saved: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """The gradient of the loss with respect to the logits: (softmax - one
+    hot) / n. The loss is the root of the reverse pass, so its own
+    gradient is exactly one and no multiply is made."""
+    logp, t = saved
+    n = t.shape[0]
+    p = np.exp(logp)
+    p[np.arange(n), t] -= 1.0
+    p /= n
+    return p
 
 
 # ---------------------------------------------------------------------------
 # verification
 
 
-def finite_difference_check(f: Callable[[Tensor], Tensor], x: Tensor,
-                            step: float = 1e-6) -> float:
-    """Max relative error between analytic and central-difference gradients.
+def finite_difference_check(f: Callable[[np.ndarray], float], x: np.ndarray,
+                            grad: np.ndarray, step: float = 1e-6) -> float:
+    """Max relative error between the gradient `grad` of the scalar `f` at
+    `x` and central differences of `f`.
 
-    The error at each coordinate is |analytic - numeric| / max(1, |analytic|);
-    `f` must be deterministic and return a scalar tensor.
+    The error at each coordinate is |analytic - numeric| / max(1, |analytic|).
+    `f` must be deterministic; it is called with a copy of x that has one
+    entry moved by +-step, and may read that array only while it runs.
     """
     if step <= 0:
         raise DomainError(f"step must be positive, got {step}")
-    probe = Tensor(x.data.copy(), requires_grad=True)
-    loss = f(probe)
-    backward(loss)
-    analytic = np.zeros_like(probe.data) if probe.grad is None else probe.grad.copy()
-    flat = probe.data.reshape(-1)
+    if grad.shape != x.shape:
+        raise ShapeError(f"gradient shape {grad.shape} != point shape {x.shape}")
+    probe = np.array(x, dtype=np.float64)
+    flat = probe.reshape(-1)
+    analytic = grad.reshape(-1)
     worst = 0.0
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + step
-        hi = f(probe).item()
+        hi = f(probe)
         flat[i] = orig - step
-        lo = f(probe).item()
+        lo = f(probe)
         flat[i] = orig
         numeric = (hi - lo) / (2.0 * step)
-        a = analytic.reshape(-1)[i]
-        err = abs(a - numeric) / max(1.0, abs(a))
+        err = abs(analytic[i] - numeric) / max(1.0, abs(analytic[i]))
         worst = max(worst, err)
     return worst

@@ -2,10 +2,10 @@
 loss/metric evaluation, and eval-mode throughput measurement.
 
 Only the injected adapters' tensors are ever updated; the backbone stays
-bit-identical (checksum-verifiable) across a run. Every step's gradients
-land in one flat AdamW buffer: a language model's through its tape and
-`gather_grads`, a regressor's, which has no tape, written straight into
-each parameter's view of the buffer by its adapters' numpy pullbacks.
+bit-identical (checksum-verifiable) across a run. In both model modes a
+training step's loss comes with an explicit pullback, which writes every
+adapter's gradient straight into its view of one flat AdamW buffer, and
+the step runs it as one `tensor.backward` call.
 """
 
 from __future__ import annotations
@@ -20,11 +20,11 @@ import numpy as np
 
 from . import tensor as T
 from .errors import (ConfigError, DictConfig, DomainError, NotMergeableError,
-                     ShapeError, TrainingDiverged)
+                     TrainingDiverged)
 from .model import (FrozenBackbone, forward, lm_logits, merged_copy,
                     regressor_frozen, regressor_output)
 from .tasks import Dataset
-from .tensor import RngState, Tensor, backward, zero_grads
+from .tensor import RngState, Tensor, backward
 
 # a run draws its batch indices a block of steps at a time, as many steps as
 # fit this many bytes of int64 indices and at least one; one (k, batch) draw
@@ -117,23 +117,6 @@ def adamw_state(params: list[Tensor]) -> AdamWState:
                       bounds=bounds, grads=grads)
 
 
-def gather_grads(params: list[Tensor], state: AdamWState) -> None:
-    """Copy every parameter's gradient into the state's flat gradient
-    buffer, zero for a parameter that got none. The gradients are only
-    read."""
-    if len(params) != len(state.bounds) - 1:
-        raise ShapeError("params and state must align")
-    grads = []
-    for p in params:
-        if p.grad is None:
-            grads.append(np.zeros(p.shape))
-        elif p.grad.shape != p.shape:
-            raise ShapeError(f"grad shape {p.grad.shape} != param shape {p.shape}")
-        else:
-            grads.append(p.grad)
-    np.concatenate(grads, axis=None, out=state.grad)
-
-
 def clip_global_norm(state: AdamWState, clip: float | None) -> float:
     """Scale the flat gradient to global norm `clip` when it exceeds it;
     returns the norm before clipping. The squares are summed parameter by
@@ -186,20 +169,21 @@ def adamw_step(state: AdamWState, lr: float, cfg: TrainConfig) -> None:
 
 def _batch_loss(backbone: FrozenBackbone, data: Dataset, idx: np.ndarray,
                 rng: RngState | None, frozen: np.ndarray | None
-                ) -> tuple[float, Callable[[AdamWState], None]]:
+                ) -> tuple[float, Callable | None]:
     """Mean loss over the rows `idx` of `data`, with dropout drawn from `rng`
-    if one is given, and a function that backpropagates it into an
-    optimizer state's flat gradient buffer; `frozen` is the regressor's
-    frozen term of all of `data` (None for a language model).
+    if one is given, and its pullback: a function of a map from each
+    adapter parameter to an array shaped like it (`AdamWState.grads`, the
+    views of the optimizer's flat gradient buffer), into which it writes
+    that parameter's gradient. `frozen` is the regressor's frozen term of
+    all of `data` (None for a language model).
 
-    A regressor has no tape. Its loss is the MSE in numpy, in the order
-    d = out - target, then the sum of d ** 2.0 over its n entries divided
-    by n (`mean`'s bits), and its gradient with respect to the output,
-    ((1/n) 2.0) d, reaches each adapter's delta rows as one product with
-    the matrix that carries them to the output. The adapter's pullback
-    writes its two weight products straight into their views of the
-    buffer. A language model's loss is a tape node; its backward fills
-    each parameter's `.grad`, which are then gathered into the buffer.
+    A regressor's loss is the MSE, in the order d = out - target, then the
+    sum of d ** 2.0 over its n entries divided by n (`mean`'s bits), and
+    its gradient with respect to the output, ((1/n) 2.0) d, reaches each
+    adapter's delta rows as one product with the matrix that carries them
+    to the output. A language model's loss is the cross-entropy of its
+    logits; its pullback exists only for a training pass, one with a
+    stream, and is None otherwise (see `model.lm_logits`).
     """
     if backbone.cfg.mode == "regressor":
         out, passes = regressor_output(backbone, data.inputs[idx], rng=rng,
@@ -209,32 +193,26 @@ def _batch_loss(backbone: FrozenBackbone, data: Dataset, idx: np.ndarray,
         def pullback(grads: dict[Tensor, np.ndarray]) -> None:
             dout = (1.0 / diff.size) * 2.0 * diff
             for to_output, adapter_pullback in passes:
-                adapter_pullback(dout @ to_output, grads)
+                adapter_pullback(dout @ to_output, grads, None)
 
-        return (float((diff ** 2.0).sum()) / diff.size,
-                lambda state: backward(partial(pullback, state.grads)))
-    params = backbone.adapter_params()
-    loss = T.cross_entropy_rows(lm_logits(backbone, data.inputs[idx], rng=rng),
-                                data.targets[idx].reshape(-1))
-
-    def backprop(state: AdamWState) -> None:
-        zero_grads(params)
-        backward(loss)
-        gather_grads(params, state)
-
-    return loss.item(), backprop
+        return float((diff ** 2.0).sum()) / diff.size, pullback
+    logits, logits_pullback = lm_logits(backbone, data.inputs[idx], rng)
+    loss, saved = T.cross_entropy_forward(logits, data.targets[idx].reshape(-1))
+    if logits_pullback is None:
+        return loss, None
+    return loss, lambda grads: logits_pullback(T.cross_entropy_backward(saved), grads)
 
 
 def evaluate(backbone: FrozenBackbone, test: Dataset) -> float:
     """The training loss over every row of `test`, without dropout: the test
     MSE of a regressor, and its exp, the perplexity, of a language model.
-    No tape is recorded, so each intermediate is freed once consumed."""
+    Nothing is kept for a pullback, so each intermediate is freed once
+    consumed."""
     if len(test) == 0:
         raise DomainError("empty split")
     regressor = backbone.cfg.mode == "regressor"
     frozen = regressor_frozen(backbone, test.inputs) if regressor else None
-    with T._no_tape():
-        loss, _ = _batch_loss(backbone, test, np.arange(len(test)), None, frozen)
+    loss, _ = _batch_loss(backbone, test, np.arange(len(test)), None, frozen)
     return loss if regressor else float(np.exp(loss))
 
 
@@ -268,11 +246,11 @@ def train_adapter(backbone: FrozenBackbone, train: Dataset, test: Dataset,
         if t % block == 0:
             batches = batch_rng.integers(0, n_train, (min(block, cfg.steps - t), cfg.batch_size))
         idx = batches[t % block]
-        loss_value, backprop = _batch_loss(backbone, train, idx, drop_rng, frozen)
+        loss_value, pullback = _batch_loss(backbone, train, idx, drop_rng, frozen)
         if not math.isfinite(loss_value):
             raise TrainingDiverged(
                 f"non-finite loss {loss_value} at step {t} (lr={cosine_lr(t, cfg):.3g})")
-        backprop(opt)
+        backward(partial(pullback, opt.grads))
         clip_global_norm(opt, cfg.grad_clip)
         adamw_step(opt, cosine_lr(t, cfg), cfg)
         curve.append(loss_value)
@@ -281,8 +259,7 @@ def train_adapter(backbone: FrozenBackbone, train: Dataset, test: Dataset,
         final_train = curve[-1]
     else:
         idx = np.arange(min(n_train, cfg.batch_size))
-        with T._no_tape():
-            final_train, _ = _batch_loss(backbone, train, idx, None, frozen)
+        final_train, _ = _batch_loss(backbone, train, idx, None, frozen)
     tokens = cfg.steps * _tokens_in_batch(backbone, train, cfg.batch_size)
     return TrainReport(
         loss_curve=curve,

@@ -20,8 +20,8 @@ from ceralab.model import (ModelConfig, adapter_shape, build_model, inject,
                            lm_logits)
 from ceralab.spectral import auc90, effective_rank, svd_values
 from ceralab.tasks import logistic_map_table
-from ceralab.tensor import (RngState, Tensor, add, cross_entropy_rows,
-                            finite_difference_check, linear)
+from ceralab.tensor import (RngState, Tensor, cross_entropy_backward,
+                            cross_entropy_forward, finite_difference_check)
 from ceralab.trainer import measure_throughput
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -101,10 +101,10 @@ def test_criterion_03_degeneracy_equivalence():
                                  activation="identity", dropout_p=0.0)
         st = init_adapter(lora_cfg, d, k, rng.child(0))
         st.w_down.data[:] = rng.normal((d, r))
-        w0 = Tensor(rng.normal((d, k)))
-        x = Tensor(rng.normal((1, k)))
-        a = add(linear(x, w0), Adapter(lora_cfg, st).delta_rows(x)).data
-        b = add(linear(x, w0), Adapter(cera_cfg, st).delta_rows(x)).data
+        w0 = rng.normal((d, k))
+        x = rng.normal((1, k))
+        a = x @ w0.T + Adapter(lora_cfg, st).delta_rows(x, None)[0]
+        b = x @ w0.T + Adapter(cera_cfg, st).delta_rows(x, None)[0]
         worst = max(worst, float(np.max(np.abs(a - b))))
     ok = worst < 1e-12
     report(3, "degeneracy-cera-equals-lora", ok,
@@ -119,11 +119,11 @@ def test_criterion_04_merge_equivalence_and_asymmetry():
         cfg = AdapterConfig(kind="lora", r=3, alpha=1.7)
         st = init_adapter(cfg, 5, 7, rng.child(0))
         st.w_down.data[:] = rng.normal((5, 3))
-        w0 = Tensor(rng.normal((5, 7)))
+        w0 = rng.normal((5, 7))
         merged = merge_linear(w0, st, cfg)
-        x = Tensor(rng.normal((1, 7)))
-        unmerged = add(linear(x, w0), Adapter(cfg, st).delta_rows(x)).data
-        worst = max(worst, float(np.max(np.abs(unmerged - x.data @ merged.data.T))))
+        x = rng.normal((1, 7))
+        unmerged = x @ w0.T + Adapter(cfg, st).delta_rows(x, None)[0]
+        worst = max(worst, float(np.max(np.abs(unmerged - x @ merged.data.T))))
     cera_cfg = AdapterConfig(kind="cera", r=3)  # silu by default
     cera_st = init_adapter(cera_cfg, 5, 7, RngState(1))
     raised = False
@@ -151,15 +151,23 @@ def test_criterion_05_gradient_soundness_full_model():
         seq = RngState(700 + seed).integers(0, 11, 6)
         targets = RngState(800 + seed).integers(0, 11, 6)
 
-        for attr in ("w_up", "w_down"):
-            original = getattr(adapter.state, attr)
+        def training_pass():
+            # the explicit pass; a fresh stream draws the same dropout masks
+            logits, pullback = lm_logits(bb, seq, RngState(900 + seed))
+            return (*cross_entropy_forward(logits, targets), pullback)
 
-            def f(probe, _attr=attr):
-                setattr(adapter.state, _attr, probe)
-                return cross_entropy_rows(lm_logits(bb, seq), targets)
+        _, saved, pullback = training_pass()
+        grads = {p: np.empty(p.shape) for p in adapter.params}
+        pullback(cross_entropy_backward(saved), grads)
+        for p in adapter.params:
+            original = p.data
 
-            err = finite_difference_check(f, original, 1e-6)
-            setattr(adapter.state, attr, original)
+            def f(probe, _p=p):
+                _p.data = probe
+                return training_pass()[0]
+
+            err = finite_difference_check(f, original, grads[p], 1e-6)
+            p.data = original
             worst = max(worst, err)
     ok = worst < 1e-4
     report(5, "gradient-soundness-full-model", ok,

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ceralab import tensor as tensor_mod
+from ceralab.tensor import finite_difference_check
 from ceralab.adapters import (Adapter, AdapterConfig, AdapterState,
                               init_adapter, merge_linear, param_count)
 from ceralab.errors import ConfigError, NotMergeableError
@@ -32,25 +33,24 @@ def keep_mask(shape, p, rng):
     return (rng.uniform(0.0, 1.0, shape) < keep) / keep
 
 
-def total(row):
-    """The sum of a (1, d) row's entries as a tape op: the row times a row
-    of ones."""
-    return tensor_mod.linear(row, Tensor(np.ones((1, row.shape[1]))))
-
-
-def adapted(x, w0, st_, cfg, **kw):
+def adapted(x, w0, st_, cfg, mask=None):
     """W0 x plus the adapter's delta, for a batch of rows."""
-    return tensor_mod.add(tensor_mod.linear(x, w0), Adapter(cfg, st_).delta_rows(x, **kw))
+    return x @ w0.T + Adapter(cfg, st_).delta_rows(x, mask)[0]
+
+
+def delta(adapter, x):
+    """An adapter's delta rows without dropout."""
+    return adapter.delta_rows(x, None)[0]
 
 
 def test_init_is_exact_noop():
     cfg, st_ = make_cera()
     rng = RngState(1)
-    w0 = Tensor(rng.normal((6, 8)))
-    x = Tensor(rng.normal((1, 8)))
-    base = x.data @ w0.data.T
+    w0 = rng.normal((6, 8))
+    x = rng.normal((1, 8))
+    base = x @ w0.T
     out = adapted(x, w0, st_, cfg)
-    assert np.array_equal(out.data, base)
+    assert np.array_equal(out, base)
 
 
 def test_init_deterministic():
@@ -76,9 +76,9 @@ def test_lora_zero_b_and_zero_alpha():
     cfg, st_ = make_lora(alpha=0.0)
     rng = RngState(3)
     st_.w_down.data[:] = rng.normal((6, 4))  # nonzero B, alpha kills it
-    w0 = Tensor(rng.normal((6, 8)))
-    x = Tensor(rng.normal((1, 8)))
-    assert np.allclose(adapted(x, w0, st_, cfg).data, x.data @ w0.data.T)
+    w0 = rng.normal((6, 8))
+    x = rng.normal((1, 8))
+    assert np.allclose(adapted(x, w0, st_, cfg), x @ w0.T)
 
 
 def test_lora_matches_materialized_delta_w():
@@ -86,11 +86,11 @@ def test_lora_matches_materialized_delta_w():
     cfg, st_ = make_lora(r=3, d=5, k=7, alpha=2.0)
     st_.w_down.data[:] = rng.normal((5, 3))
     st_.w_up.data[:] = rng.normal((3, 7))
-    w0 = Tensor(rng.normal((5, 7)))
-    x = Tensor(rng.normal((1, 7)))
-    merged = w0.data + delta_w_linear(st_.w_up, st_.w_down, 2.0 / 3)
-    got = adapted(x, w0, st_, cfg).data
-    assert np.max(np.abs(got - x.data @ merged.T)) < 1e-10
+    w0 = rng.normal((5, 7))
+    x = rng.normal((1, 7))
+    merged = w0 + delta_w_linear(st_.w_up, st_.w_down, 2.0 / 3)
+    got = adapted(x, w0, st_, cfg)
+    assert np.max(np.abs(got - x @ merged.T)) < 1e-10
 
 
 def test_cera_degenerates_to_lora():
@@ -98,11 +98,11 @@ def test_cera_degenerates_to_lora():
     lora_cfg, st_ = make_lora(r=4, d=6, k=8)
     st_.w_down.data[:] = rng.normal((6, 4))
     cera_cfg = AdapterConfig(kind="cera", r=4, activation="identity", dropout_p=0.0)
-    w0 = Tensor(rng.normal((6, 8)))
+    w0 = rng.normal((6, 8))
     for _ in range(20):
-        x = Tensor(rng.normal((1, 8)))
-        a = adapted(x, w0, st_, lora_cfg).data
-        b = adapted(x, w0, st_, cera_cfg).data
+        x = rng.normal((1, 8))
+        a = adapted(x, w0, st_, lora_cfg)
+        b = adapted(x, w0, st_, cera_cfg)
         assert np.max(np.abs(a - b)) < 1e-12
 
 
@@ -112,11 +112,11 @@ def test_lora_is_the_identity_case_of_the_one_delta_path():
     st_.w_down.data[:] = rng.normal((6, 4))
     cera_cfg = AdapterConfig(kind="cera", r=4, alpha=3.0, activation="identity",
                              dropout_p=0.0)
-    x = Tensor(rng.normal((5, 8)))
+    x = rng.normal((5, 8))
     lora, cera = Adapter(lora_cfg, st_), Adapter(cera_cfg, st_)
-    assert np.array_equal(lora.delta_rows(x).data, cera.delta_rows(x).data)
-    assert np.array_equal(lora.latent_rows(x).data, cera.latent_rows(x).data)
-    assert np.array_equal(lora.latent_rows(x).data, x.data @ st_.w_up.data.T)
+    assert np.array_equal(delta(lora, x), delta(cera, x))
+    assert np.array_equal(lora.latent_rows(x), cera.latent_rows(x))
+    assert np.array_equal(lora.latent_rows(x), x @ st_.w_up.data.T)
 
 
 def test_lora_rejects_scale_s():
@@ -129,46 +129,49 @@ def test_lora_rejects_scale_s():
     rng = RngState(20)
     cfg, st_ = make_lora(r=3, d=5, k=7, alpha=6.0)
     st_.w_down.data[:] = rng.normal((5, 3))
-    x = Tensor(rng.normal((4, 7)))
-    applied = Adapter(cfg, st_).delta_rows(x).data
-    unit = x.data @ (st_.w_down.data @ st_.w_up.data).T
+    x = rng.normal((4, 7))
+    applied = delta(Adapter(cfg, st_), x)
+    unit = x @ (st_.w_down.data @ st_.w_up.data).T
     assert cfg.scale_s == 2.0
     assert np.max(np.abs(applied - cfg.scale_s * unit)) < 1e-12
 
 
-def test_unit_scale_adds_no_multiply_node():
+def test_unit_scale_adds_no_multiply():
     rng = RngState(21)
     cfg, st_ = make_cera(r=3, d=5, k=7, dropout_p=0.0)
     st_.w_down.data[:] = rng.normal((5, 3))
-    x = Tensor(rng.normal((4, 7)))
-    out = Adapter(cfg, st_).delta_rows(x)
-    # the whole delta is one node on the three operands, with no interior node
-    assert out._op == "mlp" and out._parents == (x, st_.w_up, st_.w_down)
-    # s = alpha / r = 1: the delta is the down-projection's product itself
+    x = rng.normal((4, 7))
+    # s = alpha / r = 1: the delta is the down-projection's product itself,
+    # and w_down's gradient the product of the rows' gradient alone
     assert cfg.scale_s == 1.0
-    unit = tensor_mod.mlp_hidden(x.data, st_.w_up.data, "silu")[1] @ st_.w_down.data.T
-    assert np.array_equal(out.data, unit)
+    act = tensor_mod.mlp_hidden(x, st_.w_up.data, "silu")[1]
+    unit = act @ st_.w_down.data.T
+    rows, pullback = Adapter(cfg, st_).delta_rows(x, None)
+    assert np.array_equal(rows, unit)
+    g = rng.normal((4, 5))
+    grads = {p: np.empty(p.shape) for p in st_.params}
+    pullback(g, grads, None)
+    assert grads[st_.w_down].tobytes() == (g.T @ act).tobytes()
     scaled_cfg = AdapterConfig(kind="cera", r=3, scale_s=2.0, dropout_p=0.0)
-    scaled = Adapter(scaled_cfg, st_).delta_rows(x)
-    assert scaled._op == "mlp" and np.array_equal(scaled.data, 2.0 * unit)
+    assert np.array_equal(delta(Adapter(scaled_cfg, st_), x), 2.0 * unit)
 
 
 def test_cera_scalar_silu_golden():
     cfg = AdapterConfig(kind="cera", r=1, scale_s=1.0, dropout_p=0.0)
-    st_ = AdapterState(w_up=Tensor([[1.0]], requires_grad=True),
-                       w_down=Tensor([[1.0]], requires_grad=True))
-    out = adapted(Tensor([[1.0]]), Tensor([[0.0]]), st_, cfg)
-    assert out.data[0, 0] == pytest.approx(0.731059, abs=1e-6)
+    st_ = AdapterState(w_up=Tensor([[1.0]]),
+                       w_down=Tensor([[1.0]]))
+    out = adapted(np.array([[1.0]]), np.array([[0.0]]), st_, cfg)
+    assert out[0, 0] == pytest.approx(0.731059, abs=1e-6)
 
 
 def test_cera_zero_down_projection():
     cfg, st_ = make_cera(dropout_p=0.5)
     rng = RngState(6)
-    w0 = Tensor(rng.normal((6, 8)))
-    x = Tensor(rng.normal((1, 8)))
+    w0 = rng.normal((6, 8))
+    x = rng.normal((1, 8))
     mask = keep_mask((1, 4), 0.5, rng.child(1))
     out = adapted(x, w0, st_, cfg, mask=mask)
-    assert np.allclose(out.data, x.data @ w0.data.T)
+    assert np.allclose(out, x @ w0.T)
 
 
 def test_cera_eval_independent_of_rng():
@@ -180,7 +183,7 @@ def test_cera_eval_independent_of_rng():
     st_ = init_adapter(cfg, 6, 8, rng.child(0))
     st_.w_down.data[:] = rng.normal((6, 4))
     inject(bb, 0, "Wv", Adapter(cfg, st_))
-    x = Tensor(rng.normal((5, 8)))
+    x = rng.normal((5, 8))
     # without a stream there is no dropout to draw: the output repeats
     a, _ = regressor_output(bb, x)
     b, _ = regressor_output(bb, x)
@@ -193,10 +196,10 @@ def test_parallel_module_zero_down_is_identity():
     cfg = AdapterConfig(kind="parallel_module", r=4)
     st_ = init_adapter(cfg, 8, 8, RngState(9))
     rng = RngState(10)
-    block_in = Tensor(rng.normal((1, 8)))
-    block_out = Tensor(rng.normal((1, 8)))
-    got = tensor_mod.add(block_out, Adapter(cfg, st_).delta_rows(block_in))
-    assert np.array_equal(got.data, block_out.data)
+    block_in = rng.normal((1, 8))
+    block_out = rng.normal((1, 8))
+    got = block_out + delta(Adapter(cfg, st_), block_in)
+    assert np.array_equal(got, block_out)
 
 
 def test_parallel_module_identity_is_linear_composition():
@@ -205,10 +208,10 @@ def test_parallel_module_identity_is_linear_composition():
                         dropout_p=0.0, scale_s=2.0)
     st_ = init_adapter(cfg, 6, 6, rng.child(0))
     st_.w_down.data[:] = rng.normal((6, 3))
-    block_in = Tensor(rng.normal((1, 6)))
-    block_out = Tensor(rng.normal((1, 6)))
-    got = tensor_mod.add(block_out, Adapter(cfg, st_).delta_rows(block_in)).data
-    expected = block_out.data + block_in.data @ (2.0 * (st_.w_down.data @ st_.w_up.data)).T
+    block_in = rng.normal((1, 6))
+    block_out = rng.normal((1, 6))
+    got = block_out + delta(Adapter(cfg, st_), block_in)
+    expected = block_out + block_in @ (2.0 * (st_.w_down.data @ st_.w_up.data)).T
     assert np.max(np.abs(got - expected)) < 1e-12
 
 
@@ -229,8 +232,8 @@ def test_param_parity_between_kinds():
 
 def test_merge_lora_zero_b_returns_w0():
     cfg, st_ = make_lora()
-    w0 = Tensor(RngState(12).normal((6, 8)))
-    assert np.array_equal(merge_linear(w0, st_, cfg).data, w0.data)
+    w0 = RngState(12).normal((6, 8))
+    assert np.array_equal(merge_linear(w0, st_, cfg).data, w0)
 
 
 def test_merged_lora_equals_unmerged_forward():
@@ -238,12 +241,12 @@ def test_merged_lora_equals_unmerged_forward():
     cfg, st_ = make_lora(r=3, d=5, k=7, alpha=1.5)
     st_.w_down.data[:] = rng.normal((5, 3))
     st_.w_up.data[:] = rng.normal((3, 7))
-    w0 = Tensor(rng.normal((5, 7)))
+    w0 = rng.normal((5, 7))
     merged = merge_linear(w0, st_, cfg)
     for _ in range(10):
-        x = Tensor(rng.normal((1, 7)))
-        unmerged = adapted(x, w0, st_, cfg).data
-        assert np.max(np.abs(unmerged - x.data @ merged.data.T)) < 1e-10
+        x = rng.normal((1, 7))
+        unmerged = adapted(x, w0, st_, cfg)
+        assert np.max(np.abs(unmerged - x @ merged.data.T)) < 1e-10
 
 
 def test_merge_cera_silu_refuses():
@@ -264,10 +267,10 @@ def test_merge_cera_identity_is_mergeable():
     cfg = AdapterConfig(kind="cera", r=2, activation="identity", dropout_p=0.0)
     st_ = init_adapter(cfg, 4, 6, rng.child(0))
     st_.w_down.data[:] = rng.normal((4, 2))
-    w0 = Tensor(rng.normal((4, 6)))
+    w0 = rng.normal((4, 6))
     merged = merge_linear(w0, st_, cfg)
-    x = Tensor(rng.normal((1, 6)))
-    assert np.max(np.abs(x.data @ merged.data.T - adapted(x, w0, st_, cfg).data)) < 1e-12
+    x = rng.normal((1, 6))
+    assert np.max(np.abs(x @ merged.data.T - adapted(x, w0, st_, cfg))) < 1e-12
 
 
 def test_rank_bound_of_linear_update():
@@ -342,7 +345,7 @@ def test_state_bundle_round_trip():
     back = AdapterState.from_bundle(st_.to_bundle())
     assert np.array_equal(back.w_up.data, st_.w_up.data)
     assert np.array_equal(back.w_down.data, st_.w_down.data)
-    assert back.w_up.requires_grad and back.w_down.requires_grad
+    assert back.params == [back.w_up, back.w_down]
 
 
 def test_cera_forward_gradient_matches_finite_differences():
@@ -350,36 +353,46 @@ def test_cera_forward_gradient_matches_finite_differences():
     cfg = AdapterConfig(kind="cera", r=3, dropout_p=0.0)
     st_ = init_adapter(cfg, 5, 7, rng.child(0))
     st_.w_down.data[:] = rng.normal((5, 3))
-    w0 = Tensor(rng.normal((5, 7)))
-    x0 = Tensor(rng.uniform(-2, 2, (1, 7)))
+    w0 = rng.normal((5, 7))
+    x0 = rng.uniform(-2, 2, (1, 7))
+
+    # the loss is the sum of the adapted rows' entries: its gradient is ones
+    _, pullback = Adapter(cfg, st_).delta_rows(x0, None)
+    g = np.ones((1, 5))
+    grads = {p: np.empty(p.shape) for p in st_.params}
+    dx = np.empty_like(x0)
+    pullback(g, grads, dx)
 
     def through_input(probe):
-        return total(adapted(probe, w0, st_, cfg))
+        return float(adapted(probe, w0, st_, cfg).sum())
 
-    assert tensor_mod.finite_difference_check(through_input, x0, 1e-6) < 1e-5
+    assert finite_difference_check(through_input, x0, g @ w0 + dx, 1e-6) < 1e-5
+
+    up = st_.w_up.data
 
     def through_up(probe):
-        st_.w_up = probe
-        return total(adapted(x0, w0, st_, cfg))
+        st_.w_up.data = probe
+        return float(adapted(x0, w0, st_, cfg).sum())
 
-    assert tensor_mod.finite_difference_check(through_up, st_.w_up, 1e-6) < 1e-5
+    assert finite_difference_check(through_up, up, grads[st_.w_up], 1e-6) < 1e-5
+    st_.w_up.data = up
 
 
 def test_adapter_latent_capture_is_pre_dropout():
     rng = RngState(17)
     cfg = AdapterConfig(kind="cera", r=4, dropout_p=0.9)
     adapter = Adapter.init(cfg, 6, 8, rng.child(0))
-    x = Tensor(rng.normal((3, 8)))
+    x = rng.normal((3, 8))
     mask = keep_mask((3, 4), 0.9, rng.child(1))
     lat = adapter.latent_rows(x)
-    expected = x.data @ adapter.state.w_up.data.T
+    expected = x @ adapter.state.w_up.data.T
     expected = expected / (1.0 + np.exp(-expected))  # silu
-    assert np.allclose(lat.data, expected)  # no dropout zeros in the latent
-    # capture only reads values: the latent is built off the tape
-    assert lat._op == "leaf" and not lat.requires_grad
+    assert np.allclose(lat, expected)  # no dropout zeros in the latent
+    # capture only reads values: the latent is a plain array
+    assert type(lat) is np.ndarray
     # the delta drops out exactly these rows
-    dropped = (lat.data * mask) @ adapter.state.w_down.data.T
-    assert np.array_equal(adapter.delta_rows(x, mask).data, dropped)
+    dropped = (lat * mask) @ adapter.state.w_down.data.T
+    assert np.array_equal(adapter.delta_rows(x, mask)[0], dropped)
 
 
 @settings(max_examples=25, deadline=None)
@@ -391,8 +404,8 @@ def test_degeneracy_property(seed):
                              dropout_p=0.0)
     st_ = init_adapter(lora_cfg, 6, 8, rng.child(0))
     st_.w_down.data[:] = rng.normal((6, 4))
-    w0 = Tensor(rng.normal((6, 8)))
-    x = Tensor(rng.normal((1, 8)))
-    a = adapted(x, w0, st_, lora_cfg).data
-    b = adapted(x, w0, st_, cera_cfg).data
+    w0 = rng.normal((6, 8))
+    x = rng.normal((1, 8))
+    a = adapted(x, w0, st_, lora_cfg)
+    b = adapted(x, w0, st_, cera_cfg)
     assert np.max(np.abs(a - b)) < 1e-12

@@ -101,30 +101,26 @@ def test_test_references_are_current():
         assert called_name(name) in tests, f"no test uses {name}"
 
 
-def node_op_names() -> set[str]:
-    """Every op name `tensor.py` hands to `_node`, read from its source."""
-    names = set()
-    for node in ast.walk(ast.parse((PACKAGE / "tensor.py").read_text())):
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_node":
-            assert isinstance(node.args[-1], ast.Constant), ast.unparse(node)
-            names.add(node.args[-1].value)
-    return names
+def test_every_tensor_half_is_called_by_the_program(monkeypatch):
+    # a census over tiny models: a dead half cannot hide behind a test,
+    # because only what these train, eval and capture runs call counts
+    import inspect
 
-
-def test_every_tape_op_is_created_by_the_program(monkeypatch):
-    # an op census over tiny models: a dead op cannot hide behind an operator
-    # overload or a test, because only what these paths create counts
     from ceralab import tensor as T
+    from ceralab import trainer
     from ceralab.adapters import Adapter, AdapterConfig
     from ceralab.model import (ModelConfig, adapter_shape, build_model,
                                collect_latents, forward, inject)
     from ceralab.tasks import Dataset, trajectory_sequences
     from ceralab.trainer import TrainConfig, train_adapter
 
+    halves = {name for name, obj in vars(T).items()
+              if inspect.isfunction(obj) and obj.__module__ == T.__name__
+              and not name.startswith("_")} - {"backward"} - set(TEST_REFERENCES)
     census = set()
-    node = T._node
-    monkeypatch.setattr(T, "_node", lambda data, parents, bwd, op: (
-        census.add(op), node(data, parents, bwd, op))[1])
+    for name in halves:
+        monkeypatch.setattr(T, name, lambda *args, _fn=getattr(T, name), _name=name: (
+            census.add(_name), _fn(*args))[1])
     train_cfg = TrainConfig(steps=2, batch_size=4)
 
     def run(model_cfg, placements, train, test):
@@ -153,24 +149,25 @@ def test_every_tape_op_is_created_by_the_program(monkeypatch):
     run(lm, [(0, t, AdapterConfig(kind="cera", r=2)) for t in ("Wq", "Wv")],
         train, test)
 
-    never = sorted(node_op_names() - census)
-    assert never == [], f"tape ops the program never creates: {never}"
-    # one node per piece of the block: every adapter kind, activation,
-    # dropout and scale, and the frozen FFN, is the one two-matrix node;
-    # attention splits and merges its heads inside its own node
-    assert node_op_names() == {"linear", "add", "mlp", "causal_attention",
-                               "layer_norm", "cross_entropy"}
+    never = sorted(halves - census)
+    assert never == [], f"tensor halves the program never calls: {never}"
+    # each op is a forward half and a backward half, and the two-matrix
+    # map's hidden rows are what capture reads
+    assert halves == {"mlp_hidden", "mlp_forward", "mlp_backward",
+                      "causal_attention_forward", "causal_attention_backward",
+                      "layer_norm_forward", "layer_norm_backward",
+                      "cross_entropy_forward", "cross_entropy_backward"}
+    # the tape and its ops are gone
     gone = {"dropout", "mul", "relu", "silu", "reshape", "split_heads", "merge_heads",
-            "adapter_delta"}
-    assert not census & gone and not any(hasattr(T, name) for name in gone)
+            "adapter_delta", "linear", "add", "mlp", "causal_attention", "layer_norm",
+            "cross_entropy_rows", "_node", "_no_tape", "zero_grads", "gather_grads"}
+    assert not any(hasattr(T, name) or hasattr(trainer, name) for name in gone)
 
 
 # defaulted parameters that only tests set, each with the reason tests need it
 TEST_SET_DEFAULTS = {
     ("svd_values", "with_vectors"): "criterion 06 checks the thin SVD reconstructs its input",
     ("auc90", "exponent"): "criterion 06 checks AUC-90 of the squared spectrum",
-    ("backward", "grad"): "the closed-form and op tests compare against a tape seeded "
-                          "with an upstream gradient",
 }
 
 

@@ -51,6 +51,11 @@ def test_bad_config_exit_two(tmp_path, capsys):
     assert main(["sweep", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
     assert main(["sweep", "--config", str(tmp_path / "missing.json")]) == 2
+    # a path that cannot be read is named, not a traceback and not the exit
+    # code of failed runs
+    for unreadable in (tmp_path / "missing.json", tmp_path):
+        err = assert_config_error(["sweep", "--config", str(unreadable)], capsys)
+        assert f"cannot read {unreadable}" in err
     # nested entries get the same checks as the top level, a wrongly typed
     # value is a config error, a regressor refuses a Wq adapter it would
     # never read, an adapter scale must be finite (JSON NaN, Infinity), a
@@ -142,7 +147,7 @@ def test_logistic_cli(capsys):
 
 @pytest.mark.parametrize("key,value", [
     ("grad_clip", 0.0), ("grad_clip", -1.0), ("eps", 0.0), ("eps", -1e-8),
-    ("weight_decay", -0.01)])
+    ("weight_decay", -0.01), ("seed", 5)])
 def test_train_values_that_break_training_exit_two(tmp_path, capsys, key, value):
     path, cfg = write_config(tmp_path)
     d = cfg.to_dict()
@@ -174,6 +179,7 @@ def assert_config_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "config error:" in err and "Traceback" not in err
+    return err
 
 
 def test_seeds_and_ranks_are_checked_after_every_override(tmp_path, capsys):
@@ -227,6 +233,12 @@ def test_malformed_plot_input_exits_two(tmp_path, capsys):
                     {"series": [dict(good, y_lo=[1], y_hi=[4, 5])]}):
         src.write_text(json.dumps(payload))
         assert_config_error(["plot", "--input", str(src), "--out", str(out)], capsys)
+    # bytes that are not UTF-8, and a directory, cannot be read
+    src.write_bytes(b"\xff\xfe\x00")
+    for unreadable in (src, tmp_path):
+        err = assert_config_error(["plot", "--input", str(unreadable), "--out", str(out)],
+                                  capsys)
+        assert f"cannot read {unreadable}" in err
     assert not out.exists()
 
 

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from ceralab.model import (ModelConfig, adapter_shape, build_model,
                            merged_copy, regressor_frozen, regressor_output)
 from ceralab.spectral import activation_spectrum, svd_values
 from ceralab.tasks import Dataset
-from ceralab.tensor import RngState, Tensor, backward, cross_entropy_rows
+from ceralab.tensor import (RngState, Tensor, cross_entropy_backward,
+                            cross_entropy_forward)
 
 TINY = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1, vocab_size=11,
                    max_seq_len=8, v_out_dim=8)
@@ -19,6 +22,13 @@ TINY = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1, vocab_size=11,
 
 def tiny_model(seed=0, cfg=TINY):
     return build_model(cfg, seed)
+
+
+def eval_logits(bb, tokens):
+    """The logits rows of a pass without a stream: no dropout, no pullback."""
+    logits, pullback = lm_logits(bb, tokens, None)
+    assert pullback is None
+    return logits
 
 
 def inject_cera(backbone, target="Wv", r=3, layer=0, seed=5, **kw):
@@ -47,37 +57,37 @@ def test_logits_shape_contract():
     # lm_logits gives one row per token, sequence by sequence; a 1-d
     # sequence is a batch of one, and each sequence of a batch gets the
     # logits it gets on its own
-    rows = lm_logits(bb, np.array(batch))
+    rows = eval_logits(bb, np.array(batch))
     assert rows.shape == (12, TINY.vocab_size)
-    assert np.array_equal(out.data.reshape(12, -1), rows.data)
+    assert np.array_equal(out.data.reshape(12, -1), rows)
     for i, seq in enumerate(batch):
-        alone = lm_logits(bb, seq).data
+        alone = eval_logits(bb, seq)
         assert alone.shape == (4, TINY.vocab_size)
         assert np.max(np.abs(out.data[i] - alone)) <= 1e-13 * np.max(np.abs(alone))
     with pytest.raises(ShapeError):
         forward(bb, [[1, 2, 3], [4, 5]])
     with pytest.raises(ShapeError):
-        lm_logits(bb, np.zeros((2, 2, 2), dtype=np.int64))
+        eval_logits(bb, np.zeros((2, 2, 2), dtype=np.int64))
 
 
 def test_vocab_overflow_rejected():
     bb = tiny_model()
     with pytest.raises(DomainError):
-        lm_logits(bb, [0, TINY.vocab_size])
+        eval_logits(bb, [0, TINY.vocab_size])
     with pytest.raises(DomainError):
-        lm_logits(bb, list(range(TINY.max_seq_len + 1)))
+        eval_logits(bb, list(range(TINY.max_seq_len + 1)))
     with pytest.raises(DomainError):
-        lm_logits(bb, [[0, 1], [2, TINY.vocab_size]])
+        eval_logits(bb, [[0, 1], [2, TINY.vocab_size]])
     with pytest.raises(DomainError):
-        lm_logits(bb, [[0, 1], [2, -1]])
+        eval_logits(bb, [[0, 1], [2, -1]])
     with pytest.raises(DomainError):
-        lm_logits(bb, np.zeros((2, TINY.max_seq_len + 1), dtype=np.int64))
+        eval_logits(bb, np.zeros((2, TINY.max_seq_len + 1), dtype=np.int64))
 
 
 def test_causality():
     bb = tiny_model(7)
-    base = lm_logits(bb, [[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1]]).data
-    poked = lm_logits(bb, [[1, 2, 9, 4, 5, 6], [6, 5, 4, 3, 2, 1]]).data
+    base = eval_logits(bb, [[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1]])
+    poked = eval_logits(bb, [[1, 2, 9, 4, 5, 6], [6, 5, 4, 3, 2, 1]])
     diff = np.abs(base - poked).max(axis=1).reshape(2, 6)
     assert np.all(diff[0, :2] == 0.0)
     assert np.all(diff[0, 2:] > 0.0)
@@ -92,11 +102,11 @@ def test_attention_rows_sum_to_one():
     ids = np.array([[3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8],
                     [1, 4, 1, 4, 2, 1, 3, 5]])
     ws = bb.layers[0]
-    x = Tensor((bb.tok_emb.data[ids] + bb.pos_emb.data[:8]).reshape(24, TINY.d_model))
-    xn = T.layer_norm(x, ws["ln1_g"], ws["ln1_b"])
-    q, k = (T.linear(xn, ws[w]) for w in ("Wq", "Wk"))
+    x = (bb.tok_emb.data[ids] + bb.pos_emb.data[:8]).reshape(24, TINY.d_model)
+    xn, _ = T.layer_norm_forward(x, ws["ln1_g"].data, ws["ln1_b"].data)
+    q, k = (xn @ ws[w].data.T for w in ("Wq", "Wk"))
     eye = np.tile(np.eye(8), (3, TINY.n_heads))
-    rows = T.causal_attention(q, k, eye, TINY.n_heads, 8).data
+    rows, _ = T.causal_attention_forward(q, k, eye, TINY.n_heads, 8)
     attn = rows.reshape(3, 8, TINY.n_heads, 8).transpose(0, 2, 1, 3)
     assert attn.shape == (3, TINY.n_heads, 8, 8)
     assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-12
@@ -108,10 +118,10 @@ def test_attention_rows_sum_to_one():
 def test_injection_neutrality_bit_identical():
     bb = tiny_model(9)
     seqs = [[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]]
-    base = lm_logits(bb, seqs).data.copy()
+    base = eval_logits(bb, seqs).copy()
     inject_cera(bb, "Wv")
     inject_cera(bb, "Wq", seed=6)
-    assert np.array_equal(lm_logits(bb, seqs).data, base)
+    assert np.array_equal(eval_logits(bb, seqs), base)
 
 
 def keep_mask(shape, p, rng):
@@ -260,17 +270,17 @@ def test_wq_vs_wv_placement_is_observable():
     cfg = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1,
                       vocab_size=11, max_seq_len=8, v_out_dim=16)
     rng = RngState(11)
-    state = AdapterState(w_up=Tensor(rng.normal((3, 16)), requires_grad=True),
-                         w_down=Tensor(rng.normal((16, 3)), requires_grad=True))
+    state = AdapterState(w_up=Tensor(rng.normal((3, 16))),
+                         w_down=Tensor(rng.normal((16, 3))))
     seq = [1, 2, 3, 4, 5, 6]
     outs = {}
     for target in ("Wq", "Wv"):
         bb = build_model(cfg, 12)
         acfg = AdapterConfig(kind="cera", r=3, dropout_p=0.0)
         inject(bb, 0, target, Adapter(acfg, AdapterState(
-            Tensor(state.w_up.data.copy(), requires_grad=True),
-            Tensor(state.w_down.data.copy(), requires_grad=True))))
-        outs[target] = lm_logits(bb, seq).data
+            Tensor(state.w_up.data.copy()),
+            Tensor(state.w_down.data.copy()))))
+        outs[target] = eval_logits(bb, seq)
     assert np.max(np.abs(outs["Wq"] - outs["Wv"])) > 1e-6
 
 
@@ -285,11 +295,41 @@ def test_weight_level_vs_module_level_is_observable():
                                         n_layers=1, vocab_size=11,
                                         max_seq_len=8, v_out_dim=16))
         acfg = AdapterConfig(kind=kind, r=3, dropout_p=0.0)
-        adapter = Adapter(acfg, AdapterState(Tensor(up.copy(), requires_grad=True),
-                                             Tensor(down.copy(), requires_grad=True)))
+        adapter = Adapter(acfg, AdapterState(Tensor(up.copy()),
+                                             Tensor(down.copy())))
         inject(bb, 0, target, adapter)
-        outs[kind] = lm_logits(bb, seq).data
+        outs[kind] = eval_logits(bb, seq)
     assert np.max(np.abs(outs["cera"] - outs["parallel_module"])) > 1e-6
+
+
+def training_pass(bb, tokens, targets, stream):
+    """The cross-entropy of a language-model training pass, dropout drawn
+    from a fresh stream `stream`, and the adapters' gradients its pullback
+    writes into a NaN-filled map from each adapter parameter."""
+    logits, pullback = lm_logits(bb, tokens, RngState(stream))
+    loss, saved = cross_entropy_forward(logits, targets)
+    grads = {p: np.full(p.shape, np.nan) for p in bb.adapter_params()}
+    pullback(cross_entropy_backward(saved), grads)
+    return loss, grads
+
+
+def pullback_error(bb, tokens, targets, stream):
+    """The worst finite-difference error of the pullback's gradient of
+    every adapter parameter; every entry of the map must be written."""
+    _, grads = training_pass(bb, tokens, targets, stream)
+    worst = 0.0
+    for p in bb.adapter_params():
+        assert not np.isnan(grads[p]).any()
+        original = p.data
+
+        def f(probe):
+            p.data = probe
+            logits, _ = lm_logits(bb, tokens, RngState(stream))
+            return cross_entropy_forward(logits, targets)[0]
+
+        worst = max(worst, T.finite_difference_check(f, original, grads[p], 1e-6))
+        p.data = original
+    return worst
 
 
 def test_gradient_through_model_and_adapter():
@@ -298,37 +338,140 @@ def test_gradient_through_model_and_adapter():
     adapter.state.w_down.data[:] = RngState(16).normal((8, 3)) * 0.3
     seq = np.array([[1, 2, 3, 4, 5, 6], [7, 6, 5, 4, 3, 2]])
     targets = np.array([2, 3, 4, 5, 6, 7, 6, 5, 4, 3, 2, 1])
+    assert pullback_error(bb, seq, targets, 17) < 1e-4
 
-    def loss_of(tensor_attr):
-        def f(probe):
-            setattr(adapter.state, tensor_attr, probe)
-            return cross_entropy_rows(lm_logits(bb, seq), targets)
-        return f
 
-    for attr in ("w_up", "w_down"):
-        original = getattr(adapter.state, attr)
-        err = T.finite_difference_check(loss_of(attr), original, 1e-6)
-        setattr(adapter.state, attr, original)
-        assert err < 1e-4
+def cera(**kw):
+    return AdapterConfig(kind="cera", r=3, **kw)
+
+
+MODULE = AdapterConfig(kind="parallel_module", r=3)
+# (layer, target, config) placements on SQUARE's two blocks
+PULLBACK_CASES = {
+    # a lower block's adapters get their gradient through the residual
+    # stream, both layer norms, attention and the FFN of the block above
+    "every-target": [(layer, target, cfg) for layer in (0, 1) for target, cfg in (
+        ("Wq", cera()), ("Wv", AdapterConfig(kind="lora", r=3)), ("attn_block", MODULE))],
+    # no adapter reads the lower block: it is not run backward
+    "upper-block": [(1, "Wq", cera()), (1, "Wv", cera()), (1, "attn_block", MODULE)],
+    "relu-channel": [(layer, target, cera(activation="relu", dropout_p=0.3,
+                                          dropout_style="channel"))
+                     for layer in (0, 1) for target in ("Wq", "Wv")],
+    "identity-scale-2": [(layer, target, cera(activation="identity", scale_s=2.0))
+                         for layer in (0, 1) for target in ("Wq", "Wv")],
+    # module adapters only: the lowest block's attention feeds no adapter, so
+    # it is not run backward
+    "module-only": [(layer, "attn_block", MODULE) for layer in (0, 1)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(PULLBACK_CASES))
+def test_the_explicit_pullback_matches_finite_differences_through_every_block(
+        monkeypatch, case):
+    bb = build_model(SQUARE, 30)
+    rng = RngState(31)
+    for layer, target, cfg in PULLBACK_CASES[case]:
+        adapter = Adapter.init(cfg, *adapter_shape(SQUARE, target), rng.child(len(bb.adapters)))
+        adapter.state.w_down.data[:] = rng.normal(adapter.state.w_down.shape) * 0.3
+        inject(bb, layer, target, adapter)
+    seqs = np.array([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [0, 9, 0, 9, 0]])
+    targets = RngState(34).integers(0, 11, 15)
+    blocks, attention_backward = [], T.causal_attention_backward
+    monkeypatch.setattr(T, "causal_attention_backward", lambda *args: (
+        blocks.append(args[-1]), attention_backward(*args))[1])
+    assert pullback_error(bb, seqs, targets, 35) < 1e-6
+    # the pullback runs attention backward down to the lowest block with an
+    # adapter that reads it, forming only the products something reads
+    lowest = min(layer for layer, _, _ in PULLBACK_CASES[case])
+    wq = any(target == "Wq" and layer == lowest for layer, target, _ in PULLBACK_CASES[case])
+    wv = any(target == "Wv" and layer == lowest for layer, target, _ in PULLBACK_CASES[case])
+    want = [(True, True, True)] * (SQUARE.n_layers - 1 - lowest)
+    if wq or wv:
+        want.append((wq, False, wv))
+    assert blocks == want
+
+
+def saved_blocks(pullback):
+    """The per-block arrays a language-model pullback will read, bottom
+    block first: the list its closure holds."""
+    cells = dict(zip(pullback.__code__.co_freevars, pullback.__closure__))
+    return cells["saved"].cell_contents
+
+
+def two_block_training_pass():
+    bb = adapted_backbone(SQUARE, [(layer, kind, target) for layer in (0, 1)
+                                   for kind, target in (("cera", "Wq"), ("cera", "Wv"),
+                                                        ("parallel_module", "attn_block"))])
+    seqs = np.array([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
+    logits, pullback = lm_logits(bb, seqs, RngState(36))
+    return bb, seqs, cross_entropy_backward(cross_entropy_forward(logits, seqs.reshape(-1))[1]), \
+        pullback
+
+
+def test_a_training_pass_keeps_only_what_its_pullback_reads():
+    bb, seqs, _, pullback = two_block_training_pass()
+    n, s = seqs.size, seqs.shape[1]
+    blocks = saved_blocks(pullback)
+    assert len(blocks) == 2
+    for (ln1, q, k, v, weights, *pulls), (ln2, (lat, sig, kept)) in blocks:
+        # each layer norm keeps its centred rows and one scale per row
+        assert [a.shape for a in ln1] == [a.shape for a in ln2] == [(n, 16), (n, 1)]
+        # attention keeps q, k, v and its weights, and every adapter its pullback
+        assert weights.shape == (2, SQUARE.n_heads, s, s)
+        assert q.shape == k.shape == (n, SQUARE.qk_dim) and v.shape == (n, 16)
+        assert all(callable(pull) for pull in pulls)
+        # the frozen FFN keeps no activation rows: only w_down's product reads them
+        assert lat.shape == sig.shape == (n, SQUARE.d_ff) and kept is None
+    # without a stream nothing is kept
+    assert lm_logits(bb, seqs, None)[1] is None
+
+
+def test_the_pullback_drops_each_blocks_arrays_once_it_has_run(monkeypatch):
+    # when the lower block's pullback runs, the upper block's arrays are
+    # gone unless the caller holds them, and the gradients are the same
+    def run(hold: bool):
+        bb, _, g, pullback = two_block_training_pass()
+        blocks = saved_blocks(pullback)
+        alive = [weakref.ref(attention[4]) for attention, _ in blocks]
+        held = list(blocks) if hold else []
+        seen, block_pullback = [], model_mod._lm_block_pullback
+
+        def recording(backbone, layer, *args):
+            seen.append((layer, [ref() is not None for ref in alive]))
+            return block_pullback(backbone, layer, *args)
+
+        monkeypatch.setattr(model_mod, "_lm_block_pullback", recording)
+        del blocks
+        grads = {p: np.empty(p.shape) for p in bb.adapter_params()}
+        pullback(g, grads)
+        monkeypatch.undo()
+        assert len(held) in (0, 2)
+        return seen, [a.tobytes() for a in grads.values()]
+
+    (freed, grads), (kept, want) = run(hold=False), run(hold=True)
+    assert freed == [(1, [True, True]), (0, [True, False])]
+    assert kept == [(1, [True, True]), (0, [True, True])]
+    assert grads == want
 
 
 def test_backbone_checksum_unchanged_by_forward_and_backward():
     bb = tiny_model(17)
     adapter = inject_cera(bb, "Wv")
     before = bb.checksum()
-    loss = cross_entropy_rows(lm_logits(bb, [1, 2, 3]), np.array([2, 3, 4]))
-    backward(loss)
+    # the pullback writes only into the map it is handed, which holds the
+    # adapters' parameters alone, and writes every entry of it
+    _, grads = training_pass(bb, [1, 2, 3], np.array([2, 3, 4]), 18)
     assert bb.checksum() == before
-    for name, t in bb.frozen_tensors():
-        assert t.grad is None, name
+    assert list(grads) == adapter.params
+    assert all(not np.isnan(g).any() for g in grads.values())
 
 
 def test_collect_latents_zero_init_delta_is_zero():
     bb = tiny_model(18)
     inject_cera(bb, "Wv", r=3)
     d = collect_latents(bb, [[1, 2, 3, 4], [5, 6, 7, 8]], which="output_delta_D")
-    assert np.all(d.data == 0.0)
-    assert activation_spectrum(d.data).effective_rank == 0.0
+    assert np.all(d == 0.0)
+    assert activation_spectrum(d).effective_rank == 0.0
 
 
 def test_collect_latents_row_count():
@@ -365,8 +508,8 @@ def stacked(bb, reads, which):
     """Each adapter's latent or delta rows over the rows its layer reads,
     stacked in (layer, target) order."""
     return np.concatenate([
-        (a.latent_rows(reads[layer]) if which == "latent_H"
-         else a.delta_rows(reads[layer])).data
+        a.latent_rows(reads[layer]) if which == "latent_H"
+        else a.delta_rows(reads[layer], None)[0]
         for (layer, _), a in sorted(bb.adapters.items())])
 
 
@@ -377,17 +520,17 @@ def test_collect_latents_is_each_adapter_on_the_rows_it_reads(monkeypatch):
                                    for kind, target in (("cera", "Wq"), ("lora", "Wv"),
                                                         ("parallel_module", "attn_block"))])
     seqs = [[1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [0, 9, 0, 9, 0, 9]]
-    norms, layer_norm = [], T.layer_norm
+    norms, layer_norm = [], T.layer_norm_forward
 
     def recording(x, gain, bias):
         out = layer_norm(x, gain, bias)
-        norms.append((gain, out))
+        norms.append((gain, out[0]))
         return out
 
-    monkeypatch.setattr(T, "layer_norm", recording)
+    monkeypatch.setattr(T, "layer_norm_forward", recording)
     forward(bb, seqs)
     monkeypatch.undo()
-    reads = [next(out for gain, out in norms if gain is ws["ln1_g"]) for ws in bb.layers]
+    reads = [next(out for gain, out in norms if gain is ws["ln1_g"].data) for ws in bb.layers]
 
     def no_forward(*args, **kw):
         raise AssertionError("collect_latents ran a forward pass")
@@ -395,7 +538,7 @@ def test_collect_latents_is_each_adapter_on_the_rows_it_reads(monkeypatch):
     for name in ("forward", "lm_logits", "regressor_output", "regressor_frozen"):
         monkeypatch.setattr(model_mod, name, no_forward)
     for which in ("latent_H", "output_delta_D"):
-        got = collect_latents(bb, seqs, which).data
+        got = collect_latents(bb, seqs, which)
         assert got.shape[0] == 6 * 18
         assert np.array_equal(got, stacked(bb, reads, which))
     # regressor: every adapter reads the features
@@ -404,8 +547,8 @@ def test_collect_latents_is_each_adapter_on_the_rows_it_reads(monkeypatch):
     reg = adapted_backbone(reg_cfg, [(0, "cera", "Wv"), (0, "parallel_module", "attn_block")])
     x = RngState(32).normal((10, 16))
     for which in ("latent_H", "output_delta_D"):
-        got = collect_latents(reg, x, which).data
-        assert np.array_equal(got, stacked(reg, [Tensor(x)], which))
+        got = collect_latents(reg, x, which)
+        assert np.array_equal(got, stacked(reg, [x], which))
     with pytest.raises(ShapeError):
         collect_latents(reg, x[:, :8])
 
@@ -428,7 +571,7 @@ def test_lora_delta_rank_bound():
     adapter.state.w_down.data[:] = RngState(23).normal((d, 2))
     inject(bb, 0, "Wv", adapter)
     dmat = collect_latents(bb, [[1, 2, 3, 4, 5, 6, 7, 0]] * 4, which="output_delta_D")
-    assert np.sum(svd_values(dmat.data) > 1e-10) <= 2
+    assert np.sum(svd_values(dmat) > 1e-10) <= 2
 
 
 def test_merged_copy_matches_unmerged_lora():
@@ -441,8 +584,8 @@ def test_merged_copy_matches_unmerged_lora():
     merged = merged_copy(bb)
     assert not merged.adapters
     seqs = [[1, 2, 3, 4, 5], [9, 8, 7, 6, 5]]
-    a = lm_logits(bb, seqs).data
-    b = lm_logits(merged, seqs).data
+    a = eval_logits(bb, seqs)
+    b = eval_logits(merged, seqs)
     assert np.max(np.abs(a - b)) < 1e-10
 
 
@@ -474,32 +617,86 @@ REG = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1, vocab_size=4,
                   max_seq_len=8, v_out_dim=8, mode="regressor")
 
 
-def tape_regressor_output(bb, x, rng=None):
-    """Reference: the regressor as one tape, op for op as the network is
-    drawn (attention and FFN branches on the raw input, the Wv adapter
-    inside the value projection, the module adapter on the attention
-    output), against which the frozen-term split is checked. Given a stream,
-    each adapter draws its own mask as it runs, Wv first: one (n, r) block
-    for elementwise dropout, one (1, r) row for channel."""
-    def delta(adapter):
-        cfg = adapter.cfg
-        mask = None
-        if rng is not None and cfg.dropout_p > 0.0:
-            rows = x.shape[0] if cfg.dropout_style == "elementwise" else 1
-            mask = keep_mask((rows, cfg.r), cfg.dropout_p, rng)
-        return adapter.delta_rows(x, mask=mask)
+def chain_rows(adapter, x, mask):
+    """Reference: an adapter's delta rows, op for op as the linear,
+    activation, mask, linear, scale chain; and its activations, kept
+    activations and hidden rows."""
+    cfg = adapter.cfg
+    lat = x @ adapter.state.w_up.data.T
+    sig = None
+    if cfg.activation == "silu":
+        sig = 1.0 / (1.0 + np.exp(-lat))
+        act = lat * sig
+    else:
+        act = np.maximum(lat, 0.0) if cfg.activation == "relu" else lat
+    kept = act if mask is None else act * mask
+    rows = kept @ adapter.state.w_down.data.T
+    if cfg.scale_s != 1.0:
+        rows = rows * cfg.scale_s
+    return rows, (lat, sig, kept)
 
+
+def chain_grads(adapter, x, mask, g):
+    """Reference: w_up's and w_down's gradient products for the gradient g
+    of the adapter's delta rows, as the chain's own steps form them."""
+    cfg = adapter.cfg
+    _, (lat, sig, kept) = chain_rows(adapter, x, mask)
+    if cfg.scale_s != 1.0:
+        g = g * cfg.scale_s
+    dact = g @ adapter.state.w_down.data
+    if mask is not None:
+        dact = dact * mask
+    if cfg.activation == "silu":
+        dact = dact * sig * ((1.0 - sig) * lat + 1.0)
+    elif cfg.activation == "relu":
+        dact = dact * (lat > 0.0)
+    return [dact.T @ x, g.T @ kept]
+
+
+def drawn_masks(bb, x, rng):
+    """Each adapter's mask as the network draws it, adapter by adapter, Wv
+    first: one (n, r) block for elementwise dropout, one (1, r) row for
+    channel; none without a stream."""
+    masks = {}
+    for target in ("Wv", "attn_block"):
+        adapter = bb.adapters.get((0, target))
+        if adapter is not None and rng is not None and adapter.cfg.dropout_p > 0.0:
+            cfg = adapter.cfg
+            rows = x.shape[0] if cfg.dropout_style == "elementwise" else 1
+            masks[target] = keep_mask((rows, cfg.r), cfg.dropout_p, rng)
+    return masks
+
+
+def network_regressor_output(bb, x, masks):
+    """Reference: the regressor in numpy, op for op as the network is drawn
+    (attention and FFN branches on the raw input, the Wv adapter inside the
+    value projection, the module adapter on the attention output), against
+    which the frozen-term split is checked."""
     ws = bb.layers[0]
-    v = T.linear(x, ws["Wv"])
+    v = x @ ws["Wv"].data.T
     wv = bb.adapters.get((0, "Wv"))
     if wv is not None:
-        v = T.add(v, delta(wv))
-    attn_out = T.linear(v, ws["Wo"])
+        v = v + chain_rows(wv, x, masks.get("Wv"))[0]
+    attn_out = v @ ws["Wo"].data.T
     module = bb.adapters.get((0, "attn_block"))
     if module is not None:
-        attn_out = T.add(attn_out, delta(module))
-    ff = T.mlp(x, ws["W1"], ws["W2"], "silu", None, 1.0)
-    return T.linear(T.add(T.add(x, attn_out), ff), bb.head)
+        attn_out = attn_out + chain_rows(module, x, masks.get("attn_block"))[0]
+    ff = T.mlp_forward(x, ws["W1"].data, ws["W2"].data, "silu", None, 1.0)[0]
+    return (x + attn_out + ff) @ bb.head.data.T
+
+
+def network_regressor_grads(bb, x, masks, g):
+    """Reference: each adapter's gradient products for the output's
+    gradient g, pulled back through the network as drawn: through head,
+    then, for the Wv adapter, through Wo."""
+    dz = g @ bb.head.data
+    grads = []
+    for target, to_delta in (("Wv", bb.layers[0]["Wo"].data), ("attn_block", None)):
+        adapter = bb.adapters.get((0, target))
+        if adapter is not None:
+            g_delta = dz if to_delta is None else dz @ to_delta
+            grads += chain_grads(adapter, x, masks.get(target), g_delta)
+    return grads
 
 
 def regressor_with(seed, placements):
@@ -518,25 +715,25 @@ def regressor_with_both_adapters(seed, **kw):
                                  ("attn_block", AdapterConfig(kind="parallel_module", r=3, **kw))])
 
 
-def test_adapter_free_regressor_is_bit_identical_to_tape():
+def test_adapter_free_regressor_is_bit_identical_to_the_network():
     bb = build_model(REG, 40)
-    x = Tensor(RngState(41).normal((37, 16)))
-    got, deltas = regressor_output(bb, x)
+    x = RngState(41).normal((37, 16))
+    got, deltas = regressor_output(bb, Tensor(x))
     assert deltas == []
-    assert got.tobytes() == tape_regressor_output(bb, x).data.tobytes()
-    assert regressor_frozen(bb, x.data).tobytes() == got.tobytes()
+    assert got.tobytes() == network_regressor_output(bb, x, {}).tobytes()
+    assert regressor_frozen(bb, x).tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("stream", [None, 44], ids=["eval", "train"])
-def test_adapted_regressor_matches_tape_composition(stream):
+def test_adapted_regressor_matches_the_network_composition(stream):
     bb = regressor_with_both_adapters(42)
-    x = Tensor(RngState(43).normal((29, 16)))
+    x = RngState(43).normal((29, 16))
     rng = lambda: None if stream is None else RngState(stream)  # a fresh stream
-    want = tape_regressor_output(bb, x, rng()).data
+    want = network_regressor_output(bb, x, drawn_masks(bb, x, rng()))
     got, _ = regressor_output(bb, x, rng())
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     # a frozen term passed in gives the same output as one computed inside
-    again, _ = regressor_output(bb, x, rng(), frozen=regressor_frozen(bb, x.data))
+    again, _ = regressor_output(bb, x, rng(), frozen=regressor_frozen(bb, x))
     assert np.array_equal(again, got)
 
 
@@ -548,16 +745,16 @@ def regressor_rows(seed, n):
 
 def training_loss(bb, data, stream, state=None):
     """The regressor's training loss over every row of `data` and the
-    adapter gradients its backward pass writes into the optimizer state's
-    flat buffer, dropout drawn from a fresh stream `stream`. Without a
-    `state` one is made, which moves the adapters' values into its buffer."""
-    value, backprop = trainer_mod._batch_loss(
+    adapter gradients its pullback writes into the optimizer state's flat
+    buffer, dropout drawn from a fresh stream `stream`. Without a `state`
+    one is made, which moves the adapters' values into its buffer."""
+    value, pullback = trainer_mod._batch_loss(
         bb, data, np.arange(len(data)), RngState(stream), regressor_frozen(bb, data.inputs))
     params = bb.adapter_params()
     if state is None:
         state = trainer_mod.adamw_state(params)
     state.grad[:] = np.nan  # every entry must be written
-    backprop(state)
+    pullback(state.grads)
     return value, [state.grads[p].copy() for p in params]
 
 
@@ -583,19 +780,21 @@ def test_regressor_gradient_matches_finite_differences():
     assert worst < 1e-9
 
 
-def tape_head(bb, x, rng):
-    """The regressor's head and the adapters on one tape, node for node as
-    training built it before the head left the tape: the frozen term plus,
-    Wv first, one add of linear(delta, C) per adapter."""
+def chain_head(bb, x, rng):
+    """Reference: the regressor's output as training composes it, the
+    frozen term plus, Wv first, each adapter's chain rows times the matrix
+    C that carries them to the output; and each adapter's target, mask and
+    C."""
     masks = model_mod._dropout_masks(bb, 1, x.shape[0], rng)
-    out = Tensor(regressor_frozen(bb, x.data))
+    out, carried = regressor_frozen(bb, x), []
     for target in ("Wv", "attn_block"):
         adapter = bb.adapters.get((0, target))
         if adapter is not None:
             to_output = bb.carry if target == "Wv" else bb.head.data
-            delta = adapter.delta_rows(x, masks.get((0, target)))
-            out = T.add(out, T.linear(delta, Tensor(to_output)))
-    return out
+            mask = masks.get((0, target))
+            out = out + chain_rows(adapter, x, mask)[0] @ to_output.T
+            carried.append((target, adapter, mask, to_output))
+    return out, carried
 
 
 CLOSED_FORM_CASES = {
@@ -611,23 +810,25 @@ CLOSED_FORM_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
-def test_closed_form_gradients_equal_the_tape_seeded_with_the_mse_gradient(case):
+def test_closed_form_gradients_equal_the_chain_pulled_back_from_the_mse_gradient(case):
     bb = CLOSED_FORM_CASES[case]()
     data = regressor_rows(65, 23)
-    x = Tensor(data.inputs)
+    x = data.inputs
     value, got = training_loss(bb, data, 66)
-    params = bb.adapter_params()
-    for reference, bit_for_bit in ((tape_head, True), (tape_regressor_output, False)):
-        out = reference(bb, x, RngState(66))
-        diff = out.data - data.targets
-        T.zero_grads(params)
-        backward(out, (1.0 / diff.size) * 2.0 * diff)
-        if bit_for_bit:
-            assert value == float((diff ** 2.0).mean())
-            assert [g.tobytes() for g in got] == [p.grad.tobytes() for p in params]
-        else:  # the network as drawn multiplies by head, then Wo
-            for g, p in zip(got, params):
-                assert np.max(np.abs(g - p.grad)) <= 1e-13 * np.max(np.abs(p.grad))
+    # bit for bit: the test-local chain, composed as training composes it
+    out, carried = chain_head(bb, x, RngState(66))
+    diff = out - data.targets
+    g = (1.0 / diff.size) * 2.0 * diff
+    assert value == float((diff ** 2.0).mean())
+    want = [grad for _, adapter, mask, to_output in carried
+            for grad in chain_grads(adapter, x, mask, g @ to_output)]
+    assert [a.tobytes() for a in got] == [b.tobytes() for b in want]
+    # the network as drawn multiplies by head, then Wo
+    masks = {target: mask for target, _, mask, _ in carried if mask is not None}
+    drawn = network_regressor_output(bb, x, masks)
+    want = network_regressor_grads(bb, x, masks, (1.0 / diff.size) * 2.0 * (drawn - data.targets))
+    for a, b in zip(got, want, strict=True):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("style", ["elementwise", "channel"])
@@ -641,23 +842,11 @@ def test_regressor_masks_are_one_sequence_of_n_rows(style):
     for target in ("Wv", "attn_block"):
         want = keep_mask((7 if style == "elementwise" else 1, 3), 0.5, rng)
         assert np.array_equal(masks[(0, target)], np.broadcast_to(want, (7, 3)))
-    # and the regressor's output is the tape's under those draws
-    x = Tensor(RngState(50).normal((7, 16)))
+    # and the regressor's output is the network's under those draws
+    x = RngState(50).normal((7, 16))
     got, _ = regressor_output(bb, x, RngState(49))
-    want_out = tape_regressor_output(bb, x, RngState(49)).data
+    want_out = network_regressor_output(bb, x, drawn_masks(bb, x, RngState(49)))
     assert np.max(np.abs(got - want_out)) <= 1e-14 * np.max(np.abs(want_out))
-
-
-def tape_ops(out):
-    """The op names of every node on the tape that ends in `out`."""
-    ops, stack, seen = set(), [out], set()
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            ops.add(node._op)
-            stack.extend(node._parents)
-    return ops
 
 
 def lm_with_cera(dropout_p):
@@ -667,17 +856,15 @@ def lm_with_cera(dropout_p):
     return bb
 
 
-def test_eval_mode_and_p_zero_build_no_dropout_node(monkeypatch):
-    # dropout is the mask inside each adapter's delta, one node in the
-    # language model and its numpy halves in the regressor: a training pass
-    # with p > 0 hands every adapter a mask, eval mode and p = 0 hand none
-    # (the frozen FFN is the same node with no mask, so adapter calls count)
-    masked, delta_rows, delta_pass = [], Adapter.delta_rows, Adapter.delta_pass
-    monkeypatch.setattr(Adapter, "delta_rows", lambda self, x, mask=None: (
+def test_eval_mode_and_p_zero_hand_no_adapter_a_mask(monkeypatch):
+    # dropout is the mask inside each adapter's delta, in both model modes:
+    # a training pass with p > 0 hands every adapter a mask, eval mode and
+    # p = 0 hand none (the frozen FFN runs the same halves with no mask, so
+    # adapter calls count)
+    masked, delta_rows = [], Adapter.delta_rows
+    monkeypatch.setattr(Adapter, "delta_rows", lambda self, x, mask: (
         masked.append(mask is not None), delta_rows(self, x, mask))[1])
-    monkeypatch.setattr(Adapter, "delta_pass", lambda self, x, mask: (
-        masked.append(mask is not None), delta_pass(self, x, mask))[1])
-    x = Tensor(RngState(53).normal((6, 16)))
+    x = RngState(53).normal((6, 16))
     seqs = [[1, 2, 3, 4], [4, 3, 2, 1]]
     reg, lm = regressor_with_both_adapters(54, dropout_p=0.5), lm_with_cera(0.5)
     reg0, lm0 = regressor_with_both_adapters(54, dropout_p=0.0), lm_with_cera(0.0)
@@ -685,16 +872,14 @@ def test_eval_mode_and_p_zero_build_no_dropout_node(monkeypatch):
             (True, lambda: regressor_output(reg, x, RngState(55))),
             (True, lambda: lm_logits(lm, seqs, RngState(55))),
             (False, lambda: regressor_output(reg, x)),
-            (False, lambda: lm_logits(lm, seqs)),
+            (False, lambda: lm_logits(lm, seqs, None)),
             (False, lambda: forward(reg, x)),
             (False, lambda: forward(lm, seqs)),
             (False, lambda: regressor_output(reg0, x, RngState(55))),
             (False, lambda: lm_logits(lm0, seqs, RngState(55)))):
         masked.clear()
-        out = run()
+        run()
         assert masked and set(masked) == {dropout}
-        if isinstance(out, Tensor):  # regressor_output's rows are numpy, on no tape
-            assert not tape_ops(out) & {"dropout", "mul", "relu"}
 
 
 def test_unknown_mode_is_rejected():

@@ -37,8 +37,8 @@ for t in range(cfg.steps):
     if t == 10:
         start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     idx = batch_rng.integers(0, len(bundle.train), cfg.batch_size)
-    _, backprop = trainer._batch_loss(backbone, bundle.train, idx, drop_rng, None)
-    backprop(opt)
+    _, pullback = trainer._batch_loss(backbone, bundle.train, idx, drop_rng, None)
+    pullback(opt.grads)
     trainer.clip_global_norm(opt, cfg.grad_clip)
     trainer.adamw_step(opt, trainer.cosine_lr(t, cfg), cfg)
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / (cfg.steps - 10))

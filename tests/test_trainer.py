@@ -1,23 +1,26 @@
-import contextlib
+import gc
 import tracemalloc
+import weakref
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 
 from ceralab import trainer as trainer_mod
 from ceralab.adapters import Adapter, AdapterConfig
-from ceralab.errors import ConfigError, DomainError, ShapeError
+from ceralab.errors import ConfigError, DomainError
 from ceralab import tensor as T
 from ceralab.model import (ModelConfig, adapter_shape, build_model,
                            collect_latents, forward, inject, lm_logits,
                            regressor_output)
 from ceralab.tasks import (Dataset, make_teacher_task, nonlinear_teacher,
                            trajectory_sequences)
-from ceralab.tensor import RngState, Tensor
+from ceralab.tensor import (RngState, Tensor, cross_entropy_backward,
+                            cross_entropy_forward)
 from ceralab.trainer import (TrainConfig, adamw_state, adamw_step,
                              clip_global_norm, cosine_lr, evaluate,
-                             gather_grads, measure_throughput, train_adapter)
+                             measure_throughput, train_adapter)
 
 REG_CFG = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1,
                       vocab_size=4, max_seq_len=8, v_out_dim=8,
@@ -30,8 +33,7 @@ def step(params, grads, state, lr, cfg, clip=None):
     """One optimizer step of the training loop with the given gradients;
     returns the norm before clipping."""
     for p, g in zip(params, grads):
-        p.grad = g
-    gather_grads(params, state)
+        state.grads[p][...] = g
     norm = clip_global_norm(state, clip)
     adamw_step(state, lr, cfg)
     return norm
@@ -94,21 +96,21 @@ def test_block_drawn_batches_equal_per_step_draws(monkeypatch):
 
 def test_adamw_first_step_golden():
     cfg = TrainConfig(weight_decay=0.0)
-    p = Tensor(np.array([1.0]), requires_grad=True)
+    p = Tensor(np.array([1.0]))
     step([p], [np.array([1.0])], adamw_state([p]), lr=0.1, cfg=cfg)
     assert p.data[0] == pytest.approx(1.0 - 0.1, abs=1e-6)
 
 
 def test_adamw_zero_grad_no_decay_is_noop():
     cfg = TrainConfig(weight_decay=0.0)
-    p = Tensor(np.array([2.0, -3.0]), requires_grad=True)
+    p = Tensor(np.array([2.0, -3.0]))
     step([p], [np.zeros(2)], adamw_state([p]), lr=0.1, cfg=cfg)
     assert np.array_equal(p.data, [2.0, -3.0])
 
 
 def test_adamw_decoupled_decay_shrinks():
     cfg = TrainConfig(weight_decay=0.5)
-    p = Tensor(np.array([2.0]), requires_grad=True)
+    p = Tensor(np.array([2.0]))
     step([p], [np.zeros(1)], adamw_state([p]), lr=0.1, cfg=cfg)
     assert p.data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), rel=1e-12)
 
@@ -127,50 +129,51 @@ def test_train_config_rejects_values_that_break_training():
 
 
 def test_clip_global_norm():
-    params = [Tensor(np.zeros(1), requires_grad=True) for _ in range(2)]
+    params = [Tensor(np.zeros(1)) for _ in range(2)]
     state = adamw_state(params)
-    params[0].grad, params[1].grad = np.array([3.0]), np.array([4.0])
-    gather_grads(params, state)
+    state.grad[:] = [3.0, 4.0]
     norm = clip_global_norm(state, 1.0)
     assert norm == pytest.approx(5.0)
     assert np.sqrt(state.grad[0] ** 2 + state.grad[1] ** 2) == pytest.approx(1.0)
-    params[0].grad, params[1].grad = np.array([0.5]), None  # no gradient: zero
-    gather_grads(params, state)
+    state.grad[:] = [0.5, 0.0]
     assert clip_global_norm(state, 1.0) == 0.5
     assert state.grad.tolist() == [0.5, 0.0]  # below the clip: untouched
 
 
-def test_gather_grads_checks_shapes():
-    params = [Tensor(np.zeros((2, 3)), requires_grad=True)]
+def test_each_parameters_gradient_is_its_shaped_view_of_the_flat_buffer():
+    # a pullback finds a parameter's slice by the parameter, not by position
+    rng = RngState(67)
+    params = [Tensor(rng.normal((2, 3))), Tensor(rng.normal((4,))), Tensor(rng.normal((3, 1)))]
     state = adamw_state(params)
-    params[0].grad = np.zeros((3, 2))
-    with pytest.raises(ShapeError, match="grad shape"):
-        gather_grads(params, state)
-    with pytest.raises(ShapeError, match="align"):
-        gather_grads(params * 2, state)
+    assert list(state.grads) == params
+    for p, lo, hi in zip(params, state.bounds, state.bounds[1:]):
+        view = state.grads[p]
+        assert view.shape == p.shape and view.base is state.grad
+        view[...] = lo + 1.0
+        assert np.all(state.grad[lo:hi] == lo + 1.0)
 
 
 def test_clip_scales_a_gradient_shared_by_two_parameters_once():
     rng = RngState(66)
-    p = Tensor(rng.normal((3, 3)), requires_grad=True)
-    q = Tensor(rng.normal((3, 3)), requires_grad=True)
+    p = Tensor(rng.normal((3, 3)))
+    q = Tensor(rng.normal((3, 3)))
     w = rng.normal((3, 3))
-    T.backward(T.add(p, q), w.copy())
-    assert p.grad is q.grad  # both adopted the one upstream array
+    w_before = w.copy()
     state = adamw_state([p, q])
-    gather_grads([p, q], state)
+    for param in (p, q):  # one upstream array handed to both
+        state.grads[param][...] = w
     norm = clip_global_norm(state, 0.5)
     assert norm == pytest.approx(np.sqrt(2.0) * np.linalg.norm(w), rel=1e-14)
     want = w * (0.5 / norm)
     assert np.array_equal(state.grad[:9].reshape(3, 3), want)
     assert np.array_equal(state.grad[9:].reshape(3, 3), want)
-    assert np.array_equal(p.grad, w)  # the shared array is never written
+    assert np.array_equal(w, w_before)  # the shared array is never written
 
 
 def test_adamw_state_makes_every_parameter_a_view_of_one_buffer():
     rng = RngState(71)
-    params = [Tensor(rng.normal((4, 6)), requires_grad=True),
-              Tensor(rng.normal((6, 3)), requires_grad=True)]
+    params = [Tensor(rng.normal((4, 6))),
+              Tensor(rng.normal((6, 3)))]
     values = [p.data.copy() for p in params]
     state = adamw_state(params)
     assert state.data.shape == (42,) and state.bounds == [0, 24, 42]
@@ -182,8 +185,8 @@ def test_adamw_state_makes_every_parameter_a_view_of_one_buffer():
 def test_in_place_adamw_matches_the_formula_bit_for_bit():
     cfg = TrainConfig(weight_decay=0.01)
     rng = RngState(70)
-    params = [Tensor(rng.normal((4, 6)), requires_grad=True),
-              Tensor(rng.normal((6, 3)), requires_grad=True)]
+    params = [Tensor(rng.normal((4, 6))),
+              Tensor(rng.normal((6, 3)))]
     want = [p.data.copy() for p in params]
     m = [np.zeros_like(w) for w in want]
     v = [np.zeros_like(w) for w in want]
@@ -240,8 +243,8 @@ def per_parameter_adamw(params, grads, moments, t, lr, cfg):
 def test_flat_adamw_equals_the_per_parameter_loop_bit_for_bit():
     cfg = TrainConfig(weight_decay=0.01)
     rng = RngState(72)
-    params = [Tensor(rng.normal((5, 7)), requires_grad=True),
-              Tensor(rng.normal((3,)), requires_grad=True)]
+    params = [Tensor(rng.normal((5, 7))),
+              Tensor(rng.normal((3,)))]
     want = [p.data.copy() for p in params]
     moments = [(np.zeros_like(w), np.zeros_like(w)) for w in want]
     state = adamw_state(params)
@@ -343,25 +346,23 @@ def test_evaluate_is_the_training_loss_without_dropout(monkeypatch):
     train_adapter(lm, train, test, TrainConfig(steps=3, batch_size=4))
     x, y = task.test.inputs, task.test.targets
     want_mse = np.mean((regressor_output(reg, Tensor(x))[0] - y) ** 2)
-    want_ppl = np.exp(T.cross_entropy_rows(
-        lm_logits(lm, test.inputs), test.targets.reshape(-1)).item())
-    ops = recorded_ops(monkeypatch)
+    want_ppl = np.exp(cross_entropy_forward(
+        lm_logits(lm, test.inputs, None)[0], test.targets.reshape(-1))[0])
     masked, delta_rows = [], Adapter.delta_rows
-    monkeypatch.setattr(Adapter, "delta_rows", lambda self, x, mask=None: (
+    monkeypatch.setattr(Adapter, "delta_rows", lambda self, x, mask: (
         masked.append(mask is not None), delta_rows(self, x, mask))[1])
     got_mse = evaluate(reg, task.test)
-    reg_ops = set(ops)
     got_ppl = evaluate(lm, test)
     assert got_mse.hex() == float(want_mse).hex()
     assert got_ppl.hex() == float(want_ppl).hex()
-    assert "cross_entropy" in ops and masked and not any(masked)
-    assert "add" not in reg_ops  # the regressor's head is off the tape
+    assert masked and not any(masked)
 
 
-def test_evaluation_capture_and_forward_record_no_tape(monkeypatch):
-    # evaluate, both capture sources in both model modes and forward give
-    # the bytes they give with the tape on, record no tape, and leave every
-    # adapter gradient unset
+def test_evaluation_capture_and_forward_keep_nothing_for_a_pullback(monkeypatch):
+    # evaluate, both capture sources in both model modes and forward drop
+    # every adapter's pullback, and with it what the pullback would read,
+    # by the time they return; a training pass keeps them while its own
+    # pullback is held
     reg, _, task = make_regression_setup(seed=62, dropout_p=0.5)
     lm = lm_with_adapters("elementwise")
     lm_wv = build_model(LM_CFG, 63)  # Wv only: its delta rows share one width
@@ -370,40 +371,59 @@ def test_evaluation_capture_and_forward_record_no_tape(monkeypatch):
                                *adapter_shape(LM_CFG, "Wv"), RngState(64, layer))
         adapter.state.w_down.data[:] = RngState(65, layer).normal(adapter.state.w_down.shape)
         inject(lm_wv, layer, "Wv", adapter)
-    _, test = trajectory_sequences(seed=66, count=10, n_steps=5)
+    train, test = trajectory_sequences(seed=66, count=10, n_steps=5)
     x = task.test.inputs
     captures = [(reg, x, "latent_H"), (reg, x, "output_delta_D"),
                 (lm, test.inputs, "latent_H"), (lm_wv, test.inputs, "output_delta_D")]
-    passes = [lambda: evaluate(reg, task.test), lambda: evaluate(lm, test),
-              lambda: forward(reg, x).data, lambda: forward(lm, test.inputs).data]
-    passes += [lambda c=c: collect_latents(*c).data for c in captures]
-    nodes, node = [], T._node
-    monkeypatch.setattr(T, "_node", lambda *args: (nodes.append(node(*args)), nodes[-1])[1])
+    # (pass, whether it runs an adapter's delta): only the regressor's latent
+    # capture does not
+    passes = [(lambda: evaluate(reg, task.test), True), (lambda: evaluate(lm, test), True),
+              (lambda: forward(reg, x), True), (lambda: forward(lm, test.inputs), True)]
+    passes += [(lambda c=c: collect_latents(*c), c[0] is not reg or c[2] == "output_delta_D")
+               for c in captures]
+    pullbacks, delta_rows = [], Adapter.delta_rows
 
-    def run():
-        nodes.clear()
-        return [np.asarray(p()).tobytes() for p in passes], list(nodes)
+    def recording(self, rows, mask):
+        out = delta_rows(self, rows, mask)
+        pullbacks.append(weakref.ref(out[1]))
+        return out
 
-    tape_free, free_nodes = run()
-    with monkeypatch.context() as m:
-        m.setattr(T, "_no_tape", contextlib.nullcontext)
-        taped, taped_nodes = run()
-    assert tape_free == taped
-    assert len(free_nodes) == len(taped_nodes)
-    assert any(n._backward is not None for n in taped_nodes)
-    assert all(n._parents == () and n._backward is None and not n.requires_grad
-               for n in free_nodes)
-    params = reg.adapter_params() + lm.adapter_params() + lm_wv.adapter_params()
-    assert all(p.grad is None for p in params)
+    monkeypatch.setattr(Adapter, "delta_rows", recording)
+    gc.disable()  # only reference counts may free them
+    try:
+        for run, deltas in passes:
+            pullbacks.clear()
+            run()
+            assert bool(pullbacks) == deltas
+            assert all(ref() is None for ref in pullbacks)
+        pullbacks.clear()
+        _, pullback = trainer_mod._batch_loss(lm, train, np.arange(4), RngState(67), None)
+        assert len(pullbacks) == 5 and all(ref() is not None for ref in pullbacks)
+        del pullback
+        assert all(ref() is None for ref in pullbacks)
+    finally:
+        gc.enable()
 
 
 # tracemalloc peaks (MiB) of the bench's trajectory model with cera r=16 on
-# Wq and Wv: one training step at batch 8 (forward, backward, gradient
-# gather) and `evaluate` over the 12-sequence test split. When every node
-# lived to the end of backward and evaluate recorded a tape they read 20.1
-# and 25.2; freed as backward goes and with no tape they read 15.2 and 7.0
+# Wq and Wv: one training step at batch 8 (forward, and the pullback into
+# the flat gradient buffer) and `evaluate` over the 12-sequence test split.
+# When every tape node lived to the end of backward and evaluate recorded a
+# tape they read 20.1 and 25.2; freed as backward went and with no tape
+# they read 15.2 and 7.0; the explicit pass reads 12.1 and 6.8
 STEP_PEAK_MIB = 18.0
 EVALUATE_PEAK_MIB = 10.0
+
+
+def peak_mib(fn) -> float:
+    """The tracemalloc peak of a second call of `fn`, in MiB."""
+    fn()  # warm
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_training_step_and_evaluation_memory_peaks():
@@ -422,59 +442,97 @@ def test_training_step_and_evaluation_memory_peaks():
     drop_rng = RngState(0).child(2)
 
     def step():
-        _, backprop = trainer_mod._batch_loss(bb, train, np.arange(8), drop_rng, None)
-        backprop(opt)
-
-    def peak_mib(fn) -> float:
-        fn()  # warm
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1] / 2 ** 20
-        finally:
-            tracemalloc.stop()
+        _, pullback = trainer_mod._batch_loss(bb, train, np.arange(8), drop_rng, None)
+        pullback(opt.grads)
 
     step_peak, eval_peak = peak_mib(step), peak_mib(lambda: evaluate(bb, test))
     assert step_peak < STEP_PEAK_MIB, f"training step peak {step_peak:.2f} MiB"
     assert eval_peak < EVALUATE_PEAK_MIB, f"evaluate peak {eval_peak:.2f} MiB"
 
 
-def recorded_ops(monkeypatch) -> set:
-    """The set that collects the op name of every tape node made from now."""
-    ops, node = set(), T._node
-    monkeypatch.setattr(T, "_node", lambda data, parents, bwd, op: (
-        ops.add(op), node(data, parents, bwd, op))[1])
-    return ops
+# capture and forward over the same 12 test sequences, with cera r=16 on Wv
+# (one delta width) of the same model: 6.97 MiB each while they ran the
+# tape under `_no_tape`, 6.79 MiB now. They keep nothing for a pullback, so
+# they share evaluate's bound
+@pytest.mark.parametrize("which", ["latent_H", "output_delta_D", "forward"])
+def test_capture_and_forward_memory_peaks(which):
+    cfg = ModelConfig(d_model=64, n_heads=4, d_head=16, n_layers=2, vocab_size=12,
+                      max_seq_len=64, v_out_dim=32)
+    bb = build_model(cfg, 0)
+    for layer in range(cfg.n_layers):
+        inject(bb, layer, "Wv", Adapter.init(AdapterConfig(kind="cera", r=16),
+                                             *adapter_shape(cfg, "Wv"), RngState(1, layer)))
+    _, test = trajectory_sequences(n_steps=8, count=64, seed=0)
+    peak = peak_mib((lambda: forward(bb, test.inputs)) if which == "forward"
+                    else (lambda: collect_latents(bb, test.inputs, which)))
+    assert peak < EVALUATE_PEAK_MIB, f"{which} peak {peak:.2f} MiB"
 
 
-def test_a_regressor_training_step_builds_no_node(monkeypatch):
-    # the regressor has no tape: the adapters' deltas, the head and the loss
-    # are numpy, and so is backward, which writes the adapters' gradient
-    # products straight into the optimizer's buffer. lora's scale 2 and
-    # cera's activation and dropout included
+HALVES = ("mlp_hidden", "mlp_forward", "mlp_backward", "causal_attention_forward",
+          "causal_attention_backward", "layer_norm_forward", "layer_norm_backward",
+          "cross_entropy_forward", "cross_entropy_backward")
+
+
+def counted_halves(monkeypatch) -> Counter:
+    """The counter that collects, by name, every call of a numpy half in
+    `tensor` made from now."""
+    calls = Counter()
+    for name in HALVES:
+        monkeypatch.setattr(T, name, lambda *args, _fn=getattr(T, name), _name=name: (
+            calls.update([_name]), _fn(*args))[1])
+    return calls
+
+
+def step_gradient_error(bb, data, idx, stream) -> float:
+    """The worst finite-difference error of one training step's flat
+    gradient, dropout drawn from a fresh stream `stream` each time."""
+    frozen = (trainer_mod.regressor_frozen(bb, data.inputs)
+              if bb.cfg.mode == "regressor" else None)
+    state = adamw_state(bb.adapter_params())
+    state.grad[:] = np.nan
+    _, pullback = trainer_mod._batch_loss(bb, data, idx, RngState(stream), frozen)
+    pullback(state.grads)
+    flat = state.data
+    loss = lambda: trainer_mod._batch_loss(bb, data, idx, RngState(stream), frozen)[0]
+
+    def f(probe):
+        flat[:] = probe
+        return loss()
+
+    return T.finite_difference_check(f, flat.copy(), state.grad.copy(), 1e-6)
+
+
+def test_a_regressor_training_step_runs_one_pair_of_halves_per_adapter(monkeypatch):
+    # the adapters' deltas are the two-matrix map's numpy halves, and the
+    # head and the loss are plain numpy: a step runs each adapter's forward
+    # half and, in its pullback, its backward half, and nothing else.
+    # lora's scale 2 and the module's activation and dropout included
     bb = build_model(REG_CFG, 73)
     for target, cfg in (("Wv", AdapterConfig(kind="lora", r=2, alpha=4)),
                         ("attn_block", AdapterConfig(kind="parallel_module", r=2))):
         inject(bb, 0, target, Adapter.init(cfg, *adapter_shape(REG_CFG, target),
                                            RngState(74, len(bb.adapters))))
+        bb.adapters[(0, target)].state.w_down.data[:] = 0.3
     rng = RngState(75)
     rows = Dataset(inputs=rng.normal((8, 16)), targets=rng.normal((8, 4)))
-    nodes, node = [], T._node
-    monkeypatch.setattr(T, "_node", lambda data, parents, bwd, op: (
-        nodes.append(op), node(data, parents, bwd, op))[1])
-    rep = train_adapter(bb, rows, rows, TrainConfig(steps=2, batch_size=4))
-    assert len(rep.loss_curve) == 2
-    # no node in the two steps or the closing evaluation, and no `.grad`
-    assert nodes == []
-    assert all(p.grad is None for p in bb.adapter_params())
+    frozen = trainer_mod.regressor_frozen(bb, rows.inputs)
+    calls = counted_halves(monkeypatch)
+    _, pullback = trainer_mod._batch_loss(bb, rows, np.arange(4), RngState(76), frozen)
+    assert calls == {"mlp_forward": 2, "mlp_hidden": 2}
+    pullback(adamw_state(bb.adapter_params()).grads)
+    assert calls == {"mlp_forward": 2, "mlp_hidden": 2, "mlp_backward": 2}
+    monkeypatch.undo()
+    # and the flat gradient it wrote is the loss's
+    assert step_gradient_error(bb, Dataset(rows.inputs[:4], rows.targets[:4]),
+                               np.arange(4), 76) < 1e-8
 
 
 def test_each_training_step_is_one_reverse_pass(monkeypatch):
-    # taped (the language model) or not (the regressor), a step's backward
-    # is one `tensor.backward` call, whose span is the step's backward phase
+    # in both model modes a step's backward is one `tensor.backward` call
+    # of its pullback, whose span is the step's backward phase
     calls = []
-    monkeypatch.setattr(trainer_mod, "backward", lambda root, *seed: (
-        calls.append(callable(root)), T.backward(root, *seed))[1])
+    monkeypatch.setattr(trainer_mod, "backward", lambda pullback: (
+        calls.append(callable(pullback)), T.backward(pullback))[1])
     bb = build_model(REG_CFG, 79)
     for target, cfg in (("Wv", AdapterConfig(kind="cera", r=2)),
                         ("attn_block", AdapterConfig(kind="parallel_module", r=2))):
@@ -490,32 +548,39 @@ def test_each_training_step_is_one_reverse_pass(monkeypatch):
                                      *adapter_shape(LM_CFG, "Wv"), RngState(83)))
     train, test = trajectory_sequences(n_steps=5, count=6, seed=84)
     train_adapter(lm, train, test, TrainConfig(steps=2, batch_size=2))
-    assert calls == [False] * 2
+    assert calls == [True] * 2
 
 
-def test_a_language_model_training_step_builds_one_node_per_piece(monkeypatch):
-    # cera r=16 on Wq and Wv of the trajectory model's two layers: per layer
-    # four projections, two layer norms, two adapter adds and two residual
-    # adds, three two-matrix maps (two adapters and the FFN) and one
-    # attention; then the last layer norm, the head and the loss
-    cfg = ModelConfig(d_model=64, n_heads=4, d_head=16, n_layers=2, vocab_size=12,
-                      max_seq_len=64, v_out_dim=32)
-    bb = build_model(cfg, 76)
-    for layer in range(cfg.n_layers):
+def test_a_language_model_training_step_runs_each_half_once_per_piece(monkeypatch):
+    # cera on Wq and Wv of both layers: per layer two layer norms, three
+    # two-matrix maps (two adapters and the FFN) and one attention, then the
+    # last layer norm and the loss. The pullback runs each backward half
+    # once per piece, except the lowest block's first layer norm: no
+    # adapter reads that block's input. Evaluation runs no backward half
+    bb = build_model(LM_CFG, 76)
+    for layer in range(LM_CFG.n_layers):
         for target in ("Wq", "Wv"):
             inject(bb, layer, target, Adapter.init(
-                AdapterConfig(kind="cera", r=16), *adapter_shape(cfg, target),
+                AdapterConfig(kind="cera", r=4), *adapter_shape(LM_CFG, target),
                 RngState(77, len(bb.adapters))))
-    train, test = trajectory_sequences(n_steps=8, count=6, seed=78)
-    nodes, node = [], T._node
-    monkeypatch.setattr(T, "_node", lambda data, parents, bwd, op: (
-        nodes.append(op), node(data, parents, bwd, op))[1])
-    train_adapter(bb, train, test, TrainConfig(steps=1, batch_size=4))
-    want = {"linear": 9, "layer_norm": 5, "add": 8, "mlp": 6,
-            "causal_attention": 2, "cross_entropy": 1}
-    # the step's tape, then the closing evaluation's, each 31 nodes
-    assert len(nodes) == 2 * 31
-    assert Counter(nodes[:31]) == want and Counter(nodes[31:]) == want
+            bb.adapters[(layer, target)].state.w_down.data[:] = RngState(
+                78, len(bb.adapters)).normal(bb.adapters[(layer, target)].state.w_down.shape)
+    train, test = trajectory_sequences(n_steps=5, count=6, seed=78)
+    forward_halves = {"layer_norm_forward": 5, "mlp_forward": 6, "mlp_hidden": 6,
+                      "causal_attention_forward": 2, "cross_entropy_forward": 1}
+    calls = counted_halves(monkeypatch)
+    _, pullback = trainer_mod._batch_loss(bb, train, np.arange(4), RngState(79), None)
+    assert calls == forward_halves
+    calls.clear()
+    pullback(adamw_state(bb.adapter_params()).grads)
+    assert calls == {"cross_entropy_backward": 1, "layer_norm_backward": 4,
+                     "mlp_backward": 6, "causal_attention_backward": 2}
+    calls.clear()
+    evaluate(bb, test)
+    assert calls == forward_halves
+    monkeypatch.undo()
+    # and the flat gradient it wrote is the loss's
+    assert step_gradient_error(bb, train, np.arange(2), 80) < 1e-6
 
 
 def lm_with_adapters(style):
@@ -539,31 +604,35 @@ def lm_with_adapters(style):
 
 @pytest.mark.parametrize("style", ["elementwise", "channel"])
 def test_batched_train_loss_is_mean_of_single_sequence_losses(style):
-    # one tape over the batch draws each sequence's dropout masks as running
+    # one pass over the batch draws each sequence's dropout masks as running
     # the sequences one by one from the same stream would
     bb = lm_with_adapters(style)
     params = bb.adapter_params()
     train, _ = trajectory_sequences(seed=42, count=10, n_steps=5)
     idx = np.array([3, 0, 3, 5, 1, 5])  # duplicates draw masks of their own
 
-    def grads_of(backprop):
-        for p in params:
-            p.zero_grad()
-        backprop(adamw_state(params))
-        return [p.grad.copy() for p in params]
+    def grads_of(pullbacks):
+        """The sum of the gradients each pullback writes, in order."""
+        total = {p: np.zeros(p.shape) for p in params}
+        for pullback in pullbacks:
+            grads = {p: np.empty(p.shape) for p in params}
+            pullback(grads)
+            for p in params:
+                total[p] += grads[p]
+        return [total[p] for p in params]
 
-    batched, backprop = trainer_mod._batch_loss(bb, train, idx, RngState(43), None)
+    batched, pullback = trainer_mod._batch_loss(bb, train, idx, RngState(43), None)
     rng = RngState(43)
-    single = [T.cross_entropy_rows(
-        lm_logits(bb, train.inputs[i], rng=rng), train.targets[i])
-        for i in idx]
-    summed = single[0]
-    for ce in single[1:]:
-        summed = T.add(summed, ce)
-    mean = summed.item() * (1.0 / len(idx))
+    single = []
+    for i in idx:
+        logits, logits_pullback = lm_logits(bb, train.inputs[i], rng)
+        single.append((*cross_entropy_forward(logits, train.targets[i]), logits_pullback))
+    mean = sum(loss for loss, _, _ in single) * (1.0 / len(idx))
     assert abs(batched - mean) <= 1e-12 * abs(mean)
-    seeded = lambda _: T.backward(summed, np.asarray(1.0 / len(idx)))  # the mean's gradient
-    for got, want in zip(grads_of(backprop), grads_of(seeded)):
+    # the mean's gradient: each sequence's loss gradient over the batch size
+    seeded = [partial(logits_pullback, cross_entropy_backward(saved) * (1.0 / len(idx)))
+              for _, saved, logits_pullback in single]
+    for got, want in zip(grads_of([pullback]), grads_of(seeded)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # and the masks matter: another stream gives another loss
     other, _ = trainer_mod._batch_loss(bb, train, idx, RngState(44), None)
