@@ -399,13 +399,16 @@ def saved_blocks(pullback):
 
 
 def two_block_training_pass():
+    """A training pass of SQUARE with every target on both blocks: the
+    backbone, the tokens, the loss's gradient at the logits, and the
+    pullback."""
     bb = adapted_backbone(SQUARE, [(layer, kind, target) for layer in (0, 1)
                                    for kind, target in (("cera", "Wq"), ("cera", "Wv"),
                                                         ("parallel_module", "attn_block"))])
     seqs = np.array([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
     logits, pullback = lm_logits(bb, seqs, RngState(36))
-    return bb, seqs, cross_entropy_backward(cross_entropy_forward(logits, seqs.reshape(-1))[1]), \
-        pullback
+    _, saved = cross_entropy_forward(logits, seqs.reshape(-1))
+    return bb, seqs, cross_entropy_backward(saved), pullback
 
 
 def test_a_training_pass_keeps_only_what_its_pullback_reads():
@@ -433,7 +436,7 @@ def test_the_pullback_drops_each_blocks_arrays_once_it_has_run(monkeypatch):
         bb, _, g, pullback = two_block_training_pass()
         blocks = saved_blocks(pullback)
         alive = [weakref.ref(attention[4]) for attention, _ in blocks]
-        held = list(blocks) if hold else []
+        held = list(blocks) if hold else []  # alive until `run` returns
         seen, block_pullback = [], model_mod._lm_block_pullback
 
         def recording(backbone, layer, *args):
@@ -445,7 +448,6 @@ def test_the_pullback_drops_each_blocks_arrays_once_it_has_run(monkeypatch):
         grads = {p: np.empty(p.shape) for p in bb.adapter_params()}
         pullback(g, grads)
         monkeypatch.undo()
-        assert len(held) in (0, 2)
         return seen, [a.tobytes() for a in grads.values()]
 
     (freed, grads), (kept, want) = run(hold=False), run(hold=True)
