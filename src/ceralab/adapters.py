@@ -8,7 +8,8 @@ numpy halves of `tensor.mlp_forward`/`mlp_backward`, for both model modes.
 lora is its case with the identity activation, no dropout and scale
 alpha/r.
 The down-projection starts at zero, so every freshly initialized adapter is
-an exact no-op.
+an exact no-op. The two matrices are plain float64 arrays; training rebinds
+them to views of the optimizer's flat buffer (`trainer.adamw_state`).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, NotMergeableError
 from .spectral import delta_w_linear
-from .tensor import RngState, Tensor
+from .tensor import RngState
 
 KINDS = ("lora", "cera", "parallel_module")
 
@@ -76,29 +77,27 @@ class AdapterConfig:
 
 @dataclass
 class AdapterState:
-    """Trainable bottleneck matrices: w_up (r x k), w_down (d x r)."""
+    """Trainable bottleneck matrices, plain float64 arrays: w_up (r x k),
+    w_down (d x r)."""
 
-    w_up: Tensor
-    w_down: Tensor
-
-    @property
-    def params(self) -> list[Tensor]:
-        return [self.w_up, self.w_down]
+    w_up: np.ndarray
+    w_down: np.ndarray
 
     def to_bundle(self) -> dict:
-        return {
-            "w_up": {"shape": list(self.w_up.shape),
-                     "data": self.w_up.data.reshape(-1).tolist()},
-            "w_down": {"shape": list(self.w_down.shape),
-                       "data": self.w_down.data.reshape(-1).tolist()},
-        }
+        return {name: {"shape": list(w.shape), "data": w.reshape(-1).tolist()}
+                for name, w in (("w_up", self.w_up), ("w_down", self.w_down))}
 
     @classmethod
     def from_bundle(cls, bundle: dict) -> "AdapterState":
+        """The state `to_bundle` wrote; a missing entry, or one whose data
+        does not fill its shape, raises ConfigError."""
         def load(key):
-            entry = bundle[key]
-            arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            return Tensor(arr)
+            try:
+                entry = bundle[key]
+                return np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"adapter bundle entry {key!r} is missing or "
+                                  f"malformed: {exc}") from exc
 
         return cls(w_up=load("w_up"), w_down=load("w_down"))
 
@@ -109,8 +108,8 @@ def init_adapter(cfg: AdapterConfig, d: int, k: int, rng: RngState) -> AdapterSt
         raise ConfigError(f"rank {cfg.r} exceeds min(d, k) = {min(d, k)}")
     bound = cfg.init_gain / np.sqrt(k)
     return AdapterState(
-        w_up=Tensor(rng.uniform(-bound, bound, (cfg.r, k))),
-        w_down=Tensor(np.zeros((d, cfg.r))),
+        w_up=rng.uniform(-bound, bound, (cfg.r, k)),
+        w_down=np.zeros((d, cfg.r)),
     )
 
 
@@ -125,14 +124,10 @@ class Adapter:
     def init(cls, cfg: AdapterConfig, d: int, k: int, rng: RngState) -> "Adapter":
         return cls(cfg, init_adapter(cfg, d, k, rng))
 
-    @property
-    def params(self) -> list[Tensor]:
-        return self.state.params
-
     def latent_rows(self, x: np.ndarray) -> np.ndarray:
         """The latent rows act(W_up x) of a batch of rows, before dropout:
         the rows of the H matrix whose spectrum `latent_H` reports."""
-        return T.mlp_hidden(x, self.state.w_up.data, self.cfg.activation)[1]
+        return T.mlp_hidden(x, self.state.w_up, self.cfg.activation)[1]
 
     def delta_rows(self, x: np.ndarray, mask: np.ndarray | None
                    ) -> tuple[np.ndarray, Callable]:
@@ -146,20 +141,20 @@ class Adapter:
         (rows, r) block of the batch's one draw in `model._dropout_masks`.
         The scale is the config's `scale_s`, settled at construction.
 
-        The pullback takes the rows' gradient g, a map from each parameter
-        to an array shaped like it (an optimizer's views of its flat
-        gradient buffer) and an array `dx` shaped like x, or None. It writes
-        w_up's and w_down's gradient products into their arrays and, given
-        `dx`, x's gradient into it. These are `tensor.mlp_forward` and
-        `mlp_backward`, so values and products are the chain's bit for bit.
+        The pullback takes the rows' gradient g, a map from each adapter
+        to the two arrays its w_up's and w_down's gradients go in (an
+        optimizer's views of its flat gradient buffer) and an array `dx`
+        shaped like x, or None. It writes w_up's and w_down's gradient
+        products into their arrays and, given `dx`, x's gradient into it.
+        These are `tensor.mlp_forward` and `mlp_backward`, so values and
+        products are the chain's bit for bit.
         """
-        st, cfg = self.state, self.cfg
-        w_up, w_down = st.w_up.data, st.w_down.data
+        cfg, w_up, w_down = self.cfg, self.state.w_up, self.state.w_down
         rows, saved = T.mlp_forward(x, w_up, w_down, cfg.activation, mask, cfg.scale_s)
 
         def pullback(g: np.ndarray, grads: dict, dx: np.ndarray | None) -> None:
             T.mlp_backward(g, x, w_up, w_down, cfg.activation, mask, cfg.scale_s,
-                           saved, (dx, grads[st.w_up], grads[st.w_down]))
+                           saved, (dx, *grads[self]))
 
         return rows, pullback
 
@@ -173,7 +168,7 @@ def param_count(cfg: AdapterConfig, geometry: list[tuple[int, int, int]]) -> int
     return sum(int(mult) * cfg.r * (int(d) + int(k)) for d, k, mult in geometry)
 
 
-def merge_linear(w0: Tensor, st: AdapterState, cfg: AdapterConfig) -> Tensor:
+def merge_linear(w0: np.ndarray, st: AdapterState, cfg: AdapterConfig) -> np.ndarray:
     """Fold a linear adapter into the frozen weight; non-linear kinds refuse.
 
     Only updates that are a fixed matrix regardless of input can merge:
@@ -184,5 +179,4 @@ def merge_linear(w0: Tensor, st: AdapterState, cfg: AdapterConfig) -> Tensor:
         raise NotMergeableError(
             f"{cfg.kind} with activation {cfg.activation!r} has no "
             "input-independent update matrix to merge")
-    w0_m = w0.data if isinstance(w0, Tensor) else np.asarray(w0, dtype=np.float64)
-    return Tensor(w0_m + delta_w_linear(st.w_up, st.w_down, cfg.scale_s))
+    return w0 + delta_w_linear(st.w_up, st.w_down, cfg.scale_s)

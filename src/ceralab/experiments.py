@@ -213,13 +213,23 @@ def make_run_config(cfg: ExperimentConfig, method: MethodSpec, rank: int,
 
 
 def _inject_method(backbone: FrozenBackbone, method: MethodSpec, rank: int,
-                   seed: int) -> None:
+                   seed: int, bundles: dict | None) -> None:
+    """Inject the method's adapters, layer by layer: freshly initialized,
+    or, given a run's stored `bundles`, holding the states stored there.
+    A missing bundle, or one that does not fit its target, raises
+    ConfigError."""
     rng = RngState(seed, 9)
     for layer in range(backbone.cfg.n_layers):
         for i, target in enumerate(method.injection_targets()):
             acfg = method.adapter_config(rank)
-            adapter = Adapter.init(acfg, *adapter_shape(backbone.cfg, target),
-                                   rng.child(layer * 8 + i))
+            key = f"{layer}:{target}"
+            if bundles is None:
+                adapter = Adapter.init(acfg, *adapter_shape(backbone.cfg, target),
+                                       rng.child(layer * 8 + i))
+            elif key in bundles:
+                adapter = Adapter(acfg, AdapterState.from_bundle(bundles[key]))
+            else:
+                raise ConfigError(f"the stored adapters hold no {key!r} entry")
             inject(backbone, layer, target, adapter)
 
 
@@ -235,7 +245,7 @@ def spectral_report(backbone: FrozenBackbone, inputs, source: str) -> SpectralRe
     """
     if source != "delta_w":
         mat = collect_latents(backbone, inputs, source)
-        return activation_spectrum(mat.data, source_label=source)
+        return activation_spectrum(mat, source_label=source)
     spectra, ers, aucs = [], [], []
     for adapter in backbone.adapters.values():
         cfg = adapter.cfg
@@ -261,15 +271,16 @@ def spectral_report(backbone: FrozenBackbone, inputs, source: str) -> SpectralRe
         energy_curve=energy_curve(mean_sv).tolist() if mean_sv.sum() > 0 else [])
 
 
-def _build_run(run_config: dict) -> tuple[MethodSpec, TaskBundle,
-                                            FrozenBackbone]:
-    """A run's method, task bundle, and backbone with its freshly
-    initialized adapters injected, as the run starts training."""
+def _build_run(run_config: dict, bundles: dict | None = None
+               ) -> tuple[MethodSpec, TaskBundle, FrozenBackbone]:
+    """A run's method, task bundle, and backbone with its adapters
+    injected: freshly initialized, as the run starts training, or holding
+    the stored `bundles` of a finished run."""
     method = MethodSpec.from_dict(run_config["method"])
     model = ModelConfig.from_dict(run_config["model"])
     bundle = build_task_bundle(run_config["task_id"], model)
     backbone = build_model(model, bundle.backbone_seed)
-    _inject_method(backbone, method, run_config["rank"], run_config["seed"])
+    _inject_method(backbone, method, run_config["rank"], run_config["seed"], bundles)
     return method, bundle, backbone
 
 
@@ -574,13 +585,10 @@ def cmd_spectral(cfg: ExperimentConfig, run_id: str,
     if stored is None:
         raise ConfigError(f"no record for run_id {run_id!r} in {store.records_dir}")
     run_config = stored["run_config"]
-    bundles = json.loads(store.adapters_path(run_id).read_text())
-    method, task, backbone = _build_run(run_config)
-    for (layer, target), adapter in sorted(backbone.adapters.items()):
-        state = AdapterState.from_bundle(bundles[f"{layer}:{target}"])
-        adapter.state.w_up.data[:] = state.w_up.data
-        adapter.state.w_down.data[:] = state.w_down.data
-
+    bundles = read_json(store.adapters_path(run_id))
+    if not isinstance(bundles, dict):
+        raise ConfigError(f"{store.adapters_path(run_id)} holds no object of adapter states")
+    method, task, backbone = _build_run(run_config, bundles)
     report = spectral_report(backbone, task.test.inputs, source)
 
     out_json = store.root / f"spectral_{run_id}_{source}.json"

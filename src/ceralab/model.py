@@ -89,7 +89,8 @@ _LAYER_TENSORS = ("Wq", "Wk", "Wv", "Wo", "W1", "W2",
 
 
 class FrozenBackbone:
-    """Frozen weights plus the registry of injected adapters."""
+    """Frozen weights, plain float64 arrays, plus the registry of injected
+    adapters."""
 
     def __init__(self, cfg: ModelConfig, tok_emb, pos_emb, layers,
                  ln_f_g, ln_f_b, head):
@@ -103,10 +104,9 @@ class FrozenBackbone:
         self.adapters: dict[tuple[int, str], Adapter] = {}
         # regressor mode: head·Wo carries a Wv adapter's delta to the output;
         # the frozen weights are never written, so it is computed once here
-        self.carry = (head.data @ layers[0]["Wo"].data
-                      if cfg.mode == "regressor" else None)
+        self.carry = head @ layers[0]["Wo"] if cfg.mode == "regressor" else None
 
-    def frozen_tensors(self) -> list[tuple[str, Tensor]]:
+    def frozen_tensors(self) -> list[tuple[str, np.ndarray]]:
         named = [("tok_emb", self.tok_emb), ("pos_emb", self.pos_emb)]
         for i, layer in enumerate(self.layers):
             named.extend((f"layer{i}.{k}", layer[k]) for k in _LAYER_TENSORS)
@@ -118,20 +118,17 @@ class FrozenBackbone:
         h = hashlib.sha256()
         for name, t in self.frozen_tensors():
             h.update(name.encode())
-            h.update(t.data.tobytes())
+            h.update(t.tobytes())
         return h.hexdigest()
 
-    def adapter_params(self) -> list[Tensor]:
-        """Every adapter's parameters, in injection order."""
-        return [p for adapter in self.adapters.values() for p in adapter.params]
-
     def trainable_param_count(self) -> int:
-        return sum(p.size for p in self.adapter_params())
+        return sum(a.state.w_up.size + a.state.w_down.size
+                   for a in self.adapters.values())
 
 
-def _uniform_matrix(rng: RngState, d: int, k: int) -> Tensor:
+def _uniform_matrix(rng: RngState, d: int, k: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(k)
-    return Tensor(rng.uniform(-bound, bound, (d, k)))
+    return rng.uniform(-bound, bound, (d, k))
 
 
 def build_model(cfg: ModelConfig, seed: int) -> FrozenBackbone:
@@ -148,13 +145,13 @@ def build_model(cfg: ModelConfig, seed: int) -> FrozenBackbone:
             "Wo": _uniform_matrix(rng, cfg.d_model, cfg.v_out_dim),
             "W1": _uniform_matrix(rng, cfg.d_ff, cfg.d_model),
             "W2": _uniform_matrix(rng, cfg.d_model, cfg.d_ff),
-            "ln1_g": Tensor(np.ones(cfg.d_model)),
-            "ln1_b": Tensor(np.zeros(cfg.d_model)),
-            "ln2_g": Tensor(np.ones(cfg.d_model)),
-            "ln2_b": Tensor(np.zeros(cfg.d_model)),
+            "ln1_g": np.ones(cfg.d_model),
+            "ln1_b": np.zeros(cfg.d_model),
+            "ln2_g": np.ones(cfg.d_model),
+            "ln2_b": np.zeros(cfg.d_model),
         })
-    ln_f_g = Tensor(np.ones(cfg.d_model))
-    ln_f_b = Tensor(np.zeros(cfg.d_model))
+    ln_f_g = np.ones(cfg.d_model)
+    ln_f_b = np.zeros(cfg.d_model)
     head = _uniform_matrix(rng, cfg.vocab_size, cfg.d_model)
     return FrozenBackbone(cfg, tok_emb, pos_emb, layers, ln_f_g, ln_f_b, head)
 
@@ -198,7 +195,7 @@ def _proj(backbone: FrozenBackbone, layer: int, target: str, xn: np.ndarray,
           masks: dict) -> tuple[np.ndarray, Callable | None]:
     """The rows `xn` through the layer's `target` projection plus its
     adapter's delta, and that delta's pullback (None without an adapter)."""
-    base = xn @ backbone.layers[layer][target].data.T
+    base = xn @ backbone.layers[layer][target].T
     adapter = backbone.adapters.get((layer, target))
     if adapter is None:
         return base, None
@@ -245,7 +242,7 @@ def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
 def _norm(ws: dict, name: str, x: np.ndarray, save: bool) -> tuple[np.ndarray, tuple | None]:
     """The rows of the block's layer norm `name`, and with `save` what its
     backward half reads."""
-    rows, saved = T.layer_norm_forward(x, ws[name + "_g"].data, ws[name + "_b"].data)
+    rows, saved = T.layer_norm_forward(x, ws[name + "_g"], ws[name + "_b"])
     return rows, (saved if save else None)
 
 
@@ -260,10 +257,10 @@ def _attention_sublayer(backbone: FrozenBackbone, layer: int, x: np.ndarray,
     ws = backbone.layers[layer]
     xn, ln = _norm(ws, "ln1", x, save)
     q, q_pull = _proj(backbone, layer, "Wq", xn, masks)
-    k = xn @ ws["Wk"].data.T
+    k = xn @ ws["Wk"].T
     v, v_pull = _proj(backbone, layer, "Wv", xn, masks)
     rows, weights = T.causal_attention_forward(q, k, v, backbone.cfg.n_heads, seq_len)
-    out = rows @ ws["Wo"].data.T
+    out = rows @ ws["Wo"].T
     module = backbone.adapters.get((layer, "attn_block"))
     module_pull = None
     if module is not None:
@@ -279,7 +276,7 @@ def _ffn_sublayer(ws: dict, x: np.ndarray, save: bool) -> tuple[np.ndarray, tupl
     the FFN's hidden rows and their sigmoid (only w_down's product, which a
     frozen weight never needs, reads the activations)."""
     xn, ln = _norm(ws, "ln2", x, save)
-    ff, (lat, sig, _) = T.mlp_forward(xn, ws["W1"].data, ws["W2"].data, "silu", None, 1.0)
+    ff, (lat, sig, _) = T.mlp_forward(xn, ws["W1"], ws["W2"], "silu", None, 1.0)
     return x + ff, ((ln, (lat, sig, None)) if save else None)
 
 
@@ -311,14 +308,14 @@ def _attention_pullback(backbone: FrozenBackbone, layer: int, g: np.ndarray,
     dq = dk = dv = None
     if want_q or want_v:
         dq, dk, dv = T.causal_attention_backward(
-            g @ ws["Wo"].data, q, k, v, weights, backbone.cfg.n_heads,
+            g @ ws["Wo"], q, k, v, weights, backbone.cfg.n_heads,
             weights.shape[-1], (want_q, below, want_v))
     if not below:
         for pull, grad in ((q_pull, dq), (v_pull, dv), (module_pull, g)):
             if pull is not None:
                 pull(grad, grads, None)
         return None
-    dxn = dq @ ws["Wq"].data
+    dxn = dq @ ws["Wq"]
     scratch = np.empty_like(dxn)
 
     def adapter_share(pull: Callable | None, grad: np.ndarray) -> None:
@@ -327,11 +324,11 @@ def _attention_pullback(backbone: FrozenBackbone, layer: int, g: np.ndarray,
             T._accum(dxn, scratch)
 
     adapter_share(q_pull, dq)
-    T._accum(dxn, dk @ ws["Wk"].data)
-    T._accum(dxn, dv @ ws["Wv"].data)
+    T._accum(dxn, dk @ ws["Wk"])
+    T._accum(dxn, dv @ ws["Wv"])
     adapter_share(v_pull, dv)
     adapter_share(module_pull, g)
-    dx = T.layer_norm_backward(dxn, ws["ln1_g"].data, ln)
+    dx = T.layer_norm_backward(dxn, ws["ln1_g"], ln)
     T._accum(dx, g)
     return dx
 
@@ -342,9 +339,9 @@ def _ffn_pullback(ws: dict, g: np.ndarray, saved: tuple) -> np.ndarray:
     through."""
     ln, ffn = saved
     dxn = np.empty_like(g)
-    T.mlp_backward(g, None, ws["W1"].data, ws["W2"].data, "silu", None, 1.0, ffn,
+    T.mlp_backward(g, None, ws["W1"], ws["W2"], "silu", None, 1.0, ffn,
                    (dxn, None, None))
-    dx = T.layer_norm_backward(dxn, ws["ln2_g"].data, ln)
+    dx = T.layer_norm_backward(dxn, ws["ln2_g"], ln)
     T._accum(dx, g)
     return dx
 
@@ -377,7 +374,7 @@ def _lm_rows(backbone: FrozenBackbone, tokens, rng: RngState | None,
     if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
         raise DomainError("token id outside the vocabulary")
     masks = _dropout_masks(backbone, n_seq, seq_len, rng)
-    x = (backbone.tok_emb.data[ids] + backbone.pos_emb.data[:seq_len]).reshape(
+    x = (backbone.tok_emb[ids] + backbone.pos_emb[:seq_len]).reshape(
         n_seq * seq_len, cfg.d_model)
     adapter_inputs = []
     for layer in range(cfg.n_layers):
@@ -394,21 +391,22 @@ def lm_logits(backbone: FrozenBackbone, tokens, rng: RngState | None
 
     A training pass is one given a stream `rng`: it draws dropout, keeps
     what the backward halves read, and returns a pullback. That takes the
-    logits' gradient and a map from each adapter parameter to an array
-    shaped like it, runs the blocks in reverse down to the lowest one with
-    an adapter, dropping each block's arrays once it has run, and writes
-    every adapter's gradient products into the map's arrays; it runs once.
+    logits' gradient and a map from each adapter to the arrays its w_up's
+    and w_down's gradients go in, runs the blocks in reverse down to the
+    lowest one with an adapter, dropping each block's arrays once it has
+    run, and writes every adapter's gradient products into the map's
+    arrays; it runs once.
     Without a stream nothing is kept and the pullback is None.
     """
     saved = None if rng is None else []
     x, _ = _lm_rows(backbone, tokens, rng, saved)
-    xf, ln_f = T.layer_norm_forward(x, backbone.ln_f_g.data, backbone.ln_f_b.data)
-    logits = xf @ backbone.head.data.T
+    xf, ln_f = T.layer_norm_forward(x, backbone.ln_f_g, backbone.ln_f_b)
+    logits = xf @ backbone.head.T
     if saved is None:
         return logits, None
 
     def pullback(g: np.ndarray, grads: dict) -> None:
-        g = T.layer_norm_backward(g @ backbone.head.data, backbone.ln_f_g.data, ln_f)
+        g = T.layer_norm_backward(g @ backbone.head, backbone.ln_f_g, ln_f)
         lowest = min(layer for layer, _ in backbone.adapters)
         for layer in reversed(range(lowest, backbone.cfg.n_layers)):
             g = _lm_block_pullback(backbone, layer, g, saved.pop(), grads, layer > lowest)
@@ -426,15 +424,14 @@ def regressor_frozen(backbone: FrozenBackbone, features) -> np.ndarray:
     """
     ws = backbone.layers[0]
     x = np.ascontiguousarray(features, dtype=np.float64)
-    attn_out = (x @ ws["Wv"].data.T) @ ws["Wo"].data.T
-    ff = T.mlp_hidden(x, ws["W1"].data, "silu")[1] @ ws["W2"].data.T
-    return (x + attn_out + ff) @ backbone.head.data.T
+    attn_out = (x @ ws["Wv"].T) @ ws["Wo"].T
+    ff = T.mlp_hidden(x, ws["W1"], "silu")[1] @ ws["W2"].T
+    return (x + attn_out + ff) @ backbone.head.T
 
 
 def _features(backbone: FrozenBackbone, features) -> np.ndarray:
     """A regressor's (n, d_model) feature rows as a contiguous float64 array."""
-    x = features.data if isinstance(features, Tensor) else features
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(features, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != backbone.cfg.d_model:
         raise ShapeError(f"features must be (n, {backbone.cfg.d_model}), got {x.shape}")
     return x
@@ -467,7 +464,7 @@ def regressor_output(backbone: FrozenBackbone, features,
     passes = []
     for key, adapter in sorted(backbone.adapters.items()):
         delta, pullback = adapter.delta_rows(x, masks.get(key))
-        to_output = backbone.carry if key[1] == "Wv" else backbone.head.data
+        to_output = backbone.carry if key[1] == "Wv" else backbone.head
         out = out + delta @ to_output.T
         passes.append((to_output, pullback))
     return out, passes

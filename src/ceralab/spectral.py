@@ -18,8 +18,7 @@ from .errors import ConvergenceError, DomainError, ShapeError
 
 
 def _as_matrix(m) -> np.ndarray:
-    data = m.data if hasattr(m, "data") and isinstance(getattr(m, "data"), np.ndarray) else m
-    a = np.asarray(data, dtype=np.float64)
+    a = np.asarray(m, dtype=np.float64)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-d matrix, got shape {a.shape}")
     return a

@@ -37,14 +37,19 @@ X0_RANGE = (0.05, 0.95)  # and its starting values
 FLOOR_RIDGE = 1e-9     # stabilizes the linear floor's normal equations
 
 
-def logistic_map(r: float, x0: float, n: int) -> np.ndarray:
-    """x0 followed by n iterates of x -> r x (1 - x)."""
+def _check_logistic_args(r: float, x0: float, n: int) -> None:
+    """DomainError unless r is in [0, 4], x0 in [0, 1] and n >= 0."""
     if not 0.0 <= r <= 4.0:
         raise DomainError(f"growth rate must be in [0, 4], got {r}")
     if not 0.0 <= x0 <= 1.0:
         raise DomainError(f"x0 must be in [0, 1], got {x0}")
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
+
+
+def logistic_map(r: float, x0: float, n: int) -> np.ndarray:
+    """x0 followed by n iterates of x -> r x (1 - x)."""
+    _check_logistic_args(r, x0, n)
     traj = np.empty(n + 1)
     traj[0] = x0
     for i in range(n):
@@ -60,12 +65,7 @@ def logistic_map_table(r: float, x0: float, n: int) -> np.ndarray:
     This also makes the displayed next value a function of the displayed
     prefix, which is what the next-token task needs.
     """
-    if not 0.0 <= r <= 4.0:
-        raise DomainError(f"growth rate must be in [0, 4], got {r}")
-    if not 0.0 <= x0 <= 1.0:
-        raise DomainError(f"x0 must be in [0, 1], got {x0}")
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
+    _check_logistic_args(r, x0, n)
     traj = np.empty(n + 1)
     traj[0] = round(x0, DECIMALS)
     for i in range(n):

@@ -12,7 +12,8 @@ them in reverse order, writing each adapter's gradient products straight
 into the optimizer's flat buffer. `backward` runs such a pullback, so every
 training step's reverse pass is one call. Where a block of rows feeds
 several consumers, `_accum` sums their gradients into one array, in the
-consumers' forward order.
+consumers' forward order. Weights and adapter matrices are plain float64
+arrays throughout.
 """
 
 from __future__ import annotations
@@ -68,25 +69,14 @@ class RngState:
 
 
 class Tensor:
-    """A float64 array holder: a frozen weight, an adapter parameter whose
-    `.data` the optimizer rebinds to a view of its flat buffer, or
-    `model.forward`'s output."""
+    """The holder `model.forward` returns its output in, as `data`. It
+    stays only because the benchmark's eval probe reads
+    `forward(...).data`; ROADMAP item 1 deletes it along with `forward`."""
 
     __slots__ = ("data",)
 
-    def __init__(self, data):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
+    def __init__(self, data: np.ndarray):
+        self.data = data
 
 
 def _accum(total: np.ndarray, g: np.ndarray) -> None:

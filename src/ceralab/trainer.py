@@ -1,7 +1,7 @@
 """Adapter-only training: AdamW with decoupled decay, cosine schedule,
 loss/metric evaluation, and eval-mode throughput measurement.
 
-Only the injected adapters' tensors are ever updated; the backbone stays
+Only the injected adapters' matrices are ever updated; the backbone stays
 bit-identical (checksum-verifiable) across a run. In both model modes a
 training step's loss comes with an explicit pullback, which writes every
 adapter's gradient straight into its view of one flat AdamW buffer, and
@@ -19,12 +19,13 @@ from typing import Callable
 import numpy as np
 
 from . import tensor as T
+from .adapters import Adapter
 from .errors import (ConfigError, DictConfig, DomainError, NotMergeableError,
                      TrainingDiverged)
 from .model import (FrozenBackbone, forward, lm_logits, merged_copy,
                     regressor_frozen, regressor_output)
 from .tasks import Dataset
-from .tensor import RngState, Tensor, backward
+from .tensor import RngState, backward
 
 # a run draws its batch indices a block of steps at a time, as many steps as
 # fit this many bytes of int64 indices and at least one; one (k, batch) draw
@@ -84,11 +85,12 @@ def cosine_lr(t: int, cfg: TrainConfig) -> float:
 
 @dataclass
 class AdamWState:
-    """Every parameter's values, gradient and moments, each in one flat
-    buffer, in parameter order; `adamw_state` makes each parameter's
-    `.data` a view of `data`. `bounds` are the parameters' offsets in the
-    buffers, `grads` maps each parameter to its shaped view of `grad`, and
-    the two scratch buffers take each update's intermediates.
+    """Every adapter matrix's values, gradient and moments, each in one flat
+    buffer, in injection order and w_up before w_down; `adamw_state` makes
+    each adapter's two matrices views of `data`. `bounds` are the matrices'
+    offsets in the buffers, `grads` maps each adapter to its (w_up, w_down)
+    shaped views of `grad`, and the two scratch buffers take each update's
+    intermediates.
     """
 
     data: np.ndarray
@@ -97,20 +99,26 @@ class AdamWState:
     v: np.ndarray
     scratch: tuple[np.ndarray, np.ndarray]
     bounds: list[int]
-    grads: dict[Tensor, np.ndarray]
+    grads: dict[Adapter, tuple[np.ndarray, np.ndarray]]
     t: int = 0
 
 
-def adamw_state(params: list[Tensor]) -> AdamWState:
-    """Move the parameters into one flat buffer (their values are copied,
-    and each `.data` becomes a shaped view of it) and allocate the rest."""
-    data = np.concatenate([p.data for p in params], axis=None)
+def adamw_state(adapters: list[Adapter]) -> AdamWState:
+    """Move the adapters' matrices into one flat buffer (their values are
+    copied, and each adapter's state is rebound to shaped views of it) and
+    allocate the rest."""
+    mats = [w for a in adapters for w in (a.state.w_up, a.state.w_down)]
+    data = np.concatenate(mats, axis=None)
     grad = np.empty_like(data)
-    bounds = np.cumsum([0] + [p.size for p in params]).tolist()
+    bounds = np.cumsum([0] + [w.size for w in mats]).tolist()
+
+    def view(buf: np.ndarray, i: int) -> np.ndarray:
+        return buf[bounds[i]:bounds[i + 1]].reshape(mats[i].shape)
+
     grads = {}
-    for p, lo, hi in zip(params, bounds, bounds[1:]):
-        p.data = data[lo:hi].reshape(p.shape)
-        grads[p] = grad[lo:hi].reshape(p.shape)
+    for i, a in enumerate(adapters):
+        a.state.w_up, a.state.w_down = view(data, 2 * i), view(data, 2 * i + 1)
+        grads[a] = (view(grad, 2 * i), view(grad, 2 * i + 1))
     return AdamWState(data=data, grad=grad, m=np.zeros_like(data),
                       v=np.zeros_like(data),
                       scratch=(np.empty_like(data), np.empty_like(data)),
@@ -119,8 +127,8 @@ def adamw_state(params: list[Tensor]) -> AdamWState:
 
 def clip_global_norm(state: AdamWState, clip: float | None) -> float:
     """Scale the flat gradient to global norm `clip` when it exceeds it;
-    returns the norm before clipping. The squares are summed parameter by
-    parameter, in parameter order, and the buffer is scaled once."""
+    returns the norm before clipping. The squares are summed matrix by
+    matrix, in buffer order, and the buffer is scaled once."""
     sq = np.multiply(state.grad, state.grad, out=state.scratch[0])
     b = state.bounds
     norm = math.sqrt(sum(float(sq[lo:hi].sum()) for lo, hi in zip(b, b[1:])))
@@ -172,10 +180,10 @@ def _batch_loss(backbone: FrozenBackbone, data: Dataset, idx: np.ndarray,
                 ) -> tuple[float, Callable | None]:
     """Mean loss over the rows `idx` of `data`, with dropout drawn from `rng`
     if one is given, and its pullback: a function of a map from each
-    adapter parameter to an array shaped like it (`AdamWState.grads`, the
-    views of the optimizer's flat gradient buffer), into which it writes
-    that parameter's gradient. `frozen` is the regressor's frozen term of
-    all of `data` (None for a language model).
+    adapter to the two arrays its w_up's and w_down's gradients go in
+    (`AdamWState.grads`, views of the optimizer's flat gradient buffer),
+    into which it writes those gradients. `frozen` is the regressor's
+    frozen term of all of `data` (None for a language model).
 
     A regressor's loss is the MSE, in the order d = out - target, then the
     sum of d ** 2.0 over its n entries divided by n (`mean`'s bits), and
@@ -190,7 +198,7 @@ def _batch_loss(backbone: FrozenBackbone, data: Dataset, idx: np.ndarray,
                                        frozen=frozen[idx])
         diff = out - data.targets[idx]
 
-        def pullback(grads: dict[Tensor, np.ndarray]) -> None:
+        def pullback(grads: dict) -> None:
             dout = (1.0 / diff.size) * 2.0 * diff
             for to_output, adapter_pullback in passes:
                 adapter_pullback(dout @ to_output, grads, None)
@@ -230,10 +238,9 @@ def train_adapter(backbone: FrozenBackbone, train: Dataset, test: Dataset,
     with a diagnostic rather than silently continuing. A regressor's frozen
     term of the train split is computed once, before the first step.
     """
-    params = backbone.adapter_params()
-    if not params:
+    if not backbone.adapters:
         raise ConfigError("no adapter parameters to train")
-    opt = adamw_state(params)
+    opt = adamw_state(list(backbone.adapters.values()))
     batch_rng = RngState(cfg.seed).child(1)
     drop_rng = RngState(cfg.seed).child(2)
     n_train = len(train)

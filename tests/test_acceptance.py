@@ -20,7 +20,7 @@ from ceralab.model import (ModelConfig, adapter_shape, build_model, inject,
                            lm_logits)
 from ceralab.spectral import auc90, effective_rank, svd_values
 from ceralab.tasks import logistic_map_table
-from ceralab.tensor import (RngState, Tensor, cross_entropy_backward,
+from ceralab.tensor import (RngState, cross_entropy_backward,
                             cross_entropy_forward, finite_difference_check)
 from ceralab.trainer import measure_throughput
 
@@ -100,7 +100,7 @@ def test_criterion_03_degeneracy_equivalence():
         cera_cfg = AdapterConfig(kind="cera", r=r, alpha=2.5,
                                  activation="identity", dropout_p=0.0)
         st = init_adapter(lora_cfg, d, k, rng.child(0))
-        st.w_down.data[:] = rng.normal((d, r))
+        st.w_down[:] = rng.normal((d, r))
         w0 = rng.normal((d, k))
         x = rng.normal((1, k))
         a = x @ w0.T + Adapter(lora_cfg, st).delta_rows(x, None)[0]
@@ -118,17 +118,17 @@ def test_criterion_04_merge_equivalence_and_asymmetry():
         rng = RngState(9500 + i)
         cfg = AdapterConfig(kind="lora", r=3, alpha=1.7)
         st = init_adapter(cfg, 5, 7, rng.child(0))
-        st.w_down.data[:] = rng.normal((5, 3))
+        st.w_down[:] = rng.normal((5, 3))
         w0 = rng.normal((5, 7))
         merged = merge_linear(w0, st, cfg)
         x = rng.normal((1, 7))
         unmerged = x @ w0.T + Adapter(cfg, st).delta_rows(x, None)[0]
-        worst = max(worst, float(np.max(np.abs(unmerged - x @ merged.data.T))))
+        worst = max(worst, float(np.max(np.abs(unmerged - x @ merged.T))))
     cera_cfg = AdapterConfig(kind="cera", r=3)  # silu by default
     cera_st = init_adapter(cera_cfg, 5, 7, RngState(1))
     raised = False
     try:
-        merge_linear(Tensor(np.zeros((5, 7))), cera_st, cera_cfg)
+        merge_linear(np.zeros((5, 7)), cera_st, cera_cfg)
     except NotMergeableError:
         raised = True
     ok = worst < 1e-10 and raised
@@ -146,7 +146,7 @@ def test_criterion_05_gradient_soundness_full_model():
         acfg = AdapterConfig(kind="cera", r=3)
         adapter = Adapter.init(acfg, *adapter_shape(cfg, "Wv"),
                                RngState(500 + seed, 9))
-        adapter.state.w_down.data[:] = RngState(600 + seed).normal((8, 3)) * 0.3
+        adapter.state.w_down[:] = RngState(600 + seed).normal((8, 3)) * 0.3
         inject(bb, 0, "Wv", adapter)
         seq = RngState(700 + seed).integers(0, 11, 6)
         targets = RngState(800 + seed).integers(0, 11, 6)
@@ -157,17 +157,18 @@ def test_criterion_05_gradient_soundness_full_model():
             return (*cross_entropy_forward(logits, targets), pullback)
 
         _, saved, pullback = training_pass()
-        grads = {p: np.empty(p.shape) for p in adapter.params}
+        st = adapter.state
+        grads = {adapter: (np.empty(st.w_up.shape), np.empty(st.w_down.shape))}
         pullback(cross_entropy_backward(saved), grads)
-        for p in adapter.params:
-            original = p.data
+        for name, grad in zip(("w_up", "w_down"), grads[adapter]):
+            original = getattr(st, name)
 
-            def f(probe, _p=p):
-                _p.data = probe
+            def f(probe, _name=name):
+                setattr(st, _name, probe)
                 return training_pass()[0]
 
-            err = finite_difference_check(f, original, grads[p], 1e-6)
-            p.data = original
+            err = finite_difference_check(f, original, grad, 1e-6)
+            setattr(st, name, original)
             worst = max(worst, err)
     ok = worst < 1e-4
     report(5, "gradient-soundness-full-model", ok,
@@ -301,7 +302,7 @@ def test_criterion_11_throughput_ratio():
                 acfg = AdapterConfig(kind=kind, r=8)
                 adapter = Adapter.init(acfg, *adapter_shape(cfg, target),
                                        rng.child(layer * 2 + j))
-                adapter.state.w_down.data[:] = 0.01
+                adapter.state.w_down[:] = 0.01
                 inject(bb, layer, target, adapter)
         return bb
 

@@ -8,6 +8,8 @@ the program uses its attribute name."""
 import ast
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ceralab"
 
@@ -162,6 +164,50 @@ def test_every_tensor_half_is_called_by_the_program(monkeypatch):
             "adapter_delta", "linear", "add", "mlp", "causal_attention", "layer_norm",
             "cross_entropy_rows", "_node", "_no_tape", "zero_grads", "gather_grads"}
     assert not any(hasattr(T, name) or hasattr(trainer, name) for name in gone)
+
+
+def test_tensor_is_only_the_holder_forward_returns():
+    # weights and adapter matrices are plain arrays: `Tensor` is made only
+    # in `model.forward`, defines nothing but `__init__` and its `data`
+    # slot, and the package reads `.data` of nothing but a Tensor being made
+    # and the optimizer's flat buffer
+    makers, reads = set(), set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Tensor":
+                    makers.add((path.stem, getattr(top, "name", None)))
+                elif isinstance(node, ast.Attribute) and node.attr == "data":
+                    reads.add((path.stem, ast.unparse(node)))
+            if isinstance(top, ast.ClassDef) and top.name == "Tensor":
+                body = [n for n in top.body if not isinstance(n, ast.Expr)]  # docstring
+                assert [ast.unparse(n) for n in body[:1]] == ["__slots__ = ('data',)"]
+                assert [getattr(n, "name", None) for n in body[1:]] == ["__init__"]
+    assert makers == {("model", "forward")}
+    assert reads == {("tensor", "self.data"), ("trainer", "state.data")}
+
+
+def test_weights_and_adapter_matrices_are_plain_arrays():
+    from ceralab import trainer
+    from ceralab.adapters import Adapter, AdapterConfig
+    from ceralab.model import ModelConfig, adapter_shape, build_model, inject
+    from ceralab.tensor import RngState
+
+    cfg = ModelConfig(d_model=8, n_heads=2, d_head=4, n_layers=1, vocab_size=12,
+                      max_seq_len=4, v_out_dim=4)
+    bb = build_model(cfg, 0)
+    named = bb.frozen_tensors()
+    assert len(named) == 15
+    assert all(type(w) is np.ndarray and w.dtype == np.float64 for _, w in named)
+    adapter = Adapter.init(AdapterConfig(kind="cera", r=2), *adapter_shape(cfg, "Wv"),
+                           RngState(1))
+    inject(bb, 0, "Wv", adapter)
+    plain = lambda: all(type(w) is np.ndarray and w.dtype == np.float64
+                        for w in (adapter.state.w_up, adapter.state.w_down))
+    assert plain()
+    trainer.adamw_state([adapter])  # rebinds them to views of its buffer
+    assert plain()
 
 
 # defaulted parameters that only tests set, each with the reason tests need it

@@ -182,6 +182,36 @@ def assert_config_error(argv, capsys):
     return err
 
 
+@pytest.mark.parametrize("case, message", [
+    ("not_an_object", "holds no object of adapter states"),
+    ("missing_entry", "no '0:Wv' entry"),
+    ("short_data", "'w_up' is missing or malformed"),
+    ("wrong_shape", "does not fit target 'Wv'")])
+def test_a_malformed_adapters_file_exits_two(tmp_path, capsys, case, message):
+    # a stored run whose adapters file is not an object, lacks an adapter,
+    # holds too few values for a shape, or a shape that does not fit the run
+    path, _ = write_config(tmp_path)
+    assert main(["sweep", "--config", str(path)]) == 0
+    records = tmp_path / "out" / "records"
+    rid = next(p.stem for p in records.glob("*.json")
+               if not p.name.endswith(".adapters.json"))
+    stored = records / f"{rid}.adapters.json"
+    bundles = json.loads(stored.read_text())
+    w_up = bundles["0:Wv"]["w_up"]
+    assert w_up["shape"] == [4, 16]
+    if case == "not_an_object":
+        bundles = 5
+    elif case == "missing_entry":
+        del bundles["0:Wv"]
+    elif case == "short_data":
+        w_up["data"].pop()
+    else:
+        w_up["shape"] = [2, 32]
+    stored.write_text(json.dumps(bundles))
+    err = assert_config_error(["spectral", "--config", str(path), "--run-id", rid], capsys)
+    assert message in err
+
+
 def test_seeds_and_ranks_are_checked_after_every_override(tmp_path, capsys):
     path, cfg = write_config(tmp_path)
     for override in ("1,1", "-3"):

@@ -465,10 +465,10 @@ def test_spectral_delta_w_uses_the_applied_scale():
     cfg = AdapterConfig(kind="cera", r=4, activation="identity", scale_s=2.0)
     rng = RngState(4)
     state = init_adapter(cfg, *adapter_shape(model, "Wv"), rng.child(0))
-    state.w_down.data[:] = rng.normal(state.w_down.shape)
+    state.w_down[:] = rng.normal(state.w_down.shape)
     inject(backbone, 0, "Wv", Adapter(cfg, state))
     report = spectral_report(backbone, rng.normal((8, model.d_model)), "delta_w")
-    applied = svd_values(merge_linear(0, state, cfg).data)
+    applied = svd_values(merge_linear(0, state, cfg))
     got = np.array(report.singular_values)
     assert np.max(np.abs(got - applied)) <= 1e-12 * applied[0]
 

@@ -13,7 +13,7 @@ from ceralab.model import (ModelConfig, adapter_shape, build_model,
                            merged_copy, regressor_frozen, regressor_output)
 from ceralab.spectral import activation_spectrum, svd_values
 from ceralab.tasks import Dataset
-from ceralab.tensor import (RngState, Tensor, cross_entropy_backward,
+from ceralab.tensor import (RngState, cross_entropy_backward,
                             cross_entropy_forward)
 
 TINY = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1, vocab_size=11,
@@ -45,25 +45,25 @@ def test_build_same_seed_same_checksum():
 
 
 def test_forward_zero_length_batch():
-    out = forward(tiny_model(), [])
+    out = forward(tiny_model(), []).data
     assert out.shape[0] == 0
 
 
 def test_logits_shape_contract():
     bb = tiny_model()
     batch = [[1, 2, 3, 4], [5, 6, 7, 8], [0, 0, 1, 1]]
-    out = forward(bb, batch)
+    out = forward(bb, batch).data
     assert out.shape == (3, 4, TINY.vocab_size)
     # lm_logits gives one row per token, sequence by sequence; a 1-d
     # sequence is a batch of one, and each sequence of a batch gets the
     # logits it gets on its own
     rows = eval_logits(bb, np.array(batch))
     assert rows.shape == (12, TINY.vocab_size)
-    assert np.array_equal(out.data.reshape(12, -1), rows)
+    assert np.array_equal(out.reshape(12, -1), rows)
     for i, seq in enumerate(batch):
         alone = eval_logits(bb, seq)
         assert alone.shape == (4, TINY.vocab_size)
-        assert np.max(np.abs(out.data[i] - alone)) <= 1e-13 * np.max(np.abs(alone))
+        assert np.max(np.abs(out[i] - alone)) <= 1e-13 * np.max(np.abs(alone))
     with pytest.raises(ShapeError):
         forward(bb, [[1, 2, 3], [4, 5]])
     with pytest.raises(ShapeError):
@@ -102,9 +102,9 @@ def test_attention_rows_sum_to_one():
     ids = np.array([[3, 1, 4, 1, 5, 9, 2, 6], [2, 7, 1, 8, 2, 8, 1, 8],
                     [1, 4, 1, 4, 2, 1, 3, 5]])
     ws = bb.layers[0]
-    x = (bb.tok_emb.data[ids] + bb.pos_emb.data[:8]).reshape(24, TINY.d_model)
-    xn, _ = T.layer_norm_forward(x, ws["ln1_g"].data, ws["ln1_b"].data)
-    q, k = (xn @ ws[w].data.T for w in ("Wq", "Wk"))
+    x = (bb.tok_emb[ids] + bb.pos_emb[:8]).reshape(24, TINY.d_model)
+    xn, _ = T.layer_norm_forward(x, ws["ln1_g"], ws["ln1_b"])
+    q, k = (xn @ ws[w].T for w in ("Wq", "Wk"))
     eye = np.tile(np.eye(8), (3, TINY.n_heads))
     rows, _ = T.causal_attention_forward(q, k, eye, TINY.n_heads, 8)
     attn = rows.reshape(3, 8, TINY.n_heads, 8).transpose(0, 2, 1, 3)
@@ -232,13 +232,6 @@ def test_dropout_channel_masks_whole_columns():
     assert all(v == 0.0 or abs(v - 1 / 0.6) < 1e-12 for v in np.unique(out))
 
 
-def test_adapter_params_keep_injection_order():
-    bb = tiny_model()
-    wv, wq = inject_cera(bb, "Wv"), inject_cera(bb, "Wq", seed=6)
-    assert [id(p) for p in bb.adapter_params()] == \
-        [id(p) for p in (*wv.params, *wq.params)]
-
-
 def test_double_injection_rejected():
     bb = tiny_model()
     inject_cera(bb, "Wv")
@@ -270,16 +263,14 @@ def test_wq_vs_wv_placement_is_observable():
     cfg = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1,
                       vocab_size=11, max_seq_len=8, v_out_dim=16)
     rng = RngState(11)
-    state = AdapterState(w_up=Tensor(rng.normal((3, 16))),
-                         w_down=Tensor(rng.normal((16, 3))))
+    state = AdapterState(w_up=rng.normal((3, 16)), w_down=rng.normal((16, 3)))
     seq = [1, 2, 3, 4, 5, 6]
     outs = {}
     for target in ("Wq", "Wv"):
         bb = build_model(cfg, 12)
         acfg = AdapterConfig(kind="cera", r=3, dropout_p=0.0)
         inject(bb, 0, target, Adapter(acfg, AdapterState(
-            Tensor(state.w_up.data.copy()),
-            Tensor(state.w_down.data.copy()))))
+            state.w_up.copy(), state.w_down.copy())))
         outs[target] = eval_logits(bb, seq)
     assert np.max(np.abs(outs["Wq"] - outs["Wv"])) > 1e-6
 
@@ -295,47 +286,54 @@ def test_weight_level_vs_module_level_is_observable():
                                         n_layers=1, vocab_size=11,
                                         max_seq_len=8, v_out_dim=16))
         acfg = AdapterConfig(kind=kind, r=3, dropout_p=0.0)
-        adapter = Adapter(acfg, AdapterState(Tensor(up.copy()),
-                                             Tensor(down.copy())))
+        adapter = Adapter(acfg, AdapterState(up.copy(), down.copy()))
         inject(bb, 0, target, adapter)
         outs[kind] = eval_logits(bb, seq)
     assert np.max(np.abs(outs["cera"] - outs["parallel_module"])) > 1e-6
 
 
+def gradient_map(bb, fill):
+    """The map a pullback writes into: each adapter's w_up and w_down
+    gradient arrays, filled with `fill`."""
+    return {a: (np.full(a.state.w_up.shape, fill), np.full(a.state.w_down.shape, fill))
+            for a in bb.adapters.values()}
+
+
 def training_pass(bb, tokens, targets, stream):
     """The cross-entropy of a language-model training pass, dropout drawn
     from a fresh stream `stream`, and the adapters' gradients its pullback
-    writes into a NaN-filled map from each adapter parameter."""
+    writes into a NaN-filled map from each adapter."""
     logits, pullback = lm_logits(bb, tokens, RngState(stream))
     loss, saved = cross_entropy_forward(logits, targets)
-    grads = {p: np.full(p.shape, np.nan) for p in bb.adapter_params()}
+    grads = gradient_map(bb, np.nan)
     pullback(cross_entropy_backward(saved), grads)
     return loss, grads
 
 
 def pullback_error(bb, tokens, targets, stream):
     """The worst finite-difference error of the pullback's gradient of
-    every adapter parameter; every entry of the map must be written."""
+    every adapter matrix; every entry of the map must be written."""
     _, grads = training_pass(bb, tokens, targets, stream)
     worst = 0.0
-    for p in bb.adapter_params():
-        assert not np.isnan(grads[p]).any()
-        original = p.data
+    for adapter, pair in grads.items():
+        for name, grad in zip(("w_up", "w_down"), pair):
+            assert not np.isnan(grad).any()
+            original = getattr(adapter.state, name)
 
-        def f(probe):
-            p.data = probe
-            logits, _ = lm_logits(bb, tokens, RngState(stream))
-            return cross_entropy_forward(logits, targets)[0]
+            def f(probe):
+                setattr(adapter.state, name, probe)
+                logits, _ = lm_logits(bb, tokens, RngState(stream))
+                return cross_entropy_forward(logits, targets)[0]
 
-        worst = max(worst, T.finite_difference_check(f, original, grads[p], 1e-6))
-        p.data = original
+            worst = max(worst, T.finite_difference_check(f, original, grad, 1e-6))
+            setattr(adapter.state, name, original)
     return worst
 
 
 def test_gradient_through_model_and_adapter():
     bb = tiny_model(15)
     adapter = inject_cera(bb, "Wv", r=3)
-    adapter.state.w_down.data[:] = RngState(16).normal((8, 3)) * 0.3
+    adapter.state.w_down[:] = RngState(16).normal((8, 3)) * 0.3
     seq = np.array([[1, 2, 3, 4, 5, 6], [7, 6, 5, 4, 3, 2]])
     targets = np.array([2, 3, 4, 5, 6, 7, 6, 5, 4, 3, 2, 1])
     assert pullback_error(bb, seq, targets, 17) < 1e-4
@@ -372,7 +370,7 @@ def test_the_explicit_pullback_matches_finite_differences_through_every_block(
     rng = RngState(31)
     for layer, target, cfg in PULLBACK_CASES[case]:
         adapter = Adapter.init(cfg, *adapter_shape(SQUARE, target), rng.child(len(bb.adapters)))
-        adapter.state.w_down.data[:] = rng.normal(adapter.state.w_down.shape) * 0.3
+        adapter.state.w_down[:] = rng.normal(adapter.state.w_down.shape) * 0.3
         inject(bb, layer, target, adapter)
     seqs = np.array([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [0, 9, 0, 9, 0]])
     targets = RngState(34).integers(0, 11, 15)
@@ -445,10 +443,10 @@ def test_the_pullback_drops_each_blocks_arrays_once_it_has_run(monkeypatch):
 
         monkeypatch.setattr(model_mod, "_lm_block_pullback", recording)
         del blocks
-        grads = {p: np.empty(p.shape) for p in bb.adapter_params()}
+        grads = gradient_map(bb, 0.0)
         pullback(g, grads)
         monkeypatch.undo()
-        return seen, [a.tobytes() for a in grads.values()]
+        return seen, [g.tobytes() for pair in grads.values() for g in pair]
 
     (freed, grads), (kept, want) = run(hold=False), run(hold=True)
     assert freed == [(1, [True, True]), (0, [True, False])]
@@ -464,8 +462,8 @@ def test_backbone_checksum_unchanged_by_forward_and_backward():
     # adapters' parameters alone, and writes every entry of it
     _, grads = training_pass(bb, [1, 2, 3], np.array([2, 3, 4]), 18)
     assert bb.checksum() == before
-    assert list(grads) == adapter.params
-    assert all(not np.isnan(g).any() for g in grads.values())
+    assert list(grads) == [adapter]
+    assert all(not np.isnan(g).any() for g in grads[adapter])
 
 
 def test_collect_latents_zero_init_delta_is_zero():
@@ -501,7 +499,7 @@ def adapted_backbone(cfg, placements, seed=30):
     for layer, kind, target in placements:
         adapter = Adapter.init(AdapterConfig(kind=kind, r=3),
                                *adapter_shape(cfg, target), rng.child(len(bb.adapters)))
-        adapter.state.w_down.data[:] = rng.normal(adapter.state.w_down.shape)
+        adapter.state.w_down[:] = rng.normal(adapter.state.w_down.shape)
         inject(bb, layer, target, adapter)
     return bb
 
@@ -532,7 +530,7 @@ def test_collect_latents_is_each_adapter_on_the_rows_it_reads(monkeypatch):
     monkeypatch.setattr(T, "layer_norm_forward", recording)
     forward(bb, seqs)
     monkeypatch.undo()
-    reads = [next(out for gain, out in norms if gain is ws["ln1_g"].data) for ws in bb.layers]
+    reads = [next(out for gain, out in norms if gain is ws["ln1_g"]) for ws in bb.layers]
 
     def no_forward(*args, **kw):
         raise AssertionError("collect_latents ran a forward pass")
@@ -570,7 +568,7 @@ def test_lora_delta_rank_bound():
     cfg = AdapterConfig(kind="lora", r=2)
     d, k = adapter_shape(bb.cfg, "Wv")
     adapter = Adapter.init(cfg, d, k, RngState(22))
-    adapter.state.w_down.data[:] = RngState(23).normal((d, 2))
+    adapter.state.w_down[:] = RngState(23).normal((d, 2))
     inject(bb, 0, "Wv", adapter)
     dmat = collect_latents(bb, [[1, 2, 3, 4, 5, 6, 7, 0]] * 4, which="output_delta_D")
     assert np.sum(svd_values(dmat) > 1e-10) <= 2
@@ -581,7 +579,7 @@ def test_merged_copy_matches_unmerged_lora():
     cfg = AdapterConfig(kind="lora", r=2, alpha=4.0)
     d, k = adapter_shape(bb.cfg, "Wv")
     adapter = Adapter.init(cfg, d, k, RngState(25))
-    adapter.state.w_down.data[:] = RngState(26).normal((d, 2)) * 0.5
+    adapter.state.w_down[:] = RngState(26).normal((d, 2)) * 0.5
     inject(bb, 0, "Wv", adapter)
     merged = merged_copy(bb)
     assert not merged.adapters
@@ -594,7 +592,7 @@ def test_merged_copy_matches_unmerged_lora():
 def test_merged_copy_refuses_nonlinear():
     bb = tiny_model(27)
     adapter = inject_cera(bb, "Wv")
-    adapter.state.w_down.data[:] = 0.1
+    adapter.state.w_down[:] = 0.1
     with pytest.raises(NotMergeableError):
         merged_copy(bb)
 
@@ -624,7 +622,7 @@ def chain_rows(adapter, x, mask):
     activation, mask, linear, scale chain; and its activations, kept
     activations and hidden rows."""
     cfg = adapter.cfg
-    lat = x @ adapter.state.w_up.data.T
+    lat = x @ adapter.state.w_up.T
     sig = None
     if cfg.activation == "silu":
         sig = 1.0 / (1.0 + np.exp(-lat))
@@ -632,7 +630,7 @@ def chain_rows(adapter, x, mask):
     else:
         act = np.maximum(lat, 0.0) if cfg.activation == "relu" else lat
     kept = act if mask is None else act * mask
-    rows = kept @ adapter.state.w_down.data.T
+    rows = kept @ adapter.state.w_down.T
     if cfg.scale_s != 1.0:
         rows = rows * cfg.scale_s
     return rows, (lat, sig, kept)
@@ -645,7 +643,7 @@ def chain_grads(adapter, x, mask, g):
     _, (lat, sig, kept) = chain_rows(adapter, x, mask)
     if cfg.scale_s != 1.0:
         g = g * cfg.scale_s
-    dact = g @ adapter.state.w_down.data
+    dact = g @ adapter.state.w_down
     if mask is not None:
         dact = dact * mask
     if cfg.activation == "silu":
@@ -675,25 +673,25 @@ def network_regressor_output(bb, x, masks):
     value projection, the module adapter on the attention output), against
     which the frozen-term split is checked."""
     ws = bb.layers[0]
-    v = x @ ws["Wv"].data.T
+    v = x @ ws["Wv"].T
     wv = bb.adapters.get((0, "Wv"))
     if wv is not None:
         v = v + chain_rows(wv, x, masks.get("Wv"))[0]
-    attn_out = v @ ws["Wo"].data.T
+    attn_out = v @ ws["Wo"].T
     module = bb.adapters.get((0, "attn_block"))
     if module is not None:
         attn_out = attn_out + chain_rows(module, x, masks.get("attn_block"))[0]
-    ff = T.mlp_forward(x, ws["W1"].data, ws["W2"].data, "silu", None, 1.0)[0]
-    return (x + attn_out + ff) @ bb.head.data.T
+    ff = T.mlp_forward(x, ws["W1"], ws["W2"], "silu", None, 1.0)[0]
+    return (x + attn_out + ff) @ bb.head.T
 
 
 def network_regressor_grads(bb, x, masks, g):
     """Reference: each adapter's gradient products for the output's
     gradient g, pulled back through the network as drawn: through head,
     then, for the Wv adapter, through Wo."""
-    dz = g @ bb.head.data
+    dz = g @ bb.head
     grads = []
-    for target, to_delta in (("Wv", bb.layers[0]["Wo"].data), ("attn_block", None)):
+    for target, to_delta in (("Wv", bb.layers[0]["Wo"]), ("attn_block", None)):
         adapter = bb.adapters.get((0, target))
         if adapter is not None:
             g_delta = dz if to_delta is None else dz @ to_delta
@@ -707,7 +705,7 @@ def regressor_with(seed, placements):
     rng = RngState(seed + 1)
     for target, cfg in placements:
         adapter = Adapter.init(cfg, *adapter_shape(REG, target), rng.child(len(bb.adapters)))
-        adapter.state.w_down.data[:] = rng.normal(adapter.state.w_down.shape) * 0.3
+        adapter.state.w_down[:] = rng.normal(adapter.state.w_down.shape) * 0.3
         inject(bb, 0, target, adapter)
     return bb
 
@@ -720,7 +718,7 @@ def regressor_with_both_adapters(seed, **kw):
 def test_adapter_free_regressor_is_bit_identical_to_the_network():
     bb = build_model(REG, 40)
     x = RngState(41).normal((37, 16))
-    got, deltas = regressor_output(bb, Tensor(x))
+    got, deltas = regressor_output(bb, x)
     assert deltas == []
     assert got.tobytes() == network_regressor_output(bb, x, {}).tobytes()
     assert regressor_frozen(bb, x).tobytes() == got.tobytes()
@@ -752,12 +750,11 @@ def training_loss(bb, data, stream, state=None):
     one is made, which moves the adapters' values into its buffer."""
     value, pullback = trainer_mod._batch_loss(
         bb, data, np.arange(len(data)), RngState(stream), regressor_frozen(bb, data.inputs))
-    params = bb.adapter_params()
     if state is None:
-        state = trainer_mod.adamw_state(params)
+        state = trainer_mod.adamw_state(list(bb.adapters.values()))
     state.grad[:] = np.nan  # every entry must be written
     pullback(state.grads)
-    return value, [state.grads[p].copy() for p in params]
+    return value, [g.copy() for pair in state.grads.values() for g in pair]
 
 
 def test_regressor_gradient_matches_finite_differences():
@@ -765,11 +762,12 @@ def test_regressor_gradient_matches_finite_differences():
     # through each adapter's numpy halves; the masks repeat with the stream
     bb = regressor_with_both_adapters(45)
     data = regressor_rows(46, 12)
-    state = trainer_mod.adamw_state(bb.adapter_params())
+    state = trainer_mod.adamw_state(list(bb.adapters.values()))
     _, analytic = training_loss(bb, data, 47, state)
     worst, step = 0.0, 1e-6
-    for p, grad in zip(bb.adapter_params(), analytic):
-        flat = p.data.reshape(-1)
+    weights = [w for a in bb.adapters.values() for w in (a.state.w_up, a.state.w_down)]
+    for w, grad in zip(weights, analytic):
+        flat = w.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + step
@@ -792,7 +790,7 @@ def chain_head(bb, x, rng):
     for target in ("Wv", "attn_block"):
         adapter = bb.adapters.get((0, target))
         if adapter is not None:
-            to_output = bb.carry if target == "Wv" else bb.head.data
+            to_output = bb.carry if target == "Wv" else bb.head
             mask = masks.get((0, target))
             out = out + chain_rows(adapter, x, mask)[0] @ to_output.T
             carried.append((target, adapter, mask, to_output))

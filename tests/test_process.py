@@ -30,8 +30,7 @@ _, bundle, backbone = experiments._build_run(
     {"task_id": "logistic_trajectories", "method": method, "rank": 16,
      "seed": 1, "model": model})
 cfg = trainer.TrainConfig(steps=30, batch_size=8)
-params = backbone.adapter_params()
-opt = trainer.adamw_state(params)
+opt = trainer.adamw_state(list(backbone.adapters.values()))
 batch_rng, drop_rng = RngState(0).child(1), RngState(0).child(2)
 for t in range(cfg.steps):
     if t == 10:

@@ -31,12 +31,11 @@ def test_logistic_map_fixed_point_zero():
 
 
 def test_logistic_map_domain_errors():
-    with pytest.raises(DomainError):
-        logistic_map(4.5, 0.4, 3)
-    with pytest.raises(DomainError):
-        logistic_map(3.5, -0.1, 3)
-    with pytest.raises(DomainError):
-        logistic_map_table(3.5, 1.5, 3)
+    for fn in (logistic_map, logistic_map_table):
+        for args, message in (((4.5, 0.4, 3), "growth rate"), ((3.5, -0.1, 3), "x0"),
+                              ((3.5, 1.5, 3), "x0"), ((3.5, 0.4, -1), "n must be >= 0")):
+            with pytest.raises(DomainError, match=message):
+                fn(*args)
 
 
 @settings(max_examples=60, deadline=None)

@@ -469,12 +469,24 @@ def test_cross_entropy_uniform_logits():
 
 
 def test_tensor_holds_a_contiguous_float64_array_and_nothing_else():
-    t = Tensor(np.arange(6).reshape(2, 3).T)
-    assert t.data.dtype == np.float64 and t.data.flags["C_CONTIGUOUS"]
-    assert t.shape == (3, 2) and t.size == 6
+    # `model.forward` is the one maker of a Tensor, in both model modes: it
+    # holds the output rows as they are, a contiguous float64 array
+    from ceralab.model import ModelConfig, build_model, forward
+    reg = ModelConfig(d_model=8, n_heads=2, d_head=4, n_layers=1, vocab_size=3,
+                      max_seq_len=4, v_out_dim=4, mode="regressor")
+    lm = ModelConfig(d_model=8, n_heads=2, d_head=4, n_layers=1, vocab_size=12,
+                     max_seq_len=4, v_out_dim=4)
+    for cfg, inputs, shape in ((reg, RngState(0).normal((5, 8)), (5, 3)),
+                               (lm, [[1, 2, 3], [4, 5, 6]], (2, 3, 12))):
+        t = forward(build_model(cfg, 0), inputs)
+        assert type(t) is Tensor and type(t.data) is np.ndarray
+        assert t.data.dtype == np.float64 and t.data.flags["C_CONTIGUOUS"]
+        assert t.data.shape == shape
     assert Tensor.__slots__ == ("data",)
     with pytest.raises(AttributeError):
-        t.grad = np.zeros((3, 2))
+        t.grad = np.zeros(shape)
+    with pytest.raises(AttributeError):
+        t.shape
 
 
 def test_rng_determinism_and_stream_independence():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ceralab import trainer as trainer_mod
-from ceralab.adapters import Adapter, AdapterConfig
+from ceralab.adapters import Adapter, AdapterConfig, AdapterState
 from ceralab.errors import ConfigError, DomainError
 from ceralab import tensor as T
 from ceralab.model import (ModelConfig, adapter_shape, build_model,
@@ -16,7 +16,7 @@ from ceralab.model import (ModelConfig, adapter_shape, build_model,
                            regressor_output)
 from ceralab.tasks import (Dataset, make_teacher_task, nonlinear_teacher,
                            trajectory_sequences)
-from ceralab.tensor import (RngState, Tensor, cross_entropy_backward,
+from ceralab.tensor import (RngState, cross_entropy_backward,
                             cross_entropy_forward)
 from ceralab.trainer import (TrainConfig, adamw_state, adamw_step,
                              clip_global_norm, cosine_lr, evaluate,
@@ -29,11 +29,23 @@ LM_CFG = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=2,
                      vocab_size=12, max_seq_len=48, v_out_dim=8)
 
 
-def step(params, grads, state, lr, cfg, clip=None):
-    """One optimizer step of the training loop with the given gradients;
-    returns the norm before clipping."""
-    for p, g in zip(params, grads):
-        state.grads[p][...] = g
+def adapter_of(w_up, w_down):
+    """A lora adapter holding the two given matrices."""
+    return Adapter(AdapterConfig(kind="lora", r=w_up.shape[0]), AdapterState(w_up, w_down))
+
+
+def weights(adapters):
+    """The adapters' matrices in the optimizer's buffer order: injection
+    order, w_up before w_down."""
+    return [w for a in adapters for w in (a.state.w_up, a.state.w_down)]
+
+
+def step(grads, state, lr, cfg, clip=None):
+    """One optimizer step of the training loop with the given gradients,
+    one per matrix in buffer order; returns the norm before clipping."""
+    views = [view for pair in state.grads.values() for view in pair]
+    for view, g in zip(views, grads, strict=True):
+        view[...] = g
     norm = clip_global_norm(state, clip)
     adamw_step(state, lr, cfg)
     return norm
@@ -41,7 +53,7 @@ def step(params, grads, state, lr, cfg, clip=None):
 
 def make_regression_setup(adapter_kind="cera", r=8, seed=1, **adapter_kw):
     bb = build_model(REG_CFG, seed)
-    frozen = lambda x: forward(bb, Tensor(x), mode="eval").data
+    frozen = lambda x: forward(bb, x, mode="eval").data
     teacher = nonlinear_teacher(seed + 1, 16, 4, hidden=8)
     task = make_teacher_task(frozen, teacher, 16, n_train=32, n_test=32,
                              seed=seed + 2)
@@ -96,23 +108,26 @@ def test_block_drawn_batches_equal_per_step_draws(monkeypatch):
 
 def test_adamw_first_step_golden():
     cfg = TrainConfig(weight_decay=0.0)
-    p = Tensor(np.array([1.0]))
-    step([p], [np.array([1.0])], adamw_state([p]), lr=0.1, cfg=cfg)
-    assert p.data[0] == pytest.approx(1.0 - 0.1, abs=1e-6)
+    adapter = adapter_of(np.array([[1.0]]), np.array([[1.0]]))
+    step([np.array([[1.0]])] * 2, adamw_state([adapter]), lr=0.1, cfg=cfg)
+    for w in weights([adapter]):
+        assert w[0, 0] == pytest.approx(1.0 - 0.1, abs=1e-6)
 
 
 def test_adamw_zero_grad_no_decay_is_noop():
     cfg = TrainConfig(weight_decay=0.0)
-    p = Tensor(np.array([2.0, -3.0]))
-    step([p], [np.zeros(2)], adamw_state([p]), lr=0.1, cfg=cfg)
-    assert np.array_equal(p.data, [2.0, -3.0])
+    adapter = adapter_of(np.array([[2.0, -3.0]]), np.array([[5.0]]))
+    step([np.zeros((1, 2)), np.zeros((1, 1))], adamw_state([adapter]), lr=0.1, cfg=cfg)
+    assert np.array_equal(adapter.state.w_up, [[2.0, -3.0]])
+    assert np.array_equal(adapter.state.w_down, [[5.0]])
 
 
 def test_adamw_decoupled_decay_shrinks():
     cfg = TrainConfig(weight_decay=0.5)
-    p = Tensor(np.array([2.0]))
-    step([p], [np.zeros(1)], adamw_state([p]), lr=0.1, cfg=cfg)
-    assert p.data[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), rel=1e-12)
+    adapter = adapter_of(np.array([[2.0]]), np.array([[2.0]]))
+    step([np.zeros((1, 1))] * 2, adamw_state([adapter]), lr=0.1, cfg=cfg)
+    for w in weights([adapter]):
+        assert w[0, 0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), rel=1e-12)
 
 
 def test_train_config_rejects_values_that_break_training():
@@ -129,8 +144,7 @@ def test_train_config_rejects_values_that_break_training():
 
 
 def test_clip_global_norm():
-    params = [Tensor(np.zeros(1)) for _ in range(2)]
-    state = adamw_state(params)
+    state = adamw_state([adapter_of(np.zeros((1, 1)), np.zeros((1, 1)))])
     state.grad[:] = [3.0, 4.0]
     norm = clip_global_norm(state, 1.0)
     assert norm == pytest.approx(5.0)
@@ -140,28 +154,49 @@ def test_clip_global_norm():
     assert state.grad.tolist() == [0.5, 0.0]  # below the clip: untouched
 
 
+def injected_out_of_order():
+    """A language model whose injection order is not (layer, target) order:
+    cera r=3 on layer 1's Wv, then on layer 0's Wq, w_down nonzero."""
+    bb = build_model(LM_CFG, 67)
+    for layer, target in ((1, "Wv"), (0, "Wq")):
+        adapter = Adapter.init(AdapterConfig(kind="cera", r=3),
+                               *adapter_shape(LM_CFG, target), RngState(68, layer))
+        adapter.state.w_down[:] = RngState(69, layer).normal(adapter.state.w_down.shape)
+        inject(bb, layer, target, adapter)
+    assert list(bb.adapters) == [(1, "Wv"), (0, "Wq")]
+    return bb
+
+
 def test_each_parameters_gradient_is_its_shaped_view_of_the_flat_buffer():
-    # a pullback finds a parameter's slice by the parameter, not by position
-    rng = RngState(67)
-    params = [Tensor(rng.normal((2, 3))), Tensor(rng.normal((4,))), Tensor(rng.normal((3, 1)))]
-    state = adamw_state(params)
-    assert list(state.grads) == params
-    for p, lo, hi in zip(params, state.bounds, state.bounds[1:]):
-        view = state.grads[p]
-        assert view.shape == p.shape and view.base is state.grad
-        view[...] = lo + 1.0
-        assert np.all(state.grad[lo:hi] == lo + 1.0)
+    # a pullback finds an adapter's gradient slices by the adapter, not by
+    # position: each is its own slice of the flat buffer, in injection order
+    bb = injected_out_of_order()
+    adapters = list(bb.adapters.values())
+    state = adamw_state(adapters)
+    assert list(state.grads) == adapters
+    views = [view for a in adapters for view in state.grads[a]]
+    b = state.bounds
+    for i, (w, view) in enumerate(zip(weights(adapters), views)):
+        assert type(view) is np.ndarray and view.shape == w.shape
+        assert view.base is state.grad
+        view[...] = b[i] + 1.0
+        assert np.all(state.grad[b[i]:b[i + 1]] == b[i] + 1.0)
+    # the second adapter's pullback writes its two slices and nothing else
+    state.grad[:] = np.nan
+    x = RngState(70).normal((5, LM_CFG.d_model))
+    _, pullback = adapters[1].delta_rows(x, None)
+    pullback(RngState(71).normal((5, LM_CFG.qk_dim)), state.grads, None)
+    assert np.isnan(state.grad[:b[2]]).all() and not np.isnan(state.grad[b[2]:]).any()
 
 
 def test_clip_scales_a_gradient_shared_by_two_parameters_once():
     rng = RngState(66)
-    p = Tensor(rng.normal((3, 3)))
-    q = Tensor(rng.normal((3, 3)))
+    adapter = adapter_of(rng.normal((3, 3)), rng.normal((3, 3)))
     w = rng.normal((3, 3))
     w_before = w.copy()
-    state = adamw_state([p, q])
-    for param in (p, q):  # one upstream array handed to both
-        state.grads[param][...] = w
+    state = adamw_state([adapter])
+    for view in state.grads[adapter]:  # one upstream array handed to both
+        view[...] = w
     norm = clip_global_norm(state, 0.5)
     assert norm == pytest.approx(np.sqrt(2.0) * np.linalg.norm(w), rel=1e-14)
     want = w * (0.5 / norm)
@@ -171,38 +206,42 @@ def test_clip_scales_a_gradient_shared_by_two_parameters_once():
 
 
 def test_adamw_state_makes_every_parameter_a_view_of_one_buffer():
-    rng = RngState(71)
-    params = [Tensor(rng.normal((4, 6))),
-              Tensor(rng.normal((6, 3)))]
-    values = [p.data.copy() for p in params]
-    state = adamw_state(params)
-    assert state.data.shape == (42,) and state.bounds == [0, 24, 42]
-    for p, value in zip(params, values):
-        assert p.data.base is state.data and p.data.flags["C_CONTIGUOUS"]
-        assert np.array_equal(p.data, value)
+    # each adapter's w_up and w_down become plain arrays over their slice of
+    # the one buffer, in injection order, holding the values they had
+    bb = injected_out_of_order()
+    adapters = list(bb.adapters.values())
+    values = [w.copy() for w in weights(adapters)]
+    state = adamw_state(adapters)
+    # Wv: w_up 3x16, w_down 8x3; Wq: w_up 3x16, w_down 16x3
+    assert state.data.shape == (168,) and state.bounds == [0, 48, 72, 120, 168]
+    b = state.bounds
+    for i, (w, value) in enumerate(zip(weights(adapters), values)):
+        assert type(w) is np.ndarray and w.flags["C_CONTIGUOUS"]
+        assert w.base is state.data and w.size == b[i + 1] - b[i]
+        assert np.shares_memory(w, state.data[b[i]:b[i + 1]])
+        assert np.array_equal(w, value)
 
 
 def test_in_place_adamw_matches_the_formula_bit_for_bit():
     cfg = TrainConfig(weight_decay=0.01)
     rng = RngState(70)
-    params = [Tensor(rng.normal((4, 6))),
-              Tensor(rng.normal((6, 3)))]
-    want = [p.data.copy() for p in params]
+    adapter = adapter_of(rng.normal((4, 6)), rng.normal((6, 4)))
+    want = [w.copy() for w in weights([adapter])]
     m = [np.zeros_like(w) for w in want]
     v = [np.zeros_like(w) for w in want]
-    state = adamw_state(params)
+    state = adamw_state([adapter])
     for t in range(1, 51):
         lr = 1e-2 / t
-        grads = [rng.normal(p.shape) for p in params]
-        step(params, grads, state, lr, cfg)
+        grads = [rng.normal(w.shape) for w in want]
+        step(grads, state, lr, cfg)
         bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
         for i, g in enumerate(grads):
             want[i] = want[i] * (1.0 - lr * cfg.weight_decay)
             m[i] = m[i] * cfg.beta1 + (1.0 - cfg.beta1) * g
             v[i] = v[i] * cfg.beta2 + (1.0 - cfg.beta2) * g * g
             want[i] = want[i] - lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + cfg.eps)
-    for p, w in zip(params, want):
-        assert p.data.tobytes() == w.tobytes()
+    for p, w in zip(weights([adapter]), want, strict=True):
+        assert p.tobytes() == w.tobytes()
 
 
 def per_parameter_clip(grads, clip):
@@ -243,42 +282,41 @@ def per_parameter_adamw(params, grads, moments, t, lr, cfg):
 def test_flat_adamw_equals_the_per_parameter_loop_bit_for_bit():
     cfg = TrainConfig(weight_decay=0.01)
     rng = RngState(72)
-    params = [Tensor(rng.normal((5, 7))),
-              Tensor(rng.normal((3,)))]
-    want = [p.data.copy() for p in params]
+    adapter = adapter_of(rng.normal((3, 7)), rng.normal((5, 3)))
+    want = [w.copy() for w in weights([adapter])]
     moments = [(np.zeros_like(w), np.zeros_like(w)) for w in want]
-    state = adamw_state(params)
+    state = adamw_state([adapter])
     clipped = 0
     # past t = 355, 1 - beta1 ** t is exactly 1.0 and the step skips dividing by it
     for t in range(1, 401):
         lr = cosine_lr(t, TrainConfig(steps=400))
-        grads = [rng.normal(p.shape) * (0.05 + 0.02 * t) for p in params]
-        norm = step(params, grads, state, lr, cfg, clip=1.0)
+        grads = [rng.normal(w.shape) * (0.05 + 0.02 * t) for w in want]
+        norm = step(grads, state, lr, cfg, clip=1.0)
         copies = list(grads)
         assert norm == per_parameter_clip(copies, 1.0)
         clipped += norm > 1.0
         per_parameter_adamw(want, copies, moments, t, lr, cfg)
     assert 0 < clipped < 400  # both branches of the clip ran
     assert 1.0 - cfg.beta1 ** 355 < 1.0 == 1.0 - cfg.beta1 ** 356
-    for p, w in zip(params, want):
-        assert p.data.tobytes() == w.tobytes()
+    for p, w in zip(weights([adapter]), want, strict=True):
+        assert p.tobytes() == w.tobytes()
 
 
 def test_zero_step_run_leaves_weights_and_metric():
     bb, adapter, task = make_regression_setup()
-    before_up = adapter.state.w_up.data.copy()
+    before_up = adapter.state.w_up.copy()
     baseline_metric = evaluate(bb, task.test)
     rep = train_adapter(bb, task.train, task.test,
                         TrainConfig(steps=0, batch_size=4))
     assert rep.loss_curve == []
-    assert np.array_equal(adapter.state.w_up.data, before_up)
+    assert np.array_equal(adapter.state.w_up, before_up)
     assert rep.test_metric == baseline_metric
     assert np.isfinite(rep.final_train_loss)
 
 
 def test_memorization_smoke():
     bb = build_model(REG_CFG, 7)
-    frozen = lambda x: forward(bb, Tensor(x), mode="eval").data
+    frozen = lambda x: forward(bb, x, mode="eval").data
     teacher = nonlinear_teacher(8, 16, 4, hidden=8)
     task = make_teacher_task(frozen, teacher, 16, n_train=4, n_test=4, seed=9)
     cfg = AdapterConfig(kind="cera", r=8, dropout_p=0.0)
@@ -303,7 +341,7 @@ def test_seed_determinism_bit_for_bit():
         bb, adapter, task = make_regression_setup(seed=14)
         rep = train_adapter(bb, task.train, task.test,
                             TrainConfig(steps=40, batch_size=8, seed=15))
-        return rep.loss_curve, adapter.state.w_up.data.copy()
+        return rep.loss_curve, adapter.state.w_up.copy()
 
     (c1, w1), (c2, w2) = run(), run()
     assert c1 == c2
@@ -313,8 +351,8 @@ def test_seed_determinism_bit_for_bit():
 def test_dropout_active_in_train_only():
     # dropout runs exactly when a stream is given
     bb, adapter, task = make_regression_setup(seed=16, dropout_p=0.5)
-    adapter.state.w_down.data[:] = RngState(17).normal(adapter.state.w_down.shape)
-    x = Tensor(task.train.inputs[:8])
+    adapter.state.w_down[:] = RngState(17).normal(adapter.state.w_down.shape)
+    x = task.train.inputs[:8]
     eval_a, _ = regressor_output(bb, x)
     eval_b, _ = regressor_output(bb, x)
     assert np.array_equal(eval_a, eval_b)
@@ -345,7 +383,7 @@ def test_evaluate_is_the_training_loss_without_dropout(monkeypatch):
     train, test = trajectory_sequences(seed=61, count=10, n_steps=5)
     train_adapter(lm, train, test, TrainConfig(steps=3, batch_size=4))
     x, y = task.test.inputs, task.test.targets
-    want_mse = np.mean((regressor_output(reg, Tensor(x))[0] - y) ** 2)
+    want_mse = np.mean((regressor_output(reg, x)[0] - y) ** 2)
     want_ppl = np.exp(cross_entropy_forward(
         lm_logits(lm, test.inputs, None)[0], test.targets.reshape(-1))[0])
     masked, delta_rows = [], Adapter.delta_rows
@@ -369,7 +407,7 @@ def test_evaluation_capture_and_forward_keep_nothing_for_a_pullback(monkeypatch)
     for layer in range(LM_CFG.n_layers):
         adapter = Adapter.init(AdapterConfig(kind="cera", r=4),
                                *adapter_shape(LM_CFG, "Wv"), RngState(64, layer))
-        adapter.state.w_down.data[:] = RngState(65, layer).normal(adapter.state.w_down.shape)
+        adapter.state.w_down[:] = RngState(65, layer).normal(adapter.state.w_down.shape)
         inject(lm_wv, layer, "Wv", adapter)
     train, test = trajectory_sequences(seed=66, count=10, n_steps=5)
     x = task.test.inputs
@@ -437,8 +475,7 @@ def test_training_step_and_evaluation_memory_peaks():
                 RngState(1, len(bb.adapters))))
     train, test = trajectory_sequences(n_steps=8, count=64, seed=0)
     assert train.inputs.shape[1] == 61 and len(test) == 12
-    params = bb.adapter_params()
-    opt = adamw_state(params)
+    opt = adamw_state(list(bb.adapters.values()))
     drop_rng = RngState(0).child(2)
 
     def step():
@@ -488,7 +525,7 @@ def step_gradient_error(bb, data, idx, stream) -> float:
     gradient, dropout drawn from a fresh stream `stream` each time."""
     frozen = (trainer_mod.regressor_frozen(bb, data.inputs)
               if bb.cfg.mode == "regressor" else None)
-    state = adamw_state(bb.adapter_params())
+    state = adamw_state(list(bb.adapters.values()))
     state.grad[:] = np.nan
     _, pullback = trainer_mod._batch_loss(bb, data, idx, RngState(stream), frozen)
     pullback(state.grads)
@@ -512,14 +549,14 @@ def test_a_regressor_training_step_runs_one_pair_of_halves_per_adapter(monkeypat
                         ("attn_block", AdapterConfig(kind="parallel_module", r=2))):
         inject(bb, 0, target, Adapter.init(cfg, *adapter_shape(REG_CFG, target),
                                            RngState(74, len(bb.adapters))))
-        bb.adapters[(0, target)].state.w_down.data[:] = 0.3
+        bb.adapters[(0, target)].state.w_down[:] = 0.3
     rng = RngState(75)
     rows = Dataset(inputs=rng.normal((8, 16)), targets=rng.normal((8, 4)))
     frozen = trainer_mod.regressor_frozen(bb, rows.inputs)
     calls = counted_halves(monkeypatch)
     _, pullback = trainer_mod._batch_loss(bb, rows, np.arange(4), RngState(76), frozen)
     assert calls == {"mlp_forward": 2, "mlp_hidden": 2}
-    pullback(adamw_state(bb.adapter_params()).grads)
+    pullback(adamw_state(list(bb.adapters.values())).grads)
     assert calls == {"mlp_forward": 2, "mlp_hidden": 2, "mlp_backward": 2}
     monkeypatch.undo()
     # and the flat gradient it wrote is the loss's
@@ -563,7 +600,7 @@ def test_a_language_model_training_step_runs_each_half_once_per_piece(monkeypatc
             inject(bb, layer, target, Adapter.init(
                 AdapterConfig(kind="cera", r=4), *adapter_shape(LM_CFG, target),
                 RngState(77, len(bb.adapters))))
-            bb.adapters[(layer, target)].state.w_down.data[:] = RngState(
+            bb.adapters[(layer, target)].state.w_down[:] = RngState(
                 78, len(bb.adapters)).normal(bb.adapters[(layer, target)].state.w_down.shape)
     train, test = trajectory_sequences(n_steps=5, count=6, seed=78)
     forward_halves = {"layer_norm_forward": 5, "mlp_forward": 6, "mlp_hidden": 6,
@@ -572,7 +609,7 @@ def test_a_language_model_training_step_runs_each_half_once_per_piece(monkeypatc
     _, pullback = trainer_mod._batch_loss(bb, train, np.arange(4), RngState(79), None)
     assert calls == forward_halves
     calls.clear()
-    pullback(adamw_state(bb.adapter_params()).grads)
+    pullback(adamw_state(list(bb.adapters.values())).grads)
     assert calls == {"cross_entropy_backward": 1, "layer_norm_backward": 4,
                      "mlp_backward": 6, "causal_attention_backward": 2}
     calls.clear()
@@ -598,7 +635,7 @@ def lm_with_adapters(style):
     inject(bb, 1, "attn_block", Adapter.init(
         cfg, *adapter_shape(LM_CFG, "attn_block"), rng.child(9)))
     for adapter in bb.adapters.values():
-        adapter.state.w_down.data[:] = rng.normal(adapter.state.w_down.shape) * 0.3
+        adapter.state.w_down[:] = rng.normal(adapter.state.w_down.shape) * 0.3
     return bb
 
 
@@ -607,19 +644,20 @@ def test_batched_train_loss_is_mean_of_single_sequence_losses(style):
     # one pass over the batch draws each sequence's dropout masks as running
     # the sequences one by one from the same stream would
     bb = lm_with_adapters(style)
-    params = bb.adapter_params()
+    adapters = list(bb.adapters.values())
     train, _ = trajectory_sequences(seed=42, count=10, n_steps=5)
     idx = np.array([3, 0, 3, 5, 1, 5])  # duplicates draw masks of their own
 
     def grads_of(pullbacks):
         """The sum of the gradients each pullback writes, in order."""
-        total = {p: np.zeros(p.shape) for p in params}
+        total = [np.zeros(w.shape) for w in weights(adapters)]
         for pullback in pullbacks:
-            grads = {p: np.empty(p.shape) for p in params}
+            grads = {a: (np.empty(a.state.w_up.shape), np.empty(a.state.w_down.shape))
+                     for a in adapters}
             pullback(grads)
-            for p in params:
-                total[p] += grads[p]
-        return [total[p] for p in params]
+            for t, g in zip(total, (g for a in adapters for g in grads[a])):
+                t += g
+        return total
 
     batched, pullback = trainer_mod._batch_loss(bb, train, idx, RngState(43), None)
     rng = RngState(43)
@@ -641,7 +679,7 @@ def test_batched_train_loss_is_mean_of_single_sequence_losses(style):
 
 def test_perplexity_uniform_logits():
     bb = build_model(LM_CFG, 22)
-    bb.head.data[:] = 0.0  # logits identically zero -> uniform predictive
+    bb.head[:] = 0.0  # logits identically zero -> uniform predictive
     train, test = trajectory_sequences(seed=23, count=10, n_steps=5)
     assert evaluate(bb, test) == pytest.approx(LM_CFG.vocab_size, abs=1e-9)
 
@@ -650,9 +688,9 @@ def test_perplexity_perfect_predictions():
     bb = build_model(LM_CFG, 24)
     # final layer norm output has zero row-mean, so a bias of ones plus a
     # one-hot-ish head row yields a constant winning logit margin
-    bb.ln_f_b.data[:] = 1.0
-    bb.head.data[:] = 0.0
-    bb.head.data[3, :] = 4.0  # logit for token 3 = 4 * d_model, others 0
+    bb.ln_f_b[:] = 1.0
+    bb.head[:] = 0.0
+    bb.head[3, :] = 4.0  # logit for token 3 = 4 * d_model, others 0
     seqs = np.full((4, 6), 3, dtype=np.int64)
     ds = Dataset(inputs=seqs[:, :-1], targets=seqs[:, 1:])
     assert evaluate(bb, ds) == pytest.approx(1.0, abs=1e-9)
@@ -674,8 +712,8 @@ def test_perplexity_at_least_one_and_empty_split():
 
 def test_nan_loss_aborts_with_diagnostic():
     bb, adapter, task = make_regression_setup(seed=27)
-    adapter.state.w_up.data[:] = np.inf
-    adapter.state.w_down.data[:] = 1.0
+    adapter.state.w_up[:] = np.inf
+    adapter.state.w_down[:] = 1.0
     from ceralab.errors import TrainingDiverged
     with pytest.raises(TrainingDiverged, match="step 0"), \
             pytest.warns(RuntimeWarning, match="invalid value"):
@@ -708,7 +746,7 @@ def test_throughput_merged_vs_unmerged_lora():
             cfg = AdapterConfig(kind="lora", r=8)
             adapter = Adapter.init(cfg, *adapter_shape(LM_CFG, target),
                                    rng.child(layer * 2 + (target == "Wv")))
-            adapter.state.w_down.data[:] = 0.01
+            adapter.state.w_down[:] = 0.01
             inject(bb, layer, target, adapter)
     batch = [list(range(12)) * 4] * 4  # 4 sequences of 48 tokens
     rep = measure_throughput(bb, batch, repetitions=15)
