@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import types
 import typing
 
@@ -66,9 +67,10 @@ class DictConfig:
 
 def _typed(hint, value, where: str):
     """`value` checked against the type `hint`, with a config type built
-    from its object. An int is a valid float, a bool is never a number,
-    None fits only an optional hint, and a list or tuple hint takes a list
-    or a tuple whose items are checked in turn."""
+    from its object. An int is a valid float, a bool is never a number, a
+    float must be finite (JSON's NaN and Infinity are not; null switches
+    an optional value off), None fits only an optional hint, and a list or
+    tuple hint takes a list or a tuple whose items are checked in turn."""
     if isinstance(hint, types.UnionType):  # `X | None`, the only union used
         if value is None:
             return None
@@ -84,6 +86,9 @@ def _typed(hint, value, where: str):
     accepted = (int, float) if hint is float else hint
     if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
         raise ConfigError(f"{where} must be {hint.__name__}, got {value!r}")
+    # compared, not converted, so an int too large for a float is caught too
+    if hint is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     return value
 
 

@@ -142,6 +142,13 @@ class ExperimentConfig(DictConfig):
                       for target in m.injection_targets()} - set(REGRESSOR_TARGETS)
             if unread:
                 raise ConfigError(f"a regressor never reads adapters at {sorted(unread)}")
+        for m in self.methods:
+            for target in m.injection_targets():
+                bound = min(adapter_shape(self.model, target))
+                if max(self.ranks) > bound:
+                    raise ConfigError(
+                        f"rank {max(self.ranks)} exceeds min(d, k) = {bound} of the "
+                        f"{target} adapter of method {m.name!r}")
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":

@@ -11,24 +11,25 @@ training pass writes its reverse pass out explicitly.
   two-matrix map an adapter's delta is, with no mask and unit scale.
   `lm_logits` returns the logits as (batch*seq, vocab) rows. A training
   pass, the one given a random stream, also keeps what the backward halves
-  read, block by block, and returns a pullback that runs the blocks in
-  reverse, drops each block's arrays once it has run, and writes each
-  adapter's gradient products straight into the optimizer's flat buffer.
+  read, sublayer by sublayer, and returns a pullback that runs the
+  sublayers in reverse, drops each one's arrays once it has run, and writes
+  each adapter's gradient products straight into the optimizer's flat buffer.
 * ``regressor``: one block applied to plain feature vectors, with the
   attention and FFN branches reading the raw input in parallel and no layer
   norm. Every adapter then contributes additively through purely linear
   downstream maps, so a linear adapter's whole effect is a linear map of
   the input (which the teacher task's linear floor fits by least squares),
   and the output can be computed as a frozen term (constant per input row)
-  plus one product per adapter, each with its adapter's pullback. A single
-  position attends only to itself, so the softmax is identically one and
-  the query path drops out; `inject` therefore refuses a regressor a Wq
-  adapter.
+  plus one product per adapter, through which a training pass's pullback
+  carries the output's gradient back to each adapter. A single position
+  attends only to itself, so the softmax is identically one and the query
+  path drops out; `inject` therefore refuses a regressor a Wq adapter.
 
 The value projection is allowed to be rectangular (v_out_dim < d_model),
 mirroring grouped-query-style asymmetry, and Wo folds it back.
 
-Adapter dropout runs exactly when a caller passes a random stream; only
+Both modes return `(rows, pullback)`, with a pullback exactly when the
+caller passes a random stream, which also switches adapter dropout on; only
 training does. `forward`, `collect_latents` and evaluation pass none, so
 they keep nothing for a pullback and free each intermediate once consumed.
 """
@@ -239,23 +240,16 @@ def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
     return masks
 
 
-def _norm(ws: dict, name: str, x: np.ndarray, save: bool) -> tuple[np.ndarray, tuple | None]:
-    """The rows of the block's layer norm `name`, and with `save` what its
-    backward half reads."""
-    rows, saved = T.layer_norm_forward(x, ws[name + "_g"], ws[name + "_b"])
-    return rows, (saved if save else None)
-
-
 def _attention_sublayer(backbone: FrozenBackbone, layer: int, x: np.ndarray,
-                        seq_len: int, masks: dict, save: bool
-                        ) -> tuple[np.ndarray, np.ndarray, tuple | None]:
+                        seq_len: int, masks: dict, saved: list | None
+                        ) -> tuple[np.ndarray, np.ndarray]:
     """x plus the block's attention branch: Wo attention(q, k, v) plus the
     module adapter, all read off the first layer norm's rows xn. Returns
-    the sum, xn (which every adapter of the block reads) and, with `save`,
-    what the pullback reads: the norm's centred rows and scales, q, k, v,
-    the attention weights and the adapters' pullbacks."""
+    the sum and xn (which every adapter of the block reads); given a list
+    `saved`, appends what the pullback reads: the norm's centred rows and
+    scales, q, k, v, the attention weights and the adapters' pullbacks."""
     ws = backbone.layers[layer]
-    xn, ln = _norm(ws, "ln1", x, save)
+    xn, ln = T.layer_norm_forward(x, ws["ln1_g"], ws["ln1_b"])
     q, q_pull = _proj(backbone, layer, "Wq", xn, masks)
     k = xn @ ws["Wk"].T
     v, v_pull = _proj(backbone, layer, "Wv", xn, masks)
@@ -266,31 +260,21 @@ def _attention_sublayer(backbone: FrozenBackbone, layer: int, x: np.ndarray,
     if module is not None:
         delta, module_pull = module.delta_rows(xn, masks.get((layer, "attn_block")))
         out = out + delta
-    saved = (ln, q, k, v, weights, q_pull, v_pull, module_pull) if save else None
-    return x + out, xn, saved
+    if saved is not None:
+        saved.append((ln, q, k, v, weights, q_pull, v_pull, module_pull))
+    return x + out, xn
 
 
-def _ffn_sublayer(ws: dict, x: np.ndarray, save: bool) -> tuple[np.ndarray, tuple | None]:
-    """x plus the frozen FFN of its second layer norm's rows, and with
-    `save` what the pullback reads: the norm's centred rows and scales, and
-    the FFN's hidden rows and their sigmoid (only w_down's product, which a
-    frozen weight never needs, reads the activations)."""
-    xn, ln = _norm(ws, "ln2", x, save)
+def _ffn_sublayer(ws: dict, x: np.ndarray, saved: list | None) -> np.ndarray:
+    """x plus the frozen FFN of its second layer norm's rows; given a list
+    `saved`, appends what the pullback reads: the norm's centred rows and
+    scales, and the FFN's hidden rows and their sigmoid (only w_down's
+    product, which a frozen weight never needs, reads the activations)."""
+    xn, ln = T.layer_norm_forward(x, ws["ln2_g"], ws["ln2_b"])
     ff, (lat, sig, _) = T.mlp_forward(xn, ws["W1"], ws["W2"], "silu", None, 1.0)
-    return x + ff, ((ln, (lat, sig, None)) if save else None)
-
-
-def _lm_block(backbone: FrozenBackbone, layer: int, x: np.ndarray, seq_len: int,
-              masks: dict, saved: list | None) -> tuple[np.ndarray, np.ndarray]:
-    """One pre-norm block over the (batch*seq, d) rows of a batch: its output
-    rows and its first layer norm's rows, which every adapter of the block
-    reads. Given a list `saved`, appends what `_lm_block_pullback` reads."""
-    save = saved is not None
-    x, xn, attention = _attention_sublayer(backbone, layer, x, seq_len, masks, save)
-    x, ffn = _ffn_sublayer(backbone.layers[layer], x, save)
-    if save:
-        saved.append((attention, ffn))
-    return x, xn
+    if saved is not None:
+        saved.append((ln, (lat, sig, None)))
+    return x + ff
 
 
 def _attention_pullback(backbone: FrozenBackbone, layer: int, g: np.ndarray,
@@ -346,22 +330,12 @@ def _ffn_pullback(ws: dict, g: np.ndarray, saved: tuple) -> np.ndarray:
     return dx
 
 
-def _lm_block_pullback(backbone: FrozenBackbone, layer: int, g: np.ndarray,
-                       saved: tuple, grads: dict, below: bool) -> np.ndarray | None:
-    """The reverse of `_lm_block` for the gradient g of its output rows:
-    writes its adapters' gradient products into `grads` and, when `below`,
-    returns the gradient of its input rows."""
-    attention, ffn = saved
-    g = _ffn_pullback(backbone.layers[layer], g, ffn)
-    return _attention_pullback(backbone, layer, g, attention, grads, below)
-
-
 def _lm_rows(backbone: FrozenBackbone, tokens, rng: RngState | None,
              saved: list | None) -> tuple[np.ndarray, list[np.ndarray]]:
     """The last block's output rows (batch*seq x d) of a (batch, seq) token
     array, a 1-d sequence being a batch of one, and each layer's adapter
     input rows: that layer's first layer norm. Given a list `saved`, each
-    block appends what its pullback reads."""
+    sublayer appends what its pullback reads."""
     cfg = backbone.cfg
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.ndim == 1:
@@ -378,7 +352,8 @@ def _lm_rows(backbone: FrozenBackbone, tokens, rng: RngState | None,
         n_seq * seq_len, cfg.d_model)
     adapter_inputs = []
     for layer in range(cfg.n_layers):
-        x, xn = _lm_block(backbone, layer, x, seq_len, masks, saved)
+        x, xn = _attention_sublayer(backbone, layer, x, seq_len, masks, saved)
+        x = _ffn_sublayer(backbone.layers[layer], x, saved)
         adapter_inputs.append(xn)
     return x, adapter_inputs
 
@@ -392,10 +367,10 @@ def lm_logits(backbone: FrozenBackbone, tokens, rng: RngState | None
     A training pass is one given a stream `rng`: it draws dropout, keeps
     what the backward halves read, and returns a pullback. That takes the
     logits' gradient and a map from each adapter to the arrays its w_up's
-    and w_down's gradients go in, runs the blocks in reverse down to the
-    lowest one with an adapter, dropping each block's arrays once it has
-    run, and writes every adapter's gradient products into the map's
-    arrays; it runs once.
+    and w_down's gradients go in, runs the sublayers in reverse, FFN then
+    attention, block by block down to the lowest block with an adapter,
+    dropping each sublayer's arrays once its pullback has run, and writes
+    every adapter's gradient products into the map's arrays; it runs once.
     Without a stream nothing is kept and the pullback is None.
     """
     saved = None if rng is None else []
@@ -409,7 +384,8 @@ def lm_logits(backbone: FrozenBackbone, tokens, rng: RngState | None
         g = T.layer_norm_backward(g @ backbone.head, backbone.ln_f_g, ln_f)
         lowest = min(layer for layer, _ in backbone.adapters)
         for layer in reversed(range(lowest, backbone.cfg.n_layers)):
-            g = _lm_block_pullback(backbone, layer, g, saved.pop(), grads, layer > lowest)
+            g = _ffn_pullback(backbone.layers[layer], g, saved.pop())
+            g = _attention_pullback(backbone, layer, g, saved.pop(), grads, layer > lowest)
         saved.clear()
 
     return logits, pullback
@@ -419,13 +395,14 @@ def regressor_frozen(backbone: FrozenBackbone, features) -> np.ndarray:
     """Adapter-free regressor output head(x + Wo Wv x + FFN(x)) in plain numpy.
 
     The ops and their order are those of the network as drawn, so the
-    result is bit for bit what the frozen model computes. It depends on the rows alone, so a
-    caller that revisits the same rows computes it once.
+    result is bit for bit what the frozen model computes; the FFN is the
+    `tensor.mlp_forward` call that `_ffn_sublayer` makes. It depends on the
+    rows alone, so a caller that revisits the same rows computes it once.
     """
     ws = backbone.layers[0]
     x = np.ascontiguousarray(features, dtype=np.float64)
     attn_out = (x @ ws["Wv"].T) @ ws["Wo"].T
-    ff = T.mlp_hidden(x, ws["W1"], "silu")[1] @ ws["W2"].T
+    ff = T.mlp_forward(x, ws["W1"], ws["W2"], "silu", None, 1.0)[0]
     return (x + attn_out + ff) @ backbone.head.T
 
 
@@ -440,7 +417,7 @@ def _features(backbone: FrozenBackbone, features) -> np.ndarray:
 def regressor_output(backbone: FrozenBackbone, features,
                      rng: RngState | None = None,
                      frozen: np.ndarray | None = None
-                     ) -> tuple[np.ndarray, list[tuple[np.ndarray, Callable]]]:
+                     ) -> tuple[np.ndarray, Callable | None]:
     """Regression head over parallel attention/FFN branches (see module doc).
 
     Everything downstream of an adapter is frozen and linear, so the output
@@ -450,24 +427,31 @@ def regressor_output(backbone: FrozenBackbone, features,
     through C = head. All of it is plain numpy: each delta is
     `Adapter.delta_rows`, and the output rows are summed in (layer, target)
     order, the order in which `_dropout_masks` draws and `collect_latents`
-    stacks. Returns the (n, vocab_size) output rows and each adapter's
-    (C, pullback of D): a loss gradient G with respect to the output
-    reaches D as G C, which the pullback takes on to the adapter's weights.
+    stacks. Returns the (n, vocab_size) output rows and, exactly when a
+    stream `rng` is given (which also draws dropout), their pullback: it
+    takes the output's gradient G and the map of each adapter's gradient
+    arrays that `lm_logits`'s takes, and hands each adapter's pullback G C.
 
     `frozen` is `regressor_frozen` of these rows when the caller already
-    holds it; otherwise it is computed here. Dropout runs exactly when a
-    stream `rng` is given.
+    holds it; otherwise it is computed here.
     """
     x = _features(backbone, features)
     masks = _dropout_masks(backbone, 1, x.shape[0], rng)
     out = regressor_frozen(backbone, x) if frozen is None else frozen
-    passes = []
+    carried = []
     for key, adapter in sorted(backbone.adapters.items()):
-        delta, pullback = adapter.delta_rows(x, masks.get(key))
+        delta, delta_pullback = adapter.delta_rows(x, masks.get(key))
         to_output = backbone.carry if key[1] == "Wv" else backbone.head
         out = out + delta @ to_output.T
-        passes.append((to_output, pullback))
-    return out, passes
+        carried.append((to_output, delta_pullback))
+    if rng is None:
+        return out, None
+
+    def pullback(g: np.ndarray, grads: dict) -> None:
+        for to_output, delta_pullback in carried:
+            delta_pullback(g @ to_output, grads, None)
+
+    return out, pullback
 
 
 def forward(backbone: FrozenBackbone, inputs, mode: str = "eval") -> Tensor:

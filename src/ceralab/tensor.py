@@ -38,8 +38,7 @@ class RngState:
     def __init__(self, seed: int, stream_id: int = 0,
                  _path: tuple[int, ...] | None = None):
         self.seed = int(seed)
-        self.stream_id = int(stream_id)
-        self._path = _path if _path is not None else (self.stream_id,)
+        self._path = _path if _path is not None else (int(stream_id),)
         self._gen = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(entropy=self.seed, spawn_key=self._path)))
 
@@ -172,8 +171,6 @@ def mlp_backward(g: np.ndarray, x: np.ndarray | None, w_up: np.ndarray,
         g = g * scale
     if d_down is not None:
         np.matmul(g.T, kept, out=d_down)
-    if dx is None and d_up is None:
-        return
     dact = g @ w_down
     if mask is not None:
         dact *= mask

@@ -10,6 +10,7 @@ the step runs it as one `tensor.backward` call.
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass
@@ -185,30 +186,27 @@ def _batch_loss(backbone: FrozenBackbone, data: Dataset, idx: np.ndarray,
     into which it writes those gradients. `frozen` is the regressor's
     frozen term of all of `data` (None for a language model).
 
-    A regressor's loss is the MSE, in the order d = out - target, then the
-    sum of d ** 2.0 over its n entries divided by n (`mean`'s bits), and
-    its gradient with respect to the output, ((1/n) 2.0) d, reaches each
-    adapter's delta rows as one product with the matrix that carries them
-    to the output. A language model's loss is the cross-entropy of its
-    logits; its pullback exists only for a training pass, one with a
-    stream, and is None otherwise (see `model.lm_logits`).
+    Both modes take one shape: the model's rows and pullback
+    (`model.regressor_output`, `model.lm_logits`), the loss of the rows,
+    and its gradient, which the returned pullback hands to the model's;
+    that pullback is None without a stream. A regressor's loss is the MSE,
+    in the order d = out - target, then the sum of d ** 2.0 over its n
+    entries divided by n (`mean`'s bits), with gradient ((1/n) 2.0) d; a
+    language model's is the cross-entropy of its logits.
     """
     if backbone.cfg.mode == "regressor":
-        out, passes = regressor_output(backbone, data.inputs[idx], rng=rng,
-                                       frozen=frozen[idx])
-        diff = out - data.targets[idx]
-
-        def pullback(grads: dict) -> None:
-            dout = (1.0 / diff.size) * 2.0 * diff
-            for to_output, adapter_pullback in passes:
-                adapter_pullback(dout @ to_output, grads, None)
-
-        return float((diff ** 2.0).sum()) / diff.size, pullback
-    logits, logits_pullback = lm_logits(backbone, data.inputs[idx], rng)
-    loss, saved = T.cross_entropy_forward(logits, data.targets[idx].reshape(-1))
-    if logits_pullback is None:
+        rows, rows_pullback = regressor_output(backbone, data.inputs[idx], rng=rng,
+                                               frozen=frozen[idx])
+        diff = rows - data.targets[idx]
+        loss = float((diff ** 2.0).sum()) / diff.size
+        loss_grad = partial(np.multiply, (1.0 / diff.size) * 2.0, diff)
+    else:
+        rows, rows_pullback = lm_logits(backbone, data.inputs[idx], rng)
+        loss, saved = T.cross_entropy_forward(rows, data.targets[idx].reshape(-1))
+        loss_grad = partial(T.cross_entropy_backward, saved)
+    if rows_pullback is None:
         return loss, None
-    return loss, lambda grads: logits_pullback(T.cross_entropy_backward(saved), grads)
+    return loss, lambda grads: rows_pullback(loss_grad(), grads)
 
 
 def evaluate(backbone: FrozenBackbone, test: Dataset) -> float:
@@ -280,15 +278,15 @@ def train_adapter(backbone: FrozenBackbone, train: Dataset, test: Dataset,
 @dataclass
 class ThroughputReport:
     tokens_per_second: float
-    median_seconds: float
     relative_latency: float
     baseline: str
 
 
 def _bare_copy(backbone: FrozenBackbone) -> FrozenBackbone:
-    return FrozenBackbone(backbone.cfg, backbone.tok_emb, backbone.pos_emb,
-                          backbone.layers, backbone.ln_f_g, backbone.ln_f_b,
-                          backbone.head)
+    """`backbone`'s frozen weights, shared, with no adapter injected."""
+    bare = copy.copy(backbone)
+    bare.adapters = {}
+    return bare
 
 
 def _forward_seconds(backbone: FrozenBackbone, batch) -> float:
@@ -325,7 +323,6 @@ def measure_throughput(backbone: FrozenBackbone, batch,
         tokens = sum(len(seq) for seq in batch)
     return ThroughputReport(
         tokens_per_second=tokens / median if median > 0 else 0.0,
-        median_seconds=median,
         relative_latency=median / base_median if base_median > 0 else 1.0,
         baseline=base_label,
     )

@@ -32,26 +32,31 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shared trained grids
+# shared trained grids, each run on two processes (its records are bit for
+# bit those of one process) and sorted into grid order
+
+
+def grid_order(records):
+    return sorted(records, key=lambda r: (r["method"], r["rank"], r["seed"]))
 
 
 @pytest.fixture(scope="module")
 def ceiling(tmp_path_factory):
     cfg = ExperimentConfig.load(CONFIG_DIR / "ceiling_sweep.json")
     cfg.outputs_dir = str(tmp_path_factory.mktemp("ceiling"))
-    outcome = cmd_sweep(cfg)
+    outcome = cmd_sweep(cfg, jobs=2)
     assert not outcome.failures, outcome.failures
     floor = json.loads((Path(cfg.outputs_dir) / "floor.json").read_text())
-    return cfg, outcome.records, floor["linear_floor"]
+    return cfg, grid_order(outcome.records), floor["linear_floor"]
 
 
 @pytest.fixture(scope="module")
 def ablation(tmp_path_factory):
     cfg = ExperimentConfig.load(CONFIG_DIR / "ablation.json")
     cfg.outputs_dir = str(tmp_path_factory.mktemp("ablation"))
-    outcome = cmd_ablate(cfg)
+    outcome = cmd_ablate(cfg, jobs=2)
     assert not outcome.failures, outcome.failures
-    return cfg, outcome.records
+    return cfg, grid_order(outcome.records)
 
 
 def mean_metric(records, method, rank):

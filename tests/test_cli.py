@@ -41,8 +41,27 @@ def test_sweep_exit_zero_and_outputs(tmp_path, capsys):
 
 
 def test_sweep_partial_failure_exit_one(tmp_path):
-    path, _ = write_config(tmp_path, ranks=[4, 64])
+    # at lr_max 1e300 the lora run leaves float range in its first step; its
+    # copy at alpha 0 (and no weight decay) never moves, and finishes
+    path, cfg = write_config(tmp_path)
+    d = cfg.to_dict()
+    d["methods"].append(dict(d["methods"][0], name="still", alpha=0.0))
+    d["train"].update(lr_max=1e300, weight_decay=0.0)
+    path.write_text(json.dumps(d))
     assert main(["sweep", "--config", str(path)]) == 1
+    assert len((tmp_path / "out" / "results.csv").read_text().splitlines()) == 2
+
+
+def test_a_rank_that_cannot_fit_its_target_exits_two(tmp_path, capsys):
+    # the shipped ceiling model's Wv adapters fit rank 64 at most: the config
+    # is refused at load, before any run or output
+    d = json.loads((CONFIG_DIR / "ceiling_sweep.json").read_text())
+    d.update(ranks=[4, 128], outputs_dir=str(tmp_path / "out"))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(d))
+    err = assert_config_error(["sweep", "--config", str(path)], capsys)
+    assert "rank 128 exceeds min(d, k) = 64 of the Wv adapter" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_config_exit_two(tmp_path, capsys):
@@ -147,7 +166,10 @@ def test_logistic_cli(capsys):
 
 @pytest.mark.parametrize("key,value", [
     ("grad_clip", 0.0), ("grad_clip", -1.0), ("eps", 0.0), ("eps", -1e-8),
-    ("weight_decay", -0.01), ("seed", 5)])
+    ("weight_decay", -0.01), ("seed", 5),
+    # JSON's Infinity: every Adam step would be 0, or every run would fail
+    ("eps", float("inf")), ("lr_max", float("inf")),
+    ("weight_decay", float("inf")), ("grad_clip", float("inf"))])
 def test_train_values_that_break_training_exit_two(tmp_path, capsys, key, value):
     path, cfg = write_config(tmp_path)
     d = cfg.to_dict()
@@ -260,7 +282,9 @@ def test_malformed_plot_input_exits_two(tmp_path, capsys):
                     {"series": [dict(good, ys="34")]},
                     {"series": [good], "axes": {"xscale": "logarithmic"}},
                     {"series": [good], "axes": {"width": -5}},
-                    {"series": [dict(good, y_lo=[1], y_hi=[4, 5])]}):
+                    {"series": [dict(good, y_lo=[1], y_hi=[4, 5])]},
+                    {"series": [dict(good, ys=[3, float("nan")])]},
+                    {"series": [dict(good, ys=[3, float("inf")])]}):
         src.write_text(json.dumps(payload))
         assert_config_error(["plot", "--input", str(src), "--out", str(out)], capsys)
     # bytes that are not UTF-8, and a directory, cannot be read
@@ -273,11 +297,13 @@ def test_malformed_plot_input_exits_two(tmp_path, capsys):
 
 
 def wrong_values(hint, optional):
-    """JSON values of a type that `hint` does not take."""
+    """JSON values of a type that `hint` does not take, and for a float
+    JSON's NaN and Infinity, which no float field takes."""
     if typing.get_origin(hint) in (list, tuple):
         wrong = [True, "x", 1.5, {}]
     else:
-        wrong = {int: [True, "x", 1.5, [1], {}], float: [True, "x", [1], {}],
+        wrong = {int: [True, "x", 1.5, [1], {}],
+                 float: [True, "x", [1], {}, float("nan"), float("inf")],
                  str: [True, 1.5, [1], {}]}[hint]
     return wrong if optional else wrong + [None]
 

@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -299,9 +300,30 @@ def test_nonlinear_teacher_floor_is_pinned():
     assert build_task_bundle(cfg.task_id, cfg.model).floor == 0.05202710531425961
 
 
+def oversized_grid(outputs_dir):
+    """A grid of ranks 4 and 64 for a model whose adapters fit rank 16 at
+    most. The config's own check refuses rank 64, so the ranks are set past
+    it: the rank-64 run then fails in `init_adapter`, on its own."""
+    cfg = small_config(outputs_dir)
+    cfg.ranks = [4, 64]
+    return cfg
+
+
+def test_a_config_refuses_a_rank_its_targets_cannot_fit(tmp_path):
+    with pytest.raises(ConfigError, match=r"rank 64 exceeds min\(d, k\) = 16 of the Wv"):
+        small_config(tmp_path / "out", ranks=(4, 64))
+    # Wv is v_out_dim x d_model; a module adapter wraps the d_model x d_model
+    # block
+    cfg = small_config(tmp_path / "out", ranks=(12,))
+    narrow = ModelConfig(**dict(SMALL_MODEL, v_out_dim=8))
+    with pytest.raises(ConfigError, match=r"rank 12 exceeds min\(d, k\) = 8 of the Wv"):
+        replace(cfg, model=narrow)
+    replace(cfg, model=narrow, methods=[MethodSpec(name="module", kind="parallel_module")])
+
+
 def test_partial_failure_isolation(tmp_path):
     # rank 64 exceeds min(d, k) = 16 for this model: that run must fail alone
-    cfg = small_config(tmp_path / "out", ranks=(4, 64), seeds=(1,))
+    cfg = oversized_grid(tmp_path / "out")
     outcome = cmd_sweep(cfg)
     assert outcome.exit_code == 1
     assert len(outcome.records) == 1
@@ -341,7 +363,7 @@ def test_a_parallel_grid_starts_no_more_workers_than_pending_runs(tmp_path, monk
 
 
 def test_parallel_failure_keeps_worker_traceback(tmp_path):
-    cfg = small_config(tmp_path / "out", ranks=(4, 64), seeds=(1,))
+    cfg = oversized_grid(tmp_path / "out")
     outcome = cmd_sweep(cfg, jobs=2)
     assert outcome.exit_code == 1 and len(outcome.records) == 1
     error = outcome.failures[0]["error"]
@@ -355,7 +377,7 @@ def test_parallel_failure_keeps_worker_traceback(tmp_path):
 
 def test_sweep_failures_file_tracks_the_latest_grid(tmp_path):
     failures = tmp_path / "out" / "failures.json"
-    assert cmd_sweep(small_config(tmp_path / "out", ranks=(4, 64))).exit_code == 1
+    assert cmd_sweep(oversized_grid(tmp_path / "out")).exit_code == 1
     assert "rank 64" in json.loads(failures.read_text())[0]["error"]
     # a clean rerun into the same directory leaves no stale failure behind
     assert cmd_sweep(small_config(tmp_path / "out", ranks=(4,))).exit_code == 0
@@ -364,10 +386,12 @@ def test_sweep_failures_file_tracks_the_latest_grid(tmp_path):
 
 def test_ablation_failures_file_tracks_the_latest_grid(tmp_path):
     failures = tmp_path / "out" / "failures.json"
-    # rank 32 exceeds min(d, k) = 16: all five variants fail
-    assert cmd_ablate(small_config(tmp_path / "out", ranks=(32,))).exit_code == 1
+    # at lr_max 1e300 all five variants leave float range in their first step
+    diverging = replace(small_config(tmp_path / "out"),
+                        train=TrainConfig(steps=5, batch_size=8, lr_max=1e300))
+    assert cmd_ablate(diverging).exit_code == 1
     saved = json.loads(failures.read_text())
-    assert len(saved) == 5 and all("rank 32" in f["error"] for f in saved)
+    assert len(saved) == 5 and all("in train_adapter" in f["error"] for f in saved)
     assert cmd_ablate(small_config(tmp_path / "out", ranks=(4,))).exit_code == 0
     assert not failures.exists()
 

@@ -389,9 +389,9 @@ def test_the_explicit_pullback_matches_finite_differences_through_every_block(
     assert blocks == want
 
 
-def saved_blocks(pullback):
-    """The per-block arrays a language-model pullback will read, bottom
-    block first: the list its closure holds."""
+def saved_entries(pullback):
+    """The per-sublayer arrays a language-model pullback will read, bottom
+    block first and attention before FFN: the list its closure holds."""
     cells = dict(zip(pullback.__code__.co_freevars, pullback.__closure__))
     return cells["saved"].cell_contents
 
@@ -412,9 +412,11 @@ def two_block_training_pass():
 def test_a_training_pass_keeps_only_what_its_pullback_reads():
     bb, seqs, _, pullback = two_block_training_pass()
     n, s = seqs.size, seqs.shape[1]
-    blocks = saved_blocks(pullback)
-    assert len(blocks) == 2
-    for (ln1, q, k, v, weights, *pulls), (ln2, (lat, sig, kept)) in blocks:
+    entries = saved_entries(pullback)
+    # two entries per block: its attention sublayer's, then its FFN's
+    assert len(entries) == 4
+    for (ln1, q, k, v, weights, *pulls), (ln2, (lat, sig, kept)) in zip(
+            entries[::2], entries[1::2]):
         # each layer norm keeps its centred rows and one scale per row
         assert [a.shape for a in ln1] == [a.shape for a in ln2] == [(n, 16), (n, 1)]
         # attention keeps q, k, v and its weights, and every adapter its pullback
@@ -428,29 +430,34 @@ def test_a_training_pass_keeps_only_what_its_pullback_reads():
 
 
 def test_the_pullback_drops_each_blocks_arrays_once_it_has_run(monkeypatch):
-    # when the lower block's pullback runs, the upper block's arrays are
-    # gone unless the caller holds them, and the gradients are the same
+    # when a sublayer's pullback runs, the arrays of every sublayer above it
+    # are gone unless the caller holds them (a block's FFN arrays before its
+    # own attention pullback runs), and the gradients are the same
     def run(hold: bool):
         bb, _, g, pullback = two_block_training_pass()
-        blocks = saved_blocks(pullback)
-        alive = [weakref.ref(attention[4]) for attention, _ in blocks]
-        held = list(blocks) if hold else []  # alive until `run` returns
-        seen, block_pullback = [], model_mod._lm_block_pullback
+        entries = saved_entries(pullback)
+        # attention weights, FFN hidden rows: attn0, ffn0, attn1, ffn1
+        alive = [weakref.ref(entry[4] if i % 2 == 0 else entry[1][0])
+                 for i, entry in enumerate(entries)]
+        held = list(entries) if hold else []  # alive until `run` returns
+        seen = []
+        for name in ("_attention_pullback", "_ffn_pullback"):
+            def recording(*args, name=name, original=getattr(model_mod, name)):
+                seen.append((name, [ref() is not None for ref in alive]))
+                return original(*args)
 
-        def recording(backbone, layer, *args):
-            seen.append((layer, [ref() is not None for ref in alive]))
-            return block_pullback(backbone, layer, *args)
-
-        monkeypatch.setattr(model_mod, "_lm_block_pullback", recording)
-        del blocks
+            monkeypatch.setattr(model_mod, name, recording)
+        del entries
         grads = gradient_map(bb, 0.0)
         pullback(g, grads)
         monkeypatch.undo()
         return seen, [g.tobytes() for pair in grads.values() for g in pair]
 
     (freed, grads), (kept, want) = run(hold=False), run(hold=True)
-    assert freed == [(1, [True, True]), (0, [True, False])]
-    assert kept == [(1, [True, True]), (0, [True, True])]
+    names = ["_ffn_pullback", "_attention_pullback"] * 2
+    assert freed == list(zip(names, [[True, True, True, True], [True, True, True, False],
+                                     [True, True, False, False], [True, False, False, False]]))
+    assert kept == [(name, [True] * 4) for name in names]
     assert grads == want
 
 
@@ -718,8 +725,9 @@ def regressor_with_both_adapters(seed, **kw):
 def test_adapter_free_regressor_is_bit_identical_to_the_network():
     bb = build_model(REG, 40)
     x = RngState(41).normal((37, 16))
-    got, deltas = regressor_output(bb, x)
-    assert deltas == []
+    got, pullback = regressor_output(bb, x)
+    assert pullback is None  # a pullback comes exactly with a stream
+    assert callable(regressor_output(bb, x, RngState(42))[1])
     assert got.tobytes() == network_regressor_output(bb, x, {}).tobytes()
     assert regressor_frozen(bb, x).tobytes() == got.tobytes()
 
