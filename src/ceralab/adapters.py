@@ -23,7 +23,6 @@ import numpy as np
 from . import tensor as T
 from .errors import ConfigError, NotMergeableError
 from .spectral import delta_w_linear
-from .tensor import RngState
 
 KINDS = ("lora", "cera", "parallel_module")
 
@@ -102,7 +101,8 @@ class AdapterState:
         return cls(w_up=load("w_up"), w_down=load("w_down"))
 
 
-def init_adapter(cfg: AdapterConfig, d: int, k: int, rng: RngState) -> AdapterState:
+def init_adapter(cfg: AdapterConfig, d: int, k: int,
+                 rng: np.random.Generator) -> AdapterState:
     """Fresh state: scaled-uniform w_up, zero w_down (exact no-op at step 0)."""
     if cfg.r > min(d, k):
         raise ConfigError(f"rank {cfg.r} exceeds min(d, k) = {min(d, k)}")
@@ -121,7 +121,8 @@ class Adapter:
         self.state = state
 
     @classmethod
-    def init(cls, cfg: AdapterConfig, d: int, k: int, rng: RngState) -> "Adapter":
+    def init(cls, cfg: AdapterConfig, d: int, k: int,
+             rng: np.random.Generator) -> "Adapter":
         return cls(cfg, init_adapter(cfg, d, k, rng))
 
     def latent_rows(self, x: np.ndarray) -> np.ndarray:

@@ -32,7 +32,7 @@ from .spectral import (SpectralReport, activation_spectrum, auc90,
 from .tasks import (Dataset, detect_state_collapse, linear_floor,
                     logistic_map_table, make_teacher_task, nonlinear_teacher,
                     trajectory_sequences)
-from .tensor import RngState
+from .tensor import stream
 from .trainer import TrainConfig, train_adapter
 from . import tasks as tasks_mod
 
@@ -225,14 +225,13 @@ def _inject_method(backbone: FrozenBackbone, method: MethodSpec, rank: int,
     or, given a run's stored `bundles`, holding the states stored there.
     A missing bundle, or one that does not fit its target, raises
     ConfigError."""
-    rng = RngState(seed, 9)
     for layer in range(backbone.cfg.n_layers):
         for i, target in enumerate(method.injection_targets()):
             acfg = method.adapter_config(rank)
             key = f"{layer}:{target}"
             if bundles is None:
                 adapter = Adapter.init(acfg, *adapter_shape(backbone.cfg, target),
-                                       rng.child(layer * 8 + i))
+                                       stream(seed, 9, layer * 8 + i))
             elif key in bundles:
                 adapter = Adapter(acfg, AdapterState.from_bundle(bundles[key]))
             else:

@@ -46,7 +46,7 @@ from . import tensor as T
 from .adapters import Adapter, merge_linear
 from .errors import (ConfigError, DictConfig, DomainError, NotMergeableError,
                      ShapeError)
-from .tensor import RngState, Tensor
+from .tensor import Tensor, stream
 
 INJECTION_TARGETS = ("Wq", "Wv", "attn_block")
 # the only adapters a regressor accepts: its query path drops out (module doc)
@@ -127,14 +127,14 @@ class FrozenBackbone:
                    for a in self.adapters.values())
 
 
-def _uniform_matrix(rng: RngState, d: int, k: int) -> np.ndarray:
+def _uniform_matrix(rng: np.random.Generator, d: int, k: int) -> np.ndarray:
     bound = 1.0 / np.sqrt(k)
     return rng.uniform(-bound, bound, (d, k))
 
 
 def build_model(cfg: ModelConfig, seed: int) -> FrozenBackbone:
     """Deterministic scaled-uniform init; every tensor stays frozen."""
-    rng = RngState(seed, 0)
+    rng = stream(seed, 0)
     tok_emb = _uniform_matrix(rng, cfg.vocab_size, cfg.d_model)
     pos_emb = _uniform_matrix(rng, cfg.max_seq_len, cfg.d_model)
     layers = []
@@ -205,7 +205,7 @@ def _proj(backbone: FrozenBackbone, layer: int, target: str, xn: np.ndarray,
 
 
 def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
-                   rng: RngState | None) -> dict:
+                   rng: np.random.Generator | None) -> dict:
     """Every adapter's dropout mask for a batch, as (n_seq*seq_len, r) rows,
     drawn from `rng`; without a stream there is no dropout and no mask.
 
@@ -330,7 +330,7 @@ def _ffn_pullback(ws: dict, g: np.ndarray, saved: tuple) -> np.ndarray:
     return dx
 
 
-def _lm_rows(backbone: FrozenBackbone, tokens, rng: RngState | None,
+def _lm_rows(backbone: FrozenBackbone, tokens, rng: np.random.Generator | None,
              saved: list | None) -> tuple[np.ndarray, list[np.ndarray]]:
     """The last block's output rows (batch*seq x d) of a (batch, seq) token
     array, a 1-d sequence being a batch of one, and each layer's adapter
@@ -358,7 +358,7 @@ def _lm_rows(backbone: FrozenBackbone, tokens, rng: RngState | None,
     return x, adapter_inputs
 
 
-def lm_logits(backbone: FrozenBackbone, tokens, rng: RngState | None
+def lm_logits(backbone: FrozenBackbone, tokens, rng: np.random.Generator | None
               ) -> tuple[np.ndarray, Callable | None]:
     """Logits (batch*seq x vocab) of a (batch, seq) token array, one row per
     token, sequence by sequence (a 1-d sequence is a batch of one), and
@@ -415,7 +415,7 @@ def _features(backbone: FrozenBackbone, features) -> np.ndarray:
 
 
 def regressor_output(backbone: FrozenBackbone, features,
-                     rng: RngState | None = None,
+                     rng: np.random.Generator | None = None,
                      frozen: np.ndarray | None = None
                      ) -> tuple[np.ndarray, Callable | None]:
     """Regression head over parallel attention/FFN branches (see module doc).

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericsError
-from .tensor import RngState
+from .tensor import stream
 
 VOCAB = "0123456789.,"
 VOCAB_SIZE = len(VOCAB)
@@ -110,7 +110,7 @@ def trajectory_sequences(n_steps: int = 8, count: int = 64,
     """Tokenized logistic trajectories with next-token targets, 80/20 split;
     growth rates are drawn from `R_RANGE` and starting values from
     `X0_RANGE`."""
-    rng = RngState(seed, 100)
+    rng = stream(seed, 100)
     seqs = []
     for _ in range(count):
         r = rng.uniform(*R_RANGE, ())
@@ -155,9 +155,9 @@ def nonlinear_teacher(seed: int, in_dim: int, out_dim: int,
     """
     if min(in_dim, out_dim, hidden) < 1:
         raise DomainError("teacher dims must be >= 1")
-    rng = RngState(seed, 200)
-    u = rng.normal((hidden, in_dim), scale=preact_scale / np.sqrt(in_dim))
-    v = rng.normal((out_dim, hidden), scale=1.0 / np.sqrt(hidden))
+    rng = stream(seed, 200)
+    u = rng.normal(0.0, preact_scale / np.sqrt(in_dim), (hidden, in_dim))
+    v = rng.normal(0.0, 1.0 / np.sqrt(hidden), (out_dim, hidden))
     return Teacher(u=u, v=v)
 
 
@@ -187,8 +187,8 @@ def make_teacher_task(frozen_fn: Callable[[np.ndarray], np.ndarray],
     """
     if not 0.0 < residual_share < 1.0:
         raise DomainError("residual share must be in (0, 1)")
-    rng = RngState(seed, 300)
-    x_all = rng.normal((n_train + n_test, in_dim))
+    rng = stream(seed, 300)
+    x_all = rng.normal(size=(n_train + n_test, in_dim))
     frozen = frozen_fn(x_all)
     raw_residual = teacher(x_all)
     var_frozen = float(frozen.var())

@@ -14,6 +14,9 @@ training step's reverse pass is one call. Where a block of rows feeds
 several consumers, `_accum` sums their gradients into one array, in the
 consumers' forward order. Weights and adapter matrices are plain float64
 arrays throughout.
+
+Every random number the package draws comes from `stream`, a numpy
+Generator at a (seed, path) address; callers draw with its own methods.
 """
 
 from __future__ import annotations
@@ -27,44 +30,14 @@ from .errors import DomainError, ShapeError
 LAYER_NORM_EPS = 1e-5
 
 
-class RngState:
-    """Deterministic random stream addressed by (seed, stream id).
-
-    Streams are PCG64 generators keyed by SeedSequence spawn paths, so the
-    same (seed, stream path) replays the identical draw sequence on every
-    platform, and children derived via `child` never alias each other.
-    """
-
-    def __init__(self, seed: int, stream_id: int = 0,
-                 _path: tuple[int, ...] | None = None):
-        self.seed = int(seed)
-        self._path = _path if _path is not None else (int(stream_id),)
-        self._gen = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(entropy=self.seed, spawn_key=self._path)))
-
-    def child(self, stream_id: int) -> "RngState":
-        return RngState(self.seed, stream_id,
-                        _path=self._path + (int(stream_id),))
-
-    def uniform(self, low: float, high: float, shape) -> np.ndarray:
-        return self._gen.uniform(low, high, size=shape)
-
-    def random(self, shape) -> np.ndarray:
-        """Uniform draws on [0, 1): the bits of `uniform(0.0, 1.0, shape)`,
-        without its bound handling."""
-        return self._gen.random(shape)
-
-    def normal(self, shape, scale: float = 1.0) -> np.ndarray:
-        return self._gen.normal(0.0, scale, size=shape)
-
-    def integers(self, low: int, high: int, shape) -> np.ndarray:
-        return self._gen.integers(low, high, size=shape)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def __repr__(self) -> str:
-        return f"RngState(seed={self.seed}, path={self._path})"
+def stream(seed: int, *path: int) -> np.random.Generator:
+    """The deterministic random stream at address (seed, path): a PCG64
+    generator keyed by numpy's SeedSequence with `path` as its spawn key.
+    The same address replays the identical draws on every platform, and
+    distinct paths never alias, a path and its extensions included: the
+    stream at (s, 0, 2, 2) shares no draws with the one at (s, 0, 2)."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(entropy=seed, spawn_key=path)))
 
 
 class Tensor:

@@ -26,7 +26,7 @@ from .errors import (ConfigError, DictConfig, DomainError, NotMergeableError,
 from .model import (FrozenBackbone, forward, lm_logits, merged_copy,
                     regressor_frozen, regressor_output)
 from .tasks import Dataset
-from .tensor import RngState, backward
+from .tensor import backward, stream
 
 # a run draws its batch indices a block of steps at a time, as many steps as
 # fit this many bytes of int64 indices and at least one; one (k, batch) draw
@@ -177,7 +177,7 @@ def adamw_step(state: AdamWState, lr: float, cfg: TrainConfig) -> None:
 
 
 def _batch_loss(backbone: FrozenBackbone, data: Dataset, idx: np.ndarray,
-                rng: RngState | None, frozen: np.ndarray | None
+                rng: np.random.Generator | None, frozen: np.ndarray | None
                 ) -> tuple[float, Callable | None]:
     """Mean loss over the rows `idx` of `data`, with dropout drawn from `rng`
     if one is given, and its pullback: a function of a map from each
@@ -239,8 +239,8 @@ def train_adapter(backbone: FrozenBackbone, train: Dataset, test: Dataset,
     if not backbone.adapters:
         raise ConfigError("no adapter parameters to train")
     opt = adamw_state(list(backbone.adapters.values()))
-    batch_rng = RngState(cfg.seed).child(1)
-    drop_rng = RngState(cfg.seed).child(2)
+    batch_rng = stream(cfg.seed, 0, 1)
+    drop_rng = stream(cfg.seed, 0, 2)
     n_train = len(train)
     curve: list[float] = []
     started = time.perf_counter()

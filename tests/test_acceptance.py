@@ -20,8 +20,8 @@ from ceralab.model import (ModelConfig, adapter_shape, build_model, inject,
                            lm_logits)
 from ceralab.spectral import auc90, effective_rank, svd_values
 from ceralab.tasks import logistic_map_table
-from ceralab.tensor import (RngState, cross_entropy_backward,
-                            cross_entropy_forward, finite_difference_check)
+from ceralab.tensor import (cross_entropy_backward, cross_entropy_forward,
+                            finite_difference_check, stream)
 from ceralab.trainer import measure_throughput
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -99,15 +99,15 @@ def test_criterion_02_table1_trajectory():
 def test_criterion_03_degeneracy_equivalence():
     worst = 0.0
     for i in range(100):
-        rng = RngState(9000 + i)
+        rng = stream(9000 + i, 0)
         d, k, r = 6, 8, 4
         lora_cfg = AdapterConfig(kind="lora", r=r, alpha=2.5)
         cera_cfg = AdapterConfig(kind="cera", r=r, alpha=2.5,
                                  activation="identity", dropout_p=0.0)
-        st = init_adapter(lora_cfg, d, k, rng.child(0))
-        st.w_down[:] = rng.normal((d, r))
-        w0 = rng.normal((d, k))
-        x = rng.normal((1, k))
+        st = init_adapter(lora_cfg, d, k, stream(9000 + i, 0, 0))
+        st.w_down[:] = rng.normal(size=(d, r))
+        w0 = rng.normal(size=(d, k))
+        x = rng.normal(size=(1, k))
         a = x @ w0.T + Adapter(lora_cfg, st).delta_rows(x, None)[0]
         b = x @ w0.T + Adapter(cera_cfg, st).delta_rows(x, None)[0]
         worst = max(worst, float(np.max(np.abs(a - b))))
@@ -120,17 +120,17 @@ def test_criterion_03_degeneracy_equivalence():
 def test_criterion_04_merge_equivalence_and_asymmetry():
     worst = 0.0
     for i in range(20):
-        rng = RngState(9500 + i)
+        rng = stream(9500 + i, 0)
         cfg = AdapterConfig(kind="lora", r=3, alpha=1.7)
-        st = init_adapter(cfg, 5, 7, rng.child(0))
-        st.w_down[:] = rng.normal((5, 3))
-        w0 = rng.normal((5, 7))
+        st = init_adapter(cfg, 5, 7, stream(9500 + i, 0, 0))
+        st.w_down[:] = rng.normal(size=(5, 3))
+        w0 = rng.normal(size=(5, 7))
         merged = merge_linear(w0, st, cfg)
-        x = rng.normal((1, 7))
+        x = rng.normal(size=(1, 7))
         unmerged = x @ w0.T + Adapter(cfg, st).delta_rows(x, None)[0]
         worst = max(worst, float(np.max(np.abs(unmerged - x @ merged.T))))
     cera_cfg = AdapterConfig(kind="cera", r=3)  # silu by default
-    cera_st = init_adapter(cera_cfg, 5, 7, RngState(1))
+    cera_st = init_adapter(cera_cfg, 5, 7, stream(1, 0))
     raised = False
     try:
         merge_linear(np.zeros((5, 7)), cera_st, cera_cfg)
@@ -150,15 +150,15 @@ def test_criterion_05_gradient_soundness_full_model():
         bb = build_model(cfg, 400 + seed)
         acfg = AdapterConfig(kind="cera", r=3)
         adapter = Adapter.init(acfg, *adapter_shape(cfg, "Wv"),
-                               RngState(500 + seed, 9))
-        adapter.state.w_down[:] = RngState(600 + seed).normal((8, 3)) * 0.3
+                               stream(500 + seed, 9))
+        adapter.state.w_down[:] = stream(600 + seed, 0).normal(size=(8, 3)) * 0.3
         inject(bb, 0, "Wv", adapter)
-        seq = RngState(700 + seed).integers(0, 11, 6)
-        targets = RngState(800 + seed).integers(0, 11, 6)
+        seq = stream(700 + seed, 0).integers(0, 11, 6)
+        targets = stream(800 + seed, 0).integers(0, 11, 6)
 
         def training_pass():
             # the explicit pass; a fresh stream draws the same dropout masks
-            logits, pullback = lm_logits(bb, seq, RngState(900 + seed))
+            logits, pullback = lm_logits(bb, seq, stream(900 + seed, 0))
             return (*cross_entropy_forward(logits, targets), pullback)
 
         _, saved, pullback = training_pass()
@@ -190,7 +190,7 @@ def test_criterion_06_spectral_unit_suite():
                       for c in (1e-6, 0.5, 3.0, 1e6)))
     recon_errs = []
     for i in range(5):
-        m = RngState(1000 + i).normal((8, 5))
+        m = stream(1000 + i, 0).normal(size=(8, 5))
         u, s, v = svd_values(m, with_vectors=True)
         recon_errs.append(np.linalg.norm(u @ np.diag(s) @ v.T - m)
                           / np.linalg.norm(m))
@@ -301,12 +301,12 @@ def test_criterion_11_throughput_ratio():
 
     def build_with(kind):
         bb = build_model(cfg, 77)
-        rng = RngState(78)
+        rng = stream(78, 0)
         for layer in range(cfg.n_layers):
             for j, target in enumerate(("Wq", "Wv")):
                 acfg = AdapterConfig(kind=kind, r=8)
                 adapter = Adapter.init(acfg, *adapter_shape(cfg, target),
-                                       rng.child(layer * 2 + j))
+                                       stream(78, 0, layer * 2 + j))
                 adapter.state.w_down[:] = 0.01
                 inject(bb, layer, target, adapter)
         return bb

@@ -11,19 +11,19 @@ from ceralab.errors import ConfigError, NotMergeableError
 from ceralab.experiments import MethodSpec
 from ceralab.model import ModelConfig, build_model, inject, regressor_output
 from ceralab.spectral import delta_w_linear, svd_values
-from ceralab.tensor import RngState
+from ceralab.tensor import stream
 
 LLAMA3_GEOMETRY = [(4096, 4096, 32), (1024, 4096, 32)]
 
 
 def make_lora(r=4, d=6, k=8, seed=0, **kw):
     cfg = AdapterConfig(kind="lora", r=r, **kw)
-    return cfg, init_adapter(cfg, d, k, RngState(seed))
+    return cfg, init_adapter(cfg, d, k, stream(seed, 0))
 
 
 def make_cera(r=4, d=6, k=8, seed=0, **kw):
     cfg = AdapterConfig(kind="cera", r=r, **kw)
-    return cfg, init_adapter(cfg, d, k, RngState(seed))
+    return cfg, init_adapter(cfg, d, k, stream(seed, 0))
 
 
 def keep_mask(shape, p, rng):
@@ -51,9 +51,9 @@ def gradient_arrays(adapter):
 
 def test_init_is_exact_noop():
     cfg, st_ = make_cera()
-    rng = RngState(1)
-    w0 = rng.normal((6, 8))
-    x = rng.normal((1, 8))
+    rng = stream(1, 0)
+    w0 = rng.normal(size=(6, 8))
+    x = rng.normal(size=(1, 8))
     base = x @ w0.T
     out = adapted(x, w0, st_, cfg)
     assert np.array_equal(out, base)
@@ -68,57 +68,57 @@ def test_init_deterministic():
 
 def test_init_gain_zero():
     cfg = AdapterConfig(kind="cera", r=3, init_gain=0.0)
-    st_ = init_adapter(cfg, 5, 5, RngState(2))
+    st_ = init_adapter(cfg, 5, 5, stream(2, 0))
     assert np.all(st_.w_up == 0.0)
 
 
 def test_init_rank_too_large():
     cfg = AdapterConfig(kind="lora", r=9)
     with pytest.raises(ConfigError):
-        init_adapter(cfg, 4, 16, RngState(0))
+        init_adapter(cfg, 4, 16, stream(0, 0))
 
 
 def test_lora_zero_b_and_zero_alpha():
     cfg, st_ = make_lora(alpha=0.0)
-    rng = RngState(3)
-    st_.w_down[:] = rng.normal((6, 4))  # nonzero B, alpha kills it
-    w0 = rng.normal((6, 8))
-    x = rng.normal((1, 8))
+    rng = stream(3, 0)
+    st_.w_down[:] = rng.normal(size=(6, 4))  # nonzero B, alpha kills it
+    w0 = rng.normal(size=(6, 8))
+    x = rng.normal(size=(1, 8))
     assert np.allclose(adapted(x, w0, st_, cfg), x @ w0.T)
 
 
 def test_lora_matches_materialized_delta_w():
-    rng = RngState(4)
+    rng = stream(4, 0)
     cfg, st_ = make_lora(r=3, d=5, k=7, alpha=2.0)
-    st_.w_down[:] = rng.normal((5, 3))
-    st_.w_up[:] = rng.normal((3, 7))
-    w0 = rng.normal((5, 7))
-    x = rng.normal((1, 7))
+    st_.w_down[:] = rng.normal(size=(5, 3))
+    st_.w_up[:] = rng.normal(size=(3, 7))
+    w0 = rng.normal(size=(5, 7))
+    x = rng.normal(size=(1, 7))
     merged = w0 + delta_w_linear(st_.w_up, st_.w_down, 2.0 / 3)
     got = adapted(x, w0, st_, cfg)
     assert np.max(np.abs(got - x @ merged.T)) < 1e-10
 
 
 def test_cera_degenerates_to_lora():
-    rng = RngState(5)
+    rng = stream(5, 0)
     lora_cfg, st_ = make_lora(r=4, d=6, k=8)
-    st_.w_down[:] = rng.normal((6, 4))
+    st_.w_down[:] = rng.normal(size=(6, 4))
     cera_cfg = AdapterConfig(kind="cera", r=4, activation="identity", dropout_p=0.0)
-    w0 = rng.normal((6, 8))
+    w0 = rng.normal(size=(6, 8))
     for _ in range(20):
-        x = rng.normal((1, 8))
+        x = rng.normal(size=(1, 8))
         a = adapted(x, w0, st_, lora_cfg)
         b = adapted(x, w0, st_, cera_cfg)
         assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_lora_is_the_identity_case_of_the_one_delta_path():
-    rng = RngState(19)
+    rng = stream(19, 0)
     lora_cfg, st_ = make_lora(r=4, d=6, k=8, alpha=3.0)
-    st_.w_down[:] = rng.normal((6, 4))
+    st_.w_down[:] = rng.normal(size=(6, 4))
     cera_cfg = AdapterConfig(kind="cera", r=4, alpha=3.0, activation="identity",
                              dropout_p=0.0)
-    x = rng.normal((5, 8))
+    x = rng.normal(size=(5, 8))
     lora, cera = Adapter(lora_cfg, st_), Adapter(cera_cfg, st_)
     assert np.array_equal(delta(lora, x), delta(cera, x))
     assert np.array_equal(lora.latent_rows(x), cera.latent_rows(x))
@@ -132,10 +132,10 @@ def test_lora_rejects_scale_s():
         AdapterConfig(kind="lora", r=3, scale_s=5.0)
     with pytest.raises(ConfigError, match="scale_s"):
         MethodSpec(name="lora", kind="lora", scale_s=5.0)
-    rng = RngState(20)
+    rng = stream(20, 0)
     cfg, st_ = make_lora(r=3, d=5, k=7, alpha=6.0)
-    st_.w_down[:] = rng.normal((5, 3))
-    x = rng.normal((4, 7))
+    st_.w_down[:] = rng.normal(size=(5, 3))
+    x = rng.normal(size=(4, 7))
     applied = delta(Adapter(cfg, st_), x)
     unit = x @ (st_.w_down @ st_.w_up).T
     assert cfg.scale_s == 2.0
@@ -143,10 +143,10 @@ def test_lora_rejects_scale_s():
 
 
 def test_unit_scale_adds_no_multiply():
-    rng = RngState(21)
+    rng = stream(21, 0)
     cfg, st_ = make_cera(r=3, d=5, k=7, dropout_p=0.0)
-    st_.w_down[:] = rng.normal((5, 3))
-    x = rng.normal((4, 7))
+    st_.w_down[:] = rng.normal(size=(5, 3))
+    x = rng.normal(size=(4, 7))
     # s = alpha / r = 1: the delta is the down-projection's product itself,
     # and w_down's gradient the product of the rows' gradient alone
     assert cfg.scale_s == 1.0
@@ -155,7 +155,7 @@ def test_unit_scale_adds_no_multiply():
     adapter = Adapter(cfg, st_)
     rows, pullback = adapter.delta_rows(x, None)
     assert np.array_equal(rows, unit)
-    g = rng.normal((4, 5))
+    g = rng.normal(size=(4, 5))
     grads = gradient_arrays(adapter)
     pullback(g, grads, None)
     assert grads[adapter][1].tobytes() == (g.T @ act).tobytes()
@@ -173,10 +173,10 @@ def test_cera_scalar_silu_golden():
 
 def test_cera_zero_down_projection():
     cfg, st_ = make_cera(dropout_p=0.5)
-    rng = RngState(6)
-    w0 = rng.normal((6, 8))
-    x = rng.normal((1, 8))
-    mask = keep_mask((1, 4), 0.5, rng.child(1))
+    rng = stream(6, 0)
+    w0 = rng.normal(size=(6, 8))
+    x = rng.normal(size=(1, 8))
+    mask = keep_mask((1, 4), 0.5, stream(6, 0, 1))
     out = adapted(x, w0, st_, cfg, mask=mask)
     assert np.allclose(out, x @ w0.T)
 
@@ -185,38 +185,38 @@ def test_cera_eval_independent_of_rng():
     model = ModelConfig(d_model=8, n_heads=2, d_head=4, n_layers=1, vocab_size=3,
                         max_seq_len=4, v_out_dim=6, mode="regressor")
     bb = build_model(model, 8)
-    rng = RngState(8)
+    rng = stream(8, 0)
     cfg = AdapterConfig(kind="cera", r=4, dropout_p=0.3)
-    st_ = init_adapter(cfg, 6, 8, rng.child(0))
-    st_.w_down[:] = rng.normal((6, 4))
+    st_ = init_adapter(cfg, 6, 8, stream(8, 0, 0))
+    st_.w_down[:] = rng.normal(size=(6, 4))
     inject(bb, 0, "Wv", Adapter(cfg, st_))
-    x = rng.normal((5, 8))
+    x = rng.normal(size=(5, 8))
     # without a stream there is no dropout to draw: the output repeats
     a, _ = regressor_output(bb, x)
     b, _ = regressor_output(bb, x)
     assert np.array_equal(a, b)
     # a stream does draw: the same rows then give another output
-    assert not np.array_equal(regressor_output(bb, x, RngState(1))[0], a)
+    assert not np.array_equal(regressor_output(bb, x, stream(1, 0))[0], a)
 
 
 def test_parallel_module_zero_down_is_identity():
     cfg = AdapterConfig(kind="parallel_module", r=4)
-    st_ = init_adapter(cfg, 8, 8, RngState(9))
-    rng = RngState(10)
-    block_in = rng.normal((1, 8))
-    block_out = rng.normal((1, 8))
+    st_ = init_adapter(cfg, 8, 8, stream(9, 0))
+    rng = stream(10, 0)
+    block_in = rng.normal(size=(1, 8))
+    block_out = rng.normal(size=(1, 8))
     got = block_out + delta(Adapter(cfg, st_), block_in)
     assert np.array_equal(got, block_out)
 
 
 def test_parallel_module_identity_is_linear_composition():
-    rng = RngState(11)
+    rng = stream(11, 0)
     cfg = AdapterConfig(kind="parallel_module", r=3, activation="identity",
                         dropout_p=0.0, scale_s=2.0)
-    st_ = init_adapter(cfg, 6, 6, rng.child(0))
-    st_.w_down[:] = rng.normal((6, 3))
-    block_in = rng.normal((1, 6))
-    block_out = rng.normal((1, 6))
+    st_ = init_adapter(cfg, 6, 6, stream(11, 0, 0))
+    st_.w_down[:] = rng.normal(size=(6, 3))
+    block_in = rng.normal(size=(1, 6))
+    block_out = rng.normal(size=(1, 6))
     got = block_out + delta(Adapter(cfg, st_), block_in)
     expected = block_out + block_in @ (2.0 * (st_.w_down @ st_.w_up)).T
     assert np.max(np.abs(got - expected)) < 1e-12
@@ -239,19 +239,19 @@ def test_param_parity_between_kinds():
 
 def test_merge_lora_zero_b_returns_w0():
     cfg, st_ = make_lora()
-    w0 = RngState(12).normal((6, 8))
+    w0 = stream(12, 0).normal(size=(6, 8))
     assert np.array_equal(merge_linear(w0, st_, cfg), w0)
 
 
 def test_merged_lora_equals_unmerged_forward():
-    rng = RngState(13)
+    rng = stream(13, 0)
     cfg, st_ = make_lora(r=3, d=5, k=7, alpha=1.5)
-    st_.w_down[:] = rng.normal((5, 3))
-    st_.w_up[:] = rng.normal((3, 7))
-    w0 = rng.normal((5, 7))
+    st_.w_down[:] = rng.normal(size=(5, 3))
+    st_.w_up[:] = rng.normal(size=(3, 7))
+    w0 = rng.normal(size=(5, 7))
     merged = merge_linear(w0, st_, cfg)
     for _ in range(10):
-        x = rng.normal((1, 7))
+        x = rng.normal(size=(1, 7))
         unmerged = adapted(x, w0, st_, cfg)
         assert np.max(np.abs(unmerged - x @ merged.T)) < 1e-10
 
@@ -264,26 +264,26 @@ def test_merge_cera_silu_refuses():
 
 def test_merge_parallel_module_refuses():
     cfg = AdapterConfig(kind="parallel_module", r=2)
-    st_ = init_adapter(cfg, 4, 4, RngState(0))
+    st_ = init_adapter(cfg, 4, 4, stream(0, 0))
     with pytest.raises(NotMergeableError):
         merge_linear(np.zeros((4, 4)), st_, cfg)
 
 
 def test_merge_cera_identity_is_mergeable():
-    rng = RngState(14)
+    rng = stream(14, 0)
     cfg = AdapterConfig(kind="cera", r=2, activation="identity", dropout_p=0.0)
-    st_ = init_adapter(cfg, 4, 6, rng.child(0))
-    st_.w_down[:] = rng.normal((4, 2))
-    w0 = rng.normal((4, 6))
+    st_ = init_adapter(cfg, 4, 6, stream(14, 0, 0))
+    st_.w_down[:] = rng.normal(size=(4, 2))
+    w0 = rng.normal(size=(4, 6))
     merged = merge_linear(w0, st_, cfg)
-    x = rng.normal((1, 6))
+    x = rng.normal(size=(1, 6))
     assert np.max(np.abs(x @ merged.T - adapted(x, w0, st_, cfg))) < 1e-12
 
 
 def test_rank_bound_of_linear_update():
-    rng = RngState(15)
+    rng = stream(15, 0)
     cfg, st_ = make_lora(r=2, d=8, k=8)
-    st_.w_down[:] = rng.normal((8, 2))
+    st_.w_down[:] = rng.normal(size=(8, 2))
     dw = merge_linear(np.zeros((8, 8)), st_, cfg)
     assert np.sum(svd_values(dw) > 1e-12) <= 2
 
@@ -346,9 +346,9 @@ def test_config_round_trip_and_unknown_keys():
 
 
 def test_state_bundle_round_trip():
-    rng = RngState(16)
+    rng = stream(16, 0)
     _, st_ = make_cera(r=3, d=4, k=5)
-    st_.w_down[:] = rng.normal((4, 3))
+    st_.w_down[:] = rng.normal(size=(4, 3))
     back = AdapterState.from_bundle(st_.to_bundle())
     assert np.array_equal(back.w_up, st_.w_up)
     assert np.array_equal(back.w_down, st_.w_down)
@@ -373,11 +373,11 @@ def test_a_malformed_state_bundle_is_a_config_error(case):
 
 
 def test_cera_forward_gradient_matches_finite_differences():
-    rng = RngState(18)
+    rng = stream(18, 0)
     cfg = AdapterConfig(kind="cera", r=3, dropout_p=0.0)
-    st_ = init_adapter(cfg, 5, 7, rng.child(0))
-    st_.w_down[:] = rng.normal((5, 3))
-    w0 = rng.normal((5, 7))
+    st_ = init_adapter(cfg, 5, 7, stream(18, 0, 0))
+    st_.w_down[:] = rng.normal(size=(5, 3))
+    w0 = rng.normal(size=(5, 7))
     x0 = rng.uniform(-2, 2, (1, 7))
 
     # the loss is the sum of the adapted rows' entries: its gradient is ones
@@ -404,11 +404,11 @@ def test_cera_forward_gradient_matches_finite_differences():
 
 
 def test_adapter_latent_capture_is_pre_dropout():
-    rng = RngState(17)
+    rng = stream(17, 0)
     cfg = AdapterConfig(kind="cera", r=4, dropout_p=0.9)
-    adapter = Adapter.init(cfg, 6, 8, rng.child(0))
-    x = rng.normal((3, 8))
-    mask = keep_mask((3, 4), 0.9, rng.child(1))
+    adapter = Adapter.init(cfg, 6, 8, stream(17, 0, 0))
+    x = rng.normal(size=(3, 8))
+    mask = keep_mask((3, 4), 0.9, stream(17, 0, 1))
     lat = adapter.latent_rows(x)
     expected = x @ adapter.state.w_up.T
     expected = expected / (1.0 + np.exp(-expected))  # silu
@@ -423,14 +423,14 @@ def test_adapter_latent_capture_is_pre_dropout():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_degeneracy_property(seed):
-    rng = RngState(seed)
+    rng = stream(seed, 0)
     lora_cfg = AdapterConfig(kind="lora", r=4, alpha=3.0)
     cera_cfg = AdapterConfig(kind="cera", r=4, alpha=3.0, activation="identity",
                              dropout_p=0.0)
-    st_ = init_adapter(lora_cfg, 6, 8, rng.child(0))
-    st_.w_down[:] = rng.normal((6, 4))
-    w0 = rng.normal((6, 8))
-    x = rng.normal((1, 8))
+    st_ = init_adapter(lora_cfg, 6, 8, stream(seed, 0, 0))
+    st_.w_down[:] = rng.normal(size=(6, 4))
+    w0 = rng.normal(size=(6, 8))
+    x = rng.normal(size=(1, 8))
     a = adapted(x, w0, st_, lora_cfg)
     b = adapted(x, w0, st_, cera_cfg)
     assert np.max(np.abs(a - b)) < 1e-12

@@ -103,6 +103,20 @@ def test_test_references_are_current():
         assert called_name(name) in tests, f"no test uses {name}"
 
 
+def test_all_is_exactly_the_package_public_names():
+    # every exported name exists, and every public name the package binds,
+    # bar its submodules and the modules it imports, is exported
+    import types
+
+    import ceralab
+
+    assert len(set(ceralab.__all__)) == len(ceralab.__all__)
+    assert [name for name in ceralab.__all__ if not hasattr(ceralab, name)] == []
+    public = {name for name, obj in vars(ceralab).items()
+              if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    assert public == set(ceralab.__all__)
+
+
 def test_every_tensor_half_is_called_by_the_program(monkeypatch):
     # a census over tiny models: a dead half cannot hide behind a test,
     # because only what these train, eval and capture runs call counts
@@ -118,7 +132,7 @@ def test_every_tensor_half_is_called_by_the_program(monkeypatch):
 
     halves = {name for name, obj in vars(T).items()
               if inspect.isfunction(obj) and obj.__module__ == T.__name__
-              and not name.startswith("_")} - {"backward"} - set(TEST_REFERENCES)
+              and not name.startswith("_")} - {"backward", "stream"} - set(TEST_REFERENCES)
     census = set()
     for name in halves:
         monkeypatch.setattr(T, name, lambda *args, _fn=getattr(T, name), _name=name: (
@@ -129,7 +143,7 @@ def test_every_tensor_half_is_called_by_the_program(monkeypatch):
         bb = build_model(model_cfg, 0)
         for i, (layer, target, cfg) in enumerate(placements):
             inject(bb, layer, target, Adapter.init(
-                cfg, *adapter_shape(model_cfg, target), T.RngState(1, i)))
+                cfg, *adapter_shape(model_cfg, target), T.stream(1, i)))
         train_adapter(bb, train, test, train_cfg)
         for which in ("latent_H", "output_delta_D"):
             collect_latents(bb, test.inputs, which)
@@ -137,8 +151,8 @@ def test_every_tensor_half_is_called_by_the_program(monkeypatch):
 
     reg = ModelConfig(d_model=8, n_heads=2, d_head=4, n_layers=1, vocab_size=3,
                       max_seq_len=4, v_out_dim=4, mode="regressor")
-    rng = T.RngState(2)
-    rows = Dataset(inputs=rng.normal((6, 8)), targets=rng.normal((6, 3)))
+    rng = T.stream(2, 0)
+    rows = Dataset(inputs=rng.normal(size=(6, 8)), targets=rng.normal(size=(6, 3)))
     for target, cfg in (
             ("Wv", AdapterConfig(kind="lora", r=2, alpha=4)),  # scale 2
             ("Wv", AdapterConfig(kind="cera", r=2)),
@@ -192,7 +206,7 @@ def test_weights_and_adapter_matrices_are_plain_arrays():
     from ceralab import trainer
     from ceralab.adapters import Adapter, AdapterConfig
     from ceralab.model import ModelConfig, adapter_shape, build_model, inject
-    from ceralab.tensor import RngState
+    from ceralab.tensor import stream
 
     cfg = ModelConfig(d_model=8, n_heads=2, d_head=4, n_layers=1, vocab_size=12,
                       max_seq_len=4, v_out_dim=4)
@@ -201,7 +215,7 @@ def test_weights_and_adapter_matrices_are_plain_arrays():
     assert len(named) == 15
     assert all(type(w) is np.ndarray and w.dtype == np.float64 for _, w in named)
     adapter = Adapter.init(AdapterConfig(kind="cera", r=2), *adapter_shape(cfg, "Wv"),
-                           RngState(1))
+                           stream(1, 0))
     inject(bb, 0, "Wv", adapter)
     plain = lambda: all(type(w) is np.ndarray and w.dtype == np.float64
                         for w in (adapter.state.w_up, adapter.state.w_down))

@@ -18,7 +18,7 @@ from ceralab.experiments import (ABLATION_VARIANTS, NUMERICS_VERSION,
                                  stable_seed)
 from ceralab.model import ModelConfig, adapter_shape, build_model, inject
 from ceralab.spectral import svd_values
-from ceralab.tensor import RngState
+from ceralab.tensor import stream
 from ceralab.trainer import TrainConfig
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -487,11 +487,11 @@ def test_spectral_delta_w_uses_the_applied_scale():
     model = ModelConfig(**SMALL_MODEL)
     backbone = build_model(model, 3)
     cfg = AdapterConfig(kind="cera", r=4, activation="identity", scale_s=2.0)
-    rng = RngState(4)
-    state = init_adapter(cfg, *adapter_shape(model, "Wv"), rng.child(0))
-    state.w_down[:] = rng.normal(state.w_down.shape)
+    rng = stream(4, 0)
+    state = init_adapter(cfg, *adapter_shape(model, "Wv"), stream(4, 0, 0))
+    state.w_down[:] = rng.normal(size=state.w_down.shape)
     inject(backbone, 0, "Wv", Adapter(cfg, state))
-    report = spectral_report(backbone, rng.normal((8, model.d_model)), "delta_w")
+    report = spectral_report(backbone, rng.normal(size=(8, model.d_model)), "delta_w")
     applied = svd_values(merge_linear(0, state, cfg))
     got = np.array(report.singular_values)
     assert np.max(np.abs(got - applied)) <= 1e-12 * applied[0]

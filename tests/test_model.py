@@ -13,8 +13,8 @@ from ceralab.model import (ModelConfig, adapter_shape, build_model,
                            merged_copy, regressor_frozen, regressor_output)
 from ceralab.spectral import activation_spectrum, svd_values
 from ceralab.tasks import Dataset
-from ceralab.tensor import (RngState, cross_entropy_backward,
-                            cross_entropy_forward)
+from ceralab.tensor import (cross_entropy_backward, cross_entropy_forward,
+                            stream)
 
 TINY = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1, vocab_size=11,
                    max_seq_len=8, v_out_dim=8)
@@ -34,7 +34,7 @@ def eval_logits(bb, tokens):
 def inject_cera(backbone, target="Wv", r=3, layer=0, seed=5, **kw):
     cfg = AdapterConfig(kind="cera", r=r, **kw)
     d, k = adapter_shape(backbone.cfg, target)
-    adapter = Adapter.init(cfg, d, k, RngState(seed, 9))
+    adapter = Adapter.init(cfg, d, k, stream(seed, 9))
     inject(backbone, layer, target, adapter)
     return adapter
 
@@ -168,7 +168,7 @@ def mixed_registry():
     ]
     for layer, target, adapter_cfg in reversed(placements):  # registry order is not walk order
         inject(bb, layer, target, Adapter.init(adapter_cfg, *adapter_shape(cfg, target),
-                                               RngState(5, 9)))
+                                               stream(5, 9)))
     return bb
 
 
@@ -185,7 +185,7 @@ def test_dropout_masks_follow_the_per_sequence_draw_order(registry):
         for layer in range(2):
             for target in ("Wq", "Wv"):
                 inject_cera(bb, target, layer=layer, dropout_p=0.5, dropout_style=registry)
-    rng, ref_rng = RngState(7), RngState(7)
+    rng, ref_rng = stream(7, 0), stream(7, 0)
     masks = model_mod._dropout_masks(bb, 3, 5, rng)
     want = per_sequence_masks(bb, 3, 5, ref_rng)
     assert sorted(masks) == sorted(want)
@@ -207,7 +207,7 @@ def test_no_adapter_with_dropout_draws_nothing():
 
     bb = tiny_model()
     inject(bb, 0, "Wq", Adapter.init(AdapterConfig(kind="lora", r=2),
-                                     *adapter_shape(bb.cfg, "Wq"), RngState(6)))
+                                     *adapter_shape(bb.cfg, "Wq"), stream(6, 0)))
     inject_cera(bb, "Wv", dropout_p=0.0)
     assert model_mod._dropout_masks(bb, 3, 5, Spy()) == {}
 
@@ -216,7 +216,7 @@ def test_dropout_preserves_expectation():
     # inverted dropout scales each kept entry by 1/keep, so means survive
     bb = tiny_model()
     inject_cera(bb, "Wv", r=8, dropout_p=0.5)
-    mask = model_mod._dropout_masks(bb, 40, 50, RngState(4))[(0, "Wv")]
+    mask = model_mod._dropout_masks(bb, 40, 50, stream(4, 0))[(0, "Wv")]
     out = np.full(mask.shape, 2.0) * mask
     assert out.mean() == pytest.approx(2.0, rel=0.05)
 
@@ -224,7 +224,7 @@ def test_dropout_preserves_expectation():
 def test_dropout_channel_masks_whole_columns():
     bb = tiny_model()
     inject_cera(bb, "Wv", r=8, dropout_p=0.4, dropout_style="channel")
-    mask = model_mod._dropout_masks(bb, 6, 50, RngState(5))[(0, "Wv")]
+    mask = model_mod._dropout_masks(bb, 6, 50, stream(5, 0))[(0, "Wv")]
     out = np.ones(mask.shape) * mask
     for seq in out.reshape(6, 50, 8):  # each column all-kept or all-dropped
         assert np.array_equal(seq.min(axis=0), seq.max(axis=0))
@@ -242,7 +242,7 @@ def test_double_injection_rejected():
 def test_invalid_layer_rejected():
     bb = tiny_model()
     cfg = AdapterConfig(kind="cera", r=2)
-    adapter = Adapter.init(cfg, *adapter_shape(bb.cfg, "Wq"), RngState(0))
+    adapter = Adapter.init(cfg, *adapter_shape(bb.cfg, "Wq"), stream(0, 0))
     with pytest.raises(ConfigError):
         inject(bb, 5, "Wq", adapter)
 
@@ -250,7 +250,7 @@ def test_invalid_layer_rejected():
 def test_kind_target_mismatch_rejected():
     bb = tiny_model()
     cfg = AdapterConfig(kind="parallel_module", r=2)
-    adapter = Adapter.init(cfg, *adapter_shape(bb.cfg, "attn_block"), RngState(0))
+    adapter = Adapter.init(cfg, *adapter_shape(bb.cfg, "attn_block"), stream(0, 0))
     with pytest.raises(ConfigError):
         inject(bb, 0, "Wq", adapter)
     # a regressor never reads its query path, so it refuses a Wq adapter
@@ -262,8 +262,8 @@ def test_wq_vs_wv_placement_is_observable():
     # square geometry so the same state fits both targets
     cfg = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1,
                       vocab_size=11, max_seq_len=8, v_out_dim=16)
-    rng = RngState(11)
-    state = AdapterState(w_up=rng.normal((3, 16)), w_down=rng.normal((16, 3)))
+    rng = stream(11, 0)
+    state = AdapterState(w_up=rng.normal(size=(3, 16)), w_down=rng.normal(size=(16, 3)))
     seq = [1, 2, 3, 4, 5, 6]
     outs = {}
     for target in ("Wq", "Wv"):
@@ -276,9 +276,9 @@ def test_wq_vs_wv_placement_is_observable():
 
 
 def test_weight_level_vs_module_level_is_observable():
-    rng = RngState(13)
-    up = rng.normal((3, 16))
-    down = rng.normal((16, 3))
+    rng = stream(13, 0)
+    up = rng.normal(size=(3, 16))
+    down = rng.normal(size=(16, 3))
     seq = [1, 2, 3, 4, 5, 6]
     outs = {}
     for kind, target in (("cera", "Wq"), ("parallel_module", "attn_block")):
@@ -299,21 +299,21 @@ def gradient_map(bb, fill):
             for a in bb.adapters.values()}
 
 
-def training_pass(bb, tokens, targets, stream):
+def training_pass(bb, tokens, targets, drop_seed):
     """The cross-entropy of a language-model training pass, dropout drawn
-    from a fresh stream `stream`, and the adapters' gradients its pullback
+    from a fresh stream `drop_seed`, and the adapters' gradients its pullback
     writes into a NaN-filled map from each adapter."""
-    logits, pullback = lm_logits(bb, tokens, RngState(stream))
+    logits, pullback = lm_logits(bb, tokens, stream(drop_seed, 0))
     loss, saved = cross_entropy_forward(logits, targets)
     grads = gradient_map(bb, np.nan)
     pullback(cross_entropy_backward(saved), grads)
     return loss, grads
 
 
-def pullback_error(bb, tokens, targets, stream):
+def pullback_error(bb, tokens, targets, drop_seed):
     """The worst finite-difference error of the pullback's gradient of
     every adapter matrix; every entry of the map must be written."""
-    _, grads = training_pass(bb, tokens, targets, stream)
+    _, grads = training_pass(bb, tokens, targets, drop_seed)
     worst = 0.0
     for adapter, pair in grads.items():
         for name, grad in zip(("w_up", "w_down"), pair):
@@ -322,7 +322,7 @@ def pullback_error(bb, tokens, targets, stream):
 
             def f(probe):
                 setattr(adapter.state, name, probe)
-                logits, _ = lm_logits(bb, tokens, RngState(stream))
+                logits, _ = lm_logits(bb, tokens, stream(drop_seed, 0))
                 return cross_entropy_forward(logits, targets)[0]
 
             worst = max(worst, T.finite_difference_check(f, original, grad, 1e-6))
@@ -333,7 +333,7 @@ def pullback_error(bb, tokens, targets, stream):
 def test_gradient_through_model_and_adapter():
     bb = tiny_model(15)
     adapter = inject_cera(bb, "Wv", r=3)
-    adapter.state.w_down[:] = RngState(16).normal((8, 3)) * 0.3
+    adapter.state.w_down[:] = stream(16, 0).normal(size=(8, 3)) * 0.3
     seq = np.array([[1, 2, 3, 4, 5, 6], [7, 6, 5, 4, 3, 2]])
     targets = np.array([2, 3, 4, 5, 6, 7, 6, 5, 4, 3, 2, 1])
     assert pullback_error(bb, seq, targets, 17) < 1e-4
@@ -367,13 +367,14 @@ PULLBACK_CASES = {
 def test_the_explicit_pullback_matches_finite_differences_through_every_block(
         monkeypatch, case):
     bb = build_model(SQUARE, 30)
-    rng = RngState(31)
+    rng = stream(31, 0)
     for layer, target, cfg in PULLBACK_CASES[case]:
-        adapter = Adapter.init(cfg, *adapter_shape(SQUARE, target), rng.child(len(bb.adapters)))
-        adapter.state.w_down[:] = rng.normal(adapter.state.w_down.shape) * 0.3
+        adapter = Adapter.init(cfg, *adapter_shape(SQUARE, target),
+                               stream(31, 0, len(bb.adapters)))
+        adapter.state.w_down[:] = rng.normal(size=adapter.state.w_down.shape) * 0.3
         inject(bb, layer, target, adapter)
     seqs = np.array([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [0, 9, 0, 9, 0]])
-    targets = RngState(34).integers(0, 11, 15)
+    targets = stream(34, 0).integers(0, 11, 15)
     blocks, attention_backward = [], T.causal_attention_backward
     monkeypatch.setattr(T, "causal_attention_backward", lambda *args: (
         blocks.append(args[-1]), attention_backward(*args))[1])
@@ -404,7 +405,7 @@ def two_block_training_pass():
                                    for kind, target in (("cera", "Wq"), ("cera", "Wv"),
                                                         ("parallel_module", "attn_block"))])
     seqs = np.array([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
-    logits, pullback = lm_logits(bb, seqs, RngState(36))
+    logits, pullback = lm_logits(bb, seqs, stream(36, 0))
     _, saved = cross_entropy_forward(logits, seqs.reshape(-1))
     return bb, seqs, cross_entropy_backward(saved), pullback
 
@@ -502,11 +503,12 @@ def adapted_backbone(cfg, placements, seed=30):
     """A backbone with trained-looking (non-zero w_down) adapters, r=3,
     at each (layer, kind, target) placement."""
     bb = build_model(cfg, seed)
-    rng = RngState(seed + 1)
+    rng = stream(seed + 1, 0)
     for layer, kind, target in placements:
         adapter = Adapter.init(AdapterConfig(kind=kind, r=3),
-                               *adapter_shape(cfg, target), rng.child(len(bb.adapters)))
-        adapter.state.w_down[:] = rng.normal(adapter.state.w_down.shape)
+                               *adapter_shape(cfg, target),
+                               stream(seed + 1, 0, len(bb.adapters)))
+        adapter.state.w_down[:] = rng.normal(size=adapter.state.w_down.shape)
         inject(bb, layer, target, adapter)
     return bb
 
@@ -552,7 +554,7 @@ def test_collect_latents_is_each_adapter_on_the_rows_it_reads(monkeypatch):
     reg_cfg = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1, vocab_size=4,
                           max_seq_len=8, v_out_dim=16, mode="regressor")
     reg = adapted_backbone(reg_cfg, [(0, "cera", "Wv"), (0, "parallel_module", "attn_block")])
-    x = RngState(32).normal((10, 16))
+    x = stream(32, 0).normal(size=(10, 16))
     for which in ("latent_H", "output_delta_D"):
         got = collect_latents(reg, x, which)
         assert np.array_equal(got, stacked(reg, [x], which))
@@ -574,8 +576,8 @@ def test_lora_delta_rank_bound():
     bb = tiny_model(21)
     cfg = AdapterConfig(kind="lora", r=2)
     d, k = adapter_shape(bb.cfg, "Wv")
-    adapter = Adapter.init(cfg, d, k, RngState(22))
-    adapter.state.w_down[:] = RngState(23).normal((d, 2))
+    adapter = Adapter.init(cfg, d, k, stream(22, 0))
+    adapter.state.w_down[:] = stream(23, 0).normal(size=(d, 2))
     inject(bb, 0, "Wv", adapter)
     dmat = collect_latents(bb, [[1, 2, 3, 4, 5, 6, 7, 0]] * 4, which="output_delta_D")
     assert np.sum(svd_values(dmat) > 1e-10) <= 2
@@ -585,8 +587,8 @@ def test_merged_copy_matches_unmerged_lora():
     bb = tiny_model(24)
     cfg = AdapterConfig(kind="lora", r=2, alpha=4.0)
     d, k = adapter_shape(bb.cfg, "Wv")
-    adapter = Adapter.init(cfg, d, k, RngState(25))
-    adapter.state.w_down[:] = RngState(26).normal((d, 2)) * 0.5
+    adapter = Adapter.init(cfg, d, k, stream(25, 0))
+    adapter.state.w_down[:] = stream(26, 0).normal(size=(d, 2)) * 0.5
     inject(bb, 0, "Wv", adapter)
     merged = merged_copy(bb)
     assert not merged.adapters
@@ -608,7 +610,7 @@ def test_regressor_mode_shapes_and_determinism():
     cfg = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1,
                       vocab_size=4, max_seq_len=8, v_out_dim=8, mode="regressor")
     bb = build_model(cfg, 28)
-    x = RngState(29).normal((10, 16))
+    x = stream(29, 0).normal(size=(10, 16))
     a, _ = regressor_output(bb, x)
     b, _ = regressor_output(bb, x)
     assert a.shape == (10, 4)
@@ -709,10 +711,11 @@ def network_regressor_grads(bb, x, masks, g):
 def regressor_with(seed, placements):
     """REG with the given (target, AdapterConfig) adapters, non-zero w_down."""
     bb = build_model(REG, seed)
-    rng = RngState(seed + 1)
+    rng = stream(seed + 1, 0)
     for target, cfg in placements:
-        adapter = Adapter.init(cfg, *adapter_shape(REG, target), rng.child(len(bb.adapters)))
-        adapter.state.w_down[:] = rng.normal(adapter.state.w_down.shape) * 0.3
+        adapter = Adapter.init(cfg, *adapter_shape(REG, target),
+                               stream(seed + 1, 0, len(bb.adapters)))
+        adapter.state.w_down[:] = rng.normal(size=adapter.state.w_down.shape) * 0.3
         inject(bb, 0, target, adapter)
     return bb
 
@@ -724,19 +727,19 @@ def regressor_with_both_adapters(seed, **kw):
 
 def test_adapter_free_regressor_is_bit_identical_to_the_network():
     bb = build_model(REG, 40)
-    x = RngState(41).normal((37, 16))
+    x = stream(41, 0).normal(size=(37, 16))
     got, pullback = regressor_output(bb, x)
     assert pullback is None  # a pullback comes exactly with a stream
-    assert callable(regressor_output(bb, x, RngState(42))[1])
+    assert callable(regressor_output(bb, x, stream(42, 0))[1])
     assert got.tobytes() == network_regressor_output(bb, x, {}).tobytes()
     assert regressor_frozen(bb, x).tobytes() == got.tobytes()
 
 
-@pytest.mark.parametrize("stream", [None, 44], ids=["eval", "train"])
-def test_adapted_regressor_matches_the_network_composition(stream):
+@pytest.mark.parametrize("drop_seed", [None, 44], ids=["eval", "train"])
+def test_adapted_regressor_matches_the_network_composition(drop_seed):
     bb = regressor_with_both_adapters(42)
-    x = RngState(43).normal((29, 16))
-    rng = lambda: None if stream is None else RngState(stream)  # a fresh stream
+    x = stream(43, 0).normal(size=(29, 16))
+    rng = lambda: None if drop_seed is None else stream(drop_seed, 0)  # a fresh stream
     want = network_regressor_output(bb, x, drawn_masks(bb, x, rng()))
     got, _ = regressor_output(bb, x, rng())
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
@@ -747,17 +750,18 @@ def test_adapted_regressor_matches_the_network_composition(stream):
 
 def regressor_rows(seed, n):
     """n feature rows and targets for REG."""
-    rng = RngState(seed)
-    return Dataset(inputs=rng.normal((n, 16)), targets=rng.normal((n, 4)))
+    rng = stream(seed, 0)
+    return Dataset(inputs=rng.normal(size=(n, 16)), targets=rng.normal(size=(n, 4)))
 
 
-def training_loss(bb, data, stream, state=None):
+def training_loss(bb, data, drop_seed, state=None):
     """The regressor's training loss over every row of `data` and the
     adapter gradients its pullback writes into the optimizer state's flat
-    buffer, dropout drawn from a fresh stream `stream`. Without a `state`
+    buffer, dropout drawn from a fresh stream `drop_seed`. Without a `state`
     one is made, which moves the adapters' values into its buffer."""
     value, pullback = trainer_mod._batch_loss(
-        bb, data, np.arange(len(data)), RngState(stream), regressor_frozen(bb, data.inputs))
+        bb, data, np.arange(len(data)), stream(drop_seed, 0),
+        regressor_frozen(bb, data.inputs))
     if state is None:
         state = trainer_mod.adamw_state(list(bb.adapters.values()))
     state.grad[:] = np.nan  # every entry must be written
@@ -824,7 +828,7 @@ def test_closed_form_gradients_equal_the_chain_pulled_back_from_the_mse_gradient
     x = data.inputs
     value, got = training_loss(bb, data, 66)
     # bit for bit: the test-local chain, composed as training composes it
-    out, carried = chain_head(bb, x, RngState(66))
+    out, carried = chain_head(bb, x, stream(66, 0))
     diff = out - data.targets
     g = (1.0 / diff.size) * 2.0 * diff
     assert value == float((diff ** 2.0).mean())
@@ -844,16 +848,16 @@ def test_regressor_masks_are_one_sequence_of_n_rows(style):
     # Wv's mask is drawn before attn_block's: one (n, r) block each for
     # elementwise, one (1, r) row each for channel
     bb = regressor_with_both_adapters(48, dropout_p=0.5, dropout_style=style)
-    masks = model_mod._dropout_masks(bb, 1, 7, RngState(49))
+    masks = model_mod._dropout_masks(bb, 1, 7, stream(49, 0))
     assert sorted(masks) == [(0, "Wv"), (0, "attn_block")]
-    rng = RngState(49)
+    rng = stream(49, 0)
     for target in ("Wv", "attn_block"):
         want = keep_mask((7 if style == "elementwise" else 1, 3), 0.5, rng)
         assert np.array_equal(masks[(0, target)], np.broadcast_to(want, (7, 3)))
     # and the regressor's output is the network's under those draws
-    x = RngState(50).normal((7, 16))
-    got, _ = regressor_output(bb, x, RngState(49))
-    want_out = network_regressor_output(bb, x, drawn_masks(bb, x, RngState(49)))
+    x = stream(50, 0).normal(size=(7, 16))
+    got, _ = regressor_output(bb, x, stream(49, 0))
+    want_out = network_regressor_output(bb, x, drawn_masks(bb, x, stream(49, 0)))
     assert np.max(np.abs(got - want_out)) <= 1e-14 * np.max(np.abs(want_out))
 
 
@@ -872,19 +876,19 @@ def test_eval_mode_and_p_zero_hand_no_adapter_a_mask(monkeypatch):
     masked, delta_rows = [], Adapter.delta_rows
     monkeypatch.setattr(Adapter, "delta_rows", lambda self, x, mask: (
         masked.append(mask is not None), delta_rows(self, x, mask))[1])
-    x = RngState(53).normal((6, 16))
+    x = stream(53, 0).normal(size=(6, 16))
     seqs = [[1, 2, 3, 4], [4, 3, 2, 1]]
     reg, lm = regressor_with_both_adapters(54, dropout_p=0.5), lm_with_cera(0.5)
     reg0, lm0 = regressor_with_both_adapters(54, dropout_p=0.0), lm_with_cera(0.0)
     for dropout, run in (
-            (True, lambda: regressor_output(reg, x, RngState(55))),
-            (True, lambda: lm_logits(lm, seqs, RngState(55))),
+            (True, lambda: regressor_output(reg, x, stream(55, 0))),
+            (True, lambda: lm_logits(lm, seqs, stream(55, 0))),
             (False, lambda: regressor_output(reg, x)),
             (False, lambda: lm_logits(lm, seqs, None)),
             (False, lambda: forward(reg, x)),
             (False, lambda: forward(lm, seqs)),
-            (False, lambda: regressor_output(reg0, x, RngState(55))),
-            (False, lambda: lm_logits(lm0, seqs, RngState(55)))):
+            (False, lambda: regressor_output(reg0, x, stream(55, 0))),
+            (False, lambda: lm_logits(lm0, seqs, stream(55, 0)))):
         masked.clear()
         run()
         assert masked and set(masked) == {dropout}
@@ -892,7 +896,7 @@ def test_eval_mode_and_p_zero_hand_no_adapter_a_mask(monkeypatch):
 
 def test_unknown_mode_is_rejected():
     # forward is eval-only
-    x = RngState(56).normal((4, 16))
+    x = stream(56, 0).normal(size=(4, 16))
     for bb, inputs in ((regressor_with_both_adapters(57), x),
                        (lm_with_cera(0.1), [[1, 2, 3]])):
         for mode in ("train", "Train"):

@@ -20,7 +20,7 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 FAULT_PROBE = """
 import resource
 from ceralab import experiments, trainer
-from ceralab.tensor import RngState
+from ceralab.tensor import stream
 
 model = {"d_model": 64, "n_heads": 4, "d_head": 16, "n_layers": 2,
          "vocab_size": 12, "max_seq_len": 64, "v_out_dim": 32,
@@ -31,7 +31,7 @@ _, bundle, backbone = experiments._build_run(
      "seed": 1, "model": model})
 cfg = trainer.TrainConfig(steps=30, batch_size=8)
 opt = trainer.adamw_state(list(backbone.adapters.values()))
-batch_rng, drop_rng = RngState(0).child(1), RngState(0).child(2)
+batch_rng, drop_rng = stream(0, 0, 1), stream(0, 0, 2)
 for t in range(cfg.steps):
     if t == 10:
         start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

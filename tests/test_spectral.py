@@ -11,7 +11,7 @@ from ceralab.errors import ConvergenceError, DomainError, ShapeError
 from ceralab.spectral import (SpectralReport, activation_spectrum, auc90,
                               delta_w_linear, effective_rank, energy_curve,
                               svd_values)
-from ceralab.tensor import RngState
+from ceralab.tensor import stream
 
 
 def gram_singular_values(m: np.ndarray) -> np.ndarray:
@@ -30,8 +30,8 @@ def test_svd_diagonal():
 
 
 def test_svd_random_matches_gram_oracle_and_reconstructs():
-    rng = RngState(101)
-    m = rng.normal((8, 5))
+    rng = stream(101, 0)
+    m = rng.normal(size=(8, 5))
     u, sv, v = svd_values(m, with_vectors=True)
     assert np.max(np.abs(sv - gram_singular_values(m))) < 1e-9
     recon = u @ np.diag(sv) @ v.T
@@ -40,21 +40,21 @@ def test_svd_random_matches_gram_oracle_and_reconstructs():
 
 
 def test_svd_transpose_invariance():
-    m = RngState(102).normal((7, 4))
+    m = stream(102, 0).normal(size=(7, 4))
     assert np.max(np.abs(svd_values(m) - svd_values(m.T))) < 1e-10
 
 
 def test_svd_orthogonal_invariance():
-    rng = RngState(103)
-    m = rng.normal((6, 6))
-    q, _ = np.linalg.qr(rng.normal((6, 6)))
+    rng = stream(103, 0)
+    m = rng.normal(size=(6, 6))
+    q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     assert np.max(np.abs(svd_values(q @ m) - svd_values(m))) < 1e-9
 
 
 def test_svd_rank_deficient():
-    rng = RngState(104)
-    b = rng.normal((6, 2))
-    a = rng.normal((2, 5))
+    rng = stream(104, 0)
+    b = rng.normal(size=(6, 2))
+    a = rng.normal(size=(2, 5))
     sv = svd_values(b @ a)
     assert np.sum(sv > 1e-12) == 2
     # the Gram oracle itself is only sqrt(eps)-accurate at zero singular values
@@ -74,7 +74,7 @@ def test_svd_rejects_nonfinite():
 
 
 def test_svd_wide_matrix_vectors_reconstruct():
-    m = RngState(108).normal((4, 9))
+    m = stream(108, 0).normal(size=(4, 9))
     u, sv, v = svd_values(m, with_vectors=True)
     assert u.shape == (4, 4) and sv.shape == (4,) and v.shape == (9, 4)
     assert np.linalg.norm(u @ np.diag(sv) @ v.T - m) / np.linalg.norm(m) < 1e-10
@@ -129,15 +129,15 @@ def test_auc90_one_hot():
 
 
 def test_delta_w_examples():
-    rng = RngState(105)
-    a = rng.normal((3, 6))
+    rng = stream(105, 0)
+    a = rng.normal(size=(3, 6))
     assert np.all(delta_w_linear(a, np.zeros((4, 3)), 1.0) == 0.0)
     dw = delta_w_linear(np.array([[1.0, 0.0]]), np.array([[2.0], [0.0], [0.0]]), 1.0)
     expected = np.zeros((3, 2))
     expected[0, 0] = 2.0
     assert np.array_equal(dw, expected)
     # rank of the product is bounded by r
-    b = rng.normal((5, 3))
+    b = rng.normal(size=(5, 3))
     sv = svd_values(delta_w_linear(a, b, 2.0 / 3))
     assert np.sum(sv > 1e-12) <= 3
 
@@ -172,7 +172,7 @@ def test_activation_spectrum_warns_when_sample_limited():
 
 
 def test_activation_spectrum_invariants_on_random_input():
-    rep = activation_spectrum(RngState(106).normal((30, 7)))
+    rep = activation_spectrum(stream(106, 0).normal(size=(30, 7)))
     sv = np.array(rep.singular_values)
     assert np.all(np.diff(sv) <= 0.0) and np.all(sv >= 0.0)
     assert 1.0 <= rep.effective_rank <= np.sum(sv > 0.0)
@@ -184,7 +184,7 @@ def test_activation_spectrum_invariants_on_random_input():
 
 
 def test_spectral_report_json_round_trip():
-    rep = activation_spectrum(RngState(107).normal((12, 5)), source_label="latent")
+    rep = activation_spectrum(stream(107, 0).normal(size=(12, 5)), source_label="latent")
     back = SpectralReport(**json.loads(rep.to_json()))
     assert back == rep
 
@@ -220,6 +220,6 @@ def test_auc90_uniform_spectrum(k):
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.integers(min_value=1, max_value=9), st.integers(min_value=1, max_value=9))
 def test_svd_matches_oracle_property(seed, rows, cols):
-    m = RngState(seed).normal((rows, cols))
+    m = stream(seed, 0).normal(size=(rows, cols))
     tol = 1e-8 * (1.0 + np.linalg.norm(m))
     assert np.max(np.abs(svd_values(m) - gram_singular_values(m))) < tol

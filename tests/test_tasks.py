@@ -8,7 +8,7 @@ from ceralab.tasks import (VOCAB, detect_state_collapse, linear_floor,
                            linear_floor_xr, logistic_map, logistic_map_table,
                            make_teacher_task, nonlinear_teacher,
                            tokenize_trajectory, trajectory_sequences)
-from ceralab.tensor import RngState
+from ceralab.tensor import stream
 
 TABLE_GOLDEN = [0.84, 0.4704, 0.8719, 0.3909, 0.8333]
 
@@ -98,8 +98,8 @@ def test_teacher_deterministic_and_zero_at_origin():
 
 def test_teacher_is_non_affine():
     teacher = nonlinear_teacher(4, 8, 4)
-    rng = RngState(5)
-    a, b = rng.normal((1, 8)), rng.normal((1, 8))
+    rng = stream(5, 0)
+    a, b = rng.normal(size=(1, 8)), rng.normal(size=(1, 8))
     gap = np.max(np.abs(teacher(a) + teacher(b) - teacher(a + b)))
     assert gap > 1e-3
 
@@ -112,7 +112,7 @@ def test_linear_floor_of_linear_teacher_is_zero():
     # hidden gain 0 -> teacher output identically zero -> residual zero
     teacher = nonlinear_teacher(6, 16, 4)
     teacher.v[:] = 0.0
-    w = RngState(7).normal((4, 16))
+    w = stream(7, 0).normal(size=(4, 16))
     task = make_teacher_task(frozen_linear(w), teacher, 16,
                              n_train=128, n_test=64, seed=8)
     assert linear_floor(task) < 1e-10
@@ -121,11 +121,11 @@ def test_linear_floor_of_linear_teacher_is_zero():
 def test_linear_floor_constant_residual_oracle():
     # symmetric zero-mean inputs and a constant residual: X^T R = 0 exactly,
     # so the through-origin fit is L = 0 and the floor is mean ||R||^2
-    rng = RngState(9)
-    half = rng.normal((64, 6))
+    rng = stream(9, 0)
+    half = rng.normal(size=(64, 6))
     x_train = np.vstack([half, -half])
     const = np.full((128, 3), 0.7)
-    x_test = rng.normal((32, 6))
+    x_test = rng.normal(size=(32, 6))
     r_test = np.full((32, 3), 0.7)
     floor = linear_floor_xr(x_train, const, x_test, r_test)
     assert floor == pytest.approx(np.mean(r_test ** 2), rel=1e-9)
@@ -133,7 +133,7 @@ def test_linear_floor_constant_residual_oracle():
 
 def test_linear_floor_strictly_positive_for_default_task():
     teacher = nonlinear_teacher(13, 32, 8, hidden=16)
-    w = RngState(14).normal((8, 32))
+    w = stream(14, 0).normal(size=(8, 32))
     task = make_teacher_task(frozen_linear(w), teacher, 32,
                              n_train=256, n_test=128, seed=15)
     assert linear_floor(task) > 1e-3  # far above measurement tolerance
@@ -141,7 +141,7 @@ def test_linear_floor_strictly_positive_for_default_task():
 
 def test_teacher_task_residual_share():
     teacher = nonlinear_teacher(16, 32, 8, hidden=16)
-    w = RngState(17).normal((8, 32))
+    w = stream(17, 0).normal(size=(8, 32))
     task = make_teacher_task(frozen_linear(w), teacher, 32, n_train=512,
                              n_test=256, seed=18, residual_share=0.25)
     res_var = np.concatenate([task.residual_train, task.residual_test]).var()
@@ -151,7 +151,7 @@ def test_teacher_task_residual_share():
 
 def test_teacher_task_split_disjoint_and_deterministic():
     teacher = nonlinear_teacher(19, 16, 4, hidden=8)
-    w = RngState(20).normal((4, 16))
+    w = stream(20, 0).normal(size=(4, 16))
     t1 = make_teacher_task(frozen_linear(w), teacher, 16, 64, 32, seed=21)
     t2 = make_teacher_task(frozen_linear(w), teacher, 16, 64, 32, seed=21)
     assert np.array_equal(t1.train.inputs, t2.train.inputs)

@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from ceralab import tensor as T
 from ceralab.errors import DomainError, ShapeError
-from ceralab.tensor import (RngState, Tensor, backward,
-                            causal_attention_backward,
+from ceralab.tensor import (Tensor, backward, causal_attention_backward,
                             causal_attention_forward, cross_entropy_backward,
                             cross_entropy_forward, finite_difference_check,
                             layer_norm_backward, layer_norm_forward,
-                            mlp_backward, mlp_forward, mlp_hidden)
+                            mlp_backward, mlp_forward, mlp_hidden, stream)
 
 ALL = (True, True, True)
 
@@ -78,9 +77,9 @@ def test_relu_and_identity():
 
 
 def test_dropout_mask_at_p_zero_keeps_every_entry():
-    rng = RngState(3)
-    x = rng.normal((8, 8))
-    w_up, w_down = rng.normal((4, 8)), rng.normal((5, 4))
+    rng = stream(3, 0)
+    x = rng.normal(size=(8, 8))
+    w_up, w_down = rng.normal(size=(4, 8)), rng.normal(size=(5, 4))
     mask = keep_mask((8, 4), 0.0, rng)
     assert np.array_equal(mask, np.ones((8, 4)))
     assert np.array_equal(mlp_rows(x, w_up, w_down, "silu", mask, 1.0),
@@ -90,8 +89,8 @@ def test_dropout_mask_at_p_zero_keeps_every_entry():
 def test_accum_is_the_bits_of_a_new_sum_and_reads_its_operand():
     # a block of rows with three consumers: the in-place sum of their
     # gradients, in order, is (a + b) + c bit for bit, and no operand moves
-    rng = RngState(64)
-    a, b, c = (rng.normal((3, 4)) for _ in range(3))
+    rng = stream(64, 0)
+    a, b, c = (rng.normal(size=(3, 4)) for _ in range(3))
     want = (a + b) + c
     total, b_before, c_before = a.copy(), b.copy(), c.copy()
     T._accum(total, b)
@@ -142,11 +141,11 @@ def _attention_chain(q, k, v, n_heads, seq_len, g):
 @pytest.mark.parametrize("frozen", ["none", "q", "k", "v"])
 def test_causal_attention_is_bit_for_bit_the_op_chain(frozen):
     # B > 1 sequences, and v narrower than q and k, as in the model
-    rng = RngState(67)
+    rng = stream(67, 0)
     b, h, s, d, d_v = 3, 4, 7, 6, 3
-    q, k = (rng.normal((b * s, h * d)) for _ in "qk")
-    v = rng.normal((b * s, h * d_v))
-    g = rng.normal((b * s, h * d_v))
+    q, k = (rng.normal(size=(b * s, h * d)) for _ in "qk")
+    v = rng.normal(size=(b * s, h * d_v))
+    g = rng.normal(size=(b * s, h * d_v))
     g_before = g.copy()
     out, weights = causal_attention_forward(q, k, v, h, s)
     wanted = tuple(name != frozen for name in "qkv")
@@ -169,8 +168,8 @@ def test_causal_attention_is_bit_for_bit_the_op_chain(frozen):
 @pytest.mark.parametrize("probe", ["q", "k", "v"])
 def test_causal_attention_gradient_per_operand(probe):
     # two sequences of 4 over 2 heads, v narrower than q and k
-    rng = RngState(68)
-    fixed = {name: rng.normal((8, 6 if name != "v" else 4)) for name in "qkv"}
+    rng = stream(68, 0)
+    fixed = {name: rng.normal(size=(8, 6 if name != "v" else 4)) for name in "qkv"}
     targets = np.array([0, 3, 1, 2, 3, 0, 2, 1])
 
     def loss(z):
@@ -229,11 +228,11 @@ TRAINABLE = {"all": (True, True, True), "x_frozen": (False, True, True),
 @pytest.mark.parametrize("mask", sorted(ADAPTER_MASKS))
 @pytest.mark.parametrize("activation", ["identity", "relu", "silu"])
 def test_mlp_is_bit_for_bit_the_op_chain(activation, mask, scale, trainable):
-    rng = RngState(70)
+    rng = stream(70, 0)
     wanted = TRAINABLE[trainable]
-    x, w_up, w_down = rng.normal((6, 5)), rng.normal((3, 5)), rng.normal((4, 3))
-    m = ADAPTER_MASKS[mask](rng.child(1))
-    g = rng.normal((6, 4))
+    x, w_up, w_down = rng.normal(size=(6, 5)), rng.normal(size=(3, 5)), rng.normal(size=(4, 3))
+    m = ADAPTER_MASKS[mask](stream(70, 0, 1))
+    g = rng.normal(size=(6, 4))
     rows, saved = mlp_forward(x, w_up, w_down, activation, m, scale)
     if not wanted[2]:
         saved = (*saved[:2], None)  # the frozen FFN keeps no activations
@@ -255,10 +254,10 @@ def test_mlp_is_bit_for_bit_the_op_chain(activation, mask, scale, trainable):
 def test_mlp_halves_write_the_chain_products_into_the_given_arrays(activation, mask):
     # the products are the chain's bits, written into views of one flat
     # buffer; a None entry is neither formed nor written, and g is only read
-    rng = RngState(73)
-    x, w_up, w_down = rng.normal((6, 5)), rng.normal((3, 5)), rng.normal((4, 3))
-    m = ADAPTER_MASKS[mask](rng.child(1))
-    g = rng.normal((6, 4))
+    rng = stream(73, 0)
+    x, w_up, w_down = rng.normal(size=(6, 5)), rng.normal(size=(3, 5)), rng.normal(size=(4, 3))
+    m = ADAPTER_MASKS[mask](stream(73, 0, 1))
+    g = rng.normal(size=(6, 4))
     g_before = g.copy()
     want, gx, gw_up, gw_down = _adapter_chain(x, w_up, w_down, activation, m, 2.0, g)
     rows, saved = mlp_forward(x, w_up, w_down, activation, m, 2.0)
@@ -279,10 +278,10 @@ def test_mlp_halves_write_the_chain_products_into_the_given_arrays(activation, m
 @pytest.mark.parametrize("mask", [None, "elementwise"])
 @pytest.mark.parametrize("activation", ["relu", "silu"])
 def test_mlp_gradient_matches_finite_differences(activation, mask):
-    rng = RngState(71)
+    rng = stream(71, 0)
     ops = {"x": rng.uniform(-2.0, 2.0, (6, 5)), "w_up": rng.uniform(-1.0, 1.0, (3, 5)),
            "w_down": rng.uniform(-1.0, 1.0, (4, 3))}
-    m = None if mask is None else keep_mask((6, 3), 0.4, rng.child(1))
+    m = None if mask is None else keep_mask((6, 3), 0.4, stream(71, 0, 1))
     targets = np.array([0, 3, 1, 2, 3, 0])
     # relu is checked away from its kink: no latent within reach of the step
     assert np.min(np.abs(ops["x"] @ ops["w_up"].T)) > 1e-3
@@ -300,8 +299,8 @@ def test_mlp_gradient_matches_finite_differences(activation, mask):
 
 
 def test_layer_norm_rows_are_normalized_and_its_input_is_only_read():
-    rng = RngState(74)
-    x = rng.normal((5, 8)) * 3.0 + 1.0
+    rng = stream(74, 0)
+    x = rng.normal(size=(5, 8)) * 3.0 + 1.0
     x_before = x.copy()
     gain, bias = np.linspace(0.5, 1.5, 8), np.linspace(-0.2, 0.2, 8)
     rows, (xc, inv) = layer_norm_forward(x, gain, bias)
@@ -310,7 +309,7 @@ def test_layer_norm_rows_are_normalized_and_its_input_is_only_read():
     assert np.max(np.abs(xhat.var(axis=1) - 1.0)) < 1e-5  # eps keeps it under one
     assert np.array_equal(xc, x - x.mean(axis=1, keepdims=True))
     assert inv.shape == (5, 1) and x.tobytes() == x_before.tobytes()
-    g = rng.normal((5, 8))
+    g = rng.normal(size=(5, 8))
     g_before = g.copy()
     dx = layer_norm_backward(g, gain, (xc, inv))
     # the gradient of normalized rows is orthogonal to shifting a row
@@ -323,9 +322,9 @@ def test_layer_norm_rows_are_normalized_and_its_input_is_only_read():
 def test_layer_norm_halves_are_bit_for_bit_the_op_chain():
     # mean, centre, variance, scale, gain, bias; and the backward as the
     # chain's own steps form the input's gradient
-    rng = RngState(76)
-    x = rng.normal((6, 5)) * 2.0 + 0.5
-    gain, bias, g = rng.normal(5), rng.normal(5), rng.normal((6, 5))
+    rng = stream(76, 0)
+    x = rng.normal(size=(6, 5)) * 2.0 + 0.5
+    gain, bias, g = rng.normal(size=5), rng.normal(size=5), rng.normal(size=(6, 5))
     xc = x - x.mean(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + T.LAYER_NORM_EPS)
     want = xc * inv * gain + bias
@@ -339,8 +338,8 @@ def test_layer_norm_halves_are_bit_for_bit_the_op_chain():
 
 
 def test_cross_entropy_halves_are_bit_for_bit_the_op_chain():
-    rng = RngState(77)
-    logits, targets = rng.normal((7, 5)) * 3.0, np.array([4, 0, 1, 1, 3, 2, 0])
+    rng = stream(77, 0)
+    logits, targets = rng.normal(size=(7, 5)) * 3.0, np.array([4, 0, 1, 1, 3, 2, 0])
     z = logits - logits.max(axis=1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     one_hot = np.eye(5)[targets]
@@ -350,8 +349,8 @@ def test_cross_entropy_halves_are_bit_for_bit_the_op_chain():
 
 
 def test_cross_entropy_backward_is_softmax_minus_one_hot_over_n():
-    rng = RngState(75)
-    logits = rng.normal((4, 6))
+    rng = stream(75, 0)
+    logits = rng.normal(size=(4, 6))
     targets = np.array([5, 0, 2, 2])
     loss, grad = ce_loss_and_grad(logits, targets)
     p = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
@@ -365,8 +364,8 @@ def test_cross_entropy_backward_is_softmax_minus_one_hot_over_n():
 
 
 def test_fd_check_quadratic():
-    rng = RngState(6)
-    x = rng.normal((1, 5))
+    rng = stream(6, 0)
+    x = rng.normal(size=(1, 5))
     # 2 sum(t^2) has the gradient 4 t
     err = finite_difference_check(lambda t: 2.0 * float((t * t).sum()), x, 4.0 * x, 1e-6)
     assert err < 1e-8
@@ -428,7 +427,7 @@ def _identity(z):
 def test_gradient_soundness_per_op(name, op):
     # each op under a cross-entropy loss: the backward halves against
     # central differences
-    rng = RngState(sum(map(ord, name)))
+    rng = stream(sum(map(ord, name)), 0)
     x = rng.uniform(-2.0, 2.0, (3, 4))
     if name == "relu":  # keep away from the kink
         x[np.abs(x) < 1e-3] = 0.5
@@ -442,10 +441,10 @@ def test_gradient_soundness_per_op(name, op):
 def test_batched_ops_match_per_matrix_ops():
     # rows are (sequence, position), columns (head, feature): each
     # sequence's block of a head's columns attends on its own
-    rng = RngState(63)
+    rng = stream(63, 0)
     b, h, s, d, d_v = 2, 3, 5, 4, 2
-    q, k = (rng.normal((b * s, h * d)) for _ in range(2))
-    v = rng.normal((b * s, h * d_v))
+    q, k = (rng.normal(size=(b * s, h * d)) for _ in range(2))
+    v = rng.normal(size=(b * s, h * d_v))
     got = causal_attention_forward(q, k, v, h, s)[0]
     for i in range(b):
         rows = slice(i * s, (i + 1) * s)
@@ -476,7 +475,7 @@ def test_tensor_holds_a_contiguous_float64_array_and_nothing_else():
                       max_seq_len=4, v_out_dim=4, mode="regressor")
     lm = ModelConfig(d_model=8, n_heads=2, d_head=4, n_layers=1, vocab_size=12,
                      max_seq_len=4, v_out_dim=4)
-    for cfg, inputs, shape in ((reg, RngState(0).normal((5, 8)), (5, 3)),
+    for cfg, inputs, shape in ((reg, stream(0, 0).normal(size=(5, 8)), (5, 3)),
                                (lm, [[1, 2, 3], [4, 5, 6]], (2, 3, 12))):
         t = forward(build_model(cfg, 0), inputs)
         assert type(t) is Tensor and type(t.data) is np.ndarray
@@ -490,33 +489,33 @@ def test_tensor_holds_a_contiguous_float64_array_and_nothing_else():
 
 
 def test_rng_determinism_and_stream_independence():
-    a = RngState(42, 3).uniform(0, 1, 100)
-    b = RngState(42, 3).uniform(0, 1, 100)
-    c = RngState(42, 4).uniform(0, 1, 100)
+    a = stream(42, 3).uniform(0, 1, 100)
+    b = stream(42, 3).uniform(0, 1, 100)
+    c = stream(42, 4).uniform(0, 1, 100)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_random_draws_the_bits_of_the_unit_uniform():
     # and leaves the stream where `uniform(0.0, 1.0, shape)` leaves it
-    a, b = RngState(42, 5), RngState(42, 5)
+    a, b = stream(42, 5), stream(42, 5)
     assert a.random((3, 7)).tobytes() == b.uniform(0.0, 1.0, (3, 7)).tobytes()
     assert a.random(4).tobytes() == b.random(4).tobytes()
 
 
 def test_rng_children_never_alias():
-    root = RngState(9)
-    direct = root.child(2).uniform(0, 1, 50)
-    nested = root.child(2).child(2).uniform(0, 1, 50)
+    # a path and its extension are distinct addresses
+    direct = stream(9, 0, 2).uniform(0, 1, 50)
+    nested = stream(9, 0, 2, 2).uniform(0, 1, 50)
     assert not np.array_equal(direct, nested)
 
 
 def test_op_sequence_determinism():
     def run():
-        rng = RngState(11)
-        x = rng.normal((8, 8))
-        w_up, w_down = rng.normal((4, 8)), rng.normal((3, 4))
-        mask = keep_mask((8, 4), 0.3, rng.child(1))
+        rng = stream(11, 0)
+        x = rng.normal(size=(8, 8))
+        w_up, w_down = rng.normal(size=(4, 8)), rng.normal(size=(3, 4))
+        mask = keep_mask((8, 4), 0.3, stream(11, 0, 1))
         rows = mlp_rows(x, w_up, w_down, "silu", mask, 1.0)
         dx, _, _ = mlp_grads(x, w_up, w_down, "silu", mask, 1.0, np.ones_like(rows))
         return rows, dx
@@ -535,7 +534,7 @@ def test_silu_identity_property(x):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_halves_keep_shapes_and_stay_finite(seed):
-    rng = RngState(seed)
+    rng = stream(seed, 0)
     x, w_up = rng.uniform(-2, 2, (3, 5)), rng.uniform(-1, 1, (2, 5))
     rows = mlp_rows(x, w_up, np.eye(2), "silu", None, 1.0)
     assert rows.shape == (3, 2)

@@ -16,8 +16,8 @@ from ceralab.model import (ModelConfig, adapter_shape, build_model,
                            regressor_output)
 from ceralab.tasks import (Dataset, make_teacher_task, nonlinear_teacher,
                            trajectory_sequences)
-from ceralab.tensor import (RngState, cross_entropy_backward,
-                            cross_entropy_forward)
+from ceralab.tensor import (cross_entropy_backward, cross_entropy_forward,
+                            stream)
 from ceralab.trainer import (TrainConfig, adamw_state, adamw_step,
                              clip_global_norm, cosine_lr, evaluate,
                              measure_throughput, train_adapter)
@@ -58,7 +58,7 @@ def make_regression_setup(adapter_kind="cera", r=8, seed=1, **adapter_kw):
     task = make_teacher_task(frozen, teacher, 16, n_train=32, n_test=32,
                              seed=seed + 2)
     cfg = AdapterConfig(kind=adapter_kind, r=r, **adapter_kw)
-    adapter = Adapter.init(cfg, *adapter_shape(REG_CFG, "Wv"), RngState(seed + 3, 9))
+    adapter = Adapter.init(cfg, *adapter_shape(REG_CFG, "Wv"), stream(seed + 3, 9))
     inject(bb, 0, "Wv", adapter)
     return bb, adapter, task
 
@@ -88,9 +88,9 @@ def test_block_drawn_batches_equal_per_step_draws(monkeypatch):
     assert 600 > 2 * (trainer_mod.BATCH_BLOCK_BYTES // (8 * 7))
     bb = build_model(REG_CFG, 76)
     inject(bb, 0, "Wv", Adapter.init(AdapterConfig(kind="lora", r=2),
-                                     *adapter_shape(REG_CFG, "Wv"), RngState(77)))
-    rng = RngState(78)
-    rows = Dataset(inputs=rng.normal((37, 16)), targets=rng.normal((37, 4)))
+                                     *adapter_shape(REG_CFG, "Wv"), stream(77, 0)))
+    rng = stream(78, 0)
+    rows = Dataset(inputs=rng.normal(size=(37, 16)), targets=rng.normal(size=(37, 4)))
     drawn, batch_loss = [], trainer_mod._batch_loss
 
     def recording(backbone, data, idx, rng, frozen):
@@ -100,7 +100,7 @@ def test_block_drawn_batches_equal_per_step_draws(monkeypatch):
 
     monkeypatch.setattr(trainer_mod, "_batch_loss", recording)
     train_adapter(bb, rows, rows, TrainConfig(steps=600, batch_size=7, seed=5))
-    reference = RngState(5).child(1)
+    reference = stream(5, 0, 1)
     assert len(drawn) == 600
     for idx in drawn:
         assert np.array_equal(idx, reference.integers(0, 37, 7))
@@ -160,8 +160,8 @@ def injected_out_of_order():
     bb = build_model(LM_CFG, 67)
     for layer, target in ((1, "Wv"), (0, "Wq")):
         adapter = Adapter.init(AdapterConfig(kind="cera", r=3),
-                               *adapter_shape(LM_CFG, target), RngState(68, layer))
-        adapter.state.w_down[:] = RngState(69, layer).normal(adapter.state.w_down.shape)
+                               *adapter_shape(LM_CFG, target), stream(68, layer))
+        adapter.state.w_down[:] = stream(69, layer).normal(size=adapter.state.w_down.shape)
         inject(bb, layer, target, adapter)
     assert list(bb.adapters) == [(1, "Wv"), (0, "Wq")]
     return bb
@@ -183,16 +183,16 @@ def test_each_parameters_gradient_is_its_shaped_view_of_the_flat_buffer():
         assert np.all(state.grad[b[i]:b[i + 1]] == b[i] + 1.0)
     # the second adapter's pullback writes its two slices and nothing else
     state.grad[:] = np.nan
-    x = RngState(70).normal((5, LM_CFG.d_model))
+    x = stream(70, 0).normal(size=(5, LM_CFG.d_model))
     _, pullback = adapters[1].delta_rows(x, None)
-    pullback(RngState(71).normal((5, LM_CFG.qk_dim)), state.grads, None)
+    pullback(stream(71, 0).normal(size=(5, LM_CFG.qk_dim)), state.grads, None)
     assert np.isnan(state.grad[:b[2]]).all() and not np.isnan(state.grad[b[2]:]).any()
 
 
 def test_clip_scales_a_gradient_shared_by_two_parameters_once():
-    rng = RngState(66)
-    adapter = adapter_of(rng.normal((3, 3)), rng.normal((3, 3)))
-    w = rng.normal((3, 3))
+    rng = stream(66, 0)
+    adapter = adapter_of(rng.normal(size=(3, 3)), rng.normal(size=(3, 3)))
+    w = rng.normal(size=(3, 3))
     w_before = w.copy()
     state = adamw_state([adapter])
     for view in state.grads[adapter]:  # one upstream array handed to both
@@ -224,15 +224,15 @@ def test_adamw_state_makes_every_parameter_a_view_of_one_buffer():
 
 def test_in_place_adamw_matches_the_formula_bit_for_bit():
     cfg = TrainConfig(weight_decay=0.01)
-    rng = RngState(70)
-    adapter = adapter_of(rng.normal((4, 6)), rng.normal((6, 4)))
+    rng = stream(70, 0)
+    adapter = adapter_of(rng.normal(size=(4, 6)), rng.normal(size=(6, 4)))
     want = [w.copy() for w in weights([adapter])]
     m = [np.zeros_like(w) for w in want]
     v = [np.zeros_like(w) for w in want]
     state = adamw_state([adapter])
     for t in range(1, 51):
         lr = 1e-2 / t
-        grads = [rng.normal(w.shape) for w in want]
+        grads = [rng.normal(size=w.shape) for w in want]
         step(grads, state, lr, cfg)
         bc1, bc2 = 1.0 - cfg.beta1 ** t, 1.0 - cfg.beta2 ** t
         for i, g in enumerate(grads):
@@ -281,8 +281,8 @@ def per_parameter_adamw(params, grads, moments, t, lr, cfg):
 
 def test_flat_adamw_equals_the_per_parameter_loop_bit_for_bit():
     cfg = TrainConfig(weight_decay=0.01)
-    rng = RngState(72)
-    adapter = adapter_of(rng.normal((3, 7)), rng.normal((5, 3)))
+    rng = stream(72, 0)
+    adapter = adapter_of(rng.normal(size=(3, 7)), rng.normal(size=(5, 3)))
     want = [w.copy() for w in weights([adapter])]
     moments = [(np.zeros_like(w), np.zeros_like(w)) for w in want]
     state = adamw_state([adapter])
@@ -290,7 +290,7 @@ def test_flat_adamw_equals_the_per_parameter_loop_bit_for_bit():
     # past t = 355, 1 - beta1 ** t is exactly 1.0 and the step skips dividing by it
     for t in range(1, 401):
         lr = cosine_lr(t, TrainConfig(steps=400))
-        grads = [rng.normal(w.shape) * (0.05 + 0.02 * t) for w in want]
+        grads = [rng.normal(size=w.shape) * (0.05 + 0.02 * t) for w in want]
         norm = step(grads, state, lr, cfg, clip=1.0)
         copies = list(grads)
         assert norm == per_parameter_clip(copies, 1.0)
@@ -320,7 +320,7 @@ def test_memorization_smoke():
     teacher = nonlinear_teacher(8, 16, 4, hidden=8)
     task = make_teacher_task(frozen, teacher, 16, n_train=4, n_test=4, seed=9)
     cfg = AdapterConfig(kind="cera", r=8, dropout_p=0.0)
-    adapter = Adapter.init(cfg, *adapter_shape(REG_CFG, "Wv"), RngState(10, 9))
+    adapter = Adapter.init(cfg, *adapter_shape(REG_CFG, "Wv"), stream(10, 9))
     inject(bb, 0, "Wv", adapter)
     rep = train_adapter(bb, task.train, task.test,
                         TrainConfig(steps=2000, batch_size=4, weight_decay=0.0,
@@ -351,13 +351,13 @@ def test_seed_determinism_bit_for_bit():
 def test_dropout_active_in_train_only():
     # dropout runs exactly when a stream is given
     bb, adapter, task = make_regression_setup(seed=16, dropout_p=0.5)
-    adapter.state.w_down[:] = RngState(17).normal(adapter.state.w_down.shape)
+    adapter.state.w_down[:] = stream(17, 0).normal(size=adapter.state.w_down.shape)
     x = task.train.inputs[:8]
     eval_a, _ = regressor_output(bb, x)
     eval_b, _ = regressor_output(bb, x)
     assert np.array_equal(eval_a, eval_b)
-    train_a, _ = regressor_output(bb, x, RngState(18))
-    train_b, _ = regressor_output(bb, x, RngState(19))
+    train_a, _ = regressor_output(bb, x, stream(18, 0))
+    train_b, _ = regressor_output(bb, x, stream(19, 0))
     assert not np.array_equal(train_a, train_b)
 
 
@@ -406,8 +406,8 @@ def test_evaluation_capture_and_forward_keep_nothing_for_a_pullback(monkeypatch)
     lm_wv = build_model(LM_CFG, 63)  # Wv only: its delta rows share one width
     for layer in range(LM_CFG.n_layers):
         adapter = Adapter.init(AdapterConfig(kind="cera", r=4),
-                               *adapter_shape(LM_CFG, "Wv"), RngState(64, layer))
-        adapter.state.w_down[:] = RngState(65, layer).normal(adapter.state.w_down.shape)
+                               *adapter_shape(LM_CFG, "Wv"), stream(64, layer))
+        adapter.state.w_down[:] = stream(65, layer).normal(size=adapter.state.w_down.shape)
         inject(lm_wv, layer, "Wv", adapter)
     train, test = trajectory_sequences(seed=66, count=10, n_steps=5)
     x = task.test.inputs
@@ -435,7 +435,7 @@ def test_evaluation_capture_and_forward_keep_nothing_for_a_pullback(monkeypatch)
             assert bool(pullbacks) == deltas
             assert all(ref() is None for ref in pullbacks)
         pullbacks.clear()
-        _, pullback = trainer_mod._batch_loss(lm, train, np.arange(4), RngState(67), None)
+        _, pullback = trainer_mod._batch_loss(lm, train, np.arange(4), stream(67, 0), None)
         assert len(pullbacks) == 5 and all(ref() is not None for ref in pullbacks)
         del pullback
         assert all(ref() is None for ref in pullbacks)
@@ -472,11 +472,11 @@ def test_training_step_and_evaluation_memory_peaks():
         for target in ("Wq", "Wv"):
             inject(bb, layer, target, Adapter.init(
                 AdapterConfig(kind="cera", r=16), *adapter_shape(cfg, target),
-                RngState(1, len(bb.adapters))))
+                stream(1, len(bb.adapters))))
     train, test = trajectory_sequences(n_steps=8, count=64, seed=0)
     assert train.inputs.shape[1] == 61 and len(test) == 12
     opt = adamw_state(list(bb.adapters.values()))
-    drop_rng = RngState(0).child(2)
+    drop_rng = stream(0, 0, 2)
 
     def step():
         _, pullback = trainer_mod._batch_loss(bb, train, np.arange(8), drop_rng, None)
@@ -498,7 +498,7 @@ def test_capture_and_forward_memory_peaks(which):
     bb = build_model(cfg, 0)
     for layer in range(cfg.n_layers):
         inject(bb, layer, "Wv", Adapter.init(AdapterConfig(kind="cera", r=16),
-                                             *adapter_shape(cfg, "Wv"), RngState(1, layer)))
+                                             *adapter_shape(cfg, "Wv"), stream(1, layer)))
     _, test = trajectory_sequences(n_steps=8, count=64, seed=0)
     peak = peak_mib((lambda: forward(bb, test.inputs)) if which == "forward"
                     else (lambda: collect_latents(bb, test.inputs, which)))
@@ -520,17 +520,17 @@ def counted_halves(monkeypatch) -> Counter:
     return calls
 
 
-def step_gradient_error(bb, data, idx, stream) -> float:
+def step_gradient_error(bb, data, idx, drop_seed) -> float:
     """The worst finite-difference error of one training step's flat
-    gradient, dropout drawn from a fresh stream `stream` each time."""
+    gradient, dropout drawn from a fresh stream `drop_seed` each time."""
     frozen = (trainer_mod.regressor_frozen(bb, data.inputs)
               if bb.cfg.mode == "regressor" else None)
     state = adamw_state(list(bb.adapters.values()))
     state.grad[:] = np.nan
-    _, pullback = trainer_mod._batch_loss(bb, data, idx, RngState(stream), frozen)
+    _, pullback = trainer_mod._batch_loss(bb, data, idx, stream(drop_seed, 0), frozen)
     pullback(state.grads)
     flat = state.data
-    loss = lambda: trainer_mod._batch_loss(bb, data, idx, RngState(stream), frozen)[0]
+    loss = lambda: trainer_mod._batch_loss(bb, data, idx, stream(drop_seed, 0), frozen)[0]
 
     def f(probe):
         flat[:] = probe
@@ -548,13 +548,13 @@ def test_a_regressor_training_step_runs_one_pair_of_halves_per_adapter(monkeypat
     for target, cfg in (("Wv", AdapterConfig(kind="lora", r=2, alpha=4)),
                         ("attn_block", AdapterConfig(kind="parallel_module", r=2))):
         inject(bb, 0, target, Adapter.init(cfg, *adapter_shape(REG_CFG, target),
-                                           RngState(74, len(bb.adapters))))
+                                           stream(74, len(bb.adapters))))
         bb.adapters[(0, target)].state.w_down[:] = 0.3
-    rng = RngState(75)
-    rows = Dataset(inputs=rng.normal((8, 16)), targets=rng.normal((8, 4)))
+    rng = stream(75, 0)
+    rows = Dataset(inputs=rng.normal(size=(8, 16)), targets=rng.normal(size=(8, 4)))
     frozen = trainer_mod.regressor_frozen(bb, rows.inputs)
     calls = counted_halves(monkeypatch)
-    _, pullback = trainer_mod._batch_loss(bb, rows, np.arange(4), RngState(76), frozen)
+    _, pullback = trainer_mod._batch_loss(bb, rows, np.arange(4), stream(76, 0), frozen)
     assert calls == {"mlp_forward": 2, "mlp_hidden": 2}
     pullback(adamw_state(list(bb.adapters.values())).grads)
     assert calls == {"mlp_forward": 2, "mlp_hidden": 2, "mlp_backward": 2}
@@ -574,15 +574,15 @@ def test_each_training_step_is_one_reverse_pass(monkeypatch):
     for target, cfg in (("Wv", AdapterConfig(kind="cera", r=2)),
                         ("attn_block", AdapterConfig(kind="parallel_module", r=2))):
         inject(bb, 0, target, Adapter.init(cfg, *adapter_shape(REG_CFG, target),
-                                           RngState(80, len(bb.adapters))))
-    rng = RngState(81)
-    rows = Dataset(inputs=rng.normal((8, 16)), targets=rng.normal((8, 4)))
+                                           stream(80, len(bb.adapters))))
+    rng = stream(81, 0)
+    rows = Dataset(inputs=rng.normal(size=(8, 16)), targets=rng.normal(size=(8, 4)))
     train_adapter(bb, rows, rows, TrainConfig(steps=3, batch_size=4))
     assert calls == [True] * 3
     calls.clear()
     lm = build_model(LM_CFG, 82)
     inject(lm, 0, "Wv", Adapter.init(AdapterConfig(kind="cera", r=2),
-                                     *adapter_shape(LM_CFG, "Wv"), RngState(83)))
+                                     *adapter_shape(LM_CFG, "Wv"), stream(83, 0)))
     train, test = trajectory_sequences(n_steps=5, count=6, seed=84)
     train_adapter(lm, train, test, TrainConfig(steps=2, batch_size=2))
     assert calls == [True] * 2
@@ -599,14 +599,14 @@ def test_a_language_model_training_step_runs_each_half_once_per_piece(monkeypatc
         for target in ("Wq", "Wv"):
             inject(bb, layer, target, Adapter.init(
                 AdapterConfig(kind="cera", r=4), *adapter_shape(LM_CFG, target),
-                RngState(77, len(bb.adapters))))
-            bb.adapters[(layer, target)].state.w_down[:] = RngState(
-                78, len(bb.adapters)).normal(bb.adapters[(layer, target)].state.w_down.shape)
+                stream(77, len(bb.adapters))))
+            w_down = bb.adapters[(layer, target)].state.w_down
+            w_down[:] = stream(78, len(bb.adapters)).normal(size=w_down.shape)
     train, test = trajectory_sequences(n_steps=5, count=6, seed=78)
     forward_halves = {"layer_norm_forward": 5, "mlp_forward": 6, "mlp_hidden": 6,
                       "causal_attention_forward": 2, "cross_entropy_forward": 1}
     calls = counted_halves(monkeypatch)
-    _, pullback = trainer_mod._batch_loss(bb, train, np.arange(4), RngState(79), None)
+    _, pullback = trainer_mod._batch_loss(bb, train, np.arange(4), stream(79, 0), None)
     assert calls == forward_halves
     calls.clear()
     pullback(adamw_state(list(bb.adapters.values())).grads)
@@ -624,18 +624,18 @@ def lm_with_adapters(style):
     """LM_CFG with cera on Wq and Wv of both layers and a module adapter on
     the last block, all with dropout, and non-zero down-projections."""
     bb = build_model(LM_CFG, 40)
-    rng = RngState(41)
+    rng = stream(41, 0)
     for layer in range(LM_CFG.n_layers):
         for target in ("Wq", "Wv"):
             cfg = AdapterConfig(kind="cera", r=4, dropout_p=0.3,
                                 dropout_style=style)
             inject(bb, layer, target, Adapter.init(
-                cfg, *adapter_shape(LM_CFG, target), rng.child(len(bb.adapters))))
+                cfg, *adapter_shape(LM_CFG, target), stream(41, 0, len(bb.adapters))))
     cfg = AdapterConfig(kind="parallel_module", r=4, dropout_p=0.3, dropout_style=style)
     inject(bb, 1, "attn_block", Adapter.init(
-        cfg, *adapter_shape(LM_CFG, "attn_block"), rng.child(9)))
+        cfg, *adapter_shape(LM_CFG, "attn_block"), stream(41, 0, 9)))
     for adapter in bb.adapters.values():
-        adapter.state.w_down[:] = rng.normal(adapter.state.w_down.shape) * 0.3
+        adapter.state.w_down[:] = rng.normal(size=adapter.state.w_down.shape) * 0.3
     return bb
 
 
@@ -659,8 +659,8 @@ def test_batched_train_loss_is_mean_of_single_sequence_losses(style):
                 t += g
         return total
 
-    batched, pullback = trainer_mod._batch_loss(bb, train, idx, RngState(43), None)
-    rng = RngState(43)
+    batched, pullback = trainer_mod._batch_loss(bb, train, idx, stream(43, 0), None)
+    rng = stream(43, 0)
     single = []
     for i in idx:
         logits, logits_pullback = lm_logits(bb, train.inputs[i], rng)
@@ -673,7 +673,7 @@ def test_batched_train_loss_is_mean_of_single_sequence_losses(style):
     for got, want in zip(grads_of([pullback]), grads_of(seeded)):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # and the masks matter: another stream gives another loss
-    other, _ = trainer_mod._batch_loss(bb, train, idx, RngState(44), None)
+    other, _ = trainer_mod._batch_loss(bb, train, idx, stream(44, 0), None)
     assert abs(other - mean) > 1e-6
 
 
@@ -740,12 +740,12 @@ def test_train_report_round_trip():
 
 def test_throughput_merged_vs_unmerged_lora():
     bb = build_model(LM_CFG, 32)
-    rng = RngState(33)
+    rng = stream(33, 0)
     for layer in range(LM_CFG.n_layers):
         for target in ("Wq", "Wv"):
             cfg = AdapterConfig(kind="lora", r=8)
             adapter = Adapter.init(cfg, *adapter_shape(LM_CFG, target),
-                                   rng.child(layer * 2 + (target == "Wv")))
+                                   stream(33, 0, layer * 2 + (target == "Wv")))
             adapter.state.w_down[:] = 0.01
             inject(bb, layer, target, adapter)
     batch = [list(range(12)) * 4] * 4  # 4 sequences of 48 tokens
@@ -758,7 +758,7 @@ def test_throughput_merged_vs_unmerged_lora():
 def test_throughput_alternates_adapter_and_baseline(monkeypatch):
     bb = build_model(LM_CFG, 36)
     cfg = AdapterConfig(kind="lora", r=2)
-    inject(bb, 0, "Wv", Adapter.init(cfg, *adapter_shape(LM_CFG, "Wv"), RngState(37)))
+    inject(bb, 0, "Wv", Adapter.init(cfg, *adapter_shape(LM_CFG, "Wv"), stream(37, 0)))
     adapted = []
     real = trainer_mod.forward
 
@@ -774,7 +774,7 @@ def test_throughput_alternates_adapter_and_baseline(monkeypatch):
 def test_throughput_cera_uses_bare_baseline():
     bb = build_model(LM_CFG, 34)
     cfg = AdapterConfig(kind="cera", r=4)
-    adapter = Adapter.init(cfg, *adapter_shape(LM_CFG, "Wv"), RngState(35))
+    adapter = Adapter.init(cfg, *adapter_shape(LM_CFG, "Wv"), stream(35, 0))
     inject(bb, 0, "Wv", adapter)
     rep = measure_throughput(bb, [[1, 2, 3, 4]] * 2, repetitions=5)
     assert rep.baseline.startswith("bare-backbone")
