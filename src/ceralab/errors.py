@@ -105,4 +105,4 @@ class NumericsError(RuntimeError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss, gradient norm or test metric."""

@@ -413,7 +413,9 @@ def _execute_grid(cfg: ExperimentConfig, store: RunStore,
                   jobs: int) -> GridOutcome:
     """Run `cfg`'s methods x sorted ranks x sorted seeds on `jobs` processes,
     reusing current cached records; failed runs, with their tracebacks, go to
-    run.log and failures.json, which a clean grid removes."""
+    run.log and failures.json, which a clean grid removes. Each record is
+    saved as its run completes; the outcome and failures.json list runs in
+    grid order, whatever order they completed in."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     grid = [(m, r, s) for m in cfg.methods for r in sorted(cfg.ranks)
@@ -421,9 +423,11 @@ def _execute_grid(cfg: ExperimentConfig, store: RunStore,
     store.log(f"grid start: {len(grid)} runs over {cfg.task_id}")
     outcome = GridOutcome()
     pending = []
+    position = {}
     for method, rank, seed in grid:
         run_config = make_run_config(cfg, method, rank, seed)
         rid = run_id_of(run_config)
+        position[rid] = len(position)
         label = f"{method.name} r={rank} seed={seed}"
         cached = store.load_record(rid)
         if cached is not None:
@@ -470,6 +474,8 @@ def _execute_grid(cfg: ExperimentConfig, store: RunStore,
                     finish(rid, rc, result=fut.result())
                 except Exception as exc:
                     finish(rid, rc, error=f"{exc}\n{traceback.format_exc()}")
+    for runs in (outcome.records, outcome.failures):
+        runs.sort(key=lambda run: position[run["run_id"]])
     failures_path = store.root / "failures.json"
     if outcome.failures:
         _atomic_write_json(failures_path, outcome.failures)

@@ -232,9 +232,11 @@ def _tokens_in_batch(backbone: FrozenBackbone, train: Dataset,
 def train_adapter(backbone: FrozenBackbone, train: Dataset, test: Dataset,
                   cfg: TrainConfig) -> TrainReport:
     """Train every adapter injected into `backbone`; deterministic given
-    cfg.seed. Only the training steps draw dropout. A non-finite loss aborts
-    with a diagnostic rather than silently continuing. A regressor's frozen
-    term of the train split is computed once, before the first step.
+    cfg.seed. Only the training steps draw dropout. A non-finite loss or
+    gradient norm, or a non-finite test metric at the end, raises
+    TrainingDiverged with a diagnostic rather than passing for a result.
+    A regressor's frozen term of the train split is computed once, before
+    the first step.
     """
     if not backbone.adapters:
         raise ConfigError("no adapter parameters to train")
@@ -256,7 +258,11 @@ def train_adapter(backbone: FrozenBackbone, train: Dataset, test: Dataset,
             raise TrainingDiverged(
                 f"non-finite loss {loss_value} at step {t} (lr={cosine_lr(t, cfg):.3g})")
         backward(partial(pullback, opt.grads))
-        clip_global_norm(opt, cfg.grad_clip)
+        # an overflowing norm would scale every gradient entry by clip / inf = 0
+        norm = clip_global_norm(opt, cfg.grad_clip)
+        if not math.isfinite(norm):
+            raise TrainingDiverged(
+                f"non-finite gradient norm {norm} at step {t} (lr={cosine_lr(t, cfg):.3g})")
         adamw_step(opt, cosine_lr(t, cfg), cfg)
         curve.append(loss_value)
     wallclock = time.perf_counter() - started
@@ -265,11 +271,15 @@ def train_adapter(backbone: FrozenBackbone, train: Dataset, test: Dataset,
     else:
         idx = np.arange(min(n_train, cfg.batch_size))
         final_train, _ = _batch_loss(backbone, train, idx, None, frozen)
+    test_metric = evaluate(backbone, test)
+    if not math.isfinite(test_metric):
+        raise TrainingDiverged(f"non-finite test metric {test_metric} after "
+                               f"{cfg.steps} steps")
     tokens = cfg.steps * _tokens_in_batch(backbone, train, cfg.batch_size)
     return TrainReport(
         loss_curve=curve,
         final_train_loss=final_train,
-        test_metric=evaluate(backbone, test),
+        test_metric=test_metric,
         wallclock_seconds=wallclock,
         tokens_per_second=tokens / wallclock if wallclock > 0 and tokens else 0.0,
     )

@@ -301,7 +301,6 @@ def test_criterion_11_throughput_ratio():
 
     def build_with(kind):
         bb = build_model(cfg, 77)
-        rng = stream(78, 0)
         for layer in range(cfg.n_layers):
             for j, target in enumerate(("Wq", "Wv")):
                 acfg = AdapterConfig(kind=kind, r=8)

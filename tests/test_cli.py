@@ -3,11 +3,12 @@ import types
 import typing
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ceralab.cli import main
 from ceralab.errors import ConfigError, DictConfig
-from ceralab.experiments import ExperimentConfig, MethodSpec
+from ceralab.experiments import RESULT_COLUMNS, ExperimentConfig, MethodSpec
 from ceralab.model import ModelConfig
 from ceralab.trainer import TrainConfig
 
@@ -50,6 +51,29 @@ def test_sweep_partial_failure_exit_one(tmp_path):
     path.write_text(json.dumps(d))
     assert main(["sweep", "--config", str(path)]) == 1
     assert len((tmp_path / "out" / "results.csv").read_text().splitlines()) == 2
+
+
+def test_a_non_finite_test_metric_fails_its_run(tmp_path, capsys):
+    # one step at lr_max 1e200 leaves every adapter's test MSE at inf. Each
+    # such run fails and saves no record, so neither the plots nor a rerun
+    # ever read an inf metric
+    d = json.loads((CONFIG_DIR / "ceiling_sweep.json").read_text())
+    d.update(ranks=[4, 8], outputs_dir=str(tmp_path / "out"))
+    d["train"].update(steps=1, lr_max=1e200, weight_decay=0.0)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(d))
+    out = tmp_path / "out"
+    for _ in range(2):  # the rerun finds nothing cached and fails alike
+        capsys.readouterr()
+        with np.errstate(over="ignore"):
+            assert main(["sweep", "--config", str(path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        failures = json.loads((out / "failures.json").read_text())
+        assert len(failures) == 2 * 2 * 3
+        assert all("non-finite test metric inf" in f["error"] for f in failures)
+        assert (out / "results.csv").read_text().splitlines() == [
+            ",".join(RESULT_COLUMNS)]
+        assert list((out / "records").iterdir()) == []
 
 
 def test_a_rank_that_cannot_fit_its_target_exits_two(tmp_path, capsys):

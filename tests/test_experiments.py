@@ -1,5 +1,7 @@
 import concurrent.futures
 import json
+import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +10,7 @@ import pytest
 
 from ceralab.adapters import Adapter, AdapterConfig, init_adapter, merge_linear
 from ceralab.cli import main as cli_main
+from ceralab import experiments
 from ceralab.errors import ConfigError
 from ceralab.experiments import (ABLATION_VARIANTS, NUMERICS_VERSION,
                                  ExperimentConfig, MethodSpec, RunStore,
@@ -373,6 +376,35 @@ def test_parallel_failure_keeps_worker_traceback(tmp_path):
     saved = json.loads((tmp_path / "out" / "failures.json").read_text())
     assert saved[0]["error"] == error
     assert "in init_adapter" in (tmp_path / "out" / "run.log").read_text()
+
+
+# a file that the first-listed run of `_fail_last_listed_last` waits for
+FINISHED_MARKER = None
+
+
+def _fail_last_listed_last(run_config):
+    """A stand-in for `run_from_config` that fails every run; the rank-2 run
+    first waits until the rank-4 run has failed, so it completes last."""
+    if run_config["rank"] == 2:
+        while not FINISHED_MARKER.exists():
+            time.sleep(0.01)
+        time.sleep(0.2)  # until the rank-4 failure is back in the parent
+    else:
+        FINISHED_MARKER.touch()
+    raise RuntimeError(f"rank {run_config['rank']} fails")
+
+
+def test_a_parallel_grid_reports_runs_in_grid_order(tmp_path, monkeypatch):
+    # forked workers inherit both patches; runs complete rank 4 first, and
+    # the outcome and failures.json still list rank 2 first
+    monkeypatch.setattr(experiments, "run_from_config", _fail_last_listed_last)
+    monkeypatch.setattr(sys.modules[__name__], "FINISHED_MARKER", tmp_path / "done")
+    outcome = cmd_sweep(small_config(tmp_path / "out", ranks=(4, 2)), jobs=2)
+    assert [f["run_config"]["rank"] for f in outcome.failures] == [2, 4]
+    saved = json.loads((tmp_path / "out" / "failures.json").read_text())
+    assert [f["run_id"] for f in saved] == [f["run_id"] for f in outcome.failures]
+    log = (tmp_path / "out" / "run.log").read_text()
+    assert log.index("rank 4 fails") < log.index("rank 2 fails")
 
 
 def test_sweep_failures_file_tracks_the_latest_grid(tmp_path):

@@ -721,6 +721,29 @@ def test_nan_loss_aborts_with_diagnostic():
                       TrainConfig(steps=5, batch_size=4, seed=28))
 
 
+def test_an_overflowing_gradient_norm_aborts_rather_than_zeroing_the_step():
+    # at scale_s 1e300 the squared gradient overflows, so the global norm is
+    # inf, and clipping by clip / inf would zero every entry and leave w_down
+    # at exactly 0 while the run passed for a success
+    from ceralab.errors import TrainingDiverged
+    bb, adapter, task = make_regression_setup(seed=41, scale_s=1e300)
+    with np.errstate(over="ignore"), \
+            pytest.raises(TrainingDiverged, match="gradient norm inf at step 0"):
+        train_adapter(bb, task.train, task.test,
+                      TrainConfig(steps=5, batch_size=4, seed=42))
+
+
+def test_a_non_finite_test_metric_aborts():
+    # a 0-step run trains nothing, so only the test metric can catch the
+    # overflow of these weights' outputs
+    from ceralab.errors import TrainingDiverged
+    bb, adapter, task = make_regression_setup(seed=43)
+    adapter.state.w_down[:] = 1e300
+    with np.errstate(over="ignore"), \
+            pytest.raises(TrainingDiverged, match="non-finite test metric inf"):
+        train_adapter(bb, task.train, task.test, TrainConfig(steps=0, batch_size=4))
+
+
 def test_requires_adapter_params():
     # training reads the backbone's adapter registry: an empty one is an error
     _, _, task = make_regression_setup(seed=29)
@@ -740,7 +763,6 @@ def test_train_report_round_trip():
 
 def test_throughput_merged_vs_unmerged_lora():
     bb = build_model(LM_CFG, 32)
-    rng = stream(33, 0)
     for layer in range(LM_CFG.n_layers):
         for target in ("Wq", "Wv"):
             cfg = AdapterConfig(kind="lora", r=8)
