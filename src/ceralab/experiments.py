@@ -12,6 +12,7 @@ from __future__ import annotations
 import concurrent.futures
 import hashlib
 import json
+import math
 import os
 import time
 import traceback
@@ -348,8 +349,9 @@ class RunStore:
     def load_record(self, run_id: str) -> dict | None:
         """The stored record file, or None if it is missing or corrupt:
         unreadable, or not an object whose `record` is an object holding
-        every `RESULT_COLUMNS` key and whose `run_config` is an object. A
-        corrupt one is logged before it is treated as missing."""
+        every `RESULT_COLUMNS` key, its `test_metric` a finite float, and
+        whose `run_config` is an object. A corrupt one is logged before it
+        is treated as missing."""
         path = self.record_path(run_id)
         if not path.exists():
             return None
@@ -360,9 +362,12 @@ class RunStore:
             return None
         if not (isinstance(stored, dict) and isinstance(stored.get("record"), dict)
                 and isinstance(stored.get("run_config"), dict)
-                and all(col in stored["record"] for col in RESULT_COLUMNS)):
+                and all(col in stored["record"] for col in RESULT_COLUMNS)
+                and isinstance(stored["record"]["test_metric"], float)
+                and math.isfinite(stored["record"]["test_metric"])):
             self.log(f"corrupt record {run_id} treated as missing: not an object "
-                     "holding a whole record and a run_config")
+                     "holding a whole record, with a finite test_metric, and a "
+                     "run_config")
             return None
         return stored
 

@@ -1,6 +1,5 @@
 import concurrent.futures
 import json
-import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -228,7 +227,12 @@ def test_stale_numerics_version_is_recomputed(tmp_path, version):
     lambda text: f'{{"numerics_version": {NUMERICS_VERSION}}}',  # no record
     lambda text: json.dumps(dict(json.loads(text), record=[])),   # record not an object
     lambda text: json.dumps(dict(json.loads(text), record={"test_metric": 1.0})),  # partial
-], ids=["truncated", "list", "no_record", "record_list", "record_partial"])
+    # a diverged run's metric, written as JSON's Infinity by code that saved
+    # such runs
+    lambda text: json.dumps(dict(json.loads(text), record=dict(
+        json.loads(text)["record"], test_metric=float("inf")))),
+], ids=["truncated", "list", "no_record", "record_list", "record_partial",
+        "record_inf_metric"])
 def test_corrupt_record_is_logged_and_recomputed(tmp_path, corrupt):
     cfg = small_config(tmp_path / "out")
     rid = cmd_sweep(cfg).records[0]["run_id"]
@@ -378,33 +382,33 @@ def test_parallel_failure_keeps_worker_traceback(tmp_path):
     assert "in init_adapter" in (tmp_path / "out" / "run.log").read_text()
 
 
-# a file that the first-listed run of `_fail_last_listed_last` waits for
-FINISHED_MARKER = None
+# the run.log that the first-listed run of `_fail_last_listed_last` reads
+GRID_LOG = None
 
 
 def _fail_last_listed_last(run_config):
     """A stand-in for `run_from_config` that fails every run; the rank-2 run
-    first waits until the rank-4 run has failed, so it completes last."""
+    fails only once the grid has logged the rank-4 run's failure (or after
+    10 s), so it completes last."""
     if run_config["rank"] == 2:
-        while not FINISHED_MARKER.exists():
+        deadline = time.monotonic() + 10.0
+        while ("r=4 seed=1): rank 4 fails" not in GRID_LOG.read_text()
+               and time.monotonic() < deadline):
             time.sleep(0.01)
-        time.sleep(0.2)  # until the rank-4 failure is back in the parent
-    else:
-        FINISHED_MARKER.touch()
     raise RuntimeError(f"rank {run_config['rank']} fails")
 
 
 def test_a_parallel_grid_reports_runs_in_grid_order(tmp_path, monkeypatch):
-    # forked workers inherit both patches; runs complete rank 4 first, and
-    # the outcome and failures.json still list rank 2 first
+    # forked workers inherit both patches; rank 4's run completes first, and
+    # the outcome and failures.json still list rank 2's first
     monkeypatch.setattr(experiments, "run_from_config", _fail_last_listed_last)
-    monkeypatch.setattr(sys.modules[__name__], "FINISHED_MARKER", tmp_path / "done")
+    monkeypatch.setitem(globals(), "GRID_LOG", tmp_path / "out" / "run.log")
     outcome = cmd_sweep(small_config(tmp_path / "out", ranks=(4, 2)), jobs=2)
+    log = (tmp_path / "out" / "run.log").read_text()
+    assert log.index("rank 4 fails") < log.index("rank 2 fails")
     assert [f["run_config"]["rank"] for f in outcome.failures] == [2, 4]
     saved = json.loads((tmp_path / "out" / "failures.json").read_text())
     assert [f["run_id"] for f in saved] == [f["run_id"] for f in outcome.failures]
-    log = (tmp_path / "out" / "run.log").read_text()
-    assert log.index("rank 4 fails") < log.index("rank 2 fails")
 
 
 def test_sweep_failures_file_tracks_the_latest_grid(tmp_path):

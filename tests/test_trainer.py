@@ -9,7 +9,7 @@ import pytest
 
 from ceralab import trainer as trainer_mod
 from ceralab.adapters import Adapter, AdapterConfig, AdapterState
-from ceralab.errors import ConfigError, DomainError
+from ceralab.errors import ConfigError, DomainError, TrainingDiverged
 from ceralab import tensor as T
 from ceralab.model import (ModelConfig, adapter_shape, build_model,
                            collect_latents, forward, inject, lm_logits,
@@ -714,7 +714,6 @@ def test_nan_loss_aborts_with_diagnostic():
     bb, adapter, task = make_regression_setup(seed=27)
     adapter.state.w_up[:] = np.inf
     adapter.state.w_down[:] = 1.0
-    from ceralab.errors import TrainingDiverged
     with pytest.raises(TrainingDiverged, match="step 0"), \
             pytest.warns(RuntimeWarning, match="invalid value"):
         train_adapter(bb, task.train, task.test,
@@ -725,7 +724,6 @@ def test_an_overflowing_gradient_norm_aborts_rather_than_zeroing_the_step():
     # at scale_s 1e300 the squared gradient overflows, so the global norm is
     # inf, and clipping by clip / inf would zero every entry and leave w_down
     # at exactly 0 while the run passed for a success
-    from ceralab.errors import TrainingDiverged
     bb, adapter, task = make_regression_setup(seed=41, scale_s=1e300)
     with np.errstate(over="ignore"), \
             pytest.raises(TrainingDiverged, match="gradient norm inf at step 0"):
@@ -736,7 +734,6 @@ def test_an_overflowing_gradient_norm_aborts_rather_than_zeroing_the_step():
 def test_a_non_finite_test_metric_aborts():
     # a 0-step run trains nothing, so only the test metric can catch the
     # overflow of these weights' outputs
-    from ceralab.errors import TrainingDiverged
     bb, adapter, task = make_regression_setup(seed=43)
     adapter.state.w_down[:] = 1e300
     with np.errstate(over="ignore"), \
