@@ -33,11 +33,7 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 
 # ---------------------------------------------------------------------------
 # shared trained grids, each run on two processes (its records are bit for
-# bit those of one process) and sorted into grid order
-
-
-def grid_order(records):
-    return sorted(records, key=lambda r: (r["method"], r["rank"], r["seed"]))
+# bit those of one process, and in grid order)
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +43,7 @@ def ceiling(tmp_path_factory):
     outcome = cmd_sweep(cfg, jobs=2)
     assert not outcome.failures, outcome.failures
     floor = json.loads((Path(cfg.outputs_dir) / "floor.json").read_text())
-    return cfg, grid_order(outcome.records), floor["linear_floor"]
+    return cfg, outcome.records, floor["linear_floor"]
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +52,7 @@ def ablation(tmp_path_factory):
     cfg.outputs_dir = str(tmp_path_factory.mktemp("ablation"))
     outcome = cmd_ablate(cfg, jobs=2)
     assert not outcome.failures, outcome.failures
-    return cfg, grid_order(outcome.records)
+    return cfg, outcome.records
 
 
 def mean_metric(records, method, rank):
