@@ -28,8 +28,8 @@ from .model import (REGRESSOR_TARGETS, FrozenBackbone, ModelConfig,
                     adapter_shape, build_model, collect_latents, inject,
                     regressor_frozen)
 from .plotting import AxesSpec, Series, emit_plot
-from .spectral import (SpectralReport, activation_spectrum, auc90,
-                       delta_w_linear, effective_rank, energy_curve, svd_values)
+from .spectral import (SpectralReport, activation_spectrum, delta_w_linear,
+                       svd_values)
 from .tasks import (Dataset, detect_state_collapse, linear_floor,
                     logistic_map_table, make_teacher_task, nonlinear_teacher,
                     trajectory_sequences)
@@ -72,6 +72,9 @@ class MethodSpec(DictConfig):
     init_gain: float = 1.0
 
     def __post_init__(self):
+        if set(self.name) & set(",\n\r"):
+            raise ConfigError(f"method name {self.name!r} holds a comma or a line "
+                              f"break, which would split its results.csv row")
         self.targets = tuple(self.targets)
         self.adapter_config(1)  # validate eagerly
         if len(set(self.targets)) != len(self.targets):
@@ -253,7 +256,7 @@ def spectral_report(backbone: FrozenBackbone, inputs, source: str) -> SpectralRe
     if source != "delta_w":
         mat = collect_latents(backbone, inputs, source)
         return activation_spectrum(mat, source_label=source)
-    spectra, ers, aucs = [], [], []
+    reports = []
     for adapter in backbone.adapters.values():
         cfg = adapter.cfg
         if not cfg.is_linear:
@@ -262,20 +265,14 @@ def spectral_report(backbone: FrozenBackbone, inputs, source: str) -> SpectralRe
                 "output_delta_D for gated kinds")
         dw = delta_w_linear(adapter.state.w_up, adapter.state.w_down,
                             cfg.scale_s)
-        sv = svd_values(dw)
-        spectra.append(sv)
-        ers.append(effective_rank(sv))
-        aucs.append(auc90(sv) if sv.sum() > 0 else 0)
-    mean_sv = np.zeros(max(sv.size for sv in spectra))
-    for sv in spectra:
-        mean_sv[:sv.size] += sv
-    mean_sv /= len(spectra)
-    return SpectralReport(
-        source_label=source,
-        singular_values=mean_sv.tolist(),
-        effective_rank=float(np.mean(ers)),
-        auc90_index=int(round(np.mean(aucs))),
-        energy_curve=energy_curve(mean_sv).tolist() if mean_sv.sum() > 0 else [])
+        reports.append(SpectralReport.of(svd_values(dw), source))
+    mean_sv = np.zeros(max(len(r.singular_values) for r in reports))
+    for r in reports:
+        mean_sv[:len(r.singular_values)] += r.singular_values
+    mean_sv /= len(reports)
+    return replace(SpectralReport.of(mean_sv, source),
+                   effective_rank=float(np.mean([r.effective_rank for r in reports])),
+                   auc90_index=int(round(np.mean([r.auc90_index for r in reports]))))
 
 
 def _build_run(run_config: dict, bundles: dict | None = None
@@ -350,8 +347,9 @@ class RunStore:
         """The stored record file, or None if it is missing or corrupt:
         unreadable, or not an object whose `record` is an object holding
         every `RESULT_COLUMNS` key, its `test_metric` a finite float, and
-        whose `run_config` is an object. A corrupt one is logged before it
-        is treated as missing."""
+        whose `run_config` is an object; and whose `run_config` and
+        `record["run_id"]` both give `run_id`. A corrupt one is logged
+        before it is treated as missing."""
         path = self.record_path(run_id)
         if not path.exists():
             return None
@@ -368,6 +366,10 @@ class RunStore:
             self.log(f"corrupt record {run_id} treated as missing: not an object "
                      "holding a whole record, with a finite test_metric, and a "
                      "run_config")
+            return None
+        if not run_id_of(stored["run_config"]) == stored["record"]["run_id"] == run_id:
+            self.log(f"corrupt record {run_id} treated as missing: its run_config "
+                     "or its record belongs to another run id")
             return None
         return stored
 
@@ -519,26 +521,29 @@ def cmd_sweep(cfg: ExperimentConfig, jobs: int = 1) -> GridOutcome:
     bundle = build_task_bundle(cfg.task_id, cfg.model)  # validates early
     outcome = _execute_grid(cfg, store, jobs)
     write_results_csv(outcome.records, store.root / "results.csv")
+    floor_path = store.root / "floor.json"
     if bundle.floor is not None:
-        _atomic_write_json(store.root / "floor.json",
-                           {"task_id": cfg.task_id, "linear_floor": bundle.floor})
-    series = _rank_series(cfg, outcome.records, "test_metric")
-    if bundle.floor is not None and series:
+        _atomic_write_json(floor_path, {"task_id": cfg.task_id,
+                                        "linear_floor": bundle.floor})
+    else:
+        floor_path.unlink(missing_ok=True)
+    metric_series = _rank_series(cfg, outcome.records, "test_metric")
+    if bundle.floor is not None and metric_series:
         ranks = sorted(cfg.ranks)
-        series.append(Series(label="linear floor", xs=[ranks[0], ranks[-1]],
-                             ys=[bundle.floor, bundle.floor]))
-    if series:
-        emit_plot(series, AxesSpec(title=f"{cfg.task_id}: metric vs rank",
-                                   xlabel="adapter rank (log)",
-                                   ylabel=_metric_label(cfg), xscale="log"),
-                  store.plots_dir / "metric_vs_rank.svg")
-    er_series = _rank_series(cfg, outcome.records, "effective_rank")
-    if er_series:
-        emit_plot(er_series, AxesSpec(title=f"{cfg.task_id}: effective rank vs rank",
-                                      xlabel="adapter rank (log)",
-                                      ylabel=f"effective rank ({cfg.spectral_source})",
-                                      xscale="log"),
-                  store.plots_dir / "er_vs_rank.svg")
+        metric_series.append(Series(label="linear floor", xs=[ranks[0], ranks[-1]],
+                                    ys=[bundle.floor, bundle.floor]))
+    # each plot tracks the latest grid: one with no record to draw is removed
+    for name, series, title, ylabel in (
+            ("metric_vs_rank.svg", metric_series, "metric vs rank", _metric_label(cfg)),
+            ("er_vs_rank.svg", _rank_series(cfg, outcome.records, "effective_rank"),
+             "effective rank vs rank", f"effective rank ({cfg.spectral_source})")):
+        if series:
+            emit_plot(series, AxesSpec(title=f"{cfg.task_id}: {title}",
+                                       xlabel="adapter rank (log)", ylabel=ylabel,
+                                       xscale="log"),
+                      store.plots_dir / name)
+        else:
+            (store.plots_dir / name).unlink(missing_ok=True)
     return outcome
 
 
@@ -611,7 +616,7 @@ def cmd_spectral(cfg: ExperimentConfig, run_id: str,
     out_json = store.root / f"spectral_{run_id}_{source}.json"
     _atomic_write_bytes(out_json, report.to_json().encode())
     sv = report.singular_values
-    if any(v > 0 for v in sv):
+    if report.energy_curve:  # empty for an all-zero spectrum, which has no log plot
         emit_plot([Series(label=f"{method.name} r={run_config['rank']}",
                           xs=list(range(1, len(sv) + 1)), ys=sv)],
                   AxesSpec(title=f"singular spectrum ({source})",

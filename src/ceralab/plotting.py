@@ -7,6 +7,7 @@ idempotence guarantee, which rules out libraries that embed ids or dates.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -81,8 +82,6 @@ def _tick_label(v: float) -> str:
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / 4  # about five ticks
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -93,6 +92,9 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
     ticks = []
     t = start
     while t <= hi + 1e-12 * step:
+        if t + step == t:
+            raise DomainError(f"a linear axis from {lo!r} to {hi!r} cannot tick "
+                              f"every {step:g}: floats there are spaced wider")
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
         t += step
     return ticks
@@ -101,23 +103,49 @@ def _nice_ticks(lo: float, hi: float) -> list[float]:
 def _log_ticks(lo: float, hi: float) -> list[float]:
     lo_e = math.floor(math.log10(lo))
     hi_e = math.ceil(math.log10(hi))
+    if hi_e > sys.float_info.max_10_exp:
+        raise DomainError(f"a log axis up to {hi:g} needs a tick at 1e{hi_e}, "
+                          f"past the largest float")
     return [10.0 ** e for e in range(lo_e, hi_e + 1)
             if lo <= 10.0 ** e <= hi * (1 + 1e-12)]
 
 
-def _clamp_log(values: list[float], axis: str) -> list[float]:
-    positive = [v for v in values if v > 0.0]
-    floor = (min(positive) if positive else 1.0) * LOG_FLOOR_RATIO
-    out = []
-    for v in values:
-        if v <= 0.0:
-            warnings.warn(
-                f"non-positive value {v} on log-scale {axis} axis clamped to {floor:g}",
-                stacklevel=3)
-            out.append(floor)
-        else:
-            out.append(v)
-    return out
+def _axis(lists: list[list[float]], scale: str, axis: str, start: int,
+          length: int, down: bool = False):
+    """The pixels of one axis's value `lists` and its (pixel, value) ticks,
+    over `length` pixels from `start`, downwards for y. A log scale clamps
+    each list's non-positive values to its least positive one times
+    LOG_FLOOR_RATIO. A range the axis cannot draw is a DomainError."""
+    log = scale == "log"
+    if log:
+        clamped = []
+        for vals in lists:
+            floor = min([v for v in vals if v > 0.0] or [1.0]) * LOG_FLOOR_RATIO
+            for v in vals:
+                if v <= 0.0:
+                    warnings.warn(f"non-positive value {v} on log-scale {axis} axis "
+                                  f"clamped to {floor:g}", stacklevel=3)
+            clamped.append([floor if v <= 0.0 else v for v in vals])
+        lists = clamped
+    values = [v for vals in lists for v in vals]
+    lo, hi = min(values), max(values)
+    if log:
+        lo, hi = lo / 1.2, hi * 1.2
+    else:
+        pad = (hi - lo) * 0.08 or max(abs(hi), 1.0) * 0.08
+        lo, hi = lo - pad, hi + pad
+    if not math.isfinite(hi - lo) or (log and lo == 0.0):  # a clamp that underflowed
+        raise DomainError(f"the {axis} axis cannot span {min(values):g} to "
+                          f"{max(values):g}: its padded range is beyond the floats")
+    ticks = _log_ticks(lo, hi) if log else _nice_ticks(lo, hi)
+    f = math.log10 if log else (lambda v: v)
+    f0, span = f(lo), f(hi) - f(lo)
+
+    def pixel(v):
+        if down:
+            return start + length * (1 - (f(v) - f0) / span)
+        return start + length * (f(v) - f0) / span
+    return [[pixel(v) for v in vals] for vals in lists], [(pixel(t), t) for t in ticks]
 
 
 def emit_plot(series: list[Series], axes: AxesSpec, path) -> None:
@@ -129,47 +157,14 @@ def emit_plot(series: list[Series], axes: AxesSpec, path) -> None:
         if len(s.xs) != len(s.ys):
             raise DomainError(f"series {s.label!r} has mismatched xs/ys")
 
-    def prep(vals, scale, axis):
-        return _clamp_log(list(vals), axis) if scale == "log" else list(vals)
-
-    xs_all, ys_all = [], []
-    prepped = []
-    for s in series:
-        xs = prep(s.xs, axes.xscale, "x")
-        ys = prep(s.ys, axes.yscale, "y")
-        lo = prep(s.y_lo, axes.yscale, "y") if s.y_lo is not None else None
-        hi = prep(s.y_hi, axes.yscale, "y") if s.y_hi is not None else None
-        prepped.append((s.label, xs, ys, lo, hi))
-        xs_all.extend(xs)
-        ys_all.extend(ys)
-        ys_all.extend(lo or [])
-        ys_all.extend(hi or [])
-
-    def bounds(vals, scale):
-        lo, hi = min(vals), max(vals)
-        if scale == "log":
-            return lo / 1.2, hi * 1.2
-        pad = (hi - lo) * 0.08 or max(abs(hi), 1.0) * 0.08
-        return lo - pad, hi + pad
-
-    x0, x1 = bounds(xs_all, axes.xscale)
-    y0, y1 = bounds(ys_all, axes.yscale)
     left, top = LEFT, TOP
     pw = axes.width - LEFT - RIGHT
     ph = axes.height - TOP - BOTTOM
-
-    def sx(v):
-        if axes.xscale == "log":
-            return left + pw * (math.log10(v) - math.log10(x0)) / (math.log10(x1) - math.log10(x0))
-        return left + pw * (v - x0) / (x1 - x0)
-
-    def sy(v):
-        if axes.yscale == "log":
-            return top + ph * (1 - (math.log10(v) - math.log10(y0)) / (math.log10(y1) - math.log10(y0)))
-        return top + ph * (1 - (v - y0) / (y1 - y0))
-
-    xticks = _log_ticks(x0, x1) if axes.xscale == "log" else _nice_ticks(x0, x1)
-    yticks = _log_ticks(y0, y1) if axes.yscale == "log" else _nice_ticks(y0, y1)
+    x_pixels, xticks = _axis([s.xs for s in series], axes.xscale, "x", left, pw)
+    y_pixels, yticks = _axis(
+        [vals for s in series for vals in (s.ys, s.y_lo, s.y_hi) if vals is not None],
+        axes.yscale, "y", top, ph, down=True)
+    y_pixels = iter(y_pixels)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{axes.width}" '
@@ -181,14 +176,12 @@ def emit_plot(series: list[Series], axes: AxesSpec, path) -> None:
     if axes.title:
         parts.append(f'<text x="{axes.width / 2:.1f}" y="20" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="14">{_escape(axes.title)}</text>')
-    for t in xticks:
-        x = sx(t)
+    for x, t in xticks:
         parts.append(f'<line x1="{_fmt(x)}" y1="{top + ph}" x2="{_fmt(x)}" '
                      f'y2="{top + ph + 4}" stroke="#555"/>')
         parts.append(f'<text x="{_fmt(x)}" y="{top + ph + 17}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="10">{_tick_label(t)}</text>')
-    for t in yticks:
-        y = sy(t)
+    for y, t in yticks:
         parts.append(f'<line x1="{left - 4}" y1="{_fmt(y)}" x2="{left}" '
                      f'y2="{_fmt(y)}" stroke="#555"/>')
         parts.append(f'<text x="{left - 7}" y="{_fmt(y + 3)}" text-anchor="end" '
@@ -203,26 +196,27 @@ def emit_plot(series: list[Series], axes: AxesSpec, path) -> None:
                      f'font-family="sans-serif" font-size="12" '
                      f'transform="rotate(-90 14 {cy:.1f})">{_escape(axes.ylabel)}</text>')
 
-    for i, (label, xs, ys, lo, hi) in enumerate(prepped):
+    for i, (s, xs) in enumerate(zip(series, x_pixels)):
         color = PALETTE[i % len(PALETTE)]
-        if lo is not None and hi is not None:
-            for x, l, h in zip(xs, lo, hi):
-                parts.append(f'<line x1="{_fmt(sx(x))}" y1="{_fmt(sy(l))}" '
-                             f'x2="{_fmt(sx(x))}" y2="{_fmt(sy(h))}" '
-                             f'stroke="{color}" stroke-width="1" opacity="0.55"/>')
-        points = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
+        ys = next(y_pixels)
+        if s.y_lo is not None:
+            for x, lo, hi in zip(xs, next(y_pixels), next(y_pixels)):
+                parts.append(f'<line x1="{_fmt(x)}" y1="{_fmt(lo)}" x2="{_fmt(x)}" '
+                             f'y2="{_fmt(hi)}" stroke="{color}" stroke-width="1" '
+                             'opacity="0.55"/>')
+        points = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
         if len(xs) > 1:
             parts.append(f'<polyline points="{points}" fill="none" '
                          f'stroke="{color}" stroke-width="1.6"/>')
         for x, y in zip(xs, ys):
-            parts.append(f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3" '
+            parts.append(f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="3" '
                          f'fill="{color}"/>')
         ly = top + 14 + 15 * i
         lx = left + pw - 130
         parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 18}" y2="{ly - 4}" '
                      f'stroke="{color}" stroke-width="2"/>')
         parts.append(f'<text x="{lx + 23}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="11">{_escape(label)}</text>')
+                     f'font-size="11">{_escape(s.label)}</text>')
     parts.append("</svg>")
     with open(path, "wb") as fh:
         fh.write("\n".join(parts).encode("utf-8"))

@@ -105,6 +105,16 @@ class SpectralReport:
     auc90_index: int
     energy_curve: list[float]
 
+    @classmethod
+    def of(cls, sv, source_label: str) -> "SpectralReport":
+        """The report of the descending singular values `sv`: the one home
+        of the all-zero convention above."""
+        sv = np.asarray(sv, dtype=np.float64)
+        if sv.sum() == 0.0:
+            return cls(source_label, sv.tolist(), 0.0, 0, [])
+        return cls(source_label, sv.tolist(), effective_rank(sv), auc90(sv),
+                   energy_curve(sv).tolist())
+
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
@@ -117,13 +127,4 @@ def activation_spectrum(h, source_label: str = "H") -> SpectralReport:
             f"activation matrix has fewer samples ({mat.shape[0]}) than "
             f"dimensions ({mat.shape[1]}); the spectrum may be sample-limited",
             stacklevel=2)
-    sv = svd_values(mat)
-    if sv.sum() == 0.0:
-        return SpectralReport(source_label, sv.tolist(), 0.0, 0, [])
-    return SpectralReport(
-        source_label=source_label,
-        singular_values=sv.tolist(),
-        effective_rank=effective_rank(sv),
-        auc90_index=auc90(sv),
-        energy_curve=energy_curve(sv).tolist(),
-    )
+    return SpectralReport.of(svd_values(mat), source_label)

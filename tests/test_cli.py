@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import types
 import typing
 from pathlib import Path
@@ -14,6 +17,7 @@ from ceralab.trainer import TrainConfig
 
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+SRC = Path(__file__).resolve().parents[1] / "src"
 SHIPPED = ("ceiling_sweep.json", "ablation.json", "trajectory_sweep.json")
 
 
@@ -102,10 +106,11 @@ def test_bad_config_exit_two(tmp_path, capsys):
     # nested entries get the same checks as the top level, a wrongly typed
     # value is a config error, a regressor refuses a Wq adapter it would
     # never read, an adapter scale must be finite (JSON NaN, Infinity), a
-    # method names each target once, and delta_w spectra need linear methods
+    # method names each target once, delta_w spectra need linear methods, and
+    # a method name with a comma would split its results.csv row
     good, cfg = write_config(tmp_path)
     (no_kind, not_object, null_model, wq, text, nan_gain, inf_alpha,
-     twice, gated_delta_w) = (cfg.to_dict() for _ in range(9))
+     twice, gated_delta_w, comma_name) = (cfg.to_dict() for _ in range(10))
     del no_kind["methods"][0]["kind"]
     not_object["methods"] = ["lora"]
     null_model["model"] = None
@@ -116,8 +121,9 @@ def test_bad_config_exit_two(tmp_path, capsys):
     twice["methods"][0]["targets"] = ["Wv", "Wv"]
     gated_delta_w["methods"] = [dict(name="cera", kind="cera", targets=["Wv"])]
     gated_delta_w["spectral_source"] = "delta_w"
+    comma_name["methods"][0]["name"] = "lo,ra"
     for d in (no_kind, not_object, null_model, wq, text, nan_gain, inf_alpha,
-              twice, gated_delta_w):
+              twice, gated_delta_w, comma_name):
         bad.write_text(json.dumps(d))
         capsys.readouterr()
         assert main(["sweep", "--config", str(bad)]) == 2
@@ -169,6 +175,21 @@ def test_spectral_cli(tmp_path, capsys):
     assert "ER=" in capsys.readouterr().out
     assert main(["spectral", "--config", str(path),
                  "--run-id", "not-a-run"]) == 2
+
+
+def test_spectral_of_a_record_stored_under_another_id_exits_two(tmp_path, capsys):
+    # a record whose run_config does not hash to its file's run id is not
+    # that run's; it used to be read, and its missing "method" key raised
+    path, cfg = write_config(tmp_path)
+    assert main(["sweep", "--config", str(path)]) == 0
+    records = list((tmp_path / "out" / "records").glob("*.json"))
+    record = next(p for p in records if not p.name.endswith(".adapters.json"))
+    stored = json.loads(record.read_text())
+    stored["run_config"] = {"task_id": cfg.task_id}
+    record.write_text(json.dumps(stored))
+    err = assert_config_error(["spectral", "--config", str(path),
+                               "--run-id", record.stem], capsys)
+    assert f"no record for run_id '{record.stem}'" in err
 
 
 def test_params_cli(tmp_path, capsys):
@@ -317,6 +338,26 @@ def test_malformed_plot_input_exits_two(tmp_path, capsys):
         err = assert_config_error(["plot", "--input", str(unreadable), "--out", str(out)],
                                   capsys)
         assert f"cannot read {unreadable}" in err
+    assert not out.exists()
+
+
+# data ranges no axis can draw: a linear step below the spacing of floats at
+# 1e16 (it used to loop forever), spans whose padding overflows, a log axis
+# whose top tick would be 1e309, and a log clamp that underflows to 0
+UNDRAWABLE = [([1e16, 10000000000000002], "linear"), ([-1e308, 1e308], "linear"),
+              ([0, 1.7e308], "linear"), ([1, 1e308], "log"), ([1e-323, 0], "log")]
+
+
+@pytest.mark.parametrize("ys, scale", UNDRAWABLE)
+def test_an_undrawable_plot_range_exits_two(tmp_path, ys, scale):
+    src, out = tmp_path / "series.json", tmp_path / "demo.svg"
+    src.write_text(json.dumps({"series": [{"label": "s", "xs": [1, 2], "ys": ys}],
+                               "axes": {"yscale": scale}}))
+    proc = subprocess.run([sys.executable, "-m", "ceralab", "plot", "--input", str(src),
+                           "--out", str(out)], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=10)
+    assert proc.returncode == 2
+    assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
     assert not out.exists()
 
 

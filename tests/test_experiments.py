@@ -91,6 +91,11 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         small_config("out", methods=[MethodSpec(name="x", kind="cera"),
                                      MethodSpec(name="x", kind="lora")])
+    # results.csv is split on commas and line breaks; a name holding one
+    # would shift its row's cells
+    for name in ("lo,ra", "lo\nra", "lo\rra"):
+        with pytest.raises(ConfigError, match="method name"):
+            MethodSpec(name=name, kind="lora")
 
 
 def test_repeated_or_negative_seeds_and_ranks_are_config_errors():
@@ -231,8 +236,17 @@ def test_stale_numerics_version_is_recomputed(tmp_path, version):
     # such runs
     lambda text: json.dumps(dict(json.loads(text), record=dict(
         json.loads(text)["record"], test_metric=float("inf")))),
+    # a run_config or a record of another run id, and a run_config that is
+    # no run's (its missing "method" key used to raise in `cmd_spectral`)
+    lambda text: json.dumps(dict(json.loads(text), run_config=dict(
+        json.loads(text)["run_config"], seed=2))),
+    lambda text: json.dumps(dict(json.loads(text), record=dict(
+        json.loads(text)["record"], run_id="0" * 16))),
+    lambda text: json.dumps(dict(json.loads(text), run_config={
+        "task_id": "nonlinear_teacher"})),
 ], ids=["truncated", "list", "no_record", "record_list", "record_partial",
-        "record_inf_metric"])
+        "record_inf_metric", "run_config_of_another_id", "record_of_another_id",
+        "run_config_partial"])
 def test_corrupt_record_is_logged_and_recomputed(tmp_path, corrupt):
     cfg = small_config(tmp_path / "out")
     rid = cmd_sweep(cfg).records[0]["run_id"]
@@ -432,6 +446,30 @@ def test_ablation_failures_file_tracks_the_latest_grid(tmp_path):
     assert not failures.exists()
 
 
+def test_sweep_outputs_track_the_latest_grid(tmp_path):
+    # the plots and floor.json in an outputs directory are its latest grid's:
+    # a grid with no record to plot, or a task without a floor, leaves none
+    # of an earlier grid's behind
+    out = tmp_path / "out"
+    plots = [out / "plots" / name for name in ("metric_vs_rank.svg", "er_vs_rank.svg")]
+    assert cmd_sweep(small_config(out, ranks=(2, 4))).exit_code == 0
+    assert all(p.exists() for p in plots) and (out / "floor.json").exists()
+    failing = small_config(out)
+    failing.ranks = [64]  # past the model's rank bound: the run fails
+    assert cmd_sweep(failing).exit_code == 1
+    assert (out / "results.csv").read_text().count("\n") == 1  # the header
+    assert not any(p.exists() for p in plots)
+    lm = ExperimentConfig(
+        task_id="logistic_trajectories",
+        methods=[MethodSpec(name="cera", kind="cera", targets=("Wv",))],
+        ranks=[2], seeds=[1],
+        model=ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1,
+                          vocab_size=12, max_seq_len=64, v_out_dim=8),
+        train=TrainConfig(steps=2, batch_size=2), outputs_dir=str(out))
+    assert cmd_sweep(lm).exit_code == 0
+    assert all(p.exists() for p in plots) and not (out / "floor.json").exists()
+
+
 def test_sweep_emits_plots_and_floor(tmp_path):
     cfg = small_config(tmp_path / "out", ranks=(2, 4), seeds=(1,))
     cmd_sweep(cfg)
@@ -542,6 +580,21 @@ def test_spectral_zero_init_run_reports_er_zero(tmp_path):
     report = cmd_spectral(cfg, rid, "output_delta_D")
     assert report.effective_rank == 0.0
     assert report.auc90_index == 0
+
+
+def test_spectral_delta_w_of_a_zero_step_lora_run_is_all_zero(tmp_path):
+    # lora's down-projection starts at zero: each adapter's update, and so
+    # the mean spectrum, is all-zero, and the report takes the ER=0
+    # convention with no energy curve and no spectrum plot
+    lora = MethodSpec(name="lora", kind="lora", targets=("Wv",))
+    cfg = small_config(tmp_path / "out", methods=[lora], steps=0)
+    rid = cmd_sweep(cfg).records[0]["run_id"]
+    report = cmd_spectral(cfg, rid, "delta_w")
+    assert report.singular_values == [0.0] * 16  # the 16 x 16 update of Wv
+    assert report.effective_rank == 0.0
+    assert report.auc90_index == 0
+    assert report.energy_curve == []
+    assert not (tmp_path / "out" / "plots" / f"spectrum_{rid}_delta_w.svg").exists()
 
 
 def test_spectral_leaves_the_sweep_plots_alone(tmp_path):
