@@ -3,8 +3,12 @@ loss, each op as two numpy halves: a forward half that returns its rows and
 what its backward reads, and a backward half that forms gradient products
 from them. Four ops: the SiLU-gated two-matrix map that is both an
 adapter's whole delta and the frozen FFN (`mlp_forward`/`mlp_backward`),
-multi-head causal attention over (B*S, H*d) projection rows with the head
-split and merge inside it, layer norm, and the cross-entropy loss.
+multi-head causal attention over (B*S, H*d) projection rows, layer norm,
+and the cross-entropy loss. Attention takes its heads as strided views of
+the rows, copying only the keys' transpose and, for k's gradient, q's
+heads; it runs its softmax over the kept causal triangle only and writes
+the weights after each position as exact zeros. For finite inputs it is
+bit for bit the masked op chain.
 
 A model writes its reverse pass out explicitly: its forward keeps what
 the backward halves read, only for a training pass, and its pullback calls
@@ -162,10 +166,12 @@ def mlp_backward(g: np.ndarray, x: np.ndarray | None, w_up: np.ndarray,
 
 
 def _heads(rows: np.ndarray, n_heads: int, seq_len: int) -> np.ndarray:
-    """(B*S, H*d) rows, sequence-major, as a contiguous (B, H, S, d) stack."""
+    """(B*S, H*d) rows, sequence-major, as a (B, H, S, d) stack. Of
+    C-contiguous rows it is a strided view, not a copy, so writing through
+    it writes the rows; a batched matmul hands each head's (S, d) block to
+    BLAS with a leading dimension of H*d."""
     n, w = rows.shape
-    return np.ascontiguousarray(
-        rows.reshape(n // seq_len, seq_len, n_heads, w // n_heads).transpose(0, 2, 1, 3))
+    return rows.reshape(n // seq_len, seq_len, n_heads, w // n_heads).transpose(0, 2, 1, 3)
 
 
 def _rows(heads: np.ndarray) -> np.ndarray:
@@ -175,7 +181,10 @@ def _rows(heads: np.ndarray) -> np.ndarray:
 
 
 def _keys_t(k: np.ndarray, n_heads: int, seq_len: int) -> np.ndarray:
-    """The key heads of k's rows, each transposed, contiguous."""
+    """The key heads of k's rows, each transposed to (d, S), as one
+    contiguous (B, H, d, S) copy: the forward's one copy of an operand.
+    It keeps each product's BLAS transpose flags as they were; q's
+    gradient over the untransposed key view moves in the last bits."""
     return np.ascontiguousarray(_heads(k, n_heads, seq_len).swapaxes(-1, -2))
 
 
@@ -194,22 +203,32 @@ def causal_attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     attention weights, the one array the backward half reads beside q, k
     and v. A position attends to itself and the positions before it.
 
-    The heads are split off the rows and merged back inside, and the ops
-    and their order are those of the split, matmul, scale, mask-add,
-    softmax, matmul, merge chain, so values and gradients are bit for bit
-    that chain's.
+    The softmax runs on the kept (lower) triangle of each head's scores
+    only: the row max and the exp skip the positions after the query, and
+    those weights are then set to exactly +0.0, which is what the exp of a
+    -1e30 mask entry underflows to. The row sum and the division still run
+    over the full row, zeros included, so they add in the same pairwise
+    order. q's and v's heads are strided views of their rows and the
+    output rows are written through such a view; only the keys' transpose
+    is copied. For finite inputs the values and gradients are bit for bit
+    those of the split, matmul, scale, mask-add, softmax, matmul, merge
+    chain. A non-finite score after a query's position, which the chain's
+    max would read, no longer reaches that query's row.
     """
     if (q.ndim != 2 or k.shape != q.shape or v.ndim != 2 or v.shape[0] != q.shape[0]
             or q.shape[0] % seq_len or q.shape[1] % n_heads or v.shape[1] % n_heads):
         raise ShapeError(f"causal_attention rows {q.shape}, {k.shape}, {v.shape} do "
                          f"not split into {n_heads} heads of length-{seq_len} sequences")
+    kept = np.tri(seq_len, dtype=bool)
     attn = np.matmul(_heads(q, n_heads, seq_len), _keys_t(k, n_heads, seq_len))
     attn *= _attention_scale(q, n_heads)
-    attn += np.triu(np.full((seq_len, seq_len), -1e30), k=1)
-    attn -= attn.max(axis=-1, keepdims=True)
-    np.exp(attn, out=attn)
+    attn -= attn.max(axis=-1, keepdims=True, initial=-np.inf, where=kept)
+    np.exp(attn, out=attn, where=kept)
+    np.copyto(attn, 0.0, where=~kept)
     attn /= attn.sum(axis=-1, keepdims=True)
-    return _rows(np.matmul(attn, _heads(v, n_heads, seq_len))), attn
+    rows = np.empty((q.shape[0], v.shape[1]))
+    np.matmul(attn, _heads(v, n_heads, seq_len), out=_heads(rows, n_heads, seq_len))
+    return rows, attn
 
 
 def causal_attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray,
@@ -219,11 +238,11 @@ def causal_attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray,
     """The backward half of `causal_attention_forward`: from the gradient g
     of the output rows, the gradients of q's, k's and v's rows, each formed
     only where `wanted` (q, k, v) asks for it and None otherwise. The heads
-    are split off q, k and v again rather than kept from the forward.
-    g is only read."""
+    of g and v are strided views of their rows; q's heads in k's gradient
+    and the keys' transpose are copies, the latter made again rather than
+    kept from the forward. g is only read."""
     want_q, want_k, want_v = wanted
-    n, d_v = v.shape[0], v.shape[1] // n_heads
-    g = g.reshape(n // seq_len, seq_len, n_heads, d_v).transpose(0, 2, 1, 3)
+    g = _heads(g, n_heads, seq_len)
     dq = dk = dv = None
     if want_v:
         dv = _rows(np.matmul(attn.swapaxes(-1, -2), g))
@@ -235,7 +254,7 @@ def causal_attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray,
         if want_q:
             dq = _rows(np.matmul(ds, _keys_t(k, n_heads, seq_len).swapaxes(-1, -2)))
         if want_k:
-            qh = _heads(q, n_heads, seq_len)
+            qh = np.ascontiguousarray(_heads(q, n_heads, seq_len))
             dk = _rows(np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2))
     return dq, dk, dv
 

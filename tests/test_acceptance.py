@@ -306,8 +306,10 @@ def test_criterion_11_throughput_ratio():
                 inject(bb, layer, target, adapter)
         return bb
 
-    lora_rep = measure_throughput(build_with("lora"), batch, repetitions=21)
-    cera_rep = measure_throughput(build_with("cera"), batch, repetitions=21)
+    # merged and unmerged forwards cost within a few percent of each other:
+    # at 21 repetitions 1 of 20 tier-1 runs read the ratio at 0.993
+    lora_rep = measure_throughput(build_with("lora"), batch, repetitions=105)
+    cera_rep = measure_throughput(build_with("cera"), batch, repetitions=105)
     ok = lora_rep.relative_latency >= 1.0
     report(11, "throughput", ok,
            f"merged-vs-unmerged lora ratio={lora_rep.relative_latency:.3f} (>=1.0 asserted); "

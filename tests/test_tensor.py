@@ -138,11 +138,18 @@ def _attention_chain(q, k, v, n_heads, seq_len, g):
     return out, y, merge(gq), merge(gk), merge(gv)
 
 
+@pytest.mark.parametrize("shape", [(3, 4, 7, 6, 3), (8, 4, 62, 16, 8), (8, 4, 64, 16, 8),
+                                   (1, 4, 1, 16, 8), (8, 4, 62, 1, 8)],
+                         ids=lambda shape: "x".join(map(str, shape)))
 @pytest.mark.parametrize("frozen", ["none", "q", "k", "v"])
-def test_causal_attention_is_bit_for_bit_the_op_chain(frozen):
-    # B > 1 sequences, and v narrower than q and k, as in the model
+def test_causal_attention_is_bit_for_bit_the_op_chain(frozen, shape):
+    # (B, H, S, d, d_v): B > 1 sequences and v narrower than q and k, as in
+    # the model; the trajectory model's 62 positions and its 64-position
+    # maximum, long enough for the BLAS paths its strided head views take;
+    # one sequence of one position; and one-wide heads, where numpy would
+    # hand a strided q view to another BLAS routine in k's gradient
     rng = stream(67, 0)
-    b, h, s, d, d_v = 3, 4, 7, 6, 3
+    b, h, s, d, d_v = shape
     q, k = (rng.normal(size=(b * s, h * d)) for _ in "qk")
     v = rng.normal(size=(b * s, h * d_v))
     g = rng.normal(size=(b * s, h * d_v))
@@ -153,6 +160,9 @@ def test_causal_attention_is_bit_for_bit_the_op_chain(frozen):
     want_out, want_attn, gq, gk, gv = _attention_chain(q, k, v, h, s, g)
     assert out.tobytes() == want_out.tobytes()
     assert weights.tobytes() == want_attn.tobytes()
+    # every weight after its query's position is +0.0, by its bytes
+    after = weights[..., ~np.tri(s, dtype=bool)]
+    assert after.tobytes() == np.zeros_like(after).tobytes()
     for grad, want, asked in zip(got, (gq, gk, gv), wanted):
         if asked:
             assert grad.tobytes() == want.tobytes()
