@@ -148,7 +148,8 @@ class Adapter:
         shaped like x, or None. It writes w_up's and w_down's gradient
         products into their arrays and, given `dx`, x's gradient into it.
         These are `tensor.mlp_forward` and `mlp_backward`, so values and
-        products are the chain's bit for bit.
+        products are the chain's bit for bit. `mlp_backward` consumes the
+        forward's saved sigmoid of a SiLU, so the pullback runs once.
         """
         cfg, w_up, w_down = self.cfg, self.state.w_up, self.state.w_down
         rows, saved = T.mlp_forward(x, w_up, w_down, cfg.activation, mask, cfg.scale_s)

@@ -329,8 +329,12 @@ class RunStore:
         self.root = Path(outputs_dir)
         self.records_dir = self.root / "records"
         self.plots_dir = self.root / "plots"
-        self.records_dir.mkdir(parents=True, exist_ok=True)
-        self.plots_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.records_dir.mkdir(parents=True, exist_ok=True)
+            self.plots_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"outputs_dir {str(self.root)!r} cannot hold the "
+                              f"records and plots directories: {exc}") from exc
 
     def log(self, message: str) -> None:
         stamp = time.strftime("%Y-%m-%d %H:%M:%S")

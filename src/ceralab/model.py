@@ -10,10 +10,12 @@ training pass writes its reverse pass out explicitly.
   merges its heads inside its own halves; the FFN is the SiLU-gated
   two-matrix map an adapter's delta is, with no mask and unit scale.
   `lm_logits` returns the logits as (batch*seq, vocab) rows. A training
-  pass, the one given a random stream, also keeps what the backward halves
-  read, sublayer by sublayer, and returns a pullback that runs the
-  sublayers in reverse, drops each one's arrays once it has run, and writes
-  each adapter's gradient products straight into the optimizer's flat buffer.
+  pass, the one given a random stream, also keeps exactly what the backward
+  halves read, sublayer by sublayer from the lowest block with an adapter
+  up, and returns a pullback that runs the sublayers in reverse, lets go of
+  each one's arrays once it has read them, and writes each adapter's
+  gradient products straight into the optimizer's flat buffer. The backward
+  halves consume what they are handed, so the pullback runs once.
 * ``regressor``: one block applied to plain feature vectors, with the
   attention and FFN branches reading the raw input in parallel and no layer
   norm. Every adapter then contributes additively through purely linear
@@ -240,20 +242,31 @@ def _dropout_masks(backbone: FrozenBackbone, n_seq: int, seq_len: int,
     return masks
 
 
+def _attention_wanted(below: bool, q_pull: Callable | None,
+                      v_pull: Callable | None) -> tuple[bool, bool, bool]:
+    """Which of q's, k's and v's gradients a block's attention pullback
+    forms: all three when `below` (an adapter under the block reads its
+    input), and otherwise q's and v's where an adapter reads them."""
+    return below or q_pull is not None, below, below or v_pull is not None
+
+
 def _attention_sublayer(backbone: FrozenBackbone, layer: int, x: np.ndarray,
-                        seq_len: int, masks: dict, saved: list | None
-                        ) -> tuple[np.ndarray, np.ndarray]:
+                        seq_len: int, masks: dict, saved: list | None,
+                        below: bool) -> tuple[np.ndarray, np.ndarray]:
     """x plus the block's attention branch: Wo attention(q, k, v) plus the
     module adapter, all read off the first layer norm's rows xn. Returns
-    the sum and xn (which every adapter of the block reads); given a list
-    `saved`, appends what the pullback reads: the norm's centred rows and
-    scales, q, k, v, the attention weights and the adapters' pullbacks."""
+    the sum and xn (which every adapter of the block reads). Given a list
+    `saved`, appends what the pullback reads, None for the rest: the
+    adapters' pullbacks; when `below`, the norm's centred rows and scales
+    and q; v and the keys' transposed copy for q's and k's gradients; and
+    the attention weights for any of the three."""
     ws = backbone.layers[layer]
     xn, ln = T.layer_norm_forward(x, ws["ln1_g"], ws["ln1_b"])
     q, q_pull = _proj(backbone, layer, "Wq", xn, masks)
     k = xn @ ws["Wk"].T
     v, v_pull = _proj(backbone, layer, "Wv", xn, masks)
-    rows, weights = T.causal_attention_forward(q, k, v, backbone.cfg.n_heads, seq_len)
+    rows, keys_t, weights = T.causal_attention_forward(q, k, v, backbone.cfg.n_heads,
+                                                       seq_len)
     out = rows @ ws["Wo"].T
     module = backbone.adapters.get((layer, "attn_block"))
     module_pull = None
@@ -261,7 +274,12 @@ def _attention_sublayer(backbone: FrozenBackbone, layer: int, x: np.ndarray,
         delta, module_pull = module.delta_rows(xn, masks.get((layer, "attn_block")))
         out = out + delta
     if saved is not None:
-        saved.append((ln, q, k, v, weights, q_pull, v_pull, module_pull))
+        want_q, want_k, want_v = _attention_wanted(below, q_pull, v_pull)
+        scores = want_q or want_k
+        saved.append((ln if below else None, q if want_k else None,
+                      v if scores else None, keys_t if scores else None,
+                      weights if scores or want_v else None,
+                      q_pull, v_pull, module_pull))
     return x + out, xn
 
 
@@ -282,18 +300,20 @@ def _attention_pullback(backbone: FrozenBackbone, layer: int, g: np.ndarray,
     """The reverse of `_attention_sublayer` for the gradient g of its output
     rows: writes its adapters' gradient products into `grads` and, when
     `below` (an adapter under this block reads its input), returns the
-    gradient of its input rows. The first layer norm's rows feed Wq, its
+    gradient of its input rows. It lets go of q, v, the keys and the
+    weights once attention's backward half has read them, before the
+    adapters' pullbacks run. The first layer norm's rows feed Wq, its
     adapter, Wk, Wv, its adapter and the module adapter, and their
     gradients are summed in that order; the input's two, through the norm
     and straight through, in either."""
     ws = backbone.layers[layer]
-    ln, q, k, v, weights, q_pull, v_pull, module_pull = saved
-    want_q, want_v = below or q_pull is not None, below or v_pull is not None
+    ln, q, v, keys_t, weights, q_pull, v_pull, module_pull = saved
+    del saved
     dq = dk = dv = None
-    if want_q or want_v:
+    if weights is not None:
         dq, dk, dv = T.causal_attention_backward(
-            g @ ws["Wo"], q, k, v, weights, backbone.cfg.n_heads,
-            weights.shape[-1], (want_q, below, want_v))
+            g @ ws["Wo"], q, v, keys_t, weights, _attention_wanted(below, q_pull, v_pull))
+    del q, v, keys_t, weights
     if not below:
         for pull, grad in ((q_pull, dq), (v_pull, dv), (module_pull, g)):
             if pull is not None:
@@ -320,22 +340,27 @@ def _attention_pullback(backbone: FrozenBackbone, layer: int, g: np.ndarray,
 def _ffn_pullback(ws: dict, g: np.ndarray, saved: tuple) -> np.ndarray:
     """The reverse of `_ffn_sublayer`: the gradient of its input rows for
     the gradient g of its output rows, through the norm and straight
-    through."""
-    ln, ffn = saved
+    through. It lets go of the hidden rows, which the FFN's backward half
+    consumes, before the norm's backward runs."""
+    ln, hidden = saved
+    del saved
     dxn = np.empty_like(g)
-    T.mlp_backward(g, None, ws["W1"], ws["W2"], "silu", None, 1.0, ffn,
+    T.mlp_backward(g, None, ws["W1"], ws["W2"], "silu", None, 1.0, hidden,
                    (dxn, None, None))
+    del hidden
     dx = T.layer_norm_backward(dxn, ws["ln2_g"], ln)
     T._accum(dx, g)
     return dx
 
 
 def _lm_rows(backbone: FrozenBackbone, tokens, rng: np.random.Generator | None,
-             saved: list | None) -> tuple[np.ndarray, list[np.ndarray]]:
+             saved: list | None, lowest: int = 0
+             ) -> tuple[np.ndarray, list[np.ndarray]]:
     """The last block's output rows (batch*seq x d) of a (batch, seq) token
     array, a 1-d sequence being a batch of one, and each layer's adapter
     input rows: that layer's first layer norm. Given a list `saved`, each
-    sublayer appends what its pullback reads."""
+    sublayer from block `lowest` up appends what its pullback reads; the
+    blocks below keep nothing."""
     cfg = backbone.cfg
     ids = np.asarray(tokens, dtype=np.int64)
     if ids.ndim == 1:
@@ -352,8 +377,10 @@ def _lm_rows(backbone: FrozenBackbone, tokens, rng: np.random.Generator | None,
         n_seq * seq_len, cfg.d_model)
     adapter_inputs = []
     for layer in range(cfg.n_layers):
-        x, xn = _attention_sublayer(backbone, layer, x, seq_len, masks, saved)
-        x = _ffn_sublayer(backbone.layers[layer], x, saved)
+        kept = saved if layer >= lowest else None
+        x, xn = _attention_sublayer(backbone, layer, x, seq_len, masks, kept,
+                                    layer > lowest)
+        x = _ffn_sublayer(backbone.layers[layer], x, kept)
         adapter_inputs.append(xn)
     return x, adapter_inputs
 
@@ -365,28 +392,32 @@ def lm_logits(backbone: FrozenBackbone, tokens, rng: np.random.Generator | None
     their pullback.
 
     A training pass is one given a stream `rng`: it draws dropout, keeps
-    what the backward halves read, and returns a pullback. That takes the
-    logits' gradient and a map from each adapter to the arrays its w_up's
-    and w_down's gradients go in, runs the sublayers in reverse, FFN then
-    attention, block by block down to the lowest block with an adapter,
-    dropping each sublayer's arrays once its pullback has run, and writes
-    every adapter's gradient products into the map's arrays; it runs once.
-    Without a stream nothing is kept and the pullback is None.
+    what the backward halves read, and returns a pullback. It keeps nothing
+    of the blocks below the lowest block with an adapter, and of that block
+    neither the first layer norm's state nor q, as no input gradient is
+    formed there. The pullback takes the logits' gradient and a map from
+    each adapter to the arrays its w_up's and w_down's gradients go in,
+    runs the sublayers in reverse, FFN then attention, block by block down
+    to the lowest block with an adapter, letting go of each sublayer's
+    arrays once it has read them, and writes every adapter's gradient
+    products into the map's arrays. The backward halves consume what they
+    are handed, so it runs once. Without a stream nothing is kept and the
+    pullback is None.
     """
     saved = None if rng is None else []
-    x, _ = _lm_rows(backbone, tokens, rng, saved)
+    lowest = min((layer for layer, _ in backbone.adapters), default=backbone.cfg.n_layers)
+    x, _ = _lm_rows(backbone, tokens, rng, saved, lowest)
     xf, ln_f = T.layer_norm_forward(x, backbone.ln_f_g, backbone.ln_f_b)
     logits = xf @ backbone.head.T
     if saved is None:
         return logits, None
+    saved.append(ln_f)
 
     def pullback(g: np.ndarray, grads: dict) -> None:
-        g = T.layer_norm_backward(g @ backbone.head, backbone.ln_f_g, ln_f)
-        lowest = min(layer for layer, _ in backbone.adapters)
+        g = T.layer_norm_backward(g @ backbone.head, backbone.ln_f_g, saved.pop())
         for layer in reversed(range(lowest, backbone.cfg.n_layers)):
             g = _ffn_pullback(backbone.layers[layer], g, saved.pop())
             g = _attention_pullback(backbone, layer, g, saved.pop(), grads, layer > lowest)
-        saved.clear()
 
     return logits, pullback
 

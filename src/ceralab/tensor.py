@@ -5,19 +5,21 @@ from them. Four ops: the SiLU-gated two-matrix map that is both an
 adapter's whole delta and the frozen FFN (`mlp_forward`/`mlp_backward`),
 multi-head causal attention over (B*S, H*d) projection rows, layer norm,
 and the cross-entropy loss. Attention takes its heads as strided views of
-the rows, copying only the keys' transpose and, for k's gradient, q's
-heads; it runs its softmax over the kept causal triangle only and writes
-the weights after each position as exact zeros. For finite inputs it is
-bit for bit the masked op chain.
+the rows, copying only the keys' transpose, which its backward half reads
+in place of k, and, for k's gradient, q's heads; it runs its softmax over
+the kept causal triangle only and writes the weights after each position
+as exact zeros. For finite inputs it is bit for bit the masked op chain.
 
 A model writes its reverse pass out explicitly: its forward keeps what
 the backward halves read, only for a training pass, and its pullback calls
 them in reverse order, writing each adapter's gradient products straight
-into the optimizer's flat buffer. `backward` runs such a pullback, so every
-training step's reverse pass is one call. Where a block of rows feeds
-several consumers, `_accum` sums their gradients into one array, in the
-consumers' forward order. Weights and adapter matrices are plain float64
-arrays throughout.
+into the optimizer's flat buffer. A backward half consumes what its
+forward saved: `mlp_backward` builds a SiLU's slope in the saved sigmoid's
+own buffer, so one forward feeds one backward. `backward` runs such a
+pullback, so every training step's reverse pass is one call. Where a block
+of rows feeds several consumers, `_accum` sums their gradients into one
+array, in the consumers' forward order. Weights and adapter matrices are
+plain float64 arrays throughout.
 
 Every random number the package draws comes from `stream`, a numpy
 Generator at a (seed, path) address; callers draw with its own methods.
@@ -87,13 +89,14 @@ def _silu(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _silu_grad(x: np.ndarray, sig: np.ndarray, g: np.ndarray) -> None:
-    """Write g * sig * (1 + x (1 - sig)) over g, which the caller owns; one
-    more buffer."""
-    slope = np.subtract(1.0, sig)
-    slope *= x
-    slope += 1.0
+    """Write g * sig * (1 + x (1 - sig)) over g, which the caller owns,
+    building the slope in sig's own buffer: no more buffer, and sig is
+    consumed."""
     g *= sig
-    g *= slope
+    np.subtract(1.0, sig, out=sig)
+    sig *= x
+    sig += 1.0
+    g *= sig
 
 
 def mlp_hidden(x: np.ndarray, w_up: np.ndarray, activation: str
@@ -141,7 +144,10 @@ def mlp_backward(g: np.ndarray, x: np.ndarray | None, w_up: np.ndarray,
     written with matmul's `out` into its array of `grads` (dx, dw_up,
     dw_down); a None entry is neither formed nor written. `saved` is what
     `mlp_forward` returned beside the rows; its kept activations are read
-    only for w_down's product, and x only for w_up's. g is only read."""
+    only for w_down's product, and x only for w_up's. g, x, the hidden
+    rows, the kept activations and the mask are only read; a SiLU's
+    sigmoid is overwritten with its slope, so `saved` is consumed and the
+    backward half runs once per forward."""
     dx, d_up, d_down = grads
     lat, sig, kept = saved
     if scale != 1.0:
@@ -182,26 +188,28 @@ def _rows(heads: np.ndarray) -> np.ndarray:
 
 def _keys_t(k: np.ndarray, n_heads: int, seq_len: int) -> np.ndarray:
     """The key heads of k's rows, each transposed to (d, S), as one
-    contiguous (B, H, d, S) copy: the forward's one copy of an operand.
-    It keeps each product's BLAS transpose flags as they were; q's
-    gradient over the untransposed key view moves in the last bits."""
+    contiguous (B, H, d, S) copy: the forward's one copy of an operand,
+    which the backward half reads in place of k. It keeps each product's
+    BLAS transpose flags as they were; q's gradient over the untransposed
+    key view moves in the last bits."""
     return np.ascontiguousarray(_heads(k, n_heads, seq_len).swapaxes(-1, -2))
 
 
-def _attention_scale(q: np.ndarray, n_heads: int) -> np.float64:
-    """1 / sqrt(d), d being q's width over the heads."""
-    return 1.0 / np.sqrt(q.shape[1] // n_heads)
+def _attention_scale(keys_t: np.ndarray) -> np.float64:
+    """1 / sqrt(d), d being the width of each head of the keys' copy."""
+    return 1.0 / np.sqrt(keys_t.shape[-2])
 
 
 def causal_attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                              n_heads: int, seq_len: int
-                             ) -> tuple[np.ndarray, np.ndarray]:
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Multi-head causal attention over (B*S, H*d) projection rows, S =
     `seq_len`: each head's softmax(q kᵀ / sqrt(d) + causal mask) v, with the
     heads' (B*S, H*d_v) output rows side by side. d is q's width over the
-    heads; v may be narrower. Returns the output rows and the (B, H, S, S)
-    attention weights, the one array the backward half reads beside q, k
-    and v. A position attends to itself and the positions before it.
+    heads; v may be narrower. Returns the output rows, the keys' (B, H, d,
+    S) transposed copy and the (B, H, S, S) attention weights: the two
+    arrays the backward half reads beside q and v. A position attends to
+    itself and the positions before it.
 
     The softmax runs on the kept (lower) triangle of each head's scores
     only: the row max and the exp skip the positions after the query, and
@@ -220,28 +228,33 @@ def causal_attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
         raise ShapeError(f"causal_attention rows {q.shape}, {k.shape}, {v.shape} do "
                          f"not split into {n_heads} heads of length-{seq_len} sequences")
     kept = np.tri(seq_len, dtype=bool)
-    attn = np.matmul(_heads(q, n_heads, seq_len), _keys_t(k, n_heads, seq_len))
-    attn *= _attention_scale(q, n_heads)
+    keys_t = _keys_t(k, n_heads, seq_len)
+    attn = np.matmul(_heads(q, n_heads, seq_len), keys_t)
+    attn *= _attention_scale(keys_t)
     attn -= attn.max(axis=-1, keepdims=True, initial=-np.inf, where=kept)
     np.exp(attn, out=attn, where=kept)
     np.copyto(attn, 0.0, where=~kept)
     attn /= attn.sum(axis=-1, keepdims=True)
     rows = np.empty((q.shape[0], v.shape[1]))
     np.matmul(attn, _heads(v, n_heads, seq_len), out=_heads(rows, n_heads, seq_len))
-    return rows, attn
+    return rows, keys_t, attn
 
 
-def causal_attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray,
-                              v: np.ndarray, attn: np.ndarray, n_heads: int,
-                              seq_len: int, wanted: tuple[bool, bool, bool]
+def causal_attention_backward(g: np.ndarray, q: np.ndarray | None,
+                              v: np.ndarray | None, keys_t: np.ndarray | None,
+                              attn: np.ndarray, wanted: tuple[bool, bool, bool]
                               ) -> tuple[np.ndarray | None, ...]:
     """The backward half of `causal_attention_forward`: from the gradient g
     of the output rows, the gradients of q's, k's and v's rows, each formed
-    only where `wanted` (q, k, v) asks for it and None otherwise. The heads
-    of g and v are strided views of their rows; q's heads in k's gradient
-    and the keys' transpose are copies, the latter made again rather than
-    kept from the forward. g is only read."""
+    only where `wanted` (q, k, v) asks for it and None otherwise. `keys_t`
+    and `attn` are what the forward returned beside the rows; the heads
+    and positions are read off the weights. Only the weights are read for
+    v's gradient; v and the keys' copy also for q's and k's, and q only for
+    k's, so an operand that is not read may be None. The heads of g and v
+    are strided views of their rows, and q's heads in k's gradient a copy.
+    Every operand is only read."""
     want_q, want_k, want_v = wanted
+    _, n_heads, seq_len, _ = attn.shape
     g = _heads(g, n_heads, seq_len)
     dq = dk = dv = None
     if want_v:
@@ -250,9 +263,9 @@ def causal_attention_backward(g: np.ndarray, q: np.ndarray, k: np.ndarray,
         ds = np.matmul(g, _heads(v, n_heads, seq_len).swapaxes(-1, -2))
         ds -= (ds * attn).sum(axis=-1, keepdims=True)
         ds *= attn
-        ds *= _attention_scale(q, n_heads)
+        ds *= _attention_scale(keys_t)
         if want_q:
-            dq = _rows(np.matmul(ds, _keys_t(k, n_heads, seq_len).swapaxes(-1, -2)))
+            dq = _rows(np.matmul(ds, keys_t.swapaxes(-1, -2)))
         if want_k:
             qh = np.ascontiguousarray(_heads(q, n_heads, seq_len))
             dk = _rows(np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2))

@@ -249,6 +249,20 @@ def assert_config_error(argv, capsys):
     return err
 
 
+@pytest.mark.parametrize("command", ["sweep", "ablate", "spectral"])
+def test_an_outputs_dir_that_cannot_be_created_exits_two(tmp_path, capsys, command):
+    # an existing file given as --out: the records directory cannot be made
+    # under it, which used to end in a NotADirectoryError traceback
+    path, _ = write_config(tmp_path)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory")
+    argv = [command, "--config", str(path), "--out", str(taken)]
+    err = assert_config_error(argv + (["--run-id", "any"] if command == "spectral" else []),
+                              capsys)
+    assert f"outputs_dir {str(taken)!r} cannot hold" in err
+    assert taken.read_text() == "not a directory"
+
+
 @pytest.mark.parametrize("case, message", [
     ("not_an_object", "holds no object of adapter states"),
     ("missing_entry", "no '0:Wv' entry"),

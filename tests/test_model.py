@@ -106,7 +106,7 @@ def test_attention_rows_sum_to_one():
     xn, _ = T.layer_norm_forward(x, ws["ln1_g"], ws["ln1_b"])
     q, k = (xn @ ws[w].T for w in ("Wq", "Wk"))
     eye = np.tile(np.eye(8), (3, TINY.n_heads))
-    rows, _ = T.causal_attention_forward(q, k, eye, TINY.n_heads, 8)
+    rows = T.causal_attention_forward(q, k, eye, TINY.n_heads, 8)[0]
     attn = rows.reshape(3, 8, TINY.n_heads, 8).transpose(0, 2, 1, 3)
     assert attn.shape == (3, TINY.n_heads, 8, 8)
     assert np.max(np.abs(attn.sum(axis=-1) - 1.0)) < 1e-12
@@ -360,12 +360,13 @@ PULLBACK_CASES = {
     # module adapters only: the lowest block's attention feeds no adapter, so
     # it is not run backward
     "module-only": [(layer, "attn_block", MODULE) for layer in (0, 1)],
+    # the lowest block's attention forms only v's gradient
+    "value-below": [(0, "Wv", cera()), (1, "Wq", cera())],
 }
 
 
-@pytest.mark.parametrize("case", sorted(PULLBACK_CASES))
-def test_the_explicit_pullback_matches_finite_differences_through_every_block(
-        monkeypatch, case):
+def case_backbone(case):
+    """SQUARE with PULLBACK_CASES[case]'s adapters, their w_down non-zero."""
     bb = build_model(SQUARE, 30)
     rng = stream(31, 0)
     for layer, target, cfg in PULLBACK_CASES[case]:
@@ -373,6 +374,13 @@ def test_the_explicit_pullback_matches_finite_differences_through_every_block(
                                stream(31, 0, len(bb.adapters)))
         adapter.state.w_down[:] = rng.normal(size=adapter.state.w_down.shape) * 0.3
         inject(bb, layer, target, adapter)
+    return bb
+
+
+@pytest.mark.parametrize("case", sorted(PULLBACK_CASES))
+def test_the_explicit_pullback_matches_finite_differences_through_every_block(
+        monkeypatch, case):
+    bb = case_backbone(case)
     seqs = np.array([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1], [0, 9, 0, 9, 0]])
     targets = stream(34, 0).integers(0, 11, 15)
     blocks, attention_backward = [], T.causal_attention_backward
@@ -392,7 +400,8 @@ def test_the_explicit_pullback_matches_finite_differences_through_every_block(
 
 def saved_entries(pullback):
     """The per-sublayer arrays a language-model pullback will read, bottom
-    block first and attention before FFN: the list its closure holds."""
+    block first and attention before FFN, then the final layer norm's: the
+    list its closure holds."""
     cells = dict(zip(pullback.__code__.co_freevars, pullback.__closure__))
     return cells["saved"].cell_contents
 
@@ -410,44 +419,67 @@ def two_block_training_pass():
     return bb, seqs, cross_entropy_backward(saved), pullback
 
 
-def test_a_training_pass_keeps_only_what_its_pullback_reads():
-    bb, seqs, _, pullback = two_block_training_pass()
+@pytest.mark.parametrize("case", sorted(PULLBACK_CASES))
+def test_a_training_pass_keeps_only_what_its_pullback_reads(case):
+    bb = case_backbone(case)
+    seqs = np.array([[1, 2, 3, 4, 5], [5, 4, 3, 2, 1]])
     n, s = seqs.size, seqs.shape[1]
-    entries = saved_entries(pullback)
-    # two entries per block: its attention sublayer's, then its FFN's
-    assert len(entries) == 4
-    for (ln1, q, k, v, weights, *pulls), (ln2, (lat, sig, kept)) in zip(
-            entries[::2], entries[1::2]):
-        # each layer norm keeps its centred rows and one scale per row
-        assert [a.shape for a in ln1] == [a.shape for a in ln2] == [(n, 16), (n, 1)]
-        # attention keeps q, k, v and its weights, and every adapter its pullback
-        assert weights.shape == (2, SQUARE.n_heads, s, s)
-        assert q.shape == k.shape == (n, SQUARE.qk_dim) and v.shape == (n, 16)
-        assert all(callable(pull) for pull in pulls)
+    entries = saved_entries(lm_logits(bb, seqs, stream(36, 0))[1])
+    lowest = min(layer for layer, _ in bb.adapters)
+    # two entries per block from the lowest adapted one up, its attention
+    # sublayer's then its FFN's, and the final layer norm's last: the
+    # blocks below keep nothing
+    assert len(entries) == 2 * (SQUARE.n_layers - lowest) + 1
+    assert [a.shape for a in entries[-1]] == [(n, 16), (n, 1)]
+    for layer, attention, (ln2, (lat, sig, kept)) in zip(
+            range(lowest, SQUARE.n_layers), entries[:-1:2], entries[1::2]):
+        ln1, q, v, keys_t, weights, *pulls = attention
+        below = layer > lowest
+        wq, wv, module = ((layer, target) in bb.adapters
+                          for target in ("Wq", "Wv", "attn_block"))
+        # the lowest block forms no input gradient and no k gradient, so it
+        # keeps no layer-norm state and no q
+        assert (ln1 is not None) == (q is not None) == below
+        if below:
+            assert [a.shape for a in ln1] == [(n, 16), (n, 1)]
+            assert q.shape == (n, SQUARE.qk_dim)
+        # v and the keys' (B, H, d, S) copy are read for q's and k's
+        # gradients, the weights for any of the three, and a module adapter
+        # alone reads none of them
+        assert (v is not None) == (keys_t is not None) == (below or wq)
+        if v is not None:
+            assert v.shape == (n, 16)
+            assert keys_t.shape == (2, SQUARE.n_heads, SQUARE.d_head, s)
+        assert (weights is not None) == (below or wq or wv)
+        if weights is not None:
+            assert weights.shape == (2, SQUARE.n_heads, s, s)
+        # every adapter keeps its pullback
+        assert [callable(pull) for pull in pulls] == [wq, wv, module]
         # the frozen FFN keeps no activation rows: only w_down's product reads them
+        assert [a.shape for a in ln2] == [(n, 16), (n, 1)]
         assert lat.shape == sig.shape == (n, SQUARE.d_ff) and kept is None
     # without a stream nothing is kept
     assert lm_logits(bb, seqs, None)[1] is None
 
 
 def test_the_pullback_drops_each_blocks_arrays_once_it_has_run(monkeypatch):
-    # when a sublayer's pullback runs, the arrays of every sublayer above it
-    # are gone unless the caller holds them (a block's FFN arrays before its
-    # own attention pullback runs), and the gradients are the same
+    # the FFN's hidden rows go once its backward half has run, before its
+    # layer norm's backward, and the attention weights before the adapters'
+    # pullbacks, unless the caller holds them; the gradients are the same
     def run(hold: bool):
         bb, _, g, pullback = two_block_training_pass()
         entries = saved_entries(pullback)
         # attention weights, FFN hidden rows: attn0, ffn0, attn1, ffn1
         alive = [weakref.ref(entry[4] if i % 2 == 0 else entry[1][0])
-                 for i, entry in enumerate(entries)]
+                 for i, entry in enumerate(entries[:-1])]
         held = list(entries) if hold else []  # alive until `run` returns
         seen = []
-        for name in ("_attention_pullback", "_ffn_pullback"):
-            def recording(*args, name=name, original=getattr(model_mod, name)):
+        for name in ("layer_norm_backward", "mlp_backward"):
+            def recording(*args, name=name, original=getattr(T, name)):
                 seen.append((name, [ref() is not None for ref in alive]))
                 return original(*args)
 
-            monkeypatch.setattr(model_mod, name, recording)
+            monkeypatch.setattr(T, name, recording)
         del entries
         grads = gradient_map(bb, 0.0)
         pullback(g, grads)
@@ -455,9 +487,13 @@ def test_the_pullback_drops_each_blocks_arrays_once_it_has_run(monkeypatch):
         return seen, [g.tobytes() for pair in grads.values() for g in pair]
 
     (freed, grads), (kept, want) = run(hold=False), run(hold=True)
-    names = ["_ffn_pullback", "_attention_pullback"] * 2
-    assert freed == list(zip(names, [[True, True, True, True], [True, True, True, False],
-                                     [True, True, False, False], [True, False, False, False]]))
+    norm, mlp = "layer_norm_backward", "mlp_backward"
+    # the final norm; per block from the top: the FFN, its norm, the three
+    # adapters and, above the lowest block, the first norm
+    names = [norm, mlp, norm, mlp, mlp, mlp, norm, mlp, norm, mlp, mlp, mlp]
+    alive = [[True] * 4, [True] * 4, [True, True, True, False]] + [[True, True, False, False]] * 5 \
+        + [[True, False, False, False]] + [[False] * 4] * 3
+    assert freed == list(zip(names, alive))
     assert kept == [(name, [True] * 4) for name in names]
     assert grads == want
 

@@ -108,8 +108,8 @@ def test_backward_calls_its_pullback_once():
 def _attention_chain(q, k, v, n_heads, seq_len, g):
     """The split, matmul, scale, mask-add, softmax, matmul, merge chain op
     for op over (B*S, H*d) rows, and its backward for the output rows'
-    gradient `g`, split as a contiguous copy: (output rows, weights, q
-    grad, k grad, v grad)."""
+    gradient `g`, split as a contiguous copy: (output rows, transposed keys,
+    weights, q grad, k grad, v grad)."""
     def split(rows):
         n, w = rows.shape
         return np.ascontiguousarray(rows.reshape(
@@ -135,13 +135,13 @@ def _attention_chain(q, k, v, n_heads, seq_len, g):
     ds = ds * np.asarray(scale)
     gq = np.matmul(ds, kt.swapaxes(-1, -2))
     gk = np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2)
-    return out, y, merge(gq), merge(gk), merge(gv)
+    return out, kt, y, merge(gq), merge(gk), merge(gv)
 
 
 @pytest.mark.parametrize("shape", [(3, 4, 7, 6, 3), (8, 4, 62, 16, 8), (8, 4, 64, 16, 8),
                                    (1, 4, 1, 16, 8), (8, 4, 62, 1, 8)],
                          ids=lambda shape: "x".join(map(str, shape)))
-@pytest.mark.parametrize("frozen", ["none", "q", "k", "v"])
+@pytest.mark.parametrize("frozen", ["none", "q", "k", "v", "qk"])
 def test_causal_attention_is_bit_for_bit_the_op_chain(frozen, shape):
     # (B, H, S, d, d_v): B > 1 sequences and v narrower than q and k, as in
     # the model; the trajectory model's 62 positions and its 64-position
@@ -153,12 +153,19 @@ def test_causal_attention_is_bit_for_bit_the_op_chain(frozen, shape):
     q, k = (rng.normal(size=(b * s, h * d)) for _ in "qk")
     v = rng.normal(size=(b * s, h * d_v))
     g = rng.normal(size=(b * s, h * d_v))
-    g_before = g.copy()
-    out, weights = causal_attention_forward(q, k, v, h, s)
-    wanted = tuple(name != frozen for name in "qkv")
-    got = causal_attention_backward(g, q, k, v, weights, h, s, wanted)
-    want_out, want_attn, gq, gk, gv = _attention_chain(q, k, v, h, s, g)
+    before = [a.copy() for a in (q, k, v, g)]
+    out, keys_t, weights = causal_attention_forward(q, k, v, h, s)
+    saved_before = keys_t.copy(), weights.copy()
+    wanted = tuple(name not in frozen for name in "qkv")
+    # the backward half takes the forward's keys in place of k, and an
+    # operand that the wanted products do not read may be None: q is read
+    # only for k's gradient, v and the keys for q's and k's
+    scores = wanted[0] or wanted[1]
+    got = causal_attention_backward(g, q if wanted[1] else None, v if scores else None,
+                                    keys_t if scores else None, weights, wanted)
+    want_out, want_kt, want_attn, gq, gk, gv = _attention_chain(q, k, v, h, s, g)
     assert out.tobytes() == want_out.tobytes()
+    assert keys_t.tobytes() == want_kt.tobytes() and keys_t.shape == (b, h, d, s)
     assert weights.tobytes() == want_attn.tobytes()
     # every weight after its query's position is +0.0, by its bytes
     after = weights[..., ~np.tri(s, dtype=bool)]
@@ -168,7 +175,9 @@ def test_causal_attention_is_bit_for_bit_the_op_chain(frozen, shape):
             assert grad.tobytes() == want.tobytes()
         else:  # an unwanted gradient product is never formed
             assert grad is None
-    assert g.tobytes() == g_before.tobytes()
+    # both halves only read their operands
+    for a, was in zip((q, k, v, g, keys_t, weights), (*before, *saved_before)):
+        assert a.tobytes() == was.tobytes()
     # with each head's v an identity (d_v = S) the output rows are the weights
     eye = np.tile(np.eye(s), (b, h))
     rows = causal_attention_forward(q, k, eye, h, s)[0]
@@ -187,10 +196,10 @@ def test_causal_attention_gradient_per_operand(probe):
         return cross_entropy_forward(
             causal_attention_forward(ops["q"], ops["k"], ops["v"], 2, 4)[0], targets)[0]
 
-    rows, weights = causal_attention_forward(fixed["q"], fixed["k"], fixed["v"], 2, 4)
+    rows, keys_t, weights = causal_attention_forward(fixed["q"], fixed["k"], fixed["v"], 2, 4)
     _, g = ce_loss_and_grad(rows, targets)
     grads = dict(zip("qkv", causal_attention_backward(
-        g, fixed["q"], fixed["k"], fixed["v"], weights, 2, 4, ALL)))
+        g, fixed["q"], fixed["v"], keys_t, weights, ALL)))
     assert finite_difference_check(loss, fixed[probe], grads[probe], 1e-6) < 1e-5
 
 
@@ -280,9 +289,35 @@ def test_mlp_halves_write_the_chain_products_into_the_given_arrays(activation, m
         assert got.tobytes() == want_grad.tobytes()
     assert np.isnan(flat[0]) and g.tobytes() == g_before.tobytes()
     flat[:] = np.nan
+    # the backward half consumed that forward's saved state: run a fresh one
+    _, saved = mlp_forward(x, w_up, w_down, activation, m, 2.0)
     mlp_backward(g, x, w_up, w_down, activation, m, 2.0, saved, (None, d_up, d_down))
     assert np.isnan(dx).all()
     assert d_up.tobytes() == gw_up.tobytes() and d_down.tobytes() == gw_down.tobytes()
+
+
+@pytest.mark.parametrize("activation", ["identity", "relu", "silu"])
+def test_mlp_backward_overwrites_only_a_silus_saved_sigmoid(activation):
+    # the backward half consumes its forward's saved state: g, x, the hidden
+    # rows, the kept activations and the mask are only read, and a SiLU's
+    # sigmoid is overwritten with the slope 1 + lat (1 - sig)
+    rng = stream(74, 0)
+    x, w_up, w_down = rng.normal(size=(6, 5)), rng.normal(size=(3, 5)), rng.normal(size=(4, 3))
+    m = keep_mask((6, 3), 0.4, stream(74, 0, 1))
+    g = rng.normal(size=(6, 4))
+    _, saved = mlp_forward(x, w_up, w_down, activation, m, 2.0)
+    lat, sig, kept = saved
+    read = [a.copy() for a in (g, x, lat, kept, m)]
+    sig_before = None if sig is None else sig.copy()
+    mlp_backward(g, x, w_up, w_down, activation, m, 2.0, saved,
+                 tuple(np.empty(a.shape) for a in (x, w_up, w_down)))
+    for a, was in zip((g, x, lat, kept, m), read):
+        assert a.tobytes() == was.tobytes()
+    if activation == "silu":
+        assert sig.tobytes() == ((1.0 - sig_before) * lat + 1.0).tobytes()
+        assert sig.tobytes() != sig_before.tobytes()
+    else:
+        assert sig is None
 
 
 @pytest.mark.parametrize("mask", [None, "elementwise"])
@@ -416,10 +451,10 @@ def _layer_norm(z):
 
 
 def _attention(z):
-    rows, weights = causal_attention_forward(z, z, z, 2, 3)
+    rows, keys_t, weights = causal_attention_forward(z, z, z, 2, 3)
 
     def pull(g):
-        dq, dk, dv = causal_attention_backward(g, z, z, z, weights, 2, 3, ALL)
+        dq, dk, dv = causal_attention_backward(g, z, z, keys_t, weights, ALL)
         return (dq + dk) + dv
 
     return rows, pull
