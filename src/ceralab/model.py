@@ -53,6 +53,9 @@ from .tensor import Tensor, stream
 INJECTION_TARGETS = ("Wq", "Wv", "attn_block")
 # the only adapters a regressor accepts: its query path drops out (module doc)
 REGRESSOR_TARGETS = ("Wv", "attn_block")
+# the fewest rows of a block of `regressor_frozen`'s FFN; blocks hold
+# FFN_BLOCK_ROWS to 2 * FFN_BLOCK_ROWS - 1 rows (see its docstring)
+FFN_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -429,11 +432,26 @@ def regressor_frozen(backbone: FrozenBackbone, features) -> np.ndarray:
     result is bit for bit what the frozen model computes; the FFN is the
     `tensor.mlp_forward` call that `_ffn_sublayer` makes. It depends on the
     rows alone, so a caller that revisits the same rows computes it once.
+
+    Only the FFN runs over row blocks: n // 256 near-equal blocks (one
+    block below 512 rows), so its three hidden-width (rows, 4 d_model)
+    arrays live for one block of 256 to 511 rows at a time, written into
+    one (n, d_model) array. A row's FFN output takes the same BLAS kernel
+    whether its block or the whole batch is multiplied only while no block
+    is short: a short remainder goes to gemv or to the small-matrix
+    kernels and moves the last bits. The Wv/Wo products, the residual sum
+    and the head product stay whole-batch for the same reason; blocking
+    the head product moved bits even at 512 rows.
     """
     ws = backbone.layers[0]
     x = np.ascontiguousarray(features, dtype=np.float64)
     attn_out = (x @ ws["Wv"].T) @ ws["Wo"].T
-    ff = T.mlp_forward(x, ws["W1"], ws["W2"], "silu", None, 1.0)[0]
+    n = x.shape[0]
+    blocks = max(1, n // FFN_BLOCK_ROWS)
+    ff = np.empty((n, ws["W2"].shape[0]))
+    for j in range(blocks):
+        rows = slice(n * j // blocks, n * (j + 1) // blocks)
+        ff[rows] = T.mlp_forward(x[rows], ws["W1"], ws["W2"], "silu", None, 1.0)[0]
     return (x + attn_out + ff) @ backbone.head.T
 
 

@@ -27,6 +27,7 @@ Generator at a (seed, path) address; callers draw with its own methods.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -200,6 +201,17 @@ def _attention_scale(keys_t: np.ndarray) -> np.float64:
     return 1.0 / np.sqrt(keys_t.shape[-2])
 
 
+@lru_cache(maxsize=8)
+def _causal_masks(seq_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (S, S) causal mask of `seq_len` positions, a position's kept
+    keys being itself and those before it, and its negation: read-only
+    arrays built once per length."""
+    kept = np.tri(seq_len, dtype=bool)
+    after = ~kept
+    kept.flags.writeable = after.flags.writeable = False
+    return kept, after
+
+
 def causal_attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                              n_heads: int, seq_len: int
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,13 +239,13 @@ def causal_attention_forward(q: np.ndarray, k: np.ndarray, v: np.ndarray,
             or q.shape[0] % seq_len or q.shape[1] % n_heads or v.shape[1] % n_heads):
         raise ShapeError(f"causal_attention rows {q.shape}, {k.shape}, {v.shape} do "
                          f"not split into {n_heads} heads of length-{seq_len} sequences")
-    kept = np.tri(seq_len, dtype=bool)
+    kept, after = _causal_masks(seq_len)
     keys_t = _keys_t(k, n_heads, seq_len)
     attn = np.matmul(_heads(q, n_heads, seq_len), keys_t)
     attn *= _attention_scale(keys_t)
     attn -= attn.max(axis=-1, keepdims=True, initial=-np.inf, where=kept)
     np.exp(attn, out=attn, where=kept)
-    np.copyto(attn, 0.0, where=~kept)
+    np.copyto(attn, 0.0, where=after)
     attn /= attn.sum(axis=-1, keepdims=True)
     rows = np.empty((q.shape[0], v.shape[1]))
     np.matmul(attn, _heads(v, n_heads, seq_len), out=_heads(rows, n_heads, seq_len))

@@ -771,6 +771,53 @@ def test_adapter_free_regressor_is_bit_identical_to_the_network():
     assert regressor_frozen(bb, x).tobytes() == got.tobytes()
 
 
+def whole_batch_frozen(bb, x):
+    """Reference: `regressor_frozen` as one whole-batch chain, the FFN one
+    `mlp_forward` over all rows."""
+    ws = bb.layers[0]
+    attn_out = (x @ ws["Wv"].T) @ ws["Wo"].T
+    ff = T.mlp_forward(x, ws["W1"], ws["W2"], "silu", None, 1.0)[0]
+    return (x + attn_out + ff) @ bb.head.T
+
+
+@pytest.mark.parametrize("vocab", [1, 8, 64])
+@pytest.mark.parametrize("d_model", [4, 16, 32, 64, 128])
+def test_blocked_regressor_frozen_is_the_whole_batch_chain_bit_for_bit(d_model, vocab):
+    # the FFN over row blocks of 256 to 511 rows gives the whole batch's
+    # bits: row counts at and around each block edge, and the task's 512
+    # and 1024 rows
+    bb = build_model(ModelConfig(d_model=d_model, n_heads=1, d_head=d_model, n_layers=1,
+                                 vocab_size=vocab, max_seq_len=8, v_out_dim=d_model,
+                                 mode="regressor"), d_model + vocab)
+    rng = stream(48, d_model, vocab)
+    for n in (1, 255, 256, 511, 512, 513, 767, 1024, 2000):
+        x = rng.normal(size=(n, d_model))
+        got = regressor_frozen(bb, x)
+        assert got.shape == (n, vocab)
+        assert got.tobytes() == whole_batch_frozen(bb, x).tobytes(), n
+
+
+def test_regressor_frozen_runs_its_ffn_over_blocks_of_256_to_511_rows(monkeypatch):
+    # one block below 512 rows; from 512 rows on, n // 256 near-equal
+    # blocks in row order, none shorter than 256 rows
+    bb = build_model(REG, 49)
+    blocks = []
+    mlp_forward = T.mlp_forward
+    monkeypatch.setattr(T, "mlp_forward", lambda x, *args: (
+        blocks.append(len(x)), mlp_forward(x, *args))[1])
+    for n in (*range(1, 1100, 7), 2000, 4095, 4096, 10007):
+        blocks.clear()
+        regressor_frozen(bb, np.zeros((n, 16)))
+        assert sum(blocks) == n
+        if n < 2 * model_mod.FFN_BLOCK_ROWS:
+            assert blocks == [n]
+        else:
+            assert len(blocks) == n // model_mod.FFN_BLOCK_ROWS
+            assert min(blocks) >= model_mod.FFN_BLOCK_ROWS
+            assert max(blocks) < 2 * model_mod.FFN_BLOCK_ROWS
+            assert max(blocks) - min(blocks) <= 1
+
+
 @pytest.mark.parametrize("drop_seed", [None, 44], ids=["eval", "train"])
 def test_adapted_regressor_matches_the_network_composition(drop_seed):
     bb = regressor_with_both_adapters(42)

@@ -170,6 +170,11 @@ def test_causal_attention_is_bit_for_bit_the_op_chain(frozen, shape):
     # every weight after its query's position is +0.0, by its bytes
     after = weights[..., ~np.tri(s, dtype=bool)]
     assert after.tobytes() == np.zeros_like(after).tobytes()
+    # the causal masks come from a per-length cache that no call can write
+    masks = T._causal_masks(s)
+    assert masks is T._causal_masks(s)
+    for mask, want in zip(masks, (np.tri(s, dtype=bool), ~np.tri(s, dtype=bool))):
+        assert np.array_equal(mask, want) and not mask.flags.writeable
     for grad, want, asked in zip(got, (gq, gk, gv), wanted):
         if asked:
             assert grad.tobytes() == want.tobytes()

@@ -3,6 +3,7 @@ import tracemalloc
 import weakref
 from collections import Counter
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from ceralab import trainer as trainer_mod
 from ceralab.adapters import Adapter, AdapterConfig, AdapterState
 from ceralab.errors import ConfigError, DomainError, TrainingDiverged
+from ceralab.experiments import ExperimentConfig, build_task_bundle
 from ceralab import tensor as T
 from ceralab.model import (ModelConfig, adapter_shape, build_model,
                            collect_latents, forward, inject, lm_logits,
@@ -25,6 +27,7 @@ from ceralab.trainer import (TrainConfig, adamw_state, adamw_step,
 REG_CFG = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=1,
                       vocab_size=4, max_seq_len=8, v_out_dim=8,
                       mode="regressor")
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 LM_CFG = ModelConfig(d_model=16, n_heads=2, d_head=8, n_layers=2,
                      vocab_size=12, max_seq_len=48, v_out_dim=8)
 
@@ -491,6 +494,27 @@ def test_training_step_and_evaluation_memory_peaks(kind):
     step_peak, eval_peak = peak_mib(step), peak_mib(lambda: evaluate(bb, test))
     assert step_peak < STEP_PEAK_MIB, f"training step peak {step_peak:.2f} MiB"
     assert eval_peak < EVALUATE_PEAK_MIB, f"evaluate peak {eval_peak:.2f} MiB"
+
+
+# tracemalloc peaks (MiB) of the shipped ceiling task: building its bundle
+# (the teacher's targets over 1024 rows, the linear floor) and the frozen
+# regressor term of its 512 test rows, which the training split and
+# `evaluate` each compute once per run. With the FFN's three hidden-width
+# arrays over all rows at once they read 7.92 and 3.50; both bounds were set
+# below those before the blocked FFN was first measured against them
+TASK_BUILD_PEAK_MIB = 5.0
+FROZEN_TERM_PEAK_MIB = 3.0
+
+
+def test_ceiling_task_build_and_frozen_term_memory_peaks():
+    model = ExperimentConfig.load(CONFIG_DIR / "ceiling_sweep.json").model
+    bundle = build_task_bundle("nonlinear_teacher", model)
+    bb = build_model(model, bundle.backbone_seed)
+    assert len(bundle.test) == 512
+    build_peak = peak_mib(lambda: build_task_bundle("nonlinear_teacher", model))
+    frozen_peak = peak_mib(lambda: trainer_mod.regressor_frozen(bb, bundle.test.inputs))
+    assert build_peak < TASK_BUILD_PEAK_MIB, f"task build peak {build_peak:.2f} MiB"
+    assert frozen_peak < FROZEN_TERM_PEAK_MIB, f"frozen term peak {frozen_peak:.2f} MiB"
 
 
 # capture and forward over the same 12 test sequences, with cera r=16 on Wv
