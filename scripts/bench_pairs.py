@@ -145,7 +145,6 @@ def main(argv=None) -> int:
     p.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     p.add_argument("--size", choices=("full", "tiny"), default="full")
     p.add_argument("--claim", help="WORKLOAD:METRIC of a claimed gain to check")
-    p.add_argument("--what", default="", help="a description stored in the JSON")
     p.add_argument("--out", required=True, help="write the JSON here")
     args = p.parse_args(argv)
     if args.pairs < 1:
@@ -159,7 +158,7 @@ def main(argv=None) -> int:
     seconds = benchmark["run_seconds"] if args.seconds is None else args.seconds
     commits = {"parent": resolve(args.parent), "change": resolve(args.change)}
 
-    report = {"what": args.what, "parent_commit": commits["parent"],
+    report = {"parent_commit": commits["parent"],
               "change_commit": commits["change"],
               "host": {"python": platform.python_version(), "numpy": np.__version__,
                        "cpus": os.cpu_count(), "machine": platform.machine()},

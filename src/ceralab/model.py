@@ -53,8 +53,7 @@ from .tensor import Tensor, stream
 INJECTION_TARGETS = ("Wq", "Wv", "attn_block")
 # the only adapters a regressor accepts: its query path drops out (module doc)
 REGRESSOR_TARGETS = ("Wv", "attn_block")
-# the fewest rows of a block of `regressor_frozen`'s FFN; blocks hold
-# FFN_BLOCK_ROWS to 2 * FFN_BLOCK_ROWS - 1 rows (see its docstring)
+# the fewest rows of a block of `regressor_frozen`'s FFN (see its docstring)
 FFN_BLOCK_ROWS = 256
 
 
@@ -436,12 +435,11 @@ def regressor_frozen(backbone: FrozenBackbone, features) -> np.ndarray:
     Only the FFN runs over row blocks: n // 256 near-equal blocks (one
     block below 512 rows), so its three hidden-width (rows, 4 d_model)
     arrays live for one block of 256 to 511 rows at a time, written into
-    one (n, d_model) array. A row's FFN output takes the same BLAS kernel
-    whether its block or the whole batch is multiplied only while no block
-    is short: a short remainder goes to gemv or to the small-matrix
-    kernels and moves the last bits. The Wv/Wo products, the residual sum
-    and the head product stay whole-batch for the same reason; blocking
-    the head product moved bits even at 512 rows.
+    one (n, d_model) array. Blocks that long gave every row the bits of
+    the whole-batch product in all shapes measured; a short block goes to
+    gemv or to BLAS's small-matrix kernels and moves the last bits. The
+    Wv/Wo products, the residual sum and the head product stay
+    whole-batch: blocking the head product moved bits even at 512 rows.
     """
     ws = backbone.layers[0]
     x = np.ascontiguousarray(features, dtype=np.float64)
